@@ -104,9 +104,9 @@ func NewCommSharded(cfg *machine.Config, n, shards int) (*Comm, error) {
 			id:      r,
 			ep:      w.Endpoint(r),
 			arrived: sim.NewCond(w.EngineOf(r)),
-			sendSeq: make([]uint64, n),
-			recvSeq: make([]uint64, n),
-			ooo:     make([][]*envelope, n),
+			sendSeq: make(map[int]uint64),
+			recvSeq: make(map[int]uint64),
+			ooo:     make(map[int][]*envelope),
 		})
 	}
 	return c, nil
@@ -159,9 +159,15 @@ type Rank struct {
 	// is the next sequence admitted from rank s, and ooo[s] buffers
 	// early arrivals until the gap fills. On an in-order network every
 	// arrival is admitted immediately, so default behavior is unchanged.
-	sendSeq []uint64
-	recvSeq []uint64
-	ooo     [][]*envelope
+	//
+	// All three are keyed by peer rank and hold only the peers this rank
+	// has exchanged messages with (a halo rank talks to a handful, not to
+	// all P), so per-rank state stays O(peers) and the world O(ranks).
+	// ooo drops a source as soon as its queue drains, so its size is the
+	// number of sources with a gap open right now.
+	sendSeq map[int]uint64
+	recvSeq map[int]uint64
+	ooo     map[int][]*envelope
 
 	barrierSeq int
 	collSeq    int

@@ -36,7 +36,7 @@ func (r *Rank) Isend(dst, tag int, data []byte) *Request {
 	target := r.comm.ranks[dst]
 	src := r.id
 	seq := r.sendSeq[dst]
-	r.sendSeq[dst]++
+	r.sendSeq[dst] = seq + 1
 	r.sendCount++
 	issue := r.proc.Now()
 	hook := r.comm.sendHook
@@ -120,25 +120,31 @@ func (r *Rank) deliver(env *envelope) {
 		return
 	}
 	src := env.src
-	if env.seq != r.recvSeq[src] {
+	next := r.recvSeq[src]
+	if env.seq != next {
 		r.ooo[src] = append(r.ooo[src], env)
 		return
 	}
-	r.recvSeq[src]++
-	r.admit(env)
-	for next := r.takeOutOfOrder(src); next != nil; next = r.takeOutOfOrder(src) {
-		r.recvSeq[src]++
-		r.admit(next)
+	for env != nil {
+		next++
+		r.recvSeq[src] = next
+		r.admit(env)
+		env = r.takeOutOfOrder(src, next)
 	}
 }
 
 // takeOutOfOrder removes and returns the buffered arrival from src
-// whose sequence is next in line, or nil.
-func (r *Rank) takeOutOfOrder(src int) *envelope {
+// with sequence seq, or nil. A source whose queue drains leaves the
+// map.
+func (r *Rank) takeOutOfOrder(src int, seq uint64) *envelope {
 	q := r.ooo[src]
 	for i, env := range q {
-		if env.seq == r.recvSeq[src] {
-			r.ooo[src] = append(q[:i], q[i+1:]...)
+		if env.seq == seq {
+			if len(q) == 1 {
+				delete(r.ooo, src)
+			} else {
+				r.ooo[src] = append(q[:i], q[i+1:]...)
+			}
 			return env
 		}
 	}

@@ -18,9 +18,13 @@ type Win struct {
 	bufs [][]byte
 
 	// outstanding[origin][target] counts puts issued by origin that
-	// have not yet landed in target memory. Issued and completed on
-	// the origin's engine (the local half of the delivery split).
-	outstanding [][]int
+	// have not yet landed in target memory. Each origin's map holds only
+	// targets with puts in flight (a target leaves when its count drops
+	// to zero) and pending[origin] is the origin's total, so FlushAll
+	// tests one counter. Both are issued and completed on the origin's
+	// engine (the local half of the delivery split).
+	outstanding []map[int]int
+	pending     []int
 	// originDone[origin] is signaled whenever one of origin's puts
 	// completes remotely (flush waits on it); bound to origin's engine.
 	originDone []*sim.Cond
@@ -61,17 +65,18 @@ func (c *Comm) NewWinSizes(sizes []int) (*Win, error) {
 		return nil, fmt.Errorf("mpi: NewWinSizes needs %d sizes, got %d", c.Size(), len(sizes))
 	}
 	w := &Win{
-		comm:    c,
-		puts:    make([]int64, c.Size()),
-		gets:    make([]int64, c.Size()),
-		atomics: make([]int64, c.Size()),
+		comm:        c,
+		outstanding: make([]map[int]int, c.Size()),
+		pending:     make([]int, c.Size()),
+		puts:        make([]int64, c.Size()),
+		gets:        make([]int64, c.Size()),
+		atomics:     make([]int64, c.Size()),
 	}
 	for r, s := range sizes {
 		if s < 0 {
 			return nil, fmt.Errorf("mpi: rank %d: negative window size", r)
 		}
 		w.bufs = append(w.bufs, make([]byte, s))
-		w.outstanding = append(w.outstanding, make([]int, c.Size()))
 		w.originDone = append(w.originDone, sim.NewCond(c.world.EngineOf(r)))
 		w.targetDone = append(w.targetDone, sim.NewCond(c.world.EngineOf(r)))
 	}
@@ -115,7 +120,7 @@ func (r *Rank) putOn(w *Win, dst, dstOff int, data []byte, ch int) {
 	buf := runtime.BorrowBuf(len(data))
 	copy(buf, data)
 	origin := r.id
-	w.outstanding[origin][dst]++
+	w.issue(origin, dst)
 	w.puts[origin]++
 	r.sendCount++
 	issue := r.proc.Now()
@@ -129,10 +134,7 @@ func (r *Rank) putOn(w *Win, dst, dstOff int, data []byte, ch int) {
 			w.hook(origin, dst, n, issue, at)
 		}
 		w.targetDone[dst].Broadcast()
-	}, func(at sim.Time) {
-		w.outstanding[origin][dst]--
-		w.originDone[origin].Broadcast()
-	})
+	}, func(sim.Time) { w.complete(origin, dst) })
 }
 
 // Get fetches n bytes from src's window at srcOff. It blocks until
@@ -186,14 +188,32 @@ func (r *Rank) Flush(w *Win, dst int) {
 // completed (MPI_Win_flush_all).
 func (r *Rank) FlushAll(w *Win) {
 	r.ep.ChargeOp(r.proc, r.comm.one)
-	w.originDone[r.id].WaitFor(r.proc, func() bool {
-		for _, n := range w.outstanding[r.id] {
-			if n != 0 {
-				return false
-			}
-		}
-		return true
-	})
+	w.originDone[r.id].WaitFor(r.proc, func() bool { return w.pending[r.id] == 0 })
+}
+
+// issue counts a put from origin to dst as in flight.
+func (w *Win) issue(origin, dst int) {
+	m := w.outstanding[origin]
+	if m == nil {
+		m = make(map[int]int)
+		w.outstanding[origin] = m
+	}
+	m[dst]++
+	w.pending[origin]++
+}
+
+// complete retires a put from origin to dst once it has landed, drops
+// dst from origin's map when none remain in flight, and wakes origin's
+// flushes.
+func (w *Win) complete(origin, dst int) {
+	m := w.outstanding[origin]
+	if n := m[dst] - 1; n == 0 {
+		delete(m, dst)
+	} else {
+		m[dst] = n
+	}
+	w.pending[origin]--
+	w.originDone[origin].Broadcast()
 }
 
 // FlushLocal completes puts locally (the origin buffer is reusable);
@@ -286,7 +306,7 @@ func (r *Rank) PutNotify(w *Win, dst, dstOff int, data []byte, sigOff int, sigVa
 	buf := runtime.BorrowBuf(len(data))
 	copy(buf, data)
 	origin := r.id
-	w.outstanding[origin][dst]++
+	w.issue(origin, dst)
 	w.puts[origin]++
 	r.sendCount++
 	issue := r.proc.Now()
@@ -298,10 +318,7 @@ func (r *Rank) PutNotify(w *Win, dst, dstOff int, data []byte, sigOff int, sigVa
 			w.hook(origin, dst, n+8, issue, at)
 		}
 		w.targetDone[dst].Broadcast()
-	}, func(at sim.Time) {
-		w.outstanding[origin][dst]--
-		w.originDone[origin].Broadcast()
-	})
+	}, func(sim.Time) { w.complete(origin, dst) })
 	return nil
 }
 
@@ -346,7 +363,7 @@ func (r *Rank) Accumulate(w *Win, dst, dstOff int, data []float64) {
 	vals := make([]float64, len(data))
 	copy(vals, data)
 	origin := r.id
-	w.outstanding[origin][dst]++
+	w.issue(origin, dst)
 	w.puts[origin]++
 	r.sendCount++
 	issue := r.proc.Now()
@@ -360,8 +377,5 @@ func (r *Rank) Accumulate(w *Win, dst, dstOff int, data []float64) {
 			w.hook(origin, dst, int64(n), issue, at)
 		}
 		w.targetDone[dst].Broadcast()
-	}, func(at sim.Time) {
-		w.outstanding[origin][dst]--
-		w.originDone[origin].Broadcast()
-	})
+	}, func(sim.Time) { w.complete(origin, dst) })
 }

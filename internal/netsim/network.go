@@ -52,6 +52,10 @@ type Network struct {
 	// the resolve-outside-the-lock build order perturbs simulated
 	// timing.
 	cache [cacheShards]cacheShard
+	// scratch pools BFS working sets (*bfsScratch) so concurrent
+	// resolutions reuse O(nodes) slices instead of allocating them per
+	// route.
+	scratch sync.Pool
 	// gen counts topology mutations (AddLink); cached Paths record
 	// the generation they were resolved under so stale holders can be
 	// detected (see Path.Stale).
@@ -357,23 +361,60 @@ func (n *Network) resolvePath(sh *cacheShard, key [2]string) (*Path, error) {
 	return p, nil
 }
 
+// bfsScratch is one BFS's working set over the node indices: the
+// predecessor of each visited node (-1 when unvisited), the channel
+// group that reached it, and the FIFO queue — which also lists every
+// node the walk touched.
+type bfsScratch struct {
+	prev  []int32
+	via   []*channelGroup
+	queue []int32
+}
+
+// getScratch takes an all-unvisited scratch sized for the current node
+// count from the network's pool.
+func (n *Network) getScratch() *bfsScratch {
+	if s, ok := n.scratch.Get().(*bfsScratch); ok && len(s.prev) == len(n.nodes) {
+		return s
+	}
+	s := &bfsScratch{
+		prev:  make([]int32, len(n.nodes)),
+		via:   make([]*channelGroup, len(n.nodes)),
+		queue: make([]int32, 0, len(n.nodes)),
+	}
+	for i := range s.prev {
+		s.prev[i] = -1
+	}
+	return s
+}
+
+// putScratch returns s to the pool after resetting only the entries
+// its walk touched, so a resolution costs O(visited), not O(nodes).
+func (n *Network) putScratch(s *bfsScratch) {
+	for _, x := range s.queue {
+		s.prev[x] = -1
+		s.via[x] = nil
+	}
+	s.queue = s.queue[:0]
+	n.scratch.Put(s)
+}
+
 // bfs finds the shortest route, remembering the group used to reach
 // each node. It walks the index-based adjacency with flat predecessor
 // slices — first-seen marking over the same per-node edge order as the
-// historical map-based walk, so every tie breaks identically.
+// historical map-based walk, so every tie breaks identically. The
+// slices come from a pool, so the only allocation is the returned hop
+// list.
 func (n *Network) bfs(src, dst string) ([]*channelGroup, error) {
 	si := int32(n.nodeIndex[src])
 	di := int32(n.nodeIndex[dst])
-	prev := make([]int32, len(n.nodes))
-	for i := range prev {
-		prev[i] = -1
-	}
-	via := make([]*channelGroup, len(n.nodes))
-	queue := make([]int32, 0, len(n.nodes))
+	s := n.getScratch()
+	defer n.putScratch(s)
+	prev, via := s.prev, s.via
 	prev[si] = si // self-predecessor marks the root visited
-	queue = append(queue, si)
-	for qi := 0; qi < len(queue); qi++ {
-		cur := queue[qi]
+	s.queue = append(s.queue, si)
+	for qi := 0; qi < len(s.queue); qi++ {
+		cur := s.queue[qi]
 		if cur == di {
 			break
 		}
@@ -383,19 +424,20 @@ func (n *Network) bfs(src, dst string) ([]*channelGroup, error) {
 			}
 			prev[x.to] = cur
 			via[x.to] = x.g
-			queue = append(queue, x.to)
+			s.queue = append(s.queue, x.to)
 		}
 	}
 	if prev[di] == -1 {
 		return nil, fmt.Errorf("netsim: no route from %q to %q", src, dst)
 	}
-	var rev []*channelGroup
+	hops := 0
 	for cur := di; cur != si; cur = prev[cur] {
-		rev = append(rev, via[cur])
+		hops++
 	}
-	p := make([]*channelGroup, len(rev))
-	for i := range rev {
-		p[i] = rev[len(rev)-1-i]
+	p := make([]*channelGroup, hops)
+	for cur := di; cur != si; cur = prev[cur] {
+		hops--
+		p[hops] = via[cur]
 	}
 	return p, nil
 }

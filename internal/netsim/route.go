@@ -113,13 +113,18 @@ func (n *Network) RouteTo(src, dst string) (*Route, error) {
 // a "detour" no longer than the minimal path is the minimal path's
 // job. The via legs resolve through the sharded path cache (PathTo),
 // so building alternatives takes no lock of its own and detour legs
-// shared between routes are BFS'd once.
+// shared between routes are BFS'd once. Candidates are ranked by hop
+// count alone, and only the kept ones become Paths.
 func (n *Network) buildAlts(src, dst string, min *Path) []*Path {
 	type cand struct {
-		p    *Path
+		a, b *Path
 		hops int
 	}
-	var cands []cand
+	// keep[:k] holds the shortest candidates so far, in (hops,
+	// registration) order: a newcomer goes after every kept candidate
+	// no longer than it, so equal hop counts keep registration order.
+	var keep [maxAltsPerRoute]cand
+	k := 0
 	for _, via := range n.detours {
 		if via == src || via == dst || !n.HasNode(via) {
 			continue
@@ -136,24 +141,25 @@ func (n *Network) buildAlts(src, dst string, min *Path) []*Path {
 		if hops <= min.hops {
 			continue
 		}
-		p := &Path{net: n, gen: n.gen}
-		p.groups = append(append([]*channelGroup{}, a.groups...), b.groups...)
-		p.metrics()
-		cands = append(cands, cand{p: p, hops: hops})
-	}
-	// Stable selection of the shortest candidates: registration order
-	// breaks ties because the insertion sort below never swaps equals.
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && cands[j].hops < cands[j-1].hops; j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
+		i := k
+		for i > 0 && keep[i-1].hops > hops {
+			i--
 		}
+		if i == maxAltsPerRoute {
+			continue
+		}
+		if k < maxAltsPerRoute {
+			k++
+		}
+		copy(keep[i+1:k], keep[i:k-1])
+		keep[i] = cand{a: a, b: b, hops: hops}
 	}
-	if len(cands) > maxAltsPerRoute {
-		cands = cands[:maxAltsPerRoute]
-	}
-	alts := make([]*Path, len(cands))
-	for i, c := range cands {
-		alts[i] = c.p
+	alts := make([]*Path, k)
+	for i, c := range keep[:k] {
+		p := &Path{net: n, gen: n.gen, groups: make([]*channelGroup, 0, c.hops)}
+		p.groups = append(append(p.groups, c.a.groups...), c.b.groups...)
+		p.metrics()
+		alts[i] = p
 	}
 	return alts
 }

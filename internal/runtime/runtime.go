@@ -251,11 +251,12 @@ type Endpoint struct {
 	// memory (one at a time at the memory controller). It is mutated
 	// only from this endpoint's own engine (owner-computes).
 	atomicFree sim.Time
-	// plans caches the resolved fabric route(s) to each destination
-	// rank (lazily built; topology is static after instantiation), so
-	// the per-send path does no map probes and no allocation. Owned by
-	// the rank's group: built from its engine or at a window barrier.
-	plans []*wirePlan
+	// plans caches the resolved fabric route(s) per destination rank
+	// this endpoint has sent to (lazily built; topology is static after
+	// instantiation), so a repeat send does one probe of a map sized by
+	// the rank's peers, not by the world, and no allocation. Owned by the
+	// rank's group: built from its engine or at a window barrier.
+	plans map[int]*wirePlan
 }
 
 // wirePlan is the cached routing decision from one endpoint to one
@@ -274,11 +275,11 @@ type wirePlan struct {
 // planTo returns the cached wire plan from ep to rank dst, resolving
 // it on first use.
 func (ep *Endpoint) planTo(dst int) *wirePlan {
-	if ep.plans == nil {
-		ep.plans = make([]*wirePlan, ep.world.Size())
-	}
-	if pl := ep.plans[dst]; pl != nil {
+	if pl, ok := ep.plans[dst]; ok {
 		return pl
+	}
+	if ep.plans == nil {
+		ep.plans = make(map[int]*wirePlan)
 	}
 	inst := ep.world.Inst
 	pl := &wirePlan{

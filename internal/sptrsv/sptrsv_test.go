@@ -286,8 +286,8 @@ func TestTrafficMatrixPopulated(t *testing.T) {
 	var total int64
 	for s := 0; s < 4; s++ {
 		for d := 0; d < 4; d++ {
-			total += res.Matrix.Messages[s][d]
-			if s == d && res.Matrix.Messages[s][d] != 0 {
+			total += res.Matrix.At(s, d).Messages
+			if s == d && res.Matrix.At(s, d).Messages != 0 {
 				t.Fatal("self traffic recorded for block-cyclic SpTRSV")
 			}
 		}

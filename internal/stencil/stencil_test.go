@@ -2,6 +2,7 @@ package stencil
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"msgroofline/internal/comm"
@@ -246,15 +247,10 @@ func TestHaloTrafficMatrixIsNeighborOnly(t *testing.T) {
 	l := layout{px: 4, py: 4, nx: 16, ny: 16}
 	for s := 0; s < 16; s++ {
 		nbrs := l.neighbors(s)
-		isNbr := map[int]bool{}
-		for _, n := range nbrs {
-			if n >= 0 {
-				isNbr[n] = true
-			}
-		}
 		for d := 0; d < 16; d++ {
-			if res.Matrix.Messages[s][d] > 0 && !isNbr[d] {
-				t.Fatalf("rank %d sent halo traffic to non-neighbor %d", s, d)
+			sent := res.Matrix.At(s, d).Messages > 0
+			if isNbr := slices.Contains(nbrs[:], d); sent != isNbr {
+				t.Fatalf("rank %d -> %d: sent halo traffic %v, neighbor %v", s, d, sent, isNbr)
 			}
 		}
 	}

@@ -4,36 +4,39 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"msgroofline/internal/sim"
 )
 
 // TrafficMatrix aggregates recorded events into per-(src, dst) byte
 // and message counts — the communication heat map of a run, useful
-// for spotting topology hotspots (e.g. Summit's X-Bus pairs).
+// for spotting topology hotspots (e.g. Summit's X-Bus pairs). It
+// stores only the pairs that communicated, so its size follows the
+// run's traffic, not Ranks².
 type TrafficMatrix struct {
-	Ranks    int
-	Bytes    [][]int64
-	Messages [][]int64
+	Ranks int
+	// pairs holds every communicating pair, sorted by (Src, Dst).
+	pairs []Pair
 }
 
 // Matrix builds the traffic matrix for `ranks` endpoints; events
 // referencing out-of-range ranks are ignored.
 func (r *Recorder) Matrix(ranks int) *TrafficMatrix {
 	m := &TrafficMatrix{Ranks: ranks}
-	m.Bytes = make([][]int64, ranks)
-	m.Messages = make([][]int64, ranks)
-	for i := range m.Bytes {
-		m.Bytes[i] = make([]int64, ranks)
-		m.Messages[i] = make([]int64, ranks)
-	}
+	index := make(map[[2]int]int)
 	for _, e := range r.events {
 		if e.Src < 0 || e.Src >= ranks || e.Dst < 0 || e.Dst >= ranks {
 			continue
 		}
-		m.Bytes[e.Src][e.Dst] += e.Bytes
-		m.Messages[e.Src][e.Dst]++
+		key := [2]int{e.Src, e.Dst}
+		i, ok := index[key]
+		if !ok {
+			i = len(m.pairs)
+			index[key] = i
+			m.pairs = append(m.pairs, Pair{Src: e.Src, Dst: e.Dst})
+		}
+		m.pairs[i].Bytes += e.Bytes
+		m.pairs[i].Messages++
 	}
+	sort.Slice(m.pairs, func(i, j int) bool { return m.pairs[i].less(m.pairs[j]) })
 	return m
 }
 
@@ -44,25 +47,28 @@ type Pair struct {
 	Messages int64
 }
 
+func (p Pair) less(q Pair) bool {
+	if p.Src != q.Src {
+		return p.Src < q.Src
+	}
+	return p.Dst < q.Dst
+}
+
+// At returns the traffic from src to dst (zero counts if the pair
+// never communicated).
+func (m *TrafficMatrix) At(src, dst int) Pair {
+	want := Pair{Src: src, Dst: dst}
+	i := sort.Search(len(m.pairs), func(i int) bool { return !m.pairs[i].less(want) })
+	if i < len(m.pairs) && m.pairs[i].Src == src && m.pairs[i].Dst == dst {
+		return m.pairs[i]
+	}
+	return want
+}
+
 // Hottest returns the top-k pairs by byte volume, descending.
 func (m *TrafficMatrix) Hottest(k int) []Pair {
-	var all []Pair
-	for s := 0; s < m.Ranks; s++ {
-		for d := 0; d < m.Ranks; d++ {
-			if m.Messages[s][d] > 0 {
-				all = append(all, Pair{Src: s, Dst: d, Bytes: m.Bytes[s][d], Messages: m.Messages[s][d]})
-			}
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Bytes != all[j].Bytes {
-			return all[i].Bytes > all[j].Bytes
-		}
-		if all[i].Src != all[j].Src {
-			return all[i].Src < all[j].Src
-		}
-		return all[i].Dst < all[j].Dst
-	})
+	all := append([]Pair(nil), m.pairs...)
+	sort.SliceStable(all, func(i, j int) bool { return all[i].Bytes > all[j].Bytes })
 	if k < len(all) {
 		all = all[:k]
 	}
@@ -73,43 +79,17 @@ func (m *TrafficMatrix) Hottest(k int) []Pair {
 // pairs that communicated at all (1 = perfectly balanced).
 func (m *TrafficMatrix) Imbalance() float64 {
 	var max, sum int64
-	n := 0
-	for s := 0; s < m.Ranks; s++ {
-		for d := 0; d < m.Ranks; d++ {
-			if m.Messages[s][d] == 0 {
-				continue
-			}
-			n++
-			sum += m.Bytes[s][d]
-			if m.Bytes[s][d] > max {
-				max = m.Bytes[s][d]
-			}
+	for _, p := range m.pairs {
+		sum += p.Bytes
+		if p.Bytes > max {
+			max = p.Bytes
 		}
 	}
-	if n == 0 || sum == 0 {
+	if sum == 0 {
 		return 0
 	}
-	mean := float64(sum) / float64(n)
+	mean := float64(sum) / float64(len(m.pairs))
 	return float64(max) / mean
-}
-
-// CrossFraction returns the fraction of bytes flowing between ranks
-// that the predicate classifies as "crossing" (e.g. different
-// sockets/islands).
-func (m *TrafficMatrix) CrossFraction(crosses func(src, dst int) bool) float64 {
-	var cross, total int64
-	for s := 0; s < m.Ranks; s++ {
-		for d := 0; d < m.Ranks; d++ {
-			total += m.Bytes[s][d]
-			if crosses(s, d) {
-				cross += m.Bytes[s][d]
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(cross) / float64(total)
 }
 
 // String renders a compact heat map (byte volumes, KiB) for small
@@ -124,7 +104,7 @@ func (m *TrafficMatrix) String() string {
 	for s := 0; s < show; s++ {
 		fmt.Fprintf(&b, "%4d:", s)
 		for d := 0; d < show; d++ {
-			fmt.Fprintf(&b, " %6.1f", float64(m.Bytes[s][d])/1024)
+			fmt.Fprintf(&b, " %6.1f", float64(m.At(s, d).Bytes)/1024)
 		}
 		fmt.Fprintln(&b)
 	}
@@ -132,35 +112,4 @@ func (m *TrafficMatrix) String() string {
 		fmt.Fprintf(&b, "  (truncated to %dx%d)\n", show, show)
 	}
 	return b.String()
-}
-
-// BisectionLoad estimates the byte volume crossing a rank-space cut
-// at `cut` (ranks < cut vs >= cut), per direction.
-func (m *TrafficMatrix) BisectionLoad(cut int) (forward, backward int64) {
-	for s := 0; s < m.Ranks; s++ {
-		for d := 0; d < m.Ranks; d++ {
-			if s < cut && d >= cut {
-				forward += m.Bytes[s][d]
-			}
-			if s >= cut && d < cut {
-				backward += m.Bytes[s][d]
-			}
-		}
-	}
-	return forward, backward
-}
-
-// MeanRate converts total recorded bytes into GB/s over the elapsed
-// span.
-func (m *TrafficMatrix) MeanRate(elapsed sim.Time) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	var total int64
-	for s := range m.Bytes {
-		for d := range m.Bytes[s] {
-			total += m.Bytes[s][d]
-		}
-	}
-	return float64(total) / elapsed.Seconds() / 1e9
 }

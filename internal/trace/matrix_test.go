@@ -1,42 +1,48 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
-
-	"msgroofline/internal/sim"
 )
 
 func sampleRecorder() *Recorder {
 	r := New()
-	r.Record(Event{Src: 0, Dst: 1, Bytes: 1000})
-	r.Record(Event{Src: 0, Dst: 1, Bytes: 500})
-	r.Record(Event{Src: 1, Dst: 0, Bytes: 200})
 	r.Record(Event{Src: 2, Dst: 3, Bytes: 4000})
+	r.Record(Event{Src: 0, Dst: 1, Bytes: 1000})
+	r.Record(Event{Src: 1, Dst: 0, Bytes: 200})
+	r.Record(Event{Src: 0, Dst: 1, Bytes: 500})
 	r.Record(Event{Src: 9, Dst: 0, Bytes: 99999}) // out of range for ranks=4
 	return r
 }
 
 func TestMatrixAggregation(t *testing.T) {
 	m := sampleRecorder().Matrix(4)
-	if m.Bytes[0][1] != 1500 || m.Messages[0][1] != 2 {
-		t.Fatalf("0->1: %d bytes, %d msgs", m.Bytes[0][1], m.Messages[0][1])
+	if p := m.At(0, 1); p.Bytes != 1500 || p.Messages != 2 {
+		t.Fatalf("0->1: %d bytes, %d msgs", p.Bytes, p.Messages)
 	}
-	if m.Bytes[1][0] != 200 {
-		t.Fatalf("1->0 = %d", m.Bytes[1][0])
+	if got := m.At(1, 0).Bytes; got != 200 {
+		t.Fatalf("1->0 = %d", got)
 	}
-	if m.Bytes[2][3] != 4000 {
-		t.Fatalf("2->3 = %d", m.Bytes[2][3])
+	if got := m.At(2, 3).Bytes; got != 4000 {
+		t.Fatalf("2->3 = %d", got)
 	}
-	// Out-of-range events ignored.
+	if p := m.At(3, 2); p.Src != 3 || p.Dst != 2 || p.Bytes != 0 || p.Messages != 0 {
+		t.Fatalf("silent pair 3->2 = %+v", p)
+	}
+	// Only communicating pairs are stored, in (src, dst) order, and
+	// out-of-range events are ignored.
 	var total int64
-	for s := range m.Bytes {
-		for d := range m.Bytes[s] {
-			total += m.Bytes[s][d]
-		}
+	var got [][2]int
+	for _, p := range m.pairs {
+		total += p.Bytes
+		got = append(got, [2]int{p.Src, p.Dst})
 	}
 	if total != 5700 {
 		t.Fatalf("total = %d", total)
+	}
+	if want := [][2]int{{0, 1}, {1, 0}, {2, 3}}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("pairs = %v, want %v", got, want)
 	}
 }
 
@@ -70,46 +76,13 @@ func TestImbalance(t *testing.T) {
 	}
 }
 
-func TestCrossFraction(t *testing.T) {
-	m := sampleRecorder().Matrix(4)
-	// "Socket" boundary between ranks 0,1 and 2,3.
-	frac := m.CrossFraction(func(s, d int) bool { return (s < 2) != (d < 2) })
-	if frac != 0 {
-		t.Fatalf("cross fraction = %v, want 0 (no cross traffic)", frac)
-	}
-	m.Bytes[0][3] = 5700 // equal to all existing traffic
-	m.Messages[0][3] = 1
-	frac = m.CrossFraction(func(s, d int) bool { return (s < 2) != (d < 2) })
-	if frac != 0.5 {
-		t.Fatalf("cross fraction = %v, want 0.5", frac)
-	}
-}
-
-func TestBisectionLoad(t *testing.T) {
-	m := sampleRecorder().Matrix(4)
-	fwd, bwd := m.BisectionLoad(2)
-	if fwd != 0 || bwd != 0 {
-		t.Fatalf("bisection = %d/%d, want 0/0", fwd, bwd)
-	}
-	fwd, bwd = m.BisectionLoad(1)
-	// 0->1 crosses forward (1500); 1->0 crosses backward (200).
-	if fwd != 1500 || bwd != 200 {
-		t.Fatalf("bisection at 1 = %d/%d", fwd, bwd)
-	}
-}
-
-func TestMatrixStringAndRate(t *testing.T) {
-	m := sampleRecorder().Matrix(4)
-	s := m.String()
+func TestMatrixString(t *testing.T) {
+	s := sampleRecorder().Matrix(4).String()
 	if !strings.Contains(s, "traffic matrix") {
 		t.Fatalf("string = %q", s)
 	}
-	rate := m.MeanRate(sim.Microsecond)
-	// 5700 B / 1 us = 5.7 GB/s.
-	if rate < 5.69 || rate > 5.71 {
-		t.Fatalf("rate = %v", rate)
-	}
-	if m.MeanRate(0) != 0 {
-		t.Fatal("zero elapsed should give zero rate")
+	// Row 2 shows 4000 B (3.9 KiB) sent to rank 3 and nothing else.
+	if !strings.Contains(s, "   2:    0.0    0.0    0.0    3.9\n") {
+		t.Fatalf("row 2 missing from %q", s)
 	}
 }

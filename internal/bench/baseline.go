@@ -5,6 +5,7 @@ import (
 
 	"msgroofline/internal/machine"
 	"msgroofline/internal/mpi"
+	"msgroofline/internal/runtime"
 	"msgroofline/internal/sim"
 )
 
@@ -28,7 +29,7 @@ func PingPong(cfg *machine.Config, ranks int, bytes int64, reps int) (halfRTT si
 	}
 	var total sim.Time
 	err = c.Launch(func(r *mpi.Rank) {
-		payload := make([]byte, bytes)
+		payload := runtime.Blank(int(bytes))
 		switch r.Rank() {
 		case src:
 			start := r.Now()
@@ -72,7 +73,7 @@ func Flood(cfg *machine.Config, ranks int, bytes int64, count int) (gbs float64,
 		switch r.Rank() {
 		case src:
 			r.Barrier()
-			payload := make([]byte, bytes)
+			payload := runtime.Blank(int(bytes))
 			for i := 0; i < count; i++ {
 				r.Isend(dst, 0, payload)
 			}

@@ -328,21 +328,31 @@ func Sweep(cfg *machine.Config, spec Spec) (*Result, error) {
 
 // measure runs the single simulation behind one sweep point.
 func measure(cfg *machine.Config, t Transport, ranks, n int, b int64, shards int) (Point, error) {
+	p, _, err := measureWith(cfg, t, ranks, n, b, shards, runtime.Blank)
+	return p, err
+}
+
+// measureWith runs one sweep kernel with payloads from payload and
+// also returns the world's event digest. The sweeps pass
+// runtime.Blank: a window is timed by its message lengths alone, so
+// no bytes need to exist, be staged or land. The parity test passes
+// real bytes and checks that the timing and digest do not change.
+func measureWith(cfg *machine.Config, t Transport, ranks, n int, b int64, shards int, payload func(int) []byte) (Point, uint64, error) {
 	switch t {
 	case TwoSided:
-		return measureTwoSided(cfg, ranks, n, b, shards)
+		return measureTwoSided(cfg, ranks, n, b, shards, payload)
 	case OneSided:
-		return measureOneSided(cfg, ranks, n, b, shards, false)
+		return measureOneSided(cfg, ranks, n, b, shards, false, payload)
 	case OneSidedStrict:
-		return measureOneSided(cfg, ranks, n, b, shards, true)
+		return measureOneSided(cfg, ranks, n, b, shards, true, payload)
 	case ShmemPutSignal:
-		return measureShmemPutSignal(cfg, ranks, n, b, shards)
+		return measureShmemPutSignal(cfg, ranks, n, b, shards, payload)
 	case StreamTriggered:
-		return measureCommStream(cfg, comm.StreamTriggered, ranks, n, b, shards)
+		return measureCommStream(cfg, comm.StreamTriggered, ranks, n, b, shards, payload)
 	case MemChannel:
-		return measureCommStream(cfg, comm.MemChannel, ranks, n, b, shards)
+		return measureCommStream(cfg, comm.MemChannel, ranks, n, b, shards, payload)
 	default:
-		return Point{}, fmt.Errorf("bench: unknown transport %v", t)
+		return Point{}, 0, fmt.Errorf("bench: unknown transport %v", t)
 	}
 }
 
@@ -375,20 +385,20 @@ func farPair(ranks int) (int, int) { return 0, ranks - 1 }
 // posts N nonblocking receives, the sender issues N nonblocking
 // sends, and the window closes at the receiver's Waitall. Both ranks
 // synchronize on a barrier before timing.
-func measureTwoSided(cfg *machine.Config, ranks, n int, b int64, shards int) (Point, error) {
+func measureTwoSided(cfg *machine.Config, ranks, n int, b int64, shards int, payload func(int) []byte) (Point, uint64, error) {
 	src, dst := farPair(ranks)
 	var elapsed sim.Time
 	c, err := mpi.NewCommSharded(cfg, ranks, shards)
 	if err != nil {
-		return Point{}, err
+		return Point{}, 0, err
 	}
 	err = c.Launch(func(r *mpi.Rank) {
 		switch r.Rank() {
 		case src:
 			r.Barrier()
-			payload := make([]byte, b)
+			data := payload(int(b))
 			for i := 0; i < n; i++ {
-				r.Isend(dst, i, payload)
+				r.Isend(dst, i, data)
 			}
 		case dst:
 			reqs := make([]*mpi.Request, n)
@@ -404,9 +414,9 @@ func measureTwoSided(cfg *machine.Config, ranks, n int, b int64, shards int) (Po
 		}
 	})
 	if err != nil {
-		return Point{}, fmt.Errorf("bench: two-sided %s n=%d B=%d: %w", cfg.Name, n, b, err)
+		return Point{}, 0, fmt.Errorf("bench: two-sided %s n=%d B=%d: %w", cfg.Name, n, b, err)
 	}
-	return point(n, b, elapsed), nil
+	return point(n, b, elapsed), c.Digest(), nil
 }
 
 // measureOneSided measures one one-sided MPI window using the paper's
@@ -419,20 +429,20 @@ func measureTwoSided(cfg *machine.Config, ranks, n int, b int64, shards int) (Po
 // waits for remote completion — the per-message notification protocol
 // SpTRSV must use, the 5 us/message cost of Fig 6b, and the reason
 // one-sided SpTRSV loses (§III-B).
-func measureOneSided(cfg *machine.Config, ranks, n int, b int64, shards int, strict bool) (Point, error) {
+func measureOneSided(cfg *machine.Config, ranks, n int, b int64, shards int, strict bool, payload func(int) []byte) (Point, uint64, error) {
 	src, dst := farPair(ranks)
 	var elapsed sim.Time
 	c, err := mpi.NewCommSharded(cfg, ranks, shards)
 	if err != nil {
-		return Point{}, err
+		return Point{}, 0, err
 	}
 	data, err := c.NewWin(int(b))
 	if err != nil {
-		return Point{}, err
+		return Point{}, 0, err
 	}
 	sig, err := c.NewWin(8 * n)
 	if err != nil {
-		return Point{}, err
+		return Point{}, 0, err
 	}
 	one := []byte{1, 0, 0, 0, 0, 0, 0, 0}
 	err = c.Launch(func(r *mpi.Rank) {
@@ -441,18 +451,18 @@ func measureOneSided(cfg *machine.Config, ranks, n int, b int64, shards int, str
 			return
 		}
 		r.Barrier()
-		payload := make([]byte, b)
+		msg := payload(int(b))
 		start := r.Now()
 		if strict {
 			for i := 0; i < n; i++ {
-				r.Put(data, dst, 0, payload)
+				r.Put(data, dst, 0, msg)
 				r.Flush(data, dst)
 				r.Put(sig, dst, 8*i, one)
 				r.Flush(sig, dst)
 			}
 		} else {
 			for i := 0; i < n; i++ {
-				r.Put(data, dst, 0, payload)
+				r.Put(data, dst, 0, msg)
 				r.FlushLocal(data, dst)
 				r.Put(sig, dst, 8*i, one)
 				r.FlushLocal(sig, dst)
@@ -467,30 +477,30 @@ func measureOneSided(cfg *machine.Config, ranks, n int, b int64, shards int, str
 		if strict {
 			label = "strict one-sided"
 		}
-		return Point{}, fmt.Errorf("bench: %s %s n=%d B=%d: %w", label, cfg.Name, n, b, err)
+		return Point{}, 0, fmt.Errorf("bench: %s %s n=%d B=%d: %w", label, cfg.Name, n, b, err)
 	}
-	return point(n, b, elapsed), nil
+	return point(n, b, elapsed), c.Digest(), nil
 }
 
 // measureShmemPutSignal measures one GPU-initiated put-with-signal
 // window (Fig 4): the sender PE issues N fused put+signal operations,
 // the receiver waits until all N signals land, and the window closes
 // at the receiver.
-func measureShmemPutSignal(cfg *machine.Config, npes, n int, b int64, shards int) (Point, error) {
+func measureShmemPutSignal(cfg *machine.Config, npes, n int, b int64, shards int, payload func(int) []byte) (Point, uint64, error) {
 	src, dst := farPair(npes)
 	var elapsed sim.Time
 	heap := int(b) + 8*n + 64
 	j, err := shmem.NewJobSharded(cfg, npes, heap, shards)
 	if err != nil {
-		return Point{}, err
+		return Point{}, 0, err
 	}
 	err = j.Launch(func(c *shmem.Ctx) {
 		switch c.MyPE() {
 		case src:
 			c.Barrier()
-			payload := make([]byte, b)
+			data := payload(int(b))
 			for i := 0; i < n; i++ {
-				c.PutSignalNBI(dst, 0, payload, int(b)+8*i, 1)
+				c.PutSignalNBI(dst, 0, data, int(b)+8*i, 1)
 			}
 			c.Quiet()
 		case dst:
@@ -507,9 +517,9 @@ func measureShmemPutSignal(cfg *machine.Config, npes, n int, b int64, shards int
 		}
 	})
 	if err != nil {
-		return Point{}, fmt.Errorf("bench: shmem %s n=%d B=%d: %w", cfg.Name, n, b, err)
+		return Point{}, 0, fmt.Errorf("bench: shmem %s n=%d B=%d: %w", cfg.Name, n, b, err)
 	}
-	return point(n, b, elapsed), nil
+	return point(n, b, elapsed), j.Digest(), nil
 }
 
 // measureCommStream measures one streamed-delivery window on a
@@ -517,7 +527,7 @@ func measureShmemPutSignal(cfg *machine.Config, npes, n int, b int64, shards int
 // sender issues N signaled deliveries and quiets, the receiver times
 // from the pre-window barrier to its Nth consumed slot. The trace tap
 // stays off — the point is a timing, not an op census.
-func measureCommStream(cfg *machine.Config, kind comm.Kind, ranks, n int, b int64, shards int) (Point, error) {
+func measureCommStream(cfg *machine.Config, kind comm.Kind, ranks, n int, b int64, shards int, payload func(int) []byte) (Point, uint64, error) {
 	src, dst := farPair(ranks)
 	slots := make([]int, ranks)
 	slots[dst] = n
@@ -527,16 +537,16 @@ func measureCommStream(cfg *machine.Config, kind comm.Kind, ranks, n int, b int6
 		Shards: shards, NoTrace: true,
 	})
 	if err != nil {
-		return Point{}, err
+		return Point{}, 0, err
 	}
 	var elapsed sim.Time
 	err = tr.Launch(func(ep comm.Endpoint) {
 		switch ep.Rank() {
 		case src:
 			ep.Barrier()
-			payload := make([]byte, b)
+			data := payload(int(b))
 			for i := 0; i < n; i++ {
-				ep.Deliver(dst, i, payload)
+				ep.Deliver(dst, i, data)
 			}
 			ep.Quiet()
 		case dst:
@@ -551,9 +561,9 @@ func measureCommStream(cfg *machine.Config, kind comm.Kind, ranks, n int, b int6
 		}
 	})
 	if err != nil {
-		return Point{}, fmt.Errorf("bench: %s %s n=%d B=%d: %w", kind, cfg.Name, n, b, err)
+		return Point{}, 0, fmt.Errorf("bench: %s %s n=%d B=%d: %w", kind, cfg.Name, n, b, err)
 	}
-	return point(n, b, elapsed), nil
+	return point(n, b, elapsed), tr.Digest(), nil
 }
 
 // cachedTime memoizes one sim.Time-valued kernel run under the cache:
@@ -663,7 +673,7 @@ func TriggerDelayCached(c *pointcache.Cache, cfg *machine.Config, ranks, reps in
 }
 
 func triggerDelay(cfg *machine.Config, ranks, reps int) (sim.Time, error) {
-	p, err := measureCommStream(cfg, comm.StreamTriggered, ranks, reps, 8, 0)
+	p, _, err := measureCommStream(cfg, comm.StreamTriggered, ranks, reps, 8, 0, runtime.Blank)
 	if err != nil {
 		return 0, err
 	}
@@ -775,7 +785,7 @@ func splitRun(cfg *machine.Config, volume int64, parts int) (sim.Time, error) {
 				if i == parts-1 {
 					sz = volume - per*int64(parts-1)
 				}
-				c.PutSignalNBICh(1, int(per)*i, make([]byte, sz), int(volume)+8*i, 1, i)
+				c.PutSignalNBICh(1, int(per)*i, runtime.Blank(int(sz)), int(volume)+8*i, 1, i)
 			}
 			c.Quiet()
 		case 1:

@@ -303,7 +303,9 @@ type Endpoint interface {
 	Deliver(peer, slot int, data []byte)
 	// WaitAnySlot blocks for the next undelivered slot and returns
 	// its index and payload (window transports return the full slot
-	// stride; callers slice to their payload length).
+	// stride; callers slice to their payload length). The payload is
+	// for reading only: a slot that only blank payloads
+	// (runtime.Blank) reached may come back as the shared zero view.
 	WaitAnySlot() (slot int, data []byte)
 
 	// CAS atomically compares-and-swaps the uint64 at (peer, off) in

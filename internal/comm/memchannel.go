@@ -1,23 +1,12 @@
 package comm
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"msgroofline/internal/machine"
 	"msgroofline/internal/runtime"
 	"msgroofline/internal/sim"
 )
-
-// uint64At / binaryPutUint64 are the little-endian heap accessors of
-// the transports that keep their symmetric heaps in this package.
-func uint64At(heap []byte, off int) uint64 {
-	return binary.LittleEndian.Uint64(heap[off : off+8])
-}
-
-func binaryPutUint64(heap []byte, off int, v uint64) {
-	binary.LittleEndian.PutUint64(heap[off:off+8], v)
-}
 
 // memChanT is the RAMC-style ordered-channel transport (Schonbein et
 // al.): every (src,dst) pair communicates over a runtime.Channel — a
@@ -29,17 +18,16 @@ func binaryPutUint64(heap []byte, off int, v uint64) {
 // logs feed the conformance channel-FIFO oracle.
 type memChanT struct {
 	base
-	world   *runtime.World
-	tp      machine.TransportParams
-	pes     []*mcPE
-	sigBase int
-	hook    func(src, dst int, bytes int64, issue, deliver sim.Time)
+	world *runtime.World
+	tp    machine.TransportParams
+	pes   []*mcPE
+	hook  func(src, dst int, bytes int64, issue, deliver sim.Time)
 }
 
 type mcPE struct {
 	id    int
 	ep    *runtime.Endpoint
-	heap  []byte
+	heap  *slotHeap
 	chans []*runtime.Channel // per destination rank
 
 	// outstanding counts internal (barrier) messages, which ride raw
@@ -60,35 +48,18 @@ func newMemChannel(spec Spec) (*memChanT, error) {
 	if !ok {
 		return nil, fmt.Errorf("comm: machine %s has no memory-channel transport", spec.Machine.Name)
 	}
-	var heap, sigBase int
-	switch {
-	case spec.ExchangeSlots > 0:
-		sigBase = 2 * spec.ExchangeSlots * spec.SlotBytes
-		heap = sigBase + 2*spec.ExchangeSlots*8
-	case spec.StreamSlots != nil:
-		maxSlots := 0
-		for _, n := range spec.StreamSlots {
-			if n > maxSlots {
-				maxSlots = n
-			}
-		}
-		sigBase = spec.SlotBytes * maxSlots
-		heap = sigBase + 8*maxSlots + 64
-	case spec.SharedBytes > 0:
-		heap = spec.SharedBytes
-	}
 	w, err := runtime.NewWorldSharded(spec.Machine, spec.Ranks, spec.Shards)
 	if err != nil {
 		return nil, err
 	}
 	spec.applyChaos(w, w.Inst.Net)
-	t := &memChanT{base: base{spec: spec}, world: w, tp: tp, sigBase: sigBase}
+	t := &memChanT{base: base{spec: spec}, world: w, tp: tp}
 	for r := 0; r < spec.Ranks; r++ {
 		eng := w.EngineOf(r)
 		t.pes = append(t.pes, &mcPE{
 			id:       r,
 			ep:       w.Endpoint(r),
-			heap:     make([]byte, heap),
+			heap:     newSlotHeap(spec),
 			chans:    make([]*runtime.Channel, spec.Ranks),
 			landed:   sim.NewCond(eng),
 			quiesced: sim.NewCond(eng),
@@ -112,7 +83,7 @@ func (t *memChanT) Caps() Caps        { return Caps{Atomics: true, Fused: true} 
 func (t *memChanT) Digest() uint64    { return t.world.Digest() }
 func (t *memChanT) Elapsed() sim.Time { return t.world.Elapsed() }
 
-func (t *memChanT) SharedBytes(rank int) []byte { return t.pes[rank].heap }
+func (t *memChanT) SharedBytes(rank int) []byte { return t.pes[rank].heap.bytes() }
 
 // Channels exposes a rank's outgoing channels for the conformance
 // channel-FIFO oracle (ChannelInspector).
@@ -136,7 +107,7 @@ func (t *memChanT) Launch(body func(Endpoint)) error {
 				ep.mask = make([]bool, expected)
 				ep.sigs = make([]int, expected)
 				for i := range ep.sigs {
-					ep.sigs[i] = t.sigBase + 8*i
+					ep.sigs[i] = pe.heap.sigBase + 8*i
 				}
 			}
 			body(ep)
@@ -172,22 +143,20 @@ func (e *mcEp) putChannel(dst, dstOff int, data []byte, sigOff int, sigVal uint6
 		panic(fmt.Sprintf("comm: channel put to invalid rank %d", dst))
 	}
 	target := t.pes[dst]
-	if dstOff < 0 || dstOff+len(data) > len(target.heap) {
+	if dstOff < 0 || dstOff+len(data) > target.heap.size {
 		panic(fmt.Sprintf("comm: channel put [%d,%d) outside rank %d heap (%d bytes)",
-			dstOff, dstOff+len(data), dst, len(target.heap)))
+			dstOff, dstOff+len(data), dst, target.heap.size))
 	}
-	buf := runtime.BorrowBuf(len(data))
-	copy(buf, data)
+	buf := runtime.Stage(data)
 	bytes := int64(len(data))
 	if sigOff >= 0 {
 		bytes += 8
 	}
 	issue := e.proc.Now()
 	pe.chans[dst].Send(e.proc, bytes, pe.ep.AutoChannel(), func(at sim.Time) {
-		copy(target.heap[dstOff:], buf)
-		runtime.ReleaseBuf(buf)
+		target.heap.land(dstOff, buf)
 		if sigOff >= 0 {
-			binaryPutUint64(target.heap, sigOff, sigVal)
+			target.heap.store(sigOff, sigVal)
 		}
 		if t.hook != nil {
 			t.hook(pe.id, dst, bytes, issue, at)
@@ -242,7 +211,7 @@ func (e *mcEp) Quiet() {
 // every put riding its destination's ordered channel.
 func (e *mcEp) Exchange(epoch int, sends []Msg, recvs []Expect) [][]byte {
 	t := e.t
-	k, stride, sigBase := t.spec.ExchangeSlots, t.spec.SlotBytes, t.sigBase
+	k, stride, sigBase := t.spec.ExchangeSlots, t.spec.SlotBytes, e.pe.heap.sigBase
 	parity := epoch % 2
 	for _, m := range sends {
 		e.putChannel(m.Peer, (parity*k+m.Slot)*stride, m.Data,
@@ -251,7 +220,7 @@ func (e *mcEp) Exchange(epoch int, sends []Msg, recvs []Expect) [][]byte {
 	pe := e.pe
 	pe.landed.WaitFor(e.proc, func() bool {
 		for _, x := range recvs {
-			if uint64At(pe.heap, sigBase+(parity*k+x.Slot)*8) != uint64(epoch+1) {
+			if pe.heap.load(sigBase+(parity*k+x.Slot)*8) != uint64(epoch+1) {
 				return false
 			}
 		}
@@ -261,7 +230,7 @@ func (e *mcEp) Exchange(epoch int, sends []Msg, recvs []Expect) [][]byte {
 	out := make([][]byte, len(recvs))
 	for i, x := range recvs {
 		off := (parity*k + x.Slot) * stride
-		out[i] = pe.heap[off : off+x.Bytes]
+		out[i] = pe.heap.bytes()[off : off+x.Bytes]
 	}
 	return out
 }
@@ -269,7 +238,7 @@ func (e *mcEp) Exchange(epoch int, sends []Msg, recvs []Expect) [][]byte {
 // Deliver is one channel write carrying payload and signal.
 func (e *mcEp) Deliver(peer, slot int, data []byte) {
 	stride := e.t.spec.SlotBytes
-	e.putChannel(peer, slot*stride, data, e.t.sigBase+8*slot, 1)
+	e.putChannel(peer, slot*stride, data, e.pe.heap.sigBase+8*slot, 1)
 }
 
 // WaitAnySlot waits for the next unconsumed stream slot signal.
@@ -281,7 +250,7 @@ func (e *mcEp) WaitAnySlot() (int, []byte) {
 			if e.mask[i] {
 				continue
 			}
-			if uint64At(pe.heap, off) == 1 {
+			if pe.heap.load(off) == 1 {
 				found = i
 				return true
 			}
@@ -291,16 +260,16 @@ func (e *mcEp) WaitAnySlot() (int, []byte) {
 	e.mask[found] = true
 	e.t.sync()
 	stride := e.t.spec.SlotBytes
-	return found, pe.heap[found*stride : (found+1)*stride]
+	return found, pe.heap.view(found*stride, stride)
 }
 
 func (e *mcEp) CAS(peer, off int, compare, swap uint64) uint64 {
 	target := e.t.pes[peer]
 	e.pe.atomics++
 	return e.pe.ep.RemoteAtomic(e.proc, e.t.tp, peer, func() uint64 {
-		old := uint64At(target.heap, off)
+		old := target.heap.load(off)
 		if old == compare {
-			binaryPutUint64(target.heap, off, swap)
+			target.heap.store(off, swap)
 		}
 		return old
 	})
@@ -310,8 +279,8 @@ func (e *mcEp) FetchAdd(peer, off int, delta uint64) uint64 {
 	target := e.t.pes[peer]
 	e.pe.atomics++
 	return e.pe.ep.RemoteAtomic(e.proc, e.t.tp, peer, func() uint64 {
-		old := uint64At(target.heap, off)
-		binaryPutUint64(target.heap, off, old+delta)
+		old := target.heap.load(off)
+		target.heap.store(off, old+delta)
 		return old
 	})
 }

@@ -21,17 +21,16 @@ import (
 // enqueue/ready/fire log for the conformance stream-ordering oracle.
 type streamT struct {
 	base
-	world   *runtime.World
-	tp      machine.TransportParams
-	pes     []*stPE
-	sigBase int
-	hook    func(src, dst int, bytes int64, issue, deliver sim.Time)
+	world *runtime.World
+	tp    machine.TransportParams
+	pes   []*stPE
+	hook  func(src, dst int, bytes int64, issue, deliver sim.Time)
 }
 
 type stPE struct {
 	id     int
 	ep     *runtime.Endpoint
-	heap   []byte
+	heap   *slotHeap
 	stream *gpu.Stream
 
 	outstanding int
@@ -50,29 +49,12 @@ func newStreamTriggered(spec Spec) (*streamT, error) {
 	if !ok {
 		return nil, fmt.Errorf("comm: machine %s has no stream-triggered transport", spec.Machine.Name)
 	}
-	var heap, sigBase int
-	switch {
-	case spec.ExchangeSlots > 0:
-		sigBase = 2 * spec.ExchangeSlots * spec.SlotBytes
-		heap = sigBase + 2*spec.ExchangeSlots*8
-	case spec.StreamSlots != nil:
-		maxSlots := 0
-		for _, n := range spec.StreamSlots {
-			if n > maxSlots {
-				maxSlots = n
-			}
-		}
-		sigBase = spec.SlotBytes * maxSlots
-		heap = sigBase + 8*maxSlots + 64
-	case spec.SharedBytes > 0:
-		heap = spec.SharedBytes
-	}
 	w, err := runtime.NewWorldSharded(spec.Machine, spec.Ranks, spec.Shards)
 	if err != nil {
 		return nil, err
 	}
 	spec.applyChaos(w, w.Inst.Net)
-	t := &streamT{base: base{spec: spec}, world: w, tp: tp, sigBase: sigBase}
+	t := &streamT{base: base{spec: spec}, world: w, tp: tp}
 	for r := 0; r < spec.Ranks; r++ {
 		eng := w.EngineOf(r)
 		s := gpu.NewStream(tp.TriggerLatency)
@@ -80,7 +62,7 @@ func newStreamTriggered(spec Spec) (*streamT, error) {
 		t.pes = append(t.pes, &stPE{
 			id:       r,
 			ep:       w.Endpoint(r),
-			heap:     make([]byte, heap),
+			heap:     newSlotHeap(spec),
 			stream:   s,
 			landed:   sim.NewCond(eng),
 			quiesced: sim.NewCond(eng),
@@ -97,7 +79,7 @@ func (t *streamT) Caps() Caps        { return Caps{Atomics: true, Fused: true} }
 func (t *streamT) Digest() uint64    { return t.world.Digest() }
 func (t *streamT) Elapsed() sim.Time { return t.world.Elapsed() }
 
-func (t *streamT) SharedBytes(rank int) []byte { return t.pes[rank].heap }
+func (t *streamT) SharedBytes(rank int) []byte { return t.pes[rank].heap.bytes() }
 
 // Stream exposes a rank's device stream for the conformance
 // stream-ordering oracle (StreamInspector).
@@ -121,7 +103,7 @@ func (t *streamT) Launch(body func(Endpoint)) error {
 				ep.mask = make([]bool, expected)
 				ep.sigs = make([]int, expected)
 				for i := range ep.sigs {
-					ep.sigs[i] = t.sigBase + 8*i
+					ep.sigs[i] = pe.heap.sigBase + 8*i
 				}
 			}
 			body(ep)
@@ -158,15 +140,14 @@ func (e *stEp) putStream(dst, dstOff int, data []byte, sigOff int, sigVal uint64
 		panic(fmt.Sprintf("comm: stream-triggered put to invalid rank %d", dst))
 	}
 	target := t.pes[dst]
-	if dstOff < 0 || dstOff+len(data) > len(target.heap) {
+	if dstOff < 0 || dstOff+len(data) > target.heap.size {
 		panic(fmt.Sprintf("comm: stream-triggered put [%d,%d) outside rank %d heap (%d bytes)",
-			dstOff, dstOff+len(data), dst, len(target.heap)))
+			dstOff, dstOff+len(data), dst, target.heap.size))
 	}
 	for i := 0; i < t.tp.OpsPerMsg; i++ {
 		pe.ep.ChargeOp(e.proc, t.tp)
 	}
-	buf := runtime.BorrowBuf(len(data))
-	copy(buf, data)
+	buf := runtime.Stage(data)
 	bytes := int64(len(data))
 	if sigOff >= 0 {
 		bytes += 8
@@ -177,10 +158,9 @@ func (e *stEp) putStream(dst, dstOff int, data []byte, sigOff int, sigVal uint64
 	eng := e.proc.Engine()
 	eng.At(fire, func() {
 		pe.ep.Inject(t.tp, dst, bytes, ch, func(at sim.Time) {
-			copy(target.heap[dstOff:], buf)
-			runtime.ReleaseBuf(buf)
+			target.heap.land(dstOff, buf)
 			if sigOff >= 0 {
-				binaryPutUint64(target.heap, sigOff, sigVal)
+				target.heap.store(sigOff, sigVal)
 			}
 			if t.hook != nil {
 				t.hook(pe.id, dst, bytes, fire, at)
@@ -235,7 +215,7 @@ func (e *stEp) Quiet() {
 // fused transports, with every put riding the device stream.
 func (e *stEp) Exchange(epoch int, sends []Msg, recvs []Expect) [][]byte {
 	t := e.t
-	k, stride, sigBase := t.spec.ExchangeSlots, t.spec.SlotBytes, t.sigBase
+	k, stride, sigBase := t.spec.ExchangeSlots, t.spec.SlotBytes, e.pe.heap.sigBase
 	parity := epoch % 2
 	for _, m := range sends {
 		e.putStream(m.Peer, (parity*k+m.Slot)*stride, m.Data,
@@ -244,7 +224,7 @@ func (e *stEp) Exchange(epoch int, sends []Msg, recvs []Expect) [][]byte {
 	pe := e.pe
 	pe.landed.WaitFor(e.proc, func() bool {
 		for _, x := range recvs {
-			if uint64At(pe.heap, sigBase+(parity*k+x.Slot)*8) != uint64(epoch+1) {
+			if pe.heap.load(sigBase+(parity*k+x.Slot)*8) != uint64(epoch+1) {
 				return false
 			}
 		}
@@ -254,7 +234,7 @@ func (e *stEp) Exchange(epoch int, sends []Msg, recvs []Expect) [][]byte {
 	out := make([][]byte, len(recvs))
 	for i, x := range recvs {
 		off := (parity*k + x.Slot) * stride
-		out[i] = pe.heap[off : off+x.Bytes]
+		out[i] = pe.heap.bytes()[off : off+x.Bytes]
 	}
 	return out
 }
@@ -262,7 +242,7 @@ func (e *stEp) Exchange(epoch int, sends []Msg, recvs []Expect) [][]byte {
 // Deliver is one stream-triggered fused put-with-signal.
 func (e *stEp) Deliver(peer, slot int, data []byte) {
 	stride := e.t.spec.SlotBytes
-	e.putStream(peer, slot*stride, data, e.t.sigBase+8*slot, 1)
+	e.putStream(peer, slot*stride, data, e.pe.heap.sigBase+8*slot, 1)
 }
 
 // WaitAnySlot waits for the next unconsumed stream slot signal.
@@ -274,7 +254,7 @@ func (e *stEp) WaitAnySlot() (int, []byte) {
 			if e.mask[i] {
 				continue
 			}
-			if uint64At(pe.heap, off) == 1 {
+			if pe.heap.load(off) == 1 {
 				found = i
 				return true
 			}
@@ -284,16 +264,16 @@ func (e *stEp) WaitAnySlot() (int, []byte) {
 	e.mask[found] = true
 	e.t.sync()
 	stride := e.t.spec.SlotBytes
-	return found, pe.heap[found*stride : (found+1)*stride]
+	return found, pe.heap.view(found*stride, stride)
 }
 
 func (e *stEp) CAS(peer, off int, compare, swap uint64) uint64 {
 	target := e.t.pes[peer]
 	e.pe.atomics++
 	return e.pe.ep.RemoteAtomic(e.proc, e.t.tp, peer, func() uint64 {
-		old := uint64At(target.heap, off)
+		old := target.heap.load(off)
 		if old == compare {
-			binaryPutUint64(target.heap, off, swap)
+			target.heap.store(off, swap)
 		}
 		return old
 	})
@@ -303,8 +283,8 @@ func (e *stEp) FetchAdd(peer, off int, delta uint64) uint64 {
 	target := e.t.pes[peer]
 	e.pe.atomics++
 	return e.pe.ep.RemoteAtomic(e.proc, e.t.tp, peer, func() uint64 {
-		old := uint64At(target.heap, off)
-		binaryPutUint64(target.heap, off, old+delta)
+		old := target.heap.load(off)
+		target.heap.store(off, old+delta)
 		return old
 	})
 }

@@ -1,6 +1,9 @@
 package mpi
 
-import "msgroofline/internal/sim"
+import (
+	"msgroofline/internal/runtime"
+	"msgroofline/internal/sim"
+)
 
 // Request is the handle of a nonblocking operation. Send requests
 // complete as soon as the payload is buffered and injected (eager
@@ -26,13 +29,18 @@ func (q *Request) Done() bool { return q.done }
 
 // Isend starts an eager nonblocking send of data to dst with the
 // given tag. The payload is copied, so the caller may reuse its
-// buffer immediately. The returned request is already complete.
+// buffer immediately; a blank payload (runtime.Blank) has no bytes
+// to protect and reaches the receiver as the same read-only view.
+// The returned request is already complete.
 func (r *Rank) Isend(dst, tag int, data []byte) *Request {
 	// Self-sends are legal and ride the loopback (shared-memory) path
 	// like any other same-node message.
 	r.ep.ChargeOp(r.proc, r.comm.two)
-	buf := make([]byte, len(data))
-	copy(buf, data)
+	buf := data
+	if !runtime.IsBlank(data) {
+		buf = make([]byte, len(data))
+		copy(buf, data)
+	}
 	target := r.comm.ranks[dst]
 	src := r.id
 	seq := r.sendSeq[dst]

@@ -117,8 +117,7 @@ func (r *Rank) putOn(w *Win, dst, dstOff int, data []byte, ch int) {
 	w.checkRange(dst, dstOff, len(data))
 	r.ep.ChargeOp(r.proc, r.comm.one)
 	n := int64(len(data))
-	buf := runtime.BorrowBuf(len(data))
-	copy(buf, data)
+	buf := runtime.Stage(data)
 	origin := r.id
 	w.issue(origin, dst)
 	w.puts[origin]++
@@ -128,8 +127,7 @@ func (r *Rank) putOn(w *Win, dst, dstOff int, data []byte, ch int) {
 	// run on dst's engine; the outstanding-count completion and origin
 	// signal run on the origin's engine at the same instant.
 	r.ep.Inject(r.comm.one, dst, n, ch, func(at sim.Time) {
-		copy(w.bufs[dst][dstOff:], buf)
-		runtime.ReleaseBuf(buf)
+		runtime.Land(w.bufs[dst][dstOff:], buf)
 		if w.hook != nil {
 			w.hook(origin, dst, n, issue, at)
 		}
@@ -303,16 +301,14 @@ func (r *Rank) PutNotify(w *Win, dst, dstOff int, data []byte, sigOff int, sigVa
 	r.ep.ChargeOp(r.proc, tp)
 	r.ep.ChargeOp(r.proc, tp)
 	n := int64(len(data))
-	buf := runtime.BorrowBuf(len(data))
-	copy(buf, data)
+	buf := runtime.Stage(data)
 	origin := r.id
 	w.issue(origin, dst)
 	w.puts[origin]++
 	r.sendCount++
 	issue := r.proc.Now()
 	r.ep.Inject(tp, dst, n+8, r.ep.AutoChannel(), func(at sim.Time) {
-		copy(w.bufs[dst][dstOff:], buf)
-		runtime.ReleaseBuf(buf)
+		runtime.Land(w.bufs[dst][dstOff:], buf)
 		w.SetUint64At(dst, sigOff, sigVal)
 		if w.hook != nil {
 			w.hook(origin, dst, n+8, issue, at)

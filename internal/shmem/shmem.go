@@ -234,8 +234,7 @@ func (c *Ctx) putNBIOn(dst, dstOff int, data []byte, sigOff int, sigVal uint64, 
 	for i := 0; i < ops; i++ {
 		pe.ep.ChargeOp(c.proc, job.tp)
 	}
-	buf := runtime.BorrowBuf(len(data))
-	copy(buf, data)
+	buf := runtime.Stage(data)
 	bytes := int64(len(data))
 	if sigOff >= 0 {
 		bytes += 8 // the signal word rides the same message
@@ -246,8 +245,7 @@ func (c *Ctx) putNBIOn(dst, dstOff int, data []byte, sigOff int, sigVal uint64, 
 	// Split delivery: heap write, signal word, hook and target wake on
 	// the target PE's engine; completion accounting on this PE's.
 	pe.ep.Inject(job.tp, dst, bytes, ch, func(at sim.Time) {
-		copy(target.heap[dstOff:], buf)
-		runtime.ReleaseBuf(buf)
+		runtime.Land(target.heap[dstOff:], buf)
 		if sigOff >= 0 {
 			target.SetUint64At(sigOff, sigVal)
 		}

@@ -6,14 +6,14 @@
 //
 // Run everything:   go test -bench=. -benchmem
 // One figure:       go test -bench=Fig9 -benchmem
+//
+// These benchmarks are for local profiling; the simulator's recorded
+// performance comes from `bash benchmark/run.sh` (see benchmark/).
 package msgroofline
 
 import (
-	"encoding/json"
-	"os"
 	"runtime"
 	"testing"
-	"time"
 
 	"msgroofline/internal/bench"
 	"msgroofline/internal/ccl"
@@ -21,11 +21,7 @@ import (
 	"msgroofline/internal/experiments"
 	"msgroofline/internal/hashtable"
 	"msgroofline/internal/machine"
-	"msgroofline/internal/pointcache"
-	simruntime "msgroofline/internal/runtime"
 	"msgroofline/internal/shmem"
-	"msgroofline/internal/sim"
-	"msgroofline/internal/sim/simbench"
 	"msgroofline/internal/spmat"
 	"msgroofline/internal/sptrsv"
 	"msgroofline/internal/stencil"
@@ -394,592 +390,4 @@ func BenchmarkAblationCutThrough(b *testing.B) {
 		ratio = sf.Seconds() / ct.Seconds()
 	}
 	b.ReportMetric(ratio, "sfOverCt_x")
-}
-
-// ---------------------------------------------------------------------
-// Engine perf trajectory (BENCH_sim.json).
-//
-// The simulation engine is the hot path under every figure, so its
-// per-event cost is tracked across PRs in BENCH_sim.json at the repo
-// root. Run
-//
-//	BENCH_SIM_RECORD=<label> go test -run TestRecordSimPerfTrajectory .
-//
-// to append one record per canonical simbench workload; perf PRs
-// record a "before" and an "after" label and diff them.
-
-type simPerfRecord struct {
-	Label        string  `json:"label"`
-	Date         string  `json:"date"`
-	Bench        string  `json:"bench"`
-	NsPerEvent   float64 `json:"ns_per_event"`
-	AllocsPerOp  int64   `json:"allocs_per_op"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	Events       uint64  `json:"events"`
-}
-
-// suiteWallRecord is one "suite-wall/v1" measurement: the wall time of
-// one full `cmd/experiments -scale quick` regeneration under one cache
-// configuration, plus the point-cache hit rate and the dedup planner's
-// census. Cache-off and warm-disk records of the same label pair up as
-// the before/after of the point-cache work.
-type suiteWallRecord struct {
-	Record string `json:"record"` // always "suite-wall/v1"
-	Label  string `json:"label"`
-	Date   string `json:"date"`
-	Scale  string `json:"scale"`
-	Jobs   int    `json:"jobs"`
-	// Cache names the configuration: "off", "cold-disk" or "warm-disk".
-	Cache       string  `json:"cache"`
-	WallMs      float64 `json:"wall_ms"`
-	HitRate     float64 `json:"hit_rate"`
-	PlanPoints  int     `json:"plan_points"`
-	PlanUnique  int     `json:"plan_unique"`
-	CrossFigure int     `json:"plan_cross_figure_duplicates"`
-}
-
-// shardedPerfRecord is one "sharded-perf/v1" measurement: throughput
-// of the 10^5-rank PHOLD workload on the sharded engine at one shard
-// count. On a multi-core runner events/sec across shard counts shows
-// the speedup directly; on a single-core runner it cannot, so the
-// busy/wall ratio is recorded alongside — it approaches 1 from below
-// when the shards keep the core saturated, and the gap is barrier
-// and scheduling overhead (see sim.ShardedEngine.BusyWall).
-type shardedPerfRecord struct {
-	Record       string  `json:"record"` // always "sharded-perf/v1"
-	Label        string  `json:"label"`
-	Date         string  `json:"date"`
-	Ranks        int     `json:"ranks"`
-	Shards       int     `json:"shards"`
-	Cores        int     `json:"cores"` // runtime.NumCPU on the runner
-	Events       int64   `json:"events"`
-	NsPerEvent   float64 `json:"ns_per_event"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	BusyWall     float64 `json:"busy_wall"`
-}
-
-// coupledPerfRecord is one "sharded-coupled/v1" measurement:
-// throughput of a real coupled-stack workload (the 64-rank one-sided
-// stencil on frontier-cpu, whose fabric decomposes into 4 node-group
-// engines) at one -shards worker count. Events/sec shows the speedup
-// on multi-core runners; busy/wall is the honest efficiency figure
-// everywhere (see sim.CoupledEngine.BusyWall).
-type coupledPerfRecord struct {
-	Record       string  `json:"record"` // always "sharded-coupled/v1"
-	Label        string  `json:"label"`
-	Date         string  `json:"date"`
-	Workload     string  `json:"workload"`
-	Ranks        int     `json:"ranks"`
-	Groups       int     `json:"groups"`
-	Shards       int     `json:"shards"`
-	Cores        int     `json:"cores"`
-	Windows      uint64  `json:"windows"`
-	Events       int64   `json:"events"`
-	NsPerEvent   float64 `json:"ns_per_event"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	BusyWall     float64 `json:"busy_wall"`
-}
-
-// topoScaleRecord is one "topo-scale/v1" measurement: coupled-engine
-// throughput of a stencil on a generated extreme-scale fabric (the
-// 10240-rank dragonfly), tracking how the engine scales to fabrics
-// three orders of magnitude past the paper's single nodes.
-type topoScaleRecord struct {
-	Record       string  `json:"record"` // always "topo-scale/v1"
-	Label        string  `json:"label"`
-	Date         string  `json:"date"`
-	Topology     string  `json:"topology"`
-	Ranks        int     `json:"ranks"`
-	Groups       int     `json:"groups"`
-	Shards       int     `json:"shards"`
-	Cores        int     `json:"cores"`
-	Windows      uint64  `json:"windows"`
-	Events       int64   `json:"events"`
-	NsPerEvent   float64 `json:"ns_per_event"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	BusyWall     float64 `json:"busy_wall"`
-}
-
-// windowEngineRecord is one "window-engine/v1" measurement: coupled
-// window-loop throughput at one worker count, with the barrier's share
-// of the attributed loop wall (sim.CoupledEngine.PhaseWall). Two
-// workloads are recorded per label: the prepared-closure 100K-rank
-// PHOLD token storm (simbench.CoupledWindows, pure engine cost) and
-// the 10240-rank dragonfly one-sided stencil (full stack). Events/sec
-// across worker counts shows the speedup on multi-core runners;
-// busy/wall is the honest efficiency figure everywhere.
-type windowEngineRecord struct {
-	Record       string  `json:"record"` // always "window-engine/v1"
-	Label        string  `json:"label"`
-	Date         string  `json:"date"`
-	Workload     string  `json:"workload"`
-	Ranks        int     `json:"ranks"`
-	Groups       int     `json:"groups"`
-	Workers      int     `json:"workers"`
-	Cores        int     `json:"cores"`
-	Windows      uint64  `json:"windows"`
-	Dispatches   uint64  `json:"dispatches"`
-	Events       int64   `json:"events"`
-	NsPerEvent   float64 `json:"ns_per_event"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	BusyWall     float64 `json:"busy_wall"`
-	BarrierShare float64 `json:"barrier_share"`
-}
-
-type simPerfFile struct {
-	Schema       string               `json:"schema"`
-	Records      []simPerfRecord      `json:"records"`
-	SuiteWall    []suiteWallRecord    `json:"suite_wall,omitempty"`
-	Sharded      []shardedPerfRecord  `json:"sharded,omitempty"`
-	Coupled      []coupledPerfRecord  `json:"coupled,omitempty"`
-	TopoScale    []topoScaleRecord    `json:"topo_scale,omitempty"`
-	WindowEngine []windowEngineRecord `json:"window_engine,omitempty"`
-}
-
-const simPerfPath = "BENCH_sim.json"
-
-// TestRecordSuiteWall appends suite-wall/v1 records to BENCH_sim.json:
-//
-//	BENCH_SUITE_RECORD=<label> go test -run TestRecordSuiteWall .
-//
-// It regenerates the quick suite three times in-process — cache off,
-// cold disk cache, warm disk cache — and records each wall time with
-// the hit rate and the planner's duplicate census. The cache-off and
-// warm-disk records are the before/after of the point-cache work.
-func TestRecordSuiteWall(t *testing.T) {
-	label := os.Getenv("BENCH_SUITE_RECORD")
-	if label == "" {
-		t.Skip("set BENCH_SUITE_RECORD=<label> to append suite wall times to BENCH_sim.json")
-	}
-	dir := t.TempDir()
-	date := time.Now().UTC().Format("2006-01-02")
-	var recs []suiteWallRecord
-	run := func(name string, cache *pointcache.Cache) {
-		start := time.Now()
-		_, _, ps, err := experiments.RunSuite(experiments.Registry(), experiments.SuiteOptions{Scale: experiments.Quick, Jobs: sweepJobs, Cache: cache})
-		wall := time.Since(start)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := suiteWallRecord{
-			Record: "suite-wall/v1", Label: label, Date: date,
-			Scale: "quick", Jobs: sweepJobs, Cache: name,
-			WallMs:     float64(wall.Microseconds()) / 1e3,
-			HitRate:    cache.Stats().HitRate(),
-			PlanPoints: ps.Points, PlanUnique: ps.Unique, CrossFigure: ps.CrossFigure,
-		}
-		recs = append(recs, r)
-		t.Logf("%s: %.0f ms wall, hit rate %.2f, %d/%d unique points (%d cross-figure dup)",
-			name, r.WallMs, r.HitRate, ps.Unique, ps.Points, ps.CrossFigure)
-	}
-	run("off", nil)
-	cold, err := pointcache.New(pointcache.Disk, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run("cold-disk", cold)
-	warm, err := pointcache.New(pointcache.Disk, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run("warm-disk", warm)
-
-	var f simPerfFile
-	if data, err := os.ReadFile(simPerfPath); err == nil && len(data) > 0 {
-		if err := json.Unmarshal(data, &f); err != nil {
-			t.Fatalf("parse %s: %v", simPerfPath, err)
-		}
-	}
-	f.Schema = "sim-engine-perf/v1"
-	f.SuiteWall = append(f.SuiteWall, recs...)
-	out, err := json.MarshalIndent(&f, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(simPerfPath, append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("appended %d suite-wall records to %s", len(recs), simPerfPath)
-}
-
-// TestRecordShardedPerf appends sharded-perf/v1 records to
-// BENCH_sim.json:
-//
-//	BENCH_SHARDED_RECORD=<label> go test -run TestRecordShardedPerf .
-//
-// It runs the 10^5-rank PHOLD workload (simbench.ShardedPhold) at
-// shards 1, 2, and 4 and records events/sec together with the
-// busy/wall ratio, which is the honest efficiency figure on runners
-// without enough cores to show a wall-clock speedup.
-func TestRecordShardedPerf(t *testing.T) {
-	label := os.Getenv("BENCH_SHARDED_RECORD")
-	if label == "" {
-		t.Skip("set BENCH_SHARDED_RECORD=<label> to append sharded engine throughput to BENCH_sim.json")
-	}
-	const (
-		ranks  = 100000
-		events = 2000000
-		seed   = 1
-	)
-	date := time.Now().UTC().Format("2006-01-02")
-	var recs []shardedPerfRecord
-	for _, shards := range []int{1, 2, 4} {
-		eng, err := simbench.NewShardedPhold(ranks, shards, events, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		start := time.Now()
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		wall := time.Since(start)
-		executed := eng.Executed()
-		nsPerEvent := float64(wall.Nanoseconds()) / float64(executed)
-		r := shardedPerfRecord{
-			Record: "sharded-perf/v1", Label: label, Date: date,
-			Ranks: ranks, Shards: shards, Cores: runtime.NumCPU(),
-			Events:       executed,
-			NsPerEvent:   nsPerEvent,
-			EventsPerSec: 1e9 / nsPerEvent,
-			BusyWall:     eng.BusyWall(wall),
-		}
-		recs = append(recs, r)
-		t.Logf("shards=%d: %d events, %.1f ns/event, %.2fM events/sec, busy/wall %.2f",
-			shards, executed, nsPerEvent, r.EventsPerSec/1e6, r.BusyWall)
-	}
-	var f simPerfFile
-	if data, err := os.ReadFile(simPerfPath); err == nil && len(data) > 0 {
-		if err := json.Unmarshal(data, &f); err != nil {
-			t.Fatalf("parse %s: %v", simPerfPath, err)
-		}
-	}
-	f.Schema = "sim-engine-perf/v1"
-	f.Sharded = append(f.Sharded, recs...)
-	out, err := json.MarshalIndent(&f, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(simPerfPath, append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("appended %d sharded-perf records to %s", len(recs), simPerfPath)
-}
-
-func TestRecordSimPerfTrajectory(t *testing.T) {
-	label := os.Getenv("BENCH_SIM_RECORD")
-	if label == "" {
-		t.Skip("set BENCH_SIM_RECORD=<label> to append engine perf numbers to BENCH_sim.json")
-	}
-	workloads := []struct {
-		name string
-		run  func(n int) *sim.Engine
-	}{
-		{"EngineSleepSignal", simbench.PingPong},
-		{"EngineSleepYield", simbench.SleepYield},
-		{"EngineTimerChurn", func(n int) *sim.Engine { return simbench.TimerChurn(64, n/64+1) }},
-		{"EngineBroadcast", func(n int) *sim.Engine { return simbench.Broadcast(32, n/32+1) }},
-	}
-	var recs []simPerfRecord
-	for _, w := range workloads {
-		var eng *sim.Engine
-		run := w.run
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			eng = run(b.N)
-		})
-		events := eng.Executed()
-		wallNs := float64(res.NsPerOp()) * float64(res.N)
-		nsPerEvent := wallNs / float64(events)
-		recs = append(recs, simPerfRecord{
-			Label:        label,
-			Date:         time.Now().UTC().Format("2006-01-02"),
-			Bench:        w.name,
-			NsPerEvent:   nsPerEvent,
-			AllocsPerOp:  res.AllocsPerOp(),
-			EventsPerSec: 1e9 / nsPerEvent,
-			Events:       events,
-		})
-		t.Logf("%s: %.1f ns/event, %d allocs/op, %d events", w.name, nsPerEvent, res.AllocsPerOp(), events)
-	}
-	var f simPerfFile
-	if data, err := os.ReadFile(simPerfPath); err == nil && len(data) > 0 {
-		if err := json.Unmarshal(data, &f); err != nil {
-			t.Fatalf("parse %s: %v", simPerfPath, err)
-		}
-	}
-	f.Schema = "sim-engine-perf/v1"
-	f.Records = append(f.Records, recs...)
-	out, err := json.MarshalIndent(&f, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(simPerfPath, append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("appended %d records to %s", len(recs), simPerfPath)
-}
-
-// TestRecordTopoScale appends a topo-scale/v1 record to BENCH_sim.json:
-//
-//	BENCH_TOPO_RECORD=<label> go test -run TestRecordTopoScale .
-//
-// It runs a one-sided stencil across all 10240 ranks of the generated
-// dragonfly-10k fabric (128x80 decomposition, 1024 node groups) on the
-// coupled engine at -shards 4 and records events/sec and busy/wall —
-// the scaling datapoint for fabrics three orders of magnitude beyond
-// the paper's single nodes.
-func TestRecordTopoScale(t *testing.T) {
-	label := os.Getenv("BENCH_TOPO_RECORD")
-	if label == "" {
-		t.Skip("set BENCH_TOPO_RECORD=<label> to append topology-scale throughput to BENCH_sim.json")
-	}
-	cfg, err := machine.Get("dragonfly-10k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const shards = 4
-	before := simruntime.Usage()
-	start := time.Now()
-	if _, err := stencil.Run(stencil.Config{
-		Machine: cfg, Transport: comm.OneSided,
-		Grid: 1280, Iters: 2, PX: 128, PY: 80, Shards: shards,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	wall := time.Since(start)
-	after := simruntime.Usage()
-	var events int64
-	for _, n := range after.Events {
-		events += n
-	}
-	for _, n := range before.Events {
-		events -= n
-	}
-	busy := after.Busy - before.Busy
-	nsPerEvent := float64(wall.Nanoseconds()) / float64(events)
-	rec := topoScaleRecord{
-		Record: "topo-scale/v1", Label: label, Date: time.Now().UTC().Format("2006-01-02"),
-		Topology: "dragonfly-10k", Ranks: 10240,
-		Groups: len(after.Events), Shards: shards,
-		Cores:        runtime.NumCPU(),
-		Windows:      after.Windows - before.Windows,
-		Events:       events,
-		NsPerEvent:   nsPerEvent,
-		EventsPerSec: 1e9 / nsPerEvent,
-		BusyWall:     float64(busy) / float64(wall),
-	}
-	t.Logf("ranks=10240 shards=%d: %d events over %d windows, %.1f ns/event, %.2fM events/sec, busy/wall %.2f",
-		shards, rec.Events, rec.Windows, nsPerEvent, rec.EventsPerSec/1e6, rec.BusyWall)
-	var f simPerfFile
-	if data, err := os.ReadFile(simPerfPath); err == nil && len(data) > 0 {
-		if err := json.Unmarshal(data, &f); err != nil {
-			t.Fatalf("parse %s: %v", simPerfPath, err)
-		}
-	}
-	f.Schema = "sim-engine-perf/v1"
-	f.TopoScale = append(f.TopoScale, rec)
-	out, err := json.MarshalIndent(&f, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(simPerfPath, append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("appended topo-scale record to %s", simPerfPath)
-}
-
-// TestRecordCoupledPerf appends sharded-coupled/v1 records to
-// BENCH_sim.json:
-//
-//	BENCH_COUPLED_RECORD=<label> go test -run TestRecordCoupledPerf .
-//
-// It runs the 64-rank one-sided stencil on frontier-cpu — whose four
-// NUMA quadrants give the coupled engine four node-group sub-engines
-// — at -shards 1, 2, and 4 and records events/sec together with the
-// busy/wall ratio. Simulated output is identical at every shard
-// count; only the wall-clock numbers move.
-func TestRecordCoupledPerf(t *testing.T) {
-	label := os.Getenv("BENCH_COUPLED_RECORD")
-	if label == "" {
-		t.Skip("set BENCH_COUPLED_RECORD=<label> to append coupled-stack throughput to BENCH_sim.json")
-	}
-	cfg, err := machine.Get("frontier-cpu")
-	if err != nil {
-		t.Fatal(err)
-	}
-	date := time.Now().UTC().Format("2006-01-02")
-	var recs []coupledPerfRecord
-	for _, shards := range []int{1, 2, 4} {
-		before := simruntime.Usage()
-		start := time.Now()
-		if _, err := stencil.Run(stencil.Config{
-			Machine: cfg, Transport: comm.OneSided,
-			Grid: 512, Iters: 96, PX: 8, PY: 8, Shards: shards,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		wall := time.Since(start)
-		after := simruntime.Usage()
-		var events int64
-		for _, n := range after.Events {
-			events += n
-		}
-		for _, n := range before.Events {
-			events -= n
-		}
-		busy := after.Busy - before.Busy
-		nsPerEvent := float64(wall.Nanoseconds()) / float64(events)
-		r := coupledPerfRecord{
-			Record: "sharded-coupled/v1", Label: label, Date: date,
-			Workload: "stencil/one-sided/frontier-cpu",
-			Ranks:    64, Groups: len(after.Events), Shards: shards,
-			Cores:        runtime.NumCPU(),
-			Windows:      after.Windows - before.Windows,
-			Events:       events,
-			NsPerEvent:   nsPerEvent,
-			EventsPerSec: 1e9 / nsPerEvent,
-			BusyWall:     float64(busy) / float64(wall),
-		}
-		recs = append(recs, r)
-		t.Logf("shards=%d: %d events over %d windows, %.1f ns/event, %.2fM events/sec, busy/wall %.2f",
-			shards, r.Events, r.Windows, nsPerEvent, r.EventsPerSec/1e6, r.BusyWall)
-	}
-	var f simPerfFile
-	if data, err := os.ReadFile(simPerfPath); err == nil && len(data) > 0 {
-		if err := json.Unmarshal(data, &f); err != nil {
-			t.Fatalf("parse %s: %v", simPerfPath, err)
-		}
-	}
-	f.Schema = "sim-engine-perf/v1"
-	f.Coupled = append(f.Coupled, recs...)
-	out, err := json.MarshalIndent(&f, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(simPerfPath, append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("appended %d sharded-coupled records to %s", len(recs), simPerfPath)
-}
-
-// TestRecordWindowEngine appends window-engine/v1 records to
-// BENCH_sim.json:
-//
-//	BENCH_WINDOW_RECORD=<label> go test -run TestRecordWindowEngine -timeout 60m .
-//
-// It runs the two window-loop reference workloads at 1, 2, and 4
-// workers each: the 100K-rank coupled PHOLD token storm
-// (simbench.CoupledWindows — pure engine cost, no transport stack) and
-// the 10240-rank dragonfly one-sided stencil (the full stack over
-// 1024 node groups). Besides events/sec and busy/wall it records the
-// barrier's share of the attributed loop wall (PhaseWall), the number
-// the merge-based barrier and active-group dispatch are meant to keep
-// flat as worker count grows. Simulated output is identical at every
-// worker count; only the wall-clock numbers move.
-func TestRecordWindowEngine(t *testing.T) {
-	label := os.Getenv("BENCH_WINDOW_RECORD")
-	if label == "" {
-		t.Skip("set BENCH_WINDOW_RECORD=<label> to append window-engine throughput to BENCH_sim.json")
-	}
-	date := time.Now().UTC().Format("2006-01-02")
-	var recs []windowEngineRecord
-
-	// Leg 1: 100K-rank coupled PHOLD (one rank per node group).
-	const (
-		pholdRanks  = 100000
-		pholdEvents = 2000000
-	)
-	for _, workers := range []int{1, 2, 4} {
-		ce, err := simbench.NewCoupledWindows(pholdRanks, workers, pholdEvents, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		start := time.Now()
-		if err := ce.Run(); err != nil {
-			t.Fatal(err)
-		}
-		wall := time.Since(start)
-		exec, barrier, scan := ce.PhaseWall()
-		phase := exec + barrier + scan
-		executed := int64(ce.Executed())
-		nsPerEvent := float64(wall.Nanoseconds()) / float64(executed)
-		r := windowEngineRecord{
-			Record: "window-engine/v1", Label: label, Date: date,
-			Workload: "phold/coupled/100k",
-			Ranks:    pholdRanks, Groups: ce.Groups(), Workers: workers,
-			Cores:        runtime.NumCPU(),
-			Windows:      ce.Windows(),
-			Dispatches:   ce.Dispatches(),
-			Events:       executed,
-			NsPerEvent:   nsPerEvent,
-			EventsPerSec: 1e9 / nsPerEvent,
-			BusyWall:     ce.BusyWall(wall),
-			BarrierShare: float64(barrier) / float64(phase),
-		}
-		recs = append(recs, r)
-		t.Logf("phold workers=%d: %d events over %d windows (%d dispatches), %.1f ns/event, %.2fM events/sec, busy/wall %.2f, barrier share %.3f",
-			workers, r.Events, r.Windows, r.Dispatches, nsPerEvent, r.EventsPerSec/1e6, r.BusyWall, r.BarrierShare)
-	}
-
-	// Leg 2: 10240-rank dragonfly stencil (full transport stack).
-	cfg, err := machine.Get("dragonfly-10k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4} {
-		before := simruntime.Usage()
-		start := time.Now()
-		if _, err := stencil.Run(stencil.Config{
-			Machine: cfg, Transport: comm.OneSided,
-			Grid: 1280, Iters: 2, PX: 128, PY: 80, Shards: workers,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		wall := time.Since(start)
-		after := simruntime.Usage()
-		var events int64
-		for _, n := range after.Events {
-			events += n
-		}
-		for _, n := range before.Events {
-			events -= n
-		}
-		busy := after.Busy - before.Busy
-		barrier := after.BarrierWall - before.BarrierWall
-		phase := (after.ExecWall - before.ExecWall) + barrier +
-			(after.ScanWall - before.ScanWall)
-		nsPerEvent := float64(wall.Nanoseconds()) / float64(events)
-		r := windowEngineRecord{
-			Record: "window-engine/v1", Label: label, Date: date,
-			Workload: "stencil/one-sided/dragonfly-10k",
-			Ranks:    10240, Groups: len(after.Events), Workers: workers,
-			Cores:        runtime.NumCPU(),
-			Windows:      after.Windows - before.Windows,
-			Events:       events,
-			NsPerEvent:   nsPerEvent,
-			EventsPerSec: 1e9 / nsPerEvent,
-			BusyWall:     float64(busy) / float64(wall),
-			BarrierShare: float64(barrier) / float64(phase),
-		}
-		recs = append(recs, r)
-		t.Logf("stencil workers=%d: %d events over %d windows, %.1f ns/event, %.2fM events/sec, busy/wall %.2f, barrier share %.3f",
-			workers, r.Events, r.Windows, nsPerEvent, r.EventsPerSec/1e6, r.BusyWall, r.BarrierShare)
-	}
-
-	var f simPerfFile
-	if data, err := os.ReadFile(simPerfPath); err == nil && len(data) > 0 {
-		if err := json.Unmarshal(data, &f); err != nil {
-			t.Fatalf("parse %s: %v", simPerfPath, err)
-		}
-	}
-	f.Schema = "sim-engine-perf/v1"
-	f.WindowEngine = append(f.WindowEngine, recs...)
-	out, err := json.MarshalIndent(&f, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(simPerfPath, append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("appended %d window-engine records to %s", len(recs), simPerfPath)
 }

@@ -522,9 +522,9 @@ func (n *Network) BaseLatency(src, dst string) sim.Time {
 // LookaheadBound returns the minimum propagation latency over every
 // link in the fabric. No message can cross between distinct nodes in
 // less simulated time than this, so it is the conservative-parallel
-// lookahead bound a sharded event engine may use to advance shards
-// past the global horizon safely (DESIGN.md §11). A linkless fabric
-// returns 0: no lookahead exists and sharding must stay disabled.
+// lookahead bound the window engine uses to advance node groups past
+// the global horizon safely (DESIGN.md §11). A linkless fabric
+// returns 0: no lookahead exists and the world must stay one group.
 func (n *Network) LookaheadBound() sim.Time {
 	min := sim.Time(-1)
 	for _, groups := range n.adj {

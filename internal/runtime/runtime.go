@@ -228,7 +228,7 @@ func (w *World) Digest() uint64 { return w.eng.Digest() }
 func (w *World) Windows() uint64 { return w.eng.Windows() }
 
 // GroupStats returns per-node-group execution summaries.
-func (w *World) GroupStats() []sim.ShardStats { return w.eng.GroupStats() }
+func (w *World) GroupStats() []sim.GroupStats { return w.eng.GroupStats() }
 
 // BusyWall reports summed per-group busy time over wall time.
 func (w *World) BusyWall(wall time.Duration) float64 { return w.eng.BusyWall(wall) }

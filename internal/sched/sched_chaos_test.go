@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"msgroofline/internal/sim"
 )
@@ -65,8 +66,21 @@ func TestMapDeterministicWithPerturbedEngines(t *testing.T) {
 func TestCancelStopsIntakeWithPerturbedEngines(t *testing.T) {
 	const n = 64
 	var started [n]bool
+	failing := make(chan struct{})
 	stats, err := Run(2, n, func(i int) error {
 		started[i] = true
+		if i == 3 {
+			defer close(failing)
+		}
+		if i > 3 {
+			// Jobs past 3 are handed out only once job 3 has been:
+			// hold them until job 3 fails, and then for far longer
+			// than the scheduler takes to record that failure, so the
+			// check does not hinge on how the OS schedules the two
+			// workers around job 3.
+			<-failing
+			time.Sleep(time.Millisecond)
+		}
 		perturbedElapsed(uint64(i))
 		if i == 3 {
 			return fmt.Errorf("job %d: injected failure", i)

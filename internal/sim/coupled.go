@@ -4,15 +4,17 @@ package sim
 // internals §14).
 //
 // CoupledEngine runs the process-coupled stacks (internal/runtime and
-// the mpi/shmem/comm layers above it) under the same YAWNS-style
-// conservative-window protocol as ShardedEngine, but with sequential
-// Engines as the substrate so blocking procs, condition variables and
-// arbitrary event closures keep working unchanged. Ranks are grouped
-// by fabric node (same node ⟺ stateless shared-memory delivery), each
-// group owns a private Engine, and every window executes each group's
-// events in [minNext, minNext+lookahead) — in parallel across up to
-// `workers` persistent pool workers — before a single-threaded
-// barrier applies the window's deferred cross-group operations.
+// the mpi/shmem/comm layers above it) under a YAWNS-style
+// conservative-window protocol, with sequential Engines as the
+// substrate so blocking procs, condition variables and arbitrary event
+// closures keep working unchanged. Ranks are grouped by fabric node
+// (same node ⟺ stateless shared-memory delivery), each group owns a
+// private Engine, and every window executes each group's events in
+// [minNext, minNext+lookahead) — in parallel across up to `workers`
+// persistent pool workers — before a single-threaded barrier applies
+// the window's deferred cross-group operations. A cross-group effect
+// emitted inside a window lands at least `lookahead` later, so it can
+// never fall into its sender's own window.
 //
 // The window loop is built to scale to thousands of mostly-idle
 // groups (a 10K-rank dragonfly decomposes into 1024 node groups, of
@@ -59,11 +61,44 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
 )
+
+const (
+	// counterBits is the per-rank stream-counter width inside a
+	// deferred-op key; the rank id occupies the bits above it.
+	counterBits = 40
+	counterMask = (1 << counterBits) - 1
+	// maxRanks bounds the rank id so rank<<counterBits cannot
+	// overflow the 64-bit key.
+	maxRanks = 1 << (64 - counterBits)
+
+	timeMax = Time(math.MaxInt64)
+
+	// DefaultMailboxCap bounds each group's deferred-op mailbox: the
+	// number of cross-group ops one group may emit within a single
+	// window. Exceeding it is a hard error (raise with SetMailboxCap),
+	// keeping worst-case memory proportional to groups × cap instead
+	// of unbounded.
+	DefaultMailboxCap = 1 << 20
+)
+
+// GroupStats is one node group's execution summary.
+type GroupStats struct {
+	// Ranks is the number of ranks placed in the group.
+	Ranks int
+	// Executed is the number of events the group dispatched.
+	Executed int64
+	// Busy is the wall-clock time spent executing the group's events
+	// (excluding barrier waits). On a single-core runner the sum of
+	// Busy over groups approaches the total wall time; on a
+	// multi-core runner wall time approaches max(Busy).
+	Busy time.Duration
+}
 
 // deferredOp is one cross-group operation awaiting the window barrier.
 type deferredOp struct {
@@ -144,8 +179,8 @@ func NewCoupled(groupOf []int, lookahead Time, workers int) (*CoupledEngine, err
 	if len(groupOf) == 0 {
 		return nil, errors.New("sim: coupled engine needs >= 1 rank")
 	}
-	if len(groupOf) >= maxShardRanks {
-		return nil, fmt.Errorf("sim: coupled engine supports < %d ranks, got %d", maxShardRanks, len(groupOf))
+	if len(groupOf) >= maxRanks {
+		return nil, fmt.Errorf("sim: coupled engine supports < %d ranks, got %d", maxRanks, len(groupOf))
 	}
 	groups := 0
 	for _, g := range groupOf {
@@ -361,11 +396,11 @@ func (ce *CoupledEngine) Digest() uint64 {
 // GroupStats returns per-group execution summaries in group order. An
 // inline run measures busy time once for the whole loop; it is
 // attributed to groups proportionally to their executed events.
-func (ce *CoupledEngine) GroupStats() []ShardStats {
-	out := make([]ShardStats, len(ce.subs))
+func (ce *CoupledEngine) GroupStats() []GroupStats {
+	out := make([]GroupStats, len(ce.subs))
 	var total int64
 	for g, sub := range ce.subs {
-		out[g] = ShardStats{Ranks: ce.nranks[g], Executed: int64(sub.Executed()), Busy: ce.busy[g]}
+		out[g] = GroupStats{Ranks: ce.nranks[g], Executed: int64(sub.Executed()), Busy: ce.busy[g]}
 		total += out[g].Executed
 	}
 	if ce.loopBusy > 0 && total > 0 {
@@ -377,8 +412,10 @@ func (ce *CoupledEngine) GroupStats() []ShardStats {
 }
 
 // BusyWall summarizes parallel efficiency for a run that took `wall`
-// of wall-clock time: summed per-group busy time divided by wall (see
-// ShardedEngine.BusyWall).
+// of wall-clock time: summed per-group busy time divided by wall. On
+// an N-core runner an ideally scaling workload approaches N; on a
+// single-core runner it approaches 1 from below, the gap being
+// barrier and scheduling overhead.
 func (ce *CoupledEngine) BusyWall(wall time.Duration) float64 {
 	if wall <= 0 {
 		return 0

@@ -1,15 +1,18 @@
 package sim_test
 
 // Tests for the coupled conservative-lookahead engine: construction
-// validation, the deferred-op mailbox bound, and the one-group
-// delegation path. The heavyweight invariance property (identical
-// digests at every worker count) is exercised end-to-end by
-// internal/conformance's TestShardCountInvariant* suite.
+// validation, the deferred-op mailbox bound, the barrier event limit,
+// the time-overflow guard, and the one-group delegation path. The
+// heavyweight invariance property (identical digests at every worker
+// count) is exercised end-to-end by internal/conformance's
+// TestShardCountInvariant* suite.
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"msgroofline/internal/sim"
 	"msgroofline/internal/sim/simbench"
@@ -51,6 +54,82 @@ func TestCoupledMailboxCap(t *testing.T) {
 	err = ce.Run()
 	if err == nil || !strings.Contains(err.Error(), "over capacity") {
 		t.Fatalf("want mailbox capacity error, got %v", err)
+	}
+}
+
+// TestCoupledEventLimitAtBarrier pins the whole-run event limit that
+// Run checks after each window barrier. A cross-group ping-pong runs
+// one event per window, so no single group reaches the limit its own
+// engine enforces; only the barrier check can stop the volley, and it
+// does so on the first window that pushes the total past the limit.
+func TestCoupledEventLimitAtBarrier(t *testing.T) {
+	const la = sim.Microsecond
+	const limit = 100
+	for _, workers := range []int{1, 2} {
+		ce, err := sim.NewCoupled([]int{0, 1}, la, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ce.SetEventLimit(limit)
+		var volley func(me int)
+		volley = func(me int) {
+			now := ce.Sub(me).Now()
+			ce.Defer(me, now, func() {
+				ce.At(1-me, now+la, func() { volley(1 - me) })
+			})
+		}
+		ce.Sub(0).At(0, func() { volley(0) })
+		err = ce.Run()
+		if err == nil || !strings.Contains(err.Error(), "coupled event limit") {
+			t.Fatalf("workers=%d: want coupled event limit error, got %v", workers, err)
+		}
+		if ce.Executed() != limit+1 {
+			t.Fatalf("workers=%d: executed %d events, want the barrier to stop at %d",
+				workers, ce.Executed(), limit+1)
+		}
+	}
+}
+
+// TestCoupledTimeOverflowDegradesToGlobalWindow checks the horizon
+// guard at the top of the time axis: when minNext + lookahead would
+// overflow the signed 64-bit clock, the window bound must saturate at
+// the maximum representable time instead of wrapping negative, and
+// that window must still execute every event, with digests that do
+// not depend on the worker count.
+func TestCoupledTimeOverflowDegradesToGlobalWindow(t *testing.T) {
+	const n = 8
+	top := sim.Time(math.MaxInt64)
+	run := func(workers int) (uint64, uint64) {
+		t.Helper()
+		ce, err := sim.NewCoupled([]int{0, 1}, sim.Microsecond, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			// Every event sits within one lookahead of the clock
+			// maximum (the maximum itself is the idle-group sentinel),
+			// so the very first window trips the overflow guard.
+			ce.Sub(i%2).At(top-1-sim.Time(i), func() {})
+		}
+		done := make(chan error, 1)
+		go func() { done <- ce.Run() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("workers=%d: Run did not finish; the window bound wrapped", workers)
+		}
+		return ce.Executed(), ce.Digest()
+	}
+	exec1, dig1 := run(1)
+	exec2, dig2 := run(2)
+	if exec1 != n || exec2 != n {
+		t.Fatalf("executed %d / %d events, want %d", exec1, exec2, n)
+	}
+	if dig1 != dig2 {
+		t.Fatalf("saturated-window digest differs: %016x != %016x", dig1, dig2)
 	}
 }
 
@@ -225,6 +304,33 @@ func TestCoupledActiveSkipReawaken(t *testing.T) {
 		if woke != woke1 || win != win1 || disp != disp1 || dig != dig1 {
 			t.Fatalf("workers=%d: (woke,windows,dispatches,digest)=(%v,%d,%d,%x) != workers=1 (%v,%d,%d,%x)",
 				workers, woke, win, disp, dig, woke1, win1, disp1, dig1)
+		}
+	}
+}
+
+// TestCoupledGroupStats requires the per-group summaries to account
+// for every rank and every executed event exactly once, at every worker
+// count, and a zero wall interval to report no busy time.
+func TestCoupledGroupStats(t *testing.T) {
+	const ranks = 48
+	for _, workers := range []int{1, 2, 4} {
+		ce := simbench.CoupledWindows(ranks, workers, 30000, 7)
+		st := ce.GroupStats()
+		if len(st) != ce.Groups() {
+			t.Fatalf("workers=%d: %d group stats for %d groups", workers, len(st), ce.Groups())
+		}
+		var executed int64
+		sumRanks := 0
+		for _, s := range st {
+			executed += s.Executed
+			sumRanks += s.Ranks
+		}
+		if executed != int64(ce.Executed()) || sumRanks != ranks {
+			t.Fatalf("workers=%d: group stats sum to %d events / %d ranks, want %d / %d",
+				workers, executed, sumRanks, ce.Executed(), ranks)
+		}
+		if ce.BusyWall(0) != 0 {
+			t.Fatalf("workers=%d: BusyWall(0) = %v, want 0", workers, ce.BusyWall(0))
 		}
 	}
 }

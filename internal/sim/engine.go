@@ -144,11 +144,17 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // dispatched so far: each event's (firing time, ordering key) pair is
 // folded into an FNV-style hash in dispatch order. Two runs with
 // identical schedules produce equal digests; any reordering, jitter,
-// or divergent event set changes the value. The sharded engine
-// exposes the same construction per rank (ShardedEngine.RankDigest),
-// and the shard-determinism suite compares both to prove engine
-// schedules are invariant under the recorded shard count.
+// or divergent event set changes the value. CoupledEngine.Digest folds
+// the per-group digests, and the shard-determinism suite compares them
+// to prove engine schedules are invariant under the worker count.
 func (e *Engine) Digest() uint64 { return e.digest }
+
+// fnvOffsetBasis seeds every event-order digest (FNV-1a offset basis).
+const fnvOffsetBasis uint64 = 1469598103934665603
+
+// mixDigest folds one word into an order-sensitive digest (FNV-style:
+// xor then multiply by the 64-bit FNV prime).
+func mixDigest(h, v uint64) uint64 { return (h ^ v) * 1099511628211 }
 
 // SetEventLimit installs a safety cap on dispatched events; Run returns
 // an error when it is exceeded. Zero (the default) means no limit.

@@ -151,17 +151,23 @@ func (c *Common) ReportCache(cache *pointcache.Cache) {
 // per-phase wall split of the window loops (group execution vs
 // barrier deferred-op application vs window-bound maintenance — the
 // engine-layer start of a Breaking-Band-style cost attribution), the
-// largest window worker parallelism used, and the executed events
-// summed by node-group index. The CI shard-determinism job greps this
-// line to assert the grouped path really ran — a silent fallback to
-// one sequential engine would show grouped=0.
+// largest window worker parallelism used, the executed events, the
+// largest node-group count of any one world, and the worst per-world
+// event imbalance across groups (busiest group over the mean). The CI
+// shard-determinism job greps this line to assert the grouped path
+// really ran — a silent fallback to one sequential engine would show
+// grouped=0.
 func (c *Common) ReportShards(label string) {
 	u := simruntime.Usage()
 	if u.Worlds == 0 {
 		return
 	}
-	fmt.Fprintf(os.Stderr, "%s: worlds=%d grouped=%d windows=%d exec=%v barrier=%v scan=%v workers<=%d events/group=%v\n",
+	var events int64
+	for _, e := range u.Events {
+		events += e
+	}
+	fmt.Fprintf(os.Stderr, "%s: worlds=%d grouped=%d windows=%d exec=%v barrier=%v scan=%v workers<=%d events=%d groups<=%d imbalance<=%.2f\n",
 		label, u.Worlds, u.Grouped, u.Windows,
 		u.ExecWall.Round(time.Millisecond), u.BarrierWall.Round(time.Millisecond),
-		u.ScanWall.Round(time.Millisecond), u.MaxWorkers, u.Events)
+		u.ScanWall.Round(time.Millisecond), u.MaxWorkers, events, u.MaxGroups, u.Imbalance)
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"msgroofline/internal/sim"
 )
@@ -30,11 +31,10 @@ type channelGroup struct {
 // construction finishes — generators build the whole fabric before the
 // first rank runs — and AddLink during a run has never been supported
 // (it already mutated the adjacency without synchronization). That
-// contract lets route resolution read the graph without any lock; only
-// the path/route caches need synchronization, and those are sharded
-// (cacheShards ways by pair hash) so parallel window workers resolving
-// distinct pairs past the prewarm limit no longer serialize on one
-// mutex.
+// contract lets route resolution read the graph without any lock: the
+// per-source BFS trees install by CAS, and the path/route caches are
+// sharded (cacheShards ways by pair hash) so parallel window workers
+// resolving distinct pairs do not serialize on one mutex.
 type Network struct {
 	nodes     []string
 	nodeIndex map[string]int
@@ -44,6 +44,9 @@ type Network struct {
 	// first-touch route resolution on 1K-node fabrics). Entry order per
 	// node matches adj exactly — BFS tie-breaking is unchanged.
 	adjx [][]xgroup
+	// trees holds the lazily built BFS predecessor tree of each source
+	// node (see tree); AddNode and AddLink drop the whole set.
+	trees atomic.Pointer[treeSet]
 	// cache holds the lazily-populated path and route caches, sharded
 	// by (src, dst) hash. Large generated fabrics resolve routes on
 	// first use from concurrently executing node-group engines, so
@@ -52,10 +55,6 @@ type Network struct {
 	// the resolve-outside-the-lock build order perturbs simulated
 	// timing.
 	cache [cacheShards]cacheShard
-	// scratch pools BFS working sets (*bfsScratch) so concurrent
-	// resolutions reuse O(nodes) slices instead of allocating them per
-	// route.
-	scratch sync.Pool
 	// gen counts topology mutations (AddLink); cached Paths record
 	// the generation they were resolved under so stale holders can be
 	// detected (see Path.Stale).
@@ -74,6 +73,11 @@ type Network struct {
 	faults *faultState
 }
 
+// treeSet has one slot per node for the BFS tree rooted there.
+type treeSet struct {
+	slots []atomic.Pointer[[]int32]
+}
+
 // xgroup is one outgoing edge of the index-based adjacency: the dense
 // index of the neighbour plus the channel group reaching it.
 type xgroup struct {
@@ -86,26 +90,21 @@ type xgroup struct {
 // while costing four words of mutex state per shard.
 const cacheShards = 16
 
-// cacheShard is one lock-striped slice of the resolution caches.
+// cacheShard is one lock-striped slice of the resolution caches,
+// keyed by pairKey.
 type cacheShard struct {
 	mu     sync.RWMutex
-	paths  map[[2]string]*Path
-	routes map[[2]string]*Route
+	paths  map[uint64]*Path
+	routes map[uint64]*Route
 }
 
-// shardFor hashes a node pair onto its cache shard (FNV-1a over both
-// names; any stable hash works — the caches are invisible to simulated
-// state).
-func shardFor(src, dst string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(src); i++ {
-		h = (h ^ uint32(src[i])) * 16777619
-	}
-	h = (h ^ 0xff) * 16777619 // separator so ("ab","c") != ("a","bc")
-	for i := 0; i < len(dst); i++ {
-		h = (h ^ uint32(dst[i])) * 16777619
-	}
-	return h & (cacheShards - 1)
+// pairKey packs a (src, dst) node-index pair into one cache key.
+func pairKey(si, di int32) uint64 { return uint64(uint32(si))<<32 | uint64(uint32(di)) }
+
+// shard returns the cache shard of a pair key (a Fibonacci hash; any
+// stable mix works — the caches are invisible to simulated state).
+func (n *Network) shard(key uint64) *cacheShard {
+	return &n.cache[(key*0x9e3779b97f4a7c15)>>32%cacheShards]
 }
 
 // New returns an empty network.
@@ -115,8 +114,8 @@ func New() *Network {
 		adj:       make(map[string][]*channelGroup),
 	}
 	for i := range n.cache {
-		n.cache[i].paths = make(map[[2]string]*Path)
-		n.cache[i].routes = make(map[[2]string]*Route)
+		n.cache[i].paths = make(map[uint64]*Path)
+		n.cache[i].routes = make(map[uint64]*Route)
 	}
 	return n
 }
@@ -253,6 +252,7 @@ func (n *Network) AddNode(name string) {
 	n.nodeIndex[name] = len(n.nodes)
 	n.nodes = append(n.nodes, name)
 	n.adjx = append(n.adjx, nil)
+	n.trees.Store(nil)
 }
 
 // Nodes returns all node names in insertion order.
@@ -303,11 +303,12 @@ func (n *Network) AddClassLink(a, b, class string, bandwidth float64, latency si
 	ai, bi := n.nodeIndex[a], n.nodeIndex[b]
 	n.adjx[ai] = append(n.adjx[ai], xgroup{to: int32(bi), g: fwd})
 	n.adjx[bi] = append(n.adjx[bi], xgroup{to: int32(ai), g: rev})
+	n.trees.Store(nil)
 	for i := range n.cache {
 		sh := &n.cache[i]
 		sh.mu.Lock()
-		sh.paths = make(map[[2]string]*Path)
-		sh.routes = make(map[[2]string]*Route)
+		clear(sh.paths)
+		clear(sh.routes)
 		sh.mu.Unlock()
 	}
 	n.gen++
@@ -317,39 +318,57 @@ func (n *Network) AddClassLink(a, b, class string, bandwidth float64, latency si
 // src to dst. Unknown nodes and disconnected pairs return errors. The
 // returned Path is shared: callers must treat it as read-only, and may
 // hold it for the lifetime of the topology to bypass the cache probe
-// entirely. Resolution is safe to call concurrently: the BFS reads
-// only the immutable topology, so it runs without any lock, and the
+// entirely. Resolution is safe to call concurrently: it reads the
+// immutable topology and lock-free BFS trees (see span), and the
 // double-checked shard insert guarantees every caller sees the same
 // canonical *Path for a pair (racing resolvers build identical values;
 // the insert loser adopts the winner's).
 func (n *Network) PathTo(src, dst string) (*Path, error) {
-	if !n.HasNode(src) {
-		return nil, fmt.Errorf("netsim: unknown node %q", src)
+	si, di, err := n.pair(src, dst)
+	if err != nil {
+		return nil, err
 	}
-	if !n.HasNode(dst) {
-		return nil, fmt.Errorf("netsim: unknown node %q", dst)
+	return n.pathTo(si, di)
+}
+
+// pair returns the node indices of src and dst.
+func (n *Network) pair(src, dst string) (si, di int32, err error) {
+	s, ok := n.nodeIndex[src]
+	if !ok {
+		return 0, 0, fmt.Errorf("netsim: unknown node %q", src)
 	}
-	key := [2]string{src, dst}
-	sh := &n.cache[shardFor(src, dst)]
+	d, ok := n.nodeIndex[dst]
+	if !ok {
+		return 0, 0, fmt.Errorf("netsim: unknown node %q", dst)
+	}
+	return int32(s), int32(d), nil
+}
+
+// pathTo is PathTo by node index. On a cache miss it builds the path
+// outside any lock, then installs it in the shard under a
+// double-check.
+func (n *Network) pathTo(si, di int32) (*Path, error) {
+	key := pairKey(si, di)
+	sh := n.shard(key)
 	sh.mu.RLock()
 	p, ok := sh.paths[key]
 	sh.mu.RUnlock()
 	if ok {
 		return p, nil
 	}
-	return n.resolvePath(sh, key)
-}
-
-// resolvePath builds the path for key outside any lock, then installs
-// it in the shard under a double-check.
-func (n *Network) resolvePath(sh *cacheShard, key [2]string) (*Path, error) {
-	p := &Path{net: n, gen: n.gen}
-	if key[0] != key[1] {
-		groups, err := n.bfs(key[0], key[1])
-		if err != nil {
-			return nil, err
+	p = &Path{net: n, gen: n.gen}
+	if si != di {
+		prev, root, hops := n.span(si, di)
+		if hops < 0 {
+			return nil, fmt.Errorf("netsim: no route from %q to %q", n.nodes[si], n.nodes[di])
 		}
-		p.groups = groups
+		p.groups = make([]*channelGroup, hops)
+		for x, i := di, hops-1; x != root; x, i = prev[x], i-1 {
+			p.groups[i] = n.edge(prev[x], x)
+		}
+		if root != si {
+			p.groups[0] = n.adjx[si][0].g
+		}
 	}
 	p.metrics()
 	sh.mu.Lock()
@@ -361,85 +380,75 @@ func (n *Network) resolvePath(sh *cacheShard, key [2]string) (*Path, error) {
 	return p, nil
 }
 
-// bfsScratch is one BFS's working set over the node indices: the
-// predecessor of each visited node (-1 when unvisited), the channel
-// group that reached it, and the FIFO queue — which also lists every
-// node the walk touched.
-type bfsScratch struct {
-	prev  []int32
-	via   []*channelGroup
-	queue []int32
-}
-
-// getScratch takes an all-unvisited scratch sized for the current node
-// count from the network's pool.
-func (n *Network) getScratch() *bfsScratch {
-	if s, ok := n.scratch.Get().(*bfsScratch); ok && len(s.prev) == len(n.nodes) {
-		return s
+// span locates the shortest route from si to di (si != di) on a BFS
+// tree: it returns the tree, the node it is rooted at, and the hop
+// count (-1 when di is unreachable). A degree-1 source has one way
+// out, so its route is that edge followed by its neighbour's route,
+// read off the neighbour's tree; only nodes of degree 2 or more (the
+// routers and switches of a generated fabric, not its endpoints) ever
+// get a tree of their own. BFS from the leaf marks its neighbour first
+// and then scans the neighbour's edges exactly as BFS from the
+// neighbour does, so both trees agree on every other node.
+func (n *Network) span(si, di int32) (prev []int32, root int32, hops int) {
+	root = si
+	if out := n.adjx[si]; len(out) == 1 {
+		root, hops = out[0].to, 1
 	}
-	s := &bfsScratch{
-		prev:  make([]int32, len(n.nodes)),
-		via:   make([]*channelGroup, len(n.nodes)),
-		queue: make([]int32, 0, len(n.nodes)),
-	}
-	for i := range s.prev {
-		s.prev[i] = -1
-	}
-	return s
-}
-
-// putScratch returns s to the pool after resetting only the entries
-// its walk touched, so a resolution costs O(visited), not O(nodes).
-func (n *Network) putScratch(s *bfsScratch) {
-	for _, x := range s.queue {
-		s.prev[x] = -1
-		s.via[x] = nil
-	}
-	s.queue = s.queue[:0]
-	n.scratch.Put(s)
-}
-
-// bfs finds the shortest route, remembering the group used to reach
-// each node. It walks the index-based adjacency with flat predecessor
-// slices — first-seen marking over the same per-node edge order as the
-// historical map-based walk, so every tie breaks identically. The
-// slices come from a pool, so the only allocation is the returned hop
-// list.
-func (n *Network) bfs(src, dst string) ([]*channelGroup, error) {
-	si := int32(n.nodeIndex[src])
-	di := int32(n.nodeIndex[dst])
-	s := n.getScratch()
-	defer n.putScratch(s)
-	prev, via := s.prev, s.via
-	prev[si] = si // self-predecessor marks the root visited
-	s.queue = append(s.queue, si)
-	for qi := 0; qi < len(s.queue); qi++ {
-		cur := s.queue[qi]
-		if cur == di {
-			break
-		}
-		for _, x := range n.adjx[cur] {
-			if prev[x.to] != -1 {
-				continue
-			}
-			prev[x.to] = cur
-			via[x.to] = x.g
-			s.queue = append(s.queue, x.to)
-		}
-	}
+	prev = n.tree(root)
 	if prev[di] == -1 {
-		return nil, fmt.Errorf("netsim: no route from %q to %q", src, dst)
+		return prev, root, -1
 	}
-	hops := 0
-	for cur := di; cur != si; cur = prev[cur] {
+	for x := di; x != root; x = prev[x] {
 		hops++
 	}
-	p := make([]*channelGroup, hops)
-	for cur := di; cur != si; cur = prev[cur] {
-		hops--
-		p[hops] = via[cur]
+	return prev, root, hops
+}
+
+// tree returns the breadth-first predecessor tree rooted at root:
+// prev[x] is the node BFS first reached x from (root for itself, -1
+// when x is unreachable). BFS never re-marks a node, so the full walk
+// marks every node exactly as a walk stopping at any one destination
+// would, and one tree serves every route from root. Trees are built
+// on first use and installed by CAS without a lock: racing builders
+// compute identical trees and the loser adopts the winner's.
+func (n *Network) tree(root int32) []int32 {
+	set := n.trees.Load()
+	if set == nil {
+		n.trees.CompareAndSwap(nil, &treeSet{slots: make([]atomic.Pointer[[]int32], len(n.nodes))})
+		set = n.trees.Load()
 	}
-	return p, nil
+	slot := &set.slots[root]
+	if t := slot.Load(); t != nil {
+		return *t
+	}
+	prev := make([]int32, len(n.nodes))
+	for i := range prev {
+		prev[i] = -1
+	}
+	prev[root] = root
+	queue := append(make([]int32, 0, len(n.nodes)), root)
+	for qi := 0; qi < len(queue); qi++ {
+		for _, x := range n.adjx[queue[qi]] {
+			if prev[x.to] == -1 {
+				prev[x.to] = queue[qi]
+				queue = append(queue, x.to)
+			}
+		}
+	}
+	slot.CompareAndSwap(nil, &prev)
+	return *slot.Load()
+}
+
+// edge returns the channel group BFS marked `to` with when it scanned
+// from's edges: the first one leading to `to`, which is the one a
+// parallel link added later never displaces.
+func (n *Network) edge(from, to int32) *channelGroup {
+	for _, x := range n.adjx[from] {
+		if x.to == to {
+			return x.g
+		}
+	}
+	panic("netsim: tree hop without an edge")
 }
 
 // Transfer delivers a message of the given size from src to dst,

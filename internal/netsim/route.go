@@ -1,10 +1,6 @@
 package netsim
 
-import (
-	"fmt"
-
-	"msgroofline/internal/sim"
-)
+import "msgroofline/internal/sim"
 
 // Routing selects the network's route-choice policy.
 type Routing int
@@ -62,8 +58,13 @@ const maxAltsPerRoute = 4
 type Route struct {
 	net  *Network
 	min  *Path
-	alts []*Path
+	alts []detour
 }
+
+// detour is a Valiant-style non-minimal alternative kept as its two
+// cached minimal legs, src -> via and via -> dst. Every route through
+// via shares the legs instead of holding a concatenated copy.
+type detour struct{ a, b *Path }
 
 // RouteTo resolves (and caches) the Route from src to dst under the
 // network's routing policy. Under RouteMinimal (or with no registered
@@ -74,27 +75,25 @@ type Route struct {
 // then installed in its route shard under a double-check, so parallel
 // workers resolving distinct pairs never serialize on a shared mutex.
 func (n *Network) RouteTo(src, dst string) (*Route, error) {
-	if !n.HasNode(src) {
-		return nil, fmt.Errorf("netsim: unknown node %q", src)
+	si, di, err := n.pair(src, dst)
+	if err != nil {
+		return nil, err
 	}
-	if !n.HasNode(dst) {
-		return nil, fmt.Errorf("netsim: unknown node %q", dst)
-	}
-	key := [2]string{src, dst}
-	sh := &n.cache[shardFor(src, dst)]
+	key := pairKey(si, di)
+	sh := n.shard(key)
 	sh.mu.RLock()
 	r, ok := sh.routes[key]
 	sh.mu.RUnlock()
 	if ok {
 		return r, nil
 	}
-	min, err := n.PathTo(src, dst)
+	min, err := n.pathTo(si, di)
 	if err != nil {
 		return nil, err
 	}
 	r = &Route{net: n, min: min}
-	if n.routing == RouteAdaptive && src != dst {
-		r.alts = n.buildAlts(src, dst, min)
+	if n.routing == RouteAdaptive && si != di {
+		r.alts = n.buildAlts(si, di, min)
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -105,19 +104,18 @@ func (n *Network) RouteTo(src, dst string) (*Route, error) {
 	return r, nil
 }
 
-// buildAlts composes Valiant-style two-leg detour paths src -> via ->
-// dst for registered detour nodes, keeping at most maxAltsPerRoute of
-// the shortest (ties broken by registration order, so the set is
+// buildAlts picks the Valiant-style two-leg detours src -> via -> dst
+// for registered detour nodes, keeping at most maxAltsPerRoute of the
+// shortest (ties broken by registration order, so the set is
 // deterministic). Detours that coincide with an endpoint, are
 // unreachable, or degenerate to the minimal hop count are skipped —
 // a "detour" no longer than the minimal path is the minimal path's
-// job. The via legs resolve through the sharded path cache (PathTo),
-// so building alternatives takes no lock of its own and detour legs
-// shared between routes are BFS'd once. Candidates are ranked by hop
-// count alone, and only the kept ones become Paths.
-func (n *Network) buildAlts(src, dst string, min *Path) []*Path {
+// job. Candidates are ranked by hop counts read off the BFS trees, and
+// only the kept ones resolve their legs through the sharded path
+// cache, so building alternatives takes no lock of its own.
+func (n *Network) buildAlts(si, di int32, min *Path) []detour {
 	type cand struct {
-		a, b *Path
+		via  int32
 		hops int
 	}
 	// keep[:k] holds the shortest candidates so far, in (hops,
@@ -125,20 +123,16 @@ func (n *Network) buildAlts(src, dst string, min *Path) []*Path {
 	// no longer than it, so equal hop counts keep registration order.
 	var keep [maxAltsPerRoute]cand
 	k := 0
-	for _, via := range n.detours {
-		if via == src || via == dst || !n.HasNode(via) {
+	for _, name := range n.detours {
+		v, ok := n.nodeIndex[name]
+		via := int32(v)
+		if !ok || via == si || via == di {
 			continue
 		}
-		a, err := n.PathTo(src, via)
-		if err != nil {
-			continue
-		}
-		b, err := n.PathTo(via, dst)
-		if err != nil {
-			continue
-		}
-		hops := a.hops + b.hops
-		if hops <= min.hops {
+		_, _, a := n.span(si, via)
+		_, _, b := n.span(via, di)
+		hops := a + b
+		if a < 0 || b < 0 || hops <= min.hops {
 			continue
 		}
 		i := k
@@ -152,14 +146,14 @@ func (n *Network) buildAlts(src, dst string, min *Path) []*Path {
 			k++
 		}
 		copy(keep[i+1:k], keep[i:k-1])
-		keep[i] = cand{a: a, b: b, hops: hops}
+		keep[i] = cand{via: via, hops: hops}
 	}
-	alts := make([]*Path, k)
+	alts := make([]detour, k)
 	for i, c := range keep[:k] {
-		p := &Path{net: n, gen: n.gen, groups: make([]*channelGroup, 0, c.hops)}
-		p.groups = append(append(p.groups, c.a.groups...), c.b.groups...)
-		p.metrics()
-		alts[i] = p
+		// Both legs are reachable (their hop counts are), so pathTo
+		// cannot fail.
+		alts[i].a, _ = n.pathTo(si, c.via)
+		alts[i].b, _ = n.pathTo(c.via, di)
 	}
 	return alts
 }
@@ -167,9 +161,19 @@ func (n *Network) buildAlts(src, dst string, min *Path) []*Path {
 // Min returns the minimal path of the route.
 func (r *Route) Min() *Path { return r.min }
 
-// Alts returns the precomputed non-minimal alternatives (empty under
-// RouteMinimal).
-func (r *Route) Alts() []*Path { return r.alts }
+// Alts returns the non-minimal alternatives as whole paths (empty
+// under RouteMinimal). Each call concatenates the detour legs afresh;
+// transfers use the shared legs directly.
+func (r *Route) Alts() []*Path {
+	out := make([]*Path, len(r.alts))
+	for i, d := range r.alts {
+		p := &Path{net: r.net, gen: d.a.gen, groups: make([]*channelGroup, 0, d.a.hops+d.b.hops)}
+		p.groups = append(append(p.groups, d.a.groups...), d.b.groups...)
+		p.metrics()
+		out[i] = p
+	}
+	return out
+}
 
 // Hops, BaseLatency, PeakBandwidth, AggregateBandwidth and Channels
 // describe the minimal path: latency-sensitive queries (lookahead,
@@ -186,7 +190,7 @@ func (r *Route) Channels() int               { return r.min.Channels() }
 // store-and-forward serialization plus the queueing delay of each
 // hop's chosen link (how far past `at` the link is already booked).
 // It reads link state without mutating it.
-func pathCost(p *Path, at sim.Time, bytes int64, ch int) sim.Time {
+func (p *Path) cost(at sim.Time, bytes int64, ch int) sim.Time {
 	cost := p.baseLat
 	for _, g := range p.groups {
 		l := g.links[((ch%len(g.links))+len(g.links))%len(g.links)]
@@ -196,6 +200,26 @@ func pathCost(p *Path, at sim.Time, bytes int64, ch int) sim.Time {
 		}
 	}
 	return cost
+}
+
+// cost is the cost of the concatenated path: both legs' propagation
+// plus every hop's serialization and queueing, all priced at `at`.
+func (d detour) cost(at sim.Time, bytes int64, ch int) sim.Time {
+	return d.a.cost(at, bytes, ch) + d.b.cost(at, bytes, ch)
+}
+
+// transfer sends along leg a, then leg b from a's delivery time: the
+// same link reservations, in the same order, as the concatenated path,
+// and one fault draw sequence over both legs, as for one path.
+func (d detour) transfer(at sim.Time, bytes int64, ch int) sim.Time {
+	once := func(t sim.Time) sim.Time {
+		return d.b.transferOnce(d.a.transferOnce(t, bytes, ch), bytes, ch)
+	}
+	t := once(at)
+	if f := d.a.net.faults; f != nil {
+		t = f.apply(t, once)
+	}
+	return t
 }
 
 // Transfer delivers a message along the route: under RouteMinimal (or
@@ -211,19 +235,19 @@ func (r *Route) Transfer(at sim.Time, bytes int64, ch int) sim.Time {
 	if len(r.alts) == 0 {
 		return r.min.Transfer(at, bytes, ch)
 	}
-	best := r.min
-	bestCost := pathCost(r.min, at, bytes, ch)
-	for _, alt := range r.alts {
-		if c := pathCost(alt, at, bytes, ch); c < bestCost {
-			best, bestCost = alt, c
+	best := -1
+	bestCost := r.min.cost(at, bytes, ch)
+	for i, d := range r.alts {
+		if c := d.cost(at, bytes, ch); c < bestCost {
+			best, bestCost = i, c
 		}
 	}
-	if best == r.min {
+	if best < 0 {
 		r.net.minPicks++
-	} else {
-		r.net.altPicks++
+		return r.min.Transfer(at, bytes, ch)
 	}
-	return best.Transfer(at, bytes, ch)
+	r.net.altPicks++
+	return r.alts[best].transfer(at, bytes, ch)
 }
 
 // TransferPacket routes a fixed-occupancy packet along the minimal

@@ -83,7 +83,6 @@ func NewWorldSharded(cfg *machine.Config, ranks, shards int) (*World, error) {
 		eng:    eng,
 		shards: shards,
 	}
-	prewarmPaths(inst, ranks)
 	channels := 1
 	if cfg.GPU != nil {
 		channels = cfg.GPU.Channels
@@ -116,57 +115,6 @@ func nodeGroups(inst *machine.Instance, ranks int) ([]int, error) {
 		groupOf[r] = g
 	}
 	return groupOf, nil
-}
-
-// prewarmSigLimit bounds the node-signature count prewarmPaths will
-// warm all-pairs: beyond it the quadratic BFS sweep dominates world
-// construction on generated fabrics (a 1K-node dragonfly is ~10^6
-// resolutions), so big worlds rely on the lazy, sharded route cache
-// instead (16 lock shards keyed by endpoint-pair hash; see
-// netsim.cacheShards). Laziness never changes simulated output: route
-// resolution is a pure function of the static topology.
-const prewarmSigLimit = 64
-
-// prewarmPaths resolves every fabric route the world can use — direct
-// node-to-node plus host-staged legs — so netsim's lazy route cache is
-// fully populated before any window runs on paper-scale machines.
-// Unreachable pairs are left for use-time panics, exactly as before.
-// Worlds over prewarmSigLimit distinct nodes skip the sweep and
-// resolve routes on demand under the network's per-shard cache locks
-// (path/route construction itself runs lock-free on the immutable
-// topology, so concurrent window workers only contend on insertion).
-func prewarmPaths(inst *machine.Instance, ranks int) {
-	type sig struct{ node, host string }
-	seen := map[sig]bool{}
-	var sigs []sig
-	for r := 0; r < ranks; r++ {
-		s := sig{inst.Places[r].Node, inst.Places[r].Host}
-		if !seen[s] {
-			seen[s] = true
-			sigs = append(sigs, s)
-		}
-	}
-	if len(sigs) > prewarmSigLimit {
-		return
-	}
-	warm := func(a, b string) {
-		if a != b {
-			inst.Net.RouteTo(a, b) //nolint:errcheck // warming only
-		}
-	}
-	for _, a := range sigs {
-		for _, b := range sigs {
-			if a.node == b.node {
-				continue
-			}
-			warm(a.node, b.node)
-			if a.host != "" && b.host != "" {
-				warm(a.node, a.host)
-				warm(a.host, b.host)
-				warm(b.host, b.node)
-			}
-		}
-	}
 }
 
 // Size returns the number of endpoints (ranks/PEs).

@@ -28,6 +28,11 @@ type UsageSummary struct {
 	// machines: index 0 aggregates every world's first group, and so
 	// on up to the largest group count seen).
 	Events []int64
+	// MaxGroups is the largest node-group count of any one world, and
+	// Imbalance the worst per-world ratio of the busiest group's
+	// executed events to the world's mean per group (1 = even).
+	MaxGroups int
+	Imbalance float64
 	// MaxWorkers is the largest window worker parallelism used.
 	MaxWorkers int
 	// Busy is the summed per-group busy time inside windows; divided
@@ -63,9 +68,16 @@ func noteUsage(w *World) {
 	for len(usage.Events) < len(gs) {
 		usage.Events = append(usage.Events, 0)
 	}
+	var total, busiest int64
 	for g, s := range gs {
 		usage.Events[g] += s.Executed
 		usage.Busy += s.Busy
+		total += s.Executed
+		busiest = max(busiest, s.Executed)
+	}
+	usage.MaxGroups = max(usage.MaxGroups, len(gs))
+	if total > 0 {
+		usage.Imbalance = max(usage.Imbalance, float64(busiest)*float64(len(gs))/float64(total))
 	}
 	if w.eng.Workers() > usage.MaxWorkers {
 		usage.MaxWorkers = w.eng.Workers()

@@ -21,20 +21,20 @@ package sim
 // which only a few dozen are typically eligible per window):
 //
 //   - a persistent worker pool (startPool) replaces the historical
-//     goroutine-per-group-per-window spawns: long-lived workers pull
-//     group indices from an atomic cursor over the window's active
-//     set, so a window costs O(workers) channel operations however
-//     many groups exist;
+//     goroutine-per-group-per-window spawns: long-lived workers claim
+//     blocks of the window's active set from an atomic cursor and time
+//     themselves once per window, so a window costs O(workers)
+//     channel operations and clock reads however many groups exist;
 //   - active-group dispatch: only groups whose next event beats the
 //     window bound are dispatched; idle groups skip the dispatch, the
 //     clock reads, and the deferred-op scan entirely;
 //   - an incremental 4-ary tournament tree (mintree.go) over per-group
 //     NextAt values replaces the O(G) min scan per window — only
 //     groups that executed or received barrier ops re-publish;
-//   - the barrier is a k-way merge over per-group deferred-op runs
-//     that the (parallel) workers pre-sorted, instead of a full
-//     single-threaded sort of the concatenated batch, with all run
-//     and merge storage pooled across windows.
+//   - the barrier gathers only the candidate groups' deferred ops into
+//     one flat batch, reused across windows, and sorts it once: a
+//     round's per-group runs are almost all one op long, so a k-way
+//     merge over them costs more than the contiguous sort.
 //
 // Cross-group effects never mutate a peer group's state mid-window.
 // They are expressed one of two ways:
@@ -93,10 +93,12 @@ type GroupStats struct {
 	Ranks int
 	// Executed is the number of events the group dispatched.
 	Executed int64
-	// Busy is the wall-clock time spent executing the group's events
-	// (excluding barrier waits). On a single-core runner the sum of
-	// Busy over groups approaches the total wall time; on a
-	// multi-core runner wall time approaches max(Busy).
+	// Busy is the group's share of the run's busy time, attributed
+	// by executed events: busy time is measured once per inline run
+	// and once per pool worker and window, not per group. On a
+	// single-core runner the sum of Busy over groups approaches the
+	// total wall time; on an N-core runner it approaches N times the
+	// wall time of the window execution.
 	Busy time.Duration
 }
 
@@ -118,19 +120,18 @@ type CoupledEngine struct {
 	workers   int
 
 	counter []uint64       // per-rank deferred-op stream counters
-	ops     [][]deferredOp // per-group deferred ops this window (front buffer)
-	opsBack [][]deferredOp // per-group back buffer, swapped in by takeRun
+	ops     [][]deferredOp // per-group deferred ops this window
 	gerr    []error        // first group-confined error (Defer/At misuse)
 	mcap    int
 	maxEv   uint64
 
 	windows    uint64
 	dispatches uint64 // total group-window dispatches (sum of active-set sizes)
-	busy       []time.Duration
-	// loopBusy is the whole-loop busy time of an inline (workers <= 1)
-	// run, measured once instead of per group per window; GroupStats
-	// and BusyWall fold it back in, attributed by executed events.
-	loopBusy time.Duration
+	// busy is the run's summed busy time: the whole loop of an inline
+	// (workers <= 1) run, measured once, or each pool worker's time
+	// per window plus the windows a pool run executes inline.
+	// GroupStats attributes it to groups by executed events.
+	busy time.Duration
 	// Per-phase wall attribution of the window loop (PhaseWall):
 	// group execution, barrier deferred-op application, and
 	// min-tracker maintenance (bound computation + active-set
@@ -143,27 +144,22 @@ type CoupledEngine struct {
 	active []int32 // groups dispatched in the current window, ascending
 
 	// Barrier state. inBarrier is true only while the single-threaded
-	// merge executes deferred ops; At uses it to publish new horizons
-	// incrementally and Defer to record follow-up candidates (bops).
+	// barrier executes deferred ops; At uses it to publish new
+	// horizons incrementally and Defer to record follow-up candidates
+	// (bops). batch is the flat op batch, reused across windows.
 	inBarrier bool
 	bops      []int32
-	bscratch  []int32
-
-	// Merge scratch, reused across windows.
-	runs     [][]deferredOp
-	mergePos []int32
-	mergeHp  []mergeEnt
+	batch     []deferredOp
 
 	// Persistent worker pool (workers > 1). w1 and active are
-	// published before the start tokens are sent and read back after
-	// the done tokens arrive, so the channel handshake orders every
-	// access. cursor hands out indices into active.
-	w1      Time
-	cursor  atomic.Int64
-	wstart  []chan struct{}
-	wdone   chan struct{}
-	werrs   []error
-	wpanics []any
+	// published before the start tokens are sent and the reports are
+	// read after the done tokens arrive, so the channel handshake
+	// orders every access. cursor hands out blocks of indices into
+	// active.
+	w1     Time
+	cursor atomic.Int64
+	wstart []chan struct{}
+	wdone  chan poolDone
 
 	started bool
 }
@@ -207,10 +203,8 @@ func NewCoupled(groupOf []int, lookahead Time, workers int) (*CoupledEngine, err
 		workers:   workers,
 		counter:   make([]uint64, len(groupOf)),
 		ops:       make([][]deferredOp, groups),
-		opsBack:   make([][]deferredOp, groups),
 		gerr:      make([]error, groups),
 		mcap:      DefaultMailboxCap,
-		busy:      make([]time.Duration, groups),
 	}
 	for r, g := range groupOf {
 		ce.groupOf[r] = int32(g)
@@ -300,7 +294,7 @@ func (ce *CoupledEngine) Defer(rank int, at Time, run func()) {
 	}
 	if ce.inBarrier {
 		// A barrier-emitted follow-up: record the group so the next
-		// merge round can find its run without scanning all groups.
+		// barrier round can find its ops without scanning all groups.
 		ce.bops = append(ce.bops, g)
 	}
 	ce.ops[g] = append(ce.ops[g], deferredOp{at: at, key: uint64(rank)<<counterBits | c, run: run})
@@ -371,10 +365,10 @@ func (ce *CoupledEngine) Windows() uint64 { return ce.windows }
 func (ce *CoupledEngine) Dispatches() uint64 { return ce.dispatches }
 
 // PhaseWall returns the wall-clock time the window loop spent in its
-// three phases: executing group events (including each group's
-// deferred-run pre-sort), applying deferred ops at barriers (the
-// k-way merge), and maintaining the window bound (min-tracker reads,
-// active-set collection, horizon refresh). The split is the
+// three phases: executing group events, applying deferred ops at
+// barriers (gathering, sorting and running each round's batch), and
+// maintaining the window bound (min-tracker reads, active-set
+// collection, horizon refresh). The split is the
 // engine-layer start of a Breaking-Band-style cost attribution; it is
 // wall-clock metadata and never feeds back into simulated state.
 func (ce *CoupledEngine) PhaseWall() (exec, barrier, scan time.Duration) {
@@ -393,26 +387,29 @@ func (ce *CoupledEngine) Digest() uint64 {
 	return h
 }
 
-// GroupStats returns per-group execution summaries in group order. An
-// inline run measures busy time once for the whole loop; it is
-// attributed to groups proportionally to their executed events.
+// GroupStats returns per-group execution summaries in group order,
+// with the run's busy time attributed to groups proportionally to
+// their executed events.
 func (ce *CoupledEngine) GroupStats() []GroupStats {
 	out := make([]GroupStats, len(ce.subs))
 	var total int64
 	for g, sub := range ce.subs {
-		out[g] = GroupStats{Ranks: ce.nranks[g], Executed: int64(sub.Executed()), Busy: ce.busy[g]}
+		out[g] = GroupStats{Ranks: ce.nranks[g], Executed: int64(sub.Executed())}
 		total += out[g].Executed
 	}
-	if ce.loopBusy > 0 && total > 0 {
+	if total > 0 {
+		// In floating point: busy nanoseconds times events overflows
+		// int64 on long runs.
+		share := float64(ce.busy) / float64(total)
 		for g := range out {
-			out[g].Busy += time.Duration(int64(ce.loopBusy) * out[g].Executed / total)
+			out[g].Busy = time.Duration(share * float64(out[g].Executed))
 		}
 	}
 	return out
 }
 
 // BusyWall summarizes parallel efficiency for a run that took `wall`
-// of wall-clock time: summed per-group busy time divided by wall. On
+// of wall-clock time: the run's busy time divided by wall. On
 // an N-core runner an ideally scaling workload approaches N; on a
 // single-core runner it approaches 1 from below, the gap being
 // barrier and scheduling overhead.
@@ -420,11 +417,7 @@ func (ce *CoupledEngine) BusyWall(wall time.Duration) float64 {
 	if wall <= 0 {
 		return 0
 	}
-	busy := ce.loopBusy
-	for _, d := range ce.busy {
-		busy += d
-	}
-	return float64(busy) / float64(wall)
+	return float64(ce.busy) / float64(wall)
 }
 
 // firstErr collects the first group-confined error in group order.
@@ -455,8 +448,8 @@ func (ce *CoupledEngine) Run() error {
 		ce.dispatches = 1
 		t0 := time.Now()
 		err := ce.subs[0].Run()
-		ce.busy[0] += time.Since(t0)
-		ce.execWall += ce.busy[0]
+		ce.busy = time.Since(t0)
+		ce.execWall += ce.busy
 		if err == nil {
 			err = ce.firstErr()
 		}
@@ -480,7 +473,7 @@ func (ce *CoupledEngine) Run() error {
 		// per window (the per-window pairs cost more than the windows
 		// on short-event workloads).
 		t0 := time.Now()
-		defer func() { ce.loopBusy = time.Since(t0) }()
+		defer func() { ce.busy = time.Since(t0) }()
 	}
 	for {
 		s0 := time.Now()
@@ -531,12 +524,12 @@ func (ce *CoupledEngine) Run() error {
 
 // window executes one conservative window on every active group. With
 // one worker (or one active group) the groups run inline; with more,
-// the persistent pool workers pull group indices from the shared
-// cursor, and a worker panic is re-raised on the caller's goroutine so
-// recovery semantics match the sequential engine at every worker
-// count. Error and panic selection is by ascending group index —
-// identical at every worker count — and each group's deferred-op run
-// is pre-sorted by whoever executed it, in parallel under the pool.
+// the persistent pool workers claim blocks of the active set (see
+// claimBlocks), and a worker panic is re-raised on the caller's
+// goroutine so recovery semantics match the sequential engine at every
+// worker count. The surfaced failure, error or panic, is the one of
+// the lowest failing group, the one an inline run stops at, so it is
+// identical at every worker count.
 func (ce *CoupledEngine) window(w1 Time) error {
 	active := ce.active
 	if ce.workers <= 1 {
@@ -544,7 +537,6 @@ func (ce *CoupledEngine) window(w1 Time) error {
 			if err := ce.subs[g].RunBefore(w1); err != nil {
 				return err
 			}
-			sortOps(ce.ops[g])
 		}
 		return nil
 	}
@@ -552,13 +544,9 @@ func (ce *CoupledEngine) window(w1 Time) error {
 		// One eligible group: skip the pool handshake. Inline panics
 		// propagate natively — observably identical to the pool's
 		// recover/re-raise.
-		g := active[0]
 		t0 := time.Now()
-		err := ce.subs[g].RunBefore(w1)
-		if err == nil {
-			sortOps(ce.ops[g])
-		}
-		ce.busy[g] += time.Since(t0)
+		err := ce.subs[active[0]].RunBefore(w1)
+		ce.busy += time.Since(t0)
 		return err
 	}
 	ce.w1 = w1
@@ -566,28 +554,44 @@ func (ce *CoupledEngine) window(w1 Time) error {
 	for _, ch := range ce.wstart {
 		ch <- struct{}{}
 	}
+	first := poolDone{fail: len(active)}
 	for range ce.wstart {
-		<-ce.wdone
-	}
-	for _, g := range active {
-		if r := ce.wpanics[g]; r != nil {
-			panic(r)
+		d := <-ce.wdone
+		ce.busy += d.busy
+		if d.fail < first.fail {
+			first = d
 		}
 	}
-	for _, g := range active {
-		if err := ce.werrs[g]; err != nil {
-			return err
-		}
+	if first.panic != nil {
+		panic(first.panic)
 	}
-	return nil
+	return first.err
+}
+
+// claimsPerWorker is how many blocks of the active set each pool
+// worker claims in an evenly loaded window; the block size follows
+// from it, the active-set size and the worker count. More, smaller
+// blocks even out the workers' finishing times; fewer cut the
+// shared-cursor traffic. At 8, a worker idles at most about one
+// eighth of its share waiting for the last block, and a window of
+// tens of thousands of active groups costs tens of cursor claims
+// instead of one per group.
+const claimsPerWorker = 8
+
+// poolDone is one pool worker's report for one window: its busy time
+// and, when a group failed, that group's index in the active set with
+// its error or recovered panic (fail is len(active) otherwise).
+type poolDone struct {
+	busy  time.Duration
+	fail  int
+	err   error
+	panic any
 }
 
 // startPool launches the persistent window workers. Workers park on
 // their start channels between windows and exit when Run closes them.
 func (ce *CoupledEngine) startPool() {
-	ce.werrs = make([]error, len(ce.subs))
-	ce.wpanics = make([]any, len(ce.subs))
-	ce.wdone = make(chan struct{}, ce.workers)
+	ce.wdone = make(chan poolDone, ce.workers)
 	ce.wstart = make([]chan struct{}, ce.workers)
 	for w := range ce.wstart {
 		ce.wstart[w] = make(chan struct{}, 1)
@@ -604,52 +608,50 @@ func (ce *CoupledEngine) stopPool() {
 }
 
 // poolWorker is one persistent window worker: per start token it
-// drains the shared cursor over the active set, then reports done.
+// claims blocks of the active set until none remain, then reports its
+// busy time and first failure. The clock starts after the start token
+// arrives, so pool wait time is never counted as busy.
 func (ce *CoupledEngine) poolWorker(start chan struct{}) {
 	for range start {
-		for {
-			i := ce.cursor.Add(1) - 1
-			if i >= int64(len(ce.active)) {
-				break
-			}
-			ce.runGroup(int(ce.active[i]))
+		t0 := time.Now()
+		d := ce.claimBlocks()
+		d.busy = time.Since(t0)
+		ce.wdone <- d
+	}
+}
+
+// claimBlocks runs blocks of consecutive active-set indices claimed
+// from the shared cursor, each in ascending order, and stops at the
+// first group that fails. Claims are monotone, so every index below a
+// failing one was claimed before it; a lower failure, if any, is
+// reported by whichever worker holds it, and the window surfaces the
+// lowest reported.
+func (ce *CoupledEngine) claimBlocks() (d poolDone) {
+	n := len(ce.active)
+	block := int64(max(1, n/(claimsPerWorker*ce.workers)))
+	defer func() {
+		if r := recover(); r != nil {
+			d.panic = r
 		}
-		ce.wdone <- struct{}{}
-	}
-}
-
-// runGroup executes one group's window on the calling worker. The
-// per-group error/panic slots are reset here — only for dispatched
-// groups, folded into the dispatch itself — and the busy timer starts
-// after the queue handoff, so pool wait time is never charged to the
-// group and busy/wall ratios stay meaningful.
-func (ce *CoupledEngine) runGroup(g int) {
-	t0 := time.Now()
-	ce.werrs[g], ce.wpanics[g] = nil, nil
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				ce.wpanics[g] = r
-			}
-		}()
-		ce.werrs[g] = ce.subs[g].RunBefore(ce.w1)
 	}()
-	if ce.werrs[g] == nil && ce.wpanics[g] == nil {
-		// Pre-sort this group's deferred run for the merge barrier —
-		// on the worker, so the sort parallelizes with other groups'
-		// execution instead of serializing at the barrier.
-		sortOps(ce.ops[g])
+	for {
+		lo := ce.cursor.Add(block) - block
+		if lo >= int64(n) {
+			return poolDone{fail: n}
+		}
+		hi := min(lo+block, int64(n))
+		for d.fail = int(lo); d.fail < int(hi); d.fail++ {
+			if d.err = ce.subs[ce.active[d.fail]].RunBefore(ce.w1); d.err != nil {
+				return d
+			}
+		}
 	}
-	ce.busy[g] += time.Since(t0)
 }
 
-// sortOps orders one deferred-op run by (at, key). Keys embed each
-// sender's monotone counter, so pairs are unique and the unstable
-// sort is still a total order.
+// sortOps orders a deferred-op batch by (at, key). Keys embed each
+// sender's monotone counter, so pairs are unique and the unstable sort
+// is still a total order.
 func sortOps(ops []deferredOp) {
-	if len(ops) < 2 {
-		return
-	}
 	slices.SortFunc(ops, func(a, b deferredOp) int {
 		switch {
 		case a.at != b.at:
@@ -666,127 +668,40 @@ func sortOps(ops []deferredOp) {
 	})
 }
 
-// takeRun detaches group g's deferred run for merging and installs
-// the group's back buffer (emptied) as the new front, so follow-up
-// Defers during the merge land in fresh storage while the detached
-// run is iterated. Both buffers persist across windows — the
-// steady-state barrier allocates nothing.
-func (ce *CoupledEngine) takeRun(g int) []deferredOp {
-	r := ce.ops[g]
-	ce.ops[g] = ce.opsBack[g][:0]
-	ce.opsBack[g] = r
-	return r
-}
-
-// applyDeferred is the window barrier: it merges every active group's
-// pre-sorted deferred run and applies the ops single-threaded in
-// (at, key) order, repeating until no op remains (an op may defer
-// follow-ups). Only the window's active groups — plus groups that
-// deferred during the barrier itself — are consulted; idle groups are
-// never scanned.
+// applyDeferred is the window barrier: it gathers every candidate
+// group's deferred ops into one flat batch, sorts it by (at, key), and
+// applies the ops single-threaded in that order, repeating until no op
+// remains (an op may defer follow-ups). Only the window's active
+// groups — plus groups that deferred during the barrier itself — are
+// consulted; idle groups are never scanned. The batch and every
+// group's buffer persist across windows, so the steady-state barrier
+// allocates nothing.
 func (ce *CoupledEngine) applyDeferred() error {
 	cand := ce.active
-	for round := 0; ; round++ {
-		runs := ce.runs[:0]
+	for {
+		batch := ce.batch[:0]
 		for _, g := range cand {
-			if len(ce.ops[g]) == 0 {
-				continue // empty, or a duplicate candidate already taken
-			}
-			r := ce.takeRun(int(g))
-			if round > 0 {
-				// Barrier-emitted follow-ups arrive in barrier order,
-				// not (at, key) order: sort before merging.
-				sortOps(r)
-			}
-			runs = append(runs, r)
+			// A group listed twice contributes nothing the second time.
+			batch = append(batch, ce.ops[g]...)
+			ce.ops[g] = ce.ops[g][:0]
 		}
-		ce.runs = runs // keep any growth for the next window
-		if len(runs) == 0 {
+		ce.batch = batch
+		if len(batch) == 0 {
 			return nil
 		}
+		sortOps(batch)
+		// cand is consumed, so bops (the previous round's candidates)
+		// can be reset and refilled by this round's follow-ups.
 		ce.bops = ce.bops[:0]
 		ce.inBarrier = true
-		ce.mergeExec(runs)
+		for i := range batch {
+			batch[i].run()
+		}
 		ce.inBarrier = false
 		if err := ce.firstErr(); err != nil {
 			return err
 		}
-		// Follow-up candidates are copied out of the collector so the
-		// next round can reset it without aliasing its own input.
-		ce.bscratch = append(ce.bscratch[:0], ce.bops...)
-		cand = ce.bscratch
-	}
-}
-
-// mergeEnt is one run head inside the barrier's k-way merge heap.
-type mergeEnt struct {
-	at  Time
-	key uint64
-	run int32
-}
-
-func mergeLess(a, b *mergeEnt) bool {
-	return a.at < b.at || (a.at == b.at && a.key < b.key)
-}
-
-// mergeExec applies the runs' ops in globally ascending (at, key)
-// order via a k-way merge: a binary heap holds each run's head, and
-// every pop advances one run. Comparisons are O(n log k) against the
-// retired full sort's O(n log n), and — unlike the full sort — the
-// per-run ordering work already happened on the window workers.
-func (ce *CoupledEngine) mergeExec(runs [][]deferredOp) {
-	if len(runs) == 1 {
-		for i := range runs[0] {
-			runs[0][i].run()
-		}
-		return
-	}
-	pos := ce.mergePos[:0]
-	hp := ce.mergeHp[:0]
-	for r := range runs {
-		op := &runs[r][0]
-		hp = append(hp, mergeEnt{at: op.at, key: op.key, run: int32(r)})
-		pos = append(pos, 0)
-	}
-	ce.mergePos, ce.mergeHp = pos, hp
-	// Heapify (sift-down from the last parent).
-	for i := len(hp)/2 - 1; i >= 0; i-- {
-		mergeSiftDown(hp, i)
-	}
-	for len(hp) > 0 {
-		r := hp[0].run
-		op := &runs[r][pos[r]]
-		pos[r]++
-		if int(pos[r]) < len(runs[r]) {
-			nxt := &runs[r][pos[r]]
-			hp[0] = mergeEnt{at: nxt.at, key: nxt.key, run: r}
-		} else {
-			hp[0] = hp[len(hp)-1]
-			hp = hp[:len(hp)-1]
-		}
-		if len(hp) > 1 {
-			mergeSiftDown(hp, 0)
-		}
-		op.run()
-	}
-}
-
-// mergeSiftDown restores the binary-heap order below node i.
-func mergeSiftDown(hp []mergeEnt, i int) {
-	n := len(hp)
-	for {
-		c := 2*i + 1
-		if c >= n {
-			return
-		}
-		if c+1 < n && mergeLess(&hp[c+1], &hp[c]) {
-			c++
-		}
-		if !mergeLess(&hp[c], &hp[i]) {
-			return
-		}
-		hp[i], hp[c] = hp[c], hp[i]
-		i = c
+		cand = ce.bops
 	}
 }
 

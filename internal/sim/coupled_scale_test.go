@@ -2,9 +2,10 @@ package sim
 
 // White-box tests for the window-engine scaling internals: the 4-ary
 // tournament min-tree that replaces the per-window O(G) NextAt scan,
-// and the property that the k-way merge barrier applies deferred ops
-// in exactly the order the retired flatten-and-full-sort
-// implementation did — including barrier-emitted follow-up rounds.
+// and the property that the barrier, which gathers only candidate
+// groups' ops, applies deferred ops in exactly the order a barrier
+// scanning every group does — including barrier-emitted follow-up
+// rounds.
 
 import (
 	"math/rand"
@@ -100,8 +101,8 @@ func TestMinTreeRandomizedAgainstScan(t *testing.T) {
 
 // opSpec is a pregenerated deferred-op shape: who defers it, when it
 // fires, and which follow-up ops its execution defers from the barrier
-// itself. Specs are instantiated separately per engine so the merge
-// path and the reference full-sort path run identical workloads.
+// itself. Specs are instantiated separately per engine so the barrier
+// and the reference all-groups barrier run identical workloads.
 type opSpec struct {
 	id       int
 	rank     int
@@ -112,18 +113,18 @@ type opSpec struct {
 // genSpecs builds a randomized batch of root op specs with occasional
 // barrier-emitted children (and grandchildren), using small at ranges
 // so same-time ties are common and only the sender-counter key breaks
-// them.
-func genSpecs(rng *rand.Rand, ranks int, next *int, depth int) []*opSpec {
-	count := rng.Intn(12)
+// them. Root ops come from ranks [0, roots), children from any rank.
+func genSpecs(rng *rand.Rand, ranks, roots int, next *int, depth int) []*opSpec {
+	count, senders := rng.Intn(12), ranks
 	if depth == 0 {
-		count = 2 + rng.Intn(40)
+		count, senders = 2+rng.Intn(40), roots
 	}
 	specs := make([]*opSpec, count)
 	for i := range specs {
-		s := &opSpec{id: *next, rank: rng.Intn(ranks), at: Time(rng.Intn(6))}
+		s := &opSpec{id: *next, rank: rng.Intn(senders), at: Time(rng.Intn(6))}
 		*next++
 		if depth < 2 && rng.Intn(4) == 0 {
-			s.children = genSpecs(rng, ranks, next, depth+1)
+			s.children = genSpecs(rng, ranks, roots, next, depth+1)
 		}
 		specs[i] = s
 	}
@@ -141,9 +142,9 @@ func instantiate(ce *CoupledEngine, s *opSpec, log *[]int) func() {
 	}
 }
 
-// refApplyDeferred is the retired barrier implementation: flatten all
-// groups' runs, full-sort by (at, key), execute, repeat until no op
-// remains.
+// refApplyDeferred is the reference barrier: flatten every group's
+// ops, not only the candidates', full-sort by (at, key), execute,
+// repeat until no op remains.
 func refApplyDeferred(ce *CoupledEngine) {
 	var batch []deferredOp
 	for {
@@ -177,9 +178,14 @@ func refApplyDeferred(ce *CoupledEngine) {
 
 // TestCoupledMergeMatchesFullSort is the barrier-equivalence property:
 // over randomized op batches (including barrier-emitted follow-ups,
-// which arrive unsorted), the k-way merge barrier must execute ops in
-// byte-identical order to the old flatten-and-full-sort barrier.
+// which arrive unsorted), applyDeferred, which gathers only the
+// window's active groups and then the groups that deferred during the
+// barrier, must execute ops in byte-identical order to the reference
+// barrier that scans all groups. Each seed runs twice: with every
+// group active, and with only group 0 active, so follow-ups deferred
+// on groups outside the window's active set must still be found.
 func TestCoupledMergeMatchesFullSort(t *testing.T) {
+	outside := 0 // follow-ups deferred on a group outside the active set
 	for seed := int64(0); seed < 40; seed++ {
 		groups := 2 + rand.New(rand.NewSource(seed)).Intn(8)
 		ranksPerGroup := 1 + rand.New(rand.NewSource(seed^0x5f)).Intn(3)
@@ -187,41 +193,68 @@ func TestCoupledMergeMatchesFullSort(t *testing.T) {
 		for r := range groupOf {
 			groupOf[r] = r % groups
 		}
-		build := func() (*CoupledEngine, *[]int) {
-			ce, err := NewCoupled(groupOf, Microsecond, 1)
-			if err != nil {
-				t.Fatal(err)
+		for _, narrow := range []bool{false, true} {
+			// Rank r sits in group r%groups, so roots from rank 0 alone
+			// make group 0 the only active group.
+			roots, active := len(groupOf), groups
+			if narrow {
+				roots, active = 1, 1
 			}
-			ce.tree.init(groups) // applyDeferred publishes through it
-			var log []int
-			rng := rand.New(rand.NewSource(seed))
-			var next int
-			for _, s := range genSpecs(rng, len(groupOf), &next, 0) {
-				ce.Defer(s.rank, s.at, instantiate(ce, s, &log))
+			build := func() (*CoupledEngine, *[]int, []*opSpec) {
+				ce, err := NewCoupled(groupOf, Microsecond, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ce.tree.init(groups) // applyDeferred publishes through it
+				var log []int
+				rng := rand.New(rand.NewSource(seed))
+				var next int
+				specs := genSpecs(rng, len(groupOf), roots, &next, 0)
+				for _, s := range specs {
+					ce.Defer(s.rank, s.at, instantiate(ce, s, &log))
+				}
+				return ce, &log, specs
 			}
-			return ce, &log
-		}
 
-		merged, mergedLog := build()
-		merged.active = merged.active[:0]
-		for g := 0; g < groups; g++ {
-			// The window workers pre-sort each dispatched group's run;
-			// mimic that contract before invoking the merge barrier.
-			sortOps(merged.ops[g])
-			merged.active = append(merged.active, int32(g))
-		}
-		if err := merged.applyDeferred(); err != nil {
-			t.Fatalf("seed %d: applyDeferred: %v", seed, err)
-		}
+			got, gotLog, specs := build()
+			got.active = got.active[:0]
+			for g := 0; g < active; g++ {
+				got.active = append(got.active, int32(g))
+			}
+			if err := got.applyDeferred(); err != nil {
+				t.Fatalf("seed %d narrow=%v: applyDeferred: %v", seed, narrow, err)
+			}
 
-		ref, refLog := build()
-		refApplyDeferred(ref)
+			ref, refLog, _ := build()
+			refApplyDeferred(ref)
 
-		if !slices.Equal(*mergedLog, *refLog) {
-			t.Fatalf("seed %d: merge order %v != full-sort order %v", seed, *mergedLog, *refLog)
-		}
-		if len(*mergedLog) == 0 {
-			t.Fatalf("seed %d: degenerate batch, no ops executed", seed)
+			if !slices.Equal(*gotLog, *refLog) {
+				t.Fatalf("seed %d narrow=%v: barrier order %v != full-sort order %v", seed, narrow, *gotLog, *refLog)
+			}
+			if len(*gotLog) == 0 {
+				t.Fatalf("seed %d narrow=%v: degenerate batch, no ops executed", seed, narrow)
+			}
+			if narrow {
+				outside += countOutside(specs, groups, active)
+			}
 		}
 	}
+	if outside == 0 {
+		t.Fatal("no follow-up was deferred on a group outside the active set")
+	}
+}
+
+// countOutside counts the barrier-emitted follow-ups in a spec tree
+// whose sender's group (rank % groups) is not below active.
+func countOutside(specs []*opSpec, groups, active int) int {
+	n := 0
+	for _, s := range specs {
+		for _, c := range s.children {
+			if c.rank%groups >= active {
+				n++
+			}
+		}
+		n += countOutside(s.children, groups, active)
+	}
+	return n
 }

@@ -10,6 +10,7 @@ package sim_test
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -162,27 +163,51 @@ func TestCoupledOneGroupDelegates(t *testing.T) {
 	}
 }
 
-// poolScenario builds a 6-group world where groups 2 and 4 both
-// misbehave (per bad, invoked at setup for each failing group) inside
-// the first window while the other groups idle far in the future — so
-// the window's active set is exactly {2, 4} and the engine must pick
-// the surfaced failure by ascending group order, not completion order,
-// at every worker count.
-func poolScenario(t *testing.T, workers int, bad func(ce *sim.CoupledEngine, g int)) *sim.CoupledEngine {
+// poolCase is one pool failure scenario: a world of `groups`
+// single-rank groups in which the groups listed in bad misbehave
+// inside the first window while the others start and then sleep past
+// it, run at the listed worker counts (G, and G+1 clamped to G,
+// included).
+type poolCase struct {
+	groups  int
+	bad     []int
+	workers []int
+}
+
+// poolCases are the two failure scenarios. In the narrow one only
+// groups 2 and 4 fail. In the wide one, with the derived block sizes
+// of 16 (workers=2) and 8 (workers=4), groups 9, 10, 11 and 13 share
+// one claimed block that starts at a healthy group (0 or 8): the
+// lowest failing group is neither the first in its block nor alone in
+// it.
+var poolCases = []poolCase{
+	{groups: 6, bad: []int{2, 4}, workers: []int{1, 2, 6, 7}},
+	{groups: 256, bad: []int{9, 10, 11, 13, 200}, workers: []int{1, 2, 4, 257}},
+}
+
+// poolScenario builds c's world; misbehave is invoked at setup for
+// each failing group. The 10µs lookahead keeps every failure inside
+// the first window (group 200's event-limit error trips near 4.2µs).
+// The engine must pick the surfaced failure by ascending group order,
+// not completion order, at every worker count.
+func poolScenario(t *testing.T, c poolCase, workers int, misbehave func(ce *sim.CoupledEngine, g int)) *sim.CoupledEngine {
 	t.Helper()
-	ce, err := sim.NewCoupled([]int{0, 1, 2, 3, 4, 5}, sim.Microsecond, workers)
+	groupOf := make([]int, c.groups)
+	for g := range groupOf {
+		groupOf[g] = g
+	}
+	ce, err := sim.NewCoupled(groupOf, 10*sim.Microsecond, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for g := 0; g < 6; g++ {
-		switch g {
-		case 2, 4:
-			bad(ce, g)
-		default:
-			ce.Sub(g).Spawn("quiet", func(p *sim.Proc) {
-				p.Sleep(100 * sim.Microsecond)
-			})
+	for g := 0; g < c.groups; g++ {
+		if slices.Contains(c.bad, g) {
+			misbehave(ce, g)
+			continue
 		}
+		ce.Sub(g).Spawn("quiet", func(p *sim.Proc) {
+			p.Sleep(100 * sim.Microsecond)
+		})
 	}
 	return ce
 }
@@ -190,32 +215,35 @@ func poolScenario(t *testing.T, workers int, bad func(ce *sim.CoupledEngine, g i
 // TestCoupledPoolErrorPropagation pins the worker-pool error contract:
 // when several groups fail in one window, the surfaced error is the
 // lowest-numbered failing group's, and the error string is identical
-// at workers 1, 2, G, and G+1 (clamped to G).
+// at every worker count of each scenario.
 func TestCoupledPoolErrorPropagation(t *testing.T) {
-	var want string
-	for _, workers := range []int{1, 2, 6, 7} {
-		ce := poolScenario(t, workers, func(ce *sim.CoupledEngine, g int) {
-			ce.Sub(g).Spawn("bad", func(p *sim.Proc) {
-				// Exceed the event limit inside the window; groups 2
-				// and 4 trip it at different simulated times so their
-				// error strings differ and ordering mistakes show.
-				for i := 0; i < 100; i++ {
-					p.Sleep(sim.Nanosecond * sim.Time(1+g))
-				}
+	for _, c := range poolCases {
+		var want string
+		for _, workers := range c.workers {
+			ce := poolScenario(t, c, workers, func(ce *sim.CoupledEngine, g int) {
+				ce.Sub(g).Spawn("bad", func(p *sim.Proc) {
+					// Exceed the event limit inside the window; each
+					// failing group trips it at its own simulated
+					// time, so error strings differ and ordering
+					// mistakes show.
+					for i := 0; i < 100; i++ {
+						p.Sleep(sim.Nanosecond * sim.Time(1+g))
+					}
+				})
 			})
-		})
-		ce.SetEventLimit(20)
-		err := ce.Run()
-		if err == nil {
-			t.Fatalf("workers=%d: want event-limit error", workers)
-		}
-		if !strings.Contains(err.Error(), "event limit") {
-			t.Fatalf("workers=%d: unexpected error %v", workers, err)
-		}
-		if want == "" {
-			want = err.Error()
-		} else if err.Error() != want {
-			t.Fatalf("workers=%d: error %q != workers=1 error %q", workers, err.Error(), want)
+			ce.SetEventLimit(20)
+			err := ce.Run()
+			if err == nil {
+				t.Fatalf("groups=%d workers=%d: want event-limit error", c.groups, workers)
+			}
+			if !strings.Contains(err.Error(), "event limit") {
+				t.Fatalf("groups=%d workers=%d: unexpected error %v", c.groups, workers, err)
+			}
+			if want == "" {
+				want = err.Error()
+			} else if err.Error() != want {
+				t.Fatalf("groups=%d workers=%d: error %q != workers=1 error %q", c.groups, workers, err.Error(), want)
+			}
 		}
 	}
 }
@@ -223,23 +251,26 @@ func TestCoupledPoolErrorPropagation(t *testing.T) {
 // TestCoupledPoolPanicPropagation pins the panic contract: a panic in
 // an event closure executes on whichever pool worker dispatched it and
 // must be re-raised on Run's goroutine; the chosen panic is the
-// lowest-numbered panicking group's — identical at workers 1, 2, G,
-// and G+1. (Panics in proc bodies are outside this contract: procs own
-// their goroutines at every worker count.)
+// lowest-numbered panicking group's at every worker count of each
+// scenario. (Panics in proc bodies are outside this contract: procs
+// own their goroutines at every worker count.)
 func TestCoupledPoolPanicPropagation(t *testing.T) {
-	for _, workers := range []int{1, 2, 6, 7} {
-		ce := poolScenario(t, workers, func(ce *sim.CoupledEngine, g int) {
-			ce.Sub(g).At(sim.Microsecond, func() {
-				panic(fmt.Sprintf("boom-%d", g))
+	for _, c := range poolCases {
+		want := fmt.Sprintf("boom-%d", c.bad[0])
+		for _, workers := range c.workers {
+			ce := poolScenario(t, c, workers, func(ce *sim.CoupledEngine, g int) {
+				ce.Sub(g).At(sim.Microsecond, func() {
+					panic(fmt.Sprintf("boom-%d", g))
+				})
 			})
-		})
-		got := func() (r any) {
-			defer func() { r = recover() }()
-			_ = ce.Run()
-			return nil
-		}()
-		if got != "boom-2" {
-			t.Fatalf("workers=%d: recovered %v, want boom-2", workers, got)
+			got := func() (r any) {
+				defer func() { r = recover() }()
+				_ = ce.Run()
+				return nil
+			}()
+			if got != want {
+				t.Fatalf("groups=%d workers=%d: recovered %v, want %s", c.groups, workers, got, want)
+			}
 		}
 	}
 }
@@ -309,25 +340,37 @@ func TestCoupledActiveSkipReawaken(t *testing.T) {
 }
 
 // TestCoupledGroupStats requires the per-group summaries to account
-// for every rank and every executed event exactly once, at every worker
-// count, and a zero wall interval to report no busy time.
+// for every rank and every executed event exactly once, and the run's
+// busy time, measured once (inline) or per worker and window (pool),
+// to be folded into both GroupStats and BusyWall, at every worker
+// count. A zero wall interval reports no busy time.
 func TestCoupledGroupStats(t *testing.T) {
 	const ranks = 48
 	for _, workers := range []int{1, 2, 4} {
+		t0 := time.Now()
 		ce := simbench.CoupledWindows(ranks, workers, 30000, 7)
+		wall := time.Since(t0)
 		st := ce.GroupStats()
 		if len(st) != ce.Groups() {
 			t.Fatalf("workers=%d: %d group stats for %d groups", workers, len(st), ce.Groups())
 		}
 		var executed int64
+		var busy time.Duration
 		sumRanks := 0
 		for _, s := range st {
 			executed += s.Executed
 			sumRanks += s.Ranks
+			busy += s.Busy
 		}
 		if executed != int64(ce.Executed()) || sumRanks != ranks {
 			t.Fatalf("workers=%d: group stats sum to %d events / %d ranks, want %d / %d",
 				workers, executed, sumRanks, ce.Executed(), ranks)
+		}
+		if busy <= 0 {
+			t.Fatalf("workers=%d: group stats sum to %v busy", workers, busy)
+		}
+		if bw := ce.BusyWall(wall); bw <= 0 {
+			t.Fatalf("workers=%d: BusyWall(%v) = %v, want > 0", workers, wall, bw)
 		}
 		if ce.BusyWall(0) != 0 {
 			t.Fatalf("workers=%d: BusyWall(0) = %v, want 0", workers, ce.BusyWall(0))

@@ -50,22 +50,26 @@ func BenchmarkEngineTimerChurn(b *testing.B) {
 }
 
 // BenchmarkEngineCoupledWindows measures the coupled engine's window
-// loop on the prepared-closure token storm (64 single-rank groups) at
-// 1, 2, and 4 workers. Steady state must stay at 0 allocs/op — the
-// dispatch path (persistent pool, active-set collection, min-tree
-// maintenance) and the barrier (pooled runs, k-way merge) reuse all
-// storage across windows; ci.yml gates on it. On single-core runners
-// compare sim.busy_wall from the phold-100k benchmark workload
-// instead of ns/event.
+// loop on the prepared-closure token storm over 64 and 4096
+// single-rank groups at 1, 2, and 4 workers. At 4096 groups a window
+// holds over a thousand active groups, each deferring about one op:
+// the shape where block claims and the flat barrier batch matter.
+// Steady state must stay at 0 allocs/op — the dispatch path
+// (persistent pool, active-set collection, min-tree maintenance) and
+// the barrier (one op batch) reuse all storage across windows; ci.yml
+// gates on it. On single-core runners compare sim.busy_wall from the
+// phold-100k benchmark workload instead of ns/event.
 func BenchmarkEngineCoupledWindows(b *testing.B) {
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			ce := simbench.CoupledWindows(64, workers, b.N, 1)
-			if ev := ce.Executed(); ev > 0 {
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ev), "ns/event")
-			}
-		})
+	for _, groups := range []int{64, 4096} {
+		for _, workers := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("groups=%d/workers=%d", groups, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				ce := simbench.CoupledWindows(groups, workers, b.N, 1)
+				if ev := ce.Executed(); ev > 0 {
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ev), "ns/event")
+				}
+			})
+		}
 	}
 }
 

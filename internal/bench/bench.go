@@ -580,14 +580,9 @@ func cachedTime(c *pointcache.Cache, k pointcache.Key, run func() (sim.Time, err
 	return el, err
 }
 
-// CASLatency measures the round-trip time of a GPU atomic
+// CASLatencyCached measures the round-trip time of a GPU atomic
 // compare-and-swap from PE 0 to dst (Fig 4 / §III-C), averaged over
-// reps back-to-back operations.
-func CASLatency(cfg *machine.Config, npes, dst, reps int) (sim.Time, error) {
-	return CASLatencyCached(nil, cfg, npes, dst, reps)
-}
-
-// CASLatencyCached is CASLatency memoized through the point cache
+// reps back-to-back operations, memoized through the point cache
 // (KindCAS, coordinates dst/reps). A nil cache simulates directly.
 func CASLatencyCached(c *pointcache.Cache, cfg *machine.Config, npes, dst, reps int) (sim.Time, error) {
 	k := pointcache.KeyOf(cfg, pointcache.KindCAS, machine.GPUShmem.String(), npes, dst, int64(reps))
@@ -616,15 +611,10 @@ func casLatency(cfg *machine.Config, npes, dst, reps int) (sim.Time, error) {
 	return total / sim.Time(reps), nil
 }
 
-// OneSidedCASLatency measures the CPU one-sided MPI_Compare_and_swap
-// round trip (the 2 us / 500K GUPS figure of §III-C).
-func OneSidedCASLatency(cfg *machine.Config, ranks, dst, reps int) (sim.Time, error) {
-	return OneSidedCASLatencyCached(nil, cfg, ranks, dst, reps)
-}
-
-// OneSidedCASLatencyCached is OneSidedCASLatency memoized through the
-// point cache (KindCAS under the one-sided transport name). A nil
-// cache simulates directly.
+// OneSidedCASLatencyCached measures the CPU one-sided
+// MPI_Compare_and_swap round trip (the 2 us / 500K GUPS figure of
+// §III-C), memoized through the point cache (KindCAS under the
+// one-sided transport name). A nil cache simulates directly.
 func OneSidedCASLatencyCached(pc *pointcache.Cache, cfg *machine.Config, ranks, dst, reps int) (sim.Time, error) {
 	k := pointcache.KeyOf(cfg, pointcache.KindCAS, machine.OneSided.String(), ranks, dst, int64(reps))
 	return cachedTime(pc, k, func() (sim.Time, error) { return oneSidedCASLatency(cfg, ranks, dst, reps) })
@@ -656,17 +646,12 @@ func oneSidedCASLatency(cfg *machine.Config, ranks, dst, reps int) (sim.Time, er
 	return total / sim.Time(reps), nil
 }
 
-// TriggerDelay measures the stream-triggered per-message delivery
-// latency: reps back-to-back 8-byte deliveries, receiver-timed and
-// averaged. With the host overhead nearly off the critical path the
-// number is dominated by L + TriggerLatency — the o/L inversion the
-// offload roofline plots.
-func TriggerDelay(cfg *machine.Config, ranks, reps int) (sim.Time, error) {
-	return TriggerDelayCached(nil, cfg, ranks, reps)
-}
-
-// TriggerDelayCached is TriggerDelay memoized through the point cache
-// (KindTrigger). A nil cache simulates directly.
+// TriggerDelayCached measures the stream-triggered per-message
+// delivery latency: reps back-to-back 8-byte deliveries,
+// receiver-timed and averaged. With the host overhead nearly off the
+// critical path the number is dominated by L + TriggerLatency — the
+// o/L inversion the offload roofline plots. It is memoized through the
+// point cache (KindTrigger); a nil cache simulates directly.
 func TriggerDelayCached(c *pointcache.Cache, cfg *machine.Config, ranks, reps int) (sim.Time, error) {
 	k := pointcache.KeyOf(cfg, pointcache.KindTrigger, machine.StreamTriggered.String(), ranks, reps, 8)
 	return cachedTime(c, k, func() (sim.Time, error) { return triggerDelay(cfg, ranks, reps) })
@@ -680,16 +665,12 @@ func triggerDelay(cfg *machine.Config, ranks, reps int) (sim.Time, error) {
 	return p.Elapsed / sim.Time(reps), nil
 }
 
-// ChannelOpen measures the memory channel's one-time open handshake:
-// the sender-timed cost of a single 8-byte send-and-drain on a cold
-// (never-opened) channel minus the same on the now-warm channel — the
-// difference is exactly the open cost, every per-message term cancels.
-func ChannelOpen(cfg *machine.Config, ranks int) (sim.Time, error) {
-	return ChannelOpenCached(nil, cfg, ranks)
-}
-
-// ChannelOpenCached is ChannelOpen memoized through the point cache
-// (KindChan). A nil cache simulates directly.
+// ChannelOpenCached measures the memory channel's one-time open
+// handshake: the sender-timed cost of a single 8-byte send-and-drain
+// on a cold (never-opened) channel minus the same on the now-warm
+// channel — the difference is exactly the open cost, every
+// per-message term cancels. It is memoized through the point cache
+// (KindChan); a nil cache simulates directly.
 func ChannelOpenCached(c *pointcache.Cache, cfg *machine.Config, ranks int) (sim.Time, error) {
 	k := pointcache.KeyOf(cfg, pointcache.KindChan, machine.MemChannel.String(), ranks, 0, 8)
 	return cachedTime(c, k, func() (sim.Time, error) { return channelOpen(cfg, ranks) })

@@ -31,8 +31,9 @@
 //     (pointcache.Stats, hit/miss counters). Consumers name
 //     Sched.Host.Jobs etc. explicitly — the pre-split promoted
 //     fields (Sched.Jobs, Sched.Wall, ...) no longer exist.
-//   - CASLatency / OneSidedCASLatency and their *Cached variants
-//     measure the atomic probes; SweepSplit / SweepSplitCached run
+//   - CASLatencyCached / OneSidedCASLatencyCached measure the
+//     atomic probes (a nil cache simulates directly);
+//     SweepSplit / SweepSplitCached run
 //     the Fig 10 experiment; Baseline fits roofline ceilings.
 //
 // All stats carried on Result.Sched are measurement-host metadata:

@@ -5,9 +5,8 @@
 // the bandwidth-optimal ring algorithms NCCL uses:
 //
 //   - ReduceScatter: P-1 ring steps, each moving 1/P of the vector;
-//   - AllGather:     P-1 ring steps;
-//   - AllReduce:     ReduceScatter + AllGather (2(P-1) steps, the
-//     classic 2·(P-1)/P bandwidth bound);
+//   - AllReduce:     ReduceScatter + a P-1 step ring allgather
+//     (2(P-1) steps, the classic 2·(P-1)/P bandwidth bound);
 //   - Broadcast:     pipelined ring with chunking.
 //
 // Payloads are float64 vectors. Every operation carries real data and
@@ -159,16 +158,10 @@ func (c *Ctx) ReduceScatter(data []float64) (lo, hi int, err error) {
 	return lo, hi, nil
 }
 
-// AllGather distributes each PE's own chunk (chunk index = PE id) of
-// data to every PE: on return the whole vector is complete everywhere.
-// Only data[ownLo:ownHi] needs to be valid on entry.
-func (c *Ctx) AllGather(data []float64) error {
-	return c.allGather(data, 0)
-}
-
-// allGather runs the ring with each PE initially owning chunk
-// (me+shift) mod P — shift 1 chains directly after ReduceScatter.
-func (c *Ctx) allGather(data []float64, shift int) error {
+// allGather distributes each PE's chunk (me+1) mod P of data — the
+// chunk ReduceScatter leaves reduced there — to every PE: on return
+// the whole vector is complete everywhere.
+func (c *Ctx) allGather(data []float64) error {
 	p := c.plan
 	np := p.npes
 	if len(data) > p.maxElems {
@@ -183,7 +176,7 @@ func (c *Ctx) allGather(data []float64, shift int) error {
 	for step := 0; step < np-1; step++ {
 		// Step 0 sends my own chunk; step s forwards the chunk that
 		// arrived at step s-1, which originated s PEs to the left.
-		sendChunk := ((me+shift-step)%np + np) % np
+		sendChunk := ((me+1-step)%np + np) % np
 		slot := np - 1 + step // distinct slots from ReduceScatter steps
 		slo, shi := chunkBounds(len(data), np, sendChunk)
 		c.sc.PutSignalNBI(right, p.stagingOff(slot), encode(data[slo:shi]), p.sigOff(slot), c.seq)
@@ -203,8 +196,7 @@ func (c *Ctx) AllReduce(data []float64) error {
 	if _, _, err := c.ReduceScatter(data); err != nil {
 		return err
 	}
-	// ReduceScatter leaves the reduced chunk at (me+1) mod P.
-	return c.allGather(data, 1)
+	return c.allGather(data)
 }
 
 // Broadcast sends root's vector to all PEs through a pipelined ring:

@@ -129,13 +129,15 @@ func TestAllGather(t *testing.T) {
 	results := make([][]float64, npes)
 	err := job.Launch(func(sc *shmem.Ctx) {
 		c := plan.NewCtx(sc)
-		// Each PE fills only its own chunk with a recognizable value.
+		// Each PE fills only the chunk it owns after ReduceScatter,
+		// (me+1) mod P, with a recognizable value.
 		data := make([]float64, n)
-		lo, hi := chunkBounds(n, npes, sc.MyPE())
+		own := (sc.MyPE() + 1) % npes
+		lo, hi := chunkBounds(n, npes, own)
 		for i := lo; i < hi; i++ {
-			data[i] = float64(sc.MyPE()*1000 + i)
+			data[i] = float64(own*1000 + i)
 		}
-		if err := c.AllGather(data); err != nil {
+		if err := c.allGather(data); err != nil {
 			t.Error(err)
 			return
 		}

@@ -171,12 +171,6 @@ func DefaultSizes() []int64 {
 	return out
 }
 
-// DefaultMsgsPerSync is the concurrency sweep of Fig 1: 1 to 1e6 by
-// powers of ten.
-func DefaultMsgsPerSync() []int {
-	return []int{1, 10, 100, 1000, 10000, 100000, 1000000}
-}
-
 // CeilingSeries returns the latency ceiling for a fixed n across
 // sizes, as a plottable series (x = bytes, y = GB/s).
 func (m *Model) CeilingSeries(n int, sizes []int64) plot.Series {

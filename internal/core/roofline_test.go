@@ -11,6 +11,10 @@ import (
 	"msgroofline/internal/trace"
 )
 
+// fig1MsgsPerSync is the concurrency sweep of Fig 1: 1 to 1e6 by
+// powers of ten.
+var fig1MsgsPerSync = []int{1, 10, 100, 1000, 10000, 100000, 1000000}
+
 func pmTwoSided(t *testing.T) *Model {
 	t.Helper()
 	cfg, _ := machine.Get("perlmutter-cpu")
@@ -55,7 +59,7 @@ func TestCeilingFamilyMonotoneInN(t *testing.T) {
 	m := pmTwoSided(t)
 	for _, b := range []int64{8, 4096, 1 << 20} {
 		prev := 0.0
-		for _, n := range DefaultMsgsPerSync() {
+		for _, n := range fig1MsgsPerSync {
 			cur := m.CeilingGBs(n, b)
 			if cur < prev {
 				t.Fatalf("B=%d: ceiling not monotone in n: %v after %v", b, cur, prev)
@@ -205,7 +209,7 @@ func TestSplitTimeWaves(t *testing.T) {
 func TestChartRenders(t *testing.T) {
 	m := pmTwoSided(t)
 	dots := []Dot{m.Place("hashtable", trace.Summary{MeanBytes: 8, MsgsPerSync: 1e6, SustainedGBs: 0.01})}
-	c := m.Chart(DefaultMsgsPerSync(), DefaultSizes(), dots)
+	c := m.Chart(fig1MsgsPerSync, DefaultSizes(), dots)
 	out := c.Render()
 	for _, want := range []string{"Message Roofline", "theoretical 32 GB/s", "1 msg/sync", "hashtable"} {
 		if !strings.Contains(out, want) {

@@ -1,3 +1,10 @@
+// Package gpu models the device-side trigger engine that
+// stream-triggered communication relies on: descriptors enqueued by
+// the host fire on the device in stream order, each one trigger
+// latency after its predecessor completes. The rest of a GPU
+// processing element (kernel launch cost, compute throughput and
+// injection channels) is machine.GPUConfig data that the workloads
+// and transports charge directly.
 package gpu
 
 import "msgroofline/internal/sim"
@@ -70,9 +77,6 @@ func (s *Stream) Enqueue(enq sim.Time) sim.Time {
 	s.log = append(s.log, Fire{Enq: enq, Ready: ready, At: at, Done: done})
 	return at
 }
-
-// Count returns how many descriptors have been enqueued.
-func (s *Stream) Count() int { return len(s.log) }
 
 // Log returns the recorded descriptor lifecycle, in enqueue order.
 func (s *Stream) Log() []Fire { return s.log }

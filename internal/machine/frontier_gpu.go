@@ -65,7 +65,6 @@ var FrontierGPU = register(&Config{
 		StreamTriggered: streamTrigFrontier,
 	},
 	GPU: &GPUConfig{
-		BlocksPerGPU: 110, // MI250X: 110 CUs per GCD
 		ComputeScale: 56,
 		KernelLaunch: us(10),
 		Channels:     2,

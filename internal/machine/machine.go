@@ -191,9 +191,6 @@ type Config struct {
 
 // GPUConfig models the device side of a GPU machine.
 type GPUConfig struct {
-	// BlocksPerGPU is the number of concurrently schedulable thread
-	// blocks (the paper cites 80 per GPU).
-	BlocksPerGPU int
 	// ComputeScale is the per-PE compute throughput relative to one
 	// CPU rank of the same generation.
 	ComputeScale float64
@@ -338,7 +335,6 @@ func (c *Config) AppendFingerprint(b []byte) []byte {
 	}
 	b = appendBool(b, "gpu", c.GPU != nil)
 	if c.GPU != nil {
-		b = appendInt(b, "blockspergpu", int64(c.GPU.BlocksPerGPU))
 		b = appendFloat(b, "computescale", c.GPU.ComputeScale)
 		b = appendInt(b, "kernellaunch", int64(c.GPU.KernelLaunch))
 		b = appendInt(b, "channels", int64(c.GPU.Channels))

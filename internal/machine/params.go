@@ -328,7 +328,6 @@ var PerlmutterGPU = register(&Config{
 		StreamTriggered: streamTrigPerlmutter,
 	},
 	GPU: &GPUConfig{
-		BlocksPerGPU: 80,
 		ComputeScale: 64,
 		KernelLaunch: us(8),
 		Channels:     4,
@@ -390,7 +389,6 @@ var SummitGPU = register(&Config{
 		StreamTriggered: streamTrigSummit,
 	},
 	GPU: &GPUConfig{
-		BlocksPerGPU: 80,
 		ComputeScale: 48,
 		KernelLaunch: us(9),
 		Channels:     2,

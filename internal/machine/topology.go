@@ -86,49 +86,31 @@ const (
 	RoutingAdaptive = "adaptive"
 )
 
-// Validate checks the spec without building it: exactly one generator,
-// a known routing policy, and (via the per-spec validators) link
-// parameters netsim would reject at build time. Generated topologies
-// reach netsim only through here, so netsim's internal panics on
-// non-positive bandwidth or channel counts stay programmer-error
-// guards rather than reachable input crashes.
-func (t *Topology) Validate() error {
-	set := 0
-	if t.Explicit != nil {
-		set++
-	}
-	if t.Dragonfly != nil {
-		set++
-	}
-	if t.FatTree != nil {
-		set++
-	}
-	if set != 1 {
-		return fmt.Errorf("machine: topology must set exactly one of Explicit/Dragonfly/FatTree, got %d", set)
-	}
+// expand checks that exactly one generator is set and that the
+// routing policy is known, then lowers the spec to the common
+// link-list + placement form.
+func (t *Topology) expand() (links []LinkSpec, place Placement, detours []string, err error) {
 	switch t.Routing {
 	case "", RoutingMinimal, RoutingAdaptive:
 	default:
-		return fmt.Errorf("machine: unknown routing policy %q", t.Routing)
+		return nil, Placement{}, nil, fmt.Errorf("machine: unknown routing policy %q", t.Routing)
 	}
-	links, place, _, err := t.expand()
-	if err != nil {
-		return err
+	set := 0
+	for _, ok := range []bool{t.Explicit != nil, t.Dragonfly != nil, t.FatTree != nil} {
+		if ok {
+			set++
+		}
 	}
-	return validateExpansion(links, place)
-}
-
-// expand lowers the spec to the common link-list + placement form.
-func (t *Topology) expand() (links []LinkSpec, place Placement, detours []string, err error) {
+	if set != 1 {
+		return nil, Placement{}, nil, fmt.Errorf("machine: topology must set exactly one of Explicit/Dragonfly/FatTree, got %d", set)
+	}
 	switch {
-	case t.Explicit != nil:
-		return t.Explicit.Links, t.Explicit.Place, t.Explicit.Detours, nil
 	case t.Dragonfly != nil:
 		return t.Dragonfly.expand()
 	case t.FatTree != nil:
 		return t.FatTree.expand()
 	}
-	return nil, Placement{}, nil, fmt.Errorf("machine: empty topology spec")
+	return t.Explicit.Links, t.Explicit.Place, t.Explicit.Detours, nil
 }
 
 func validateExpansion(links []LinkSpec, place Placement) error {
@@ -168,7 +150,9 @@ func validateExpansion(links []LinkSpec, place Placement) error {
 }
 
 // Build validates the spec and materializes the fabric and the
-// placements for `ranks` ranks.
+// placements for `ranks` ranks. Every topology reaches netsim through
+// here, so netsim's panics on non-positive bandwidth or channel counts
+// stay programmer-error guards rather than reachable input crashes.
 func (t *Topology) Build(ranks int) (*netsim.Network, []Place, error) {
 	links, place, detours, err := t.expand()
 	if err != nil {
@@ -200,17 +184,6 @@ func (t *Topology) Build(ranks int) (*netsim.Network, []Place, error) {
 		}
 	}
 	return n, places, nil
-}
-
-// Capacity returns the rank capacity the placement can hold: per-rank
-// placements hold exactly len(Nodes) ranks; block placements have no
-// inherent bound (Config.MaxRanks caps them).
-func (t *Topology) Capacity() (int, bool) {
-	_, place, _, err := t.expand()
-	if err != nil || place.Kind != PlacePerRank {
-		return 0, false
-	}
-	return len(place.Nodes), true
 }
 
 // Metrics returns the analytic topology metrics of a parametric spec.

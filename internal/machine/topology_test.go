@@ -6,22 +6,27 @@ import (
 	"testing"
 )
 
+// Topology validation runs inside Build, the one path every spec takes
+// to netsim: a spec must set exactly one generator and name a known
+// routing policy.
 func TestTopologyValidateExactlyOne(t *testing.T) {
-	if err := (&Topology{}).Validate(); err == nil {
+	if _, _, err := (&Topology{}).Build(8); err == nil {
 		t.Fatal("empty topology must fail")
 	}
 	two := Topology{
 		Dragonfly: &dragonfly1K,
 		FatTree:   &fatTree1K,
 	}
-	if err := two.Validate(); err == nil {
+	if _, _, err := two.Build(8); err == nil {
 		t.Fatal("two generators must fail")
 	}
-	bad := Topology{Dragonfly: &dragonfly1K, Routing: "ecmp"}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("unknown routing must fail")
+	for _, routing := range []string{"ecmp", "adaptve"} {
+		bad := Topology{Dragonfly: &dragonfly1K, Routing: routing}
+		if _, _, err := bad.Build(8); err == nil {
+			t.Fatalf("unknown routing %q must fail", routing)
+		}
 	}
-	if err := (&Topology{Dragonfly: &dragonfly1K, Routing: RoutingAdaptive}).Validate(); err != nil {
+	if _, _, err := (&Topology{Dragonfly: &dragonfly1K, Routing: RoutingAdaptive}).Build(8); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -54,7 +59,7 @@ func TestTopologyValidateBadSpecs(t *testing.T) {
 		}},
 	}
 	for i, topo := range cases {
-		if err := topo.Validate(); err == nil {
+		if _, _, err := topo.Build(1); err == nil {
 			t.Errorf("case %d: expected validation error", i)
 		}
 	}
@@ -101,9 +106,6 @@ func testGeneratedProperties(t *testing.T, name string, diameter int) {
 		t.Fatalf("%s: sample too small (%d nodes)", name, len(nodes))
 	}
 	for i, a := range nodes {
-		if lb := in.Net.MustLookaheadFrom(a); lb <= 0 {
-			t.Fatalf("%s: LookaheadFrom(%s) = %v", name, a, lb)
-		}
 		for _, b := range nodes[i+1:] {
 			h := in.Net.Hops(a, b)
 			if h < 1 {
@@ -250,16 +252,12 @@ func TestBlockPlacementMatchesLegacyRule(t *testing.T) {
 
 func TestPerRankCapacity(t *testing.T) {
 	c, _ := Get("perlmutter-gpu")
-	if cap, ok := c.Topology.Capacity(); !ok || cap != 4 {
-		t.Fatalf("capacity = %d, %v", cap, ok)
-	}
 	topo := c.Topology
+	if _, _, err := topo.Build(4); err != nil {
+		t.Fatal(err)
+	}
 	if _, _, err := topo.Build(5); err == nil {
 		t.Fatal("5 ranks on a 4-slot per-rank placement must fail")
-	}
-	b, _ := Get("perlmutter-cpu")
-	if _, ok := b.Topology.Capacity(); ok {
-		t.Fatal("block placements have no inherent capacity")
 	}
 }
 

@@ -5,7 +5,7 @@
 //     (Isend/Irecv/Recv/Wait/Waitall) with an eager protocol and an
 //     unexpected-message queue, plus a dissemination Barrier built
 //     from real messages so synchronization pays realistic latency;
-//   - one-sided (MPI-3 RMA): windows with Put/Get/Accumulate,
+//   - one-sided (MPI-3 RMA): windows with Put/Get,
 //     Win_fence, Win_flush, Win_flush_local, Fetch_and_op and
 //     Compare_and_swap (see rma.go).
 //
@@ -171,8 +171,6 @@ type Rank struct {
 
 	barrierSeq int
 	collSeq    int
-	sendCount  int64
-	recvCount  int64
 }
 
 // envelope is a delivered two-sided message awaiting a matching recv.
@@ -197,11 +195,6 @@ func (r *Rank) Now() sim.Time { return r.proc.Now() }
 
 // Compute blocks the rank for d of local computation.
 func (r *Rank) Compute(d sim.Time) { r.proc.Sleep(d) }
-
-// Counts reports how many messages this rank has sent and received.
-func (r *Rank) Counts() (sent, received int64) {
-	return r.sendCount, r.recvCount
-}
 
 // PendingUnexpected returns the number of delivered-but-unmatched
 // messages queued at this rank (conformance oracles check it drains).

@@ -45,7 +45,6 @@ func (r *Rank) Isend(dst, tag int, data []byte) *Request {
 	src := r.id
 	seq := r.sendSeq[dst]
 	r.sendSeq[dst] = seq + 1
-	r.sendCount++
 	issue := r.proc.Now()
 	hook := r.comm.sendHook
 	// Delivery mutates only target-rank state, so the whole callback
@@ -166,13 +165,11 @@ func (r *Rank) admit(env *envelope) {
 		if req.matches(env) {
 			r.posted = append(r.posted[:i], r.posted[i+1:]...)
 			req.complete(env)
-			r.recvCount++
 			r.arrived.Broadcast()
 			return
 		}
 	}
 	r.unexpected = append(r.unexpected, env)
-	r.recvCount++
 	r.arrived.Broadcast()
 }
 

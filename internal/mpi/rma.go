@@ -3,7 +3,6 @@ package mpi
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"msgroofline/internal/runtime"
 	"msgroofline/internal/sim"
@@ -103,17 +102,7 @@ func (w *Win) OpStats() (puts, gets, atomics int64) {
 // dstOff. Completion at the target is observed via Flush (origin
 // side) or by the target polling its memory/signals.
 func (r *Rank) Put(w *Win, dst, dstOff int, data []byte) {
-	r.putOn(w, dst, dstOff, data, r.ep.AutoChannel())
-}
-
-// PutChannel is Put with an explicit injection channel, used by the
-// message-splitting experiments (Fig 10) to pin sub-messages onto
-// distinct NVLink port groups.
-func (r *Rank) PutChannel(w *Win, dst, dstOff int, data []byte, ch int) {
-	r.putOn(w, dst, dstOff, data, ch)
-}
-
-func (r *Rank) putOn(w *Win, dst, dstOff int, data []byte, ch int) {
+	ch := r.ep.AutoChannel()
 	w.checkRange(dst, dstOff, len(data))
 	r.ep.ChargeOp(r.proc, r.comm.one)
 	n := int64(len(data))
@@ -121,7 +110,6 @@ func (r *Rank) putOn(w *Win, dst, dstOff int, data []byte, ch int) {
 	origin := r.id
 	w.issue(origin, dst)
 	w.puts[origin]++
-	r.sendCount++
 	issue := r.proc.Now()
 	// Split delivery: the target-memory write, hook and target signal
 	// run on dst's engine; the outstanding-count completion and origin
@@ -305,7 +293,6 @@ func (r *Rank) PutNotify(w *Win, dst, dstOff int, data []byte, sigOff int, sigVa
 	origin := r.id
 	w.issue(origin, dst)
 	w.puts[origin]++
-	r.sendCount++
 	issue := r.proc.Now()
 	r.ep.Inject(tp, dst, n+8, r.ep.AutoChannel(), func(at sim.Time) {
 		runtime.Land(w.bufs[dst][dstOff:], buf)
@@ -345,33 +332,4 @@ func (r *Rank) WaitNotifyAny(w *Win, sigOffs []int, mask []bool, val uint64) int
 		return false
 	})
 	return found
-}
-
-// Accumulate performs a nonblocking element-wise float64 sum of data
-// into dst's window at dstOff (MPI_Accumulate with MPI_SUM). Like all
-// RMA accumulates, concurrent Accumulates to the same location are
-// applied atomically with respect to each other (they execute at
-// delivery time on the target's own engine, owner-computes).
-func (r *Rank) Accumulate(w *Win, dst, dstOff int, data []float64) {
-	n := 8 * len(data)
-	w.checkRange(dst, dstOff, n)
-	r.ep.ChargeOp(r.proc, r.comm.one)
-	vals := make([]float64, len(data))
-	copy(vals, data)
-	origin := r.id
-	w.issue(origin, dst)
-	w.puts[origin]++
-	r.sendCount++
-	issue := r.proc.Now()
-	r.ep.Inject(r.comm.one, dst, int64(n), r.ep.AutoChannel(), func(at sim.Time) {
-		for i, v := range vals {
-			off := dstOff + 8*i
-			cur := math.Float64frombits(binary.LittleEndian.Uint64(w.bufs[dst][off:]))
-			binary.LittleEndian.PutUint64(w.bufs[dst][off:], math.Float64bits(cur+v))
-		}
-		if w.hook != nil {
-			w.hook(origin, dst, int64(n), issue, at)
-		}
-		w.targetDone[dst].Broadcast()
-	}, func(sim.Time) { w.complete(origin, dst) })
 }

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"bytes"
-	"math"
 	"testing"
 
 	"msgroofline/internal/machine"
@@ -292,36 +291,4 @@ func TestNoOneSidedOnMachineWithoutRMA(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-}
-
-func TestAccumulateSums(t *testing.T) {
-	c := newComm(t, "perlmutter-cpu", 3)
-	w, _ := c.NewWin(32)
-	err := c.Launch(func(r *Rank) {
-		if r.Rank() == 0 {
-			return
-		}
-		// Ranks 1 and 2 accumulate concurrently into rank 0.
-		r.Accumulate(w, 0, 0, []float64{float64(r.Rank()), 10})
-		r.Flush(w, 0)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got0 := mathFloat64(w.Local(0)[0:8])
-	got1 := mathFloat64(w.Local(0)[8:16])
-	if got0 != 3 { // 1 + 2
-		t.Fatalf("accumulated = %v, want 3", got0)
-	}
-	if got1 != 20 {
-		t.Fatalf("accumulated = %v, want 20", got1)
-	}
-}
-
-func mathFloat64(b []byte) float64 {
-	var bits uint64
-	for i := 0; i < 8; i++ {
-		bits |= uint64(b[i]) << (8 * i)
-	}
-	return math.Float64frombits(bits)
 }

@@ -92,10 +92,6 @@ func (l *Link) ReservePacket(at, occupancy sim.Time) (start, arrive sim.Time) {
 	return start, start + l.lat
 }
 
-// FreeAt returns the earliest time a new message could begin
-// serializing on the link.
-func (l *Link) FreeAt() sim.Time { return l.freeAt }
-
 // Stats reports cumulative counters for the link.
 func (l *Link) Stats() LinkStats {
 	return LinkStats{
@@ -123,13 +119,4 @@ type LinkStats struct {
 	BusyTime sim.Time
 	Bytes    int64
 	Messages int64
-}
-
-// Utilization returns the fraction of the interval [0, horizon] the
-// link spent serializing data.
-func (s LinkStats) Utilization(horizon sim.Time) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	return float64(s.BusyTime) / float64(horizon)
 }

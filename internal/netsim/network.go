@@ -55,10 +55,6 @@ type Network struct {
 	// the resolve-outside-the-lock build order perturbs simulated
 	// timing.
 	cache [cacheShards]cacheShard
-	// gen counts topology mutations (AddLink); cached Paths record
-	// the generation they were resolved under so stale holders can be
-	// detected (see Path.Stale).
-	gen int
 	// routing selects the route-choice policy (minimal by default);
 	// detours lists the candidate intermediate nodes Valiant-style
 	// non-minimal routes may bounce through (see route.go).
@@ -127,7 +123,6 @@ func New() *Network {
 // hash-free.
 type Path struct {
 	net     *Network
-	gen     int
 	groups  []*channelGroup
 	hops    int
 	baseLat sim.Time
@@ -135,12 +130,6 @@ type Path struct {
 	aggBW   float64
 	minCh   int
 }
-
-// Stale reports whether the topology has changed (AddLink) since this
-// Path was resolved. A stale Path remains safe to use — its links are
-// still part of the fabric — but it no longer reflects the shortest
-// route; holders that care should re-resolve with PathTo.
-func (p *Path) Stale() bool { return p.net != nil && p.net.gen != p.gen }
 
 // Hops returns the number of hops (0 for a same-node path).
 func (p *Path) Hops() int { return p.hops }
@@ -311,7 +300,6 @@ func (n *Network) AddClassLink(a, b, class string, bandwidth float64, latency si
 		clear(sh.routes)
 		sh.mu.Unlock()
 	}
-	n.gen++
 }
 
 // PathTo resolves (and caches) the shortest (fewest-hop) route from
@@ -356,7 +344,7 @@ func (n *Network) pathTo(si, di int32) (*Path, error) {
 	if ok {
 		return p, nil
 	}
-	p = &Path{net: n, gen: n.gen}
+	p = &Path{net: n}
 	if si != di {
 		prev, root, hops := n.span(si, di)
 		if hops < 0 {
@@ -551,43 +539,6 @@ func (n *Network) LookaheadBound() sim.Time {
 	return min
 }
 
-// LookaheadFrom returns the minimum propagation latency over the
-// channel groups leaving `node` — the per-link-class lookahead a
-// placement that confines the node's ranks to one shard could use
-// for that shard's outgoing horizon (tighter than the global
-// LookaheadBound on heterogeneous fabrics). It returns an error on
-// unknown nodes — node names now come from generated topology specs,
-// not only hand-audited literals — and 0 for a node with no outgoing
-// links.
-func (n *Network) LookaheadFrom(node string) (sim.Time, error) {
-	if !n.HasNode(node) {
-		return 0, fmt.Errorf("netsim: unknown node %q", node)
-	}
-	min := sim.Time(-1)
-	for _, g := range n.adj[node] {
-		for _, l := range g.links {
-			if min < 0 || l.Latency() < min {
-				min = l.Latency()
-			}
-		}
-	}
-	if min < 0 {
-		return 0, nil
-	}
-	return min, nil
-}
-
-// MustLookaheadFrom is LookaheadFrom for callers whose node name is
-// known-good by construction (e.g. taken from Nodes()); it panics on
-// an unknown node.
-func (n *Network) MustLookaheadFrom(node string) sim.Time {
-	t, err := n.LookaheadFrom(node)
-	if err != nil {
-		panic(err.Error())
-	}
-	return t
-}
-
 // Reset clears reservation state and counters on every link, plus the
 // adaptive-routing pick counters.
 func (n *Network) Reset() {
@@ -665,32 +616,4 @@ func (n *Network) ClassStatsAll() []ClassStats {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Class < out[j].Class })
 	return out
-}
-
-// TransferCutThrough is the alternative timing model of DESIGN.md
-// ablation #1: the message head propagates hop by hop while the body
-// streams behind it, so serialization is paid once at the bottleneck
-// instead of per hop. Each link is still occupied for the bottleneck
-// serialization time (contention is preserved); only the delivery
-// latency differs from Transfer's store-and-forward timing.
-func (n *Network) TransferCutThrough(at sim.Time, src, dst string, bytes int64, ch int) (sim.Time, error) {
-	p, err := n.PathTo(src, dst)
-	if err != nil {
-		return 0, err
-	}
-	ser := sim.TransferTime(bytes, p.PeakBandwidth())
-	t := at
-	for _, g := range p.groups {
-		l := g.links[((ch%len(g.links))+len(g.links))%len(g.links)]
-		start := t
-		if l.freeAt > start {
-			start = l.freeAt
-		}
-		l.freeAt = start + ser
-		l.busy += ser
-		l.bytes += bytes
-		l.messages++
-		t = start + l.lat
-	}
-	return t + ser, nil
 }

@@ -167,7 +167,7 @@ func (r *Route) Min() *Path { return r.min }
 func (r *Route) Alts() []*Path {
 	out := make([]*Path, len(r.alts))
 	for i, d := range r.alts {
-		p := &Path{net: r.net, gen: d.a.gen, groups: make([]*channelGroup, 0, d.a.hops+d.b.hops)}
+		p := &Path{net: r.net, groups: make([]*channelGroup, 0, d.a.hops+d.b.hops)}
 		p.groups = append(append(p.groups, d.a.groups...), d.b.groups...)
 		p.metrics()
 		out[i] = p

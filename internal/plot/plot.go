@@ -37,11 +37,6 @@ type Chart struct {
 // Add appends a series.
 func (c *Chart) Add(s Series) { c.Series = append(c.Series, s) }
 
-// AddXY appends a series from x/y slices.
-func (c *Chart) AddXY(name string, x, y []float64) {
-	c.Add(Series{Name: name, X: x, Y: y})
-}
-
 func (c *Chart) dims() (w, h int) {
 	w, h = c.Width, c.Height
 	if w <= 0 {

@@ -17,7 +17,7 @@ func TestRenderBasicChart(t *testing.T) {
 		x = append(x, b)
 		y = append(y, b/(b/25e9+5e-6)/1e9)
 	}
-	c.AddXY("two-sided", x, y)
+	c.Add(Series{Name: "two-sided", X: x, Y: y})
 	out := c.Render()
 	if !strings.Contains(out, "Fig X") {
 		t.Fatal("missing title")
@@ -42,7 +42,7 @@ func TestRenderEmpty(t *testing.T) {
 
 func TestRenderSkipsNonPositiveOnLogAxes(t *testing.T) {
 	c := Chart{XLog: true, YLog: true, Width: 20, Height: 8}
-	c.AddXY("s", []float64{0, -5, 10, math.NaN()}, []float64{1, 1, 100, 1})
+	c.Add(Series{Name: "s", X: []float64{0, -5, 10, math.NaN()}, Y: []float64{1, 1, 100, 1}})
 	out := c.Render()
 	if out == "" || strings.Contains(out, "(no data)") {
 		t.Fatalf("valid point should render: %q", out)
@@ -51,8 +51,8 @@ func TestRenderSkipsNonPositiveOnLogAxes(t *testing.T) {
 
 func TestMultipleSeriesDistinctMarkers(t *testing.T) {
 	c := Chart{Width: 30, Height: 8}
-	c.AddXY("a", []float64{1, 2, 3}, []float64{1, 2, 3})
-	c.AddXY("b", []float64{1, 2, 3}, []float64{3, 2, 1})
+	c.Add(Series{Name: "a", X: []float64{1, 2, 3}, Y: []float64{1, 2, 3}})
+	c.Add(Series{Name: "b", X: []float64{1, 2, 3}, Y: []float64{3, 2, 1}})
 	out := c.Render()
 	if !strings.Contains(out, "o a") || !strings.Contains(out, "x b") {
 		t.Fatalf("legend markers missing:\n%s", out)

@@ -209,14 +209,6 @@ func New(mode Mode, dir string) (*Cache, error) {
 // Enabled reports whether lookups can ever hit.
 func (c *Cache) Enabled() bool { return c != nil && c.mode != Off }
 
-// Mode returns the cache mode (Off for a nil cache).
-func (c *Cache) Mode() Mode {
-	if c == nil {
-		return Off
-	}
-	return c.mode
-}
-
 // entry is the on-disk JSON form. Key and Schema make every entry
 // self-checking: an entry that does not re-state its own address and
 // schema is rejected as corrupt.

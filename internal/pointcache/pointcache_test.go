@@ -36,7 +36,7 @@ func testConfig() *machine.Config {
 			},
 		},
 		GPU: &machine.GPUConfig{
-			BlocksPerGPU: 80, ComputeScale: 4,
+			ComputeScale: 4,
 			KernelLaunch: 6 * sim.Microsecond, Channels: 4,
 		},
 		MemBandwidth: 100e9,

@@ -70,13 +70,6 @@ func (s Surface) Validate() error {
 	return nil
 }
 
-// Perf evaluates the ridgeline at one (ai, ci) point: flop/s per rank.
-// ai and ci must be positive.
-func (s Surface) Perf(ai, ci float64) float64 {
-	p, _ := s.Bound(ai, ci)
-	return p
-}
-
 // Classify names the binding ceiling at (ai, ci).
 func (s Surface) Classify(ai, ci float64) Class {
 	_, c := s.Bound(ai, ci)

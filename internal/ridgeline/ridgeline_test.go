@@ -21,8 +21,8 @@ func TestBoundPicksMinimum(t *testing.T) {
 	if p, c := s.Bound(1e3, 1e4); p != 1e12 || c != ComputeBound {
 		t.Fatalf("Bound(1e3,1e4) = %v, %v", p, c)
 	}
-	if s.Perf(1, 1) != 1e9 || s.Classify(1, 1) != NetworkBound {
-		t.Fatal("Perf/Classify disagree with Bound")
+	if s.Classify(1, 1) != NetworkBound {
+		t.Fatal("Classify disagrees with Bound")
 	}
 }
 
@@ -54,14 +54,15 @@ func TestNetworkCrossoverCI(t *testing.T) {
 	}
 }
 
-// Property: Perf is nondecreasing in both intensities and never
+// Property: the bound is nondecreasing in both intensities and never
 // exceeds any ceiling.
 func TestPerfMonotoneProperty(t *testing.T) {
 	s := Surface{PeakFlops: 5e11, MemBW: 8e10, NetBW: 2e9}
 	f := func(a, b, c, d uint16) bool {
 		ai1, ci1 := float64(a)+1, float64(b)+1
 		ai2, ci2 := ai1+float64(c), ci1+float64(d)
-		p1, p2 := s.Perf(ai1, ci1), s.Perf(ai2, ci2)
+		p1, _ := s.Bound(ai1, ci1)
+		p2, _ := s.Bound(ai2, ci2)
 		return p1 <= p2 && p2 <= s.PeakFlops &&
 			p1 <= ai1*s.MemBW && p1 <= ci1*s.NetBW
 	}

@@ -134,14 +134,8 @@ func (c *Channel) Drain(p *sim.Proc) {
 	c.cond.WaitFor(p, func() bool { return c.inFlight == 0 })
 }
 
-// InFlight returns the sender-side count of writes not yet applied.
-func (c *Channel) InFlight() int { return c.inFlight }
-
 // Sent returns how many writes entered the channel.
 func (c *Channel) Sent() uint64 { return c.nextSeq }
-
-// Opened reports whether the lazy open handshake has been paid.
-func (c *Channel) Opened() bool { return c.opened }
 
 // Arrivals returns the applied sequence numbers in application order.
 // After a clean (ordered) run this is exactly 0..Sent()-1; the

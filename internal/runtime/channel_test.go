@@ -45,7 +45,7 @@ func TestChannelOpenPaidOnce(t *testing.T) {
 	if err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Opened() {
+	if !c.opened {
 		t.Fatal("channel never opened")
 	}
 	if got := first - second; got != tp.ChannelOpen {
@@ -72,7 +72,7 @@ func TestChannelCreditsBound(t *testing.T) {
 	w.Spawn(0, "sender", func(p *sim.Proc) {
 		for i := 0; i < 12; i++ {
 			c.Send(p, 1<<16, ep.AutoChannel(), nil)
-			if c.InFlight() > 2 {
+			if c.inFlight > 2 {
 				over++
 			}
 		}
@@ -84,8 +84,8 @@ func TestChannelCreditsBound(t *testing.T) {
 	if over != 0 {
 		t.Fatalf("in-flight exceeded the 2-credit bound %d times", over)
 	}
-	if c.InFlight() != 0 {
-		t.Fatalf("drain left %d writes in flight", c.InFlight())
+	if c.inFlight != 0 {
+		t.Fatalf("drain left %d writes in flight", c.inFlight)
 	}
 	if c.Sent() != 12 {
 		t.Fatalf("sent %d writes, want 12", c.Sent())
@@ -149,7 +149,7 @@ func FuzzChannelOrder(f *testing.F) {
 						})
 					case op%8 == 5:
 						c.Drain(p)
-						if n := c.InFlight(); n != 0 {
+						if n := c.inFlight; n != 0 {
 							errs = append(errs, fmt.Sprintf("rank %d: drain left %d in flight", rank, n))
 						}
 					default:
@@ -167,11 +167,11 @@ func FuzzChannelOrder(f *testing.F) {
 		}
 		for _, r := range senders {
 			c := chans[r]
-			if c.InFlight() != 0 {
-				t.Errorf("rank %d: %d writes in flight after final drain", r, c.InFlight())
+			if c.inFlight != 0 {
+				t.Errorf("rank %d: %d writes in flight after final drain", r, c.inFlight)
 			}
-			if c.Opened() != (c.Sent() > 0) {
-				t.Errorf("rank %d: opened=%v with %d writes", r, c.Opened(), c.Sent())
+			if c.opened != (c.Sent() > 0) {
+				t.Errorf("rank %d: opened=%v with %d writes", r, c.opened, c.Sent())
 			}
 			arr := c.Arrivals()
 			if uint64(len(arr)) != c.Sent() {

@@ -300,10 +300,6 @@ func (c *Ctx) WaitUntilAny(sigOffs []int, mask []bool, val uint64) int {
 	return found
 }
 
-// Landed returns the condition signaled when any remote data lands in
-// this PE's heap; custom polling loops wait on it.
-func (pe *PE) Landed() *sim.Cond { return pe.landed }
-
 // AtomicCompareSwap performs a remote CAS on the uint64 at (dst, off):
 // if it equals cond it becomes val; the previous value is returned
 // (nvshmem_uint64_atomic_compare_swap). Blocks for the round trip.

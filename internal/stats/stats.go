@@ -1,8 +1,7 @@
 // Package stats provides the small set of statistics and fitting
-// utilities the experiment harness needs: summary statistics,
-// percentiles, simple linear regression, and dense least-squares
-// solving via normal equations (used to fit LogGP parameters from
-// measured sweeps).
+// utilities the experiment harness needs: percentiles and dense
+// least-squares solving via normal equations (used to fit LogGP
+// parameters from measured sweeps).
 package stats
 
 import (
@@ -10,80 +9,6 @@ import (
 	"math"
 	"sort"
 )
-
-// Mean returns the arithmetic mean of xs, or NaN for empty input.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of xs (all values must be
-// positive), or NaN for empty or invalid input.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
-// Variance returns the population variance of xs, or NaN for empty
-// input.
-func Variance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Min returns the smallest element, or NaN for empty input.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element, or NaN for empty input.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
 
 // Percentile returns the p-th percentile (0 <= p <= 100) using linear
 // interpolation between closest ranks. It returns NaN for empty input.
@@ -109,27 +34,6 @@ func Percentile(xs []float64, p float64) float64 {
 
 // Median returns the 50th percentile of xs.
 func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
-// LinearFit fits y = a + b*x by ordinary least squares and returns
-// (a, b). It returns NaNs when the fit is degenerate (fewer than two
-// points or zero variance in x).
-func LinearFit(x, y []float64) (a, b float64) {
-	if len(x) != len(y) || len(x) < 2 {
-		return math.NaN(), math.NaN()
-	}
-	mx, my := Mean(x), Mean(y)
-	num, den := 0.0, 0.0
-	for i := range x {
-		num += (x[i] - mx) * (y[i] - my)
-		den += (x[i] - mx) * (x[i] - mx)
-	}
-	if den == 0 {
-		return math.NaN(), math.NaN()
-	}
-	b = num / den
-	a = my - b*mx
-	return a, b
-}
 
 // ErrSingular is returned when a least-squares system has no unique
 // solution.
@@ -261,25 +165,4 @@ func NonNegativeLeastSquares(rows [][]float64, y []float64) ([]float64, error) {
 		active[worst] = true
 	}
 	return nil, errors.New("stats: NNLS failed to converge")
-}
-
-// RSquared returns the coefficient of determination of predictions
-// pred against observations y.
-func RSquared(y, pred []float64) float64 {
-	if len(y) != len(pred) || len(y) == 0 {
-		return math.NaN()
-	}
-	my := Mean(y)
-	ssTot, ssRes := 0.0, 0.0
-	for i := range y {
-		ssTot += (y[i] - my) * (y[i] - my)
-		ssRes += (y[i] - pred[i]) * (y[i] - pred[i])
-	}
-	if ssTot == 0 {
-		if ssRes == 0 {
-			return 1
-		}
-		return math.NaN()
-	}
-	return 1 - ssRes/ssTot
 }

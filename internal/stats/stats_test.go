@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -10,42 +11,14 @@ import (
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestSummary(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if m := Mean(xs); m != 3 {
-		t.Fatalf("Mean = %v", m)
-	}
-	if m := Median(xs); m != 3 {
+	if m := Median([]float64{5, 1, 4, 2, 3}); m != 3 {
 		t.Fatalf("Median = %v", m)
-	}
-	if m := Min(xs); m != 1 {
-		t.Fatalf("Min = %v", m)
-	}
-	if m := Max(xs); m != 5 {
-		t.Fatalf("Max = %v", m)
-	}
-	if v := Variance(xs); v != 2 {
-		t.Fatalf("Variance = %v", v)
-	}
-	if s := StdDev(xs); !almost(s, math.Sqrt2, 1e-12) {
-		t.Fatalf("StdDev = %v", s)
-	}
-	if g := GeoMean([]float64{1, 4}); !almost(g, 2, 1e-12) {
-		t.Fatalf("GeoMean = %v", g)
 	}
 }
 
 func TestEmptyInputs(t *testing.T) {
-	for name, v := range map[string]float64{
-		"Mean":    Mean(nil),
-		"Median":  Median(nil),
-		"Min":     Min(nil),
-		"Max":     Max(nil),
-		"GeoMean": GeoMean(nil),
-		"Var":     Variance(nil),
-	} {
-		if !math.IsNaN(v) {
-			t.Errorf("%s(nil) = %v, want NaN", name, v)
-		}
+	if v := Median(nil); !math.IsNaN(v) {
+		t.Errorf("Median(nil) = %v, want NaN", v)
 	}
 }
 
@@ -73,26 +46,6 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	Percentile(xs, 50)
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
 		t.Fatalf("input mutated: %v", xs)
-	}
-}
-
-func TestLinearFitExact(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	y := []float64{5, 7, 9, 11} // y = 3 + 2x
-	a, b := LinearFit(x, y)
-	if !almost(a, 3, 1e-9) || !almost(b, 2, 1e-9) {
-		t.Fatalf("fit = (%v, %v), want (3, 2)", a, b)
-	}
-}
-
-func TestLinearFitDegenerate(t *testing.T) {
-	a, b := LinearFit([]float64{1, 1}, []float64{2, 3})
-	if !math.IsNaN(a) || !math.IsNaN(b) {
-		t.Fatal("expected NaN for zero x-variance")
-	}
-	a, b = LinearFit([]float64{1}, []float64{2})
-	if !math.IsNaN(a) || !math.IsNaN(b) {
-		t.Fatal("expected NaN for single point")
 	}
 }
 
@@ -183,16 +136,6 @@ func TestNNLSMatchesLSWhenAllPositive(t *testing.T) {
 	}
 }
 
-func TestRSquared(t *testing.T) {
-	y := []float64{1, 2, 3}
-	if r := RSquared(y, y); r != 1 {
-		t.Fatalf("perfect fit R2 = %v", r)
-	}
-	if r := RSquared(y, []float64{2, 2, 2}); r != 0 {
-		t.Fatalf("mean predictor R2 = %v, want 0", r)
-	}
-}
-
 func TestPercentileWithinRangeProperty(t *testing.T) {
 	f := func(raw []float64, pRaw uint8) bool {
 		xs := make([]float64, 0, len(raw))
@@ -206,7 +149,7 @@ func TestPercentileWithinRangeProperty(t *testing.T) {
 		}
 		p := float64(pRaw % 101)
 		v := Percentile(xs, p)
-		return v >= Min(xs) && v <= Max(xs)
+		return v >= slices.Min(xs) && v <= slices.Max(xs)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

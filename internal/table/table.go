@@ -32,15 +32,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, row)
 }
 
-// AddRowV appends a row of arbitrary values formatted with %v.
-func (t *Table) AddRowV(cells ...any) {
-	parts := make([]string, len(cells))
-	for i, c := range cells {
-		parts[i] = fmt.Sprint(c)
-	}
-	t.AddRow(parts...)
-}
-
 // Render returns the formatted table.
 func (t *Table) Render() string {
 	var b strings.Builder

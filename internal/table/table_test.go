@@ -40,11 +40,3 @@ func TestShortAndLongRows(t *testing.T) {
 		t.Fatal("short row missing")
 	}
 }
-
-func TestAddRowV(t *testing.T) {
-	tb := New("", "N", "F")
-	tb.AddRowV(42, 3.5)
-	if out := tb.Render(); !strings.Contains(out, "42") || !strings.Contains(out, "3.5") {
-		t.Fatalf("AddRowV output:\n%s", out)
-	}
-}

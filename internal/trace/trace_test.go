@@ -65,29 +65,6 @@ func TestP99Latency(t *testing.T) {
 	}
 }
 
-func TestSizeHistogram(t *testing.T) {
-	r := New()
-	for _, b := range []int64{1, 2, 3, 4, 7, 8, 1024} {
-		r.Record(Event{Bytes: b})
-	}
-	h := r.SizeHistogram()
-	want := map[int64]int{1: 1, 2: 2, 4: 2, 8: 1, 1024: 1}
-	if len(h) != len(want) {
-		t.Fatalf("histogram = %+v", h)
-	}
-	for _, b := range h {
-		if want[b.Floor] != b.Count {
-			t.Fatalf("bucket %d = %d, want %d", b.Floor, b.Count, want[b.Floor])
-		}
-	}
-	// Ascending order.
-	for i := 1; i < len(h); i++ {
-		if h[i].Floor <= h[i-1].Floor {
-			t.Fatal("histogram not sorted")
-		}
-	}
-}
-
 func TestNoSyncsMeansZeroMsgsPerSync(t *testing.T) {
 	r := New()
 	r.Record(Event{Bytes: 8, Deliver: 1})

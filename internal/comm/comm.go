@@ -71,9 +71,9 @@ const (
 )
 
 // kindNames is the transport registry: canonical name per Kind, in
-// the order Kinds() reports. CLI usage strings and parse errors are
-// generated from it so a new transport can never be silently missing
-// from a hardcoded list.
+// Kind order. CLI usage strings and parse errors are generated from it
+// so a new transport can never be silently missing from a hardcoded
+// list.
 var kindNames = []string{"two-sided", "one-sided", "notified", "shmem", "stream-triggered", "memchannel"}
 
 // String returns the canonical transport name used by case tables,
@@ -97,15 +97,6 @@ func ParseKind(s string) (Kind, error) {
 		return Shmem, nil
 	}
 	return 0, fmt.Errorf("comm: unknown transport %q (want %s)", s, KindList())
-}
-
-// Kinds lists every transport in canonical order.
-func Kinds() []Kind {
-	out := make([]Kind, len(kindNames))
-	for i := range kindNames {
-		out[i] = Kind(i)
-	}
-	return out
 }
 
 // KindList renders the registry as a human-readable list for usage

@@ -20,7 +20,7 @@ func ExampleModel_CeilingGBs() {
 		Bandwidth: 32e9,
 		OpsPerMsg: 2,
 	}
-	m, _ := core.FromParams("example", p, 32)
+	m := &core.Model{Name: "example", Params: p, TheoreticalGBs: 32, Channels: 1}
 	// An SpTRSV-like workload: 1 message of 400 B per synchronization.
 	fmt.Printf("tight bound: %.3f GB/s\n", m.CeilingGBs(1, 400))
 	fmt.Printf("flood bound: %.3f GB/s\n", m.FloodGBs(400))

@@ -42,14 +42,6 @@ type Model struct {
 	Channels int
 }
 
-// FromParams wraps an explicit parameter set.
-func FromParams(name string, p loggp.Params, theoreticalGBs float64) (*Model, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return &Model{Name: name, Params: p, TheoreticalGBs: theoreticalGBs, Channels: 1}, nil
-}
-
 // ForMachine derives the analytic model for traffic between two
 // representative ranks on a catalog machine.
 func ForMachine(cfg *machine.Config, tr machine.Transport, ranks, src, dst int) (*Model, error) {

@@ -154,12 +154,6 @@ func TestFitModel(t *testing.T) {
 	}
 }
 
-func TestFromParamsValidates(t *testing.T) {
-	if _, err := FromParams("bad", loggp.Params{}, 10); err == nil {
-		t.Fatal("invalid params should be rejected")
-	}
-}
-
 func TestSplitSpeedupFig10(t *testing.T) {
 	cfg, _ := machine.Get("perlmutter-gpu")
 	m, err := ForMachine(cfg, machine.GPUShmem, 4, 0, 1)

@@ -252,11 +252,6 @@ func (in *Instance) SameNode(a, b int) bool {
 	return in.Places[a].Node == in.Places[b].Node
 }
 
-// CrossSocket reports whether two ranks sit on different sockets.
-func (in *Instance) CrossSocket(a, b int) bool {
-	return in.Places[a].Socket != in.Places[b].Socket
-}
-
 // ModelParams derives the LogGP parameter set the Message Roofline
 // model should use for traffic between two representative ranks on
 // this machine: software costs from the transport table plus wire

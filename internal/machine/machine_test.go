@@ -94,8 +94,8 @@ func TestPerlmutterCPUPlacement(t *testing.T) {
 	if in.SameNode(0, 127) {
 		t.Fatal("ranks 0 and 127 should be on different sockets")
 	}
-	if !in.CrossSocket(0, 127) {
-		t.Fatal("CrossSocket(0,127) should be true")
+	if in.Places[0].Socket == in.Places[127].Socket {
+		t.Fatal("ranks 0 and 127 should sit on different sockets")
 	}
 	// Cross-socket peak must be the IF 32 GB/s.
 	bw := in.Net.PeakBandwidth("pm:s0", "pm:s1")
@@ -126,10 +126,10 @@ func TestSummitGPUTopology(t *testing.T) {
 	if bw := in.Net.PeakBandwidth("sg:g0", "sg:g3"); bw != 25e9 {
 		t.Fatalf("cross-island single-channel bw = %v, want 25e9", bw)
 	}
-	if !in.CrossSocket(2, 3) {
+	if in.Places[2].Socket == in.Places[3].Socket {
 		t.Fatal("GPUs 2 and 3 must be on different sockets")
 	}
-	if in.CrossSocket(0, 2) {
+	if in.Places[0].Socket != in.Places[2].Socket {
 		t.Fatal("GPUs 0 and 2 share an island")
 	}
 }

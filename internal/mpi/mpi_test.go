@@ -189,25 +189,6 @@ func TestIrecvWaitall(t *testing.T) {
 	}
 }
 
-func TestProbe(t *testing.T) {
-	c := newComm(t, "perlmutter-cpu", 2)
-	var src, tag, size int
-	err := c.Launch(func(r *Rank) {
-		if r.Rank() == 0 {
-			r.Send(1, 9, []byte{1, 2, 3, 4})
-		} else {
-			src, tag, size = r.Probe(AnySource, AnyTag)
-			r.Recv(src, tag)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src != 0 || tag != 9 || size != 4 {
-		t.Fatalf("probe = (%d, %d, %d)", src, tag, size)
-	}
-}
-
 func TestBarrierSynchronizes(t *testing.T) {
 	c := newComm(t, "perlmutter-cpu", 16)
 	after := make([]sim.Time, 16)

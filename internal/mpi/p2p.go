@@ -105,17 +105,6 @@ func (r *Rank) Waitall(reqs []*Request) {
 	})
 }
 
-// Probe blocks until a message matching (src, tag) is available
-// without receiving it, and returns its source, tag and size.
-func (r *Rank) Probe(src, tag int) (gotSrc, gotTag, size int) {
-	var env *envelope
-	r.arrived.WaitFor(r.proc, func() bool {
-		env = r.peekUnexpected(src, tag)
-		return env != nil
-	})
-	return env.src, env.tag, len(env.data)
-}
-
 // deliver runs in engine context when a message reaches this rank. It
 // first restores per-(source, destination) send order — a retransmitted
 // message may arrive after a later send from the same source — then
@@ -179,17 +168,6 @@ func (r *Rank) takeUnexpected(src, tag int) *envelope {
 	for i, env := range r.unexpected {
 		if matchPattern(src, tag, env) {
 			r.unexpected = append(r.unexpected[:i], r.unexpected[i+1:]...)
-			return env
-		}
-	}
-	return nil
-}
-
-// peekUnexpected returns the oldest matching unexpected message
-// without removing it.
-func (r *Rank) peekUnexpected(src, tag int) *envelope {
-	for _, env := range r.unexpected {
-		if matchPattern(src, tag, env) {
 			return env
 		}
 	}

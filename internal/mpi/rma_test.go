@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	goruntime "runtime"
 	"testing"
 
 	"msgroofline/internal/machine"
@@ -140,6 +141,86 @@ func TestGetRoundTrip(t *testing.T) {
 	}
 	if elapsed < sim.FromMicroseconds(1) {
 		t.Fatalf("get took %v, suspiciously fast for a round trip", elapsed)
+	}
+}
+
+// TestCrossNodeGet reads across perlmutter-cpu's two sockets, which
+// are two fabric nodes and so two node groups: ranks 0 and 127 Get
+// from each other at once. Each request crosses the window barrier,
+// and each WireLatency resolves a fabric route from the rank's worker
+// goroutine. Bytes, elapsed times and the digest must not depend on
+// the worker count.
+func TestCrossNodeGet(t *testing.T) {
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(4))
+	cfg, err := machine.Get("perlmutter-cpu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		got     [2][]byte
+		elapsed [2]sim.Time
+		digest  uint64
+	}
+	run := func(shards int) result {
+		c, err := NewCommSharded(cfg, 128, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := c.World().Groups(); g != 2 {
+			t.Fatalf("%d node groups, want 2", g)
+		}
+		w, _ := c.NewWin(8)
+		copy(w.Local(0), "origin-0")
+		copy(w.Local(127), "peer-127")
+		var res result
+		err = c.Launch(func(r *Rank) {
+			if r.Rank() != 0 && r.Rank() != 127 {
+				return
+			}
+			i := r.Rank() / 127
+			start := r.Now()
+			res.got[i] = r.Get(w, 127-r.Rank(), 0, 8)
+			res.elapsed[i] = r.Now() - start
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.digest = c.Digest()
+		return res
+	}
+	one := run(1)
+	if string(one.got[0]) != "peer-127" || string(one.got[1]) != "origin-0" {
+		t.Fatalf("gets read %q and %q", one.got[0], one.got[1])
+	}
+	// Each Get is the op overhead, the request flight (the fabric's
+	// base latency plus half the software latency), then the 8-byte
+	// reply's journey over idle links of the reverse direction.
+	tp, _ := cfg.Params(machine.OneSided)
+	ref, err := cfg.Instantiate(128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, peer := range []int{127, 0} {
+		me := 127 - peer
+		p, err := ref.Net.PathTo(ref.Places[peer].Node, ref.Places[me].Node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reply := tp.OpOverhead + p.BaseLatency() + tp.SoftLatency/2
+		want := p.Transfer(reply+tp.SoftLatency+tp.CrossSocketExtra, 8, 0)
+		if one.elapsed[i] != want {
+			t.Fatalf("rank %d's get took %v, want %v", me, one.elapsed[i], want)
+		}
+	}
+	four := run(4)
+	for i := range one.got {
+		if !bytes.Equal(one.got[i], four.got[i]) || one.elapsed[i] != four.elapsed[i] {
+			t.Fatalf("get %d: shards 1 read %q in %v, shards 4 read %q in %v",
+				i, one.got[i], one.elapsed[i], four.got[i], four.elapsed[i])
+		}
+	}
+	if one.digest != four.digest {
+		t.Fatalf("digest %x at shards 1, %x at shards 4", one.digest, four.digest)
 	}
 }
 

@@ -25,9 +25,6 @@ func TestDetourLegsMatchConcatenatedPaths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if inst.Net.RoutingPolicy() != netsim.RouteAdaptive {
-			t.Fatal("dragonfly-1k does not route adaptively")
-		}
 		inst.Net.SetFaults(&netsim.Faults{Seed: 11, DropProb: 0.05, SpikeProb: 0.1, MaxSpike: 500 * sim.Nanosecond})
 		return inst.Net
 	}

@@ -21,11 +21,13 @@ type channelGroup struct {
 
 // Network is a directed multigraph of nodes joined by channel groups.
 // Routing is static shortest-path (hop count, ties broken by insertion
-// order), computed lazily and cached: each (src, dst) pair resolves
-// once to a *Path carrying the hop list and precomputed route metrics,
-// so steady-state sends do a single map probe and no allocation.
-// Callers on hot paths can hold the *Path themselves (see PathTo) and
-// skip even that probe.
+// order), computed lazily and cached: each (src, dst) node pair
+// resolves once to a *Path (and a *Route) carrying the hop list and
+// precomputed route metrics, so steady-state sends do a single
+// sharded-map probe and no allocation. This node-pair cache is the
+// only route cache: callers that send between placed ranks keep the
+// ranks' node indices (NodeIndex) and look routes up by index
+// (RouteAt), which skips hashing the node names.
 //
 // The topology itself (nodes, links, adjacency) is immutable once
 // construction finishes — generators build the whole fabric before the
@@ -48,12 +50,12 @@ type Network struct {
 	// node (see tree); AddNode and AddLink drop the whole set.
 	trees atomic.Pointer[treeSet]
 	// cache holds the lazily-populated path and route caches, sharded
-	// by (src, dst) hash. Large generated fabrics resolve routes on
-	// first use from concurrently executing node-group engines, so
-	// resolution must be race-free; the resolved values are pure
-	// functions of the static topology, so neither lazy population nor
-	// the resolve-outside-the-lock build order perturbs simulated
-	// timing.
+	// by (src, dst) hash. Routes resolve on first use, mostly at the
+	// window barrier but also from concurrently executing node-group
+	// engines (an MPI Get's request latency), so resolution must be
+	// race-free; the resolved values are pure functions of the static
+	// topology, so neither lazy population nor the
+	// resolve-outside-the-lock build order perturbs simulated timing.
 	cache [cacheShards]cacheShard
 	// routing selects the route-choice policy (minimal by default);
 	// detours lists the candidate intermediate nodes Valiant-style
@@ -255,6 +257,15 @@ func (n *Network) Nodes() []string {
 func (n *Network) HasNode(name string) bool {
 	_, ok := n.nodeIndex[name]
 	return ok
+}
+
+// NodeIndex returns the dense index of a registered node (its position
+// in Nodes), or -1 for an unknown name. RouteAt takes these indices.
+func (n *Network) NodeIndex(name string) int32 {
+	if i, ok := n.nodeIndex[name]; ok {
+		return int32(i)
+	}
+	return -1
 }
 
 // AddLink joins a and b with a bidirectional channel group: `channels`

@@ -33,9 +33,6 @@ func (n *Network) SetRouting(r Routing) {
 	n.routing = r
 }
 
-// RoutingPolicy returns the configured policy.
-func (n *Network) RoutingPolicy() Routing { return n.routing }
-
 // AddDetour registers a candidate intermediate node for non-minimal
 // (Valiant-style) routes. Topology generators register one detour per
 // dragonfly group (a router) so adaptive routes can bounce traffic
@@ -79,6 +76,14 @@ func (n *Network) RouteTo(src, dst string) (*Route, error) {
 	if err != nil {
 		return nil, err
 	}
+	return n.RouteAt(si, di)
+}
+
+// RouteAt is RouteTo by node index: si and di must be indices
+// NodeIndex returned for registered nodes. It returns the same
+// canonical *Route as RouteTo from the same node-pair cache, and errors
+// only when the pair is disconnected.
+func (n *Network) RouteAt(si, di int32) (*Route, error) {
 	key := pairKey(si, di)
 	sh := n.shard(key)
 	sh.mu.RLock()

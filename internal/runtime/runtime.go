@@ -7,14 +7,19 @@
 // netsim fabric, and round-trip remote atomics.
 //
 // Per-rank state is rank-confined: a rank's endpoint (NIC channels,
-// wire plans, injection stats) and everything the stacks build on top
-// of it (window memory, CQ bookkeeping, PE heaps) live with the
-// rank's node group and are touched only from that group's engine.
+// injection stats) and everything the stacks build on top of it
+// (window memory, CQ bookkeeping, PE heaps) live with the rank's node
+// group and are touched only from that group's engine.
 // Cross-group effects — puts, gets, atomics, signals — arrive as
 // events on the owning group's engine, and mutations of shared fabric
 // state (link-bandwidth reservations, atomic-unit arbitration, fault
 // draws) are deferred to the window barrier where they apply in the
 // (at, senderRank<<40|senderCounter) total order (sim.CoupledEngine).
+//
+// Routes depend only on the two fabric nodes, so endpoints keep no
+// routing state of their own: each holds its placement as dense netsim
+// node indices, and every cross-node send looks its route up in the
+// network's node-pair cache (netsim.Network.RouteAt).
 package runtime
 
 import (
@@ -70,51 +75,61 @@ func NewWorldSharded(cfg *machine.Config, ranks, shards int) (*World, error) {
 	if shards > ranks {
 		shards = ranks
 	}
-	groupOf, err := nodeGroups(inst, ranks)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := sim.NewCoupled(groupOf, inst.Net.LookaheadBound(), shards)
-	if err != nil {
-		return nil, fmt.Errorf("runtime: %w", err)
-	}
 	w := &World{
 		Inst:   inst,
-		eng:    eng,
+		eps:    make([]*Endpoint, ranks),
 		shards: shards,
 	}
 	channels := 1
 	if cfg.GPU != nil {
 		channels = cfg.GPU.Channels
 	}
-	for r := 0; r < ranks; r++ {
-		w.eps = append(w.eps, &Endpoint{
+	net := inst.Net
+	for r, pl := range inst.Places {
+		w.eps[r] = &Endpoint{
 			world:    w,
 			rank:     r,
+			node:     net.NodeIndex(pl.Node),
+			host:     net.NodeIndex(pl.Host),
+			socket:   pl.Socket,
 			chanFree: make([]sim.Time, channels),
-		})
+		}
 	}
+	eng, err := sim.NewCoupled(nodeGroups(w.eps, len(net.Nodes())), net.LookaheadBound(), shards)
+	if err != nil {
+		return nil, fmt.Errorf("runtime: %w", err)
+	}
+	w.eng = eng
 	return w, nil
 }
 
-// nodeGroups assigns each rank the dense index of its fabric node, in
-// order of first appearance over the rank sequence. Same group ⟺ same
-// node ⟺ shared-memory delivery, so every cross-group flight pays at
-// least one fabric link and the network's LookaheadBound is a valid
+// nodeGroups assigns each rank a dense group per fabric node, numbered
+// in order of first appearance over the rank sequence. Same group ⟺
+// same node ⟺ shared-memory delivery, so every cross-group flight pays
+// at least one fabric link and the network's LookaheadBound is a valid
 // conservative window for the grouping.
-func nodeGroups(inst *machine.Instance, ranks int) ([]int, error) {
-	groupOf := make([]int, ranks)
-	idx := make(map[string]int)
-	for r := 0; r < ranks; r++ {
-		node := inst.Places[r].Node
-		g, ok := idx[node]
-		if !ok {
-			g = len(idx)
-			idx[node] = g
+func nodeGroups(eps []*Endpoint, nodes int) []int {
+	groupOf := make([]int, len(eps))
+	group := make([]int, nodes) // node index -> group + 1 (0: unseen)
+	next := 0
+	for r, ep := range eps {
+		if group[ep.node] == 0 {
+			next++
+			group[ep.node] = next
 		}
-		groupOf[r] = g
+		groupOf[r] = group[ep.node] - 1
 	}
-	return groupOf, nil
+	return groupOf
+}
+
+// route returns the fabric route between two node indices from the
+// network's node-pair cache.
+func (w *World) route(from, to int32) *netsim.Route {
+	r, err := w.Inst.Net.RouteAt(from, to)
+	if err != nil {
+		panic(fmt.Sprintf("runtime: %v", err))
+	}
+	return r
 }
 
 // Size returns the number of endpoints (ranks/PEs).
@@ -199,82 +214,11 @@ type Endpoint struct {
 	// memory (one at a time at the memory controller). It is mutated
 	// only from this endpoint's own engine (owner-computes).
 	atomicFree sim.Time
-	// plans caches the resolved fabric route(s) per destination rank
-	// this endpoint has sent to (lazily built; topology is static after
-	// instantiation), so a repeat send does one probe of a map sized by
-	// the rank's peers, not by the world, and no allocation. Owned by the
-	// rank's group: built from its engine or at a window barrier.
-	plans map[int]*wirePlan
-}
-
-// wirePlan is the cached routing decision from one endpoint to one
-// destination rank.
-type wirePlan struct {
-	sameNode    bool
-	crossSocket bool
-	// direct is the node-to-node route (nil when sameNode): the
-	// minimal path plus, under adaptive routing, its precomputed
-	// non-minimal alternatives.
-	direct      *netsim.Route
-	staged      []*netsim.Path // host-staged legs, built on first staged send
-	stagedBuilt bool
-}
-
-// planTo returns the cached wire plan from ep to rank dst, resolving
-// it on first use.
-func (ep *Endpoint) planTo(dst int) *wirePlan {
-	if pl, ok := ep.plans[dst]; ok {
-		return pl
-	}
-	if ep.plans == nil {
-		ep.plans = make(map[int]*wirePlan)
-	}
-	inst := ep.world.Inst
-	pl := &wirePlan{
-		sameNode:    inst.SameNode(ep.rank, dst),
-		crossSocket: inst.CrossSocket(ep.rank, dst),
-	}
-	if !pl.sameNode {
-		r, err := inst.Net.RouteTo(inst.Places[ep.rank].Node, inst.Places[dst].Node)
-		if err != nil {
-			panic(fmt.Sprintf("runtime: %v", err))
-		}
-		pl.direct = r
-	}
-	ep.plans[dst] = pl
-	return pl
-}
-
-// stagedLegs resolves (once) the device->host, host->host, host->device
-// legs of a host-staged transfer toward dst. Legs whose endpoints
-// coincide resolve to nil and are skipped at send time. It returns nil
-// when either side has no host (the caller falls back to the direct
-// route).
-func (ep *Endpoint) stagedLegs(pl *wirePlan, dst int) []*netsim.Path {
-	if !pl.stagedBuilt {
-		pl.stagedBuilt = true
-		inst := ep.world.Inst
-		srcPlace, dstPlace := inst.Places[ep.rank], inst.Places[dst]
-		if srcPlace.Host != "" && dstPlace.Host != "" {
-			legs := [][2]string{
-				{srcPlace.Node, srcPlace.Host},
-				{srcPlace.Host, dstPlace.Host},
-				{dstPlace.Host, dstPlace.Node},
-			}
-			pl.staged = make([]*netsim.Path, len(legs))
-			for i, leg := range legs {
-				if leg[0] == leg[1] {
-					continue
-				}
-				p, err := inst.Net.PathTo(leg[0], leg[1])
-				if err != nil {
-					panic(fmt.Sprintf("runtime: %v", err))
-				}
-				pl.staged[i] = p
-			}
-		}
-	}
-	return pl.staged
+	// node and host are the netsim node indices of the rank's fabric
+	// node and of its host-staging node (-1, NodeIndex of the empty
+	// name, when it has none); socket is its placement socket.
+	node, host int32
+	socket     int
 }
 
 // Rank returns the endpoint's rank id.
@@ -376,37 +320,34 @@ func (ep *Endpoint) Inject(tp machine.TransportParams, dst int, bytes int64, ch 
 }
 
 // wireTime computes the arrival time of the last byte at dst for a
-// message leaving the NIC at start, using the cached wire plan. The
-// same-node path is stateless; cross-node paths reserve link
-// bandwidth and must only run from the rank's own engine (same-group
-// deliveries) or from a window barrier.
+// message leaving the NIC at start. The same-node path is stateless;
+// cross-node paths reserve link bandwidth and must only run from a
+// window barrier.
 func (ep *Endpoint) wireTime(tp machine.TransportParams, start sim.Time, dst int, bytes int64, ch int) sim.Time {
-	inst := ep.world.Inst
-	pl := ep.planTo(dst)
-	if pl.sameNode {
+	w := ep.world
+	to := w.eps[dst]
+	if ep.node == to.node {
 		// Shared memory: pipeline latency + copy at memory bandwidth.
-		return start + tp.SoftLatency + inst.Cfg.MemLatency +
-			sim.TransferTime(bytes, inst.Cfg.MemBandwidth)
+		return start + tp.SoftLatency + w.Inst.Cfg.MemLatency +
+			sim.TransferTime(bytes, w.Inst.Cfg.MemBandwidth)
 	}
 	lat := tp.SoftLatency
-	if tp.CrossSocketExtra > 0 && pl.crossSocket {
+	if tp.CrossSocketExtra > 0 && ep.socket != to.socket {
 		lat += tp.CrossSocketExtra
 	}
 	t := start + lat
-	if tp.HostStaged {
-		if legs := ep.stagedLegs(pl, dst); legs != nil {
-			// Device -> host copy, host-to-host MPI, host -> device
-			// copy: three fabric legs, each reserving its links.
-			for _, leg := range legs {
-				if leg == nil {
-					continue
-				}
-				t = leg.Transfer(t, bytes, ch)
+	if tp.HostStaged && ep.host >= 0 && to.host >= 0 {
+		// Device -> host copy, host-to-host MPI, host -> device copy:
+		// three minimal fabric legs, each reserving its links. A leg
+		// whose ends coincide (ranks sharing a host) is skipped.
+		for _, leg := range [3][2]int32{{ep.node, ep.host}, {ep.host, to.host}, {to.host, to.node}} {
+			if leg[0] != leg[1] {
+				t = w.route(leg[0], leg[1]).Min().Transfer(t, bytes, ch)
 			}
-			return t
 		}
+		return t
 	}
-	return pl.direct.Transfer(t, bytes, ch)
+	return w.route(ep.node, to.node).Transfer(t, bytes, ch)
 }
 
 // WireLatency is the zero-contention propagation latency from this
@@ -415,11 +356,11 @@ func (ep *Endpoint) wireTime(tp machine.TransportParams, start sim.Time, dst int
 // directly, bypassing the software pipeline latency that full
 // messages pay.
 func (ep *Endpoint) WireLatency(dst int) sim.Time {
-	pl := ep.planTo(dst)
-	if pl.sameNode {
-		return ep.world.Inst.Cfg.MemLatency
+	w := ep.world
+	if to := w.eps[dst]; ep.node != to.node {
+		return w.route(ep.node, to.node).BaseLatency()
 	}
-	return pl.direct.BaseLatency()
+	return w.Inst.Cfg.MemLatency
 }
 
 // RemoteAtomic performs a blocking remote atomic against dst: the
@@ -505,13 +446,14 @@ func (ep *Endpoint) RemoteAtomic(p *sim.Proc, tp machine.TransportParams, dst in
 // for that long (transaction-rate-limited fabrics); otherwise it
 // rides at pure propagation latency.
 func (ep *Endpoint) atomicFlight(tp machine.TransportParams, from, to int, at sim.Time) sim.Time {
-	src := ep.world.eps[from]
-	pl := src.planTo(to)
-	if pl.sameNode {
-		return at + ep.world.Inst.Cfg.MemLatency
+	w := ep.world
+	src, dst := w.eps[from], w.eps[to]
+	if src.node == dst.node {
+		return at + w.Inst.Cfg.MemLatency
 	}
+	r := w.route(src.node, dst.node)
 	if tp.AtomicLinkOccupancy > 0 {
-		return pl.direct.TransferPacket(at, tp.AtomicLinkOccupancy, src.AutoChannel())
+		return r.TransferPacket(at, tp.AtomicLinkOccupancy, src.AutoChannel())
 	}
-	return at + pl.direct.BaseLatency()
+	return at + r.BaseLatency()
 }

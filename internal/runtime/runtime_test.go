@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"msgroofline/internal/machine"
+	"msgroofline/internal/netsim"
 	"msgroofline/internal/sim"
 )
 
@@ -307,28 +308,59 @@ func TestWireLatency(t *testing.T) {
 	}
 }
 
-func TestHostStagedWireJourney(t *testing.T) {
-	// Host-staged messages pay the PCIe legs: device -> host -> device.
-	w := newWorld(t, "perlmutter-gpu", 2)
-	tp, ok := w.Inst.Cfg.Params(machine.TwoSided)
-	if !ok {
-		t.Fatal("no host MPI on perlmutter-gpu")
+// stagedDelivery sends one host-staged megabyte from rank 0 to dst
+// at time 0 and returns its delivery time with the reference journey:
+// the software latency, then the device -> host, host -> host and host
+// -> device legs in that order, a leg whose ends coincide skipped, each
+// resolved by name on a fresh instance and sent over idle links. With
+// f set, both fabrics draw from the same fault stream.
+func stagedDelivery(t *testing.T, name string, dst int, f *netsim.Faults) (got, want sim.Time) {
+	t.Helper()
+	w := newWorld(t, name, dst+1)
+	tp, _ := w.Inst.Cfg.Params(machine.TwoSided)
+	if !tp.HostStaged {
+		t.Fatalf("%s: two-sided MPI is not host-staged", name)
 	}
-	var staged sim.Time
+	ref, err := w.Inst.Cfg.Instantiate(dst + 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f != nil {
+		w.Inst.Net.SetFaults(f)
+		ref.Net.SetFaults(f)
+	}
 	w.Spawn(0, "s", func(p *sim.Proc) {
-		w.Endpoint(0).Inject(tp, 1, 1<<20, 0, func(at sim.Time) { staged = at }, nil)
+		w.Endpoint(0).Inject(tp, dst, 1<<20, 0, func(at sim.Time) { got = at }, nil)
 	})
 	if err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
+	src, to := ref.Places[0], ref.Places[dst]
+	want = tp.SoftLatency
+	for _, leg := range [][2]string{{src.Node, src.Host}, {src.Host, to.Host}, {to.Host, to.Node}} {
+		if leg[0] == leg[1] {
+			continue
+		}
+		p, err := ref.Net.PathTo(leg[0], leg[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = p.Transfer(want, 1<<20, 0)
+	}
+	return got, want
+}
+
+func TestHostStagedWireJourney(t *testing.T) {
+	// Host-staged messages pay the PCIe legs: device -> host -> device.
+	w := newWorld(t, "perlmutter-gpu", 2)
+	staged, _ := stagedDelivery(t, "perlmutter-gpu", 1, nil)
 	// Direct NVSHMEM journey of the same megabyte for comparison.
-	w2 := newWorld(t, "perlmutter-gpu", 2)
-	sp, _ := w2.Inst.Cfg.Params(machine.GPUShmem)
+	sp, _ := w.Inst.Cfg.Params(machine.GPUShmem)
 	var direct sim.Time
-	w2.Spawn(0, "s", func(p *sim.Proc) {
-		w2.Endpoint(0).Inject(sp, 1, 1<<20, 0, func(at sim.Time) { direct = at }, nil)
+	w.Spawn(0, "s", func(p *sim.Proc) {
+		w.Endpoint(0).Inject(sp, 1, 1<<20, 0, func(at sim.Time) { direct = at }, nil)
 	})
-	if err := w2.Run(); err != nil {
+	if err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if staged <= direct {
@@ -338,6 +370,22 @@ func TestHostStagedWireJourney(t *testing.T) {
 	lb := 2 * sim.TransferTime(1<<20, 25e9)
 	if staged < lb {
 		t.Fatalf("staged %v below two-PCIe-legs bound %v", staged, lb)
+	}
+	// Exactly the reference leg chain. Perlmutter's GPUs share one host,
+	// so its host -> host leg is skipped; Summit's GPUs 0 and 3 hang off
+	// different sockets and take all three legs. Under faults, a
+	// coincident leg sent anyway would draw from the fault stream, and
+	// legs taken out of order would retransmit over the wrong links.
+	faults := &netsim.Faults{Seed: 5, DropProb: 0.5, SpikeProb: 0.5, MaxSpike: sim.Microsecond}
+	for _, c := range []struct {
+		name string
+		dst  int
+	}{{"perlmutter-gpu", 1}, {"summit-gpu", 3}} {
+		for _, f := range []*netsim.Faults{nil, faults} {
+			if got, want := stagedDelivery(t, c.name, c.dst, f); got != want {
+				t.Fatalf("%s 0 -> %d (faults %v): delivered at %v, want %v", c.name, c.dst, f != nil, got, want)
+			}
+		}
 	}
 }
 

@@ -37,9 +37,6 @@ func (ev *Event) Cancel() {
 	}
 }
 
-// Canceled reports whether Cancel was called on this handle.
-func (ev *Event) Canceled() bool { return ev.canceled }
-
 // At returns the simulated time the event is scheduled for.
 func (ev *Event) At() Time { return ev.at }
 

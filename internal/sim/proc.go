@@ -235,6 +235,3 @@ func (c *Cond) WaitFor(p *Proc, pred func() bool) {
 		c.Wait(p)
 	}
 }
-
-// NumWaiters reports how many processes are currently parked on c.
-func (c *Cond) NumWaiters() int { return c.n }

@@ -188,7 +188,7 @@ func TestEventPoolCancelAfterFire(t *testing.T) {
 	if !fired2 {
 		t.Fatal("stale Cancel killed the recycled slot's new event")
 	}
-	if ev2.Canceled() {
+	if ev2.canceled {
 		t.Fatal("new handle reports canceled")
 	}
 }
@@ -215,7 +215,7 @@ func TestEventPoolCancelAfterRecycle(t *testing.T) {
 	if !fired {
 		t.Fatal("stale double-Cancel killed the recycled slot's new event")
 	}
-	if !ev.Canceled() {
+	if !ev.canceled {
 		t.Fatal("original handle lost its canceled state")
 	}
 	if ev.At() != 5 || ev2.At() != 7 {
@@ -227,7 +227,7 @@ func TestEventPoolCancelAfterRecycle(t *testing.T) {
 func TestEventZeroValueCancel(t *testing.T) {
 	var ev Event
 	ev.Cancel()
-	if !ev.Canceled() {
+	if !ev.canceled {
 		t.Fatal("zero Event should report canceled after Cancel")
 	}
 }

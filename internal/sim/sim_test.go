@@ -101,8 +101,8 @@ func TestEventCancel(t *testing.T) {
 	if fired {
 		t.Fatal("canceled event fired")
 	}
-	if !ev.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
+	if !ev.canceled {
+		t.Fatal("handle not marked canceled after Cancel")
 	}
 }
 
@@ -367,9 +367,6 @@ func TestTimeConversionsAndAccessors(t *testing.T) {
 	if got := (3 * Microsecond).Nanoseconds(); got != 3000 {
 		t.Fatalf("Nanoseconds = %v", got)
 	}
-	if got := (1500 * Nanosecond).ToDuration(); got.Nanoseconds() != 1500 {
-		t.Fatalf("ToDuration = %v", got)
-	}
 	// Negative durations render through the same unit selection.
 	if s := (-3 * Microsecond).String(); s != "-3.000us" {
 		t.Fatalf("negative String = %q", s)
@@ -439,8 +436,8 @@ func TestDeadlockErrorMessage(t *testing.T) {
 	if err == nil || err.Error() == "" {
 		t.Fatal("expected descriptive deadlock error")
 	}
-	if c.NumWaiters() != 1 {
-		t.Fatalf("NumWaiters = %d", c.NumWaiters())
+	if c.n != 1 {
+		t.Fatalf("%d waiters parked, want 1", c.n)
 	}
 }
 

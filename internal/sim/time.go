@@ -10,10 +10,7 @@
 // reproducible: same inputs, same event order, same timings.
 package sim
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Time is a point in (or duration of) simulated time, in picoseconds.
 type Time int64
@@ -36,13 +33,6 @@ func (t Time) Microseconds() float64 { return float64(t) / float64(Microsecond) 
 
 // Nanoseconds converts t to floating-point nanoseconds.
 func (t Time) Nanoseconds() float64 { return float64(t) / float64(Nanosecond) }
-
-// ToDuration converts a simulated duration to a wall-clock-style
-// time.Duration (nanosecond resolution; sub-nanosecond detail is
-// truncated). Useful only for display.
-func (t Time) ToDuration() time.Duration {
-	return time.Duration(t / Nanosecond)
-}
 
 // String renders t with an auto-selected unit, e.g. "3.300us".
 func (t Time) String() string {

@@ -1,7 +1,7 @@
 // Package comm is the unified transport layer under the paper's
 // workloads. It exposes one Transport interface — halo exchange,
 // put-with-signal delivery, remote atomics, and epoch semantics —
-// with six implementations delegating to the calibrated stacks:
+// over six transports delegating to the calibrated stacks:
 //
 //   - TwoSided: internal/mpi Isend/Irecv/Waitall (eager protocol,
 //     non-overtaking matching);
@@ -21,7 +21,13 @@
 //   - MemChannel: RAMC-style ordered remote-memory channels
 //     (internal/runtime.Channel) — per-(src,dst) FIFO byte streams
 //     with open/credit semantics where ordering replaces per-op
-//     completion and quiet maps to channel drainage.
+//     completion and quiet maps to channel drainage. A rank opens a
+//     channel on its first write to that destination.
+//
+// StreamTriggered and MemChannel share one implementation (offloadT):
+// the same slot heap, dissemination barrier, exchange, slot wait and
+// remote atomics, differing only in how a put leaves the host and in
+// what Quiet waits on.
 //
 // The kernels in internal/{stencil,sptrsv,hashtable} are written once
 // against this interface; the transport is a table entry, not a
@@ -278,7 +284,9 @@ type Endpoint interface {
 	// per the transport's native discipline. The MPI transports are
 	// already locally complete by protocol construction (eager
 	// two-sided sends; the strict path flushes per op; notified
-	// access fuses completion), so only shmem charges an operation.
+	// access fuses completion), so they charge nothing. Shmem and
+	// stream-triggered charge one op; memory channels drain each
+	// channel the rank has written to.
 	Quiet()
 
 	// Exchange runs one BSP epoch: every Msg lands in its peer's
@@ -340,10 +348,8 @@ func New(spec Spec) (Transport, error) {
 		return newRMA(spec, true)
 	case Shmem:
 		return newShmem(spec)
-	case StreamTriggered:
-		return newStreamTriggered(spec)
-	case MemChannel:
-		return newMemChannel(spec)
+	case StreamTriggered, MemChannel:
+		return newOffload(spec)
 	}
 	return nil, fmt.Errorf("comm: unknown transport kind %d", int(spec.Kind))
 }

@@ -462,3 +462,49 @@ func TestNoTrace(t *testing.T) {
 		t.Fatalf("tracing changed simulated time: %v vs %v", traced, bare)
 	}
 }
+
+// TestMemChannelOpensOnFirstWrite checks that a memory-channel rank
+// holds only the channels it has written to, in destination order
+// whatever order it wrote in, and that a rank that never wrote holds
+// none.
+func TestMemChannelOpensOnFirstWrite(t *testing.T) {
+	const ranks, slotBytes = 64, 16
+	slots := make([]int, ranks)
+	for r := range slots {
+		slots[r] = 1
+	}
+	tr, err := comm.New(comm.Spec{
+		Machine: mc(t, "perlmutter-cpu"), Kind: comm.MemChannel, Ranks: ranks,
+		StreamSlots: slots, SlotBytes: slotBytes, NoTrace: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = tr.Launch(func(ep comm.Endpoint) {
+		switch ep.Rank() {
+		case 0:
+			ep.Deliver(5, 0, make([]byte, slotBytes))
+			ep.Deliver(2, 0, make([]byte, slotBytes))
+			ep.Quiet()
+		case 2, 5:
+			ep.WaitAnySlot()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins := tr.(comm.ChannelInspector)
+	var dsts []int
+	for _, c := range ins.Channels(0) {
+		if c.Sent() != 1 {
+			t.Errorf("channel to rank %d carried %d writes, want 1", c.Dst(), c.Sent())
+		}
+		dsts = append(dsts, c.Dst())
+	}
+	if fmt.Sprint(dsts) != "[2 5]" {
+		t.Errorf("rank 0 channels go to %v, want [2 5]", dsts)
+	}
+	if n := len(ins.Channels(1)); n != 0 {
+		t.Errorf("rank 1 never wrote but holds %d channels", n)
+	}
+}

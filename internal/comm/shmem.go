@@ -13,29 +13,12 @@ type shmemT struct {
 	base
 	j *shmem.Job
 	// sigBase is the heap offset of the signal area (exchange and
-	// stream modes).
+	// stream modes; see heapLayout).
 	sigBase int
 }
 
 func newShmem(spec Spec) (*shmemT, error) {
-	var heap, sigBase int
-	switch {
-	case spec.ExchangeSlots > 0:
-		// 2 parities x K data slots, then 2 parities x K signals.
-		sigBase = 2 * spec.ExchangeSlots * spec.SlotBytes
-		heap = sigBase + 2*spec.ExchangeSlots*8
-	case spec.StreamSlots != nil:
-		maxSlots := 0
-		for _, n := range spec.StreamSlots {
-			if n > maxSlots {
-				maxSlots = n
-			}
-		}
-		sigBase = spec.SlotBytes * maxSlots
-		heap = sigBase + 8*maxSlots + 64
-	case spec.SharedBytes > 0:
-		heap = spec.SharedBytes
-	}
+	heap, sigBase := heapLayout(spec)
 	j, err := shmem.NewJobSharded(spec.Machine, spec.Ranks, heap, spec.Shards)
 	if err != nil {
 		return nil, err

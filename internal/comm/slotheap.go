@@ -2,15 +2,16 @@ package comm
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"msgroofline/internal/runtime"
 )
 
 // slotHeap is a rank's symmetric heap on the transports that keep it
-// in this package (stream-triggered, memory-channel): a data region
-// [0, sigBase) followed by signal words [sigBase, size). The signal
-// words exist from the start. In streamed-delivery mode the data
-// region is allocated only when a real payload lands or something
+// in this package (stream-triggered and memory-channel, see offloadT):
+// a data region [0, sigBase) followed by signal words [sigBase, size).
+// The signal words exist from the start. In streamed-delivery mode the
+// data region is allocated only when a real payload lands or something
 // reads or writes it directly, so a sweep that moves blank payloads
 // (runtime.Blank) never holds its n×b slot memory. Until then every
 // data byte is zero, which is exactly what a fresh heap holds.
@@ -24,32 +25,36 @@ type slotHeap struct {
 	sig           []byte // signal words; aliases mem[sigBase:] once mem exists
 }
 
-// newSlotHeap lays out one rank's heap for the spec's mode:
-// parity-double-buffered exchange slots, streamed-delivery slots, or a
-// flat shared heap. Every rank's heap has the same layout. Only the
+// heapLayout sizes one rank's symmetric heap for the spec's mode and
+// places its signal words at [sigBase, size): parity-double-buffered
+// exchange slots followed by 2 parities x K signals, streamed-delivery
+// slots followed by one signal per slot and 64 spare bytes, or a flat
+// shared heap with no signal words. Every rank's heap has the same
+// layout, on the slot-heap transports and on shmem alike.
+func heapLayout(spec Spec) (size, sigBase int) {
+	switch {
+	case spec.ExchangeSlots > 0:
+		sigBase = 2 * spec.ExchangeSlots * spec.SlotBytes
+		return sigBase + 2*spec.ExchangeSlots*8, sigBase
+	case spec.StreamSlots != nil:
+		maxSlots := slices.Max(spec.StreamSlots)
+		sigBase = spec.SlotBytes * maxSlots
+		return sigBase + 8*maxSlots + 64, sigBase
+	}
+	return spec.SharedBytes, spec.SharedBytes
+}
+
+// newSlotHeap lays out one rank's heap with heapLayout. Only the
 // streamed-delivery data region is allocated lazily; exchange epochs
 // and shared heaps hand their bytes out directly.
 func newSlotHeap(spec Spec) *slotHeap {
-	var h *slotHeap
-	switch {
-	case spec.ExchangeSlots > 0:
-		sigBase := 2 * spec.ExchangeSlots * spec.SlotBytes
-		h = &slotHeap{size: sigBase + 2*spec.ExchangeSlots*8, sigBase: sigBase}
-	case spec.StreamSlots != nil:
-		maxSlots := 0
-		for _, n := range spec.StreamSlots {
-			if n > maxSlots {
-				maxSlots = n
-			}
-		}
-		sigBase := spec.SlotBytes * maxSlots
-		h = &slotHeap{size: sigBase + 8*maxSlots + 64, sigBase: sigBase}
-		h.sig = make([]byte, h.size-sigBase)
-		return h
-	default:
-		h = &slotHeap{size: spec.SharedBytes, sigBase: spec.SharedBytes}
+	size, sigBase := heapLayout(spec)
+	h := &slotHeap{size: size, sigBase: sigBase}
+	if spec.StreamSlots != nil {
+		h.sig = make([]byte, size-sigBase)
+	} else {
+		h.bytes()
 	}
-	h.bytes()
 	return h
 }
 

@@ -20,10 +20,7 @@ var lazyKinds = []struct {
 }
 
 func heapOf(tr Transport, rank int) *slotHeap {
-	switch t := tr.(type) {
-	case *streamT:
-		return t.pes[rank].heap
-	case *memChanT:
+	if t, ok := tr.(*offloadT); ok {
 		return t.pes[rank].heap
 	}
 	panic(fmt.Sprintf("comm: %T has no slot heap", tr))

@@ -14,6 +14,7 @@ import (
 	"msgroofline/internal/machine"
 	"msgroofline/internal/mpi"
 	"msgroofline/internal/netsim"
+	"msgroofline/internal/runtime"
 	"msgroofline/internal/shmem"
 	"msgroofline/internal/sim"
 	"msgroofline/internal/spmat"
@@ -694,7 +695,15 @@ func chanfifoRun(ch chaos) (outcome, error) {
 	if !ok {
 		return outcome{}, fmt.Errorf("chanfifo: transport does not expose its channels")
 	}
-	c := ins.Channels(0)[1]
+	var c *runtime.Channel
+	for _, oc := range ins.Channels(0) {
+		if oc.Dst() == 1 {
+			c = oc
+		}
+	}
+	if c == nil {
+		return outcome{}, fmt.Errorf("chanfifo: rank 0 opened no channel to rank 1")
+	}
 	if c.Sent() != cfSlots {
 		return outcome{}, fmt.Errorf("chanfifo: channel carried %d writes, want %d", c.Sent(), cfSlots)
 	}

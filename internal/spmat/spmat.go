@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Snode is one supernode: a contiguous column range [Begin, End).
@@ -187,7 +188,16 @@ func Generate(p Params) (*SupTri, error) {
 			}
 			seen[j] = true
 		}
+		// Draw the block values in ascending j: map order would hand
+		// each block different draws from run to run. Parents and
+		// Dependents come out sorted, since j ascends here and i
+		// ascends across supernodes.
+		js := make([]int, 0, len(seen))
 		for j := range seen {
+			js = append(js, j)
+		}
+		slices.Sort(js)
+		for _, j := range js {
 			m.Parents[i] = append(m.Parents[i], j)
 			m.Dependents[j] = append(m.Dependents[j], i)
 			si, sj := m.Snodes[i].Size(), m.Snodes[j].Size()
@@ -198,19 +208,7 @@ func Generate(p Params) (*SupTri, error) {
 			m.Blocks[[2]int{i, j}] = blk
 		}
 	}
-	for i := range m.Parents {
-		sortInts(m.Parents[i])
-		sortInts(m.Dependents[i])
-	}
 	return m, nil
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // NumSupernodes returns the supernode count.

@@ -3,6 +3,7 @@ package spmat
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -85,8 +86,14 @@ func TestDAGIsLowerTriangular(t *testing.T) {
 func TestDeterministicGeneration(t *testing.T) {
 	a := small(t)
 	b := small(t)
-	if a.NumSupernodes() != b.NumSupernodes() || a.Edges() != b.Edges() || a.NNZ() != b.NNZ() {
-		t.Fatal("generation not deterministic")
+	if !reflect.DeepEqual(a.Parents, b.Parents) {
+		t.Fatal("generation not deterministic: parents differ")
+	}
+	if !reflect.DeepEqual(a.Diag, b.Diag) {
+		t.Fatal("generation not deterministic: diagonal blocks differ")
+	}
+	if !reflect.DeepEqual(a.Blocks, b.Blocks) {
+		t.Fatal("generation not deterministic: off-diagonal block values differ")
 	}
 }
 

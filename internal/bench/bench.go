@@ -490,7 +490,7 @@ func measureShmemPutSignal(cfg *machine.Config, npes, n int, b int64, shards int
 	src, dst := farPair(npes)
 	var elapsed sim.Time
 	heap := int(b) + 8*n + 64
-	j, err := shmem.NewJobSharded(cfg, npes, heap, shards)
+	j, err := shmem.NewJobSharded(cfg, machine.GPUShmem, npes, heap, int(b), shards)
 	if err != nil {
 		return Point{}, 0, err
 	}

@@ -12,8 +12,8 @@
 //   - Notified: internal/mpi RMA with hardware put-with-signal
 //     (foMPI-style notified access, §V): one fused 2-op flight per
 //     delivery, no second flush round trip, no polling loop;
-//   - Shmem: internal/shmem NVSHMEM-style PGAS (put_signal_nbi,
-//     wait_until_*, device atomics, fork/join block contexts);
+//   - Shmem: NVSHMEM-style PGAS (put_signal_nbi, wait_until_*,
+//     device atomics, fork/join block contexts);
 //   - StreamTriggered: stream-triggered MPI — the host enqueues
 //     descriptors onto a simulated device stream (internal/gpu) and
 //     the trigger engine fires each at stream-dependency resolution:
@@ -24,10 +24,10 @@
 //     completion and quiet maps to channel drainage. A rank opens a
 //     channel on its first write to that destination.
 //
-// StreamTriggered and MemChannel share one implementation (offloadT):
-// the same slot heap, dissemination barrier, exchange, slot wait and
-// remote atomics, differing only in how a put leaves the host and in
-// what Quiet waits on.
+// The last three are one implementation (shmemT over the internal/shmem
+// PGAS core): the same lazy heap, dissemination barrier, exchange,
+// slot wait and remote atomics, differing only in how a put leaves
+// the host and in what Quiet waits on.
 //
 // The kernels in internal/{stencil,sptrsv,hashtable} are written once
 // against this interface; the transport is a table entry, not a
@@ -186,11 +186,10 @@ type Spec struct {
 	// NoTrace skips recorder creation and hook installation.
 	NoTrace bool
 
-	// DebugUnordered deliberately breaks the ordering contract of the
-	// transports that have one — StreamTriggered fires descriptors
-	// without waiting for stream predecessors, MemChannel bypasses the
-	// receive resequencer — so the conformance ordering oracles can
-	// prove they catch the violation. Never set outside tests.
+	// DebugUnordered deliberately breaks the ordering contract of
+	// StreamTriggered and MemChannel (see shmem.Job.SetDebugUnordered)
+	// so the conformance ordering oracles can prove they catch the
+	// violation. Never set outside tests.
 	DebugUnordered bool
 }
 
@@ -346,10 +345,8 @@ func New(spec Spec) (Transport, error) {
 		return newRMA(spec, false)
 	case Notified:
 		return newRMA(spec, true)
-	case Shmem:
+	case Shmem, StreamTriggered, MemChannel:
 		return newShmem(spec)
-	case StreamTriggered, MemChannel:
-		return newOffload(spec)
 	}
 	return nil, fmt.Errorf("comm: unknown transport kind %d", int(spec.Kind))
 }

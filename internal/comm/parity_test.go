@@ -41,6 +41,32 @@ func TestStencilParityAcrossTransports(t *testing.T) {
 	}
 }
 
+// TestStencilBlankHaloParity checks that a timing-only stencil run,
+// which sends blank halos, is indistinguishable in simulated time and
+// event order from a verified run that carries real grid data, on every
+// transport and at every shard count.
+func TestStencilBlankHaloParity(t *testing.T) {
+	for _, kind := range comm.Kinds() {
+		for _, shards := range []int{1, 2} {
+			var res [2]*stencil.Result
+			for i, verify := range []bool{false, true} {
+				r, err := stencil.Run(stencil.Config{
+					Machine: machineFor(t, kind), Transport: kind,
+					Grid: 48, Iters: 3, PX: 2, PY: 2, Verify: verify, Shards: shards,
+				})
+				if err != nil {
+					t.Fatalf("%s shards=%d verify=%v: %v", kind, shards, verify, err)
+				}
+				res[i] = r
+			}
+			if res[0].Elapsed != res[1].Elapsed || res[0].EventDigest != res[1].EventDigest {
+				t.Errorf("%s shards=%d: blank halos took %v (digest %#x), real halos %v (digest %#x)",
+					kind, shards, res[0].Elapsed, res[0].EventDigest, res[1].Elapsed, res[1].EventDigest)
+			}
+		}
+	}
+}
+
 func TestSptrsvParityAcrossTransports(t *testing.T) {
 	m, err := spmat.Generate(spmat.Params{N: 240, MeanSnode: 8, Fill: 1.2, Seed: 11})
 	if err != nil {

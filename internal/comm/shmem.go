@@ -1,14 +1,22 @@
 package comm
 
 import (
+	"slices"
+
+	"msgroofline/internal/gpu"
+	"msgroofline/internal/machine"
+	"msgroofline/internal/runtime"
 	"msgroofline/internal/shmem"
 	"msgroofline/internal/sim"
 )
 
-// shmemT delegates to the internal/shmem NVSHMEM-style PGAS stack:
-// put_signal_nbi delivery (k=2: payload and signal charged as one
-// fused 2-op flight), wait_until_* receivers, blocking device
-// atomics, and fork/join thread-block contexts.
+// shmemT serves the three PGAS transports from the internal/shmem
+// core: put-with-signal delivery (the signal word rides the payload
+// flight), wait_until_* receivers, blocking remote atomics, the
+// dissemination barrier, and fork/join thread-block contexts on Shmem.
+// The Job's machine.Transport decides how a put leaves the host:
+// device-initiated on Shmem (k=2 per fused put), a stream-triggered
+// descriptor on StreamTriggered, a channel write on MemChannel.
 type shmemT struct {
 	base
 	j *shmem.Job
@@ -17,12 +25,39 @@ type shmemT struct {
 	sigBase int
 }
 
+// pgasTransports maps each PGAS Kind to the machine transport its
+// puts leave the host on.
+var pgasTransports = map[Kind]machine.Transport{
+	Shmem:           machine.GPUShmem,
+	StreamTriggered: machine.StreamTriggered,
+	MemChannel:      machine.MemChannel,
+}
+
+// heapLayout sizes one rank's symmetric heap for the spec's mode and
+// places its signal words at [sigBase, size): parity-double-buffered
+// exchange slots followed by 2 parities x K signals, streamed-delivery
+// slots followed by one signal per slot and 64 spare bytes, or a flat
+// shared heap with no signal words.
+func heapLayout(spec Spec) (size, sigBase int) {
+	switch {
+	case spec.ExchangeSlots > 0:
+		sigBase = 2 * spec.ExchangeSlots * spec.SlotBytes
+		return sigBase + 2*spec.ExchangeSlots*8, sigBase
+	case spec.StreamSlots != nil:
+		maxSlots := slices.Max(spec.StreamSlots)
+		sigBase = spec.SlotBytes * maxSlots
+		return sigBase + 8*maxSlots + 64, sigBase
+	}
+	return spec.SharedBytes, spec.SharedBytes
+}
+
 func newShmem(spec Spec) (*shmemT, error) {
 	heap, sigBase := heapLayout(spec)
-	j, err := shmem.NewJobSharded(spec.Machine, spec.Ranks, heap, spec.Shards)
+	j, err := shmem.NewJobSharded(spec.Machine, pgasTransports[spec.Kind], spec.Ranks, heap, sigBase, spec.Shards)
 	if err != nil {
 		return nil, err
 	}
+	j.SetDebugUnordered(spec.DebugUnordered)
 	spec.applyChaos(j.World(), j.World().Inst.Net)
 	t := &shmemT{base: base{spec: spec}, j: j, sigBase: sigBase}
 	if hook := t.attachTrace(); hook != nil {
@@ -31,12 +66,20 @@ func newShmem(spec Spec) (*shmemT, error) {
 	return t, nil
 }
 
-func (t *shmemT) Kind() Kind        { return Shmem }
+func (t *shmemT) Kind() Kind        { return t.spec.Kind }
 func (t *shmemT) Caps() Caps        { return Caps{Atomics: true, Fused: true} }
 func (t *shmemT) Digest() uint64    { return t.j.Digest() }
 func (t *shmemT) Elapsed() sim.Time { return t.j.Elapsed() }
 
 func (t *shmemT) SharedBytes(pe int) []byte { return t.j.PE(pe).Heap() }
+
+// Stream exposes a rank's device stream (nil unless StreamTriggered)
+// for the conformance stream-ordering oracle (StreamInspector).
+func (t *shmemT) Stream(rank int) *gpu.Stream { return t.j.PE(rank).Stream() }
+
+// Channels exposes the channels a rank has written to, in destination
+// order, for the conformance channel-FIFO oracle (ChannelInspector).
+func (t *shmemT) Channels(rank int) []*runtime.Channel { return t.j.PE(rank).Channels() }
 
 func (t *shmemT) AtomicCount() int64 {
 	var total int64
@@ -107,8 +150,7 @@ func (e *shEp) Exchange(epoch int, sends []Msg, recvs []Expect) [][]byte {
 	return out
 }
 
-// Deliver is one nvshmem put-with-signal: payload and signal in one
-// fused nonblocking operation (k=2).
+// Deliver is one fused put-with-signal (k=2 on Shmem).
 func (e *shEp) Deliver(peer, slot int, data []byte) {
 	stride := e.t.spec.SlotBytes
 	e.c.PutSignalNBI(peer, slot*stride, data, e.t.sigBase+8*slot, 1)
@@ -120,7 +162,7 @@ func (e *shEp) WaitAnySlot() (int, []byte) {
 	e.mask[i] = true
 	e.t.sync()
 	stride := e.t.spec.SlotBytes
-	return i, e.c.PE().Heap()[i*stride : (i+1)*stride]
+	return i, e.c.PE().View(i*stride, stride)
 }
 
 func (e *shEp) CAS(peer, off int, compare, swap uint64) uint64 {
@@ -131,23 +173,38 @@ func (e *shEp) FetchAdd(peer, off int, delta uint64) uint64 {
 	return e.c.AtomicFetchAdd(peer, off, delta)
 }
 
-// FlushLocal is a no-op: blocking device atomics are complete when
-// they return, with no separate local-completion op to charge.
+// FlushLocal is a no-op: puts complete by quiet, stream or channel
+// order without a local-completion op, and atomics block.
 func (e *shEp) FlushLocal(int) {}
 
-func (e *shEp) Lanes(want int) int { return want }
+// Lanes is want on Shmem (GPU thread-block contexts) and 1 on the two
+// offload paths, whose puts serialize through the rank's single device
+// stream or per-destination byte streams.
+func (e *shEp) Lanes(want int) int {
+	if e.t.spec.Kind == Shmem {
+		return want
+	}
+	return 1
+}
 
-// ForkJoin spreads body over lanes concurrent thread-block contexts.
+// ForkJoin spreads body over lanes concurrent thread-block contexts on
+// Shmem and runs it inline on the offload paths.
 func (e *shEp) ForkJoin(lanes int, body func(Endpoint, int)) {
+	if e.t.spec.Kind != Shmem {
+		for i := 0; i < lanes; i++ {
+			body(e, i)
+		}
+		return
+	}
 	e.c.ForkJoin(lanes, func(blk *shmem.Ctx, bi int) {
 		body(&shEp{t: e.t, c: blk, mask: e.mask, sigs: e.sigs}, bi)
 	})
 }
 
 func (e *shEp) BcastPut([]byte) {
-	panic("comm: shmem updates remotely with atomics (gate on Caps().Atomics)")
+	panic("comm: " + e.t.spec.Kind.String() + " updates remotely with atomics (gate on Caps().Atomics)")
 }
 
 func (e *shEp) CollectPuts() [][]byte {
-	panic("comm: shmem updates remotely with atomics (gate on Caps().Atomics)")
+	panic("comm: " + e.t.spec.Kind.String() + " updates remotely with atomics (gate on Caps().Atomics)")
 }

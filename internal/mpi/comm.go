@@ -229,7 +229,7 @@ func (r *Rank) Barrier() {
 		tag := barrierTagBase - (seq*64+round)%barrierTagSpan
 		dst := (r.id + k) % p
 		src := (r.id - k + p) % p
-		r.Isend(dst, tag, []byte{1})
+		r.Isend(dst, tag, runtime.Blank(1))
 		r.Recv(src, tag)
 		round++
 	}

@@ -1,10 +1,32 @@
-// Package shmem provides a simulated NVSHMEM-style PGAS layer for the
-// GPU machines: a symmetric heap per PE, device-initiated nonblocking
-// puts, the fused put-with-signal operation the paper's GPU codes use
-// (nvshmem_double_put_signal_nbi), signal waiting
-// (wait_until_all / wait_until_any), remote atomics
+// Package shmem is the simulator's one PGAS core, modeled on NVSHMEM:
+// a symmetric heap per PE, nonblocking puts, the fused put-with-signal
+// operation the paper's GPU codes use (nvshmem_double_put_signal_nbi),
+// signal waiting (wait_until_all / wait_until_any), remote atomics
 // (compare-and-swap, fetch-and-add), quiet, and a dissemination
 // barrier. Ring collectives live in the separate internal/ccl layer.
+//
+// One implementation serves three issue paths, chosen by the
+// machine.Transport a Job is built on. They differ only in how a put
+// leaves the host and in what Quiet waits on:
+//
+//   - GPUShmem: device-initiated puts, 1 op per put and 2 per fused
+//     put-with-signal; Quiet charges one op.
+//   - StreamTriggered (Bridges et al.): every put is a descriptor the
+//     host enqueues onto the PE's gpu.Stream for OpsPerMsg tiny
+//     enqueue ops, and the trigger engine fires it once its stream
+//     predecessor has completed; the put hook records the fire as the
+//     issue time. Tiny o at enqueue, TriggerLatency added to every
+//     message's latency. Quiet charges one op and waits for every
+//     descriptor to fire and deliver.
+//   - MemChannel (RAMC, Schonbein et al.): every put is a write into
+//     the ordered runtime.Channel toward its destination, opened on
+//     the first write and charging its own op. The channel applies a
+//     write only after every earlier one on it, so ordering replaces
+//     per-op completion and makes the signal correct; Quiet drains the
+//     PE's channels in destination order.
+//
+// Heaps are lazy: the data region below the signal words is allocated
+// on first real use, so runs that move blank payloads never hold it.
 //
 // GPU execution is modeled with contexts (Ctx): every PE gets one
 // kernel context, and ForkJoin spawns additional block contexts so
@@ -13,22 +35,29 @@
 package shmem
 
 import (
-	"encoding/binary"
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 
+	"msgroofline/internal/gpu"
 	"msgroofline/internal/machine"
 	"msgroofline/internal/runtime"
 	"msgroofline/internal/sim"
 )
 
-// Job is one SHMEM program: npes PEs with symmetric heaps on a GPU
-// machine.
+// Job is one SHMEM program: npes PEs with symmetric heaps, issuing
+// puts over one PGAS transport.
 type Job struct {
 	world *runtime.World
+	tr    machine.Transport
 	tp    machine.TransportParams
 	pes   []*PE
 	// putHook, when set, observes every user put at delivery time.
 	putHook PutHook
+	// unordered is copied into every channel a PE opens (see
+	// SetDebugUnordered).
+	unordered bool
 }
 
 // PutHook observes a put: source PE, destination PE, payload size
@@ -39,44 +68,75 @@ type PutHook func(src, dst int, bytes int64, issue, deliver sim.Time)
 // barrier traffic excluded). Call before Launch.
 func (j *Job) SetPutHook(h PutHook) { j.putHook = h }
 
-// NewJob builds a SHMEM job with npes PEs, each exposing heapBytes of
-// symmetric memory. The machine must provide the GPUShmem transport.
+// NewJob builds a GPU shmem job with npes PEs, each exposing heapBytes
+// of symmetric memory. The machine must provide the GPUShmem transport.
 func NewJob(cfg *machine.Config, npes, heapBytes int) (*Job, error) {
-	return NewJobSharded(cfg, npes, heapBytes, 1)
+	return NewJobSharded(cfg, machine.GPUShmem, npes, heapBytes, heapBytes, 1)
 }
 
-// NewJobSharded is NewJob with a -shards worker count for the
-// underlying world (see runtime.NewWorldSharded: PEs are grouped by
-// fabric node on the coupled conservative-lookahead engine, and
-// shards sets how many node groups execute concurrently; results are
-// byte-identical at every shard count).
-func NewJobSharded(cfg *machine.Config, npes, heapBytes, shards int) (*Job, error) {
-	tp, ok := cfg.Params(machine.GPUShmem)
-	if !ok {
-		return nil, fmt.Errorf("shmem: machine %s has no GPU-initiated transport", cfg.Name)
+// NewJobSharded builds a job whose puts leave the host over tr
+// (GPUShmem, StreamTriggered or MemChannel). Each PE's heap holds
+// heapBytes, with its signal words at [sigBase, heapBytes): they never
+// force the lazy data region below them into existence. shards is the
+// -shards worker count for the underlying world (see
+// runtime.NewWorldSharded: PEs are grouped by fabric node on the
+// coupled conservative-lookahead engine, and shards sets how many node
+// groups execute concurrently; results are byte-identical at every
+// shard count).
+func NewJobSharded(cfg *machine.Config, tr machine.Transport, npes, heapBytes, sigBase, shards int) (*Job, error) {
+	switch tr {
+	case machine.GPUShmem, machine.StreamTriggered, machine.MemChannel:
+	default:
+		return nil, fmt.Errorf("shmem: %s is not a PGAS transport", tr)
 	}
 	if heapBytes < 0 {
 		return nil, fmt.Errorf("shmem: negative heap size")
+	}
+	if sigBase < 0 || sigBase > heapBytes {
+		return nil, fmt.Errorf("shmem: signal offset %d outside a %d-byte heap", sigBase, heapBytes)
+	}
+	tp, ok := cfg.Params(tr)
+	if !ok {
+		return nil, fmt.Errorf("shmem: machine %s has no %s transport", cfg.Name, tr)
 	}
 	w, err := runtime.NewWorldSharded(cfg, npes, shards)
 	if err != nil {
 		return nil, err
 	}
-	j := &Job{world: w, tp: tp}
+	j := &Job{world: w, tr: tr, tp: tp}
 	for pe := 0; pe < npes; pe++ {
 		eng := w.EngineOf(pe)
-		j.pes = append(j.pes, &PE{
+		p := &PE{
 			job:      j,
 			id:       pe,
 			ep:       w.Endpoint(pe),
-			heap:     make([]byte, heapBytes),
+			heap:     newHeap(heapBytes, sigBase),
 			landed:   sim.NewCond(eng),
 			quiesced: sim.NewCond(eng),
-			barSig:   make([]uint64, 64),
+			barSig:   make([]uint64, bits.Len(uint(npes-1))),
 			barCond:  sim.NewCond(eng),
-		})
+		}
+		if tr == machine.StreamTriggered {
+			p.stream = gpu.NewStream(tp.TriggerLatency)
+		}
+		j.pes = append(j.pes, p)
 	}
 	return j, nil
+}
+
+// SetDebugUnordered deliberately breaks the ordering contract of the
+// issue paths that have one: stream-triggered descriptors fire without
+// waiting for their stream predecessors, and memory channels bypass
+// the receive resequencer. It exists so the conformance ordering
+// oracles can prove they catch the violation; never set it outside
+// tests. Call before Launch.
+func (j *Job) SetDebugUnordered(v bool) {
+	j.unordered = v
+	for _, pe := range j.pes {
+		if pe.stream != nil {
+			pe.stream.SetUnordered(v)
+		}
+	}
 }
 
 // NPEs returns the number of PEs.
@@ -107,18 +167,27 @@ func (j *Job) Launch(body func(c *Ctx)) error {
 	return j.world.Run()
 }
 
-// PE is one processing element (a GPU) with its symmetric heap.
+// PE is one processing element with its symmetric heap.
 type PE struct {
 	job  *Job
 	id   int
 	ep   *runtime.Endpoint
-	heap []byte
+	heap heap
+	// stream is the PE's device stream on StreamTriggered, nil
+	// otherwise.
+	stream *gpu.Stream
+	// chans holds the MemChannel channels this PE has written to,
+	// sorted by Dst().
+	chans []*runtime.Channel
 
-	outstanding int       // device-initiated puts not yet delivered
+	// outstanding counts injections not yet remotely complete: puts
+	// and barrier signals (channel writes are tracked by their
+	// channels).
+	outstanding int
 	landed      *sim.Cond // signaled when data lands in this PE's heap
 	quiesced    *sim.Cond // signaled when one of this PE's puts completes
 
-	barSig  []uint64 // internal barrier signal slots (per round)
+	barSig  []uint64 // barrier generation seen per dissemination round
 	barCond *sim.Cond
 	barSeq  int
 
@@ -128,24 +197,37 @@ type PE struct {
 // ID returns the PE number.
 func (pe *PE) ID() int { return pe.id }
 
-// Heap returns the PE's symmetric heap for direct local access.
-func (pe *PE) Heap() []byte { return pe.heap }
+// Heap returns the PE's symmetric heap for direct local access,
+// allocating its data region if nothing has yet.
+func (pe *PE) Heap() []byte { return pe.heap.bytes() }
+
+// View returns heap bytes [off, off+n) for reading. While the data
+// region is still unallocated they are all zero and come back as the
+// read-only zero view of runtime.Blank.
+func (pe *PE) View(off, n int) []byte { return pe.heap.view(off, n) }
 
 // Uint64At reads a little-endian uint64 at off in the local heap.
-func (pe *PE) Uint64At(off int) uint64 {
-	return binary.LittleEndian.Uint64(pe.heap[off : off+8])
-}
+func (pe *PE) Uint64At(off int) uint64 { return pe.heap.load(off) }
 
 // SetUint64At writes a little-endian uint64 at off in the local heap.
-func (pe *PE) SetUint64At(off int, v uint64) {
-	binary.LittleEndian.PutUint64(pe.heap[off:off+8], v)
-}
+func (pe *PE) SetUint64At(off int, v uint64) { pe.heap.store(off, v) }
+
+// Stream returns the PE's device stream on StreamTriggered (nil
+// otherwise), whose enqueue/ready/fire log feeds the conformance
+// stream-ordering oracle.
+func (pe *PE) Stream() *gpu.Stream { return pe.stream }
+
+// Channels returns the memory channels this PE has written to, in
+// destination order, whose arrival logs feed the conformance
+// channel-FIFO oracle.
+func (pe *PE) Channels() []*runtime.Channel { return pe.chans }
 
 // OpStats returns cumulative put and atomic counts for this PE.
 func (pe *PE) OpStats() (puts, atomics int64) { return pe.puts, pe.atomics }
 
-// Outstanding returns the number of this PE's puts still in flight
-// (conformance oracles check it is zero after Quiet and at exit).
+// Outstanding returns the number of this PE's injections still in
+// flight, channel writes excepted (conformance oracles check it is zero
+// after Quiet and at exit).
 func (pe *PE) Outstanding() int { return pe.outstanding }
 
 // Ctx is an execution context: the kernel main context created by
@@ -199,14 +281,14 @@ func (c *Ctx) ForkJoin(n int, body func(blk *Ctx, i int)) {
 // PutNBI starts a nonblocking put of data into dst's heap at dstOff
 // (nvshmem_putmem_nbi). Completion is observed via Quiet.
 func (c *Ctx) PutNBI(dst, dstOff int, data []byte) {
-	c.putNBIOn(dst, dstOff, data, -1, 0, c.pe.ep.AutoChannel(), 1)
+	c.putNBIOn(dst, dstOff, data, -1, 0, -1, 1)
 }
 
 // PutSignalNBI is the fused put-with-signal
 // (nvshmem_double_put_signal_nbi): data lands at dstOff, then the
 // uint64 signal at sigOff is set to sigVal, ordered after the data.
 func (c *Ctx) PutSignalNBI(dst, dstOff int, data []byte, sigOff int, sigVal uint64) {
-	c.putNBIOn(dst, dstOff, data, sigOff, sigVal, c.pe.ep.AutoChannel(), 2)
+	c.putNBIOn(dst, dstOff, data, sigOff, sigVal, -1, 2)
 }
 
 // PutSignalNBICh is PutSignalNBI pinned to an injection channel, used
@@ -216,6 +298,10 @@ func (c *Ctx) PutSignalNBICh(dst, dstOff int, data []byte, sigOff int, sigVal ui
 	c.putNBIOn(dst, dstOff, data, sigOff, sigVal, ch, 2)
 }
 
+// putNBIOn issues one put, fused with a signal when sigOff >= 0 (the
+// signal word rides the payload flight), on injection channel ch (< 0
+// picks the next one round-robin). GPUShmem charges ops device ops;
+// the other issue paths charge their own (see the package doc).
 func (c *Ctx) putNBIOn(dst, dstOff int, data []byte, sigOff int, sigVal uint64, ch, ops int) {
 	pe := c.pe
 	job := pe.job
@@ -223,47 +309,101 @@ func (c *Ctx) putNBIOn(dst, dstOff int, data []byte, sigOff int, sigVal uint64, 
 		panic(fmt.Sprintf("shmem: put to invalid PE %d", dst))
 	}
 	target := job.pes[dst]
-	if dstOff < 0 || dstOff+len(data) > len(target.heap) {
+	if dstOff < 0 || dstOff+len(data) > target.heap.size {
 		panic(fmt.Sprintf("shmem: put [%d,%d) outside PE %d heap (%d bytes)",
-			dstOff, dstOff+len(data), dst, len(target.heap)))
+			dstOff, dstOff+len(data), dst, target.heap.size))
 	}
-	if sigOff >= 0 && sigOff+8 > len(target.heap) {
+	if sigOff >= 0 && sigOff+8 > target.heap.size {
 		panic(fmt.Sprintf("shmem: signal offset %d outside PE %d heap", sigOff, dst))
 	}
-	// The fused operation charges both the put and the signal issue.
+	switch job.tr {
+	case machine.GPUShmem:
+		// A device put takes its channel at issue, before its ops: block
+		// contexts charged concurrently keep their issue order on the
+		// channels. The offload paths take theirs as the put leaves.
+		if ch < 0 {
+			ch = pe.ep.AutoChannel()
+		}
+	case machine.StreamTriggered:
+		ops = job.tp.OpsPerMsg
+	case machine.MemChannel:
+		ops = 0
+	}
 	for i := 0; i < ops; i++ {
 		pe.ep.ChargeOp(c.proc, job.tp)
+	}
+	issue := c.proc.Now()
+	if pe.stream != nil {
+		issue = pe.stream.Enqueue(issue)
 	}
 	buf := runtime.Stage(data)
 	bytes := int64(len(data))
 	if sigOff >= 0 {
-		bytes += 8 // the signal word rides the same message
+		bytes += 8
 	}
-	pe.outstanding++
 	pe.puts++
-	issue := c.proc.Now()
+	if ch < 0 {
+		ch = pe.ep.AutoChannel()
+	}
 	// Split delivery: heap write, signal word, hook and target wake on
 	// the target PE's engine; completion accounting on this PE's.
-	pe.ep.Inject(job.tp, dst, bytes, ch, func(at sim.Time) {
-		runtime.Land(target.heap[dstOff:], buf)
+	deliver := func(at sim.Time) {
+		target.heap.land(dstOff, buf)
 		if sigOff >= 0 {
-			target.SetUint64At(sigOff, sigVal)
+			target.heap.store(sigOff, sigVal)
 		}
 		if job.putHook != nil {
 			job.putHook(pe.id, dst, bytes, issue, at)
 		}
 		target.landed.Broadcast()
-	}, func(at sim.Time) {
-		pe.outstanding--
-		pe.quiesced.Broadcast()
+	}
+	switch job.tr {
+	case machine.MemChannel:
+		pe.channel(dst).Send(c.proc, bytes, ch, deliver)
+	case machine.StreamTriggered:
+		pe.outstanding++
+		c.proc.Engine().At(issue, func() {
+			pe.ep.Inject(job.tp, dst, bytes, ch, deliver, pe.completed)
+		})
+	default:
+		pe.outstanding++
+		pe.ep.Inject(job.tp, dst, bytes, ch, deliver, pe.completed)
+	}
+}
+
+// channel returns this PE's memory channel toward dst, opening it on
+// the first write.
+func (pe *PE) channel(dst int) *runtime.Channel {
+	i, found := slices.BinarySearchFunc(pe.chans, dst, func(c *runtime.Channel, dst int) int {
+		return cmp.Compare(c.Dst(), dst)
 	})
+	if !found {
+		c := runtime.NewChannel(pe.ep, dst, pe.job.tp)
+		c.SetUnordered(pe.job.unordered)
+		pe.chans = slices.Insert(pe.chans, i, c)
+	}
+	return pe.chans[i]
+}
+
+// completed retires one outstanding injection at its remote completion.
+func (pe *PE) completed(sim.Time) {
+	pe.outstanding--
+	pe.quiesced.Broadcast()
 }
 
 // Quiet blocks until all puts issued by this PE have completed
-// remotely (nvshmem_quiet).
+// remotely (nvshmem_quiet). GPUShmem and StreamTriggered charge one op;
+// MemChannel drains its channels in destination order, the transport's
+// native fence.
 func (c *Ctx) Quiet() {
-	c.pe.ep.ChargeOp(c.proc, c.pe.job.tp)
-	c.pe.quiesced.WaitFor(c.proc, func() bool { return c.pe.outstanding == 0 })
+	pe := c.pe
+	if pe.job.tr != machine.MemChannel {
+		pe.ep.ChargeOp(c.proc, pe.job.tp)
+	}
+	for _, ch := range pe.chans {
+		ch.Drain(c.proc)
+	}
+	pe.quiesced.WaitFor(c.proc, func() bool { return pe.outstanding == 0 })
 }
 
 // WaitUntilAll blocks until every listed local signal slot equals
@@ -328,35 +468,29 @@ func (c *Ctx) AtomicFetchAdd(dst, off int, delta uint64) uint64 {
 }
 
 // Barrier synchronizes all PEs (nvshmem_barrier_all): quiet, then a
-// dissemination exchange over internal signal slots, paying
-// log2(NPEs) small-message latencies.
+// dissemination exchange of raw 8-byte injections (outside any stream
+// or channel, not traced), paying log2(NPEs) small-message latencies.
+//
+// Round r has exactly one sender, PE me-2^r, so barSig[r] holds the
+// newest barrier generation that sender has signalled. A signal is
+// stored as a maximum: the sender only reaches barrier b+1 after
+// finishing barrier b, so a newer generation also vouches for every
+// older one, and a late signal of an older barrier never lowers it.
 func (c *Ctx) Barrier() {
 	c.Quiet()
-	n := c.NPEs()
-	if n == 1 {
-		return
-	}
 	pe := c.pe
 	job := pe.job
-	seq := pe.barSeq
+	n := job.NPEs()
 	pe.barSeq++
-	round := 0
-	for k := 1; k < n; k <<= 1 {
+	gen := uint64(pe.barSeq)
+	for r, k := 0, 1; k < n; r, k = r+1, k<<1 {
 		dst := job.pes[(pe.id+k)%n]
-		slot := (seq*8 + round) % len(dst.barSig)
-		gen := uint64(seq + 1)
-		// Tiny internal message carrying the round signal.
 		pe.ep.ChargeOp(c.proc, job.tp)
 		pe.outstanding++
-		pe.ep.Inject(job.tp, dst.id, 8, pe.ep.AutoChannel(), func(at sim.Time) {
-			dst.barSig[slot] = gen
+		pe.ep.Inject(job.tp, dst.id, 8, pe.ep.AutoChannel(), func(sim.Time) {
+			dst.barSig[r] = max(dst.barSig[r], gen)
 			dst.barCond.Broadcast()
-		}, func(at sim.Time) {
-			pe.outstanding--
-			pe.quiesced.Broadcast()
-		})
-		mySlot := (seq*8 + round) % len(pe.barSig)
-		pe.barCond.WaitFor(c.proc, func() bool { return pe.barSig[mySlot] >= uint64(seq+1) })
-		round++
+		}, pe.completed)
+		pe.barCond.WaitFor(c.proc, func() bool { return pe.barSig[r] >= gen })
 	}
 }

@@ -2,6 +2,7 @@ package shmem
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"msgroofline/internal/machine"
@@ -25,6 +26,38 @@ func TestNewJobRequiresGPU(t *testing.T) {
 	cfg, _ := machine.Get("perlmutter-cpu")
 	if _, err := NewJob(cfg, 2, 64); err == nil {
 		t.Fatal("CPU machine should not offer GPU shmem")
+	}
+}
+
+// TestNewJobShardedValidation checks that a job is refused unless it
+// names a PGAS transport the machine calibrates and a heap whose signal
+// words lie inside it.
+func TestNewJobShardedValidation(t *testing.T) {
+	cpu, _ := machine.Get("perlmutter-cpu")
+	gpu, _ := machine.Get("perlmutter-gpu")
+	for _, tc := range []struct {
+		name          string
+		cfg           *machine.Config
+		tr            machine.Transport
+		heap, sigBase int
+	}{
+		{"non-PGAS transport", cpu, machine.TwoSided, 64, 64},
+		{"signals past the heap", gpu, machine.GPUShmem, 64, 72},
+		{"negative signal offset", gpu, machine.GPUShmem, 64, -8},
+		{"negative heap size", gpu, machine.GPUShmem, -8, 0},
+		{"GPU shmem on a CPU machine", cpu, machine.GPUShmem, 64, 64},
+	} {
+		if _, err := NewJobSharded(tc.cfg, tc.tr, 2, tc.heap, tc.sigBase, 1); err == nil {
+			t.Errorf("%s: NewJobSharded accepted it", tc.name)
+		}
+	}
+	for _, tr := range []machine.Transport{machine.StreamTriggered, machine.GPUShmem} {
+		if _, err := NewJobSharded(gpu, tr, 2, 64, 32, 1); err != nil {
+			t.Errorf("%s on perlmutter-gpu: %v", tr, err)
+		}
+	}
+	if _, err := NewJobSharded(cpu, machine.MemChannel, 2, 64, 0, 1); err != nil {
+		t.Errorf("memchannel on perlmutter-cpu: %v", err)
 	}
 }
 
@@ -220,6 +253,45 @@ func TestRepeatedBarriers(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBarrierBackToBackAbove256 runs 4 back-to-back barriers on a
+// 300-rank memory-channel world, which has 9 dissemination rounds,
+// with a different rank-dependent skew before each. Signals of
+// consecutive barriers must not collide (they once shared slots and
+// deadlocked above 256 ranks), and no rank may leave barrier b before
+// the last rank entered it.
+func TestBarrierBackToBackAbove256(t *testing.T) {
+	const npes, barriers = 300, 4
+	cfg, err := machine.Get("dragonfly-1k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := NewJobSharded(cfg, machine.MemChannel, npes, 64, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var enter, leave [barriers][npes]sim.Time
+	err = j.Launch(func(c *Ctx) {
+		me := c.MyPE()
+		for b := 0; b < barriers; b++ {
+			c.Compute(sim.FromNanoseconds(float64((me*37+b*101)%293) * 20))
+			enter[b][me] = c.Now()
+			c.Barrier()
+			leave[b][me] = c.Now()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < barriers; b++ {
+		last := slices.Max(enter[b][:])
+		for pe, at := range leave[b] {
+			if at < last {
+				t.Fatalf("barrier %d: PE %d left at %v before the last PE entered at %v", b, pe, at, last)
+			}
+		}
 	}
 }
 

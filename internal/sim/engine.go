@@ -545,9 +545,19 @@ type DeadlockError struct {
 	Parked []string // process names, sorted
 }
 
+// deadlockNames is how many parked process names Error prints; the
+// rest are counted, so a deadlocked 10K-rank world stays one short line.
+const deadlockNames = 8
+
 func (d *DeadlockError) Error() string {
-	return fmt.Sprintf("sim: deadlock at t=%v: %d process(es) parked forever: %v",
-		d.Time, len(d.Parked), d.Parked)
+	names := d.Parked
+	more := ""
+	if len(names) > deadlockNames {
+		names = names[:deadlockNames]
+		more = fmt.Sprintf(" and %d more", len(d.Parked)-deadlockNames)
+	}
+	return fmt.Sprintf("sim: deadlock at t=%v: %d process(es) parked forever: %v%s",
+		d.Time, len(d.Parked), names, more)
 }
 
 func (e *Engine) deadlock() error {

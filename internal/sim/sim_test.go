@@ -2,8 +2,10 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -438,6 +440,23 @@ func TestDeadlockErrorMessage(t *testing.T) {
 	}
 	if c.n != 1 {
 		t.Fatalf("%d waiters parked, want 1", c.n)
+	}
+
+	// A large deadlock names only the first few processes in sorted
+	// order and counts the rest; Parked keeps every name.
+	e = NewEngine()
+	c = NewCond(e)
+	for i := 0; i < 20; i++ {
+		e.Spawn(fmt.Sprintf("p%02d", i), func(p *Proc) { c.Wait(p) })
+	}
+	err = e.Run()
+	var d *DeadlockError
+	if !errors.As(err, &d) || len(d.Parked) != 20 {
+		t.Fatalf("want a DeadlockError with 20 parked processes, got %v", err)
+	}
+	want := "20 process(es) parked forever: [p00 p01 p02 p03 p04 p05 p06 p07] and 12 more"
+	if !strings.HasSuffix(err.Error(), want) {
+		t.Fatalf("deadlock message %q, want suffix %q", err.Error(), want)
 	}
 }
 

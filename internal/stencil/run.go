@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"msgroofline/internal/comm"
+	"msgroofline/internal/runtime"
 	"msgroofline/internal/sim"
 	"msgroofline/internal/trace"
 )
@@ -81,7 +82,9 @@ func Run(cfg Config) (*Result, error) {
 				if cfg.Verify {
 					payload = encodeFloats(tl.extract(dir))
 				} else {
-					payload = make([]byte, l.haloBytes(dir))
+					// Timing-only runs move no halo data: a blank
+					// payload stages nothing and lands nothing.
+					payload = runtime.Blank(int(l.haloBytes(dir)))
 				}
 				// My dir-halo lands in the neighbor's opposite slot.
 				sends = append(sends, comm.Msg{Peer: nb, Slot: opposite(dir), Data: payload})

@@ -48,6 +48,11 @@ type UsageSummary struct {
 	ExecWall    time.Duration
 	BarrierWall time.Duration
 	ScanWall    time.Duration
+	// Deliveries counts the events barrier ops scheduled on node
+	// groups, and ParDeliveries those the window worker pool applied
+	// (see sim.CoupledEngine.Deliveries).
+	Deliveries    uint64
+	ParDeliveries uint64
 }
 
 var (
@@ -86,6 +91,9 @@ func noteUsage(w *World) {
 	usage.ExecWall += exec
 	usage.BarrierWall += barrier
 	usage.ScanWall += scan
+	all, par := w.eng.Deliveries()
+	usage.Deliveries += all
+	usage.ParDeliveries += par
 }
 
 // Usage returns a copy of the process-wide shard-utilization tally.

@@ -11,10 +11,10 @@ package sim
 // (same node ⟺ stateless shared-memory delivery), each group owns a
 // private Engine, and every window executes each group's events in
 // [minNext, minNext+lookahead) — in parallel across up to `workers`
-// persistent pool workers — before a single-threaded barrier applies
-// the window's deferred cross-group operations. A cross-group effect
-// emitted inside a window lands at least `lookahead` later, so it can
-// never fall into its sender's own window.
+// persistent pool workers — before a barrier applies the window's
+// deferred cross-group operations. A cross-group effect emitted
+// inside a window lands at least `lookahead` later, so it can never
+// fall into its sender's own window.
 //
 // The window loop is built to scale to thousands of mostly-idle
 // groups (a 10K-rank dragonfly decomposes into 1024 node groups, of
@@ -30,11 +30,13 @@ package sim
 //     clock reads, and the deferred-op scan entirely;
 //   - an incremental 4-ary tournament tree (mintree.go) over per-group
 //     NextAt values replaces the O(G) min scan per window — only
-//     groups that executed or received barrier ops re-publish;
-//   - the barrier gathers only the candidate groups' deferred ops into
-//     one flat batch, reused across windows, and sorts it once: a
-//     round's per-group runs are almost all one op long, so a k-way
-//     merge over them costs more than the contiguous sort.
+//     groups that executed (read by their workers) or received
+//     barrier ops re-publish;
+//   - each worker moves its groups' mailboxes into one run and sorts
+//     it, so the barrier merges one sorted run per worker;
+//   - the barrier runs its ops one at a time but buffers the events
+//     they schedule (At) and, in large rounds, applies them on the
+//     pool, split by target group.
 //
 // Cross-group effects never mutate a peer group's state mid-window.
 // They are expressed one of two ways:
@@ -109,6 +111,14 @@ type deferredOp struct {
 	run func()
 }
 
+// delivery is one barrier-time At on group g's engine; once applied, t
+// is the event's own time (the clamp or perturbation jitter may move it).
+type delivery struct {
+	g  int32
+	t  Time
+	fn func()
+}
+
 // CoupledEngine couples per-node-group sequential Engines under
 // conservative windows. Construct with NewCoupled, spawn processes on
 // the group engines (EngineOf), then Run exactly once.
@@ -142,24 +152,35 @@ type CoupledEngine struct {
 
 	tree   minTree // per-group NextAt horizons
 	active []int32 // groups dispatched in the current window, ascending
+	// next[i] is active group i's NextAt after the window (timeMax
+	// when idle), written by whichever worker ran the group.
+	next []Time
 
-	// Barrier state. inBarrier is true only while the single-threaded
-	// barrier executes deferred ops; At uses it to publish new
-	// horizons incrementally and Defer to record follow-up candidates
-	// (bops). batch is the flat op batch, reused across windows.
-	inBarrier bool
-	bops      []int32
-	batch     []deferredOp
+	// Barrier state. inBarrier is true only while the barrier executes
+	// deferred ops; At uses it to buffer deliveries and Defer to record
+	// follow-up candidates (bops). runs[w] holds the sorted ops of the
+	// groups worker w ran (run 0 also a follow-up round's), heads is
+	// the merge's cursor over them, and pend[w] buffers a round's
+	// deliveries to the groups g with g%workers == w. All are reused
+	// across windows. deliveries counts barrier-time At calls and
+	// parDeliveries those the pool applied.
+	inBarrier     bool
+	bops          []int32
+	runs, heads   [][]deferredOp
+	pend          [][]delivery
+	deliveries    uint64
+	parDeliveries uint64
 
-	// Persistent worker pool (workers > 1). w1 and active are
-	// published before the start tokens are sent and the reports are
-	// read after the done tokens arrive, so the channel handshake
-	// orders every access. cursor hands out blocks of indices into
-	// active.
-	w1     Time
-	cursor atomic.Int64
-	wstart []chan struct{}
-	wdone  chan poolDone
+	// Persistent worker pool (workers > 1). w1, active and delivering
+	// (a pend task, not a window) are published before the start
+	// tokens are sent and the reports are read after the done tokens
+	// arrive, so the channel handshake orders every access. cursor
+	// hands out blocks of indices into active.
+	w1         Time
+	cursor     atomic.Int64
+	delivering bool
+	wstart     []chan struct{}
+	wdone      chan poolDone
 
 	started bool
 }
@@ -203,6 +224,8 @@ func NewCoupled(groupOf []int, lookahead Time, workers int) (*CoupledEngine, err
 		workers:   workers,
 		counter:   make([]uint64, len(groupOf)),
 		ops:       make([][]deferredOp, groups),
+		runs:      make([][]deferredOp, workers),
+		pend:      make([][]delivery, workers),
 		gerr:      make([]error, groups),
 		mcap:      DefaultMailboxCap,
 	}
@@ -272,12 +295,18 @@ func (ce *CoupledEngine) SetPerturbation(p *Perturbation) {
 }
 
 // Defer enqueues a cross-group operation on behalf of rank, to be
-// applied at the current window's barrier. Ops are applied
-// single-threaded in (at, senderRank<<counterBits|senderCounter)
-// order, giving shared-state mutations (link reservations, atomic
-// arbitration, fault draws) one explicit serialization point whose
-// order is invariant under the worker count. Defer may only be called
-// from the rank's own engine context (or from the barrier itself).
+// applied at the current window's barrier. Ops are applied one at a
+// time in (at, senderRank<<counterBits|senderCounter) order, giving
+// shared-state mutations (link reservations, atomic arbitration, fault
+// draws) one explicit serialization point whose order is invariant
+// under the worker count. Defer may only be called from the rank's own
+// engine context (or from the barrier itself).
+//
+// A deferred op may call ce.At, call ce.Defer and read an engine's
+// Now(), but must never schedule on a sub-engine directly (Engine.At,
+// Spawn, Cond signals): the barrier buffers its At calls and applies
+// them after the round, possibly on pool workers, and only the
+// buffered calls keep every engine's scheduling order fixed.
 func (ce *CoupledEngine) Defer(rank int, at Time, run func()) {
 	g := ce.groupOf[rank]
 	c := ce.counter[rank]
@@ -301,36 +330,22 @@ func (ce *CoupledEngine) Defer(rank int, at Time, run func()) {
 }
 
 // At schedules fn on rank's engine at absolute time t, clamping t
-// into the engine's executed present when it lies in the past (the
-// coupled analogue of Engine.At's clamp). It is the cross-group
-// scheduling primitive: call it from a barrier-deferred op, or from
-// any context when the target shares the caller's group.
+// into the engine's executed present when it lies in the past (under
+// perturbation the receiving group may have run past a jittered t).
+// The clamp target, the engine's Now, is fixed while the barrier runs
+// (no group executes), so the result does not depend on the worker
+// count. At is the cross-group scheduling primitive: call it from a
+// barrier-deferred op, or from any context when the target shares the
+// caller's group.
 func (ce *CoupledEngine) At(rank int, t Time, fn func()) {
 	g := ce.groupOf[rank]
-	sub := ce.subs[g]
-	// Mirror Engine.At's past-time clamp: under schedule perturbation
-	// the upstream event that computed t may itself have been jittered
-	// past t, and the receiving group may have run to the window edge
-	// before the barrier delivered this op. The clamp target — the
-	// sub-engine's Now at barrier time — is fixed once its window
-	// completed, so the result is deterministic and independent of the
-	// worker count.
-	if t < sub.Now() {
-		t = sub.Now()
+	if !ce.inBarrier {
+		ce.subs[g].At(t, fn)
+		return
 	}
-	ev := sub.At(t, fn)
-	if ce.inBarrier {
-		// Barrier delivery may re-awaken an idle group (or move an
-		// active group's horizon earlier): publish incrementally so
-		// the next window's bound sees it without a group scan. The
-		// event's own time is used — perturbation jitter may have
-		// moved it. Window-time At calls target the caller's group,
-		// which re-publishes wholesale after the window, so only the
-		// barrier needs this.
-		if at := ev.At(); at < ce.tree.get(int(g)) {
-			ce.tree.update(int(g), at)
-		}
-	}
+	// Applied after the round (deliver), in call order per engine.
+	w := g % int32(ce.workers)
+	ce.pend[w] = append(ce.pend[w], delivery{g: g, t: t, fn: fn})
 }
 
 // Elapsed returns the latest executed-event time across all groups
@@ -364,9 +379,16 @@ func (ce *CoupledEngine) Windows() uint64 { return ce.windows }
 // idle groups are never touched. A delegated one-group run reports 1.
 func (ce *CoupledEngine) Dispatches() uint64 { return ce.dispatches }
 
+// Deliveries returns how many events barrier ops scheduled with At
+// and how many of them the worker pool applied.
+func (ce *CoupledEngine) Deliveries() (all, parallel uint64) {
+	return ce.deliveries, ce.parDeliveries
+}
+
 // PhaseWall returns the wall-clock time the window loop spent in its
-// three phases: executing group events, applying deferred ops at
-// barriers (gathering, sorting and running each round's batch), and
+// three phases: executing group events (with the workers' run sorts),
+// applying deferred ops at barriers (merging or sorting each round's
+// ops, running them and applying their deliveries), and
 // maintaining the window bound (min-tracker reads, active-set
 // collection, horizon refresh). The split is the
 // engine-layer start of a Breaking-Band-style cost attribution; it is
@@ -432,8 +454,8 @@ func (ce *CoupledEngine) firstErr() error {
 
 // Run drives the coupled simulation to completion: repeated
 // conservative windows of (possibly parallel) group execution, each
-// closed by a single-threaded barrier applying the deferred
-// cross-group ops in total order. It returns a DeadlockError if
+// closed by a barrier applying the deferred cross-group ops one at a
+// time in total order. It returns a DeadlockError if
 // processes are still parked when every queue drains, or the first
 // bound/capacity violation.
 func (ce *CoupledEngine) Run() error {
@@ -493,15 +515,12 @@ func (ce *CoupledEngine) Run() error {
 		err := ce.window(w1)
 		e1 := time.Now()
 		ce.execWall += e1.Sub(e0)
-		// Dispatched groups re-publish their horizons; undisturbed
-		// groups keep their published value (nothing else may touch a
-		// group's queue outside its own window or the barrier).
-		for _, g := range ce.active {
-			at, ok := ce.subs[g].NextAt()
-			if !ok {
-				at = timeMax
-			}
-			ce.tree.update(int(g), at)
+		// Dispatched groups re-publish the horizons their workers
+		// recorded; undisturbed groups keep their published value
+		// (nothing else may touch a group's queue outside its own
+		// window or the barrier).
+		for i, g := range ce.active {
+			ce.tree.update(int(g), ce.next[i])
 		}
 		ce.scanWall += time.Since(e1)
 		if err != nil {
@@ -525,36 +544,70 @@ func (ce *CoupledEngine) Run() error {
 // window executes one conservative window on every active group. With
 // one worker (or one active group) the groups run inline; with more,
 // the persistent pool workers claim blocks of the active set (see
-// claimBlocks), and a worker panic is re-raised on the caller's
-// goroutine so recovery semantics match the sequential engine at every
-// worker count. The surfaced failure, error or panic, is the one of
-// the lowest failing group, the one an inline run stops at, so it is
-// identical at every worker count.
+// claimBlocks); each group that ran is retired into its worker's run.
+// A worker panic is re-raised on the caller's goroutine so recovery
+// semantics match the sequential engine at every worker count. The
+// surfaced failure, error or panic, is the one of the lowest failing
+// group, the one an inline run stops at, so it is identical at every
+// worker count.
 func (ce *CoupledEngine) window(w1 Time) error {
-	active := ce.active
+	ce.next = slices.Grow(ce.next[:0], len(ce.active))[:len(ce.active)]
 	if ce.workers <= 1 {
-		for _, g := range active {
-			if err := ce.subs[g].RunBefore(w1); err != nil {
-				return err
-			}
-		}
-		return nil
+		return ce.runInline(w1)
 	}
-	if len(active) == 1 {
+	if len(ce.active) == 1 {
 		// One eligible group: skip the pool handshake. Inline panics
 		// propagate natively — observably identical to the pool's
 		// recover/re-raise.
 		t0 := time.Now()
-		err := ce.subs[active[0]].RunBefore(w1)
+		err := ce.runInline(w1)
 		ce.busy += time.Since(t0)
 		return err
 	}
 	ce.w1 = w1
 	ce.cursor.Store(0)
+	return ce.runPool(len(ce.active))
+}
+
+// runInline runs the window's active groups on Run's goroutine.
+func (ce *CoupledEngine) runInline(w1 Time) error {
+	for i, g := range ce.active {
+		if err := ce.subs[g].RunBefore(w1); err != nil {
+			return err
+		}
+		ce.retire(0, i)
+	}
+	sortOps(ce.runs[0])
+	return nil
+}
+
+// retire records active group i's post-window horizon in its slot and
+// moves its mailbox into worker w's run.
+func (ce *CoupledEngine) retire(w, i int) {
+	g := ce.active[i]
+	at, ok := ce.subs[g].NextAt()
+	if !ok {
+		at = timeMax
+	}
+	ce.next[i] = at
+	ce.take(w, g)
+}
+
+// take moves group g's mailbox into worker w's run.
+func (ce *CoupledEngine) take(w int, g int32) {
+	ce.runs[w] = append(ce.runs[w], ce.ops[g]...)
+	ce.ops[g] = ce.ops[g][:0]
+}
+
+// runPool hands one task (a window, or pend when delivering) to every
+// pool worker and waits for all of them. It surfaces the lowest
+// failure among n task indices (active-set positions, or workers when
+// delivering): a panic is re-raised, an error returned.
+func (ce *CoupledEngine) runPool(n int) error {
 	for _, ch := range ce.wstart {
 		ch <- struct{}{}
 	}
-	first := poolDone{fail: len(active)}
+	first := poolDone{fail: n}
 	for range ce.wstart {
 		d := <-ce.wdone
 		ce.busy += d.busy
@@ -578,9 +631,10 @@ func (ce *CoupledEngine) window(w1 Time) error {
 // instead of one per group.
 const claimsPerWorker = 8
 
-// poolDone is one pool worker's report for one window: its busy time
-// and, when a group failed, that group's index in the active set with
-// its error or recovered panic (fail is len(active) otherwise).
+// poolDone is one pool worker's report for one task: its busy time
+// (windows only) and, when a group or a delivery failed, the group's
+// index in the active set or the worker's index, with its error or
+// recovered panic (fail is the task's length otherwise).
 type poolDone struct {
 	busy  time.Duration
 	fail  int
@@ -589,13 +643,13 @@ type poolDone struct {
 }
 
 // startPool launches the persistent window workers. Workers park on
-// their start channels between windows and exit when Run closes them.
+// their start channels between tasks and exit when Run closes them.
 func (ce *CoupledEngine) startPool() {
 	ce.wdone = make(chan poolDone, ce.workers)
 	ce.wstart = make([]chan struct{}, ce.workers)
 	for w := range ce.wstart {
 		ce.wstart[w] = make(chan struct{}, 1)
-		go ce.poolWorker(ce.wstart[w])
+		go ce.poolWorker(w, ce.wstart[w])
 	}
 }
 
@@ -607,14 +661,18 @@ func (ce *CoupledEngine) stopPool() {
 	}
 }
 
-// poolWorker is one persistent window worker: per start token it
-// claims blocks of the active set until none remain, then reports its
-// busy time and first failure. The clock starts after the start token
-// arrives, so pool wait time is never counted as busy.
-func (ce *CoupledEngine) poolWorker(start chan struct{}) {
+// poolWorker is persistent worker w: per start token it either applies
+// its share of the barrier's deliveries or claims blocks of the active
+// set until none remain, then reports. A window's clock starts after
+// the start token arrives, so pool wait time is never counted as busy.
+func (ce *CoupledEngine) poolWorker(w int, start chan struct{}) {
 	for range start {
+		if ce.delivering {
+			ce.wdone <- ce.deliverShare(w)
+			continue
+		}
 		t0 := time.Now()
-		d := ce.claimBlocks()
+		d := ce.claimBlocks(w)
 		d.busy = time.Since(t0)
 		ce.wdone <- d
 	}
@@ -625,8 +683,8 @@ func (ce *CoupledEngine) poolWorker(start chan struct{}) {
 // first group that fails. Claims are monotone, so every index below a
 // failing one was claimed before it; a lower failure, if any, is
 // reported by whichever worker holds it, and the window surfaces the
-// lowest reported.
-func (ce *CoupledEngine) claimBlocks() (d poolDone) {
+// lowest reported. Once the blocks run out, worker w sorts its run.
+func (ce *CoupledEngine) claimBlocks(w int) (d poolDone) {
 	n := len(ce.active)
 	block := int64(max(1, n/(claimsPerWorker*ce.workers)))
 	defer func() {
@@ -637,6 +695,7 @@ func (ce *CoupledEngine) claimBlocks() (d poolDone) {
 	for {
 		lo := ce.cursor.Add(block) - block
 		if lo >= int64(n) {
+			sortOps(ce.runs[w])
 			return poolDone{fail: n}
 		}
 		hi := min(lo+block, int64(n))
@@ -644,64 +703,146 @@ func (ce *CoupledEngine) claimBlocks() (d poolDone) {
 			if d.err = ce.subs[ce.active[d.fail]].RunBefore(ce.w1); d.err != nil {
 				return d
 			}
+			ce.retire(w, d.fail)
 		}
 	}
 }
 
-// sortOps orders a deferred-op batch by (at, key). Keys embed each
-// sender's monotone counter, so pairs are unique and the unstable sort
-// is still a total order.
-func sortOps(ops []deferredOp) {
-	slices.SortFunc(ops, func(a, b deferredOp) int {
-		switch {
-		case a.at != b.at:
-			if a.at < b.at {
-				return -1
-			}
-			return 1
-		case a.key < b.key:
-			return -1
-		case a.key > b.key:
-			return 1
+// parDeliveryMin is the smallest round of deliveries the pool applies.
+// A pool task costs 3–4 µs of handshakes and wake-ups; a delivery 15 ns
+// into a cached engine and 200–400 ns into a cold one. Two workers
+// break even near 500 cached deliveries, so 1024 cannot lose, and the
+// rounds that dominate barrier time (tens of thousands on phold-100k,
+// thousands on the 10K stencil) cross it.
+const parDeliveryMin = 1024
+
+// deliver applies the round's buffered deliveries, each engine seeing
+// its At calls in call order, inline or, for a large round, on the
+// pool, worker w applying pend[w]. A panic is re-raised from the
+// lowest panicking worker, the one the inline order (pend[0] first)
+// stops at. One serial pass then publishes the events' times, so a
+// delivery that re-awakens a group (or moves its next event earlier)
+// shows in the next window's bound without a group scan. Window-time
+// At calls target the caller's group, which re-publishes wholesale
+// after the window, so only the barrier needs this.
+func (ce *CoupledEngine) deliver() {
+	n := 0
+	for _, p := range ce.pend {
+		n += len(p)
+	}
+	ce.deliveries += uint64(n)
+	if ce.workers > 1 && n >= parDeliveryMin {
+		ce.parDeliveries += uint64(n)
+		ce.delivering = true
+		ce.runPool(ce.workers)
+		ce.delivering = false
+	} else {
+		for w := range ce.pend {
+			ce.applyShare(w)
 		}
-		return 0
-	})
+	}
+	for w, pend := range ce.pend {
+		for _, d := range pend {
+			if d.t < ce.tree.get(int(d.g)) {
+				ce.tree.update(int(d.g), d.t)
+			}
+		}
+		ce.pend[w] = pend[:0]
+	}
 }
 
-// applyDeferred is the window barrier: it gathers every candidate
-// group's deferred ops into one flat batch, sorts it by (at, key), and
-// applies the ops single-threaded in that order, repeating until no op
-// remains (an op may defer follow-ups). Only the window's active
-// groups — plus groups that deferred during the barrier itself — are
-// consulted; idle groups are never scanned. The batch and every
-// group's buffer persist across windows, so the steady-state barrier
-// allocates nothing.
+// applyShare schedules pend[w] in order, writing back each event's own
+// time where the clamp or perturbation jitter moved it.
+func (ce *CoupledEngine) applyShare(w int) {
+	pend := ce.pend[w]
+	for i := range pend {
+		d := &pend[i]
+		if ev := ce.subs[d.g].At(d.t, d.fn); ev.At() != d.t {
+			d.t = ev.At()
+		}
+	}
+}
+
+// deliverShare is pool worker w's part of a delivery.
+func (ce *CoupledEngine) deliverShare(w int) (d poolDone) {
+	d.fail = ce.workers
+	defer func() {
+		if r := recover(); r != nil {
+			d.fail, d.panic = w, r
+		}
+	}()
+	ce.applyShare(w)
+	return d
+}
+
+// cmpOps orders deferred ops by (at, key). Keys embed each sender's
+// monotone counter, so pairs are unique and an unstable sort or a
+// merge still yields one total order.
+func cmpOps(a, b deferredOp) int {
+	switch {
+	case a.at != b.at:
+		if a.at < b.at {
+			return -1
+		}
+		return 1
+	case a.key < b.key:
+		return -1
+	case a.key > b.key:
+		return 1
+	}
+	return 0
+}
+
+func sortOps(ops []deferredOp) { slices.SortFunc(ops, cmpOps) }
+
+// applyDeferred is the window barrier. Each round merges the sorted
+// runs, applies their ops in (at, key) order and then their
+// deliveries; the first round's runs are the workers', and each later
+// round's is one run of the ops deferred during the round before (bops
+// lists their groups, so idle groups are never scanned). It repeats
+// until a round defers nothing. The runs and every group's buffer
+// persist across windows, so the steady-state barrier allocates
+// nothing.
 func (ce *CoupledEngine) applyDeferred() error {
-	cand := ce.active
 	for {
-		batch := ce.batch[:0]
-		for _, g := range cand {
-			// A group listed twice contributes nothing the second time.
-			batch = append(batch, ce.ops[g]...)
-			ce.ops[g] = ce.ops[g][:0]
-		}
-		ce.batch = batch
-		if len(batch) == 0 {
-			return nil
-		}
-		sortOps(batch)
-		// cand is consumed, so bops (the previous round's candidates)
-		// can be reset and refilled by this round's follow-ups.
 		ce.bops = ce.bops[:0]
 		ce.inBarrier = true
-		for i := range batch {
-			batch[i].run()
-		}
+		ce.mergeRuns()
 		ce.inBarrier = false
-		if err := ce.firstErr(); err != nil {
+		ce.deliver()
+		if err := ce.firstErr(); err != nil || len(ce.bops) == 0 {
 			return err
 		}
-		cand = ce.bops
+		for _, g := range ce.bops {
+			// A group listed twice contributes nothing the second time.
+			ce.take(0, g)
+		}
+		sortOps(ce.runs[0])
+	}
+}
+
+// mergeRuns runs the ops of the sorted runs in (at, key) order and
+// empties the runs. The ops defer into group mailboxes, never into the
+// runs, so the runs hold still.
+func (ce *CoupledEngine) mergeRuns() {
+	heads := append(ce.heads[:0], ce.runs...)
+	for {
+		m := -1
+		for h, r := range heads {
+			if len(r) > 0 && (m < 0 || cmpOps(r[0], heads[m][0]) < 0) {
+				m = h
+			}
+		}
+		if m < 0 {
+			break
+		}
+		op := heads[m][0]
+		heads[m] = heads[m][1:]
+		op.run()
+	}
+	ce.heads = heads
+	for w := range ce.runs {
+		ce.runs[w] = ce.runs[w][:0]
 	}
 }
 

@@ -2,10 +2,10 @@ package sim
 
 // White-box tests for the window-engine scaling internals: the 4-ary
 // tournament min-tree that replaces the per-window O(G) NextAt scan,
-// and the property that the barrier, which gathers only candidate
-// groups' ops, applies deferred ops in exactly the order a barrier
-// scanning every group does — including barrier-emitted follow-up
-// rounds.
+// and the property that the barrier, which merges the workers' sorted
+// runs and then gathers only candidate groups' follow-ups, applies
+// deferred ops in exactly the order a barrier scanning every group
+// does.
 
 import (
 	"math/rand"
@@ -178,14 +178,17 @@ func refApplyDeferred(ce *CoupledEngine) {
 
 // TestCoupledMergeMatchesFullSort is the barrier-equivalence property:
 // over randomized op batches (including barrier-emitted follow-ups,
-// which arrive unsorted), applyDeferred, which gathers only the
-// window's active groups and then the groups that deferred during the
-// barrier, must execute ops in byte-identical order to the reference
-// barrier that scans all groups. Each seed runs twice: with every
-// group active, and with only group 0 active, so follow-ups deferred
-// on groups outside the window's active set must still be found.
+// which arrive unsorted), the barrier must execute ops in
+// byte-identical order to the reference barrier that full-sorts every
+// group. The window's mailboxes reach the barrier the way the workers
+// leave them: each active group's ops moved into one of W runs (W = 1
+// to 4, the group-to-run split drawn at random, empty runs included)
+// and every run sorted. Each seed runs twice: with every group active,
+// and with only group 0 active, so follow-ups deferred on groups
+// outside the window's active set must still be found.
 func TestCoupledMergeMatchesFullSort(t *testing.T) {
 	outside := 0 // follow-ups deferred on a group outside the active set
+	emptyRuns, merged := 0, 0
 	for seed := int64(0); seed < 40; seed++ {
 		groups := 2 + rand.New(rand.NewSource(seed)).Intn(8)
 		ranksPerGroup := 1 + rand.New(rand.NewSource(seed^0x5f)).Intn(3)
@@ -205,7 +208,7 @@ func TestCoupledMergeMatchesFullSort(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ce.tree.init(groups) // applyDeferred publishes through it
+				ce.tree.init(groups) // the barrier publishes through it
 				var log []int
 				rng := rand.New(rand.NewSource(seed))
 				var next int
@@ -216,23 +219,37 @@ func TestCoupledMergeMatchesFullSort(t *testing.T) {
 				return ce, &log, specs
 			}
 
-			got, gotLog, specs := build()
-			got.active = got.active[:0]
-			for g := 0; g < active; g++ {
-				got.active = append(got.active, int32(g))
-			}
-			if err := got.applyDeferred(); err != nil {
-				t.Fatalf("seed %d narrow=%v: applyDeferred: %v", seed, narrow, err)
-			}
-
-			ref, refLog, _ := build()
+			ref, refLog, specs := build()
 			refApplyDeferred(ref)
-
-			if !slices.Equal(*gotLog, *refLog) {
-				t.Fatalf("seed %d narrow=%v: barrier order %v != full-sort order %v", seed, narrow, *gotLog, *refLog)
-			}
-			if len(*gotLog) == 0 {
+			if len(*refLog) == 0 {
 				t.Fatalf("seed %d narrow=%v: degenerate batch, no ops executed", seed, narrow)
+			}
+			for w := 1; w <= 4; w++ {
+				got, gotLog, _ := build()
+				got.runs = make([][]deferredOp, w)
+				split := rand.New(rand.NewSource(seed*4 + int64(w)))
+				for g := 0; g < active; g++ {
+					got.take(split.Intn(w), int32(g))
+				}
+				nonEmpty := 0
+				for _, r := range got.runs {
+					sortOps(r)
+					if len(r) == 0 {
+						emptyRuns++
+					} else {
+						nonEmpty++
+					}
+				}
+				if nonEmpty > 1 {
+					merged++
+				}
+				if err := got.applyDeferred(); err != nil {
+					t.Fatalf("seed %d narrow=%v W=%d: applyDeferred: %v", seed, narrow, w, err)
+				}
+				if !slices.Equal(*gotLog, *refLog) {
+					t.Fatalf("seed %d narrow=%v W=%d: barrier order %v != full-sort order %v",
+						seed, narrow, w, *gotLog, *refLog)
+				}
 			}
 			if narrow {
 				outside += countOutside(specs, groups, active)
@@ -241,6 +258,9 @@ func TestCoupledMergeMatchesFullSort(t *testing.T) {
 	}
 	if outside == 0 {
 		t.Fatal("no follow-up was deferred on a group outside the active set")
+	}
+	if emptyRuns == 0 || merged == 0 {
+		t.Fatalf("%d empty runs, %d merges of several runs: the split exercised too little", emptyRuns, merged)
 	}
 }
 

@@ -396,3 +396,62 @@ func TestCoupledWindowsWorkerInvariance(t *testing.T) {
 		}
 	}
 }
+
+// TestCoupledParallelDeliveryMatchesInline pins the pool-applied
+// barrier deliveries against the inline ones. The token storm over
+// 8192 groups delivers rounds of thousands of events, above the
+// cutoff for pool delivery, so workers 2 and 4 apply them on the pool
+// while workers 1 schedules each on the spot; the event population,
+// its order and the end time must not change, with and without a
+// schedule perturbation. The 4096-group storm of
+// BenchmarkEngineCoupledWindows must take the pool path as well, so
+// its 0-alloc gate covers it.
+func TestCoupledParallelDeliveryMatchesInline(t *testing.T) {
+	const groups, events = 8192, 30000
+	groupOf := make([]int, groups)
+	for g := range groupOf {
+		groupOf[g] = g
+	}
+	storm := func(workers int, p *sim.Perturbation) *sim.CoupledEngine {
+		t.Helper()
+		ce, err := sim.NewCoupled(groupOf, 2*sim.Microsecond, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p != nil {
+			ce.SetPerturbation(p)
+		}
+		simbench.ArmCoupledWindows(ce, events, 3)
+		if err := ce.Run(); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		all, par := ce.Deliveries()
+		if all == 0 || (workers == 1) != (par == 0) {
+			t.Fatalf("workers=%d: %d deliveries, %d on the pool", workers, all, par)
+		}
+		return ce
+	}
+	ref := storm(1, nil)
+	for _, workers := range []int{2, 4} {
+		ce := storm(workers, nil)
+		if ce.Digest() != ref.Digest() || ce.Executed() != ref.Executed() || ce.Elapsed() != ref.Elapsed() {
+			t.Fatalf("workers=%d: (digest,events,elapsed)=(%x,%d,%v) != workers=1 (%x,%d,%v)",
+				workers, ce.Digest(), ce.Executed(), ce.Elapsed(),
+				ref.Digest(), ref.Executed(), ref.Elapsed())
+		}
+	}
+	perturb := func() *sim.Perturbation {
+		return &sim.Perturbation{Seed: 11, Reorder: true, MaxJitter: 300 * sim.Nanosecond}
+	}
+	fuzzed := storm(1, perturb())
+	if fuzzed.Digest() == ref.Digest() {
+		t.Fatal("the perturbation left the schedule unchanged")
+	}
+	if ce := storm(4, perturb()); ce.Digest() != fuzzed.Digest() || ce.Executed() != fuzzed.Executed() {
+		t.Fatalf("perturbed workers=4: (digest,events)=(%x,%d) != workers=1 (%x,%d)",
+			ce.Digest(), ce.Executed(), fuzzed.Digest(), fuzzed.Executed())
+	}
+	if _, par := simbench.CoupledWindows(4096, 2, 200000, 1).Deliveries(); par == 0 {
+		t.Fatal("the 4096-group benchmark storm never delivered on the pool")
+	}
+}

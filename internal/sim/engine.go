@@ -103,7 +103,7 @@ type Engine struct {
 	nowHead int
 	nowLen  int
 
-	turn chan struct{} // procs yield control back on this channel
+	turn chan struct{} // procs yield control back on this channel; made by the first Spawn
 	live int           // spawned, not yet finished procs
 
 	parkedHead *Proc // intrusive list of cond-parked procs (deadlock reporting)
@@ -125,7 +125,6 @@ type Engine struct {
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
 	return &Engine{
-		turn:    make(chan struct{}),
 		horizon: math.MaxInt64,
 		digest:  fnvOffsetBasis,
 	}

@@ -25,6 +25,9 @@ type Proc struct {
 // or other processes) or before Run.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{eng: e, name: name, resume: make(chan struct{})}
+	if e.turn == nil { // process-free engines never pay for the channel
+		e.turn = make(chan struct{})
+	}
 	e.live++
 	go func() {
 		<-p.resume // wait for the first turn

@@ -393,6 +393,20 @@ func TestEngineAtAndExecuted(t *testing.T) {
 	}
 }
 
+// TestNewEngineAllocatesOnce pins the engine's construction cost: one
+// allocation, the Engine itself. The process handshake channel waits
+// for the first Spawn, so the 100K process-free engines of a large
+// coupled world carry none.
+func TestNewEngineAllocatesOnce(t *testing.T) {
+	var e *Engine
+	if n := testing.AllocsPerRun(100, func() { e = NewEngine() }); n != 1 {
+		t.Fatalf("NewEngine made %v allocations, want 1", n)
+	}
+	if e.turn != nil {
+		t.Fatal("NewEngine made the turn channel before any Spawn")
+	}
+}
+
 func TestScheduleNegativeDelay(t *testing.T) {
 	e := NewEngine()
 	at := Time(-1)

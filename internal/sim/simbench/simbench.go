@@ -80,7 +80,7 @@ func TimerChurn(procs, n int) *sim.Engine {
 // the CoupledEngine, built so the steady-state dispatch/barrier path
 // allocates nothing. Every closure the storm needs (one event fn and
 // one barrier op fn per group) is prepared up front; an event on group
-// g defers g's op, and the op — running single-threaded at the window
+// g defers g's op, and the op — running one at a time at the window
 // barrier in (at, key) order — draws the next destination and jitter
 // from g's own LCG stream and re-arms the destination's event with
 // ce.At. Each hop is delayed at least the lookahead, so scheduling is
@@ -106,11 +106,19 @@ func NewCoupledWindows(groups, workers, events int, seed uint64) (*sim.CoupledEn
 	for g := range groupOf {
 		groupOf[g] = g
 	}
-	const lookahead = 2 * sim.Microsecond
-	ce, err := sim.NewCoupled(groupOf, lookahead, workers)
+	ce, err := sim.NewCoupled(groupOf, 2*sim.Microsecond, workers)
 	if err != nil {
 		return nil, err
 	}
+	ArmCoupledWindows(ce, events, seed)
+	return ce, nil
+}
+
+// ArmCoupledWindows schedules the CoupledWindows token storm on a
+// fresh coupled engine of single-rank groups, for callers that
+// configure the engine first (a schedule perturbation, for one).
+func ArmCoupledWindows(ce *sim.CoupledEngine, events int, seed uint64) {
+	groups, lookahead := ce.Groups(), ce.Lookahead()
 	// Per-group LCG streams, consumed only from barrier ops (total
 	// order), so every draw sequence is worker-count-invariant.
 	rng := make([]uint64, groups)
@@ -151,7 +159,6 @@ func NewCoupledWindows(groups, workers, events int, seed uint64) (*sim.CoupledEn
 		g := t % groups
 		ce.Sub(g).At(sim.Time(t%977)*sim.Nanosecond, evFns[g])
 	}
-	return ce, nil
 }
 
 // Broadcast is the fan-out workload: `procs` waiters park on one

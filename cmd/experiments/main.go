@@ -4,15 +4,15 @@
 // Usage:
 //
 //	experiments [-scale quick|full] [-only fig3,fig9] [-jobs N] [-csv DIR] [-list]
-//	            [-shards N] [-cache off|mem|disk] [-cache-dir DIR]
-//	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	            [-shards N] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // Experiments run concurrently on up to -jobs workers (default: the
 // number of CPUs); every experiment is an independent, deterministic
 // simulation and results are rendered in registry order, so stdout is
 // byte-identical at any -jobs value. Wall-time reporting goes to
 // stderr. With -csv DIR each experiment's series are written to
-// DIR/<id>.csv.
+// DIR/<id>.csv, and the "wrote" lines go to stderr too, so stdout
+// stays the rendered suite.
 //
 // -shards sets the window worker parallelism of every simulated
 // world. Worlds decompose into per-node-group sequential engines
@@ -22,16 +22,6 @@
 // shard-determinism job compares -shards 1 and -shards 4 against the
 // committed golden byte for byte, and greps the stderr shard
 // utilization line to prove the grouped path ran).
-//
-// -cache memoizes every simulated sweep point, CAS latency, and split
-// run by content address (internal/pointcache): "mem" (the default)
-// dedups within one invocation, "disk" additionally persists entries
-// under -cache-dir so repeated runs simulate only the diff, "off"
-// disables memoization. A dedup planner first simulates the union of
-// unique points declared across all selected figures exactly once.
-// The cache decides only which simulations run — stdout is
-// byte-identical at every cache mode — and its hit-rate summary goes
-// to stderr.
 package main
 
 import (
@@ -52,7 +42,7 @@ func main() {
 	only := flag.String("only", "", "comma-separated experiment ids (default: all)")
 	csvDir := flag.String("csv", "", "directory to write per-experiment CSV series")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	common := cliflags.Register(flag.CommandLine, "experiments", "mem")
+	common := cliflags.Register(flag.CommandLine, "experiments")
 	flag.Parse()
 
 	stop, err := common.StartProfiles()
@@ -97,13 +87,8 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	cache, err := common.OpenCache()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	outs, stats, planStats, err := experiments.RunSuite(selected, experiments.SuiteOptions{
-		Scale: scale, Jobs: common.Jobs, Shards: common.Shards, Cache: cache,
+	outs, stats, _, err := experiments.RunSuite(selected, experiments.SuiteOptions{
+		Scale: scale, Jobs: common.Jobs, Shards: common.Shards,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -115,22 +100,13 @@ func main() {
 			out.ID, stats.JobWall[i].Round(time.Millisecond))
 		if *csvDir != "" && len(out.Series) > 0 {
 			path := filepath.Join(*csvDir, out.ID+".csv")
-			f, err := os.Create(path)
-			if err != nil {
+			if err := plot.WriteCSVFile(path, out.Series); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-			if err := plot.WriteCSV(f, out.Series); err != nil {
-				f.Close()
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			f.Close()
-			fmt.Printf("wrote %s\n\n", path)
+			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 		}
 	}
 	common.ReportSched("suite", stats)
-	fmt.Fprintf(os.Stderr, "plan: %s\n", planStats)
-	common.ReportCache(cache)
 	common.ReportShards("shards")
 }

@@ -14,14 +14,8 @@
 // to -jobs workers (default: the number of CPUs); output is
 // byte-identical at any -jobs value. -shards records the engine shard
 // count on every simulated world and likewise never changes output
-// (see internal/cliflags).
-//
-// -cache memoizes every simulated point by content address
-// (internal/pointcache): "mem" dedups within one invocation, "disk"
-// persists entries under -cache-dir across runs, "off" (the default
-// here) disables memoization. The cache decides only which simulations
-// run — output is byte-identical at every mode — and its hit-rate
-// summary goes to stderr.
+// (see internal/cliflags). The "wrote" line of -csv goes to stderr
+// with the other host metadata, so stdout is the chart alone.
 package main
 
 import (
@@ -35,7 +29,6 @@ import (
 	"msgroofline/internal/loggp"
 	"msgroofline/internal/machine"
 	"msgroofline/internal/plot"
-	"msgroofline/internal/pointcache"
 	"msgroofline/internal/table"
 )
 
@@ -44,7 +37,7 @@ func main() {
 	tName := flag.String("transport", "two-sided", "transport: "+bench.TransportList())
 	split := flag.Bool("split", false, "run the Fig-10 message-splitting experiment instead of a sweep")
 	csvPath := flag.String("csv", "", "write measured series to this CSV file")
-	common := cliflags.Register(flag.CommandLine, "msgroof", "off")
+	common := cliflags.Register(flag.CommandLine, "msgroof")
 	flag.Parse()
 
 	stop, err := common.StartProfiles()
@@ -57,13 +50,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cache, err := common.OpenCache()
-	if err != nil {
-		fatal(err)
-	}
 	if *split {
-		runSplit(cfg, cache, *csvPath)
-		common.ReportCache(cache)
+		runSplit(cfg, *csvPath)
 		common.ReportShards("shards")
 		return
 	}
@@ -74,7 +62,7 @@ func main() {
 		fatal(err)
 	}
 	res, err := bench.Sweep(cfg, bench.Spec{Transport: transport, Ns: ns, Sizes: sizes,
-		Jobs: common.Jobs, Cache: cache, Shards: common.Shards})
+		Jobs: common.Jobs, Shards: common.Shards})
 	if err != nil {
 		fatal(err)
 	}
@@ -110,18 +98,17 @@ func main() {
 	fmt.Println(chart.Render())
 	fmt.Printf("fitted %v  (RMS rel. err %.3f)\n", model.Params, loggp.FitError(model.Params, res.Samples()))
 	fmt.Printf("peak measured %.2f GB/s of %.0f GB/s theoretical\n", res.MaxGBs(), cfg.TheoreticalGBs)
-	common.ReportSched("sweep", res.Sched.Host)
-	common.ReportCache(cache)
+	common.ReportSched("sweep", res.Sched)
 	common.ReportShards("shards")
 	writeCSV(*csvPath, res.Series())
 }
 
-func runSplit(cfg *machine.Config, cache *pointcache.Cache, csvPath string) {
+func runSplit(cfg *machine.Config, csvPath string) {
 	var volumes []int64
 	for v := int64(1 << 10); v <= 4<<20; v *= 2 {
 		volumes = append(volumes, v)
 	}
-	pts, err := bench.SweepSplitCached(cache, cfg, 4, volumes)
+	pts, err := bench.SweepSplit(cfg, 4, volumes)
 	if err != nil {
 		fatal(err)
 	}
@@ -144,15 +131,10 @@ func writeCSV(path string, series []plot.Series) {
 	if path == "" {
 		return
 	}
-	f, err := os.Create(path)
-	if err != nil {
+	if err := plot.WriteCSVFile(path, series); err != nil {
 		fatal(err)
 	}
-	defer f.Close()
-	if err := plot.WriteCSV(f, series); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s\n", path)
+	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 }
 
 func fatal(err error) {

@@ -23,7 +23,6 @@ import (
 	"msgroofline/internal/machine"
 	"msgroofline/internal/mpi"
 	"msgroofline/internal/plot"
-	"msgroofline/internal/pointcache"
 	"msgroofline/internal/runtime"
 	"msgroofline/internal/sched"
 	"msgroofline/internal/shmem"
@@ -45,31 +44,14 @@ type Result struct {
 	Transport string
 	Points    []Point
 
-	// Sched carries the measurement-host statistics of the sweep that
-	// produced the result: how fast the missing simulations were
-	// regenerated (Host) and how many points the content-addressed
-	// cache served instead (Cache). It is wall-clock metadata, varies
-	// run to run, and must never be mixed into simulated output.
-	Sched *RunStats
+	// Sched carries the worker-pool statistics of the sweep that
+	// produced the result. It is wall-clock metadata, varies run to
+	// run, and must never be mixed into simulated output.
+	Sched *sched.Stats
 
 	// index accelerates At; rebuilt lazily whenever Points grows.
 	index      map[pointKey]int
 	indexedLen int
-}
-
-// RunStats splits the measurement-host statistics of one sweep into
-// its two independent sources: the worker-pool scheduling of the
-// points that actually simulated, and the point-cache counters for the
-// points that did not need to.
-type RunStats struct {
-	// Host holds the scheduler stats of the simulated (cache-miss)
-	// points; with the cache disabled that is every point of the grid.
-	Host *sched.Stats
-	// Cache holds this sweep's pointcache counters: grid-point
-	// lookups, hits by tier, misses handed to the scheduler, and the
-	// simulated payload volume the hits saved. All zero when the sweep
-	// ran without a cache.
-	Cache pointcache.Stats
 }
 
 type pointKey struct {
@@ -170,19 +152,10 @@ type Spec struct {
 	// byte-identical output. Jobs <= 0 runs sequentially (1); use
 	// runtime.GOMAXPROCS(0) to saturate the host.
 	Jobs int
-	// Cache, when enabled, memoizes every point by its content
-	// address (machine parameters + transport + ranks + coordinates +
-	// schema salt): hits skip the simulation entirely and misses are
-	// stored after simulating. Because simulations are deterministic
-	// and the key covers everything that determines the outcome, the
-	// sweep result is byte-identical at any cache mode. Nil disables
-	// caching.
-	Cache *pointcache.Cache
 	// Shards is the window worker parallelism of each point's
 	// simulated world (0 means 1). The node-group decomposition and
 	// event order are topology-determined, so points are
-	// byte-identical at every value — which is also why Shards is
-	// deliberately absent from the pointcache key (PointSpec.Key).
+	// byte-identical at every value.
 	Shards int
 }
 
@@ -202,127 +175,28 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
-// PointSpec identifies one sweep-point simulation: everything the
-// measurement needs and (through Key) everything that determines its
-// outcome. The dedup planner in internal/experiments enumerates the
-// figures' sweeps as PointSpec sets to simulate the union exactly once.
-type PointSpec struct {
-	Machine   *machine.Config
-	Transport Transport
-	// Ranks is the job size; 0 defaults to 2 at measurement time,
-	// matching Spec semantics.
-	Ranks int
-	N     int
-	Bytes int64
-	// Shards is the window worker parallelism of the point's world.
-	// It can never change the simulated outcome (workers only execute
-	// already-committed windows), so Key deliberately excludes it: a
-	// point cached at -shards 1 is a valid hit at -shards 4.
-	Shards int
-}
-
-// Key is the point's content address in the pointcache.
-func (ps PointSpec) Key() pointcache.Key {
-	ranks := ps.Ranks
-	if ranks == 0 {
-		ranks = 2
-	}
-	return pointcache.KeyOf(ps.Machine, pointcache.KindSweep, ps.Transport.String(), ranks, ps.N, ps.Bytes)
-}
-
-// SimBytes is the simulated payload volume of the point — what a
-// cache hit saves.
-func (ps PointSpec) SimBytes() int64 { return int64(ps.N) * ps.Bytes }
-
-// MeasurePoint runs the single simulation behind one sweep point.
-func MeasurePoint(ps PointSpec) (Point, error) {
-	if ps.Ranks == 0 {
-		ps.Ranks = 2
-	}
-	if ps.Ranks < 2 {
-		return Point{}, fmt.Errorf("bench: point needs at least 2 ranks, got %d", ps.Ranks)
-	}
-	return measure(ps.Machine, ps.Transport, ps.Ranks, ps.N, ps.Bytes, ps.Shards)
-}
-
-// ExpandPoints enumerates the spec's (n, size) grid on cfg in sweep
-// order (row-major: Ns outer, Sizes inner), after applying the spec
-// defaults — the exact point set Sweep would measure.
-func ExpandPoints(cfg *machine.Config, spec Spec) []PointSpec {
-	spec = spec.withDefaults()
-	out := make([]PointSpec, 0, len(spec.Ns)*len(spec.Sizes))
-	for _, n := range spec.Ns {
-		for _, b := range spec.Sizes {
-			out = append(out, PointSpec{Machine: cfg, Transport: spec.Transport,
-				Ranks: spec.Ranks, N: n, Bytes: b, Shards: spec.Shards})
-		}
-	}
-	return out
-}
-
 // Sweep measures every (n, size) point of the spec's grid on cfg and
-// returns them in grid order (row-major: Ns outer, Sizes inner — the
-// order the legacy Sweep* entry points produced). With Spec.Cache
-// enabled every point is first looked up by content address and only
-// the misses are simulated (then stored); the misses run on up to
-// Spec.Jobs goroutines via internal/sched. Because each point is an
-// isolated, deterministic simulation, the result is byte-identical at
-// any job count and any cache mode.
+// returns them in grid order (row-major: Ns outer, Sizes inner). The
+// points run on up to Spec.Jobs goroutines via internal/sched; each is
+// an isolated, deterministic simulation, so the result is
+// byte-identical at any job count.
 func Sweep(cfg *machine.Config, spec Spec) (*Result, error) {
 	spec = spec.withDefaults()
 	if spec.Ranks < 2 {
 		return nil, fmt.Errorf("bench: sweep needs at least 2 ranks, got %d", spec.Ranks)
 	}
-	grid := ExpandPoints(cfg, spec)
-	points := make([]Point, len(grid))
-	var cs pointcache.Stats
-	miss := make([]int, 0, len(grid))
-	if spec.Cache.Enabled() {
-		for i, ps := range grid {
-			cs.Lookups++
-			el, tier, ok := spec.Cache.Get(ps.Key())
-			if !ok {
-				cs.Misses++
-				miss = append(miss, i)
-				continue
-			}
-			points[i] = point(ps.N, ps.Bytes, el)
-			cs.Hits++
-			if tier == pointcache.TierDisk {
-				cs.DiskHits++
-			} else {
-				cs.MemHits++
-			}
-			cs.BytesSaved += ps.SimBytes()
-			spec.Cache.AddBytesSaved(ps.SimBytes())
-		}
-	} else {
-		for i := range grid {
-			miss = append(miss, i)
-		}
-	}
-	measured, stats, err := sched.Map(spec.Jobs, len(miss), func(j int) (Point, error) {
-		ps := grid[miss[j]]
-		p, err := measure(cfg, ps.Transport, ps.Ranks, ps.N, ps.Bytes, ps.Shards)
-		if err == nil {
-			spec.Cache.Put(ps.Key(), p.Elapsed)
-		}
-		return p, err
+	nsz := len(spec.Sizes)
+	points, stats, err := sched.Map(spec.Jobs, len(spec.Ns)*nsz, func(i int) (Point, error) {
+		return measure(cfg, spec.Transport, spec.Ranks, spec.Ns[i/nsz], spec.Sizes[i%nsz], spec.Shards)
 	})
 	if err != nil {
 		return nil, err
-	}
-	for j, p := range measured {
-		points[miss[j]] = p
-	}
-	if spec.Cache.Enabled() {
-		cs.Stores = int64(len(miss))
 	}
 	return &Result{
 		Machine:   cfg.Name,
 		Transport: spec.Transport.String(),
 		Points:    points,
-		Sched:     &RunStats{Host: stats, Cache: cs},
+		Sched:     stats,
 	}, nil
 }
 
@@ -566,30 +440,10 @@ func measureCommStream(cfg *machine.Config, kind comm.Kind, ranks, n int, b int6
 	return point(n, b, elapsed), tr.Digest(), nil
 }
 
-// cachedTime memoizes one sim.Time-valued kernel run under the cache:
-// a hit returns the stored elapsed time, a miss runs the kernel and
-// stores the result. With a nil/disabled cache it just runs the kernel.
-func cachedTime(c *pointcache.Cache, k pointcache.Key, run func() (sim.Time, error)) (sim.Time, error) {
-	if el, _, ok := c.Get(k); ok {
-		return el, nil
-	}
-	el, err := run()
-	if err == nil {
-		c.Put(k, el)
-	}
-	return el, err
-}
-
-// CASLatencyCached measures the round-trip time of a GPU atomic
+// CASLatency measures the round-trip time of a GPU atomic
 // compare-and-swap from PE 0 to dst (Fig 4 / §III-C), averaged over
-// reps back-to-back operations, memoized through the point cache
-// (KindCAS, coordinates dst/reps). A nil cache simulates directly.
-func CASLatencyCached(c *pointcache.Cache, cfg *machine.Config, npes, dst, reps int) (sim.Time, error) {
-	k := pointcache.KeyOf(cfg, pointcache.KindCAS, machine.GPUShmem.String(), npes, dst, int64(reps))
-	return cachedTime(c, k, func() (sim.Time, error) { return casLatency(cfg, npes, dst, reps) })
-}
-
-func casLatency(cfg *machine.Config, npes, dst, reps int) (sim.Time, error) {
+// reps back-to-back operations.
+func CASLatency(cfg *machine.Config, npes, dst, reps int) (sim.Time, error) {
 	j, err := shmem.NewJob(cfg, npes, 64)
 	if err != nil {
 		return 0, err
@@ -611,16 +465,10 @@ func casLatency(cfg *machine.Config, npes, dst, reps int) (sim.Time, error) {
 	return total / sim.Time(reps), nil
 }
 
-// OneSidedCASLatencyCached measures the CPU one-sided
+// OneSidedCASLatency measures the CPU one-sided
 // MPI_Compare_and_swap round trip (the 2 us / 500K GUPS figure of
-// §III-C), memoized through the point cache (KindCAS under the
-// one-sided transport name). A nil cache simulates directly.
-func OneSidedCASLatencyCached(pc *pointcache.Cache, cfg *machine.Config, ranks, dst, reps int) (sim.Time, error) {
-	k := pointcache.KeyOf(cfg, pointcache.KindCAS, machine.OneSided.String(), ranks, dst, int64(reps))
-	return cachedTime(pc, k, func() (sim.Time, error) { return oneSidedCASLatency(cfg, ranks, dst, reps) })
-}
-
-func oneSidedCASLatency(cfg *machine.Config, ranks, dst, reps int) (sim.Time, error) {
+// §III-C), averaged over reps back-to-back operations.
+func OneSidedCASLatency(cfg *machine.Config, ranks, dst, reps int) (sim.Time, error) {
 	c, err := mpi.NewComm(cfg, ranks)
 	if err != nil {
 		return 0, err
@@ -646,18 +494,12 @@ func oneSidedCASLatency(cfg *machine.Config, ranks, dst, reps int) (sim.Time, er
 	return total / sim.Time(reps), nil
 }
 
-// TriggerDelayCached measures the stream-triggered per-message
-// delivery latency: reps back-to-back 8-byte deliveries,
-// receiver-timed and averaged. With the host overhead nearly off the
-// critical path the number is dominated by L + TriggerLatency — the
-// o/L inversion the offload roofline plots. It is memoized through the
-// point cache (KindTrigger); a nil cache simulates directly.
-func TriggerDelayCached(c *pointcache.Cache, cfg *machine.Config, ranks, reps int) (sim.Time, error) {
-	k := pointcache.KeyOf(cfg, pointcache.KindTrigger, machine.StreamTriggered.String(), ranks, reps, 8)
-	return cachedTime(c, k, func() (sim.Time, error) { return triggerDelay(cfg, ranks, reps) })
-}
-
-func triggerDelay(cfg *machine.Config, ranks, reps int) (sim.Time, error) {
+// TriggerDelay measures the stream-triggered per-message delivery
+// latency: reps back-to-back 8-byte deliveries, receiver-timed and
+// averaged. With the host overhead nearly off the critical path the
+// number is dominated by L + TriggerLatency — the o/L inversion the
+// offload roofline plots.
+func TriggerDelay(cfg *machine.Config, ranks, reps int) (sim.Time, error) {
 	p, _, err := measureCommStream(cfg, comm.StreamTriggered, ranks, reps, 8, 0, runtime.Blank)
 	if err != nil {
 		return 0, err
@@ -665,18 +507,11 @@ func triggerDelay(cfg *machine.Config, ranks, reps int) (sim.Time, error) {
 	return p.Elapsed / sim.Time(reps), nil
 }
 
-// ChannelOpenCached measures the memory channel's one-time open
-// handshake: the sender-timed cost of a single 8-byte send-and-drain
-// on a cold (never-opened) channel minus the same on the now-warm
-// channel — the difference is exactly the open cost, every
-// per-message term cancels. It is memoized through the point cache
-// (KindChan); a nil cache simulates directly.
-func ChannelOpenCached(c *pointcache.Cache, cfg *machine.Config, ranks int) (sim.Time, error) {
-	k := pointcache.KeyOf(cfg, pointcache.KindChan, machine.MemChannel.String(), ranks, 0, 8)
-	return cachedTime(c, k, func() (sim.Time, error) { return channelOpen(cfg, ranks) })
-}
-
-func channelOpen(cfg *machine.Config, ranks int) (sim.Time, error) {
+// ChannelOpen measures the memory channel's one-time open handshake:
+// the sender-timed cost of a single 8-byte send-and-drain on a cold
+// (never-opened) channel minus the same on the now-warm channel — the
+// difference is exactly the open cost, every per-message term cancels.
+func ChannelOpen(cfg *machine.Config, ranks int) (sim.Time, error) {
 	tp, ok := cfg.Params(machine.MemChannel)
 	if !ok {
 		return 0, fmt.Errorf("bench: machine %s has no memory-channel transport", cfg.Name)
@@ -718,20 +553,13 @@ type SplitPoint struct {
 // each volume, send it as one put-with-signal versus `parts` puts on
 // distinct injection channels, receiver waiting for all signals.
 func SweepSplit(cfg *machine.Config, parts int, volumes []int64) ([]SplitPoint, error) {
-	return SweepSplitCached(nil, cfg, parts, volumes)
-}
-
-// SweepSplitCached is SweepSplit with each (volume, parts) run
-// memoized through the point cache (KindSplit). A nil cache simulates
-// every run directly.
-func SweepSplitCached(c *pointcache.Cache, cfg *machine.Config, parts int, volumes []int64) ([]SplitPoint, error) {
 	var out []SplitPoint
 	for _, v := range volumes {
-		whole, err := splitRunCached(c, cfg, v, 1)
+		whole, err := splitRun(cfg, v, 1)
 		if err != nil {
 			return nil, err
 		}
-		split, err := splitRunCached(c, cfg, v, parts)
+		split, err := splitRun(cfg, v, parts)
 		if err != nil {
 			return nil, err
 		}
@@ -742,11 +570,6 @@ func SweepSplitCached(c *pointcache.Cache, cfg *machine.Config, parts int, volum
 		out = append(out, sp)
 	}
 	return out, nil
-}
-
-func splitRunCached(c *pointcache.Cache, cfg *machine.Config, volume int64, parts int) (sim.Time, error) {
-	k := pointcache.KeyOf(cfg, pointcache.KindSplit, machine.GPUShmem.String(), 2, parts, volume)
-	return cachedTime(c, k, func() (sim.Time, error) { return splitRun(cfg, volume, parts) })
 }
 
 func splitRun(cfg *machine.Config, volume int64, parts int) (sim.Time, error) {

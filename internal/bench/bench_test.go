@@ -6,7 +6,6 @@ import (
 
 	"msgroofline/internal/loggp"
 	"msgroofline/internal/machine"
-	"msgroofline/internal/pointcache"
 	"msgroofline/internal/sim"
 )
 
@@ -149,19 +148,19 @@ func TestShmemSweep(t *testing.T) {
 func TestCASLatencies(t *testing.T) {
 	// Paper §III-C: Perlmutter GPU 0.8us; Summit 1.0 intra / 1.6
 	// cross; CPU one-sided ~2us.
-	pg, err := CASLatencyCached(nil, cfg(t, "perlmutter-gpu"), 4, 1, 10)
+	pg, err := CASLatency(cfg(t, "perlmutter-gpu"), 4, 1, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if us := pg.Microseconds(); us < 0.6 || us > 1.0 {
 		t.Fatalf("Perlmutter GPU CAS = %.2fus", us)
 	}
-	in, _ := CASLatencyCached(nil, cfg(t, "summit-gpu"), 6, 1, 10)
-	cross, _ := CASLatencyCached(nil, cfg(t, "summit-gpu"), 6, 3, 10)
+	in, _ := CASLatency(cfg(t, "summit-gpu"), 6, 1, 10)
+	cross, _ := CASLatency(cfg(t, "summit-gpu"), 6, 3, 10)
 	if cross <= in {
 		t.Fatalf("cross-socket CAS (%v) should exceed in-island (%v)", cross, in)
 	}
-	cpu, err := OneSidedCASLatencyCached(nil, cfg(t, "perlmutter-cpu"), 2, 1, 10)
+	cpu, err := OneSidedCASLatency(cfg(t, "perlmutter-cpu"), 2, 1, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +251,7 @@ func TestSweepDeterministicAcrossJobs(t *testing.T) {
 		if seq.Machine != par.Machine || seq.Transport != par.Transport {
 			t.Fatalf("%v: metadata diverged", c.transport)
 		}
-		if par.Sched == nil || par.Sched.Host == nil || par.Sched.Host.Jobs != len(seq.Points) {
+		if par.Sched == nil || par.Sched.Jobs != len(seq.Points) {
 			t.Fatalf("%v: missing sched stats: %+v", c.transport, par.Sched)
 		}
 	}
@@ -266,6 +265,26 @@ func TestSweepSpecDefaults(t *testing.T) {
 	}
 	if r.Transport != "two-sided" || len(r.Points) != 1 {
 		t.Fatalf("defaulted sweep: %+v", r)
+	}
+	// Points come back row-major (Ns outer, Sizes inner), each equal to
+	// its own single-point simulation.
+	m := cfg(t, "frontier-cpu")
+	grid, err := Sweep(m, Spec{Transport: OneSided, Ns: []int{1, 16}, Sizes: []int64{8, 512}, Jobs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	for _, n := range []int{1, 16} {
+		for _, b := range []int64{8, 512} {
+			p, err := measure(m, OneSided, 2, n, b, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if grid.Points[i] != p {
+				t.Fatalf("point %d: sweep %+v vs direct (%d, %d) %+v", i, grid.Points[i], n, b, p)
+			}
+			i++
+		}
 	}
 	if _, err := Sweep(cfg(t, "perlmutter-cpu"), Spec{Transport: TwoSided, Ranks: 1}); err == nil {
 		t.Fatal("1-rank sweep should error")
@@ -344,157 +363,20 @@ func TestAtIndexSurvivesInPlaceReplacement(t *testing.T) {
 	}
 }
 
-func TestSweepCacheHitsMatchColdRun(t *testing.T) {
-	// A warm sweep served entirely from cache must be byte-identical
-	// to the cold run, and the per-sweep counters must account every
-	// point.
-	m := cfg(t, "perlmutter-cpu")
-	c, err := pointcache.New(pointcache.Mem, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := Spec{Transport: OneSided, Ns: []int{1, 16}, Sizes: []int64{8, 4096}, Cache: c}
-	cold, err := Sweep(m, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := cold.Sched.Cache
-	if cs.Lookups != 4 || cs.Hits != 0 || cs.Misses != 4 || cs.Stores != 4 {
-		t.Fatalf("cold counters: %+v", cs)
-	}
-	warm, err := Sweep(m, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := warm.Sched.Cache
-	if ws.Lookups != 4 || ws.Hits != 4 || ws.MemHits != 4 || ws.Misses != 0 || ws.Stores != 0 {
-		t.Fatalf("warm counters: %+v", ws)
-	}
-	if ws.BytesSaved != 1*8+16*8+1*4096+16*4096 {
-		t.Fatalf("bytes saved = %d", ws.BytesSaved)
-	}
-	if !reflect.DeepEqual(cold.Points, warm.Points) {
-		t.Fatalf("warm sweep diverged\ncold: %+v\nwarm: %+v", cold.Points, warm.Points)
-	}
-	// Uncached sweeps match too (cache never changes simulated output).
-	off, err := Sweep(m, Spec{Transport: OneSided, Ns: []int{1, 16}, Sizes: []int64{8, 4096}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(off.Points, cold.Points) {
-		t.Fatal("cached sweep diverged from uncached")
-	}
-	if off.Sched.Cache.Lookups != 0 {
-		t.Fatalf("uncached sweep recorded cache traffic: %+v", off.Sched.Cache)
-	}
-}
-
 func TestRunStatsHostFields(t *testing.T) {
-	// v1 consumers read scheduler fields through the explicit Host
-	// split; the flat promoted aliases are gone.
+	// A sweep's worker-pool stats count every grid point.
 	r, err := Sweep(cfg(t, "perlmutter-cpu"), Spec{Transport: TwoSided, Ns: []int{1, 16}, Sizes: []int64{8}, Jobs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Sched.Host == nil {
+	if r.Sched == nil {
 		t.Fatal("no host stats")
 	}
-	if r.Sched.Host.Jobs != 2 {
-		t.Fatalf("jobs = %d", r.Sched.Host.Jobs)
+	if r.Sched.Jobs != 2 {
+		t.Fatalf("jobs = %d", r.Sched.Jobs)
 	}
-	if r.Sched.Host.Wall <= 0 {
-		t.Fatalf("wall = %v", r.Sched.Host.Wall)
-	}
-}
-
-func TestCachedKernelsMatchUncached(t *testing.T) {
-	// CAS latencies and split runs memoize through the same cache and
-	// must return identical times cold, warm, and uncached.
-	c, err := pointcache.New(pointcache.Mem, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pg := cfg(t, "perlmutter-gpu")
-	plain, err := CASLatencyCached(nil, pg, 4, 1, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := CASLatencyCached(c, pg, 4, 1, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := CASLatencyCached(c, pg, 4, 1, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain != cold || cold != warm {
-		t.Fatalf("CAS diverged: plain %v cold %v warm %v", plain, cold, warm)
-	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Stores != 1 {
-		t.Fatalf("CAS cache counters: %+v", st)
-	}
-	pc := cfg(t, "perlmutter-cpu")
-	mplain, err := OneSidedCASLatencyCached(nil, pc, 2, 1, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mwarm, err := OneSidedCASLatencyCached(c, pc, 2, 1, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mplain != mwarm {
-		t.Fatalf("MPI CAS diverged: %v vs %v", mplain, mwarm)
-	}
-	vols := []int64{1024, 131072}
-	sp, err := SweepSplit(pg, 4, vols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spc, err := SweepSplitCached(c, pg, 4, vols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spw, err := SweepSplitCached(c, pg, 4, vols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sp, spc) || !reflect.DeepEqual(spc, spw) {
-		t.Fatalf("split runs diverged:\nplain %+v\ncold  %+v\nwarm  %+v", sp, spc, spw)
-	}
-}
-
-func TestExpandPointsMatchesSweepOrder(t *testing.T) {
-	m := cfg(t, "frontier-cpu")
-	spec := Spec{Transport: OneSided, Ns: []int{1, 16}, Sizes: []int64{8, 512}}
-	grid := ExpandPoints(m, spec)
-	r, err := Sweep(m, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(grid) != len(r.Points) {
-		t.Fatalf("grid %d vs points %d", len(grid), len(r.Points))
-	}
-	for i, ps := range grid {
-		if ps.N != r.Points[i].N || ps.Bytes != r.Points[i].Bytes {
-			t.Fatalf("point %d: grid (%d,%d) vs sweep (%d,%d)", i, ps.N, ps.Bytes, r.Points[i].N, r.Points[i].Bytes)
-		}
-		p, err := MeasurePoint(ps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p != r.Points[i] {
-			t.Fatalf("point %d: MeasurePoint %+v vs Sweep %+v", i, p, r.Points[i])
-		}
-	}
-	// Defaulted ranks hash like explicit 2 so planner and sweep agree.
-	zero := PointSpec{Machine: m, Transport: OneSided, N: 1, Bytes: 8}
-	two := PointSpec{Machine: m, Transport: OneSided, Ranks: 2, N: 1, Bytes: 8}
-	if zero.Key() != two.Key() {
-		t.Fatal("Ranks 0 and 2 should share a key")
-	}
-	if _, err := MeasurePoint(PointSpec{Machine: m, Transport: OneSided, Ranks: 1, N: 1, Bytes: 8}); err == nil {
-		t.Fatal("1-rank point should error")
+	if r.Sched.Wall <= 0 {
+		t.Fatalf("wall = %v", r.Sched.Wall)
 	}
 }
 

@@ -20,21 +20,14 @@
 // scheduler aliases are gone.
 //
 //   - Sweep(cfg, Spec) -> *Result is the grid driver. Spec carries
-//     Transport, Ranks, Ns, Sizes, Jobs, Cache, and Shards; every
-//     knob except the grid itself (Transport/Ranks/Ns/Sizes) is
-//     host-side and can never change simulated output.
-//   - PointSpec / ExpandPoints / MeasurePoint are the point-level
-//     API the dedup planner composes with; PointSpec.Key is the
-//     content address (Shards deliberately excluded).
-//   - Result.Sched is a *RunStats with exactly two sub-structs:
-//     Host (*sched.Stats, worker-pool wall-time metadata) and Cache
-//     (pointcache.Stats, hit/miss counters). Consumers name
-//     Sched.Host.Jobs etc. explicitly — the pre-split promoted
-//     fields (Sched.Jobs, Sched.Wall, ...) no longer exist.
-//   - CASLatencyCached / OneSidedCASLatencyCached measure the
-//     atomic probes (a nil cache simulates directly);
-//     SweepSplit / SweepSplitCached run
-//     the Fig 10 experiment; Baseline fits roofline ceilings.
+//     Transport, Ranks, Ns, Sizes, Jobs and Shards; Jobs and Shards
+//     are host-side and can never change simulated output.
+//   - Result.Sched is the sweep's *sched.Stats (worker-pool
+//     wall-time metadata).
+//   - CASLatency / OneSidedCASLatency measure the atomic probes,
+//     TriggerDelay / ChannelOpen the offload micro-numbers,
+//     SweepSplit runs the Fig 10 experiment, and Baseline fits
+//     roofline ceilings.
 //
 // All stats carried on Result.Sched are measurement-host metadata:
 // they vary run to run and must never be mixed into simulated output.

@@ -82,7 +82,7 @@ func TestStreamSweepPointAllocation(t *testing.T) {
 		}
 		var before, after goruntime.MemStats
 		goruntime.ReadMemStats(&before)
-		_, err := MeasurePoint(PointSpec{Machine: cfg(t, sm.machine), Transport: sm.tr, N: 256, Bytes: 1 << 20})
+		_, err := measure(cfg(t, sm.machine), sm.tr, 2, 256, 1<<20, 0)
 		goruntime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)

@@ -5,29 +5,25 @@
 //
 //	-jobs N            worker concurrency for multi-point commands
 //	-shards N          engine shard count recorded on simulated worlds
-//	-cache MODE        point-cache mode: off, mem or disk
-//	-cache-dir DIR     entry directory for -cache=disk
 //	-cpuprofile FILE   pprof CPU profile
 //	-memprofile FILE   pprof heap profile on exit
 //
 // Commands that run a single simulation (the per-kernel cmds) accept
-// -jobs and -cache for surface uniformity; the knobs only change how
-// the multi-point commands schedule and memoize work, never what any
-// command prints on stdout. Stderr reporting goes through ReportSched
-// and ReportCache so every binary summarizes host scheduling and
-// cache traffic in the same format.
+// -jobs for surface uniformity; the knob only changes how the
+// multi-point commands schedule work, never what any command prints
+// on stdout. Stderr reporting goes through ReportSched and
+// ReportShards so every binary summarizes host scheduling and engine
+// utilization in the same format.
 package cliflags
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"time"
 
-	"msgroofline/internal/pointcache"
 	simruntime "msgroofline/internal/runtime"
 	"msgroofline/internal/sched"
 )
@@ -45,10 +41,6 @@ type Common struct {
 	// concurrently, so command output is byte-identical at any
 	// -shards setting (see DESIGN.md §11).
 	Shards int
-	// CacheMode is the raw -cache value (off, mem or disk).
-	CacheMode string
-	// CacheDir is the entry directory for -cache=disk.
-	CacheDir string
 	// CPUProfile and MemProfile are pprof output paths ("" disables).
 	CPUProfile string
 	MemProfile string
@@ -58,19 +50,14 @@ type Common struct {
 }
 
 // Register installs the shared flags on fs. prog names the command in
-// error and summary output; defaultCache preserves each command's
-// historical cache default ("mem" for experiments, "off" elsewhere).
-// Call after flag definitions specific to the command, before
-// fs.Parse.
-func Register(fs *flag.FlagSet, prog, defaultCache string) *Common {
+// error and summary output. Call after flag definitions specific to
+// the command, before fs.Parse.
+func Register(fs *flag.FlagSet, prog string) *Common {
 	c := &Common{prog: prog}
 	fs.IntVar(&c.Jobs, "jobs", runtime.NumCPU(),
 		"number of independent simulations run concurrently (output is byte-identical at any value)")
 	fs.IntVar(&c.Shards, "shards", 1,
 		"window worker parallelism of simulated worlds (output is byte-identical at any value)")
-	fs.StringVar(&c.CacheMode, "cache", defaultCache, "point-cache mode: off, mem or disk")
-	fs.StringVar(&c.CacheDir, "cache-dir", filepath.Join(os.TempDir(), "msgroofline-pointcache"),
-		"entry directory for -cache=disk")
 	fs.StringVar(&c.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	fs.StringVar(&c.MemProfile, "memprofile", "", "write a pprof heap profile to this file on exit")
 	return c
@@ -113,20 +100,6 @@ func (c *Common) StartProfiles() (stop func(), err error) {
 	}, nil
 }
 
-// OpenCache parses -cache and opens the point cache ("off" yields a
-// disabled cache that callers can still pass around safely).
-func (c *Common) OpenCache() (*pointcache.Cache, error) {
-	mode, err := pointcache.ParseMode(c.CacheMode)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", c.prog, err)
-	}
-	cache, err := pointcache.New(mode, c.CacheDir)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", c.prog, err)
-	}
-	return cache, nil
-}
-
 // ReportSched prints the shared one-line host-scheduling summary to
 // stderr: "<label>: <stats>". It is wall-clock metadata and never
 // part of stdout.
@@ -135,14 +108,6 @@ func (c *Common) ReportSched(label string, stats *sched.Stats) {
 		return
 	}
 	fmt.Fprintf(os.Stderr, "%s: %s\n", label, stats)
-}
-
-// ReportCache prints the shared one-line cache hit-rate summary to
-// stderr when caching is enabled.
-func (c *Common) ReportCache(cache *pointcache.Cache) {
-	if cache.Enabled() {
-		fmt.Fprintf(os.Stderr, "cache (%s): %s\n", c.CacheMode, cache.Stats())
-	}
 }
 
 // ReportShards prints the shared one-line shard-utilization summary

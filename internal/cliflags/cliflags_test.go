@@ -22,8 +22,8 @@ func statFile(p string) (int64, error) {
 func TestRegisterDefinesSharedSurface(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	c := Register(fs, "test", "off")
-	for _, name := range []string{"jobs", "shards", "cache", "cache-dir", "cpuprofile", "memprofile"} {
+	c := Register(fs, "test")
+	for _, name := range []string{"jobs", "shards", "cpuprofile", "memprofile"} {
 		if fs.Lookup(name) == nil {
 			t.Errorf("flag -%s not registered", name)
 		}
@@ -37,37 +37,17 @@ func TestRegisterDefinesSharedSurface(t *testing.T) {
 	if c.Shards != 1 {
 		t.Errorf("default -shards = %d, want 1", c.Shards)
 	}
-	if c.CacheMode != "off" {
-		t.Errorf("default -cache = %q, want the command's historical default", c.CacheMode)
-	}
-}
-
-func TestParseAndOpenCache(t *testing.T) {
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	c := Register(fs, "test", "off")
-	if err := fs.Parse([]string{"-jobs", "3", "-shards", "4", "-cache", "mem"}); err != nil {
+	if err := fs.Parse([]string{"-jobs", "3", "-shards", "4"}); err != nil {
 		t.Fatal(err)
 	}
 	if c.Jobs != 3 || c.Shards != 4 {
 		t.Fatalf("parsed Jobs=%d Shards=%d", c.Jobs, c.Shards)
 	}
-	cache, err := c.OpenCache()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cache.Enabled() {
-		t.Fatal("mem cache should be enabled")
-	}
-	c.CacheMode = "bogus"
-	if _, err := c.OpenCache(); err == nil {
-		t.Fatal("bogus cache mode should error")
-	}
 }
 
 func TestStartProfilesNoopWithoutFlags(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	c := Register(fs, "test", "off")
+	c := Register(fs, "test")
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +60,7 @@ func TestStartProfilesNoopWithoutFlags(t *testing.T) {
 
 func TestStartProfilesWritesCPUProfile(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	c := Register(fs, "test", "off")
+	c := Register(fs, "test")
 	dir := t.TempDir()
 	if err := fs.Parse([]string{"-cpuprofile", dir + "/cpu.pprof", "-memprofile", dir + "/mem.pprof"}); err != nil {
 		t.Fatal(err)

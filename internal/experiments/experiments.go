@@ -10,10 +10,8 @@ import (
 	"fmt"
 	"strings"
 
-	"msgroofline/internal/bench"
 	"msgroofline/internal/machine"
 	"msgroofline/internal/plot"
-	"msgroofline/internal/pointcache"
 	"msgroofline/internal/sched"
 	"msgroofline/internal/sim"
 	"msgroofline/internal/spmat"
@@ -61,25 +59,14 @@ func (o *Output) Render() string {
 }
 
 // Env carries the run-wide context every experiment receives: the
-// problem scale, the shared point cache (nil when caching is off),
-// and the window worker parallelism for every simulated world.
-// Neither the cache nor the shard count ever changes what any
-// experiment outputs: the cache only decides which simulations run,
-// and on the coupled engine -shards caps only how many node groups
+// problem scale and the window worker parallelism for every simulated
+// world. The shard count never changes what any experiment outputs:
+// on the coupled engine -shards caps only how many node groups
 // execute a window concurrently (see comm.Spec.Shards), so the
 // rendered suite is byte-identical at any Shards value.
 type Env struct {
 	Scale  Scale
-	Cache  *pointcache.Cache
 	Shards int
-}
-
-// SweepReq declares one bench sweep a figure will run: the catalog
-// machine name and the spec. The dedup planner expands these
-// declarations into point sets before any figure runs.
-type SweepReq struct {
-	Machine string
-	Spec    bench.Spec
 }
 
 // Experiment is a registered generator.
@@ -87,23 +74,16 @@ type Experiment struct {
 	ID    string
 	Title string
 	Run   func(*Env) (*Output, error)
-	// Sweeps, when set, declares the bench sweeps Run will perform at
-	// a given scale, letting the planner simulate the union of unique
-	// points across all figures exactly once. Declaring is optional —
-	// an undeclared sweep still caches point by point — and must be
-	// conservative: declaring a sweep Run never performs would
-	// simulate (and cache) points nobody reads.
-	Sweeps func(Scale) []SweepReq
 }
 
 // Registry lists every experiment in paper order.
 func Registry() []Experiment {
 	return []Experiment{
 		{ID: "tableI", Title: "Evaluation platforms (Table I / Table III)", Run: func(*Env) (*Output, error) { return TableI() }},
-		{ID: "fig1", Title: "Message Roofline overview on Frontier (Fig 1)", Run: Fig1, Sweeps: fig1Sweeps},
+		{ID: "fig1", Title: "Message Roofline overview on Frontier (Fig 1)", Run: Fig1},
 		{ID: "fig2", Title: "Node architectures (Fig 2)", Run: func(*Env) (*Output, error) { return Fig2() }},
-		{ID: "fig3", Title: "Two-sided vs one-sided MPI bandwidth on CPUs (Fig 3)", Run: Fig3, Sweeps: fig3Sweeps},
-		{ID: "fig4", Title: "GPU-initiated put-with-signal and CAS (Fig 4)", Run: Fig4, Sweeps: fig4Sweeps},
+		{ID: "fig3", Title: "Two-sided vs one-sided MPI bandwidth on CPUs (Fig 3)", Run: Fig3},
+		{ID: "fig4", Title: "GPU-initiated put-with-signal and CAS (Fig 4)", Run: Fig4},
 		{ID: "tableII", Title: "Workload characterization (Table II)", Run: TableII},
 		{ID: "fig5", Title: "Stencil time on CPUs and GPUs (Fig 5)", Run: Fig5},
 		{ID: "fig6", Title: "Workload communication bounds on Perlmutter CPU (Fig 6)", Run: Fig6},
@@ -112,9 +92,9 @@ func Registry() []Experiment {
 		{ID: "fig9", Title: "Distributed hashtable time (Fig 9)", Run: Fig9},
 		{ID: "fig10", Title: "Message splitting speedup on Perlmutter GPU (Fig 10)", Run: Fig10},
 		{ID: "ext-ccl", Title: "Extension: NCCL-style ring collectives (paper future work)", Run: ExtCCL},
-		{ID: "ext-frontier", Title: "Extension: Frontier GPU with projected ROC_SHMEM", Run: ExtFrontierGPU, Sweeps: extFrontierSweeps},
+		{ID: "ext-frontier", Title: "Extension: Frontier GPU with projected ROC_SHMEM", Run: ExtFrontierGPU},
 		{ID: "ext-notified", Title: "Extension: notified access (hardware put-with-signal)", Run: ExtNotified},
-		{ID: "ext-offload", Title: "Extension: offloaded transports (stream-triggered MPI, memory channels)", Run: ExtOffload, Sweeps: extOffloadSweeps},
+		{ID: "ext-offload", Title: "Extension: offloaded transports (stream-triggered MPI, memory channels)", Run: ExtOffload},
 		{ID: "ext-ridgeline", Title: "Extension: the Ridgeline — 2D distributed roofline vs topology", Run: ExtRidgeline},
 	}
 }
@@ -129,102 +109,8 @@ func Get(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("experiments: unknown id %q", id)
 }
 
-// PlanStats summarizes the dedup planner's view of a suite: how many
-// sweep points the figures declared, how much of that is redundant,
-// and what the planner actually simulated up front.
-type PlanStats struct {
-	// Figures counts experiments that declared sweeps.
-	Figures int
-	// Points is the total declared point count across all figures.
-	Points int
-	// Unique is the number of distinct content addresses among them.
-	Unique int
-	// Duplicates = Points - Unique: simulations the plan avoids.
-	Duplicates int
-	// CrossFigure counts duplicates spanning two figures (a point
-	// unique within its own figure but declared by another as well) —
-	// the overlap that per-sweep caching alone would still simulate
-	// once per figure on a cold cache.
-	CrossFigure int
-	// Simulated is how many unique points the planner ran (cache
-	// misses); Reused is how many the cache already held (warm disk).
-	Simulated int
-	Reused    int
-}
-
-func (p PlanStats) String() string {
-	return fmt.Sprintf("%d figures declared %d points, %d unique (%d duplicate, %d cross-figure); planner simulated %d, reused %d",
-		p.Figures, p.Points, p.Unique, p.Duplicates, p.CrossFigure, p.Simulated, p.Reused)
-}
-
-// plan expands every experiment's declared sweeps, dedups the points
-// by content address, and — when a cache is available — simulates each
-// unique point exactly once on up to `jobs` workers, seeding the cache
-// so the figures' own sweeps hit instead of re-simulating. With a warm
-// disk cache already-known points are reused, not re-run. Without a
-// cache the plan is census-only: the figures behave exactly as before.
-func plan(exps []Experiment, opt SuiteOptions) (PlanStats, error) {
-	var ps PlanStats
-	var miss []bench.PointSpec
-	cache := opt.Cache
-	seen := map[pointcache.Key]bool{}
-	for _, e := range exps {
-		if e.Sweeps == nil {
-			continue
-		}
-		ps.Figures++
-		inFig := map[pointcache.Key]bool{}
-		for _, req := range e.Sweeps(opt.Scale) {
-			cfg, err := getMachine(req.Machine)
-			if err != nil {
-				return ps, fmt.Errorf("experiments: %s declares unknown machine: %w", e.ID, err)
-			}
-			// Presimulated points carry the suite's shard count like the
-			// figures' own sweeps will; the content address ignores it.
-			req.Spec.Shards = opt.Shards
-			for _, pt := range bench.ExpandPoints(cfg, req.Spec) {
-				k := pt.Key()
-				ps.Points++
-				if seen[k] {
-					if !inFig[k] {
-						ps.CrossFigure++
-					}
-					inFig[k] = true
-					continue
-				}
-				seen[k] = true
-				inFig[k] = true
-				ps.Unique++
-				if cache.Enabled() {
-					if _, _, ok := cache.Get(k); ok {
-						ps.Reused++
-					} else {
-						miss = append(miss, pt)
-					}
-				}
-			}
-		}
-	}
-	ps.Duplicates = ps.Points - ps.Unique
-	if len(miss) == 0 {
-		return ps, nil
-	}
-	_, _, err := sched.Map(opt.Jobs, len(miss), func(i int) (struct{}, error) {
-		p, err := bench.MeasurePoint(miss[i])
-		if err == nil {
-			cache.Put(miss[i].Key(), p.Elapsed)
-		}
-		return struct{}{}, err
-	})
-	if err != nil {
-		return ps, fmt.Errorf("experiments: planner presimulation failed: %w", err)
-	}
-	ps.Simulated = len(miss)
-	return ps, nil
-}
-
 // SuiteOptions configures one RunSuite invocation. The zero value
-// runs quick-scale, single-job, uncached, with one window worker.
+// runs quick-scale, single-job, with one window worker.
 type SuiteOptions struct {
 	// Scale selects experiment sizing (Quick or Full).
 	Scale Scale
@@ -237,10 +123,20 @@ type SuiteOptions struct {
 	// are topology-determined, so the suite is byte-identical at any
 	// shard count.
 	Shards int
-	// Cache, when non-nil, memoizes points and enables the dedup
-	// planner; nil degrades to a census-only PlanStats.
-	Cache *pointcache.Cache
+	// Cache is ignored: nothing is memoized.
+	//
+	// Deprecated: kept only so benchmark/workloads.go, which still
+	// passes a pointcache.Cache, builds until the next benchmark
+	// change drops it.
+	Cache any
 }
+
+// Unplanned is RunSuite's third result, a zero-size placeholder that
+// carries nothing.
+//
+// Deprecated: it keeps RunSuite's four-result shape for
+// benchmark/workloads.go and goes with SuiteOptions.Cache.
+type Unplanned struct{}
 
 // RunSuite regenerates the given experiments on up to opt.Jobs
 // concurrent workers and returns their outputs in the order they were
@@ -248,21 +144,10 @@ type SuiteOptions struct {
 // independent, bit-reproducible set of simulations; on the first
 // failure no further experiments start, and every failure is
 // aggregated into the returned error. The returned sched.Stats hold
-// per-experiment wall times for reporting.
-//
-// With a cache, the dedup planner first collects every declared
-// sweep, computes the union of unique points, and simulates each
-// exactly once (fanned out over opt.Jobs workers) to seed the cache;
-// the figures then run as usual and hit. Cross-figure overlap is
-// therefore simulated once even on a cold cache, and a warm disk
-// cache skips straight to materializing the figures. Output is
-// byte-identical in all cases.
-func RunSuite(exps []Experiment, opt SuiteOptions) ([]*Output, *sched.Stats, PlanStats, error) {
-	ps, err := plan(exps, opt)
-	if err != nil {
-		return nil, nil, ps, err
-	}
-	env := &Env{Scale: opt.Scale, Cache: opt.Cache, Shards: opt.Shards}
+// per-experiment wall times for reporting; the third result is always
+// the zero Unplanned.
+func RunSuite(exps []Experiment, opt SuiteOptions) ([]*Output, *sched.Stats, Unplanned, error) {
+	env := &Env{Scale: opt.Scale, Shards: opt.Shards}
 	outs, stats, err := sched.Map(opt.Jobs, len(exps), func(i int) (*Output, error) {
 		out, err := exps[i].Run(env)
 		if err != nil {
@@ -271,9 +156,9 @@ func RunSuite(exps []Experiment, opt SuiteOptions) ([]*Output, *sched.Stats, Pla
 		return out, nil
 	})
 	if err != nil {
-		return nil, stats, ps, err
+		return nil, stats, Unplanned{}, err
 	}
-	return outs, stats, ps, nil
+	return outs, stats, Unplanned{}, nil
 }
 
 // helpers -------------------------------------------------------------------

@@ -79,13 +79,6 @@ func ExtCCL(env *Env) (*Output, error) {
 	}, nil
 }
 
-// extFrontierSweeps declares ExtFrontierGPU's bench sweep for the
-// dedup planner.
-func extFrontierSweeps(s Scale) []SweepReq {
-	ns, sizes := sweepDims(s)
-	return []SweepReq{{Machine: "frontier-gpu", Spec: bench.Spec{Transport: bench.ShmemPutSignal, Ns: ns, Sizes: sizes}}}
-}
-
 // ExtFrontierGPU runs the paper's GPU experiments on the Frontier GPU
 // extension platform (projected ROC_SHMEM parameters).
 func ExtFrontierGPU(env *Env) (*Output, error) {
@@ -95,7 +88,7 @@ func ExtFrontierGPU(env *Env) (*Output, error) {
 		return nil, err
 	}
 	ns, sizes := sweepDims(s)
-	res, err := bench.Sweep(cfg, bench.Spec{Transport: bench.ShmemPutSignal, Ns: ns, Sizes: sizes, Cache: env.Cache, Shards: env.Shards})
+	res, err := bench.Sweep(cfg, bench.Spec{Transport: bench.ShmemPutSignal, Ns: ns, Sizes: sizes, Shards: env.Shards})
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +97,7 @@ func ExtFrontierGPU(env *Env) (*Output, error) {
 	p1, _ := res.At(ns[0], sizes[0])
 	t.AddRow("put-with-signal latency", fmt.Sprintf("%.2f us", p1.Elapsed.Microseconds()),
 		"NVSHMEM: 3.9 (Perlmutter) / 4.8 (Summit)")
-	cas, err := bench.CASLatencyCached(env.Cache, cfg, 4, 1, 32)
+	cas, err := bench.CASLatency(cfg, 4, 1, 32)
 	if err != nil {
 		return nil, err
 	}
@@ -145,16 +138,6 @@ func ExtFrontierGPU(env *Env) (*Output, error) {
 	}, nil
 }
 
-// extOffloadSweeps declares ExtOffload's bench sweeps for the dedup
-// planner.
-func extOffloadSweeps(s Scale) []SweepReq {
-	ns, sizes := sweepDims(s)
-	return []SweepReq{
-		{Machine: "perlmutter-gpu", Spec: bench.Spec{Transport: bench.StreamTriggered, Ns: ns, Sizes: sizes}},
-		{Machine: "perlmutter-cpu", Spec: bench.Spec{Transport: bench.MemChannel, Ns: ns, Sizes: sizes}},
-	}
-}
-
 // ExtOffload contrasts the two offloaded transports against their
 // host-driven baselines: stream-triggered MPI moves the host overhead
 // o off the critical path (descriptors enqueue ahead of time, the
@@ -170,11 +153,11 @@ func ExtOffload(env *Env) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	resST, err := bench.Sweep(gpu, bench.Spec{Transport: bench.StreamTriggered, Ns: ns, Sizes: sizes, Cache: env.Cache, Shards: env.Shards})
+	resST, err := bench.Sweep(gpu, bench.Spec{Transport: bench.StreamTriggered, Ns: ns, Sizes: sizes, Shards: env.Shards})
 	if err != nil {
 		return nil, err
 	}
-	resMC, err := bench.Sweep(cpu, bench.Spec{Transport: bench.MemChannel, Ns: ns, Sizes: sizes, Cache: env.Cache, Shards: env.Shards})
+	resMC, err := bench.Sweep(cpu, bench.Spec{Transport: bench.MemChannel, Ns: ns, Sizes: sizes, Shards: env.Shards})
 	if err != nil {
 		return nil, err
 	}
@@ -216,14 +199,14 @@ func ExtOffload(env *Env) (*Output, error) {
 	// Micro-numbers: the calibrated constants recovered from timing.
 	micro := table.New("Offload micro-measurements (recovered vs calibrated)",
 		"Quantity", "Measured", "Calibrated")
-	trig, err := bench.TriggerDelayCached(env.Cache, gpu, 2, 64)
+	trig, err := bench.TriggerDelay(gpu, 2, 64)
 	if err != nil {
 		return nil, err
 	}
 	stp, _ := gpu.Params(machine.StreamTriggered)
 	micro.AddRow("stream trigger delivery latency (perlmutter-gpu)",
 		usStr(trig)+" us", usStr(stp.TriggerLatency)+" us trigger")
-	open, err := bench.ChannelOpenCached(env.Cache, cpu, 2)
+	open, err := bench.ChannelOpen(cpu, 2)
 	if err != nil {
 		return nil, err
 	}

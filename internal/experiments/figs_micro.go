@@ -67,12 +67,6 @@ func sweepDims(s Scale) ([]int, []int64) {
 	return []int{1, 16, 256}, []int64{8, 512, 32768, 1 << 20}
 }
 
-// fig1Sweeps declares Fig1's bench sweeps for the dedup planner.
-func fig1Sweeps(s Scale) []SweepReq {
-	ns, sizes := sweepDims(s)
-	return []SweepReq{{Machine: "frontier-cpu", Spec: bench.Spec{Transport: bench.OneSided, Ns: ns, Sizes: sizes}}}
-}
-
 // Fig1 builds the Message Roofline overview on Frontier: the measured
 // put sweep, the fitted latency-ceiling family, and the sharp vs
 // rounded bounds.
@@ -83,7 +77,7 @@ func Fig1(env *Env) (*Output, error) {
 		return nil, err
 	}
 	ns, sizes := sweepDims(s)
-	res, err := bench.Sweep(cfg, bench.Spec{Transport: bench.OneSided, Ns: ns, Sizes: sizes, Cache: env.Cache, Shards: env.Shards})
+	res, err := bench.Sweep(cfg, bench.Spec{Transport: bench.OneSided, Ns: ns, Sizes: sizes, Shards: env.Shards})
 	if err != nil {
 		return nil, err
 	}
@@ -119,20 +113,6 @@ func Fig1(env *Env) (*Output, error) {
 	}, nil
 }
 
-// fig3Sweeps declares Fig3's bench sweeps for the dedup planner. The
-// frontier-cpu one-sided sweep is Fig1's exact grid — the canonical
-// cross-figure overlap the planner simulates only once.
-func fig3Sweeps(s Scale) []SweepReq {
-	ns, sizes := sweepDims(s)
-	var out []SweepReq
-	for _, name := range []string{"perlmutter-cpu", "frontier-cpu", "summit-cpu"} {
-		out = append(out,
-			SweepReq{Machine: name, Spec: bench.Spec{Transport: bench.TwoSided, Ns: ns, Sizes: sizes}},
-			SweepReq{Machine: name, Spec: bench.Spec{Transport: bench.OneSided, Ns: ns, Sizes: sizes}})
-	}
-	return out
-}
-
 // Fig3 measures two-sided vs one-sided MPI bandwidth on the three CPU
 // platforms.
 func Fig3(env *Env) (*Output, error) {
@@ -145,11 +125,11 @@ func Fig3(env *Env) (*Output, error) {
 		if err != nil {
 			return nil, err
 		}
-		two, err := bench.Sweep(cfg, bench.Spec{Transport: bench.TwoSided, Ns: ns, Sizes: sizes, Cache: env.Cache, Shards: env.Shards})
+		two, err := bench.Sweep(cfg, bench.Spec{Transport: bench.TwoSided, Ns: ns, Sizes: sizes, Shards: env.Shards})
 		if err != nil {
 			return nil, err
 		}
-		one, err := bench.Sweep(cfg, bench.Spec{Transport: bench.OneSided, Ns: ns, Sizes: sizes, Cache: env.Cache, Shards: env.Shards})
+		one, err := bench.Sweep(cfg, bench.Spec{Transport: bench.OneSided, Ns: ns, Sizes: sizes, Shards: env.Shards})
 		if err != nil {
 			return nil, err
 		}
@@ -186,16 +166,6 @@ func Fig3(env *Env) (*Output, error) {
 	return &Output{ID: "fig3", Title: "Two-sided vs one-sided MPI on CPUs", Text: b.String(), Series: all, Notes: notes}, nil
 }
 
-// fig4Sweeps declares Fig4's bench sweeps for the dedup planner.
-func fig4Sweeps(s Scale) []SweepReq {
-	ns, sizes := sweepDims(s)
-	var out []SweepReq
-	for _, name := range []string{"perlmutter-gpu", "summit-gpu"} {
-		out = append(out, SweepReq{Machine: name, Spec: bench.Spec{Transport: bench.ShmemPutSignal, Ns: ns, Sizes: sizes}})
-	}
-	return out
-}
-
 // Fig4 measures GPU-initiated put-with-signal sweeps and atomic CAS
 // latencies on both GPU machines.
 func Fig4(env *Env) (*Output, error) {
@@ -208,7 +178,7 @@ func Fig4(env *Env) (*Output, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := bench.Sweep(cfg, bench.Spec{Transport: bench.ShmemPutSignal, Ns: ns, Sizes: sizes, Cache: env.Cache, Shards: env.Shards})
+		res, err := bench.Sweep(cfg, bench.Spec{Transport: bench.ShmemPutSignal, Ns: ns, Sizes: sizes, Shards: env.Shards})
 		if err != nil {
 			return nil, err
 		}
@@ -233,7 +203,7 @@ func Fig4(env *Env) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	pg, err := bench.CASLatencyCached(env.Cache, pmGPU, 4, 1, 32)
+	pg, err := bench.CASLatency(pmGPU, 4, 1, 32)
 	if err != nil {
 		return nil, err
 	}
@@ -242,12 +212,12 @@ func Fig4(env *Env) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	in, err := bench.CASLatencyCached(env.Cache, smGPU, 6, 1, 32)
+	in, err := bench.CASLatency(smGPU, 6, 1, 32)
 	if err != nil {
 		return nil, err
 	}
 	t.AddRow("Summit GPU", "g0->g1 (in island)", usStr(in), "1.0")
-	cross, err := bench.CASLatencyCached(env.Cache, smGPU, 6, 3, 32)
+	cross, err := bench.CASLatency(smGPU, 6, 3, 32)
 	if err != nil {
 		return nil, err
 	}
@@ -256,7 +226,7 @@ func Fig4(env *Env) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	cpu, err := bench.OneSidedCASLatencyCached(env.Cache, pmCPU, 2, 1, 32)
+	cpu, err := bench.OneSidedCASLatency(pmCPU, 2, 1, 32)
 	if err != nil {
 		return nil, err
 	}
@@ -279,7 +249,7 @@ func Fig10(env *Env) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	pts, err := bench.SweepSplitCached(env.Cache, cfg, 4, volumes)
+	pts, err := bench.SweepSplit(cfg, 4, volumes)
 	if err != nil {
 		return nil, err
 	}

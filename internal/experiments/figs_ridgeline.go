@@ -196,8 +196,7 @@ func rlRoutingMicro() (*table.Table, string, error) {
 		return nil, "", err
 	}
 	// A value copy with the routing policy flipped: the specs inside
-	// Topology are read-only, so sharing their pointers is safe, and
-	// the config fingerprint distinguishes the two policies.
+	// Topology are read-only, so sharing their pointers is safe.
 	dfMinCfg := *dfAd
 	dfMinCfg.Name = "dragonfly-1k-minimal"
 	dfMinCfg.Topology.Routing = machine.RoutingMinimal

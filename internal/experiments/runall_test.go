@@ -96,8 +96,10 @@ func TestRunSuiteMatchesSequentialOutput(t *testing.T) {
 }
 
 func TestPlannerDedupsCrossFigureOverlap(t *testing.T) {
-	// Fig1's frontier-cpu one-sided sweep is one of Fig3's six sweeps:
-	// the planner must see the overlap and simulate the union once.
+	// Fig1 and Fig3 share a sweep, and each now simulates it itself:
+	// there is no planner or cache left. The benchmark still passes a
+	// pointcache.Cache, so the suite must render exactly as it does
+	// for the CLI, which passes none.
 	var exps []Experiment
 	for _, id := range []string{"fig1", "fig3"} {
 		e, err := Get(id)
@@ -110,61 +112,18 @@ func TestPlannerDedupsCrossFigureOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, _, ps, err := RunSuite(exps, SuiteOptions{Scale: Quick, Jobs: 4, Cache: cache})
+	outs, _, _, err := RunSuite(exps, SuiteOptions{Scale: Quick, Jobs: 4, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	perFig := len(fig1Sweeps(Quick)[0].Spec.Ns) * len(fig1Sweeps(Quick)[0].Spec.Sizes)
-	if ps.Figures != 2 || ps.Points != 7*perFig || ps.Unique != 6*perFig {
-		t.Fatalf("plan census wrong: %+v (perFig=%d)", ps, perFig)
-	}
-	if ps.Duplicates != perFig || ps.CrossFigure != perFig {
-		t.Fatalf("expected %d cross-figure duplicates: %+v", perFig, ps)
-	}
-	if ps.Simulated != ps.Unique || ps.Reused != 0 {
-		t.Fatalf("cold plan should simulate every unique point: %+v", ps)
-	}
-	// Every figure sweep must have hit the planner-seeded cache.
-	st := cache.Stats()
-	if st.Stores != int64(ps.Unique) {
-		t.Fatalf("stores = %d, want %d (figures re-simulated)", st.Stores, ps.Unique)
-	}
-	if st.Hits < int64(ps.Points) {
-		t.Fatalf("hits = %d, want >= %d declared points", st.Hits, ps.Points)
-	}
-	// And the rendered output must match the uncached run exactly.
 	plain, _, _, err := RunSuite(exps, SuiteOptions{Scale: Quick, Jobs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range outs {
 		if outs[i].Render() != plain[i].Render() {
-			t.Fatalf("%s: cached output diverged from uncached", outs[i].ID)
+			t.Fatalf("%s: output with the deprecated cache diverged", outs[i].ID)
 		}
-	}
-	// A second run against the same cache reuses everything.
-	_, _, warm, err := RunSuite(exps, SuiteOptions{Scale: Quick, Jobs: 4, Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Simulated != 0 || warm.Reused != warm.Unique {
-		t.Fatalf("warm plan should simulate nothing: %+v", warm)
-	}
-}
-
-func TestPlannerCensusOnlyWithoutCache(t *testing.T) {
-	// With no cache the planner still counts overlap but must not
-	// presimulate anything.
-	e, err := Get("fig1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, ps, err := RunSuite([]Experiment{e}, SuiteOptions{Scale: Quick, Jobs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps.Figures != 1 || ps.Unique == 0 || ps.Simulated != 0 || ps.Reused != 0 {
-		t.Fatalf("census-only plan wrong: %+v", ps)
 	}
 }
 

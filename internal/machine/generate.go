@@ -373,37 +373,3 @@ func FatTreeForRanks(n int) FatTree {
 		k += 2
 	}
 }
-
-// appendFingerprint encodes every semantic Dragonfly field for the
-// pointcache key (see Topology.appendFingerprint).
-func (d *Dragonfly) appendFingerprint(b []byte) []byte {
-	b = appendInt(b, "df.groups", int64(d.Groups))
-	b = appendInt(b, "df.routers", int64(d.RoutersPerGroup))
-	b = appendInt(b, "df.nodes", int64(d.NodesPerRouter))
-	b = appendInt(b, "df.globals", int64(d.GlobalLinksPerRouter))
-	b = appendInt(b, "df.ranks", int64(d.RanksPerNode))
-	b = appendFloat(b, "df.nodegbs", d.NodeGBs)
-	b = appendFloat(b, "df.nodelat", d.NodeLatencyNs)
-	b = appendFloat(b, "df.localgbs", d.LocalGBs)
-	b = appendFloat(b, "df.locallat", d.LocalLatencyNs)
-	b = appendFloat(b, "df.globalgbs", d.GlobalGBs)
-	b = appendFloat(b, "df.globallat", d.GlobalLatencyNs)
-	b = appendStr(b, "df.prefix", d.Prefix)
-	return b
-}
-
-// appendFingerprint encodes every semantic FatTree field for the
-// pointcache key (see Topology.appendFingerprint).
-func (f *FatTree) appendFingerprint(b []byte) []byte {
-	b = appendInt(b, "ft.radix", int64(f.Radix))
-	b = appendInt(b, "ft.levels", int64(f.Levels))
-	b = appendInt(b, "ft.ranks", int64(f.RanksPerHost))
-	b = appendFloat(b, "ft.hostgbs", f.HostGBs)
-	b = appendFloat(b, "ft.hostlat", f.HostLatencyNs)
-	b = appendFloat(b, "ft.edgegbs", f.EdgeGBs)
-	b = appendFloat(b, "ft.edgelat", f.EdgeLatencyNs)
-	b = appendFloat(b, "ft.coregbs", f.CoreGBs)
-	b = appendFloat(b, "ft.corelat", f.CoreLatencyNs)
-	b = appendStr(b, "ft.prefix", f.Prefix)
-	return b
-}

@@ -9,9 +9,7 @@
 package machine
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -282,100 +280,6 @@ func (in *Instance) ModelParams(t Transport, src, dst int) (loggp.Params, error)
 		OpsPerMsg: tp.OpsPerMsg,
 		Trigger:   tp.TriggerLatency,
 	}, nil
-}
-
-// AppendFingerprint appends a canonical, serialization-stable encoding
-// of every semantic Config field to b and returns the extended slice.
-// Two configs produce the same bytes iff their field values are equal:
-// the Transports map is emitted in sorted key order, every value is
-// written with an explicit field tag, and floats are encoded by their
-// IEEE-754 bit pattern so the encoding never goes through locale- or
-// precision-dependent formatting. internal/pointcache hashes this
-// encoding into its content-addressed sweep-point keys, so any change
-// to a calibrated constant — a TransportParams entry, link bandwidth,
-// GPU geometry — changes every key derived from the machine and the
-// cache misses cleanly.
-//
-// The Topology spec is encoded field-by-field (topology.go), so two
-// parameterizations of the same generator can never collide on a
-// cache key. A reflection-based completeness test in pointcache fails
-// when a new Config or Topology field is added without extending this
-// encoding.
-func (c *Config) AppendFingerprint(b []byte) []byte {
-	b = appendStr(b, "name", c.Name)
-	b = appendStr(b, "title", c.Title)
-	b = appendInt(b, "kind", int64(c.Kind))
-	b = appendInt(b, "maxranks", int64(c.MaxRanks))
-	b = appendFloat(b, "theogbs", c.TheoreticalGBs)
-	trs := make([]int, 0, len(c.Transports))
-	for t := range c.Transports {
-		trs = append(trs, int(t))
-	}
-	sort.Ints(trs)
-	for _, t := range trs {
-		tp := c.Transports[Transport(t)]
-		b = appendInt(b, "transport", int64(t))
-		b = appendInt(b, "opoverhead", int64(tp.OpOverhead))
-		b = appendInt(b, "opspermsg", int64(tp.OpsPerMsg))
-		b = appendInt(b, "softlatency", int64(tp.SoftLatency))
-		b = appendInt(b, "gap", int64(tp.Gap))
-		b = appendInt(b, "atomictime", int64(tp.AtomicTime))
-		b = appendInt(b, "atomiclinkocc", int64(tp.AtomicLinkOccupancy))
-		b = appendInt(b, "syncroundtrips", int64(tp.SyncRoundTrips))
-		b = appendInt(b, "crosssocketextra", int64(tp.CrossSocketExtra))
-		b = appendBool(b, "hoststaged", tp.HostStaged)
-		b = appendInt(b, "triggerlatency", int64(tp.TriggerLatency))
-		b = appendInt(b, "channelopen", int64(tp.ChannelOpen))
-		b = appendInt(b, "channelcredits", int64(tp.ChannelCredits))
-	}
-	b = appendBool(b, "gpu", c.GPU != nil)
-	if c.GPU != nil {
-		b = appendFloat(b, "computescale", c.GPU.ComputeScale)
-		b = appendInt(b, "kernellaunch", int64(c.GPU.KernelLaunch))
-		b = appendInt(b, "channels", int64(c.GPU.Channels))
-	}
-	b = appendFloat(b, "membw", c.MemBandwidth)
-	b = appendInt(b, "memlat", int64(c.MemLatency))
-	b = appendStr(b, "trow.gpuspernode", c.TableRow.GPUsPerNode)
-	b = appendStr(b, "trow.gpuinterconnect", c.TableRow.GPUInterconnect)
-	b = appendStr(b, "trow.gpuruntime", c.TableRow.GPURuntime)
-	b = appendStr(b, "trow.gpucpulink", c.TableRow.GPUCPULink)
-	b = appendStr(b, "trow.cpus", c.TableRow.CPUs)
-	b = appendStr(b, "trow.cpuinterconnect", c.TableRow.CPUInterconnect)
-	b = appendStr(b, "trow.cpuruntime", c.TableRow.CPURuntime)
-	b = appendStr(b, "trow.cpuniclink", c.TableRow.CPUNICLink)
-	b = c.Topology.appendFingerprint(b)
-	return b
-}
-
-// appendStr writes tag and value length-prefixed so no pair of
-// distinct (tag, value) sequences can collide by concatenation.
-func appendStr(b []byte, tag, v string) []byte {
-	b = appendUvarint(b, uint64(len(tag)))
-	b = append(b, tag...)
-	b = appendUvarint(b, uint64(len(v)))
-	return append(b, v...)
-}
-
-func appendInt(b []byte, tag string, v int64) []byte {
-	b = appendUvarint(b, uint64(len(tag)))
-	b = append(b, tag...)
-	return appendUvarint(b, uint64(v))
-}
-
-func appendFloat(b []byte, tag string, v float64) []byte {
-	return appendInt(b, tag, int64(math.Float64bits(v)))
-}
-
-func appendBool(b []byte, tag string, v bool) []byte {
-	if v {
-		return appendInt(b, tag, 1)
-	}
-	return appendInt(b, tag, 0)
-}
-
-func appendUvarint(b []byte, v uint64) []byte {
-	return binary.AppendUvarint(b, v)
 }
 
 var catalog = map[string]*Config{}

@@ -229,62 +229,3 @@ func (p *Placement) place(ranks int) ([]Place, error) {
 	}
 	return places, nil
 }
-
-// fingerprinting -------------------------------------------------------------
-
-// appendFingerprint extends the Config fingerprint with every semantic
-// topology field, tag-prefixed and length-delimited like the rest of
-// the encoding (machine.go). Two different parameterizations — even of
-// the same generator — therefore always produce distinct pointcache
-// keys; the reflection completeness test in pointcache walks these
-// structs and fails if a new field is added without extending this.
-func (t *Topology) appendFingerprint(b []byte) []byte {
-	b = appendStr(b, "topo.routing", t.Routing)
-	b = appendBool(b, "topo.explicit", t.Explicit != nil)
-	if t.Explicit != nil {
-		b = appendLinks(b, t.Explicit.Links)
-		b = t.Explicit.Place.appendFingerprint(b)
-		b = appendStrSlice(b, "topo.detours", t.Explicit.Detours)
-	}
-	b = appendBool(b, "topo.dragonfly", t.Dragonfly != nil)
-	if t.Dragonfly != nil {
-		b = t.Dragonfly.appendFingerprint(b)
-	}
-	b = appendBool(b, "topo.fattree", t.FatTree != nil)
-	if t.FatTree != nil {
-		b = t.FatTree.appendFingerprint(b)
-	}
-	return b
-}
-
-func appendLinks(b []byte, links []LinkSpec) []byte {
-	b = appendInt(b, "links", int64(len(links)))
-	for _, l := range links {
-		b = appendStr(b, "l.a", l.A)
-		b = appendStr(b, "l.b", l.B)
-		b = appendFloat(b, "l.gbs", l.GBs)
-		b = appendFloat(b, "l.latns", l.LatencyNs)
-		b = appendInt(b, "l.ch", int64(l.Channels))
-		b = appendStr(b, "l.class", l.Class)
-	}
-	return b
-}
-
-func (p *Placement) appendFingerprint(b []byte) []byte {
-	b = appendStr(b, "place.kind", p.Kind)
-	b = appendStrSlice(b, "place.nodes", p.Nodes)
-	b = appendInt(b, "place.sockets", int64(len(p.Sockets)))
-	for _, s := range p.Sockets {
-		b = appendInt(b, "place.socket", int64(s))
-	}
-	b = appendStrSlice(b, "place.hosts", p.Hosts)
-	return b
-}
-
-func appendStrSlice(b []byte, tag string, vs []string) []byte {
-	b = appendInt(b, tag, int64(len(vs)))
-	for _, v := range vs {
-		b = appendStr(b, tag+".v", v)
-	}
-	return b
-}

@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 )
@@ -258,40 +257,6 @@ func TestPerRankCapacity(t *testing.T) {
 	}
 	if _, _, err := topo.Build(5); err == nil {
 		t.Fatal("5 ranks on a 4-slot per-rank placement must fail")
-	}
-}
-
-func TestTopologyFingerprintsDistinct(t *testing.T) {
-	// Two parameterizations of the same generator must never produce
-	// the same fingerprint bytes (pointcache key safety).
-	base := dragonfly1K
-	variants := []Dragonfly{base}
-	v := base
-	v.GlobalLinksPerRouter = 2
-	variants = append(variants, v)
-	v = base
-	v.GlobalGBs = 26
-	variants = append(variants, v)
-	v = base
-	v.RanksPerNode = 8
-	variants = append(variants, v)
-	var prints [][]byte
-	for i := range variants {
-		topo := Topology{Dragonfly: &variants[i], Routing: RoutingAdaptive}
-		prints = append(prints, topo.appendFingerprint(nil))
-	}
-	for i := range prints {
-		for j := i + 1; j < len(prints); j++ {
-			if bytes.Equal(prints[i], prints[j]) {
-				t.Fatalf("variants %d and %d collide", i, j)
-			}
-		}
-	}
-	// Routing policy is part of the key too.
-	a := Topology{Dragonfly: &base, Routing: RoutingAdaptive}
-	m := Topology{Dragonfly: &base, Routing: RoutingMinimal}
-	if bytes.Equal(a.appendFingerprint(nil), m.appendFingerprint(nil)) {
-		t.Fatal("routing policies collide")
 	}
 }
 

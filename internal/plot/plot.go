@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"sort"
 	"strings"
 )
@@ -223,6 +224,20 @@ func WriteCSV(w io.Writer, series []Series) error {
 		}
 	}
 	return nil
+}
+
+// WriteCSVFile writes series to a new file at path. A failed write or
+// close (the final flush to disk) is an error.
+func WriteCSVFile(path string, series []Series) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = WriteCSV(f, series)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func csvEscape(s string) string {

@@ -3,6 +3,8 @@ package plot
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -84,6 +86,29 @@ func TestWriteCSVMismatched(t *testing.T) {
 	var b bytes.Buffer
 	if err := WriteCSV(&b, []Series{{Name: "bad", X: []float64{1}, Y: nil}}); err == nil {
 		t.Fatal("expected error for mismatched series")
+	}
+}
+
+func TestWriteCSVFile(t *testing.T) {
+	ser := []Series{{Name: "s", X: []float64{1}, Y: []float64{2}}}
+	path := filepath.Join(t.TempDir(), "s.csv")
+	if err := WriteCSVFile(path, ser); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "series,x,y\ns,1,2\n" {
+		t.Fatalf("file = %q", got)
+	}
+	if err := WriteCSVFile(filepath.Join(path, "x.csv"), ser); err == nil {
+		t.Fatal("creating a file under a regular file should fail")
+	}
+	if _, err := os.Stat("/dev/full"); err == nil {
+		if err := WriteCSVFile("/dev/full", ser); err == nil {
+			t.Fatal("a write to a full device should fail")
+		}
 	}
 }
 

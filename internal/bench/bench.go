@@ -48,15 +48,6 @@ type Result struct {
 	// produced the result. It is wall-clock metadata, varies run to
 	// run, and must never be mixed into simulated output.
 	Sched *sched.Stats
-
-	// index accelerates At; rebuilt lazily whenever Points grows.
-	index      map[pointKey]int
-	indexedLen int
-}
-
-type pointKey struct {
-	n     int
-	bytes int64
 }
 
 // Transport selects which messaging protocol a Sweep measures. It is
@@ -220,7 +211,7 @@ func measureWith(cfg *machine.Config, t Transport, ranks, n int, b int64, shards
 	case OneSidedStrict:
 		return measureOneSided(cfg, ranks, n, b, shards, true, payload)
 	case ShmemPutSignal:
-		return measureShmemPutSignal(cfg, ranks, n, b, shards, payload)
+		return measureCommStream(cfg, comm.Shmem, ranks, n, b, shards, payload)
 	case StreamTriggered:
 		return measureCommStream(cfg, comm.StreamTriggered, ranks, n, b, shards, payload)
 	case MemChannel:
@@ -356,50 +347,11 @@ func measureOneSided(cfg *machine.Config, ranks, n int, b int64, shards int, str
 	return point(n, b, elapsed), c.Digest(), nil
 }
 
-// measureShmemPutSignal measures one GPU-initiated put-with-signal
-// window (Fig 4): the sender PE issues N fused put+signal operations,
-// the receiver waits until all N signals land, and the window closes
-// at the receiver.
-func measureShmemPutSignal(cfg *machine.Config, npes, n int, b int64, shards int, payload func(int) []byte) (Point, uint64, error) {
-	src, dst := farPair(npes)
-	var elapsed sim.Time
-	heap := int(b) + 8*n + 64
-	j, err := shmem.NewJobSharded(cfg, machine.GPUShmem, npes, heap, int(b), shards)
-	if err != nil {
-		return Point{}, 0, err
-	}
-	err = j.Launch(func(c *shmem.Ctx) {
-		switch c.MyPE() {
-		case src:
-			c.Barrier()
-			data := payload(int(b))
-			for i := 0; i < n; i++ {
-				c.PutSignalNBI(dst, 0, data, int(b)+8*i, 1)
-			}
-			c.Quiet()
-		case dst:
-			sigs := make([]int, n)
-			for i := range sigs {
-				sigs[i] = int(b) + 8*i
-			}
-			c.Barrier()
-			start := c.Now()
-			c.WaitUntilAll(sigs, 1)
-			elapsed = c.Now() - start
-		default:
-			c.Barrier()
-		}
-	})
-	if err != nil {
-		return Point{}, 0, fmt.Errorf("bench: shmem %s n=%d B=%d: %w", cfg.Name, n, b, err)
-	}
-	return point(n, b, elapsed), j.Digest(), nil
-}
-
-// measureCommStream measures one streamed-delivery window on a
-// transport-layer stack (stream-triggered or memory-channel): the
-// sender issues N signaled deliveries and quiets, the receiver times
-// from the pre-window barrier to its Nth consumed slot. The trace tap
+// measureCommStream measures one streamed-delivery window on a PGAS
+// transport (GPU shmem put-with-signal for Fig 4, stream-triggered or
+// memory-channel): the sender issues N signaled deliveries and quiets,
+// the receiver times from the pre-window barrier to its Nth consumed
+// slot. The trace tap
 // stays off — the point is a timing, not an op census.
 func measureCommStream(cfg *machine.Config, kind comm.Kind, ranks, n int, b int64, shards int, payload func(int) []byte) (Point, uint64, error) {
 	src, dst := farPair(ranks)
@@ -652,48 +604,13 @@ func (r *Result) MaxGBs() float64 {
 }
 
 // At returns the measured point for (n, bytes), ok=false if absent.
-// Lookups go through a lazily built (n, bytes) -> index map, rebuilt
-// whenever Points has grown since the last call; like the rest of
-// Result's lazy state it is not safe for concurrent first use. When
-// the same (n, bytes) pair appears more than once the first point
-// wins, matching the original linear scan.
-//
-// Points is exported and callers may rewrite entries in place, which
-// a length check alone cannot see. A hit is therefore verified
-// against the stored point and a miss falls back to a linear scan;
-// either inconsistency triggers a rebuild, so At never serves a
-// point that no longer matches its key.
+// When the same (n, bytes) pair appears more than once the first point
+// wins. A sweep holds at most a few dozen points, so a scan is enough.
 func (r *Result) At(n int, bytes int64) (Point, bool) {
-	if r.index == nil || r.indexedLen != len(r.Points) {
-		r.rebuildIndex()
-	}
-	k := pointKey{n, bytes}
-	if i, ok := r.index[k]; ok {
-		if p := r.Points[i]; p.N == n && p.Bytes == bytes {
-			return p, true
-		}
-		r.rebuildIndex()
-		if i, ok := r.index[k]; ok {
-			return r.Points[i], true
-		}
-		return Point{}, false
-	}
 	for _, p := range r.Points {
 		if p.N == n && p.Bytes == bytes {
-			r.rebuildIndex()
 			return p, true
 		}
 	}
 	return Point{}, false
-}
-
-func (r *Result) rebuildIndex() {
-	r.index = make(map[pointKey]int, len(r.Points))
-	for i, p := range r.Points {
-		k := pointKey{p.N, p.Bytes}
-		if _, dup := r.index[k]; !dup {
-			r.index[k] = i
-		}
-	}
-	r.indexedLen = len(r.Points)
 }

@@ -757,9 +757,7 @@ func (ce *CoupledEngine) applyShare(w int) {
 	pend := ce.pend[w]
 	for i := range pend {
 		d := &pend[i]
-		if ev := ce.subs[d.g].At(d.t, d.fn); ev.At() != d.t {
-			d.t = ev.At()
-		}
+		d.t = ce.subs[d.g].At(d.t, d.fn)
 	}
 }
 

@@ -6,51 +6,15 @@ import (
 	"sort"
 )
 
-// Event is a cancelable handle to a scheduled callback. The engine
-// recycles event storage through a free list, so the handle addresses
-// its slot through a generation counter: canceling after the event has
-// fired (and its slot has been reused by a later event) is a safe
-// no-op. The zero Event is inert.
-//
-// Events with equal timestamps fire in the order they were scheduled
-// (FIFO), which keeps runs deterministic.
-type Event struct {
-	eng      *Engine
-	at       Time
-	slot     int32
-	gen      uint32
-	canceled bool
-}
-
-// Cancel prevents the event from firing. Canceling an already-fired or
-// already-canceled event is a no-op.
-func (ev *Event) Cancel() {
-	if ev.canceled {
-		return
-	}
-	ev.canceled = true
-	if ev.eng == nil {
-		return
-	}
-	if nd := &ev.eng.nodes[ev.slot]; nd.gen == ev.gen {
-		nd.canceled = true
-	}
-}
-
-// At returns the simulated time the event is scheduled for.
-func (ev *Event) At() Time { return ev.at }
-
-// eventNode is the pooled storage behind an Event. A node either
-// carries a callback (fn) or is a pre-bound process wakeup (wake);
-// wakeups carry no closure, so the Sleep/Signal hot path allocates
-// nothing. gen increments every time the slot is recycled.
+// eventNode is the pooled storage behind a scheduled event. A node
+// either carries a callback (fn) or is a pre-bound process wakeup
+// (wake); wakeups carry no closure, so the Sleep/Signal hot path
+// allocates nothing.
 type eventNode struct {
-	at       Time
-	seq      uint64
-	fn       func()
-	wake     *Proc
-	gen      uint32
-	canceled bool
+	at   Time
+	seq  uint64
+	fn   func()
+	wake *Proc
 }
 
 // heapEnt is one entry of the time-ordered queue. The ordering key
@@ -92,7 +56,7 @@ type Engine struct {
 	executed uint64
 	digest   uint64 // order-sensitive fold of dispatched (at, key) pairs
 	maxEv    uint64 // 0 = unlimited
-	horizon  Time   // RunUntil bound; handoffs must not dispatch beyond it
+	horizon  Time   // last dispatchable time during RunBefore; handoffs must not pass it
 
 	nodes []eventNode // slot-addressed pool
 	free  []int32     // free-list stack of recycled slots
@@ -187,15 +151,12 @@ func (e *Engine) alloc(at Time) int32 {
 	return slot
 }
 
-// freeSlot recycles a node. Bumping gen invalidates every outstanding
-// Event handle to the old occupant, which is what makes Cancel safe
-// after recycling.
+// freeSlot recycles a node, dropping its callback and process
+// references so the pool pins neither.
 func (e *Engine) freeSlot(slot int32) {
 	nd := &e.nodes[slot]
 	nd.fn = nil
 	nd.wake = nil
-	nd.canceled = false
-	nd.gen++
 	e.free = append(e.free, slot)
 }
 
@@ -213,18 +174,11 @@ func (e *Engine) enqueue(slot int32) {
 	}
 }
 
-// Schedule registers fn to run after delay. A negative delay is an
-// immediate event (fires at the current time, after already-queued
-// events with the same timestamp).
-func (e *Engine) Schedule(delay Time, fn func()) Event {
-	if delay < 0 {
-		delay = 0
-	}
-	return e.At(e.now+delay, fn)
-}
-
-// At registers fn to run at absolute time t (clamped to now).
-func (e *Engine) At(t Time, fn func()) Event {
+// At registers fn to run at absolute time t (clamped to now) and
+// returns the time it will fire. Events with equal timestamps fire in
+// the order they were registered (FIFO), which keeps runs
+// deterministic.
+func (e *Engine) At(t Time, fn func()) Time {
 	if t < e.now {
 		t = e.now
 	}
@@ -233,7 +187,7 @@ func (e *Engine) At(t Time, fn func()) Event {
 	nd.fn = fn
 	e.enqueue(slot)
 	// nd.at, not t: perturbation jitter may have moved the event.
-	return Event{eng: e, at: nd.at, slot: slot, gen: nd.gen}
+	return nd.at
 }
 
 // scheduleWake registers a pre-bound wakeup of p after delay: the
@@ -327,25 +281,13 @@ func (e *Engine) heapPop() heapEnt {
 
 // --- dispatch core ---
 
-// dropCanceled frees canceled events sitting at the head of either
-// queue, so peeks and pops see only live events at the front.
-func (e *Engine) dropCanceled() {
-	for e.nowLen > 0 && e.nodes[e.nowq[e.nowHead].slot].canceled {
-		e.freeSlot(e.nowPop().slot)
-	}
-	for len(e.heap) > 0 && e.nodes[e.heap[0].slot].canceled {
-		e.freeSlot(e.heapPop().slot)
-	}
-}
-
-// peekMin returns the time and slot of the earliest live pending
-// event without removing it. Clock invariant: every now-queue entry is
+// peekMin returns the time and slot of the earliest pending event
+// without removing it. Clock invariant: every now-queue entry is
 // scheduled for exactly e.now (the clock only advances when the now
 // queue is empty), and every heap entry has at >= e.now, so the now
 // queue wins unless the heap holds an equal-time entry with an earlier
 // sequence number.
 func (e *Engine) peekMin() (Time, int32, bool) {
-	e.dropCanceled()
 	if e.nowLen > 0 {
 		q := &e.nowq[e.nowHead]
 		if len(e.heap) > 0 {
@@ -361,8 +303,8 @@ func (e *Engine) peekMin() (Time, int32, bool) {
 	return 0, -1, false
 }
 
-// popMin removes and returns the slot of the earliest pending event
-// (canceled entries included; callers filter), or -1 when none remain.
+// popMin removes and returns the slot of the earliest pending event,
+// or -1 when none remain.
 func (e *Engine) popMin() int32 {
 	if e.nowLen > 0 {
 		q := &e.nowq[e.nowHead]
@@ -382,33 +324,24 @@ func (e *Engine) popMin() int32 {
 // step dispatches the next event. It reports false when the queue is
 // empty.
 func (e *Engine) step() bool {
-	for {
-		slot := e.popMin()
-		if slot < 0 {
-			return false
-		}
-		nd := &e.nodes[slot]
-		if nd.canceled {
-			e.freeSlot(slot)
-			continue
-		}
-		if nd.at > e.now {
-			e.now = nd.at
-		}
-		e.executed++
-		e.digest = mixDigest(mixDigest(e.digest, uint64(nd.at)), nd.seq)
-		p, fn := nd.wake, nd.fn
-		e.freeSlot(slot)
-		if p != nil {
-			if p.preWake != nil {
-				p.preWake()
-			}
-			e.dispatch(p)
-		} else {
-			fn()
-		}
-		return true
+	slot := e.popMin()
+	if slot < 0 {
+		return false
 	}
+	nd := &e.nodes[slot]
+	if nd.at > e.now {
+		e.now = nd.at
+	}
+	e.executed++
+	e.digest = mixDigest(mixDigest(e.digest, uint64(nd.at)), nd.seq)
+	p, fn := nd.wake, nd.fn
+	e.freeSlot(slot)
+	if p != nil {
+		e.dispatch(p)
+	} else {
+		fn()
+	}
+	return true
 }
 
 // handoffTarget pops and returns the process behind the globally next
@@ -416,8 +349,8 @@ func (e *Engine) step() bool {
 // execute itself — the direct proc-to-proc handoff fast path (one
 // channel handshake per context switch instead of two). It returns nil
 // when the next event is a callback (or none exists), when the event
-// limit has been reached, or when the wakeup lies beyond the RunUntil
-// horizon; the engine loop then takes over.
+// limit has been reached, or when the wakeup lies at or beyond a
+// running RunBefore bound; the engine loop then takes over.
 func (e *Engine) handoffTarget() *Proc {
 	for {
 		if e.maxEv != 0 && e.executed >= e.maxEv {
@@ -441,9 +374,6 @@ func (e *Engine) handoffTarget() *Proc {
 		if p.done {
 			continue // stale wakeup for a finished process
 		}
-		if p.preWake != nil {
-			p.preWake()
-		}
 		return p
 	}
 }
@@ -464,7 +394,7 @@ func (e *Engine) Run() error {
 	return nil
 }
 
-// NextAt returns the timestamp of the earliest live pending event and
+// NextAt returns the timestamp of the earliest pending event and
 // whether one exists. It does not advance the clock.
 func (e *Engine) NextAt() (Time, bool) {
 	at, _, ok := e.peekMin()
@@ -472,18 +402,17 @@ func (e *Engine) NextAt() (Time, bool) {
 }
 
 // RunBefore dispatches every event with timestamp strictly less than
-// t. Unlike RunUntil it never advances the clock idly: Now() stays at
-// the last dispatched event, so Elapsed-style readings reflect real
-// activity. Parked processes are not treated as a deadlock (they may
-// be waiting on stimuli another engine will deliver at the next
-// window barrier). It is the per-window execution step of the coupled
-// engine (coupled.go).
+// t. It never advances the clock idly: Now() stays at the last
+// dispatched event, so Elapsed-style readings reflect real activity.
+// Parked processes are not treated as a deadlock (they may be waiting
+// on stimuli another engine will deliver at the next window barrier).
+// It is the per-window execution step of the coupled engine
+// (coupled.go).
 func (e *Engine) RunBefore(t Time) error {
 	e.horizon = t - 1
 	for {
-		// Inlined peekMin bound check: dropCanceled keeps both queue
-		// heads live, so step's own pop cannot skip past the bound.
-		e.dropCanceled()
+		// Inlined peekMin bound check: a non-empty now queue holds
+		// the minimum, since every heap entry is at or after now.
 		var at Time
 		if e.nowLen > 0 {
 			at = e.now
@@ -512,29 +441,6 @@ func (e *Engine) parkedNames(dst []string) []string {
 		dst = append(dst, p.name)
 	}
 	return dst
-}
-
-// RunUntil dispatches events with timestamps <= t, then advances the
-// clock to t. Parked processes are not treated as a deadlock (they may
-// be legitimately waiting for stimuli the caller will inject later).
-func (e *Engine) RunUntil(t Time) error {
-	e.horizon = t
-	for {
-		at, _, ok := e.peekMin()
-		if !ok || at > t {
-			break
-		}
-		e.step()
-		if e.maxEv != 0 && e.executed > e.maxEv {
-			e.horizon = math.MaxInt64
-			return fmt.Errorf("sim: event limit %d exceeded at t=%v", e.maxEv, e.now)
-		}
-	}
-	e.horizon = math.MaxInt64
-	if t > e.now {
-		e.now = t
-	}
-	return nil
 }
 
 // DeadlockError reports simulated processes that can never resume: the

@@ -92,7 +92,7 @@ func (p *Perturbation) TraceLens() []int {
 }
 
 // SetPerturbation installs the perturbation mode. It must be called on
-// a fresh engine — before any Spawn, Schedule or At — because already
+// a fresh engine — before any Spawn or At — because already
 // queued events would otherwise mix perturbed and unperturbed ordering
 // keys. Passing nil is a no-op on a fresh engine.
 func (e *Engine) SetPerturbation(p *Perturbation) {

@@ -6,13 +6,10 @@ package sim
 // the engine loop) executes at any wall-clock instant, so simulated
 // code needs no locking and every run is deterministic.
 type Proc struct {
-	eng     *Engine
-	name    string
-	resume  chan struct{}
-	done    bool
-	preWake func() // set during WaitTimeout to discriminate signal vs timeout
-
-	waitIdx int // absolute position in the Cond's waiter queue while parked
+	eng    *Engine
+	name   string
+	resume chan struct{}
+	done   bool
 
 	// intrusive membership in the engine's cond-parked list
 	isParked               bool
@@ -100,70 +97,35 @@ func (p *Proc) Sleep(d Time) {
 // Signal and Broadcast schedule wakeups at the current simulated time.
 // All operations must happen inside the engine's context.
 //
-// The waiter queue is FIFO (Signal wakes the longest-waiting process —
-// this ordering is a determinism invariant) with O(1) amortized
-// removal: timed-out waiters are nil-ed in place via their recorded
-// queue position rather than spliced out, and the front is compacted
-// as it drains. A swap-remove would be O(1) too but would reorder
-// waiters and change simulated wake order.
+// The waiter queue is a plain FIFO (Signal wakes the longest-waiting
+// process — this ordering is a determinism invariant): waiters append
+// at the back, pops advance head, and the drained front is compacted
+// away so the queue stays O(waiting) even when it never fully empties.
 type Cond struct {
 	eng     *Engine
 	waiters []*Proc
-	head    int // index of the first live entry in waiters
-	off     int // absolute position of waiters[0] (grows with compaction)
-	n       int // live (non-removed) waiters
+	head    int // index of the longest-waiting entry in waiters
 }
 
 // NewCond returns a condition variable bound to e.
 func NewCond(e *Engine) *Cond { return &Cond{eng: e} }
 
-// push appends p to the waiter queue, recording its absolute position
-// for O(1) removal.
-func (c *Cond) push(p *Proc) {
-	p.waitIdx = c.off + len(c.waiters)
-	c.waiters = append(c.waiters, p)
-	c.n++
-}
-
-// popFront returns the longest-waiting live waiter, or nil.
+// popFront returns the longest-waiting process, or nil.
 func (c *Cond) popFront() *Proc {
-	for c.head < len(c.waiters) {
-		p := c.waiters[c.head]
-		c.waiters[c.head] = nil
-		c.head++
-		if p != nil {
-			c.compact()
-			c.n--
-			return p
-		}
-	}
-	c.compact()
-	return nil
-}
-
-// compact reclaims the drained front so the queue stays O(live)
-// amortized even when it never fully empties.
-func (c *Cond) compact() {
 	if c.head == len(c.waiters) {
-		c.off += c.head
+		return nil
+	}
+	p := c.waiters[c.head]
+	c.waiters[c.head] = nil
+	c.head++
+	if c.head == len(c.waiters) {
 		c.head = 0
 		c.waiters = c.waiters[:0]
 	} else if c.head > 32 && c.head*2 >= len(c.waiters) {
-		kept := copy(c.waiters, c.waiters[c.head:])
-		c.off += c.head
+		c.waiters = c.waiters[:copy(c.waiters, c.waiters[c.head:])]
 		c.head = 0
-		c.waiters = c.waiters[:kept]
 	}
-}
-
-// remove drops p from the waiter queue in O(1) via its recorded
-// position (used by the WaitTimeout timeout path).
-func (c *Cond) remove(p *Proc) {
-	i := p.waitIdx - c.off
-	if i >= c.head && i < len(c.waiters) && c.waiters[i] == p {
-		c.waiters[i] = nil
-		c.n--
-	}
+	return p
 }
 
 // Wait parks p until the condition is signaled. As with sync.Cond, the
@@ -172,39 +134,9 @@ func (c *Cond) Wait(p *Proc) {
 	if p.eng != c.eng {
 		panic("sim: Cond.Wait with process from a different engine")
 	}
-	c.push(p)
+	c.waiters = append(c.waiters, p)
 	c.eng.addParked(p)
 	p.park()
-}
-
-// WaitTimeout parks p until the condition is signaled or d elapses,
-// whichever comes first. It reports true if the wakeup came from a
-// signal and false on timeout.
-func (c *Cond) WaitTimeout(p *Proc, d Time) bool {
-	signaled := false
-	fired := false
-	c.push(p)
-	c.eng.addParked(p)
-	var timer Event
-	timer = c.eng.Schedule(d, func() {
-		if fired {
-			return
-		}
-		fired = true
-		c.remove(p)
-		c.eng.removeParked(p)
-		c.eng.dispatch(p)
-	})
-	p.preWake = func() {
-		if !fired {
-			fired = true
-			signaled = true
-			timer.Cancel()
-		}
-	}
-	p.park()
-	p.preWake = nil
-	return signaled
 }
 
 // Signal wakes the longest-waiting process, if any. The wakeup is a

@@ -74,10 +74,10 @@ func TestTransferTimeMonotonic(t *testing.T) {
 func TestEventOrdering(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.Schedule(30, func() { order = append(order, 3) })
-	e.Schedule(10, func() { order = append(order, 1) })
-	e.Schedule(20, func() { order = append(order, 2) })
-	e.Schedule(10, func() { order = append(order, 11) }) // FIFO at equal time
+	e.At(30, func() { order = append(order, 3) })
+	e.At(10, func() { order = append(order, 1) })
+	e.At(20, func() { order = append(order, 2) })
+	e.At(10, func() { order = append(order, 11) }) // FIFO at equal time
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -92,22 +92,6 @@ func TestEventOrdering(t *testing.T) {
 	}
 }
 
-func TestEventCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	ev := e.Schedule(10, func() { fired = true })
-	ev.Cancel()
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired {
-		t.Fatal("canceled event fired")
-	}
-	if !ev.canceled {
-		t.Fatal("handle not marked canceled after Cancel")
-	}
-}
-
 func TestEventOrderingRandomized(t *testing.T) {
 	// Property: regardless of scheduling order, events fire in
 	// nondecreasing time order and the clock matches each firing.
@@ -118,7 +102,7 @@ func TestEventOrderingRandomized(t *testing.T) {
 		var fired []Time
 		for i := 0; i < n; i++ {
 			d := Time(rng.Intn(1000))
-			e.Schedule(d, func() {
+			e.At(d, func() {
 				fired = append(fired, e.Now())
 			})
 		}
@@ -238,72 +222,12 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
-func TestWaitTimeout(t *testing.T) {
-	e := NewEngine()
-	c := NewCond(e)
-	var timedOut, signaled bool
-	var tAt, sAt Time
-	e.Spawn("timeout", func(p *Proc) {
-		ok := c.WaitTimeout(p, 100*Nanosecond)
-		timedOut = !ok
-		tAt = p.Now()
-	})
-	e.Spawn("signaled", func(p *Proc) {
-		p.Sleep(1) // enter wait after the first proc
-		ok := c.WaitTimeout(p, 10*Microsecond)
-		signaled = ok
-		sAt = p.Now()
-	})
-	e.Spawn("signaler", func(p *Proc) {
-		p.Sleep(200 * Nanosecond)
-		c.Signal() // first waiter (timeout) already gone; wakes second
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !timedOut {
-		t.Error("first waiter should have timed out")
-	}
-	if tAt != 100*Nanosecond {
-		t.Errorf("timeout at %v, want 100ns", tAt)
-	}
-	if !signaled {
-		t.Error("second waiter should have been signaled")
-	}
-	if sAt != 200*Nanosecond {
-		t.Errorf("signal at %v, want 200ns", sAt)
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.Schedule(Time(i)*Microsecond, func() { count++ })
-	}
-	if err := e.RunUntil(5 * Microsecond); err != nil {
-		t.Fatal(err)
-	}
-	if count != 5 {
-		t.Fatalf("count = %d, want 5", count)
-	}
-	if e.Now() != 5*Microsecond {
-		t.Fatalf("Now = %v, want 5us", e.Now())
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if count != 10 {
-		t.Fatalf("count = %d, want 10", count)
-	}
-}
-
 func TestEventLimit(t *testing.T) {
 	e := NewEngine()
 	e.SetEventLimit(10)
 	var respawn func()
-	respawn = func() { e.Schedule(1, respawn) }
-	e.Schedule(1, respawn)
+	respawn = func() { e.At(e.Now()+1, respawn) }
+	e.At(1, respawn)
 	if err := e.Run(); err == nil {
 		t.Fatal("expected event-limit error")
 	}
@@ -409,38 +333,15 @@ func TestNewEngineAllocatesOnce(t *testing.T) {
 
 func TestScheduleNegativeDelay(t *testing.T) {
 	e := NewEngine()
-	at := Time(-1)
-	e.Schedule(10, func() {
-		e.Schedule(-5, func() { at = e.Now() })
+	at, ret := Time(-1), Time(-1)
+	e.At(10, func() {
+		ret = e.At(e.Now()-5, func() { at = e.Now() })
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if at != 10 {
-		t.Fatalf("negative delay fired at %v, want now (10ps)", at)
-	}
-}
-
-func TestRunUntilSkipsCanceled(t *testing.T) {
-	e := NewEngine()
-	ev := e.Schedule(5, func() { t.Error("canceled event fired") })
-	ev.Cancel()
-	later := false
-	e.Schedule(20, func() { later = true })
-	if err := e.RunUntil(10); err != nil {
-		t.Fatal(err)
-	}
-	if later {
-		t.Fatal("event beyond horizon fired")
-	}
-	if ev.At() != 5 {
-		t.Fatalf("At = %v", ev.At())
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !later {
-		t.Fatal("remaining event lost")
+	if at != 10 || ret != 10 {
+		t.Fatalf("past-time event fired at %v (At returned %v), want now (10ps)", at, ret)
 	}
 }
 
@@ -452,8 +353,8 @@ func TestDeadlockErrorMessage(t *testing.T) {
 	if err == nil || err.Error() == "" {
 		t.Fatal("expected descriptive deadlock error")
 	}
-	if c.n != 1 {
-		t.Fatalf("%d waiters parked, want 1", c.n)
+	if n := len(c.waiters) - c.head; n != 1 {
+		t.Fatalf("%d waiters parked, want 1", n)
 	}
 
 	// A large deadlock names only the first few processes in sorted

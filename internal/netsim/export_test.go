@@ -11,6 +11,15 @@ import (
 // (resolve_property_test.go, detour_oracle_test.go), which need the
 // machine catalog and so cannot live in this package.
 
+// CachedRoutes counts the core routes in n's cache.
+func CachedRoutes(n *Network) int {
+	k := 0
+	for i := range n.cache {
+		k += len(n.cache[i].routes)
+	}
+	return k
+}
+
 // HopNames lists the hops of a path leaving src, each as "node/k": the
 // node entered and the position k, among the edges of the node left,
 // of the channel group taken. Parallel links between one pair render
@@ -76,7 +85,9 @@ func refBFS(n *Network, src, dst string) ([]*channelGroup, bool) {
 // RefAlts is the reference adaptive alternative set for src -> dst
 // under RouteAdaptive: every usable detour's two-leg path built in
 // full from reference BFS legs, stably sorted by hop count, cut to
-// maxAltsPerRoute. Each alternative is listed as its HopNames.
+// maxAltsPerRoute. A detour is usable when it is neither endpoint nor
+// a leaf, and its two legs are longer than the minimal path. Each
+// alternative is listed as its HopNames.
 func RefAlts(n *Network, src, dst string) [][]string {
 	if n.routing != RouteAdaptive || src == dst {
 		return nil
@@ -84,7 +95,7 @@ func RefAlts(n *Network, src, dst string) [][]string {
 	min, _ := refBFS(n, src, dst)
 	var alts [][]*channelGroup
 	for _, via := range n.detours {
-		if via == src || via == dst || !n.HasNode(via) {
+		if via == src || via == dst || !n.HasNode(via) || len(n.adj[via]) == 1 {
 			continue
 		}
 		a, okA := refBFS(n, src, via)
@@ -105,24 +116,26 @@ func RefAlts(n *Network, src, dst string) [][]string {
 	return out
 }
 
-// RefTransfer is the reference adaptive transfer over r, with each
-// detour given as one concatenated Path (alts, as Route.Alts builds
-// them): every candidate is priced over its full hop list and the
-// winner is sent with Path.Transfer, tallying the pick on r's network.
-func RefTransfer(r *Route, alts []*Path, at sim.Time, bytes int64, ch int) sim.Time {
+// RefTransfer is the reference adaptive transfer over r, with the
+// minimal path and each detour given as one concatenated Path (alts,
+// as Route.Alts builds them): every candidate is priced over its full
+// hop list and the winner is sent with Path.Transfer, tallying the pick
+// on r's network.
+func RefTransfer(r Route, alts []*Path, at sim.Time, bytes int64, ch int) sim.Time {
+	min := r.Min()
 	if len(alts) == 0 {
-		return r.min.Transfer(at, bytes, ch)
+		return min.Transfer(at, bytes, ch)
 	}
-	best, bestCost := r.min, refCost(r.min, at, bytes, ch)
+	best, bestCost := min, refCost(min, at, bytes, ch)
 	for _, alt := range alts {
 		if c := refCost(alt, at, bytes, ch); c < bestCost {
 			best, bestCost = alt, c
 		}
 	}
-	if best == r.min {
-		r.net.minPicks++
+	if best == min {
+		min.net.minPicks++
 	} else {
-		r.net.altPicks++
+		min.net.altPicks++
 	}
 	return best.Transfer(at, bytes, ch)
 }

@@ -122,8 +122,12 @@ func (fs *faultState) spike() sim.Time {
 // apply perturbs one delivery: an optional latency spike, then up to
 // maxR drop-and-retransmit rounds, each re-reserving the path's links
 // (resend re-serializes the payload) after the retransmit timeout.
-// It returns the final delivery time.
+// It returns the final delivery time; a nil state (no faults
+// installed) returns t.
 func (fs *faultState) apply(t sim.Time, resend func(at sim.Time) sim.Time) sim.Time {
+	if fs == nil {
+		return t
+	}
 	if fs.cfg.SpikeProb > 0 && fs.roll() < fs.cfg.SpikeProb {
 		fs.spikes++
 		t += fs.spike()

@@ -17,17 +17,20 @@ import (
 type channelGroup struct {
 	to    string
 	links []*Link
+	// back is the group of the same AddLink in the other direction.
+	back *channelGroup
 }
 
 // Network is a directed multigraph of nodes joined by channel groups.
 // Routing is static shortest-path (hop count, ties broken by insertion
-// order), computed lazily and cached: each (src, dst) node pair
-// resolves once to a *Path (and a *Route) carrying the hop list and
-// precomputed route metrics, so steady-state sends do a single
-// sharded-map probe and no allocation. This node-pair cache is the
-// only route cache: callers that send between placed ranks keep the
-// ranks' node indices (NodeIndex) and look routes up by index
-// (RouteAt), which skips hashing the node names.
+// order), computed lazily and cached per attachment pair: a node of
+// degree 1 (a leaf, such as a generated fabric's compute node)
+// attaches at its only neighbour, every other node at itself. A node
+// pair's route is the leaves' end hops around the cached core route
+// between the attachments (RouteAt), so route state grows with the
+// routers of a fabric, not with its nodes squared. Callers that send
+// between placed ranks keep the ranks' node indices (NodeIndex) and
+// look routes up by index (RouteAt), which skips hashing the names.
 //
 // The topology itself (nodes, links, adjacency) is immutable once
 // construction finishes — generators build the whole fabric before the
@@ -49,8 +52,8 @@ type Network struct {
 	// trees holds the lazily built BFS predecessor tree of each source
 	// node (see tree); AddNode and AddLink drop the whole set.
 	trees atomic.Pointer[treeSet]
-	// cache holds the lazily-populated path and route caches, sharded
-	// by (src, dst) hash. Routes resolve on first use, mostly at the
+	// cache holds the lazily-populated core path and route caches,
+	// keyed and sharded by attachment pair. Routes resolve on first use, mostly at the
 	// window barrier but also from concurrently executing node-group
 	// engines (an MPI Get's request latency), so resolution must be
 	// race-free; the resolved values are pure functions of the static
@@ -69,6 +72,8 @@ type Network struct {
 	altPicks int64
 	// faults, when non-nil, perturbs transfers (see faults.go).
 	faults *faultState
+	// self is the empty route every node has to itself.
+	self coreRoute
 }
 
 // treeSet has one slot per node for the BFS tree rooted there.
@@ -89,11 +94,11 @@ type xgroup struct {
 const cacheShards = 16
 
 // cacheShard is one lock-striped slice of the resolution caches,
-// keyed by pairKey.
+// keyed by the pairKey of two attachments.
 type cacheShard struct {
 	mu     sync.RWMutex
 	paths  map[uint64]*Path
-	routes map[uint64]*Route
+	routes map[uint64]*coreRoute
 }
 
 // pairKey packs a (src, dst) node-index pair into one cache key.
@@ -113,19 +118,28 @@ func New() *Network {
 	}
 	for i := range n.cache {
 		n.cache[i].paths = make(map[uint64]*Path)
-		n.cache[i].routes = make(map[uint64]*Route)
+		n.cache[i].routes = make(map[uint64]*coreRoute)
 	}
+	n.self.min = &Path{net: n}
+	n.self.min.metrics()
 	return n
 }
 
-// Path is a resolved route between two nodes: the channel groups along
-// the shortest route plus route metrics precomputed at resolution
-// time. A Path stays valid until the topology changes (AddLink); hot
-// paths cache it to make per-message routing allocation- and
-// hash-free.
+// Path is a resolved hop list between two nodes: the channel groups
+// along the shortest route plus route metrics precomputed at
+// resolution time. The cache holds the core paths and detour legs
+// between attachments. A Path keeps working on its old links after
+// the topology changes (AddLink).
 type Path struct {
-	net     *Network
-	groups  []*channelGroup
+	net    *Network
+	groups []*channelGroup
+	summary
+}
+
+// summary holds the route metrics of a hop list. An empty list keeps
+// +Inf bandwidths and a MaxInt channel count, which the accessors
+// report as 0, 0 and 1.
+type summary struct {
 	hops    int
 	baseLat sim.Time
 	peakBW  float64
@@ -134,23 +148,67 @@ type Path struct {
 }
 
 // Hops returns the number of hops (0 for a same-node path).
-func (p *Path) Hops() int { return p.hops }
+func (s summary) Hops() int { return s.hops }
 
 // BaseLatency returns the summed propagation latency along the route
 // (zero-byte wire time, no contention).
-func (p *Path) BaseLatency() sim.Time { return p.baseLat }
+func (s summary) BaseLatency() sim.Time { return s.baseLat }
 
 // PeakBandwidth returns the single-channel bottleneck bandwidth
 // (bytes/s) along the route.
-func (p *Path) PeakBandwidth() float64 { return p.peakBW }
+func (s summary) PeakBandwidth() float64 { return finite(s.peakBW) }
 
 // AggregateBandwidth returns the bottleneck of per-hop summed channel
 // bandwidth (bytes/s).
-func (p *Path) AggregateBandwidth() float64 { return p.aggBW }
+func (s summary) AggregateBandwidth() float64 { return finite(s.aggBW) }
 
 // Channels returns the minimum number of parallel channels along the
 // route (the usable injection-splitting width).
-func (p *Path) Channels() int { return p.minCh }
+func (s summary) Channels() int {
+	if s.minCh == math.MaxInt {
+		return 1
+	}
+	return s.minCh
+}
+
+func finite(bw float64) float64 {
+	if math.IsInf(bw, 1) {
+		return 0
+	}
+	return bw
+}
+
+// add extends the summary by one hop over g.
+func (s *summary) add(g *channelGroup) {
+	s.hops++
+	s.baseLat += g.links[0].Latency()
+	if b := g.links[0].Bandwidth(); b < s.peakBW {
+		s.peakBW = b
+	}
+	sum := 0.0
+	for _, l := range g.links {
+		sum += l.Bandwidth()
+	}
+	if sum < s.aggBW {
+		s.aggBW = sum
+	}
+	if len(g.links) < s.minCh {
+		s.minCh = len(g.links)
+	}
+}
+
+// metrics fills in the precomputed route summaries from the hop list.
+func (p *Path) metrics() {
+	p.summary = summary{peakBW: math.Inf(1), aggBW: math.Inf(1), minCh: math.MaxInt}
+	for _, g := range p.groups {
+		p.add(g)
+	}
+}
+
+// link returns the member of g that channel ch rides.
+func (g *channelGroup) link(ch int) *Link {
+	return g.links[((ch%len(g.links))+len(g.links))%len(g.links)]
+}
 
 // Transfer delivers a message of the given size along the path,
 // injected at time at on channel ch, using store-and-forward timing
@@ -159,80 +217,28 @@ func (p *Path) Channels() int { return p.minCh }
 // network, the delivery may additionally suffer a latency spike or
 // drop-and-retransmit rounds (see faults.go).
 func (p *Path) Transfer(at sim.Time, bytes int64, ch int) sim.Time {
-	t := p.transferOnce(at, bytes, ch)
-	if p.net != nil && p.net.faults != nil {
-		t = p.net.faults.apply(t, func(again sim.Time) sim.Time {
-			return p.transferOnce(again, bytes, ch)
-		})
-	}
-	return t
+	once := func(t sim.Time) sim.Time { return p.transferOnce(t, bytes, ch) }
+	return p.net.faults.apply(once(at), once)
 }
 
 // transferOnce is one fault-free transmission attempt along the path.
 func (p *Path) transferOnce(at sim.Time, bytes int64, ch int) sim.Time {
 	t := at
 	for _, g := range p.groups {
-		l := g.links[((ch%len(g.links))+len(g.links))%len(g.links)]
-		_, t = l.Reserve(t, bytes)
+		_, t = g.link(ch).Reserve(t, bytes)
 	}
 	return t
 }
 
-// TransferPacket routes a fixed-occupancy packet (atomic transaction)
-// along the path injected at time at on channel ch: each hop is held
-// for `occupancy` against later packets while the packet itself cuts
-// through at propagation latency. Installed fault injection applies to
-// packets exactly as to messages.
-func (p *Path) TransferPacket(at, occupancy sim.Time, ch int) sim.Time {
-	t := p.packetOnce(at, occupancy, ch)
-	if p.net != nil && p.net.faults != nil {
-		t = p.net.faults.apply(t, func(again sim.Time) sim.Time {
-			return p.packetOnce(again, occupancy, ch)
-		})
-	}
-	return t
-}
-
+// packetOnce is one fault-free packet flight along the path: each hop
+// is held for `occupancy` while the packet cuts through at
+// propagation latency.
 func (p *Path) packetOnce(at, occupancy sim.Time, ch int) sim.Time {
 	t := at
 	for _, g := range p.groups {
-		l := g.links[((ch%len(g.links))+len(g.links))%len(g.links)]
-		_, t = l.ReservePacket(t, occupancy)
+		_, t = g.link(ch).ReservePacket(t, occupancy)
 	}
 	return t
-}
-
-// metrics fills in the precomputed route summaries from the hop list.
-func (p *Path) metrics() {
-	p.hops = len(p.groups)
-	p.peakBW = math.Inf(1)
-	p.aggBW = math.Inf(1)
-	p.minCh = math.MaxInt
-	for _, g := range p.groups {
-		p.baseLat += g.links[0].Latency()
-		if b := g.links[0].Bandwidth(); b < p.peakBW {
-			p.peakBW = b
-		}
-		sum := 0.0
-		for _, l := range g.links {
-			sum += l.Bandwidth()
-		}
-		if sum < p.aggBW {
-			p.aggBW = sum
-		}
-		if len(g.links) < p.minCh {
-			p.minCh = len(g.links)
-		}
-	}
-	if math.IsInf(p.peakBW, 1) {
-		p.peakBW = 0
-	}
-	if math.IsInf(p.aggBW, 1) {
-		p.aggBW = 0
-	}
-	if p.minCh == math.MaxInt {
-		p.minCh = 1
-	}
 }
 
 // AddNode registers a node name. Adding an existing node is a no-op.
@@ -271,7 +277,8 @@ func (n *Network) NodeIndex(name string) int32 {
 // AddLink joins a and b with a bidirectional channel group: `channels`
 // parallel full-duplex links, each with the given per-link bandwidth
 // (bytes/s) and propagation latency. Both endpoints are registered as
-// nodes if needed. Adding a link invalidates cached routes.
+// nodes if needed. Adding a link invalidates cached routes (it may
+// also turn a leaf into a node that attaches at itself).
 func (n *Network) AddLink(a, b string, bandwidth float64, latency sim.Time, channels int) {
 	n.AddClassLink(a, b, "", bandwidth, latency, channels)
 }
@@ -290,7 +297,8 @@ func (n *Network) AddClassLink(a, b, class string, bandwidth float64, latency si
 	n.AddNode(a)
 	n.AddNode(b)
 	fwd := &channelGroup{to: b}
-	rev := &channelGroup{to: a}
+	rev := &channelGroup{to: a, back: fwd}
+	fwd.back = rev
 	for c := 0; c < channels; c++ {
 		fl := NewLink(fmt.Sprintf("%s->%s#%d", a, b, c), bandwidth, latency)
 		rl := NewLink(fmt.Sprintf("%s->%s#%d", b, a, c), bandwidth, latency)
@@ -313,21 +321,15 @@ func (n *Network) AddClassLink(a, b, class string, bandwidth float64, latency si
 	}
 }
 
-// PathTo resolves (and caches) the shortest (fewest-hop) route from
-// src to dst. Unknown nodes and disconnected pairs return errors. The
-// returned Path is shared: callers must treat it as read-only, and may
-// hold it for the lifetime of the topology to bypass the cache probe
-// entirely. Resolution is safe to call concurrently: it reads the
-// immutable topology and lock-free BFS trees (see span), and the
-// double-checked shard insert guarantees every caller sees the same
-// canonical *Path for a pair (racing resolvers build identical values;
-// the insert loser adopts the winner's).
+// PathTo resolves the shortest (fewest-hop) route from src to dst as
+// one Path (see Route.Min). Unknown nodes and disconnected pairs
+// return errors.
 func (n *Network) PathTo(src, dst string) (*Path, error) {
-	si, di, err := n.pair(src, dst)
+	r, err := n.RouteTo(src, dst)
 	if err != nil {
 		return nil, err
 	}
-	return n.pathTo(si, di)
+	return r.Min(), nil
 }
 
 // pair returns the node indices of src and dst.
@@ -343,64 +345,56 @@ func (n *Network) pair(src, dst string) (si, di int32, err error) {
 	return int32(s), int32(d), nil
 }
 
-// pathTo is PathTo by node index. On a cache miss it builds the path
-// outside any lock, then installs it in the shard under a
-// double-check.
-func (n *Network) pathTo(si, di int32) (*Path, error) {
+// pathTo resolves (and caches) the core path between two attachments;
+// ok is false when di is unreachable. On a cache miss it builds the
+// path outside any lock, then installs it in the shard under a
+// double-check, so every caller sees the same canonical *Path (racing
+// resolvers build identical values; the insert loser adopts the
+// winner's).
+func (n *Network) pathTo(si, di int32) (*Path, bool) {
 	key := pairKey(si, di)
 	sh := n.shard(key)
 	sh.mu.RLock()
 	p, ok := sh.paths[key]
 	sh.mu.RUnlock()
 	if ok {
-		return p, nil
+		return p, true
 	}
 	p = &Path{net: n}
 	if si != di {
-		prev, root, hops := n.span(si, di)
+		prev, hops := n.span(si, di)
 		if hops < 0 {
-			return nil, fmt.Errorf("netsim: no route from %q to %q", n.nodes[si], n.nodes[di])
+			return nil, false
 		}
 		p.groups = make([]*channelGroup, hops)
-		for x, i := di, hops-1; x != root; x, i = prev[x], i-1 {
+		for x, i := di, hops-1; x != si; x, i = prev[x], i-1 {
 			p.groups[i] = n.edge(prev[x], x)
-		}
-		if root != si {
-			p.groups[0] = n.adjx[si][0].g
 		}
 	}
 	p.metrics()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if q, ok := sh.paths[key]; ok {
-		return q, nil // lost a resolve race; the winner is canonical
+		return q, true // lost a resolve race; the winner is canonical
 	}
 	sh.paths[key] = p
-	return p, nil
+	return p, true
 }
 
-// span locates the shortest route from si to di (si != di) on a BFS
-// tree: it returns the tree, the node it is rooted at, and the hop
-// count (-1 when di is unreachable). A degree-1 source has one way
-// out, so its route is that edge followed by its neighbour's route,
-// read off the neighbour's tree; only nodes of degree 2 or more (the
-// routers and switches of a generated fabric, not its endpoints) ever
-// get a tree of their own. BFS from the leaf marks its neighbour first
-// and then scans the neighbour's edges exactly as BFS from the
-// neighbour does, so both trees agree on every other node.
-func (n *Network) span(si, di int32) (prev []int32, root int32, hops int) {
-	root = si
-	if out := n.adjx[si]; len(out) == 1 {
-		root, hops = out[0].to, 1
-	}
-	prev = n.tree(root)
+// span locates the shortest route from si to di (si != di) on si's
+// BFS tree: it returns the tree and the hop count (-1 when di is
+// unreachable). Core routes start at attachments, so only nodes of
+// degree 2 or more (the routers and switches of a generated fabric,
+// not its endpoints) ever get a tree of their own.
+func (n *Network) span(si, di int32) (prev []int32, hops int) {
+	prev = n.tree(si)
 	if prev[di] == -1 {
-		return prev, root, -1
+		return prev, -1
 	}
-	for x := di; x != root; x = prev[x] {
+	for x := di; x != si; x = prev[x] {
 		hops++
 	}
-	return prev, root, hops
+	return prev, hops
 }
 
 // tree returns the breadth-first predecessor tree rooted at root:
@@ -450,17 +444,17 @@ func (n *Network) edge(from, to int32) *channelGroup {
 	panic("netsim: tree hop without an edge")
 }
 
-// Transfer delivers a message of the given size from src to dst,
-// injected at time at, using channel ch (messages on distinct channel
-// indices ride parallel links where the topology provides them). It
-// returns the delivery time of the last byte, using store-and-forward
-// timing per hop with FIFO link contention.
+// Transfer delivers a message of the given size from src to dst along
+// the minimal route, injected at time at, using channel ch (messages on
+// distinct channel indices ride parallel links where the topology
+// provides them). It returns the delivery time of the last byte, using
+// store-and-forward timing per hop with FIFO link contention.
 func (n *Network) Transfer(at sim.Time, src, dst string, bytes int64, ch int) (sim.Time, error) {
-	p, err := n.PathTo(src, dst)
+	r, err := n.RouteTo(src, dst)
 	if err != nil {
 		return 0, err
 	}
-	return p.Transfer(at, bytes, ch), nil
+	return r.TransferMinimal(at, bytes, ch), nil
 }
 
 // TransferPacket routes a fixed-occupancy packet (atomic transaction)
@@ -468,63 +462,61 @@ func (n *Network) Transfer(at sim.Time, src, dst string, bytes int64, ch int) (s
 // for `occupancy` against later packets while the packet itself cuts
 // through at propagation latency.
 func (n *Network) TransferPacket(at sim.Time, src, dst string, occupancy sim.Time, ch int) (sim.Time, error) {
-	p, err := n.PathTo(src, dst)
+	r, err := n.RouteTo(src, dst)
 	if err != nil {
 		return 0, err
 	}
-	return p.TransferPacket(at, occupancy, ch), nil
+	return r.TransferPacket(at, occupancy, ch), nil
+}
+
+// summary returns the metrics of the minimal route from src to dst;
+// ok is false for unknown or disconnected nodes, whose zero summary
+// reports 0 for every metric.
+func (n *Network) summary(src, dst string) (s summary, ok bool) {
+	r, err := n.RouteTo(src, dst)
+	if err != nil {
+		return s, false
+	}
+	return r.sum(), true
 }
 
 // Hops returns the number of hops between src and dst (0 for the same
 // node), or -1 if unreachable.
 func (n *Network) Hops(src, dst string) int {
-	p, err := n.PathTo(src, dst)
-	if err != nil {
-		return -1
+	if s, ok := n.summary(src, dst); ok {
+		return s.Hops()
 	}
-	return p.Hops()
+	return -1
 }
 
 // Channels returns the minimum number of parallel channels along the
 // route (the usable injection-splitting width), or 0 if unreachable.
 func (n *Network) Channels(src, dst string) int {
-	p, err := n.PathTo(src, dst)
-	if err != nil {
-		return 0
-	}
-	return p.Channels()
+	s, _ := n.summary(src, dst)
+	return s.Channels()
 }
 
 // PeakBandwidth returns the single-channel bottleneck bandwidth
 // (bytes/s) along the route, or 0 if unreachable. This is the ceiling
 // a single serialized message stream can achieve.
 func (n *Network) PeakBandwidth(src, dst string) float64 {
-	p, err := n.PathTo(src, dst)
-	if err != nil {
-		return 0
-	}
-	return p.PeakBandwidth()
+	s, _ := n.summary(src, dst)
+	return s.PeakBandwidth()
 }
 
 // AggregateBandwidth returns the bottleneck of per-hop summed channel
 // bandwidth (bytes/s): the ceiling reachable by splitting a message
 // across all parallel channels.
 func (n *Network) AggregateBandwidth(src, dst string) float64 {
-	p, err := n.PathTo(src, dst)
-	if err != nil {
-		return 0
-	}
-	return p.AggregateBandwidth()
+	s, _ := n.summary(src, dst)
+	return s.AggregateBandwidth()
 }
 
 // BaseLatency returns the sum of propagation latencies along the
 // route (zero-byte wire time, no contention).
 func (n *Network) BaseLatency(src, dst string) sim.Time {
-	p, err := n.PathTo(src, dst)
-	if err != nil {
-		return 0
-	}
-	return p.BaseLatency()
+	s, _ := n.summary(src, dst)
+	return s.BaseLatency()
 }
 
 // LookaheadBound returns the minimum propagation latency over every

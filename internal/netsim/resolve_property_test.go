@@ -12,7 +12,7 @@ import (
 
 // routeNames renders a resolved route from src as hop names: the
 // minimal path, then each adaptive alternative in order.
-func routeNames(n *netsim.Network, src string, r *netsim.Route) string {
+func routeNames(n *netsim.Network, src string, r netsim.Route) string {
 	alts := make([][]string, len(r.Alts()))
 	for i, a := range r.Alts() {
 		alts[i] = netsim.HopNames(n, src, a)
@@ -92,9 +92,13 @@ func resolveAll(n *netsim.Network, pairs [][2]string, workers int, deadline time
 }
 
 // fabric names a network builder; each call returns a fresh network.
+// pairs, when set, replaces the default sample size; detoured names a
+// pair whose reference route must carry detours.
 type fabric struct {
-	name  string
-	build func() (*netsim.Network, error)
+	name     string
+	build    func() (*netsim.Network, error)
+	pairs    int
+	detoured [2]string
 }
 
 // catalogFabrics returns every catalog machine's fabric.
@@ -102,7 +106,7 @@ func catalogFabrics() []fabric {
 	var out []fabric
 	for _, cfg := range machine.All() {
 		cfg := cfg
-		out = append(out, fabric{cfg.Name, func() (*netsim.Network, error) {
+		out = append(out, fabric{name: cfg.Name, build: func() (*netsim.Network, error) {
 			inst, err := cfg.Instantiate(1)
 			if err != nil {
 				return nil, err
@@ -118,7 +122,7 @@ var handFabrics = []fabric{
 	// a and b are joined by two AddLink calls. BFS marks each with
 	// the first group, so both directions must take it, never the
 	// second.
-	{"parallel-links", func() (*netsim.Network, error) {
+	{name: "parallel-links", build: func() (*netsim.Network, error) {
 		n := netsim.New()
 		n.AddLink("a", "b", 1e9, 100, 1)
 		n.AddLink("b", "c", 1e9, 100, 1)
@@ -134,7 +138,7 @@ var handFabrics = []fabric{
 	// two-hop routes tie: h reaches d through y or x, and the edge
 	// order at h, not the node order (x joins the fabric before y),
 	// must break the tie.
-	{"leaf-ties", func() (*netsim.Network, error) {
+	{name: "leaf-ties", build: func() (*netsim.Network, error) {
 		n := netsim.New()
 		n.AddLink("l", "h", 1e9, 100, 1)
 		n.AddLink("x", "d", 1e9, 100, 1)
@@ -150,6 +154,48 @@ var handFabrics = []fabric{
 		n.AddDetour("e")
 		return n, nil
 	}},
+	// Leaves l and m share router r0, so their routes compose over the
+	// core route from r0 to itself, whose detours they must keep. Leaf
+	// x on r1 is a registered detour, which no route takes. Node e is
+	// multi-homed (on r1 and r3), so it attaches at itself. The pairs
+	// cover a leaf to its own router and back, leaf to leaf across
+	// routers, and leaf to and from e.
+	{name: "leaves", detoured: [2]string{"l", "m"}, build: func() (*netsim.Network, error) {
+		n := netsim.New()
+		n.AddLink("r0", "r1", 1e9, 100, 1)
+		n.AddLink("r1", "r2", 1e9, 100, 1)
+		n.AddLink("r2", "r0", 1e9, 100, 1)
+		n.AddLink("r2", "r3", 1e9, 100, 1)
+		n.AddLink("l", "r0", 1e9, 100, 1)
+		n.AddLink("r0", "m", 1e9, 100, 2)
+		n.AddLink("x", "r1", 1e9, 100, 1)
+		n.AddLink("e", "r3", 1e9, 100, 1)
+		n.AddLink("r1", "e", 1e9, 100, 1)
+		n.SetRouting(netsim.RouteAdaptive)
+		n.AddDetour("r1")
+		n.AddDetour("x")
+		n.AddDetour("r2")
+		n.AddDetour("r3")
+		return n, nil
+	}},
+	// Two leaves joined by one link: each is the other's attachment,
+	// and both are registered detours.
+	{name: "leaf-pair", build: func() (*netsim.Network, error) {
+		n := netsim.New()
+		n.AddLink("a", "b", 1e9, 100, 1)
+		n.SetRouting(netsim.RouteAdaptive)
+		n.AddDetour("a")
+		n.AddDetour("b")
+		return n, nil
+	}},
+	// The 102400-rank dragonfly of the Ridgeline scale sweeps, sampled:
+	// the reference BFS takes about a third of a second per pair here.
+	{name: "dragonfly-102400", pairs: 4, build: func() (*netsim.Network, error) {
+		d := machine.DragonflyForRanks(102400)
+		topo := machine.Topology{Dragonfly: &d, Routing: machine.RoutingAdaptive}
+		n, _, err := topo.Build(1)
+		return n, err
+	}},
 }
 
 // TestRouteResolutionMatchesReferenceBFS resolves node pairs on every
@@ -162,7 +208,6 @@ var handFabrics = []fabric{
 // one a racing builder corrupts, shows up as a route that differs from
 // the reference.
 func TestRouteResolutionMatchesReferenceBFS(t *testing.T) {
-	const sample = 96
 	for _, f := range append(catalogFabrics(), handFabrics...) {
 		t.Run(f.name, func(t *testing.T) {
 			fresh := func() *netsim.Network {
@@ -173,6 +218,10 @@ func TestRouteResolutionMatchesReferenceBFS(t *testing.T) {
 				return n
 			}
 			ref := fresh()
+			sample := 96
+			if f.pairs > 0 {
+				sample = f.pairs
+			}
 			pairs := samplePairs(ref.Nodes(), sample)
 			want := make([]string, len(pairs))
 			for i, p := range pairs {
@@ -181,6 +230,9 @@ func TestRouteResolutionMatchesReferenceBFS(t *testing.T) {
 					t.Fatalf("%s -> %s unreachable", p[0], p[1])
 				}
 				want[i] = fmt.Sprint(min, netsim.RefAlts(ref, p[0], p[1]))
+			}
+			if p := f.detoured; p != [2]string{} && len(netsim.RefAlts(ref, p[0], p[1])) == 0 {
+				t.Fatalf("%s -> %s has no detours", p[0], p[1])
 			}
 			for _, workers := range []int{1, 4} {
 				got, err := resolveAll(fresh(), pairs, workers, time.Minute)

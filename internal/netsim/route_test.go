@@ -118,9 +118,11 @@ func TestAdaptiveDeterminism(t *testing.T) {
 func TestRouteAltsSkipDegenerateDetours(t *testing.T) {
 	n := New()
 	n.AddLink("a", "b", 1e9, 10, 1)
+	n.AddLink("c", "a", 1e9, 10, 1)
 	n.SetRouting(RouteAdaptive)
 	n.AddDetour("a")     // endpoint: skipped
 	n.AddDetour("b")     // endpoint: skipped
+	n.AddDetour("c")     // leaf: skipped
 	n.AddDetour("ghost") // not in fabric: skipped
 	r, err := n.RouteTo("a", "b")
 	if err != nil {

@@ -12,20 +12,21 @@ import (
 // trees must be dropped (new lookups see the shorter route, and every
 // route and adaptive alternative matches a fresh reference BFS), and
 // Paths held across the mutation must keep working on their old
-// links.
+// links. Leaf e gains a second link, so it stops attaching at c.
 func TestAddLinkMidRunInvalidatesPaths(t *testing.T) {
 	n := New()
 	n.AddLink("a", "c", 1e9, 100*sim.Nanosecond, 1)
 	n.AddLink("c", "b", 1e9, 100*sim.Nanosecond, 1)
 	n.AddLink("a", "d", 1e9, 100*sim.Nanosecond, 1)
 	n.AddLink("d", "b", 1e9, 100*sim.Nanosecond, 1)
+	n.AddLink("e", "c", 1e9, 100*sim.Nanosecond, 1)
 	n.SetRouting(RouteAdaptive)
 	n.AddDetour("d")
 	// Before the new cable a -> b has no detour (via d ties the
 	// minimal 2 hops); after it, via d is a 2-hop alternative.
 	matchRef := func(stage string, wantAlts int) {
 		t.Helper()
-		for _, p := range [][2]string{{"a", "b"}, {"b", "a"}, {"c", "b"}, {"c", "d"}} {
+		for _, p := range [][2]string{{"a", "b"}, {"b", "a"}, {"c", "b"}, {"c", "d"}, {"e", "b"}, {"d", "e"}} {
 			r, err := n.RouteTo(p[0], p[1])
 			if err != nil {
 				t.Fatal(err)
@@ -45,6 +46,12 @@ func TestAddLinkMidRunInvalidatesPaths(t *testing.T) {
 		}
 	}
 	matchRef("before AddLink", 0)
+	if h := n.Hops("e", "b"); h != 2 {
+		t.Fatalf("e->b hops = %d, want 2 via c", h)
+	}
+	if _, err := n.Transfer(0, "e", "b", 4096, 0); err != nil {
+		t.Fatal(err)
+	}
 
 	old, err := n.PathTo("a", "b")
 	if err != nil {
@@ -61,6 +68,7 @@ func TestAddLinkMidRunInvalidatesPaths(t *testing.T) {
 
 	// Topology grows mid-run: a direct a-b cable appears.
 	n.AddLink("a", "b", 1e9, 100*sim.Nanosecond, 1)
+	n.AddLink("e", "b", 1e9, 100*sim.Nanosecond, 1)
 	fresh, err := n.PathTo("a", "b")
 	if err != nil {
 		t.Fatal(err)
@@ -72,6 +80,9 @@ func TestAddLinkMidRunInvalidatesPaths(t *testing.T) {
 		t.Fatalf("a->b hops after AddLink = %d, want 1", fresh.Hops())
 	}
 	matchRef("after AddLink", 1)
+	if h := n.Hops("e", "b"); h != 1 {
+		t.Fatalf("e->b hops after AddLink = %d, want 1", h)
+	}
 	if fresh.BaseLatency() >= old.BaseLatency() {
 		t.Fatalf("direct route latency %v not below relayed %v",
 			fresh.BaseLatency(), old.BaseLatency())

@@ -18,8 +18,9 @@
 //
 // Routes depend only on the two fabric nodes, so endpoints keep no
 // routing state of their own: each holds its placement as dense netsim
-// node indices, and every cross-node send looks its route up in the
-// network's node-pair cache (netsim.Network.RouteAt).
+// node indices, and every cross-node send composes its route from the
+// network's attachment-pair cache (netsim.Network.RouteAt): the end
+// hops of leaf nodes around a core route cached per router pair.
 package runtime
 
 import (
@@ -122,9 +123,9 @@ func nodeGroups(eps []*Endpoint, nodes int) []int {
 	return groupOf
 }
 
-// route returns the fabric route between two node indices from the
-// network's node-pair cache.
-func (w *World) route(from, to int32) *netsim.Route {
+// route returns the fabric route between two node indices, composed
+// over the network's attachment-pair cache.
+func (w *World) route(from, to int32) netsim.Route {
 	r, err := w.Inst.Net.RouteAt(from, to)
 	if err != nil {
 		panic(fmt.Sprintf("runtime: %v", err))
@@ -342,7 +343,7 @@ func (ep *Endpoint) wireTime(tp machine.TransportParams, start sim.Time, dst int
 		// whose ends coincide (ranks sharing a host) is skipped.
 		for _, leg := range [3][2]int32{{ep.node, ep.host}, {ep.host, to.host}, {to.host, to.node}} {
 			if leg[0] != leg[1] {
-				t = w.route(leg[0], leg[1]).Min().Transfer(t, bytes, ch)
+				t = w.route(leg[0], leg[1]).TransferMinimal(t, bytes, ch)
 			}
 		}
 		return t

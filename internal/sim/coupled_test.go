@@ -249,27 +249,40 @@ func TestCoupledPoolErrorPropagation(t *testing.T) {
 }
 
 // TestCoupledPoolPanicPropagation pins the panic contract: a panic in
-// an event closure executes on whichever pool worker dispatched it and
-// must be re-raised on Run's goroutine; the chosen panic is the
-// lowest-numbered panicking group's at every worker count of each
-// scenario. (Panics in proc bodies are outside this contract: procs
-// own their goroutines at every worker count.)
+// an event closure or a process body executes on whichever pool
+// worker dispatched it and must be re-raised on Run's goroutine; the
+// chosen panic is the lowest-numbered panicking group's at every
+// worker count of each scenario.
 func TestCoupledPoolPanicPropagation(t *testing.T) {
-	for _, c := range poolCases {
-		want := fmt.Sprintf("boom-%d", c.bad[0])
-		for _, workers := range c.workers {
-			ce := poolScenario(t, c, workers, func(ce *sim.CoupledEngine, g int) {
-				ce.Sub(g).At(sim.Microsecond, func() {
-					panic(fmt.Sprintf("boom-%d", g))
-				})
+	misbehave := []struct {
+		kind string
+		bad  func(ce *sim.CoupledEngine, g int)
+	}{
+		{"event", func(ce *sim.CoupledEngine, g int) {
+			ce.Sub(g).At(sim.Microsecond, func() {
+				panic(fmt.Sprintf("boom-%d", g))
 			})
-			got := func() (r any) {
-				defer func() { r = recover() }()
-				_ = ce.Run()
-				return nil
-			}()
-			if got != want {
-				t.Fatalf("groups=%d workers=%d: recovered %v, want %s", c.groups, workers, got, want)
+		}},
+		{"process", func(ce *sim.CoupledEngine, g int) {
+			ce.Sub(g).Spawn("bad", func(p *sim.Proc) {
+				p.Sleep(ce.Lookahead())
+				panic(fmt.Sprintf("boom-%d", g))
+			})
+		}},
+	}
+	for _, m := range misbehave {
+		for _, c := range poolCases {
+			want := fmt.Sprintf("boom-%d", c.bad[0])
+			for _, workers := range c.workers {
+				ce := poolScenario(t, c, workers, m.bad)
+				got := func() (r any) {
+					defer func() { r = recover() }()
+					_ = ce.Run()
+					return nil
+				}()
+				if got != want {
+					t.Fatalf("%s groups=%d workers=%d: recovered %v, want %s", m.kind, c.groups, workers, got, want)
+				}
 			}
 		}
 	}

@@ -40,9 +40,9 @@ type nowEnt struct {
 }
 
 // Engine is a sequential discrete-event simulator. It is not safe for
-// concurrent use from multiple goroutines except through the Proc
-// coroutine handshake, which guarantees only one simulated process (or
-// the engine itself) runs at any moment.
+// concurrent use: its processes are coroutines that run on the
+// goroutine driving Run, so only one simulated process (or the engine
+// itself) runs at any moment.
 //
 // Internally the pending-event set is split in two: a FIFO "now queue"
 // ring buffer for events at the current timestamp (the dominant class:
@@ -56,7 +56,7 @@ type Engine struct {
 	executed uint64
 	digest   uint64 // order-sensitive fold of dispatched (at, key) pairs
 	maxEv    uint64 // 0 = unlimited
-	horizon  Time   // last dispatchable time during RunBefore; handoffs must not pass it
+	horizon  Time   // last dispatchable time during RunBefore; ownWakeup must not pass it
 
 	nodes []eventNode // slot-addressed pool
 	free  []int32     // free-list stack of recycled slots
@@ -66,9 +66,6 @@ type Engine struct {
 	nowq    []nowEnt // ring buffer of events at the current time
 	nowHead int
 	nowLen  int
-
-	turn chan struct{} // procs yield control back on this channel; made by the first Spawn
-	live int           // spawned, not yet finished procs
 
 	parkedHead *Proc // intrusive list of cond-parked procs (deadlock reporting)
 	parkedN    int
@@ -344,38 +341,27 @@ func (e *Engine) step() bool {
 	return true
 }
 
-// handoffTarget pops and returns the process behind the globally next
-// event when that event is a pre-bound wakeup the parking process may
-// execute itself — the direct proc-to-proc handoff fast path (one
-// channel handshake per context switch instead of two). It returns nil
-// when the next event is a callback (or none exists), when the event
-// limit has been reached, or when the wakeup lies at or beyond a
-// running RunBefore bound; the engine loop then takes over.
-func (e *Engine) handoffTarget() *Proc {
-	for {
-		if e.maxEv != 0 && e.executed >= e.maxEv {
-			return nil
-		}
-		at, slot, ok := e.peekMin()
-		if !ok || at > e.horizon {
-			return nil
-		}
-		p := e.nodes[slot].wake
-		if p == nil {
-			return nil
-		}
-		e.popMin()
-		if at > e.now {
-			e.now = at
-		}
-		e.executed++
-		e.digest = mixDigest(mixDigest(e.digest, uint64(at)), e.nodes[slot].seq)
-		e.freeSlot(slot)
-		if p.done {
-			continue // stale wakeup for a finished process
-		}
-		return p
+// ownWakeup pops the globally next event when it is p's own wakeup
+// and reports whether it did, so a parking process that the engine
+// would dispatch next keeps running without a switch. It declines when
+// the event limit has been reached or the wakeup lies beyond a running
+// RunBefore bound; the engine loop then takes over.
+func (e *Engine) ownWakeup(p *Proc) bool {
+	if e.maxEv != 0 && e.executed >= e.maxEv {
+		return false
 	}
+	at, slot, ok := e.peekMin()
+	if !ok || at > e.horizon || e.nodes[slot].wake != p {
+		return false
+	}
+	e.popMin()
+	if at > e.now {
+		e.now = at
+	}
+	e.executed++
+	e.digest = mixDigest(mixDigest(e.digest, uint64(at)), e.nodes[slot].seq)
+	e.freeSlot(slot)
+	return true
 }
 
 // Run dispatches events until none remain. It returns a DeadlockError

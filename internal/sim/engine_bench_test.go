@@ -33,7 +33,7 @@ func BenchmarkEngineSleepSignal(b *testing.B) {
 }
 
 // BenchmarkEngineSleepYield measures the Sleep(0) same-timestamp
-// fast path (now-queue / self-handoff).
+// fast path (now-queue / own-wakeup).
 func BenchmarkEngineSleepYield(b *testing.B) {
 	b.ReportAllocs()
 	e := simbench.SleepYield(b.N)

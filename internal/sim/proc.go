@@ -1,15 +1,21 @@
+//go:build go1.23
+
+// iter.Pull needs Go 1.23; this constraint raises the file's language version past go.mod's.
+
 package sim
 
-// Proc is a simulated process: a goroutine that runs only when the
-// engine hands it the turn, and parks whenever it waits for simulated
-// time to pass or for a condition to be signaled. At most one Proc (or
-// the engine loop) executes at any wall-clock instant, so simulated
-// code needs no locking and every run is deterministic.
+import "iter"
+
+// Proc is a simulated process: a coroutine that runs only when the
+// engine dispatches its wakeup, and parks whenever it waits for
+// simulated time to pass or for a condition to be signaled. At most
+// one Proc (or the engine loop) of an engine executes at any instant,
+// so simulated code needs no locking and every run is deterministic.
 type Proc struct {
-	eng    *Engine
-	name   string
-	resume chan struct{}
-	done   bool
+	eng   *Engine
+	name  string
+	next  func() (struct{}, bool) // resumes the body until it parks or returns
+	yield func(struct{}) bool     // suspends the body back into next
 
 	// intrusive membership in the engine's cond-parked list
 	isParked               bool
@@ -21,58 +27,28 @@ type Proc struct {
 // time). Spawn may be called from the engine's context (inside events
 // or other processes) or before Run.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, resume: make(chan struct{})}
-	if e.turn == nil { // process-free engines never pay for the channel
-		e.turn = make(chan struct{})
-	}
-	e.live++
-	go func() {
-		<-p.resume // wait for the first turn
+	p := &Proc{eng: e, name: name}
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		fn(p)
-		p.done = true
-		e.live--
-		// Final yield: hand the turn straight to the next wakeup when
-		// possible, otherwise back to the engine loop.
-		if q := e.handoffTarget(); q != nil {
-			q.resume <- struct{}{}
-		} else {
-			e.turn <- struct{}{}
-		}
-	}()
+	})
 	e.scheduleWake(0, p)
 	return p
 }
 
-// dispatch hands the turn to p and blocks until p parks or finishes.
-// It must be called from the engine loop (inside an event callback).
-func (e *Engine) dispatch(p *Proc) {
-	if p.done {
-		return
-	}
-	p.resume <- struct{}{}
-	<-e.turn
-}
+// dispatch runs p until it parks or returns; a panic in p's body is
+// re-raised here. It is called from the engine loop (inside step). A
+// finished process's stale wakeup is a no-op.
+func (e *Engine) dispatch(p *Proc) { p.next() }
 
-// park yields the turn and blocks until dispatched again. The caller
-// must have arranged a wakeup (a scheduled event or a condition
-// registration) or the run will end in a deadlock report.
-//
-// Fast paths: when the globally next event is a pre-bound wakeup, the
-// parking process dispatches it directly — consuming its own wakeup
-// without any channel operation (Sleep with nothing else pending), or
-// handing the turn to the woken process in a single channel handshake
-// instead of routing through the engine goroutine.
+// park suspends p until its next wakeup is dispatched. The caller has
+// arranged that wakeup (a scheduled event or a condition registration),
+// or the run ends in a deadlock report. When the globally next event is
+// p's own wakeup, park consumes it inline and p keeps running.
 func (p *Proc) park() {
-	e := p.eng
-	if q := e.handoffTarget(); q != nil {
-		if q == p {
-			return // consumed our own wakeup; keep running
-		}
-		q.resume <- struct{}{}
-	} else {
-		e.turn <- struct{}{}
+	if !p.eng.ownWakeup(p) {
+		p.yield(struct{}{})
 	}
-	<-p.resume
 }
 
 // Name returns the process name given at Spawn.

@@ -233,6 +233,49 @@ func TestEventLimit(t *testing.T) {
 	}
 }
 
+// TestOwnWakeupRespectsHorizonAndLimit pins the inline fast path of
+// park: a process consumes its own next wakeup without a switch only
+// inside the RunBefore horizon and under the event limit.
+func TestOwnWakeupRespectsHorizonAndLimit(t *testing.T) {
+	t.Run("horizon", func(t *testing.T) {
+		const bound = 100 * Nanosecond
+		e := NewEngine()
+		ran := false
+		e.Spawn("sleeper", func(p *Proc) {
+			p.Sleep(bound)
+			ran = true
+		})
+		if err := e.RunBefore(bound); err != nil {
+			t.Fatal(err)
+		}
+		if ran || e.Now() >= bound {
+			t.Fatalf("RunBefore(%v) ran the wakeup at the bound: ran=%v now=%v", bound, ran, e.Now())
+		}
+		if at, ok := e.NextAt(); !ok || at != bound {
+			t.Fatalf("NextAt = %v, %v; want %v, true", at, ok, bound)
+		}
+	})
+	t.Run("limit", func(t *testing.T) {
+		const limit = 10
+		e := NewEngine()
+		e.SetEventLimit(limit)
+		e.Spawn("sleeper", func(p *Proc) {
+			for i := 0; i < 100; i++ {
+				p.Sleep(Nanosecond)
+			}
+		})
+		err := e.Run()
+		if err == nil || !strings.Contains(err.Error(), "event limit") {
+			t.Fatalf("Run = %v, want an event-limit error", err)
+		}
+		// The spawn event and nine inline wakeups reach the limit; the
+		// engine loop dispatches one more and stops.
+		if e.Executed() != limit+1 || e.Now() != limit*Nanosecond {
+			t.Fatalf("stopped after %d events at %v, want %d at %v", e.Executed(), e.Now(), limit+1, limit*Nanosecond)
+		}
+	})
+}
+
 func TestNestedSpawn(t *testing.T) {
 	e := NewEngine()
 	total := 0
@@ -318,16 +361,16 @@ func TestEngineAtAndExecuted(t *testing.T) {
 }
 
 // TestNewEngineAllocatesOnce pins the engine's construction cost: one
-// allocation, the Engine itself. The process handshake channel waits
-// for the first Spawn, so the 100K process-free engines of a large
-// coupled world carry none.
+// allocation, the Engine itself. Process state (each Proc and its
+// coroutine) is made by Spawn, so the 100K process-free engines of a
+// large coupled world carry none.
 func TestNewEngineAllocatesOnce(t *testing.T) {
 	var e *Engine
 	if n := testing.AllocsPerRun(100, func() { e = NewEngine() }); n != 1 {
 		t.Fatalf("NewEngine made %v allocations, want 1", n)
 	}
-	if e.turn != nil {
-		t.Fatal("NewEngine made the turn channel before any Spawn")
+	if e.Now() != 0 {
+		t.Fatalf("NewEngine starts at %v, want 0", e.Now())
 	}
 }
 

@@ -39,7 +39,7 @@ func PingPong(n int) *sim.Engine {
 
 // SleepYield is the pure yield workload: one process calls Sleep(0)
 // n times. Every iteration is one same-timestamp wake event — the
-// now-queue / self-handoff fast path.
+// now-queue / own-wakeup fast path.
 func SleepYield(n int) *sim.Engine {
 	e := sim.NewEngine()
 	e.Spawn("yielder", func(p *sim.Proc) {

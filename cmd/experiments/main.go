@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"time"
 
@@ -42,6 +43,8 @@ func main() {
 	only := flag.String("only", "", "comma-separated experiment ids (default: all)")
 	csvDir := flag.String("csv", "", "directory to write per-experiment CSV series")
 	list := flag.Bool("list", false, "list experiment ids and exit")
+	jobs := flag.Int("jobs", runtime.NumCPU(),
+		"number of independent simulations run concurrently (output is byte-identical at any value)")
 	common := cliflags.Register(flag.CommandLine, "experiments")
 	flag.Parse()
 
@@ -88,7 +91,7 @@ func main() {
 		}
 	}
 	outs, stats, _, err := experiments.RunSuite(selected, experiments.SuiteOptions{
-		Scale: scale, Jobs: common.Jobs, Shards: common.Shards,
+		Scale: scale, Jobs: *jobs, Shards: common.Shards,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -12,16 +12,17 @@
 //
 // Sweep points are independent simulations and run concurrently on up
 // to -jobs workers (default: the number of CPUs); output is
-// byte-identical at any -jobs value. -shards records the engine shard
-// count on every simulated world and likewise never changes output
-// (see internal/cliflags). The "wrote" line of -csv goes to stderr
-// with the other host metadata, so stdout is the chart alone.
+// byte-identical at any -jobs value. -shards sets the window worker
+// parallelism of every simulated world and likewise never changes
+// output (see internal/cliflags). The "wrote" line of -csv goes to
+// stderr with the other host metadata, so stdout is the chart alone.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 
 	"msgroofline/internal/bench"
 	"msgroofline/internal/cliflags"
@@ -37,6 +38,8 @@ func main() {
 	tName := flag.String("transport", "two-sided", "transport: "+bench.TransportList())
 	split := flag.Bool("split", false, "run the Fig-10 message-splitting experiment instead of a sweep")
 	csvPath := flag.String("csv", "", "write measured series to this CSV file")
+	jobs := flag.Int("jobs", runtime.NumCPU(),
+		"number of independent simulations run concurrently (output is byte-identical at any value)")
 	common := cliflags.Register(flag.CommandLine, "msgroof")
 	flag.Parse()
 
@@ -62,7 +65,7 @@ func main() {
 		fatal(err)
 	}
 	res, err := bench.Sweep(cfg, bench.Spec{Transport: transport, Ns: ns, Sizes: sizes,
-		Jobs: common.Jobs, Shards: common.Shards})
+		Jobs: *jobs, Shards: common.Shards})
 	if err != nil {
 		fatal(err)
 	}

@@ -3,17 +3,16 @@
 // per-kernel cmds (cmd/stencil, cmd/sptrsv, cmd/hashtable) — registers
 // the same shared knobs with identical names, defaults and help text:
 //
-//	-jobs N            worker concurrency for multi-point commands
-//	-shards N          engine shard count recorded on simulated worlds
+//	-shards N          window worker parallelism of simulated worlds
 //	-cpuprofile FILE   pprof CPU profile
 //	-memprofile FILE   pprof heap profile on exit
 //
-// Commands that run a single simulation (the per-kernel cmds) accept
-// -jobs for surface uniformity; the knob only changes how the
-// multi-point commands schedule work, never what any command prints
-// on stdout. Stderr reporting goes through ReportSched and
-// ReportShards so every binary summarizes host scheduling and engine
-// utilization in the same format.
+// The multi-point commands (cmd/experiments, cmd/msgroof) also define
+// -jobs, the number of independent simulations they run concurrently;
+// the per-kernel cmds run one simulation and have no such knob.
+// Stderr reporting goes through ReportSched and ReportShards so every
+// binary summarizes host scheduling and engine utilization in the
+// same format.
 package cliflags
 
 import (
@@ -30,10 +29,6 @@ import (
 
 // Common holds the shared flag values after parsing.
 type Common struct {
-	// Jobs caps worker concurrency for commands that schedule many
-	// independent simulations (sweep points, experiments). Output is
-	// byte-identical at any value.
-	Jobs int
 	// Shards sets the window worker parallelism of every simulated
 	// world (0 means 1). Worlds decompose into per-node-group
 	// sequential engines coupled by a conservative-lookahead window
@@ -54,8 +49,6 @@ type Common struct {
 // the command, before fs.Parse.
 func Register(fs *flag.FlagSet, prog string) *Common {
 	c := &Common{prog: prog}
-	fs.IntVar(&c.Jobs, "jobs", runtime.NumCPU(),
-		"number of independent simulations run concurrently (output is byte-identical at any value)")
 	fs.IntVar(&c.Shards, "shards", 1,
 		"window worker parallelism of simulated worlds (output is byte-identical at any value)")
 	fs.StringVar(&c.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to this file")

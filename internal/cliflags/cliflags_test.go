@@ -4,7 +4,6 @@ import (
 	"flag"
 	"io"
 	"os"
-	"runtime"
 	"testing"
 )
 
@@ -18,30 +17,31 @@ func statFile(p string) (int64, error) {
 
 // TestRegisterDefinesSharedSurface pins the unified flag surface:
 // every command registers exactly these shared knobs, with the same
-// names and defaults.
+// names and defaults. -jobs is not among them: only the multi-point
+// commands define it.
 func TestRegisterDefinesSharedSurface(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	c := Register(fs, "test")
-	for _, name := range []string{"jobs", "shards", "cpuprofile", "memprofile"} {
+	for _, name := range []string{"shards", "cpuprofile", "memprofile"} {
 		if fs.Lookup(name) == nil {
 			t.Errorf("flag -%s not registered", name)
 		}
 	}
+	if fs.Lookup("jobs") != nil {
+		t.Error("flag -jobs registered; it belongs to the multi-point commands only")
+	}
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
-	}
-	if c.Jobs != runtime.NumCPU() {
-		t.Errorf("default -jobs = %d, want NumCPU", c.Jobs)
 	}
 	if c.Shards != 1 {
 		t.Errorf("default -shards = %d, want 1", c.Shards)
 	}
-	if err := fs.Parse([]string{"-jobs", "3", "-shards", "4"}); err != nil {
+	if err := fs.Parse([]string{"-shards", "4"}); err != nil {
 		t.Fatal(err)
 	}
-	if c.Jobs != 3 || c.Shards != 4 {
-		t.Fatalf("parsed Jobs=%d Shards=%d", c.Jobs, c.Shards)
+	if c.Shards != 4 {
+		t.Fatalf("parsed Shards=%d", c.Shards)
 	}
 }
 

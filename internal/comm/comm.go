@@ -36,8 +36,8 @@
 // workload routed through comm is cycle-identical to the old code.
 //
 // Trace accounting is threaded through here exactly once: New
-// attaches an internal/trace recorder to the stack's message hook
-// (payload deliveries only — protocol-overhead signal puts of the
+// installs an internal/trace recorder's Record as the stack's message
+// hook (payload deliveries only — protocol-overhead signal puts of the
 // strict 4-op path are charged but not recorded, while fused
 // put-with-signal records payload+8 as one flight, matching the
 // paper's k=4 / k=2 op accounting), and the epoch operations mark
@@ -257,11 +257,6 @@ type Transport interface {
 	SharedBytes(rank int) []byte
 	// AtomicCount is the total remote atomic operations executed.
 	AtomicCount() int64
-	// Close releases the transport's pooled resources (the trace
-	// recorder's event buffer). Call it after the last use of
-	// Recorder() and of any Events() slice obtained from it; Recorder
-	// returns nil afterwards. Close is idempotent.
-	Close()
 }
 
 // Endpoint is one rank's handle inside Launch. The op families map
@@ -374,25 +369,14 @@ type base struct {
 func (b *base) Ranks() int                { return b.spec.Ranks }
 func (b *base) Recorder() *trace.Recorder { return b.rec }
 
-// Close returns the trace recorder's event buffer to the package pool
-// so the next traced run reuses it instead of growing a fresh one.
-func (b *base) Close() {
-	trace.Release(b.rec)
-	b.rec = nil
-}
-
-// attachTrace acquires a pooled recorder unless disabled and returns
-// the hook to install on the stack's payload-message tap (nil = no
-// hook, zero per-message cost).
-func (b *base) attachTrace() func(src, dst int, bytes int64, issue, deliver sim.Time) {
-	if b.spec.NoTrace {
-		return nil
+// attachTrace creates the run's trace recorder, or returns nil with
+// NoTrace set, in which case the caller installs no hook and tracing
+// costs nothing per message.
+func (b *base) attachTrace() *trace.Recorder {
+	if !b.spec.NoTrace {
+		b.rec = trace.New()
 	}
-	rec := trace.Get()
-	b.rec = rec
-	return func(src, dst int, bytes int64, issue, deliver sim.Time) {
-		rec.Record(trace.Event{Src: src, Dst: dst, Bytes: bytes, Issue: issue, Deliver: deliver})
-	}
+	return b.rec
 }
 
 // sync marks one synchronization on the trace tap.

@@ -90,8 +90,8 @@ func newRMA(spec Spec, notified bool) (*rma, error) {
 		}
 		tapWin = t.heapWin
 	}
-	if hook := t.attachTrace(); hook != nil {
-		tapWin.SetHook(hook)
+	if rec := t.attachTrace(); rec != nil {
+		tapWin.SetHook(rec.Record)
 	}
 	return t, nil
 }

@@ -60,8 +60,8 @@ func newShmem(spec Spec) (*shmemT, error) {
 	j.SetDebugUnordered(spec.DebugUnordered)
 	spec.applyChaos(j.World(), j.World().Inst.Net)
 	t := &shmemT{base: base{spec: spec}, j: j, sigBase: sigBase}
-	if hook := t.attachTrace(); hook != nil {
-		j.SetPutHook(hook)
+	if rec := t.attachTrace(); rec != nil {
+		j.SetPutHook(rec.Record)
 	}
 	return t, nil
 }

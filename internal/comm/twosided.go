@@ -20,8 +20,8 @@ func newTwoSided(spec Spec) (*twoSided, error) {
 	}
 	spec.applyChaos(c.World(), c.World().Inst.Net)
 	t := &twoSided{base: base{spec: spec}, c: c}
-	if hook := t.attachTrace(); hook != nil {
-		c.SetSendHook(hook)
+	if rec := t.attachTrace(); rec != nil {
+		c.SetSendHook(rec.Record)
 	}
 	return t, nil
 }

@@ -37,7 +37,7 @@ const (
 type chaos struct {
 	perturb *sim.Perturbation
 	faults  *netsim.Faults
-	// shards is the engine shard count recorded on the workload's
+	// shards is the window worker parallelism of the workload's
 	// world (0 means 1); output must be invariant under it.
 	shards int
 	// unordered disables the MPI non-overtaking resequencer in the

@@ -53,9 +53,9 @@ type Config struct {
 	// Blocks is the GPU-only concurrency: inserts are spread over
 	// this many thread-block contexts per PE (default 8).
 	Blocks int
-	// Shards is the engine shard count recorded on the simulated
-	// world (0 means 1; results are byte-identical at every value —
-	// see comm.Spec.Shards).
+	// Shards is the window worker parallelism of the simulated world
+	// (0 means 1; results are byte-identical at every value — see
+	// comm.Spec.Shards).
 	Shards int
 	// Perturb, when non-nil, installs engine schedule fuzzing
 	// (conformance harness only; nil leaves runs byte-identical).

@@ -50,7 +50,6 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hashtable %s: %w", cfg.Transport, err)
 	}
-	defer t.Close()
 	useAtomics := t.Caps().Atomics
 	shards := make([]shard, cfg.Ranks)
 	if !useAtomics {

@@ -95,7 +95,7 @@ func RefAlts(n *Network, src, dst string) [][]string {
 	min, _ := refBFS(n, src, dst)
 	var alts [][]*channelGroup
 	for _, via := range n.detours {
-		if via == src || via == dst || !n.HasNode(via) || len(n.adj[via]) == 1 {
+		if via == src || via == dst || !n.HasNode(via) || len(n.adjx[n.NodeIndex(via)]) == 1 {
 			continue
 		}
 		a, okA := refBFS(n, src, via)

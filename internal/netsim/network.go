@@ -43,11 +43,11 @@ type channelGroup struct {
 type Network struct {
 	nodes     []string
 	nodeIndex map[string]int
-	adj       map[string][]*channelGroup
-	// adjx mirrors adj with dense node indices so BFS runs over int32
-	// slices instead of string-keyed maps (the map-based walk dominated
-	// first-touch route resolution on 1K-node fabrics). Entry order per
-	// node matches adj exactly — BFS tie-breaking is unchanged.
+	// adjx is the adjacency, indexed by dense node index so BFS runs
+	// over int32 slices instead of string-keyed maps (a map-based walk
+	// dominated first-touch route resolution on 1K-node fabrics). Each
+	// node's entries are in link-insertion order, which fixes BFS
+	// tie-breaking.
 	adjx [][]xgroup
 	// trees holds the lazily built BFS predecessor tree of each source
 	// node (see tree); AddNode and AddLink drop the whole set.
@@ -114,7 +114,6 @@ func (n *Network) shard(key uint64) *cacheShard {
 func New() *Network {
 	n := &Network{
 		nodeIndex: make(map[string]int),
-		adj:       make(map[string][]*channelGroup),
 	}
 	for i := range n.cache {
 		n.cache[i].paths = make(map[uint64]*Path)
@@ -306,8 +305,6 @@ func (n *Network) AddClassLink(a, b, class string, bandwidth float64, latency si
 		fwd.links = append(fwd.links, fl)
 		rev.links = append(rev.links, rl)
 	}
-	n.adj[a] = append(n.adj[a], fwd)
-	n.adj[b] = append(n.adj[b], rev)
 	ai, bi := n.nodeIndex[a], n.nodeIndex[b]
 	n.adjx[ai] = append(n.adjx[ai], xgroup{to: int32(bi), g: fwd})
 	n.adjx[bi] = append(n.adjx[bi], xgroup{to: int32(ai), g: rev})
@@ -527,9 +524,9 @@ func (n *Network) BaseLatency(src, dst string) sim.Time {
 // returns 0: no lookahead exists and the world must stay one group.
 func (n *Network) LookaheadBound() sim.Time {
 	min := sim.Time(-1)
-	for _, groups := range n.adj {
-		for _, g := range groups {
-			for _, l := range g.links {
+	for _, edges := range n.adjx {
+		for _, x := range edges {
+			for _, l := range x.g.links {
 				if min < 0 || l.Latency() < min {
 					min = l.Latency()
 				}
@@ -545,9 +542,9 @@ func (n *Network) LookaheadBound() sim.Time {
 // Reset clears reservation state and counters on every link, plus the
 // adaptive-routing pick counters.
 func (n *Network) Reset() {
-	for _, groups := range n.adj {
-		for _, g := range groups {
-			for _, l := range g.links {
+	for _, edges := range n.adjx {
+		for _, x := range edges {
+			for _, l := range x.g.links {
 				l.Reset()
 			}
 		}
@@ -559,9 +556,9 @@ func (n *Network) Reset() {
 // least one message, sorted by name.
 func (n *Network) Stats() []LinkStats {
 	var out []LinkStats
-	for _, node := range n.nodes {
-		for _, g := range n.adj[node] {
-			for _, l := range g.links {
+	for _, edges := range n.adjx {
+		for _, x := range edges {
+			for _, l := range x.g.links {
 				if s := l.Stats(); s.Messages > 0 {
 					out = append(out, s)
 				}
@@ -598,9 +595,9 @@ func (s ClassStats) MeanUtilization(horizon sim.Time) float64 {
 // aggregate under "".
 func (n *Network) ClassStatsAll() []ClassStats {
 	agg := map[string]*ClassStats{}
-	for _, node := range n.nodes {
-		for _, g := range n.adj[node] {
-			for _, l := range g.links {
+	for _, edges := range n.adjx {
+		for _, x := range edges {
+			for _, l := range x.g.links {
 				c, ok := agg[l.class]
 				if !ok {
 					c = &ClassStats{Class: l.class}

@@ -39,9 +39,6 @@ type World struct {
 	Inst *machine.Instance
 	eng  *sim.CoupledEngine
 	eps  []*Endpoint
-	// shards records the -shards request for this world (worker
-	// parallelism; clamped by the engine to the node-group count).
-	shards int
 }
 
 // NewWorld builds a world with `ranks` endpoints on the given machine.
@@ -70,16 +67,9 @@ func NewWorldSharded(cfg *machine.Config, ranks, shards int) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > ranks {
-		shards = ranks
-	}
 	w := &World{
-		Inst:   inst,
-		eps:    make([]*Endpoint, ranks),
-		shards: shards,
+		Inst: inst,
+		eps:  make([]*Endpoint, ranks),
 	}
 	channels := 1
 	if cfg.GPU != nil {
@@ -135,10 +125,6 @@ func (w *World) route(from, to int32) netsim.Route {
 
 // Size returns the number of endpoints (ranks/PEs).
 func (w *World) Size() int { return len(w.eps) }
-
-// Shards returns the -shards worker-parallelism recorded for this
-// world (the engine clamps the effective worker count to Groups).
-func (w *World) Shards() int { return w.shards }
 
 // Groups returns the node-group (sub-engine) count.
 func (w *World) Groups() int { return w.eng.Groups() }

@@ -35,7 +35,6 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sptrsv %s: %w", cfg.Transport, err)
 	}
-	defer t.Close()
 	rate := cfg.CPUFlopRate
 	if cfg.Machine.Kind == machine.GPU {
 		rate = cfg.CPUFlopRate * cfg.GPUSparseScale

@@ -60,9 +60,9 @@ type Config struct {
 	// PollCheck overrides DefaultPollCheck when nonzero; the
 	// free-polling ablation passes a negative value to zero it.
 	PollCheck sim.Time
-	// Shards is the engine shard count recorded on the simulated
-	// world (0 means 1; results are byte-identical at every value —
-	// see comm.Spec.Shards).
+	// Shards is the window worker parallelism of the simulated world
+	// (0 means 1; results are byte-identical at every value — see
+	// comm.Spec.Shards).
 	Shards int
 	// Perturb, when non-nil, installs engine schedule fuzzing
 	// (conformance harness only; nil leaves runs byte-identical).

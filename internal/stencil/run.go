@@ -52,7 +52,6 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stencil %s: %w", cfg.Transport, err)
 	}
-	defer t.Close()
 	sums := make([]float64, ranks)
 	err = t.Launch(func(ep comm.Endpoint) {
 		me := ep.Rank()

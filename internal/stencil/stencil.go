@@ -47,9 +47,9 @@ type Config struct {
 	// Verify allocates real grids and checks the result against the
 	// serial reference. Use small Grid values with it.
 	Verify bool
-	// Shards is the engine shard count recorded on the simulated
-	// world (0 means 1; results are byte-identical at every value —
-	// see comm.Spec.Shards).
+	// Shards is the window worker parallelism of the simulated world
+	// (0 means 1; results are byte-identical at every value — see
+	// comm.Spec.Shards).
 	Shards int
 	// Perturb, when non-nil, installs engine schedule fuzzing
 	// (conformance harness only; nil leaves runs byte-identical).

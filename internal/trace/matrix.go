@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// TrafficMatrix aggregates recorded events into per-(src, dst) byte
+// TrafficMatrix aggregates recorded messages into per-(src, dst) byte
 // and message counts — the communication heat map of a run, useful
 // for spotting topology hotspots (e.g. Summit's X-Bus pairs). It
 // stores only the pairs that communicated, so its size follows the
@@ -17,24 +17,14 @@ type TrafficMatrix struct {
 	pairs []Pair
 }
 
-// Matrix builds the traffic matrix for `ranks` endpoints; events
-// referencing out-of-range ranks are ignored.
+// Matrix builds the traffic matrix for `ranks` endpoints; traffic
+// involving out-of-range ranks is ignored.
 func (r *Recorder) Matrix(ranks int) *TrafficMatrix {
-	m := &TrafficMatrix{Ranks: ranks}
-	index := make(map[[2]int]int)
-	for _, e := range r.events {
-		if e.Src < 0 || e.Src >= ranks || e.Dst < 0 || e.Dst >= ranks {
-			continue
+	m := &TrafficMatrix{Ranks: ranks, pairs: make([]Pair, 0, len(r.pairs))}
+	for _, p := range r.pairs {
+		if p.Src >= 0 && p.Src < ranks && p.Dst >= 0 && p.Dst < ranks {
+			m.pairs = append(m.pairs, p)
 		}
-		key := [2]int{e.Src, e.Dst}
-		i, ok := index[key]
-		if !ok {
-			i = len(m.pairs)
-			index[key] = i
-			m.pairs = append(m.pairs, Pair{Src: e.Src, Dst: e.Dst})
-		}
-		m.pairs[i].Bytes += e.Bytes
-		m.pairs[i].Messages++
 	}
 	sort.Slice(m.pairs, func(i, j int) bool { return m.pairs[i].less(m.pairs[j]) })
 	return m

@@ -8,11 +8,11 @@ import (
 
 func sampleRecorder() *Recorder {
 	r := New()
-	r.Record(Event{Src: 2, Dst: 3, Bytes: 4000})
-	r.Record(Event{Src: 0, Dst: 1, Bytes: 1000})
-	r.Record(Event{Src: 1, Dst: 0, Bytes: 200})
-	r.Record(Event{Src: 0, Dst: 1, Bytes: 500})
-	r.Record(Event{Src: 9, Dst: 0, Bytes: 99999}) // out of range for ranks=4
+	r.Record(2, 3, 4000, 0, 0)
+	r.Record(0, 1, 1000, 0, 0)
+	r.Record(1, 0, 200, 0, 0)
+	r.Record(0, 1, 500, 0, 0)
+	r.Record(9, 0, 99999, 0, 0) // out of range for ranks=4
 	return r
 }
 
@@ -31,7 +31,7 @@ func TestMatrixAggregation(t *testing.T) {
 		t.Fatalf("silent pair 3->2 = %+v", p)
 	}
 	// Only communicating pairs are stored, in (src, dst) order, and
-	// out-of-range events are ignored.
+	// out-of-range traffic is ignored.
 	var total int64
 	var got [][2]int
 	for _, p := range m.pairs {

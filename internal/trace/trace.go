@@ -1,77 +1,74 @@
-// Package trace records message-level events from workload runs and
-// derives the quantities the Message Roofline model plots: message
-// sizes, messages per synchronization, sustained bandwidth, and
-// per-message latency. Workloads call Record once per application
-// message and Sync once per synchronization point; the summary then
-// places the workload as a dot on the roofline.
+// Package trace folds the messages of workload runs into the
+// quantities the Message Roofline model plots: message sizes, messages
+// per synchronization, sustained bandwidth, and per-message latency,
+// plus the per-pair traffic matrix. Workloads call Record once per
+// application message and Sync once per synchronization point; the
+// summary then places the workload as a dot on the roofline.
 package trace
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"msgroofline/internal/sim"
 )
 
-// Event is one application-level message.
-type Event struct {
-	Src, Dst int
-	Bytes    int64
-	Issue    sim.Time // when the sender issued the message
-	Deliver  sim.Time // when the last byte (or signal) landed
-}
-
-// Latency is the end-to-end time of the message.
-func (e Event) Latency() sim.Time { return e.Deliver - e.Issue }
-
-// Recorder accumulates events and synchronization points for one run.
-// Record and Sync are called from delivery hooks, which under the
-// coupled engine's parallel windows may run on concurrent node-group
-// goroutines, so both take a mutex; every derived quantity (Summarize,
-// Matrix) is an order-invariant aggregation, so the
-// nondeterministic append order never reaches an output. Readers run
-// after the simulation joins its workers and need no locking.
+// Recorder folds a run's messages and synchronization points into the
+// aggregates the roofline reads: counts, byte totals and extremes, a
+// size histogram (for an exact median), the latency sum, and per-pair
+// traffic. Its memory grows with the distinct sizes and communicating
+// pairs of a run, not with its message count. Record and Sync are
+// called from delivery hooks, which under the coupled engine's
+// parallel windows may run on concurrent node-group goroutines, so
+// both take a mutex; every folded quantity is a commutative sum, min,
+// max or count, so the nondeterministic call order never reaches an
+// output. Readers (Summarize, Matrix) run after the simulation joins
+// its workers and need no locking.
 type Recorder struct {
-	mu     sync.Mutex
-	events []Event
-	syncs  int
+	mu       sync.Mutex
+	messages int
+	syncs    int
+	total    int64
+	min, max int64
+	latency  sim.Time
+	// sizes counts messages per payload size.
+	sizes map[int64]int64
+	// pairs holds the traffic of every communicating (src, dst),
+	// keyed by pairKey.
+	pairs map[uint64]Pair
 }
 
 // New returns an empty recorder.
-func New() *Recorder { return &Recorder{} }
-
-// pool recycles recorders (and, more importantly, their event buffers)
-// across runs: a simulation that traces allocates only while a run's
-// message count exceeds every previous run's, then reaches steady
-// state at zero allocations per recorded event.
-var pool = sync.Pool{New: func() any { return &Recorder{} }}
-
-// Get returns an empty recorder, reusing a pooled event buffer when
-// one is available. Pair with Release when the recorder's data has
-// been fully consumed.
-func Get() *Recorder { return pool.Get().(*Recorder) }
-
-// Release resets r and returns it to the pool. The caller must not
-// touch r — or any Events() slice obtained from it — afterwards.
-func Release(r *Recorder) {
-	if r == nil {
-		return
-	}
-	r.Reset()
-	pool.Put(r)
+func New() *Recorder {
+	return &Recorder{sizes: make(map[int64]int64), pairs: make(map[uint64]Pair)}
 }
 
-// Reset empties the recorder, keeping the event buffer's capacity.
-func (r *Recorder) Reset() {
-	r.events = r.events[:0]
-	r.syncs = 0
-}
+// pairKey packs a (src, dst) rank pair into one map key.
+func pairKey(src, dst int) uint64 { return uint64(uint32(src))<<32 | uint64(uint32(dst)) }
 
-// Record adds one message event.
-func (r *Recorder) Record(e Event) {
+// Record folds in one message: src sent bytes to dst, issued at issue
+// and delivered (last byte or signal landed) at deliver. Its signature
+// is the stacks' message-hook signature, so a transport installs
+// r.Record directly.
+func (r *Recorder) Record(src, dst int, bytes int64, issue, deliver sim.Time) {
 	r.mu.Lock()
-	r.events = append(r.events, e)
+	if r.messages == 0 || bytes < r.min {
+		r.min = bytes
+	}
+	if bytes > r.max {
+		r.max = bytes
+	}
+	r.messages++
+	r.total += bytes
+	r.latency += deliver - issue
+	r.sizes[bytes]++
+	k := pairKey(src, dst)
+	p := r.pairs[k]
+	p.Src, p.Dst = src, dst
+	p.Bytes += bytes
+	p.Messages++
+	r.pairs[k] = p
 	r.mu.Unlock()
 }
 
@@ -82,12 +79,6 @@ func (r *Recorder) Sync() {
 	r.syncs++
 	r.mu.Unlock()
 }
-
-// Events returns the recorded events.
-func (r *Recorder) Events() []Event { return r.events }
-
-// Syncs returns the number of synchronization points recorded.
-func (r *Recorder) Syncs() int { return r.syncs }
 
 // Summary is the roofline-relevant digest of a run.
 type Summary struct {
@@ -103,58 +94,53 @@ type Summary struct {
 	MsgsPerSync float64
 	// MeanLatency is the mean end-to-end per-message latency.
 	MeanLatency sim.Time
-	// P99Latency is the 99th-percentile message latency.
-	P99Latency sim.Time
 	// SustainedGBs is TotalBytes over the supplied elapsed time.
 	SustainedGBs float64
 }
 
 // Summarize computes a Summary given the run's elapsed simulated time.
 func (r *Recorder) Summarize(elapsed sim.Time) Summary {
-	s := Summary{Messages: len(r.events), Syncs: r.syncs}
-	if len(r.events) == 0 {
+	s := Summary{Messages: r.messages, Syncs: r.syncs}
+	if r.messages == 0 {
 		return s
 	}
-	sizes := make([]int64, 0, len(r.events))
-	lats := make([]sim.Time, 0, len(r.events))
-	s.MinBytes = r.events[0].Bytes
-	for _, e := range r.events {
-		s.TotalBytes += e.Bytes
-		if e.Bytes < s.MinBytes {
-			s.MinBytes = e.Bytes
-		}
-		if e.Bytes > s.MaxBytes {
-			s.MaxBytes = e.Bytes
-		}
-		sizes = append(sizes, e.Bytes)
-		lats = append(lats, e.Latency())
-	}
-	s.MeanBytes = float64(s.TotalBytes) / float64(len(r.events))
-	sort.Slice(sizes, func(i, j int) bool { return sizes[i] < sizes[j] })
-	mid := len(sizes) / 2
-	if len(sizes)%2 == 1 {
-		s.MedianBytes = float64(sizes[mid])
-	} else {
-		s.MedianBytes = float64(sizes[mid-1]+sizes[mid]) / 2
-	}
+	s.TotalBytes, s.MinBytes, s.MaxBytes = r.total, r.min, r.max
+	s.MeanBytes = float64(s.TotalBytes) / float64(r.messages)
+	s.MedianBytes = r.medianBytes()
 	if r.syncs > 0 {
-		s.MsgsPerSync = float64(len(r.events)) / float64(r.syncs)
+		s.MsgsPerSync = float64(r.messages) / float64(r.syncs)
 	}
-	var tot sim.Time
-	for _, l := range lats {
-		tot += l
-	}
-	s.MeanLatency = tot / sim.Time(len(lats))
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	idx := (99*len(lats) + 99) / 100
-	if idx >= len(lats) {
-		idx = len(lats) - 1
-	}
-	s.P99Latency = lats[idx]
+	s.MeanLatency = r.latency / sim.Time(r.messages)
 	if elapsed > 0 {
 		s.SustainedGBs = float64(s.TotalBytes) / elapsed.Seconds() / 1e9
 	}
 	return s
+}
+
+// medianBytes returns the exact median message size: the middle
+// message (or the mean of the two middle messages of an even count) in
+// ascending size order, read off the size histogram.
+func (r *Recorder) medianBytes() float64 {
+	sizes := make([]int64, 0, len(r.sizes))
+	for b := range r.sizes {
+		sizes = append(sizes, b)
+	}
+	slices.Sort(sizes)
+	// at returns the i-th smallest message size (0-based).
+	at := func(i int64) int64 {
+		var seen int64
+		for _, b := range sizes {
+			if seen += r.sizes[b]; i < seen {
+				return b
+			}
+		}
+		panic("trace: size histogram does not cover the message count")
+	}
+	n := int64(r.messages)
+	if n%2 == 1 {
+		return float64(at(n / 2))
+	}
+	return float64(at(n/2-1)+at(n/2)) / 2
 }
 
 // String renders the summary compactly.

@@ -62,10 +62,11 @@ func main() {
 		m.N, m.N, m.NumSupernodes(), m.NNZ(), m.Edges(), len(m.Levels()))
 	fmt.Printf("SOLVE time %v\n", res.Elapsed)
 	fmt.Printf("communication %s\n", res.Comm)
-	if *showMatrix && res.Matrix != nil {
-		fmt.Print(res.Matrix)
-		fmt.Printf("traffic imbalance (max/mean): %.2f\n", res.Matrix.Imbalance())
-		for _, pair := range res.Matrix.Hottest(3) {
+	if *showMatrix {
+		tm := res.Matrix()
+		fmt.Print(tm)
+		fmt.Printf("traffic imbalance (max/mean): %.2f\n", tm.Imbalance())
+		for _, pair := range tm.Hottest(3) {
 			fmt.Printf("  hot pair %d->%d: %d msgs, %d bytes\n", pair.Src, pair.Dst, pair.Messages, pair.Bytes)
 		}
 	}

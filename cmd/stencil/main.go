@@ -63,8 +63,8 @@ func main() {
 	fmt.Printf("total time   %v\n", res.Elapsed)
 	fmt.Printf("per iteration %v\n", res.PerIter)
 	fmt.Printf("communication %s\n", res.Comm)
-	if *showMatrix && res.Matrix != nil {
-		fmt.Print(res.Matrix)
+	if *showMatrix {
+		fmt.Print(res.Matrix())
 	}
 	if *verify {
 		want := stencil.SerialReference(grid, iters)

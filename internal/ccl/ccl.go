@@ -82,6 +82,9 @@ type Ctx struct {
 	plan *Plan
 	sc   *shmem.Ctx
 	seq  uint64
+	// scratch holds the chunk being put. A put stages its payload
+	// before it returns, so the next encode may overwrite it.
+	scratch []byte
 }
 
 // NewCtx wraps a shmem context for collective calls. Each PE creates
@@ -105,8 +108,12 @@ func chunkBounds(n, npes, chunk int) (lo, hi int) {
 	return lo, hi
 }
 
-func encode(v []float64) []byte {
-	out := make([]byte, 8*len(v))
+// encode writes v into the context's scratch buffer and returns it.
+func (c *Ctx) encode(v []float64) []byte {
+	if cap(c.scratch) < 8*len(v) {
+		c.scratch = make([]byte, 8*len(v))
+	}
+	out := c.scratch[:8*len(v)]
 	for i, f := range v {
 		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(f))
 	}
@@ -116,6 +123,13 @@ func encode(v []float64) []byte {
 func decodeInto(dst []float64, b []byte) {
 	for i := 0; i < len(dst) && 8*i+8 <= len(b); i++ {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+}
+
+// addInto adds the float64s encoded in b to dst element-wise.
+func addInto(dst []float64, b []byte) {
+	for i := 0; i < len(dst) && 8*i+8 <= len(b); i++ {
+		dst[i] += math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 }
 
@@ -139,15 +153,11 @@ func (c *Ctx) ReduceScatter(data []float64) (lo, hi int, err error) {
 		sendChunk := (me - step + np) % np
 		recvChunk := (me - step - 1 + np) % np
 		slo, shi := chunkBounds(len(data), np, sendChunk)
-		c.sc.PutSignalNBI(right, p.stagingOff(step), encode(data[slo:shi]), p.sigOff(step), c.seq)
+		c.sc.PutSignalNBI(right, p.stagingOff(step), c.encode(data[slo:shi]), p.sigOff(step), c.seq)
 		// Wait for the left neighbor's chunk for this step.
 		c.sc.WaitUntilAll([]int{p.sigOff(step)}, c.seq)
 		rlo, rhi := chunkBounds(len(data), np, recvChunk)
-		in := make([]float64, rhi-rlo)
-		decodeInto(in, c.sc.PE().Heap()[p.stagingOff(step):])
-		for i := range in {
-			data[rlo+i] += in[i]
-		}
+		addInto(data[rlo:rhi], c.sc.PE().Heap()[p.stagingOff(step):])
 	}
 	c.sc.Quiet()
 	// Staging slots are reused by the next collective; make sure every
@@ -179,7 +189,7 @@ func (c *Ctx) allGather(data []float64) error {
 		sendChunk := ((me+1-step)%np + np) % np
 		slot := np - 1 + step // distinct slots from ReduceScatter steps
 		slo, shi := chunkBounds(len(data), np, sendChunk)
-		c.sc.PutSignalNBI(right, p.stagingOff(slot), encode(data[slo:shi]), p.sigOff(slot), c.seq)
+		c.sc.PutSignalNBI(right, p.stagingOff(slot), c.encode(data[slo:shi]), p.sigOff(slot), c.seq)
 		c.sc.WaitUntilAll([]int{p.sigOff(slot)}, c.seq)
 		recvChunk := (sendChunk - 1 + np) % np
 		rlo, rhi := chunkBounds(len(data), np, recvChunk)
@@ -241,7 +251,7 @@ func (c *Ctx) Broadcast(root int, data []float64, chunkElems int) error {
 				decodeInto(data[lo:hi], c.sc.PE().Heap()[p.stagingOff(slot):])
 			}
 			if vrank != np-1 {
-				c.sc.PutSignalNBI(right, p.stagingOff(slot), encode(data[lo:hi]), p.sigOff(slot), sig)
+				c.sc.PutSignalNBI(right, p.stagingOff(slot), c.encode(data[lo:hi]), p.sigOff(slot), sig)
 			}
 		}
 		c.sc.Quiet()

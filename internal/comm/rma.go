@@ -193,7 +193,7 @@ func (e *rmaEp) Exchange(epoch int, sends []Msg, recvs []Expect) [][]byte {
 	out := make([][]byte, len(recvs))
 	for i, x := range recvs {
 		off := (parity*k + x.Slot) * stride
-		out[i] = t.exchWin.Local(me)[off : off+x.Bytes]
+		out[i] = t.exchWin.View(me, off, x.Bytes)
 	}
 	return out
 }
@@ -230,7 +230,7 @@ func (e *rmaEp) WaitAnySlot() (int, []byte) {
 		e.mask[i] = true
 		e.got++
 		t.sync()
-		return i, t.ntfWin.Local(me)[i*stride : (i+1)*stride]
+		return i, t.ntfWin.View(me, i*stride, stride)
 	}
 	found := -1
 	t.sigWin.TargetSignal(me).WaitFor(e.r.Proc(), func() bool {
@@ -252,7 +252,7 @@ func (e *rmaEp) WaitAnySlot() (int, []byte) {
 	e.mask[found] = true
 	e.got++
 	t.sync()
-	return found, t.dataWin.Local(me)[found*stride : (found+1)*stride]
+	return found, t.dataWin.View(me, found*stride, stride)
 }
 
 func (e *rmaEp) CAS(peer, off int, compare, swap uint64) uint64 {

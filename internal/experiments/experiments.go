@@ -7,8 +7,11 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
+	"time"
 
 	"msgroofline/internal/machine"
 	"msgroofline/internal/plot"
@@ -74,28 +77,32 @@ type Experiment struct {
 	ID    string
 	Title string
 	Run   func(*Env) (*Output, error)
+	// Cost is the experiment's quick-scale wall time in milliseconds,
+	// measured alone on a 2-core host; RunSuite starts the costliest
+	// experiments first. Only the start order depends on it.
+	Cost int
 }
 
 // Registry lists every experiment in paper order.
 func Registry() []Experiment {
 	return []Experiment{
 		{ID: "tableI", Title: "Evaluation platforms (Table I / Table III)", Run: func(*Env) (*Output, error) { return TableI() }},
-		{ID: "fig1", Title: "Message Roofline overview on Frontier (Fig 1)", Run: Fig1},
+		{ID: "fig1", Title: "Message Roofline overview on Frontier (Fig 1)", Run: Fig1, Cost: 5},
 		{ID: "fig2", Title: "Node architectures (Fig 2)", Run: func(*Env) (*Output, error) { return Fig2() }},
-		{ID: "fig3", Title: "Two-sided vs one-sided MPI bandwidth on CPUs (Fig 3)", Run: Fig3},
-		{ID: "fig4", Title: "GPU-initiated put-with-signal and CAS (Fig 4)", Run: Fig4},
-		{ID: "tableII", Title: "Workload characterization (Table II)", Run: TableII},
-		{ID: "fig5", Title: "Stencil time on CPUs and GPUs (Fig 5)", Run: Fig5},
-		{ID: "fig6", Title: "Workload communication bounds on Perlmutter CPU (Fig 6)", Run: Fig6},
-		{ID: "fig7", Title: "Messaging latency vs msg/sync per workload (Fig 7)", Run: Fig7},
-		{ID: "fig8", Title: "SpTRSV time on CPUs and GPUs (Fig 8)", Run: Fig8},
-		{ID: "fig9", Title: "Distributed hashtable time (Fig 9)", Run: Fig9},
-		{ID: "fig10", Title: "Message splitting speedup on Perlmutter GPU (Fig 10)", Run: Fig10},
-		{ID: "ext-ccl", Title: "Extension: NCCL-style ring collectives (paper future work)", Run: ExtCCL},
-		{ID: "ext-frontier", Title: "Extension: Frontier GPU with projected ROC_SHMEM", Run: ExtFrontierGPU},
-		{ID: "ext-notified", Title: "Extension: notified access (hardware put-with-signal)", Run: ExtNotified},
-		{ID: "ext-offload", Title: "Extension: offloaded transports (stream-triggered MPI, memory channels)", Run: ExtOffload},
-		{ID: "ext-ridgeline", Title: "Extension: the Ridgeline — 2D distributed roofline vs topology", Run: ExtRidgeline},
+		{ID: "fig3", Title: "Two-sided vs one-sided MPI bandwidth on CPUs (Fig 3)", Run: Fig3, Cost: 37},
+		{ID: "fig4", Title: "GPU-initiated put-with-signal and CAS (Fig 4)", Run: Fig4, Cost: 13},
+		{ID: "tableII", Title: "Workload characterization (Table II)", Run: TableII, Cost: 24},
+		{ID: "fig5", Title: "Stencil time on CPUs and GPUs (Fig 5)", Run: Fig5, Cost: 12},
+		{ID: "fig6", Title: "Workload communication bounds on Perlmutter CPU (Fig 6)", Run: Fig6, Cost: 52},
+		{ID: "fig7", Title: "Messaging latency vs msg/sync per workload (Fig 7)", Run: Fig7, Cost: 10},
+		{ID: "fig8", Title: "SpTRSV time on CPUs and GPUs (Fig 8)", Run: Fig8, Cost: 49},
+		{ID: "fig9", Title: "Distributed hashtable time (Fig 9)", Run: Fig9, Cost: 422},
+		{ID: "fig10", Title: "Message splitting speedup on Perlmutter GPU (Fig 10)", Run: Fig10, Cost: 6},
+		{ID: "ext-ccl", Title: "Extension: NCCL-style ring collectives (paper future work)", Run: ExtCCL, Cost: 58},
+		{ID: "ext-frontier", Title: "Extension: Frontier GPU with projected ROC_SHMEM", Run: ExtFrontierGPU, Cost: 27},
+		{ID: "ext-notified", Title: "Extension: notified access (hardware put-with-signal)", Run: ExtNotified, Cost: 43},
+		{ID: "ext-offload", Title: "Extension: offloaded transports (stream-triggered MPI, memory channels)", Run: ExtOffload, Cost: 12},
+		{ID: "ext-ridgeline", Title: "Extension: the Ridgeline — 2D distributed roofline vs topology", Run: ExtRidgeline, Cost: 270},
 	}
 }
 
@@ -144,17 +151,39 @@ type Unplanned struct{}
 // independent, bit-reproducible set of simulations; on the first
 // failure no further experiments start, and every failure is
 // aggregated into the returned error. The returned sched.Stats hold
-// per-experiment wall times for reporting; the third result is always
-// the zero Unplanned.
+// per-experiment wall times, in the given order, for reporting; the
+// third result is always the zero Unplanned.
+//
+// Experiments start in descending Cost (ties in the given order): the
+// long poles first and the short ones filling in behind them, the
+// longest-processing-time-first rule. The suite then ends on short
+// experiments, so the memory of the large worlds built by the long
+// ones is freed and returned to the OS while it still runs rather than
+// left resident at exit.
 func RunSuite(exps []Experiment, opt SuiteOptions) ([]*Output, *sched.Stats, Unplanned, error) {
 	env := &Env{Scale: opt.Scale, Shards: opt.Shards}
-	outs, stats, err := sched.Map(opt.Jobs, len(exps), func(i int) (*Output, error) {
+	order := make([]int, len(exps))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(exps[b].Cost, exps[a].Cost) })
+	outs := make([]*Output, len(exps))
+	stats, err := sched.Run(opt.Jobs, len(exps), func(j int) error {
+		i := order[j]
 		out, err := exps[i].Run(env)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s failed: %w", exps[i].ID, err)
+			return fmt.Errorf("experiments: %s failed: %w", exps[i].ID, err)
 		}
-		return out, nil
+		outs[i] = out
+		return nil
 	})
+	if stats != nil {
+		wall := make([]time.Duration, len(exps))
+		for j, i := range order {
+			wall[i] = stats.JobWall[j]
+		}
+		stats.JobWall = wall
+	}
 	if err != nil {
 		return nil, stats, Unplanned{}, err
 	}

@@ -145,3 +145,35 @@ func TestUnknownMachineIsReportedNotPanic(t *testing.T) {
 		t.Fatalf("unknown machine should propagate: %v", err)
 	}
 }
+
+func TestRunSuiteStartsCostliestFirst(t *testing.T) {
+	// One worker runs the experiments in start order: descending Cost,
+	// ties in the given order. Outputs and per-experiment wall times
+	// still come back in the given order.
+	var started []string
+	exp := func(id string, cost int, delay time.Duration) Experiment {
+		return Experiment{ID: id, Title: id, Cost: cost, Run: func(*Env) (*Output, error) {
+			started = append(started, id)
+			time.Sleep(delay)
+			return &Output{ID: id}, nil
+		}}
+	}
+	exps := []Experiment{
+		exp("a", 0, 0), exp("b", 5, 0), exp("c", 0, 0), exp("slow", 9, 20*time.Millisecond), exp("d", 5, 0),
+	}
+	outs, stats, _, err := RunSuite(exps, SuiteOptions{Scale: Quick, Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(started, " "), "slow b d a c"; got != want {
+		t.Fatalf("start order %q, want %q", got, want)
+	}
+	for i, o := range outs {
+		if o.ID != exps[i].ID {
+			t.Fatalf("outs[%d].ID = %s, want %s", i, o.ID, exps[i].ID)
+		}
+	}
+	if stats.JobWall[3] < 20*time.Millisecond || stats.JobWall[0] >= 20*time.Millisecond {
+		t.Fatalf("wall times not in experiment order: %v", stats.JobWall)
+	}
+}

@@ -84,7 +84,7 @@ func (r *Rank) Bcast(root int, data []byte) []byte {
 	}
 	for mask := start; vrank+mask < p; mask <<= 1 {
 		child := ((vrank + mask) + root) % p
-		r.Isend(child, r.collTag(seq, bitLen(mask)), buf)
+		r.isend(child, r.collTag(seq, bitLen(mask)), buf)
 	}
 	return buf
 }
@@ -111,7 +111,7 @@ func (r *Rank) Reduce(root int, data []byte, op ReduceOp) []byte {
 	for mask := 1; mask < p; mask <<= 1 {
 		if vrank&mask != 0 {
 			parent := ((vrank - mask) + root) % p
-			r.Isend(parent, r.collTag(seq, bitLen(mask)), acc)
+			r.isend(parent, r.collTag(seq, bitLen(mask)), acc)
 			return nil
 		}
 		if vrank+mask < p {
@@ -146,7 +146,7 @@ func (r *Rank) Allreduce(data []byte, op ReduceOp) []byte {
 	for mask := 1; mask < p; mask <<= 1 {
 		peer := r.id ^ mask
 		tag := r.collTag(seq, bitLen(mask))
-		r.Isend(peer, tag, acc)
+		r.isend(peer, tag, acc)
 		req := r.Recv(peer, tag)
 		op(acc, req.Data)
 	}
@@ -172,7 +172,7 @@ func (r *Rank) Allgather(data []byte) []byte {
 	curOwner := r.id
 	for step := 0; step < p-1; step++ {
 		tag := r.collTag(seq, step)
-		r.Isend(right, tag, cur)
+		r.isend(right, tag, cur)
 		req := r.Recv(left, tag)
 		curOwner = (curOwner - 1 + p) % p
 		cur = req.Data
@@ -207,7 +207,7 @@ func (r *Rank) Alltoall(blocks [][]byte) [][]byte {
 			peer = (r.id + step) % p
 		}
 		tag := r.collTag(seq, step)
-		r.Isend(peer, tag, blocks[peer])
+		r.isend(peer, tag, blocks[peer])
 		var req *Request
 		if p&(p-1) == 0 {
 			req = r.Recv(peer, tag)
@@ -225,7 +225,7 @@ func (r *Rank) Gather(root int, data []byte) []byte {
 	p := r.Size()
 	seq := r.nextCollSeq()
 	if r.id != root {
-		r.Isend(root, r.collTag(seq, 0), data)
+		r.isend(root, r.collTag(seq, 0), data)
 		return nil
 	}
 	out := make([]byte, len(data)*p)
@@ -250,7 +250,7 @@ func (r *Rank) Scatter(root int, blocks [][]byte) []byte {
 			if i == root {
 				continue
 			}
-			r.Isend(i, r.collTag(seq, 0), blocks[i])
+			r.isend(i, r.collTag(seq, 0), blocks[i])
 		}
 		return append([]byte(nil), blocks[root]...)
 	}

@@ -106,7 +106,6 @@ func NewCommSharded(cfg *machine.Config, n, shards int) (*Comm, error) {
 			arrived: sim.NewCond(w.EngineOf(r)),
 			sendSeq: make(map[int]uint64),
 			recvSeq: make(map[int]uint64),
-			ooo:     make(map[int][]*envelope),
 		})
 	}
 	return c, nil
@@ -164,21 +163,42 @@ type Rank struct {
 	// has exchanged messages with (a halo rank talks to a handful, not to
 	// all P), so per-rank state stays O(peers) and the world O(ranks).
 	// ooo drops a source as soon as its queue drains, so its size is the
-	// number of sources with a gap open right now.
+	// number of sources with a gap open right now; it is made on the
+	// first out-of-order arrival (never, on an in-order network).
 	sendSeq map[int]uint64
 	recvSeq map[int]uint64
 	ooo     map[int][]*envelope
 
 	barrierSeq int
 	collSeq    int
+	// barReq is Barrier's receive, reused every round.
+	barReq Request
+
+	// Free lists of pooled message records, touched only from this
+	// rank's engine: envelopes (taken to send, returned here once
+	// matched; nenvs counts them) and put records (rma.go).
+	envs      *envelope
+	nenvs     int
+	puts      *putOp
+	putsLimbo *putOp
+	// amo is the rank's one remote atomic in flight (its process
+	// blocks on it); amoApply is amo.apply, bound once.
+	amo      atomicOp
+	amoApply func() uint64
 }
 
-// envelope is a delivered two-sided message awaiting a matching recv.
+// envelope is a two-sided message: in flight, then delivered and
+// awaiting a matching recv. Envelopes are pooled (see Rank.envelope).
 type envelope struct {
 	src, tag int
 	seq      uint64 // per-(src, dst) send order, for resequencing
 	data     []byte
 	at       sim.Time
+
+	to    *Rank             // receiving rank
+	issue sim.Time          // send time, for the hook
+	land  func(at sim.Time) // env.arrive, bound once
+	next  *envelope
 }
 
 // Rank returns this process's rank id.
@@ -229,8 +249,11 @@ func (r *Rank) Barrier() {
 		tag := barrierTagBase - (seq*64+round)%barrierTagSpan
 		dst := (r.id + k) % p
 		src := (r.id - k + p) % p
-		r.Isend(dst, tag, runtime.Blank(1))
-		r.Recv(src, tag)
+		r.isend(dst, tag, runtime.Blank(1))
+		q := &r.barReq
+		*q = Request{owner: r, isRcv: true, src: src, tag: tag}
+		r.post(q)
+		r.Wait(q)
 		round++
 	}
 }

@@ -8,7 +8,8 @@ import (
 // Request is the handle of a nonblocking operation. Send requests
 // complete as soon as the payload is buffered and injected (eager
 // protocol); receive requests complete when a matching message has
-// been delivered.
+// been delivered. A Request belongs to the caller: the library never
+// reuses one it returned.
 type Request struct {
 	owner *Rank
 	done  bool
@@ -33,6 +34,13 @@ func (q *Request) Done() bool { return q.done }
 // to protect and reaches the receiver as the same read-only view.
 // The returned request is already complete.
 func (r *Rank) Isend(dst, tag int, data []byte) *Request {
+	r.isend(dst, tag, data)
+	return &Request{owner: r, done: true, Src: r.id, Tag: tag}
+}
+
+// isend is Isend without a request: Send, Barrier and the collectives
+// discard it, so they skip its allocation.
+func (r *Rank) isend(dst, tag int, data []byte) {
 	// Self-sends are legal and ride the loopback (shared-memory) path
 	// like any other same-node message.
 	r.ep.ChargeOp(r.proc, r.comm.two)
@@ -41,40 +49,39 @@ func (r *Rank) Isend(dst, tag int, data []byte) *Request {
 		buf = make([]byte, len(data))
 		copy(buf, data)
 	}
-	target := r.comm.ranks[dst]
-	src := r.id
 	seq := r.sendSeq[dst]
 	r.sendSeq[dst] = seq + 1
-	issue := r.proc.Now()
-	hook := r.comm.sendHook
+	env := r.envelope()
+	env.src, env.tag, env.seq, env.data = r.id, tag, seq, buf
+	env.to, env.issue = r.comm.ranks[dst], r.proc.Now()
 	// Delivery mutates only target-rank state, so the whole callback
 	// runs on the target's engine (the remote half of the split).
-	r.ep.Inject(r.comm.two, dst, int64(len(buf)), r.ep.AutoChannel(), func(at sim.Time) {
-		if hook != nil && tag >= 0 {
-			hook(src, dst, int64(len(buf)), issue, at)
-		}
-		target.deliver(&envelope{src: src, tag: tag, seq: seq, data: buf, at: at})
-	}, nil)
-	return &Request{owner: r, done: true, Src: src, Tag: tag}
+	r.ep.Inject(r.comm.two, dst, int64(len(buf)), r.ep.AutoChannel(), env.land, nil)
 }
 
 // Send is a blocking send; with the eager protocol it returns as soon
 // as the message is injected (identical cost to Isend).
-func (r *Rank) Send(dst, tag int, data []byte) { r.Isend(dst, tag, data) }
+func (r *Rank) Send(dst, tag int, data []byte) { r.isend(dst, tag, data) }
 
 // Irecv posts a nonblocking receive matching (src, tag), where either
 // may be AnySource/AnyTag. Matching follows MPI ordering: the oldest
 // matching unexpected message wins, else the request queues in post
 // order.
 func (r *Rank) Irecv(src, tag int) *Request {
-	r.ep.ChargeOp(r.proc, r.comm.two)
 	req := &Request{owner: r, isRcv: true, src: src, tag: tag}
-	if env := r.takeUnexpected(src, tag); env != nil {
-		req.complete(env)
-		return req
+	r.post(req)
+	return req
+}
+
+// post charges a receive and matches req against the unexpected
+// queue, or queues it as posted.
+func (r *Rank) post(req *Request) {
+	r.ep.ChargeOp(r.proc, r.comm.two)
+	if env := r.takeUnexpected(req.src, req.tag); env != nil {
+		r.complete(req, env)
+		return
 	}
 	r.posted = append(r.posted, req)
-	return req
 }
 
 // Recv blocks until a message matching (src, tag) arrives and returns
@@ -118,6 +125,9 @@ func (r *Rank) deliver(env *envelope) {
 	src := env.src
 	next := r.recvSeq[src]
 	if env.seq != next {
+		if r.ooo == nil {
+			r.ooo = make(map[int][]*envelope)
+		}
 		r.ooo[src] = append(r.ooo[src], env)
 		return
 	}
@@ -153,7 +163,7 @@ func (r *Rank) admit(env *envelope) {
 	for i, req := range r.posted {
 		if req.matches(env) {
 			r.posted = append(r.posted[:i], r.posted[i+1:]...)
-			req.complete(env)
+			r.complete(req, env)
 			r.arrived.Broadcast()
 			return
 		}
@@ -183,10 +193,53 @@ func matchPattern(src, tag int, env *envelope) bool {
 		(tag == AnyTag || tag == env.tag)
 }
 
-func (q *Request) complete(env *envelope) {
-	q.done = true
-	q.Data = env.data
-	q.Src = env.src
-	q.Tag = env.tag
-	q.At = env.at
+// complete copies a matched envelope's results into req and returns
+// the envelope to this (the receiving) rank's free list.
+func (r *Rank) complete(req *Request, env *envelope) {
+	req.done = true
+	req.Data = env.data
+	req.Src = env.src
+	req.Tag = env.tag
+	req.At = env.at
+	r.release(env)
+}
+
+// maxFreeEnvelopes caps a rank's envelope free list. Envelopes move
+// from their sender's list to their receiver's, so a rank that
+// receives more than it sends would otherwise hoard them.
+const maxFreeEnvelopes = 64
+
+// envelope takes an envelope from the sending rank's free list.
+func (r *Rank) envelope() *envelope {
+	env := r.envs
+	if env == nil {
+		env = &envelope{}
+		env.land = env.arrive
+		return env
+	}
+	r.envs = env.next
+	r.nenvs--
+	return env
+}
+
+// release returns a matched envelope to this rank's free list, up to
+// maxFreeEnvelopes.
+func (r *Rank) release(env *envelope) {
+	env.data = nil
+	if r.nenvs >= maxFreeEnvelopes {
+		return
+	}
+	env.next, r.envs = r.envs, env
+	r.nenvs++
+}
+
+// arrive is an envelope's delivery (its bound land), on the target's
+// engine.
+func (env *envelope) arrive(at sim.Time) {
+	env.at = at
+	t := env.to
+	if hook := t.comm.sendHook; hook != nil && env.tag >= 0 {
+		hook(env.src, t.id, int64(len(env.data)), env.issue, at)
+	}
+	t.deliver(env)
 }

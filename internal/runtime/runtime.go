@@ -206,6 +206,12 @@ type Endpoint struct {
 	// name, when it has none); socket is its placement socket.
 	node, host int32
 	socket     int
+	// Free lists of the message-path records (records.go). Each is
+	// touched only by this endpoint's group engine or by the serial
+	// window barrier, never by two goroutines at once.
+	flights  *flight
+	landings *landing
+	txns     *atomicTxn
 }
 
 // Rank returns the endpoint's rank id.
@@ -260,6 +266,11 @@ func (ep *Endpoint) Compute(p *sim.Proc, d sim.Time) {
 // scheduled immediately; a cross-node journey reserves fabric link
 // bandwidth, so it is deferred to the window barrier where all
 // reservations apply in the global (at, sender) order.
+//
+// Inject allocates nothing once the endpoint's records are warm: the
+// barrier runs a pooled flight and each delivery is a pooled landing
+// (records.go). Callers that pass bound method values rather than
+// fresh closures keep the whole message path allocation-free.
 func (ep *Endpoint) Inject(tp machine.TransportParams, dst int, bytes int64, ch int, remote, local func(at sim.Time)) {
 	if dst < 0 || dst >= ep.world.Size() {
 		panic(fmt.Sprintf("runtime: rank %d injecting to invalid destination %d", ep.rank, dst))
@@ -277,14 +288,7 @@ func (ep *Endpoint) Inject(tp machine.TransportParams, dst int, bytes int64, ch 
 	w := ep.world
 	if w.eng.GroupOf(ep.rank) == w.eng.GroupOf(dst) {
 		deliver := ep.wireTime(tp, start, dst, bytes, c)
-		ep.eng().At(deliver, func() {
-			if remote != nil {
-				remote(deliver)
-			}
-			if local != nil {
-				local(deliver)
-			}
-		})
+		ep.eng().At(deliver, ep.landing(deliver, remote, local).fire)
 		return
 	}
 	// Cross-group: the wire journey mutates shared link state, so it
@@ -292,18 +296,10 @@ func (ep *Endpoint) Inject(tp machine.TransportParams, dst int, bytes int64, ch 
 	// delivery lands at least SoftLatency (>> lookahead) past `start`,
 	// so scheduling it onto the target group from the barrier can
 	// never violate the window bound.
-	me, src := ep.rank, ep
-	w.eng.Defer(me, start, func() {
-		deliver := src.wireTime(tp, start, dst, bytes, c)
-		w.eng.At(dst, deliver, func() {
-			if remote != nil {
-				remote(deliver)
-			}
-		})
-		if local != nil {
-			w.eng.At(me, deliver, func() { local(deliver) })
-		}
-	})
+	f := ep.flight()
+	f.tp, f.start, f.dst, f.bytes, f.ch = tp, start, dst, bytes, c
+	f.remote, f.local = remote, local
+	w.eng.Defer(ep.rank, start, f.run)
 }
 
 // wireTime computes the arrival time of the last byte at dst for a
@@ -365,65 +361,31 @@ func (ep *Endpoint) WireLatency(dst int) sim.Time {
 // barrier; the response is scheduled strictly after apply runs, so
 // the caller can never observe a result before the remote mutation,
 // under any perturbation.
+//
+// The transaction is a pooled atomicTxn (records.go) whose stages are
+// bound once, so a warm endpoint's atomic allocates nothing beyond
+// what apply itself captures.
 func (ep *Endpoint) RemoteAtomic(p *sim.Proc, tp machine.TransportParams, dst int, apply func() uint64) uint64 {
 	ep.ChargeOp(p, tp)
+	t := ep.atomicTxn()
+	t.tp, t.dst, t.apply, t.fired = tp, dst, apply, false
 	w := ep.world
-	target := w.eps[dst]
-	myEng := ep.eng()
-	me := ep.rank
-
-	var result uint64
-	fired := false
-	done := sim.NewCond(myEng)
-
-	service := func(arrive sim.Time, respondFrom func(svcEnd sim.Time)) {
-		// Runs on the target's engine: arbitrate the memory unit,
-		// apply at the service instant, then launch the response.
-		svcStart := arrive
-		if target.atomicFree > svcStart {
-			svcStart = target.atomicFree
-		}
-		svcEnd := svcStart + tp.AtomicTime
-		target.atomicFree = svcEnd
-		w.eng.At(dst, svcEnd, func() {
-			result = apply()
-			respondFrom(svcEnd)
-		})
-	}
-
-	if w.eng.GroupOf(me) == w.eng.GroupOf(dst) {
+	if w.eng.GroupOf(ep.rank) == w.eng.GroupOf(dst) {
 		// Same node group: flights are intra-group (shared memory or
 		// same-node fabric), link-stateless or group-owned; run the
 		// whole transaction inline on the shared engine.
-		arrive := ep.atomicFlight(tp, me, dst, myEng.Now())
-		service(arrive, func(svcEnd sim.Time) {
-			respond := ep.atomicFlight(tp, dst, me, svcEnd)
-			myEng.At(respond, func() {
-				fired = true
-				done.Broadcast()
-			})
-		})
+		t.arrive = ep.atomicFlight(tp, ep.rank, dst, ep.eng().Now())
+		t.runService()
 	} else {
-		req := myEng.Now()
-		w.eng.Defer(me, req, func() {
-			// Barrier: the request flight reserves links in total order.
-			arrive := ep.atomicFlight(tp, me, dst, req)
-			w.eng.At(dst, arrive, func() {
-				service(arrive, func(svcEnd sim.Time) {
-					// Response flight also reserves links: defer it
-					// from the service event to the next barrier.
-					w.eng.Defer(dst, svcEnd, func() {
-						respond := ep.atomicFlight(tp, dst, me, svcEnd)
-						w.eng.At(me, respond, func() {
-							fired = true
-							done.Broadcast()
-						})
-					})
-				})
-			})
-		})
+		// The request flight reserves links, so it leaves from the
+		// barrier in total order.
+		t.req = ep.eng().Now()
+		w.eng.Defer(ep.rank, t.req, t.request)
 	}
-	done.WaitFor(p, func() bool { return fired })
+	t.done.WaitFor(p, t.isFired)
+	result := t.result
+	t.apply = nil
+	t.next, ep.txns = ep.txns, t
 	return result
 }
 

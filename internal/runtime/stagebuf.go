@@ -20,7 +20,11 @@ import (
 // full length it asked for. Borrow/Release are concurrency-safe:
 // delivery closures run on the target group's engine, which may be a
 // different goroutine than the origin's when window workers > 1.
-var stagePool sync.Pool
+//
+// The pool holds *[]byte. A borrow parks the emptied pointer in
+// headerPool and a release reuses one from there, so a warm
+// borrow/release cycle allocates nothing.
+var stagePool, headerPool sync.Pool
 
 // blankBytes backs every blank payload. It is never written, so its
 // pages are never touched and never become resident. 4 MiB covers the
@@ -81,9 +85,12 @@ func Land(dst, staged []byte) {
 // with ReleaseBuf once no reference escapes.
 func BorrowBuf(n int) []byte {
 	if v := stagePool.Get(); v != nil {
-		b := v.(*[]byte)
-		if cap(*b) >= n {
-			return (*b)[:n]
+		h := v.(*[]byte)
+		b := *h
+		*h = nil
+		headerPool.Put(h)
+		if cap(b) >= n {
+			return b[:n]
 		}
 		// Too small for this borrower: drop it rather than cycling
 		// undersized buffers through a growing workload.
@@ -99,5 +106,10 @@ func ReleaseBuf(b []byte) {
 	if cap(b) == 0 {
 		return
 	}
-	stagePool.Put(&b)
+	h, _ := headerPool.Get().(*[]byte)
+	if h == nil {
+		h = new([]byte)
+	}
+	*h = b
+	stagePool.Put(h)
 }

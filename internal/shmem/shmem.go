@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync/atomic"
 
 	"msgroofline/internal/gpu"
 	"msgroofline/internal/machine"
@@ -192,6 +193,10 @@ type PE struct {
 	barSeq  int
 
 	puts, atomics int64
+
+	// Pooled put records (see putOp), touched only from this PE's
+	// engine.
+	freePuts, putsLimbo *putOp
 }
 
 // ID returns the PE number.
@@ -236,6 +241,10 @@ func (pe *PE) Outstanding() int { return pe.outstanding }
 type Ctx struct {
 	pe   *PE
 	proc *sim.Proc
+	// amo is the context's one remote atomic in flight; amoApply is
+	// amo.apply, bound on first use.
+	amo      atomicOp
+	amoApply func() uint64
 }
 
 // PE returns the owning processing element.
@@ -336,38 +345,113 @@ func (c *Ctx) putNBIOn(dst, dstOff int, data []byte, sigOff int, sigVal uint64, 
 	if pe.stream != nil {
 		issue = pe.stream.Enqueue(issue)
 	}
-	buf := runtime.Stage(data)
-	bytes := int64(len(data))
-	if sigOff >= 0 {
-		bytes += 8
-	}
 	pe.puts++
 	if ch < 0 {
 		ch = pe.ep.AutoChannel()
 	}
-	// Split delivery: heap write, signal word, hook and target wake on
-	// the target PE's engine; completion accounting on this PE's.
-	deliver := func(at sim.Time) {
-		target.heap.land(dstOff, buf)
-		if sigOff >= 0 {
-			target.heap.store(sigOff, sigVal)
-		}
-		if job.putHook != nil {
-			job.putHook(pe.id, dst, bytes, issue, at)
-		}
-		target.landed.Broadcast()
+	o := pe.putOp()
+	o.target, o.off, o.buf = target, dstOff, runtime.Stage(data)
+	o.sigOff, o.sigVal, o.issue, o.ch = sigOff, sigVal, issue, ch
+	o.bytes = int64(len(data))
+	if sigOff >= 0 {
+		o.bytes += 8
 	}
 	switch job.tr {
 	case machine.MemChannel:
-		pe.channel(dst).Send(c.proc, bytes, ch, deliver)
+		// The channel has no local half: park the record until its
+		// write lands.
+		pe.channel(dst).Send(c.proc, o.bytes, ch, o.remote)
+		o.next, pe.putsLimbo = pe.putsLimbo, o
 	case machine.StreamTriggered:
 		pe.outstanding++
-		c.proc.Engine().At(issue, func() {
-			pe.ep.Inject(job.tp, dst, bytes, ch, deliver, pe.completed)
-		})
+		c.proc.Engine().At(issue, o.inject)
 	default:
 		pe.outstanding++
-		pe.ep.Inject(job.tp, dst, bytes, ch, deliver, pe.completed)
+		o.runInject()
+	}
+}
+
+// putOp is one putNBIOn in flight, pooled per origin PE. Its remote
+// half (land) writes the heap, the signal word, the hook and the target
+// wake on the target PE's engine; its local half (retire) does the
+// completion accounting on the origin's. As in mpi, the halves of a
+// cross-group put may run at once on two engines, so land marks the
+// record landed last and the origin reuses a record only once it is
+// retired and landed. Both lists (PE.freePuts, PE.putsLimbo) are
+// touched only from the origin PE's engine.
+type putOp struct {
+	pe     *PE // origin
+	target *PE
+	off    int
+	buf    []byte // staged payload (nil for a blank one)
+	sigOff int    // < 0: no signal word
+	sigVal uint64
+	bytes  int64
+	issue  sim.Time
+	ch     int
+	landed atomic.Bool
+
+	remote, local func(at sim.Time) // o.land and o.retire, bound once
+	inject        func()            // o.runInject, bound once
+	next          *putOp
+}
+
+// putOp takes a put record: a free one, else a parked one whose remote
+// half has since run, else a new one.
+func (pe *PE) putOp() *putOp {
+	o := pe.freePuts
+	if o == nil {
+		for p := &pe.putsLimbo; *p != nil; {
+			if q := *p; q.landed.Load() {
+				*p = q.next
+				q.next, pe.freePuts = pe.freePuts, q
+			} else {
+				p = &q.next
+			}
+		}
+		o = pe.freePuts
+	}
+	if o == nil {
+		o = &putOp{pe: pe}
+		o.remote, o.local, o.inject = o.land, o.retire, o.runInject
+		return o
+	}
+	pe.freePuts = o.next
+	o.landed.Store(false)
+	return o
+}
+
+// runInject puts the payload on the wire.
+func (o *putOp) runInject() {
+	pe := o.pe
+	pe.ep.Inject(pe.job.tp, o.target.id, o.bytes, o.ch, o.remote, o.local)
+}
+
+// land is the remote half, on the target PE's engine.
+func (o *putOp) land(at sim.Time) {
+	target := o.target
+	target.heap.land(o.off, o.buf)
+	if o.sigOff >= 0 {
+		target.heap.store(o.sigOff, o.sigVal)
+	}
+	if hook := o.pe.job.putHook; hook != nil {
+		hook(o.pe.id, target.id, o.bytes, o.issue, at)
+	}
+	// The origin may reuse the record as soon as it reads landed.
+	o.landed.Store(true)
+	target.landed.Broadcast()
+}
+
+// retire is the local half, on the origin PE's engine: retire the
+// injection, then return the record, to the free list when its remote
+// half has run and to the limbo list otherwise.
+func (o *putOp) retire(at sim.Time) {
+	pe := o.pe
+	pe.completed(at)
+	if o.landed.Load() {
+		o.next, pe.freePuts = pe.freePuts, o
+	} else {
+		o.next, pe.putsLimbo = pe.putsLimbo, o
 	}
 }
 
@@ -444,27 +528,49 @@ func (c *Ctx) WaitUntilAny(sigOffs []int, mask []bool, val uint64) int {
 // if it equals cond it becomes val; the previous value is returned
 // (nvshmem_uint64_atomic_compare_swap). Blocks for the round trip.
 func (c *Ctx) AtomicCompareSwap(dst, off int, cond, val uint64) uint64 {
-	target := c.pe.job.pes[dst]
-	c.pe.atomics++
-	return c.pe.ep.RemoteAtomic(c.proc, c.pe.job.tp, dst, func() uint64 {
-		old := target.Uint64At(off)
-		if old == cond {
-			target.SetUint64At(off, val)
-		}
-		return old
-	})
+	return c.atomic(atomicOp{target: c.pe.job.pes[dst], off: off, cas: true, compare: cond, operand: val})
 }
 
 // AtomicFetchAdd atomically adds delta to the remote uint64 and
 // returns the previous value (nvshmem_uint64_atomic_fetch_add).
 func (c *Ctx) AtomicFetchAdd(dst, off int, delta uint64) uint64 {
-	target := c.pe.job.pes[dst]
+	return c.atomic(atomicOp{target: c.pe.job.pes[dst], off: off, operand: delta})
+}
+
+// atomicOp is a remote atomic on the uint64 at off in target's heap:
+// compare-and-swap to operand when cas is set, fetch-and-add of
+// operand otherwise.
+type atomicOp struct {
+	target  *PE
+	off     int
+	cas     bool
+	compare uint64
+	operand uint64
+}
+
+// apply runs on the target's engine at the service instant and
+// returns the value seen before the operation.
+func (a *atomicOp) apply() uint64 {
+	old := a.target.Uint64At(a.off)
+	switch {
+	case !a.cas:
+		a.target.SetUint64At(a.off, old+a.operand)
+	case old == a.compare:
+		a.target.SetUint64At(a.off, a.operand)
+	}
+	return old
+}
+
+// atomic runs op as the context's one atomic in flight: the context's
+// process blocks until it returns, so one record per context suffices
+// and no closure is made per call.
+func (c *Ctx) atomic(op atomicOp) uint64 {
 	c.pe.atomics++
-	return c.pe.ep.RemoteAtomic(c.proc, c.pe.job.tp, dst, func() uint64 {
-		old := target.Uint64At(off)
-		target.SetUint64At(off, old+delta)
-		return old
-	})
+	c.amo = op
+	if c.amoApply == nil {
+		c.amoApply = c.amo.apply
+	}
+	return c.pe.ep.RemoteAtomic(c.proc, c.pe.job.tp, op.target.id, c.amoApply)
 }
 
 // Barrier synchronizes all PEs (nvshmem_barrier_all): quiet, then a

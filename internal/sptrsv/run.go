@@ -84,6 +84,5 @@ func Run(cfg Config) (*Result, error) {
 	}
 	rec := t.Recorder()
 	return &Result{Elapsed: t.Elapsed(), Comm: rec.Summarize(t.Elapsed()),
-		Matrix: rec.Matrix(cfg.Ranks), X: x, Ranks: cfg.Ranks,
-		EventDigest: t.Digest()}, nil
+		X: x, Ranks: cfg.Ranks, EventDigest: t.Digest(), rec: rec}, nil
 }

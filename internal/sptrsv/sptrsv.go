@@ -99,8 +99,6 @@ type Result struct {
 	Elapsed sim.Time
 	// Comm summarizes contribution messages.
 	Comm trace.Summary
-	// Matrix is the per-(src, dst) traffic heat map of the solve.
-	Matrix *trace.TrafficMatrix
 	// X is the assembled solution (for verification).
 	X []float64
 	// Ranks is the number of processes used.
@@ -109,7 +107,14 @@ type Result struct {
 	// (sim.Engine.Digest) captured after the run; the shard-determinism
 	// suite compares it across shard counts.
 	EventDigest uint64
+
+	rec *trace.Recorder
 }
+
+// Matrix builds the per-(src, dst) traffic heat map of the solve from
+// its trace. It is built on demand, so runs that never read it pay
+// nothing.
+func (r *Result) Matrix() *trace.TrafficMatrix { return r.rec.Matrix(r.Ranks) }
 
 // Rhs builds the deterministic right-hand side used by all runs.
 func Rhs(n int) []float64 {

@@ -280,14 +280,15 @@ func TestTrafficMatrixPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Matrix == nil || res.Matrix.Ranks != 4 {
+	tm := res.Matrix()
+	if tm == nil || tm.Ranks != 4 {
 		t.Fatal("traffic matrix missing")
 	}
 	var total int64
 	for s := 0; s < 4; s++ {
 		for d := 0; d < 4; d++ {
-			total += res.Matrix.At(s, d).Messages
-			if s == d && res.Matrix.At(s, d).Messages != 0 {
+			total += tm.At(s, d).Messages
+			if s == d && tm.At(s, d).Messages != 0 {
 				t.Fatal("self traffic recorded for block-cyclic SpTRSV")
 			}
 		}
@@ -295,7 +296,7 @@ func TestTrafficMatrixPopulated(t *testing.T) {
 	if int(total) != res.Comm.Messages {
 		t.Fatalf("matrix counts %d messages, summary says %d", total, res.Comm.Messages)
 	}
-	if res.Matrix.Imbalance() < 1 {
-		t.Fatalf("imbalance = %v, must be >= 1", res.Matrix.Imbalance())
+	if tm.Imbalance() < 1 {
+		t.Fatalf("imbalance = %v, must be >= 1", tm.Imbalance())
 	}
 }

@@ -62,36 +62,32 @@ func Run(cfg Config) (*Result, error) {
 			tl.initTile(l, me, cfg.Grid)
 		}
 		comp := computeTime(l, cfg)
-		for iter := 0; iter < cfg.Iters; iter++ {
-			var sends []comm.Msg
-			var recvs []comm.Expect
-			var recvDirs []int
-			for dir, nb := range nbrs {
-				if nb < 0 {
-					continue
-				}
-				recvs = append(recvs, comm.Expect{Peer: nb, Slot: dir, Bytes: int(l.haloBytes(dir))})
-				recvDirs = append(recvDirs, dir)
+		// The neighbours, and so the exchange's shape, are fixed for
+		// the run: build it once. Sends and receives list the same
+		// directions in the same order; a receive's slot is its
+		// direction.
+		sends := make([]comm.Msg, 0, len(nbrs))
+		recvs := make([]comm.Expect, 0, len(nbrs))
+		for dir, nb := range nbrs {
+			if nb < 0 {
+				continue
 			}
-			for dir, nb := range nbrs {
-				if nb < 0 {
-					continue
+			recvs = append(recvs, comm.Expect{Peer: nb, Slot: dir, Bytes: int(l.haloBytes(dir))})
+			// My dir-halo lands in the neighbor's opposite slot.
+			// Timing-only runs move no halo data: a blank payload
+			// stages nothing and lands nothing.
+			sends = append(sends, comm.Msg{Peer: nb, Slot: opposite(dir), Data: runtime.Blank(int(l.haloBytes(dir)))})
+		}
+		for iter := 0; iter < cfg.Iters; iter++ {
+			if cfg.Verify {
+				for k, x := range recvs {
+					sends[k].Data = encodeFloats(tl.extract(x.Slot))
 				}
-				var payload []byte
-				if cfg.Verify {
-					payload = encodeFloats(tl.extract(dir))
-				} else {
-					// Timing-only runs move no halo data: a blank
-					// payload stages nothing and lands nothing.
-					payload = runtime.Blank(int(l.haloBytes(dir)))
-				}
-				// My dir-halo lands in the neighbor's opposite slot.
-				sends = append(sends, comm.Msg{Peer: nb, Slot: opposite(dir), Data: payload})
 			}
 			halos := ep.Exchange(iter, sends, recvs)
 			if cfg.Verify {
 				for k, data := range halos {
-					tl.inject(recvDirs[k], decodeFloats(data))
+					tl.inject(recvs[k].Slot, decodeFloats(data))
 				}
 				tl.step()
 			}
@@ -114,8 +110,8 @@ func finish(cfg Config, elapsed sim.Time, rec *trace.Recorder, sums []float64, r
 		Elapsed: elapsed,
 		PerIter: elapsed / sim.Time(cfg.Iters),
 		Comm:    rec.Summarize(elapsed),
-		Matrix:  rec.Matrix(ranks),
 		Ranks:   ranks,
+		rec:     rec,
 	}
 	for _, s := range sums {
 		res.Checksum += s

@@ -66,8 +66,6 @@ type Result struct {
 	PerIter sim.Time
 	// Comm summarizes the recorded halo messages.
 	Comm trace.Summary
-	// Matrix is the per-(src, dst) halo traffic heat map.
-	Matrix *trace.TrafficMatrix
 	// Checksum is the sum of all interior cells after the run
 	// (Verify mode only), identical across variants.
 	Checksum float64
@@ -77,7 +75,13 @@ type Result struct {
 	// (sim.Engine.Digest) captured after the run; the shard-determinism
 	// suite compares it across shard counts.
 	EventDigest uint64
+
+	rec *trace.Recorder
 }
+
+// Matrix builds the per-(src, dst) halo traffic heat map from the run's
+// trace. It is built on demand, so runs that never read it pay nothing.
+func (r *Result) Matrix() *trace.TrafficMatrix { return r.rec.Matrix(r.Ranks) }
 
 func (c Config) validate() error {
 	if c.Machine == nil {

@@ -241,14 +241,15 @@ func TestHaloTrafficMatrixIsNeighborOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Matrix == nil {
+	tm := res.Matrix()
+	if tm == nil {
 		t.Fatal("no traffic matrix")
 	}
 	l := layout{px: 4, py: 4, nx: 16, ny: 16}
 	for s := 0; s < 16; s++ {
 		nbrs := l.neighbors(s)
 		for d := 0; d < 16; d++ {
-			sent := res.Matrix.At(s, d).Messages > 0
+			sent := tm.At(s, d).Messages > 0
 			if isNbr := slices.Contains(nbrs[:], d); sent != isNbr {
 				t.Fatalf("rank %d -> %d: sent halo traffic %v, neighbor %v", s, d, sent, isNbr)
 			}

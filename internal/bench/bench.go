@@ -475,14 +475,16 @@ func ChannelOpen(cfg *machine.Config, ranks int) (sim.Time, error) {
 	src, dst := farPair(ranks)
 	ep := w.Endpoint(src)
 	ch := runtime.NewChannel(ep, dst, tp)
+	mem := runtime.NewMem(8, 8)
+	put := runtime.Put{Dst: dst, Mem: &mem}
 	var cold, warm sim.Time
 	w.Spawn(src, "opener", func(p *sim.Proc) {
 		start := p.Now()
-		ch.Send(p, 8, ep.AutoChannel(), nil)
+		ch.Put(p, put, runtime.Blank(8), ep.AutoChannel())
 		ch.Drain(p)
 		cold = p.Now() - start
 		start = p.Now()
-		ch.Send(p, 8, ep.AutoChannel(), nil)
+		ch.Put(p, put, runtime.Blank(8), ep.AutoChannel())
 		ch.Drain(p)
 		warm = p.Now() - start
 	})

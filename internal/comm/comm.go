@@ -286,8 +286,9 @@ type Endpoint interface {
 	// Exchange runs one BSP epoch: every Msg lands in its peer's
 	// epoch slot, then the call blocks until all Expect slots of this
 	// rank have arrived and returns their payloads in recvs order.
-	// Returned slices alias transport memory where windows exist and
-	// are only valid until the next epoch of the same parity.
+	// The returned list is the endpoint's own, valid until its next
+	// Exchange. Its slices alias transport memory where windows exist
+	// and are only valid until the next epoch of the same parity.
 	Exchange(epoch int, sends []Msg, recvs []Expect) [][]byte
 
 	// Deliver streams data into (peer, slot) with arrival signaling,

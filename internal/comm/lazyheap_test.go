@@ -9,8 +9,9 @@ import (
 	"msgroofline/internal/runtime"
 )
 
-// lazyKinds are the PGAS transports, whose heaps allocate their data
-// region lazily, each with a machine that calibrates it.
+// lazyKinds are the transports whose receive memory is a lazy
+// runtime.Mem, each with a machine that calibrates it: the PGAS heaps
+// and the strict one-sided transport's data window.
 var lazyKinds = []struct {
 	kind    Kind
 	machine string
@@ -18,11 +19,16 @@ var lazyKinds = []struct {
 	{Shmem, "perlmutter-gpu"},
 	{StreamTriggered, "perlmutter-gpu"},
 	{MemChannel, "perlmutter-cpu"},
+	{OneSided, "perlmutter-cpu"},
 }
 
-// dataAllocated reports whether rank's heap holds its data region:
-// until it does, every read of the region is the shared blank view.
+// dataAllocated reports whether rank's heap, or its one-sided data
+// window, holds its data region: until it does, every read of the
+// region is the shared blank view.
 func dataAllocated(tr Transport, rank int) bool {
+	if t, ok := tr.(*rma); ok {
+		return !runtime.IsBlank(t.dataWin.View(rank, 0, 1))
+	}
 	return !runtime.IsBlank(tr.(*shmemT).j.PE(rank).View(0, 1))
 }
 
@@ -49,7 +55,7 @@ func pattern(n int) []byte {
 }
 
 // TestLazyHeapDelivery runs the streamed-delivery protocol on every
-// PGAS transport. Blank deliveries alone never allocate the
+// lazy transport. Blank deliveries alone never allocate the
 // receiver's data region and read back as zeros. A real delivery
 // after blank ones allocates it, and the receiver still finds the
 // signals of the earlier blank slots.
@@ -101,13 +107,16 @@ func TestLazyHeapDelivery(t *testing.T) {
 	}
 }
 
-// TestLazyHeapAtomics checks remote CAS and FetchAdd on a
+// TestLazyHeapAtomics checks remote CAS and FetchAdd on a PGAS
 // streamed-delivery heap: on a data word they allocate the region and
 // act as on an eager heap, on a signal word they leave it alone, and
 // SharedBytes shows both.
 func TestLazyHeapAtomics(t *testing.T) {
 	const stride = 32
 	for _, lk := range lazyKinds {
+		if _, pgas := pgasTransports[lk.kind]; !pgas {
+			continue // MPI windows have no signal words
+		}
 		t.Run(lk.kind.String(), func(t *testing.T) {
 			spec := Spec{Ranks: 2, StreamSlots: []int{0, 2}, SlotBytes: stride}
 			size, sigBase := heapLayout(spec)

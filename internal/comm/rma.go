@@ -149,6 +149,7 @@ type rmaEp struct {
 	mask     []bool
 	sigs     []int // notified: this rank's notification offsets
 	got      int
+	out      [][]byte // Exchange's result, reused
 }
 
 func (e *rmaEp) Rank() int          { return e.r.Rank() }
@@ -189,13 +190,11 @@ func (e *rmaEp) Exchange(epoch int, sends []Msg, recvs []Expect) [][]byte {
 		e.r.Fence(t.exchWin)
 	}
 	e.t.sync()
-	me := e.r.Rank()
-	out := make([][]byte, len(recvs))
-	for i, x := range recvs {
-		off := (parity*k + x.Slot) * stride
-		out[i] = t.exchWin.View(me, off, x.Bytes)
+	e.out = e.out[:0]
+	for _, x := range recvs {
+		e.out = append(e.out, t.exchWin.View(e.r.Rank(), (parity*k+x.Slot)*stride, x.Bytes))
 	}
-	return out
+	return e.out
 }
 
 // Deliver streams one payload into (peer, slot). Strict mode is the

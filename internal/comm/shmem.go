@@ -61,7 +61,7 @@ func newShmem(spec Spec) (*shmemT, error) {
 	spec.applyChaos(j.World(), j.World().Inst.Net)
 	t := &shmemT{base: base{spec: spec}, j: j, sigBase: sigBase}
 	if rec := t.attachTrace(); rec != nil {
-		j.SetPutHook(rec.Record)
+		j.SetHook(rec.Record)
 	}
 	return t, nil
 }
@@ -108,8 +108,10 @@ func (t *shmemT) newEp(c *shmem.Ctx) *shEp {
 }
 
 type shEp struct {
-	t *shmemT
-	c *shmem.Ctx
+	t     *shmemT
+	c     *shmem.Ctx
+	waits []int    // Exchange's signal offsets, reused
+	out   [][]byte // Exchange's result, reused
 
 	// Streamed-delivery receive state (shared with fork/join lanes).
 	mask []bool
@@ -135,19 +137,18 @@ func (e *shEp) Exchange(epoch int, sends []Msg, recvs []Expect) [][]byte {
 		e.c.PutSignalNBI(m.Peer, (parity*k+m.Slot)*stride, m.Data,
 			sigBase+(parity*k+m.Slot)*8, uint64(epoch+1))
 	}
-	sigs := make([]int, 0, len(recvs))
+	e.waits = e.waits[:0]
 	for _, x := range recvs {
-		sigs = append(sigs, sigBase+(parity*k+x.Slot)*8)
+		e.waits = append(e.waits, sigBase+(parity*k+x.Slot)*8)
 	}
-	e.c.WaitUntilAll(sigs, uint64(epoch+1))
+	e.c.WaitUntilAll(e.waits, uint64(epoch+1))
 	t.sync()
 	heap := e.c.PE().Heap()
-	out := make([][]byte, len(recvs))
-	for i, x := range recvs {
-		off := (parity*k + x.Slot) * stride
-		out[i] = heap[off : off+x.Bytes]
+	e.out = e.out[:0]
+	for _, x := range recvs {
+		e.out = append(e.out, heap[(parity*k+x.Slot)*stride:][:x.Bytes])
 	}
-	return out
+	return e.out
 }
 
 // Deliver is one fused put-with-signal (k=2 on Shmem).

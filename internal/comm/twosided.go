@@ -38,8 +38,10 @@ func (t *twoSided) Launch(body func(Endpoint)) error {
 }
 
 type tsEp struct {
-	t *twoSided
-	r *mpi.Rank
+	t    *twoSided
+	r    *mpi.Rank
+	reqs []*mpi.Request // Exchange's receives then sends, reused
+	out  [][]byte       // Exchange's result, reused
 }
 
 func (e *tsEp) Rank() int          { return e.r.Rank() }
@@ -59,23 +61,20 @@ func (e *tsEp) Quiet() {}
 // both sides derive identically.
 func (e *tsEp) Exchange(epoch int, sends []Msg, recvs []Expect) [][]byte {
 	k := e.t.spec.ExchangeSlots
-	reqs := make([]*mpi.Request, 0, len(recvs)+len(sends))
-	rr := make([]*mpi.Request, len(recvs))
-	for i, x := range recvs {
-		rq := e.r.Irecv(x.Peer, epoch*k+x.Slot)
-		rr[i] = rq
-		reqs = append(reqs, rq)
+	e.reqs = e.reqs[:0]
+	for _, x := range recvs {
+		e.reqs = append(e.reqs, e.r.Irecv(x.Peer, epoch*k+x.Slot))
 	}
 	for _, m := range sends {
-		reqs = append(reqs, e.r.Isend(m.Peer, epoch*k+m.Slot, m.Data))
+		e.reqs = append(e.reqs, e.r.Isend(m.Peer, epoch*k+m.Slot, m.Data))
 	}
-	e.r.Waitall(reqs)
+	e.r.Waitall(e.reqs)
 	e.t.sync()
-	out := make([][]byte, len(recvs))
-	for i, rq := range rr {
-		out[i] = rq.Data
+	e.out = e.out[:0]
+	for _, rq := range e.reqs[:len(recvs)] {
+		e.out = append(e.out, rq.Data)
 	}
-	return out
+	return e.out
 }
 
 // Deliver is one eager Isend tagged with the receiver-side slot.

@@ -7,7 +7,9 @@
 //     from real messages so synchronization pays realistic latency;
 //   - one-sided (MPI-3 RMA): windows with Put/Get,
 //     Win_fence, Win_flush, Win_flush_local, Fetch_and_op and
-//     Compare_and_swap (see rma.go).
+//     Compare_and_swap (see rma.go). A window is one lazy runtime.Mem
+//     per rank, and puts and atomics run as internal/runtime's put
+//     records and word atomics, the same ones shmem uses.
 //
 // All costs (per-op overhead, injection gap, software latency, wire
 // time, link contention) come from the machine's calibrated transport
@@ -54,7 +56,7 @@ type Comm struct {
 	wins   []*Win
 	// sendHook, when set, observes every user-level two-sided message
 	// at delivery time (internal barrier traffic is excluded).
-	sendHook MsgHook
+	sendHook runtime.MsgHook
 	// debugUnordered disables the per-(source, destination) arrival
 	// resequencer, exposing raw (possibly fault-reordered) network
 	// arrival order to the matching queue. Mutation-testing knob for
@@ -66,13 +68,9 @@ type Comm struct {
 // conformance suite can prove its oracles catch ordering bugs.
 func (c *Comm) SetDebugUnordered(v bool) { c.debugUnordered = v }
 
-// MsgHook observes a message: source, destination, payload size, the
-// time the sender issued it, and the time the last byte was delivered.
-type MsgHook func(src, dst int, bytes int64, issue, deliver sim.Time)
-
 // SetSendHook installs a hook observing user two-sided messages
 // (tag >= 0) at delivery. Call before Launch.
-func (c *Comm) SetSendHook(h MsgHook) { c.sendHook = h }
+func (c *Comm) SetSendHook(h runtime.MsgHook) { c.sendHook = h }
 
 // NewComm builds a communicator with n ranks on the named machine
 // configuration. The machine must offer two-sided MPI (CPU machines);
@@ -174,17 +172,11 @@ type Rank struct {
 	// barReq is Barrier's receive, reused every round.
 	barReq Request
 
-	// Free lists of pooled message records, touched only from this
-	// rank's engine: envelopes (taken to send, returned here once
-	// matched; nenvs counts them) and put records (rma.go).
-	envs      *envelope
-	nenvs     int
-	puts      *putOp
-	putsLimbo *putOp
-	// amo is the rank's one remote atomic in flight (its process
-	// blocks on it); amoApply is amo.apply, bound once.
-	amo      atomicOp
-	amoApply func() uint64
+	// Free list of pooled envelopes, touched only from this rank's
+	// engine: taken to send, returned here once matched; nenvs counts
+	// them.
+	envs  *envelope
+	nenvs int
 }
 
 // envelope is a two-sided message: in flight, then delivered and

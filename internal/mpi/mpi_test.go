@@ -139,6 +139,31 @@ func TestTagAndSourceMatching(t *testing.T) {
 	}
 }
 
+// TestAnyTagSkipsInternalTraffic posts a wildcard receive that is
+// still open while its peers run a barrier: it must wait for the user
+// message and leave the barrier's messages (negative internal tags) to
+// the barrier.
+func TestAnyTagSkipsInternalTraffic(t *testing.T) {
+	c := newComm(t, "perlmutter-cpu", 4)
+	var got *Request
+	err := c.Launch(func(r *Rank) {
+		switch r.Rank() {
+		case 0:
+			r.Compute(sim.FromNanoseconds(50000))
+			r.Send(3, 5, []byte("user"))
+		case 3:
+			got = r.Recv(AnySource, AnyTag)
+		}
+		r.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Src != 0 || got.Tag != 5 || string(got.Data) != "user" {
+		t.Fatalf("wildcard receive matched src %d tag %d %q, want src 0 tag 5", got.Src, got.Tag, got.Data)
+	}
+}
+
 func TestAnySourceOrdering(t *testing.T) {
 	// MPI non-overtaking: two messages from the same sender with the
 	// same tag must be received in send order.

@@ -188,9 +188,12 @@ func (q *Request) matches(env *envelope) bool {
 	return matchPattern(q.src, q.tag, env)
 }
 
+// matchPattern matches env against a receive's (src, tag). AnyTag
+// matches user tags (>= 0) only, never the negative internal tags of
+// barrier and collective traffic.
 func matchPattern(src, tag int, env *envelope) bool {
 	return (src == AnySource || src == env.src) &&
-		(tag == AnyTag || tag == env.tag)
+		(tag == env.tag || tag == AnyTag && env.tag >= 0)
 }
 
 // complete copies a matched envelope's results into req and returns

@@ -3,7 +3,6 @@ package mpi
 import (
 	"encoding/binary"
 	"fmt"
-	"sync/atomic"
 
 	"msgroofline/internal/runtime"
 	"msgroofline/internal/sim"
@@ -14,13 +13,13 @@ import (
 // created on the communicator before Launch (setup phase), mirroring
 // a collective MPI_Win_create executed at startup.
 type Win struct {
-	comm  *Comm
-	sizes []int
-	// bufs[r] is rank r's exposed memory, made on first real use: a
-	// window that only receives blank payloads (runtime.Blank) never
-	// holds its bytes, and reads of it see zeros. Only r's engine, or
-	// setup code before Launch, touches bufs[r].
-	bufs [][]byte
+	comm *Comm
+	// mem[r] is rank r's exposed memory, a runtime.Mem with no signal
+	// words: made on first real use, so a window that only receives
+	// blank payloads (runtime.Blank) never holds its bytes, and reads of
+	// it see zeros. Only r's engine, or setup code before Launch,
+	// touches mem[r].
+	mem []runtime.Mem
 
 	// outstanding[origin][target] counts puts issued by origin that
 	// have not yet landed in target memory. Each origin's map holds only
@@ -33,6 +32,7 @@ type Win struct {
 	// originDone[origin] is signaled whenever one of origin's puts
 	// completes remotely (flush waits on it); bound to origin's engine.
 	originDone []*sim.Cond
+	done       func(origin, dst int) // w.complete, bound once
 	// targetDone[target] is signaled whenever any put or accumulate
 	// lands in target's memory (receivers poll on it); bound to
 	// target's engine.
@@ -42,12 +42,12 @@ type Win struct {
 	puts, gets, atomics []int64
 	// hook, when set, observes every put at delivery time, running on
 	// the target's engine — it must be safe under parallel windows.
-	hook MsgHook
+	hook runtime.MsgHook
 }
 
 // SetHook installs a hook observing puts (data landing in target
 // memory). Call before Launch.
-func (w *Win) SetHook(h MsgHook) { w.hook = h }
+func (w *Win) SetHook(h runtime.MsgHook) { w.hook = h }
 
 // NewWin collectively creates a window exposing localSize bytes on
 // every rank. Call before Launch.
@@ -71,8 +71,7 @@ func (c *Comm) NewWinSizes(sizes []int) (*Win, error) {
 	}
 	w := &Win{
 		comm:        c,
-		sizes:       append([]int(nil), sizes...),
-		bufs:        make([][]byte, c.Size()),
+		mem:         make([]runtime.Mem, c.Size()),
 		outstanding: make([]map[int]int, c.Size()),
 		pending:     make([]int, c.Size()),
 		puts:        make([]int64, c.Size()),
@@ -83,31 +82,25 @@ func (c *Comm) NewWinSizes(sizes []int) (*Win, error) {
 		if s < 0 {
 			return nil, fmt.Errorf("mpi: rank %d: negative window size", r)
 		}
+		w.mem[r] = runtime.NewMem(s, s)
 		w.originDone = append(w.originDone, sim.NewCond(c.world.EngineOf(r)))
 		w.targetDone = append(w.targetDone, sim.NewCond(c.world.EngineOf(r)))
 	}
+	w.done = w.complete
 	c.wins = append(c.wins, w)
 	return w, nil
 }
 
 // Local returns rank's exposed memory for direct local access (the
 // PGAS view of one's own window), making it if nothing has yet.
-func (w *Win) Local(rank int) []byte {
-	if w.bufs[rank] == nil {
-		w.bufs[rank] = make([]byte, w.sizes[rank])
-	}
-	return w.bufs[rank]
-}
+func (w *Win) Local(rank int) []byte { return w.mem[rank].Bytes() }
 
 // View returns bytes [off, off+n) of rank's window for reading. While
 // the window's memory is still unmade they are all zero and come back
 // as the read-only zero view of runtime.Blank.
 func (w *Win) View(rank, off, n int) []byte {
-	if w.bufs[rank] == nil {
-		w.checkRange(rank, off, n)
-		return runtime.Blank(n)
-	}
-	return w.bufs[rank][off : off+n]
+	w.checkRange(rank, off, n)
+	return w.mem[rank].View(off, n)
 }
 
 // OpStats reports cumulative one-sided operation counts (summed over
@@ -131,8 +124,14 @@ func (r *Rank) Put(w *Win, dst, dstOff int, data []byte) {
 	// Split delivery: the target-memory write, hook and target signal
 	// run on dst's engine; the outstanding-count completion and origin
 	// signal run on the origin's engine at the same instant.
-	o := r.startPut(w, dst, dstOff, data, false, 0, 0)
-	r.ep.Inject(r.comm.one, dst, o.bytes, ch, o.remote, o.local)
+	r.ep.Put(r.comm.one, w.put(r, dst, dstOff), data, ch)
+}
+
+// put counts a put from r to dst as issued and describes it.
+func (w *Win) put(r *Rank, dst, off int) runtime.Put {
+	w.issue(r.id, dst)
+	return runtime.Put{Dst: dst, Mem: &w.mem[dst], Wake: w.targetDone[dst], Off: off,
+		Issue: r.proc.Now(), Hook: w.hook, Done: w.done}
 }
 
 // Get fetches n bytes from src's window at srcOff. It blocks until
@@ -189,8 +188,9 @@ func (r *Rank) FlushAll(w *Win) {
 	w.originDone[r.id].WaitFor(r.proc, func() bool { return w.pending[r.id] == 0 })
 }
 
-// issue counts a put from origin to dst as in flight.
+// issue counts a put from origin to dst as issued and in flight.
 func (w *Win) issue(origin, dst int) {
+	w.puts[origin]++
 	m := w.outstanding[origin]
 	if m == nil {
 		m = make(map[int]int)
@@ -242,9 +242,7 @@ func (w *Win) Uint64At(rank, off int) uint64 {
 }
 
 // SetUint64At writes v at off in rank's window (local initialization).
-func (w *Win) SetUint64At(rank, off int, v uint64) {
-	binary.LittleEndian.PutUint64(w.Local(rank)[off:off+8], v)
-}
+func (w *Win) SetUint64At(rank, off int, v uint64) { w.mem[rank].Store(off, v) }
 
 // CompareAndSwap atomically compares the uint64 at (dst, dstOff) with
 // compare and, if equal, replaces it with swap. It returns the value
@@ -253,7 +251,7 @@ func (w *Win) SetUint64At(rank, off int, v uint64) {
 func (r *Rank) CompareAndSwap(w *Win, dst, dstOff int, compare, swap uint64) uint64 {
 	w.checkRange(dst, dstOff, 8)
 	w.atomics[r.id]++
-	return r.atomic(atomicOp{w: w, dst: dst, off: dstOff, cas: true, compare: compare, operand: swap})
+	return r.ep.RemoteAtomic(r.proc, r.comm.one, dst, &w.mem[dst], dstOff, true, compare, swap)
 }
 
 // FetchAndAdd atomically adds delta to the uint64 at (dst, dstOff)
@@ -261,51 +259,16 @@ func (r *Rank) CompareAndSwap(w *Win, dst, dstOff int, compare, swap uint64) uin
 func (r *Rank) FetchAndAdd(w *Win, dst, dstOff int, delta uint64) uint64 {
 	w.checkRange(dst, dstOff, 8)
 	w.atomics[r.id]++
-	return r.atomic(atomicOp{w: w, dst: dst, off: dstOff, operand: delta})
-}
-
-// atomicOp is a remote atomic on the uint64 at (dst, off) of w:
-// compare-and-swap to operand when cas is set, fetch-and-add of
-// operand otherwise.
-type atomicOp struct {
-	w        *Win
-	dst, off int
-	cas      bool
-	compare  uint64
-	operand  uint64
-}
-
-// apply runs on dst's engine at the service instant and returns the
-// value seen before the operation.
-func (a *atomicOp) apply() uint64 {
-	old := a.w.Uint64At(a.dst, a.off)
-	switch {
-	case !a.cas:
-		a.w.SetUint64At(a.dst, a.off, old+a.operand)
-	case old == a.compare:
-		a.w.SetUint64At(a.dst, a.off, a.operand)
-	}
-	return old
-}
-
-// atomic runs op as the rank's one atomic in flight. The rank's
-// process blocks until it returns, so one record per rank suffices and
-// no closure is made per call.
-func (r *Rank) atomic(op atomicOp) uint64 {
-	r.amo = op
-	if r.amoApply == nil {
-		r.amoApply = r.amo.apply
-	}
-	return r.ep.RemoteAtomic(r.proc, r.comm.one, op.dst, r.amoApply)
+	return r.ep.RemoteAtomic(r.proc, r.comm.one, dst, &w.mem[dst], dstOff, false, 0, delta)
 }
 
 func (w *Win) checkRange(rank, off, n int) {
-	if rank < 0 || rank >= len(w.sizes) {
+	if rank < 0 || rank >= len(w.mem) {
 		panic(fmt.Sprintf("mpi: window access to invalid rank %d", rank))
 	}
-	if off < 0 || off+n > w.sizes[rank] {
+	if size := w.mem[rank].Size(); off < 0 || off+n > size {
 		panic(fmt.Sprintf("mpi: window access [%d, %d) outside rank %d's %d-byte region",
-			off, off+n, rank, w.sizes[rank]))
+			off, off+n, rank, size))
 	}
 }
 
@@ -325,8 +288,9 @@ func (r *Rank) PutNotify(w *Win, dst, dstOff int, data []byte, sigOff int, sigVa
 	// Fused operation: both halves charged at the origin.
 	r.ep.ChargeOp(r.proc, tp)
 	r.ep.ChargeOp(r.proc, tp)
-	o := r.startPut(w, dst, dstOff, data, true, sigOff, sigVal)
-	r.ep.Inject(tp, dst, o.bytes, r.ep.AutoChannel(), o.remote, o.local)
+	p := w.put(r, dst, dstOff)
+	p.Signal, p.SigOff, p.SigVal = true, sigOff, sigVal
+	r.ep.Put(tp, p, data, r.ep.AutoChannel())
 	return nil
 }
 
@@ -345,114 +309,8 @@ func (r *Rank) WaitNotify(w *Win, sigOff int, val uint64) {
 func (r *Rank) WaitNotifyAny(w *Win, sigOffs []int, mask []bool, val uint64) int {
 	found := -1
 	w.targetDone[r.id].WaitFor(r.proc, func() bool {
-		for i, off := range sigOffs {
-			if mask != nil && mask[i] {
-				continue
-			}
-			if w.Uint64At(r.id, off) == val {
-				found = i
-				return true
-			}
-		}
-		return false
+		found = w.mem[r.id].FirstEqual(sigOffs, mask, val)
+		return found >= 0
 	})
 	return found
-}
-
-// putOp is one Put or PutNotify in flight, pooled per origin rank. Its
-// remote half lands the payload on dst's engine; its local half
-// retires the put on the origin's. The two halves of a cross-group put
-// run on different engines at the same simulated instant, possibly at
-// once, so the remote half marks the record landed last, and the
-// origin reuses a record only once its local half has run and it is
-// marked landed. Both lists (Rank.puts, Rank.putsLimbo) are touched
-// only from the origin's engine.
-type putOp struct {
-	r        *Rank // origin
-	w        *Win
-	dst, off int
-	buf      []byte // staged payload (nil for a blank one)
-	bytes    int64  // payload size the hook sees (plus 8 when notified)
-	notify   bool
-	sigOff   int
-	sigVal   uint64
-	issue    sim.Time
-	landed   atomic.Bool
-
-	remote, local func(at sim.Time) // o.land and o.retire, bound once
-	next          *putOp
-}
-
-// startPut counts a put as issued and fills a pooled record for it.
-func (r *Rank) startPut(w *Win, dst, off int, data []byte, notify bool, sigOff int, sigVal uint64) *putOp {
-	o := r.putOp()
-	o.w, o.dst, o.off = w, dst, off
-	o.buf = runtime.Stage(data)
-	o.bytes = int64(len(data))
-	if notify {
-		o.bytes += 8
-	}
-	o.notify, o.sigOff, o.sigVal = notify, sigOff, sigVal
-	w.issue(r.id, dst)
-	w.puts[r.id]++
-	o.issue = r.proc.Now()
-	return o
-}
-
-// putOp takes a put record: a free one, else a parked one whose remote
-// half has since run, else a new one.
-func (r *Rank) putOp() *putOp {
-	o := r.puts
-	if o == nil {
-		for p := &r.putsLimbo; *p != nil; {
-			if q := *p; q.landed.Load() {
-				*p = q.next
-				q.next, r.puts = r.puts, q
-			} else {
-				p = &q.next
-			}
-		}
-		o = r.puts
-	}
-	if o == nil {
-		o = &putOp{r: r}
-		o.remote, o.local = o.land, o.retire
-		return o
-	}
-	r.puts = o.next
-	o.landed.Store(false)
-	return o
-}
-
-// land is the remote half, on dst's engine: the target-memory write,
-// the notification, the hook and the target signal.
-func (o *putOp) land(at sim.Time) {
-	w, dst := o.w, o.dst
-	if o.buf != nil {
-		runtime.Land(w.Local(dst)[o.off:], o.buf)
-	}
-	if o.notify {
-		w.SetUint64At(dst, o.sigOff, o.sigVal)
-	}
-	if w.hook != nil {
-		w.hook(o.r.id, dst, o.bytes, o.issue, at)
-	}
-	cond := w.targetDone[dst]
-	// The origin may reuse the record as soon as it reads landed.
-	o.landed.Store(true)
-	cond.Broadcast()
-}
-
-// retire is the local half, on the origin's engine: the
-// outstanding-count completion and origin signal. It then returns the
-// record, to the free list when its remote half has run and to the
-// limbo list otherwise.
-func (o *putOp) retire(sim.Time) {
-	r := o.r
-	o.w.complete(r.id, o.dst)
-	if o.landed.Load() {
-		o.next, r.puts = r.puts, o
-	} else {
-		o.next, r.putsLimbo = r.putsLimbo, o
-	}
 }

@@ -14,12 +14,14 @@ import (
 // means "every earlier byte on this channel arrived too". Quiet and
 // fence map to Drain: wait until the channel has no writes in flight.
 //
-// Ownership is split exactly like the runtime's other primitives:
-// sender state (sequence counter, in-flight count, credit waits) lives
-// on the source rank's engine; receiver state (resequencer cursor,
-// stash, arrival log) is touched only inside Inject delivery callbacks
-// on the destination rank's engine. Cross-group sends ride Inject's
-// window-barrier deferral and therefore serialize in the established
+// Each write is a put (Put) whose pooled record the channel keeps
+// while it is in flight or stashed. Ownership is split exactly like the
+// runtime's other primitives: sender state (sequence counter, in-flight
+// count, credit waits) lives on the source rank's engine; receiver
+// state (resequencer cursor, stash, arrival log) is touched only inside
+// Inject delivery callbacks on the destination rank's engine.
+// Cross-group writes ride Inject's window-barrier deferral and
+// therefore serialize in the established
 // (at, senderRank<<40|senderCounter) order.
 type Channel struct {
 	src *Endpoint
@@ -34,7 +36,7 @@ type Channel struct {
 
 	// Receiver side (destination engine only).
 	nextDeliver uint64
-	pending     map[uint64]stashed
+	pending     map[uint64]*putRec
 	arrivals    []uint64 // seqs in application (post-resequencer) order
 
 	// unordered bypasses the resequencer: arrivals apply in wire order.
@@ -42,10 +44,6 @@ type Channel struct {
 	// conformance channel-ordering oracle can prove it catches the
 	// violation (see internal/conformance).
 	unordered bool
-}
-
-type stashed struct {
-	apply func(at sim.Time)
 }
 
 // NewChannel opens a (lazy) channel from src to rank dst with the
@@ -56,7 +54,7 @@ func NewChannel(src *Endpoint, dst int, tp machine.TransportParams) *Channel {
 		dst:     dst,
 		tp:      tp,
 		cond:    sim.NewCond(src.eng()),
-		pending: make(map[uint64]stashed),
+		pending: make(map[uint64]*putRec),
 	}
 }
 
@@ -66,14 +64,15 @@ func (c *Channel) SetUnordered(v bool) { c.unordered = v }
 // Dst returns the destination rank.
 func (c *Channel) Dst() int { return c.dst }
 
-// Send writes one message into the channel: charges the per-op
-// overhead (one op per message — ordering subsumes completion ops),
-// pays the one-time channel-open cost on first use, waits for a send
-// credit when the transport bounds in-flight writes, and injects the
-// bytes nonblockingly. apply runs on the destination engine when the
-// write is *applied* — in channel order, after every earlier write on
-// this channel — which may be later than its wire arrival.
-func (c *Channel) Send(p *sim.Proc, bytes int64, ch int, apply func(at sim.Time)) {
+// Put writes put, with payload data, toward the channel's destination
+// on injection channel ch. It stages data, charges one op (ordering
+// subsumes completion ops), pays the channel-open cost on first use,
+// waits for a send credit when the transport bounds in-flight writes,
+// and injects nonblockingly. The put lands when the write is applied:
+// in channel order, after every earlier write, which may be later than
+// its wire arrival. Its local half releases the credit and runs Done.
+func (c *Channel) Put(p *sim.Proc, put Put, data []byte, ch int) {
+	o := c.src.putRec(put, data)
 	c.src.ChargeOp(p, c.tp)
 	if !c.opened {
 		c.opened = true
@@ -82,31 +81,26 @@ func (c *Channel) Send(p *sim.Proc, bytes int64, ch int, apply func(at sim.Time)
 	if cr := c.tp.ChannelCredits; cr > 0 {
 		c.cond.WaitFor(p, func() bool { return c.inFlight < cr })
 	}
-	seq := c.nextSeq
+	o.chn, o.seq = c, c.nextSeq
 	c.nextSeq++
 	c.inFlight++
-	c.src.Inject(c.tp, c.dst, bytes, ch,
-		func(at sim.Time) { c.arrive(seq, at, apply) },
-		func(at sim.Time) {
-			c.inFlight--
-			c.cond.Broadcast()
-		})
+	c.src.Inject(c.tp, c.dst, o.bytes, ch, o.remote, o.local)
 }
 
 // arrive runs on the destination engine at wire-arrival time. In
-// ordered mode the resequencer applies the write only once every
-// earlier sequence number has been applied, draining any stashed
-// successors at the same instant.
-func (c *Channel) arrive(seq uint64, at sim.Time, apply func(at sim.Time)) {
+// ordered mode the resequencer lands the write only once every earlier
+// sequence number has landed, draining any stashed successors at the
+// same instant.
+func (c *Channel) arrive(o *putRec, at sim.Time) {
 	if c.unordered {
-		c.deliver(seq, at, apply)
+		c.deliver(o, at)
 		return
 	}
-	if seq != c.nextDeliver {
-		c.pending[seq] = stashed{apply: apply}
+	if o.seq != c.nextDeliver {
+		c.pending[o.seq] = o
 		return
 	}
-	c.deliver(seq, at, apply)
+	c.deliver(o, at)
 	c.nextDeliver++
 	for {
 		st, ok := c.pending[c.nextDeliver]
@@ -114,16 +108,16 @@ func (c *Channel) arrive(seq uint64, at sim.Time, apply func(at sim.Time)) {
 			return
 		}
 		delete(c.pending, c.nextDeliver)
-		c.deliver(c.nextDeliver, at, st.apply)
+		c.deliver(st, at)
 		c.nextDeliver++
 	}
 }
 
-func (c *Channel) deliver(seq uint64, at sim.Time, apply func(at sim.Time)) {
-	c.arrivals = append(c.arrivals, seq)
-	if apply != nil {
-		apply(at)
-	}
+// deliver logs and lands one write. The origin may reuse the record
+// once it has landed, so nothing reads it after.
+func (c *Channel) deliver(o *putRec, at sim.Time) {
+	c.arrivals = append(c.arrivals, o.seq)
+	o.land(at)
 }
 
 // Drain blocks until the channel has no writes in flight — the

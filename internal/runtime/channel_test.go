@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -22,6 +23,12 @@ func channelParams(t testing.TB, name string) (*machine.Config, machine.Transpor
 	return cfg, tp
 }
 
+// blankPut is a put into an n-byte Mem of its own on dst.
+func blankPut(dst, n int) Put {
+	mem := NewMem(n, n)
+	return Put{Dst: dst, Mem: &mem}
+}
+
 // TestChannelOpenPaidOnce: the first send on a channel pays the open
 // handshake, subsequent sends do not.
 func TestChannelOpenPaidOnce(t *testing.T) {
@@ -32,13 +39,14 @@ func TestChannelOpenPaidOnce(t *testing.T) {
 	}
 	ep := w.Endpoint(0)
 	c := NewChannel(ep, 1, tp)
+	put := blankPut(1, 8)
 	var first, second sim.Time
 	w.Spawn(0, "sender", func(p *sim.Proc) {
 		start := p.Now()
-		c.Send(p, 8, ep.AutoChannel(), nil)
+		c.Put(p, put, Blank(8), ep.AutoChannel())
 		first = p.Now() - start
 		start = p.Now()
-		c.Send(p, 8, ep.AutoChannel(), nil)
+		c.Put(p, put, Blank(8), ep.AutoChannel())
 		second = p.Now() - start
 		c.Drain(p)
 	})
@@ -68,10 +76,11 @@ func TestChannelCreditsBound(t *testing.T) {
 	}
 	ep := w.Endpoint(0)
 	c := NewChannel(ep, 1, tp)
+	put := blankPut(1, 1<<16)
 	over := 0
 	w.Spawn(0, "sender", func(p *sim.Proc) {
 		for i := 0; i < 12; i++ {
-			c.Send(p, 1<<16, ep.AutoChannel(), nil)
+			c.Put(p, put, Blank(1<<16), ep.AutoChannel())
 			if c.inFlight > 2 {
 				over++
 			}
@@ -101,7 +110,7 @@ func TestChannelCreditsBound(t *testing.T) {
 //   - every channel applies its writes strictly in sequence order
 //     (Arrivals is the identity permutation), regardless of wire
 //     reordering;
-//   - the apply callbacks observe the payload ids in send order;
+//   - the writes land their payload ids in send order;
 //   - every drain leaves the channel with zero writes in flight;
 //   - a channel opens iff it carried at least one write.
 func FuzzChannelOrder(f *testing.F) {
@@ -135,6 +144,12 @@ func FuzzChannelOrder(f *testing.F) {
 			c := NewChannel(ep, 1, tp)
 			chans[r] = c
 			rank := r
+			// Each sender writes its ids into a Mem of its own on rank 1,
+			// and the hook reads each one back as its write lands.
+			mem := NewMem(8+31*64, 8+31*64)
+			hook := func(int, int, int64, sim.Time, sim.Time) {
+				applied[rank] = append(applied[rank], mem.Load(0))
+			}
 			w.Spawn(rank, fmt.Sprintf("sender%d", rank), func(p *sim.Proc) {
 				var sent uint64
 				for _, b := range plan {
@@ -142,11 +157,10 @@ func FuzzChannelOrder(f *testing.F) {
 					op := b ^ byte(rank*0xa5)
 					switch {
 					case op%8 < 5: // send, size from the high bits
-						id := sent
+						data := make([]byte, 8+int(op>>3)*64)
+						binary.LittleEndian.PutUint64(data, sent)
 						sent++
-						c.Send(p, int64(8+int(op>>3)*64), ep.AutoChannel(), func(sim.Time) {
-							applied[rank] = append(applied[rank], id)
-						})
+						c.Put(p, Put{Dst: 1, Mem: &mem, Hook: hook}, data, ep.AutoChannel())
 					case op%8 == 5:
 						c.Drain(p)
 						if n := c.inFlight; n != 0 {
@@ -185,7 +199,7 @@ func FuzzChannelOrder(f *testing.F) {
 			}
 			for i, id := range applied[r] {
 				if id != uint64(i) {
-					t.Fatalf("rank %d: apply callbacks out of order at %d: %v", r, i, applied[r])
+					t.Fatalf("rank %d: writes landed out of order at %d: %v", r, i, applied[r])
 				}
 			}
 		}

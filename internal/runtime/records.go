@@ -5,12 +5,12 @@ import (
 	"msgroofline/internal/sim"
 )
 
-// Message-path records (DESIGN.md §18). Every Inject and RemoteAtomic
-// used to allocate a handful of closures; these pooled records replace
-// them. Each record binds its methods once, when it is first made
-// (l.fire = l.apply), and hands those bound func values to the
-// unchanged CoupledEngine.Defer and At, so a warm endpoint's message
-// path allocates nothing.
+// Message-path records (DESIGN.md §18). Every Inject, put and
+// RemoteAtomic used to allocate a handful of closures; these pooled
+// records replace them. Each record binds its methods once, when it is
+// first made (l.fire = l.apply), and hands those bound func values to
+// the unchanged CoupledEngine.Defer and At, so a warm endpoint's
+// message path allocates nothing.
 //
 // Ownership: an endpoint's free lists are touched only by its own group
 // engine or by the serial window barrier (mergeRuns), never by the
@@ -23,6 +23,9 @@ import (
 //   - a landing is taken from the list of the endpoint whose engine
 //     will run it (at the barrier, or in the sender's window on the
 //     same-group path) and returns itself there when it fires;
+//   - a putRec is taken by its origin and returned by its local half,
+//     both on the origin's engine (see putRec for when it may be
+//     reused);
 //   - an atomicTxn is taken and returned by its origin's process.
 
 // flight is one cross-group Inject awaiting the window barrier.
@@ -106,16 +109,20 @@ func (l *landing) apply() {
 	}
 }
 
-// atomicTxn is one RemoteAtomic. Its stages run in order: request
-// (barrier, cross-group only), service (dst's engine: arbitrate the
-// memory unit), serve (dst's engine: apply at the service instant),
-// respond (the barrier cross-group, inline otherwise) and fire (the
-// origin's engine: wake the caller).
+// atomicTxn is one RemoteAtomic on the word at off in dst's mem. Its
+// stages run in order: request (barrier, cross-group only), service
+// (dst's engine: arbitrate the memory unit), serve (dst's engine:
+// update the word at the service instant), respond (the barrier
+// cross-group, inline otherwise) and fire (the origin's engine: wake
+// the caller).
 type atomicTxn struct {
-	ep    *Endpoint // origin
-	tp    machine.TransportParams
-	dst   int
-	apply func() uint64
+	ep               *Endpoint // origin
+	tp               machine.TransportParams
+	dst              int
+	mem              *Mem
+	off              int
+	cas              bool
+	compare, operand uint64
 
 	req, arrive, svcEnd sim.Time
 	result              uint64
@@ -148,7 +155,7 @@ func (t *atomicTxn) runRequest() {
 }
 
 // runService (dst's engine): arbitrate the memory unit and schedule
-// the apply at the service instant.
+// the update at the service instant.
 func (t *atomicTxn) runService() {
 	w := t.ep.world
 	target := w.eps[t.dst]
@@ -161,11 +168,18 @@ func (t *atomicTxn) runService() {
 	w.eng.At(t.dst, t.svcEnd, t.serve)
 }
 
-// runServe (dst's engine): apply, then launch the response. A
-// cross-group response reserves links too, so it is deferred from the
-// service event to the next barrier.
+// runServe (dst's engine): read and update the word, then launch the
+// response. A cross-group response reserves links too, so it is
+// deferred from the service event to the next barrier.
 func (t *atomicTxn) runServe() {
-	t.result = t.apply()
+	old := t.mem.Load(t.off)
+	switch {
+	case !t.cas:
+		t.mem.Store(t.off, old+t.operand)
+	case old == t.compare:
+		t.mem.Store(t.off, t.operand)
+	}
+	t.result = old
 	w := t.ep.world
 	if w.eng.GroupOf(t.ep.rank) == w.eng.GroupOf(t.dst) {
 		t.runRespond()

@@ -209,9 +209,10 @@ type Endpoint struct {
 	// Free lists of the message-path records (records.go). Each is
 	// touched only by this endpoint's group engine or by the serial
 	// window barrier, never by two goroutines at once.
-	flights  *flight
-	landings *landing
-	txns     *atomicTxn
+	flights         *flight
+	landings        *landing
+	txns            *atomicTxn
+	puts, putsLimbo *putRec
 }
 
 // Rank returns the endpoint's rank id.
@@ -346,11 +347,12 @@ func (ep *Endpoint) WireLatency(dst int) sim.Time {
 	return w.Inst.Cfg.MemLatency
 }
 
-// RemoteAtomic performs a blocking remote atomic against dst: the
-// calling process pays one op overhead, a request flight, the remote
-// AtomicTime service, and the response flight. apply runs at the
-// remote service instant on the target's engine (mutating target
-// memory) and its return value is handed back to the caller.
+// RemoteAtomic performs a blocking remote atomic on the uint64 at off
+// in dst's memory mem and returns the value it held before: a
+// compare-and-swap to operand when cas is set, a fetch-and-add of
+// operand otherwise. The calling process pays one op overhead, a
+// request flight, the remote AtomicTime service (where dst's engine
+// updates the word), and the response flight.
 //
 // Atomic request/response packets are tiny and bypass the data-path
 // gap pacing; hardware atomics ride a dedicated queue. Contention for
@@ -358,17 +360,17 @@ func (ep *Endpoint) WireLatency(dst int) sim.Time {
 // only on the target's engine (owner-computes), so arbitration order
 // is the target group's event order — invariant under the worker
 // count. Cross-group flights reserve fabric links at the window
-// barrier; the response is scheduled strictly after apply runs, so
-// the caller can never observe a result before the remote mutation,
-// under any perturbation.
+// barrier; the response is scheduled strictly after the word is
+// updated, so the caller can never observe a result before the remote
+// mutation, under any perturbation.
 //
-// The transaction is a pooled atomicTxn (records.go) whose stages are
-// bound once, so a warm endpoint's atomic allocates nothing beyond
-// what apply itself captures.
-func (ep *Endpoint) RemoteAtomic(p *sim.Proc, tp machine.TransportParams, dst int, apply func() uint64) uint64 {
+// The transaction is a pooled atomicTxn (records.go): a warm
+// endpoint's atomic allocates nothing.
+func (ep *Endpoint) RemoteAtomic(p *sim.Proc, tp machine.TransportParams, dst int, mem *Mem, off int, cas bool, compare, operand uint64) uint64 {
 	ep.ChargeOp(p, tp)
 	t := ep.atomicTxn()
-	t.tp, t.dst, t.apply, t.fired = tp, dst, apply, false
+	t.tp, t.dst, t.fired = tp, dst, false
+	t.mem, t.off, t.cas, t.compare, t.operand = mem, off, cas, compare, operand
 	w := ep.world
 	if w.eng.GroupOf(ep.rank) == w.eng.GroupOf(dst) {
 		// Same node group: flights are intra-group (shared memory or
@@ -383,10 +385,8 @@ func (ep *Endpoint) RemoteAtomic(p *sim.Proc, tp machine.TransportParams, dst in
 		w.eng.Defer(ep.rank, t.req, t.request)
 	}
 	t.done.WaitFor(p, t.isFired)
-	result := t.result
-	t.apply = nil
 	t.next, ep.txns = ep.txns, t
-	return result
+	return t.result
 }
 
 // atomicFlight times one direction of an atomic transaction from

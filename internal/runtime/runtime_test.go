@@ -185,16 +185,18 @@ func TestRemoteAtomicCalibration(t *testing.T) {
 		}
 		var elapsed sim.Time
 		var got uint64
+		mem := NewMem(8, 8)
+		mem.Store(0, 42)
 		w.Spawn(0, "cas", func(p *sim.Proc) {
 			start := p.Now()
-			got = w.Endpoint(0).RemoteAtomic(p, tp, c.dst, func() uint64 { return 42 })
+			got = w.Endpoint(0).RemoteAtomic(p, tp, c.dst, &mem, 0, true, 42, 7)
 			elapsed = p.Now() - start
 		})
 		if err := w.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if got != 42 {
-			t.Fatalf("%s: atomic result = %d", c.machine, got)
+		if got != 42 || mem.Load(0) != 7 {
+			t.Fatalf("%s: CAS returned %d and left %d, want 42 and 7", c.machine, got, mem.Load(0))
 		}
 		us := elapsed.Microseconds()
 		if us < c.loUS || us > c.hi {
@@ -209,23 +211,20 @@ func TestRemoteAtomicSerialization(t *testing.T) {
 	// target's memory controller.
 	w := newWorld(t, "perlmutter-gpu", 3)
 	tp, _ := w.Inst.Cfg.Params(machine.GPUShmem)
-	counter := uint64(0)
+	counter := NewMem(8, 8)
 	var ends []sim.Time
 	for r := 0; r < 2; r++ {
 		rank := r
-		w.Spawn(rank, "cas", func(p *sim.Proc) {
-			w.Endpoint(rank).RemoteAtomic(p, tp, 2, func() uint64 {
-				counter++
-				return counter
-			})
+		w.Spawn(rank, "fetch-add", func(p *sim.Proc) {
+			w.Endpoint(rank).RemoteAtomic(p, tp, 2, &counter, 0, false, 0, 1)
 			ends = append(ends, p.Now())
 		})
 	}
 	if err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if counter != 2 {
-		t.Fatalf("counter = %d", counter)
+	if got := counter.Load(0); got != 2 {
+		t.Fatalf("counter = %d", got)
 	}
 	gap := ends[1] - ends[0]
 	if gap < 0 {

@@ -1,0 +1,81 @@
+package shmem
+
+import (
+	"testing"
+
+	"msgroofline/internal/machine"
+)
+
+// Message-path benchmarks for the PGAS core, the shmem counterpart of
+// internal/mpi's BenchmarkMsgPath*. Each warms a world whose origin PE
+// 0 and target PE npes-1 sit in different node groups, so every put
+// and atomic between them crosses the window barrier. CI gates their
+// allocs/op (DESIGN.md §18).
+
+// msgPathWarmup is how many ops the origin runs before the timer
+// starts: enough to grow every pool and queue to its steady size.
+const msgPathWarmup = 64
+
+// benchMsgPath runs op on PE 0 of an npes-PE job over tr, first
+// msgPathWarmup times and then b.N times, and times the b.N.
+func benchMsgPath(b *testing.B, name string, tr machine.Transport, npes, groups int, op func(c *Ctx, peer int)) {
+	cfg, err := machine.Get(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const heapBytes, sigBase = 64, 32
+	j, err := NewJobSharded(cfg, tr, npes, heapBytes, sigBase, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	peer := npes - 1
+	if g := j.World().Groups(); g != groups || j.World().GroupOf(0) == j.World().GroupOf(peer) {
+		b.Fatalf("%d node groups with PEs 0 and %d in groups %d and %d; want %d groups, PEs apart",
+			g, peer, j.World().GroupOf(0), j.World().GroupOf(peer), groups)
+	}
+	b.ReportAllocs()
+	err = j.Launch(func(c *Ctx) {
+		if c.MyPE() != 0 {
+			return
+		}
+		for i := 0; i < msgPathWarmup; i++ {
+			op(c, peer)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			op(c, peer)
+		}
+		b.StopTimer()
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
+// putSignalQuiet is one 8-byte put-with-signal and the quiet that
+// waits for it.
+func putSignalQuiet(c *Ctx, peer int) {
+	c.PutSignalNBI(peer, 0, []byte("8 bytes."), 32, 1)
+	c.Quiet()
+}
+
+// BenchmarkMsgPathGPUPutSignalQuiet is a device-initiated
+// put-with-signal and quiet between two GPUs of perlmutter-gpu.
+func BenchmarkMsgPathGPUPutSignalQuiet(b *testing.B) {
+	benchMsgPath(b, "perlmutter-gpu", machine.GPUShmem, 4, 4, putSignalQuiet)
+}
+
+// BenchmarkMsgPathGPUFetchAdd is one remote fetch-and-add between two
+// GPUs of perlmutter-gpu.
+func BenchmarkMsgPathGPUFetchAdd(b *testing.B) {
+	benchMsgPath(b, "perlmutter-gpu", machine.GPUShmem, 4, 4, func(c *Ctx, peer int) {
+		c.AtomicFetchAdd(peer, 8, 1)
+	})
+}
+
+// BenchmarkMsgPathChannelPutSignalQuiet is a memory-channel
+// put-with-signal and the drain that waits for it, between the two
+// sockets of perlmutter-cpu.
+func BenchmarkMsgPathChannelPutSignalQuiet(b *testing.B) {
+	benchMsgPath(b, "perlmutter-cpu", machine.MemChannel, 128, 2, putSignalQuiet)
+}

@@ -25,8 +25,9 @@
 //     per-op completion and makes the signal correct; Quiet drains the
 //     PE's channels in destination order.
 //
-// Heaps are lazy: the data region below the signal words is allocated
-// on first real use, so runs that move blank payloads never hold it.
+// Remote memory is internal/runtime's: each heap is a lazy runtime.Mem
+// (its data region below the signal words is made on first real use),
+// and puts and atomics run as runtime put records and word atomics.
 //
 // GPU execution is modeled with contexts (Ctx): every PE gets one
 // kernel context, and ForkJoin spawns additional block contexts so
@@ -39,7 +40,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync/atomic"
 
 	"msgroofline/internal/gpu"
 	"msgroofline/internal/machine"
@@ -54,20 +54,17 @@ type Job struct {
 	tr    machine.Transport
 	tp    machine.TransportParams
 	pes   []*PE
-	// putHook, when set, observes every user put at delivery time.
-	putHook PutHook
+	// hook, when set, observes every user put at delivery time.
+	hook runtime.MsgHook
+	done func(src, dst int) // j.completed, bound once
 	// unordered is copied into every channel a PE opens (see
 	// SetDebugUnordered).
 	unordered bool
 }
 
-// PutHook observes a put: source PE, destination PE, payload size
-// (including a ridden signal word), issue time and delivery time.
-type PutHook func(src, dst int, bytes int64, issue, deliver sim.Time)
-
-// SetPutHook installs a delivery observer for user puts (internal
-// barrier traffic excluded). Call before Launch.
-func (j *Job) SetPutHook(h PutHook) { j.putHook = h }
+// SetHook installs a delivery observer for user puts (internal barrier
+// traffic excluded). Call before Launch.
+func (j *Job) SetHook(h runtime.MsgHook) { j.hook = h }
 
 // NewJob builds a GPU shmem job with npes PEs, each exposing heapBytes
 // of symmetric memory. The machine must provide the GPUShmem transport.
@@ -105,13 +102,14 @@ func NewJobSharded(cfg *machine.Config, tr machine.Transport, npes, heapBytes, s
 		return nil, err
 	}
 	j := &Job{world: w, tr: tr, tp: tp}
+	j.done = j.completed
 	for pe := 0; pe < npes; pe++ {
 		eng := w.EngineOf(pe)
 		p := &PE{
 			job:      j,
 			id:       pe,
 			ep:       w.Endpoint(pe),
-			heap:     newHeap(heapBytes, sigBase),
+			mem:      runtime.NewMem(heapBytes, sigBase),
 			landed:   sim.NewCond(eng),
 			quiesced: sim.NewCond(eng),
 			barSig:   make([]uint64, bits.Len(uint(npes-1))),
@@ -170,10 +168,10 @@ func (j *Job) Launch(body func(c *Ctx)) error {
 
 // PE is one processing element with its symmetric heap.
 type PE struct {
-	job  *Job
-	id   int
-	ep   *runtime.Endpoint
-	heap heap
+	job *Job
+	id  int
+	ep  *runtime.Endpoint
+	mem runtime.Mem // the symmetric heap
 	// stream is the PE's device stream on StreamTriggered, nil
 	// otherwise.
 	stream *gpu.Stream
@@ -193,10 +191,6 @@ type PE struct {
 	barSeq  int
 
 	puts, atomics int64
-
-	// Pooled put records (see putOp), touched only from this PE's
-	// engine.
-	freePuts, putsLimbo *putOp
 }
 
 // ID returns the PE number.
@@ -204,18 +198,18 @@ func (pe *PE) ID() int { return pe.id }
 
 // Heap returns the PE's symmetric heap for direct local access,
 // allocating its data region if nothing has yet.
-func (pe *PE) Heap() []byte { return pe.heap.bytes() }
+func (pe *PE) Heap() []byte { return pe.mem.Bytes() }
 
 // View returns heap bytes [off, off+n) for reading. While the data
 // region is still unallocated they are all zero and come back as the
 // read-only zero view of runtime.Blank.
-func (pe *PE) View(off, n int) []byte { return pe.heap.view(off, n) }
+func (pe *PE) View(off, n int) []byte { return pe.mem.View(off, n) }
 
 // Uint64At reads a little-endian uint64 at off in the local heap.
-func (pe *PE) Uint64At(off int) uint64 { return pe.heap.load(off) }
+func (pe *PE) Uint64At(off int) uint64 { return pe.mem.Load(off) }
 
 // SetUint64At writes a little-endian uint64 at off in the local heap.
-func (pe *PE) SetUint64At(off int, v uint64) { pe.heap.store(off, v) }
+func (pe *PE) SetUint64At(off int, v uint64) { pe.mem.Store(off, v) }
 
 // Stream returns the PE's device stream on StreamTriggered (nil
 // otherwise), whose enqueue/ready/fire log feeds the conformance
@@ -241,10 +235,6 @@ func (pe *PE) Outstanding() int { return pe.outstanding }
 type Ctx struct {
 	pe   *PE
 	proc *sim.Proc
-	// amo is the context's one remote atomic in flight; amoApply is
-	// amo.apply, bound on first use.
-	amo      atomicOp
-	amoApply func() uint64
 }
 
 // PE returns the owning processing element.
@@ -318,11 +308,11 @@ func (c *Ctx) putNBIOn(dst, dstOff int, data []byte, sigOff int, sigVal uint64, 
 		panic(fmt.Sprintf("shmem: put to invalid PE %d", dst))
 	}
 	target := job.pes[dst]
-	if dstOff < 0 || dstOff+len(data) > target.heap.size {
+	if dstOff < 0 || dstOff+len(data) > target.mem.Size() {
 		panic(fmt.Sprintf("shmem: put [%d,%d) outside PE %d heap (%d bytes)",
-			dstOff, dstOff+len(data), dst, target.heap.size))
+			dstOff, dstOff+len(data), dst, target.mem.Size()))
 	}
-	if sigOff >= 0 && sigOff+8 > target.heap.size {
+	if sigOff >= 0 && sigOff+8 > target.mem.Size() {
 		panic(fmt.Sprintf("shmem: signal offset %d outside PE %d heap", sigOff, dst))
 	}
 	switch job.tr {
@@ -349,109 +339,19 @@ func (c *Ctx) putNBIOn(dst, dstOff int, data []byte, sigOff int, sigVal uint64, 
 	if ch < 0 {
 		ch = pe.ep.AutoChannel()
 	}
-	o := pe.putOp()
-	o.target, o.off, o.buf = target, dstOff, runtime.Stage(data)
-	o.sigOff, o.sigVal, o.issue, o.ch = sigOff, sigVal, issue, ch
-	o.bytes = int64(len(data))
-	if sigOff >= 0 {
-		o.bytes += 8
+	put := runtime.Put{Dst: dst, Mem: &target.mem, Wake: target.landed, Off: dstOff,
+		Signal: sigOff >= 0, SigOff: sigOff, SigVal: sigVal, Issue: issue, Hook: job.hook}
+	if job.tr == machine.MemChannel {
+		// Channel order is the completion: the write only frees a credit.
+		pe.channel(dst).Put(c.proc, put, data, ch)
+		return
 	}
-	switch job.tr {
-	case machine.MemChannel:
-		// The channel has no local half: park the record until its
-		// write lands.
-		pe.channel(dst).Send(c.proc, o.bytes, ch, o.remote)
-		o.next, pe.putsLimbo = pe.putsLimbo, o
-	case machine.StreamTriggered:
-		pe.outstanding++
-		c.proc.Engine().At(issue, o.inject)
-	default:
-		pe.outstanding++
-		o.runInject()
-	}
-}
-
-// putOp is one putNBIOn in flight, pooled per origin PE. Its remote
-// half (land) writes the heap, the signal word, the hook and the target
-// wake on the target PE's engine; its local half (retire) does the
-// completion accounting on the origin's. As in mpi, the halves of a
-// cross-group put may run at once on two engines, so land marks the
-// record landed last and the origin reuses a record only once it is
-// retired and landed. Both lists (PE.freePuts, PE.putsLimbo) are
-// touched only from the origin PE's engine.
-type putOp struct {
-	pe     *PE // origin
-	target *PE
-	off    int
-	buf    []byte // staged payload (nil for a blank one)
-	sigOff int    // < 0: no signal word
-	sigVal uint64
-	bytes  int64
-	issue  sim.Time
-	ch     int
-	landed atomic.Bool
-
-	remote, local func(at sim.Time) // o.land and o.retire, bound once
-	inject        func()            // o.runInject, bound once
-	next          *putOp
-}
-
-// putOp takes a put record: a free one, else a parked one whose remote
-// half has since run, else a new one.
-func (pe *PE) putOp() *putOp {
-	o := pe.freePuts
-	if o == nil {
-		for p := &pe.putsLimbo; *p != nil; {
-			if q := *p; q.landed.Load() {
-				*p = q.next
-				q.next, pe.freePuts = pe.freePuts, q
-			} else {
-				p = &q.next
-			}
-		}
-		o = pe.freePuts
-	}
-	if o == nil {
-		o = &putOp{pe: pe}
-		o.remote, o.local, o.inject = o.land, o.retire, o.runInject
-		return o
-	}
-	pe.freePuts = o.next
-	o.landed.Store(false)
-	return o
-}
-
-// runInject puts the payload on the wire.
-func (o *putOp) runInject() {
-	pe := o.pe
-	pe.ep.Inject(pe.job.tp, o.target.id, o.bytes, o.ch, o.remote, o.local)
-}
-
-// land is the remote half, on the target PE's engine.
-func (o *putOp) land(at sim.Time) {
-	target := o.target
-	target.heap.land(o.off, o.buf)
-	if o.sigOff >= 0 {
-		target.heap.store(o.sigOff, o.sigVal)
-	}
-	if hook := o.pe.job.putHook; hook != nil {
-		hook(o.pe.id, target.id, o.bytes, o.issue, at)
-	}
-	// The origin may reuse the record as soon as it reads landed.
-	o.landed.Store(true)
-	target.landed.Broadcast()
-}
-
-// retire is the local half, on the origin PE's engine: retire the
-// injection, then return the record, to the free list when its remote
-// half has run and to the limbo list otherwise.
-func (o *putOp) retire(at sim.Time) {
-	pe := o.pe
-	pe.completed(at)
-	if o.landed.Load() {
-		o.next, pe.freePuts = pe.freePuts, o
+	pe.outstanding++
+	put.Done = job.done
+	if pe.stream != nil {
+		pe.ep.PutAt(&job.tp, put, data, ch, issue)
 	} else {
-		o.next, pe.putsLimbo = pe.putsLimbo, o
+		pe.ep.Put(job.tp, put, data, ch)
 	}
 }
 
@@ -474,6 +374,9 @@ func (pe *PE) completed(sim.Time) {
 	pe.outstanding--
 	pe.quiesced.Broadcast()
 }
+
+// completed is the local half of src's puts.
+func (j *Job) completed(src, _ int) { j.pes[src].completed(0) }
 
 // Quiet blocks until all puts issued by this PE have completed
 // remotely (nvshmem_quiet). GPUShmem and StreamTriggered charge one op;
@@ -510,16 +413,8 @@ func (c *Ctx) WaitUntilAll(sigOffs []int, val uint64) {
 func (c *Ctx) WaitUntilAny(sigOffs []int, mask []bool, val uint64) int {
 	found := -1
 	c.pe.landed.WaitFor(c.proc, func() bool {
-		for i, off := range sigOffs {
-			if mask != nil && mask[i] {
-				continue
-			}
-			if c.pe.Uint64At(off) == val {
-				found = i
-				return true
-			}
-		}
-		return false
+		found = c.pe.mem.FirstEqual(sigOffs, mask, val)
+		return found >= 0
 	})
 	return found
 }
@@ -528,49 +423,19 @@ func (c *Ctx) WaitUntilAny(sigOffs []int, mask []bool, val uint64) int {
 // if it equals cond it becomes val; the previous value is returned
 // (nvshmem_uint64_atomic_compare_swap). Blocks for the round trip.
 func (c *Ctx) AtomicCompareSwap(dst, off int, cond, val uint64) uint64 {
-	return c.atomic(atomicOp{target: c.pe.job.pes[dst], off: off, cas: true, compare: cond, operand: val})
+	return c.atomic(dst, off, true, cond, val)
 }
 
 // AtomicFetchAdd atomically adds delta to the remote uint64 and
 // returns the previous value (nvshmem_uint64_atomic_fetch_add).
 func (c *Ctx) AtomicFetchAdd(dst, off int, delta uint64) uint64 {
-	return c.atomic(atomicOp{target: c.pe.job.pes[dst], off: off, operand: delta})
+	return c.atomic(dst, off, false, 0, delta)
 }
 
-// atomicOp is a remote atomic on the uint64 at off in target's heap:
-// compare-and-swap to operand when cas is set, fetch-and-add of
-// operand otherwise.
-type atomicOp struct {
-	target  *PE
-	off     int
-	cas     bool
-	compare uint64
-	operand uint64
-}
-
-// apply runs on the target's engine at the service instant and
-// returns the value seen before the operation.
-func (a *atomicOp) apply() uint64 {
-	old := a.target.Uint64At(a.off)
-	switch {
-	case !a.cas:
-		a.target.SetUint64At(a.off, old+a.operand)
-	case old == a.compare:
-		a.target.SetUint64At(a.off, a.operand)
-	}
-	return old
-}
-
-// atomic runs op as the context's one atomic in flight: the context's
-// process blocks until it returns, so one record per context suffices
-// and no closure is made per call.
-func (c *Ctx) atomic(op atomicOp) uint64 {
-	c.pe.atomics++
-	c.amo = op
-	if c.amoApply == nil {
-		c.amoApply = c.amo.apply
-	}
-	return c.pe.ep.RemoteAtomic(c.proc, c.pe.job.tp, op.target.id, c.amoApply)
+func (c *Ctx) atomic(dst, off int, cas bool, compare, operand uint64) uint64 {
+	pe := c.pe
+	pe.atomics++
+	return pe.ep.RemoteAtomic(c.proc, pe.job.tp, dst, &pe.job.pes[dst].mem, off, cas, compare, operand)
 }
 
 // Barrier synchronizes all PEs (nvshmem_barrier_all): quiet, then a

@@ -2,6 +2,7 @@ package stencil
 
 import (
 	"math"
+	goruntime "runtime"
 	"slices"
 	"testing"
 
@@ -117,6 +118,30 @@ func TestMsgsPerSyncIsFour(t *testing.T) {
 	}
 	if res.Comm.MsgsPerSync < 2.5 || res.Comm.MsgsPerSync > 4.0 {
 		t.Fatalf("msg/sync = %.2f, want ~3-4", res.Comm.MsgsPerSync)
+	}
+}
+
+// TestOneSidedSteadyStateAllocs counts the mallocs of a timing-only
+// one-sided stencil at 2 and 6 iterations. Once its records are warm an
+// iteration allocates nothing, so the four extra iterations must cost
+// less than one allocation per rank in all; a fresh Exchange result
+// per rank and iteration costs four.
+func TestOneSidedSteadyStateAllocs(t *testing.T) {
+	cfg := Config{Machine: mc(t, "perlmutter-cpu"), Transport: comm.OneSided, Grid: 64, PX: 4, PY: 4}
+	mallocs := func(iters int) int64 {
+		cfg.Iters = iters
+		var before, after goruntime.MemStats
+		goruntime.ReadMemStats(&before)
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		goruntime.ReadMemStats(&after)
+		return int64(after.Mallocs - before.Mallocs)
+	}
+	mallocs(2) // warm package-level pools
+	two, six := mallocs(2), mallocs(6)
+	if ranks := int64(cfg.PX * cfg.PY); six-two >= ranks {
+		t.Fatalf("%d mallocs at 2 iterations, %d at 6: want fewer than %d more", two, six, ranks)
 	}
 }
 

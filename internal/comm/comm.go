@@ -355,8 +355,8 @@ type StreamInspector interface {
 }
 
 // ChannelInspector is implemented by transports whose sends ride
-// ordered memory channels; conformance oracles inspect the per-channel
-// arrival logs after Launch.
+// ordered memory channels; conformance oracles read each channel's
+// FIFO check after Launch.
 type ChannelInspector interface {
 	Channels(rank int) []*runtime.Channel
 }

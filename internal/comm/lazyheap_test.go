@@ -22,12 +22,16 @@ var lazyKinds = []struct {
 	{OneSided, "perlmutter-cpu"},
 }
 
-// dataAllocated reports whether rank's heap, or its one-sided data
-// window, holds its data region: until it does, every read of the
-// region is the shared blank view.
+// dataAllocated reports whether rank's heap, or its one-sided data or
+// exchange window, holds its data region: until it does, every read
+// of the region is the shared blank view.
 func dataAllocated(tr Transport, rank int) bool {
 	if t, ok := tr.(*rma); ok {
-		return !runtime.IsBlank(t.dataWin.View(rank, 0, 1))
+		w := t.dataWin
+		if w == nil {
+			w = t.exchWin
+		}
+		return !runtime.IsBlank(w.View(rank, 0, 1))
 	}
 	return !runtime.IsBlank(tr.(*shmemT).j.PE(rank).View(0, 1))
 }
@@ -54,15 +58,36 @@ func pattern(n int) []byte {
 	return b
 }
 
-// TestLazyHeapDelivery runs the streamed-delivery protocol on every
-// lazy transport. Blank deliveries alone never allocate the
-// receiver's data region and read back as zeros. A real delivery
-// after blank ones allocates it, and the receiver still finds the
-// signals of the earlier blank slots.
+// TestLazyHeapDelivery runs the streamed-delivery protocol and a
+// blank halo exchange on every lazy transport. Blank deliveries or
+// exchanges alone never allocate the receiver's data region and read
+// back as zeros. A real delivery after blank ones allocates it, and
+// the receiver still finds the signals of the earlier blank slots.
 func TestLazyHeapDelivery(t *testing.T) {
 	const slots, stride = 3, 256
 	for _, lk := range lazyKinds {
 		t.Run(lk.kind.String(), func(t *testing.T) {
+			tr := newLazy(t, lk.kind, lk.machine, Spec{Ranks: 2, ExchangeSlots: 1, SlotBytes: stride})
+			var halos [2][]byte
+			err := tr.Launch(func(ep Endpoint) {
+				peer := 1 - ep.Rank()
+				for epoch := 0; epoch < 2; epoch++ {
+					in := ep.Exchange(epoch, []Msg{{Peer: peer, Data: runtime.Blank(stride)}},
+						[]Expect{{Peer: peer, Bytes: stride}})
+					halos[ep.Rank()] = in[0]
+				}
+			})
+			if err != nil {
+				t.Fatalf("exchange: %v", err)
+			}
+			for rank, h := range halos {
+				if !bytes.Equal(h, make([]byte, stride)) {
+					t.Errorf("exchange: rank %d halo reads %v", rank, h[:8])
+				}
+				if dataAllocated(tr, rank) {
+					t.Errorf("exchange: blank halos allocated rank %d's data region", rank)
+				}
+			}
 			for _, realLast := range []bool{false, true} {
 				tr := newLazy(t, lk.kind, lk.machine, Spec{Ranks: 2, StreamSlots: []int{0, slots}, SlotBytes: stride})
 				fail := make(chan string, slots)

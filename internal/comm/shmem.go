@@ -128,7 +128,8 @@ func (e *shEp) Quiet()             { e.c.Quiet() }
 
 // Exchange runs one epoch of put-with-signal toward each peer slot
 // and wait_until_all on this rank's expected signals — no barrier,
-// parity double-buffering keeps epochs from colliding.
+// parity double-buffering keeps epochs from colliding. It reads the
+// slots through View, so blank halos leave the heap unmade.
 func (e *shEp) Exchange(epoch int, sends []Msg, recvs []Expect) [][]byte {
 	t := e.t
 	k, stride, sigBase := t.spec.ExchangeSlots, t.spec.SlotBytes, t.sigBase
@@ -143,10 +144,9 @@ func (e *shEp) Exchange(epoch int, sends []Msg, recvs []Expect) [][]byte {
 	}
 	e.c.WaitUntilAll(e.waits, uint64(epoch+1))
 	t.sync()
-	heap := e.c.PE().Heap()
 	e.out = e.out[:0]
 	for _, x := range recvs {
-		e.out = append(e.out, heap[(parity*k+x.Slot)*stride:][:x.Bytes])
+		e.out = append(e.out, e.c.PE().View((parity*k+x.Slot)*stride, x.Bytes))
 	}
 	return e.out
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Collectives built from the same point-to-point machinery the
@@ -12,7 +13,7 @@ import (
 // (log2(P) latency terms), recursive doubling for Allreduce, a ring
 // for Allgather (P-1 bandwidth terms), and pairwise exchange for
 // Alltoall. Internal tags live in their own negative range so user
-// traffic and barriers never collide.
+// traffic never collides with them.
 
 const collTagBase = -1 << 20
 
@@ -59,43 +60,20 @@ func (r *Rank) Bcast(root int, data []byte) []byte {
 	// Rotate so the root is virtual rank 0.
 	vrank := (r.id - root + p) % p
 	var buf []byte
+	start := 1
 	if vrank == 0 {
 		buf = append([]byte(nil), data...)
-	}
-	// Receive from the parent: the highest set bit of vrank.
-	if vrank != 0 {
-		mask := 1
-		for mask <= vrank {
-			mask <<= 1
-		}
-		mask >>= 1
-		parent := ((vrank - mask) + root) % p
-		req := r.Recv(parent, r.collTag(seq, bitLen(mask)))
-		buf = req.Data
+	} else {
+		// Receive from the parent, vrank less its highest set bit.
+		hb := 1 << (bits.Len(uint(vrank)) - 1)
+		buf = r.Recv((vrank-hb+root)%p, r.collTag(seq, bits.Len(uint(hb)))).Data
+		start = hb << 1
 	}
 	// Forward to children: vrank + 2^k for growing k.
-	start := 1
-	if vrank != 0 {
-		m := 1
-		for m <= vrank {
-			m <<= 1
-		}
-		start = m
-	}
 	for mask := start; vrank+mask < p; mask <<= 1 {
-		child := ((vrank + mask) + root) % p
-		r.isend(child, r.collTag(seq, bitLen(mask)), buf)
+		r.isend((vrank+mask+root)%p, r.collTag(seq, bits.Len(uint(mask))), buf)
 	}
 	return buf
-}
-
-func bitLen(v int) int {
-	n := 0
-	for v > 0 {
-		v >>= 1
-		n++
-	}
-	return n
 }
 
 // Reduce combines every rank's contribution at root with op, via a
@@ -111,12 +89,12 @@ func (r *Rank) Reduce(root int, data []byte, op ReduceOp) []byte {
 	for mask := 1; mask < p; mask <<= 1 {
 		if vrank&mask != 0 {
 			parent := ((vrank - mask) + root) % p
-			r.isend(parent, r.collTag(seq, bitLen(mask)), acc)
+			r.isend(parent, r.collTag(seq, bits.Len(uint(mask))), acc)
 			return nil
 		}
 		if vrank+mask < p {
 			child := ((vrank + mask) + root) % p
-			req := r.Recv(child, r.collTag(seq, bitLen(mask)))
+			req := r.Recv(child, r.collTag(seq, bits.Len(uint(mask))))
 			op(acc, req.Data)
 		}
 	}
@@ -145,7 +123,7 @@ func (r *Rank) Allreduce(data []byte, op ReduceOp) []byte {
 	seq := r.nextCollSeq()
 	for mask := 1; mask < p; mask <<= 1 {
 		peer := r.id ^ mask
-		tag := r.collTag(seq, bitLen(mask))
+		tag := r.collTag(seq, bits.Len(uint(mask)))
 		r.isend(peer, tag, acc)
 		req := r.Recv(peer, tag)
 		op(acc, req.Data)
@@ -200,20 +178,13 @@ func (r *Rank) Alltoall(blocks [][]byte) [][]byte {
 	seq := r.nextCollSeq()
 	for step := 1; step < p; step++ {
 		// XOR schedule when P is a power of two, shifted otherwise.
-		var peer int
+		peer, from := (r.id+step)%p, (r.id-step+p)%p
 		if p&(p-1) == 0 {
-			peer = r.id ^ step
-		} else {
-			peer = (r.id + step) % p
+			peer, from = r.id^step, r.id^step
 		}
 		tag := r.collTag(seq, step)
 		r.isend(peer, tag, blocks[peer])
-		var req *Request
-		if p&(p-1) == 0 {
-			req = r.Recv(peer, tag)
-		} else {
-			req = r.Recv((r.id-step+p)%p, tag)
-		}
+		req := r.Recv(from, tag)
 		out[req.Src] = req.Data
 	}
 	return out

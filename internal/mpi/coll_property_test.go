@@ -23,8 +23,8 @@ func encodeF64s(v []float64) []byte {
 // reduction result is exact regardless of tree shape. Each trial also
 // threads user-tagged point-to-point traffic (including tags far into
 // the positive range) through the middle of the collective sequence:
-// the negative collective/barrier tag ranges must never cross-match
-// user receives.
+// the negative collective tag range must never cross-match user
+// receives.
 func TestCollectivesMatchSequentialReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260806))
 	for trial := 0; trial < 12; trial++ {
@@ -146,20 +146,18 @@ func TestCollectivesMatchSequentialReference(t *testing.T) {
 }
 
 // TestInternalTagRangesDisjoint pins the reserved tag layout: user
-// tags are >= 0; barrier tags live in (collTagBase, barrierTagBase]
-// even after many barriers (wraparound); collective tags live at or
-// below collTagBase. Any overlap would let internal traffic match a
-// user-posted receive.
+// tags are >= 0 and collective tags live at or below collTagBase < 0,
+// even after many collectives. Any overlap would let internal traffic
+// match a user-posted receive. (Barrier rounds are generation signals
+// and carry no tag.)
 func TestInternalTagRangesDisjoint(t *testing.T) {
 	r := &Rank{}
+	if collTagBase >= 0 {
+		t.Fatalf("collTagBase %d is not negative", collTagBase)
+	}
 	for seq := 0; seq < 1<<14; seq++ {
 		for round := 0; round < 64; round++ {
-			bt := barrierTagBase - (seq*64+round)%barrierTagSpan
-			if bt >= 0 || bt <= collTagBase {
-				t.Fatalf("barrier tag %d (seq=%d round=%d) escapes (collTagBase, 0)", bt, seq, round)
-			}
-			ct := r.collTag(seq, round)
-			if ct > collTagBase {
+			if ct := r.collTag(seq, round); ct > collTagBase {
 				t.Fatalf("collective tag %d (seq=%d round=%d) above collTagBase %d", ct, seq, round, collTagBase)
 			}
 		}

@@ -3,13 +3,14 @@
 //
 //   - two-sided: tag-matched nonblocking sends and receives
 //     (Isend/Irecv/Recv/Wait/Waitall) with an eager protocol and an
-//     unexpected-message queue, plus a dissemination Barrier built
-//     from real messages so synchronization pays realistic latency;
-//   - one-sided (MPI-3 RMA): windows with Put/Get,
-//     Win_fence, Win_flush, Win_flush_local, Fetch_and_op and
-//     Compare_and_swap (see rma.go). A window is one lazy runtime.Mem
-//     per rank, and puts and atomics run as internal/runtime's put
-//     records and word atomics, the same ones shmem uses.
+//     unexpected-message queue, plus a dissemination Barrier whose
+//     rounds are real 1-byte messages (so synchronization pays
+//     realistic latency) that land as generation signals, not through
+//     matching: internal/runtime's Barrier, which shmem shares;
+//   - one-sided (MPI-3 RMA): windows with Put/Get, Win_fence,
+//     Win_flush, Win_flush_local, Fetch_and_op and Compare_and_swap
+//     (rma.go), each window one lazy runtime.Mem per rank, with puts
+//     and atomics as internal/runtime's put records and word atomics.
 //
 // All costs (per-op overhead, injection gap, software latency, wire
 // time, link contention) come from the machine's calibrated transport
@@ -33,17 +34,6 @@ const (
 	AnyTag = -1
 )
 
-// internal tags are negative and spaced so user tags (>= 0) never
-// collide with barrier traffic. Barrier tags count down from
-// barrierTagBase and wrap before reaching the collective tag range
-// (collTagBase, coll.go); the wrap is safe because a barrier tag is
-// consumed within its own barrier, long before ~16k later barriers
-// could reissue it.
-const (
-	barrierTagBase = -2
-	barrierTagSpan = -collTagBase + barrierTagBase - 64
-)
-
 // Comm is a communicator spanning every rank of a simulated world.
 type Comm struct {
 	world  *runtime.World
@@ -53,9 +43,8 @@ type Comm struct {
 	ntf    machine.TransportParams
 	hasNtf bool
 	ranks  []*Rank
-	wins   []*Win
 	// sendHook, when set, observes every user-level two-sided message
-	// at delivery time (internal barrier traffic is excluded).
+	// at delivery time (internal collective traffic is excluded).
 	sendHook runtime.MsgHook
 	// debugUnordered disables the per-(source, destination) arrival
 	// resequencer, exposing raw (possibly fault-reordered) network
@@ -80,9 +69,7 @@ func NewComm(cfg *machine.Config, n int) (*Comm, error) {
 }
 
 // NewCommSharded is NewComm with a -shards worker count for the
-// underlying world (see runtime.NewWorldSharded: ranks are grouped by
-// fabric node on the coupled conservative-lookahead engine, and
-// shards sets how many node groups execute concurrently; results are
+// underlying world (see runtime.NewWorldSharded; results are
 // byte-identical at every shard count).
 func NewCommSharded(cfg *machine.Config, n, shards int) (*Comm, error) {
 	two, ok := cfg.Params(machine.TwoSided)
@@ -97,14 +84,12 @@ func NewCommSharded(cfg *machine.Config, n, shards int) (*Comm, error) {
 	c.one, c.has1s = cfg.Params(machine.OneSided)
 	c.ntf, c.hasNtf = cfg.Params(machine.NotifiedAccess)
 	for r := 0; r < n; r++ {
-		c.ranks = append(c.ranks, &Rank{
-			comm:    c,
-			id:      r,
-			ep:      w.Endpoint(r),
-			arrived: sim.NewCond(w.EngineOf(r)),
-			sendSeq: make(map[int]uint64),
-			recvSeq: make(map[int]uint64),
-		})
+		c.ranks = append(c.ranks, &Rank{comm: c, id: r, ep: w.Endpoint(r), arrived: sim.NewCond(w.EngineOf(r))})
+	}
+	bars := runtime.NewBarriers(w, runtime.BarrierCost{TP: two, Bytes: 1, RecvOp: true},
+		func(r int) *sim.Cond { return c.ranks[r].arrived }, nil)
+	for r, b := range bars {
+		c.ranks[r].bar = b
 	}
 	return c, nil
 }
@@ -154,27 +139,19 @@ type Rank struct {
 	// network may deliver them out of order (a retransmitted message is
 	// legally overtaken). sendSeq[d] numbers sends to rank d, recvSeq[s]
 	// is the next sequence admitted from rank s, and ooo[s] buffers
-	// early arrivals until the gap fills. On an in-order network every
-	// arrival is admitted immediately, so default behavior is unchanged.
-	//
-	// All three are keyed by peer rank and hold only the peers this rank
-	// has exchanged messages with (a halo rank talks to a handful, not to
-	// all P), so per-rank state stays O(peers) and the world O(ranks).
-	// ooo drops a source as soon as its queue drains, so its size is the
-	// number of sources with a gap open right now; it is made on the
-	// first out-of-order arrival (never, on an in-order network).
-	sendSeq map[int]uint64
-	recvSeq map[int]uint64
-	ooo     map[int][]*envelope
+	// early arrivals until the gap fills (a source leaves it once its
+	// queue drains). All three hold only the peers this rank has
+	// exchanged messages with, so per-rank state stays O(peers) and the
+	// world O(ranks), and each is made on first use: the sequence maps
+	// never for a rank that only puts and fences, ooo never on an
+	// in-order network.
+	sendSeq, recvSeq map[int]uint64
+	ooo              map[int][]*envelope
 
-	barrierSeq int
-	collSeq    int
-	// barReq is Barrier's receive, reused every round.
-	barReq Request
-
-	// Free list of pooled envelopes, touched only from this rank's
-	// engine: taken to send, returned here once matched; nenvs counts
-	// them.
+	bar     *runtime.Barrier
+	collSeq int
+	// envs is the free list of pooled envelopes, nenvs long, touched
+	// only from this rank's engine: taken to send, returned once matched.
 	envs  *envelope
 	nenvs int
 }
@@ -225,27 +202,16 @@ func (r *Rank) PendingOutOfOrder() int {
 	return n
 }
 
-// Barrier synchronizes all ranks with a dissemination barrier built
-// from ceil(log2(P)) rounds of real 1-byte messages, so its cost
-// scales like log(P) x latency exactly as a software MPI_Barrier does.
+// Barrier synchronizes all ranks with a dissemination barrier of
+// ceil(log2(P)) rounds, each a real 1-byte message, so its cost scales
+// like log(P) x latency exactly as a software MPI_Barrier does. A
+// round charges a send and a receive post like Isend+Irecv, but its
+// message lands as a generation signal (runtime.Barrier) on its own
+// context: no tag matching, sequence number or request.
 func (r *Rank) Barrier() {
-	p := r.comm.Size()
-	if p == 1 {
+	if r.comm.Size() == 1 {
 		r.ep.ChargeOp(r.proc, r.comm.two)
 		return
 	}
-	seq := r.barrierSeq
-	r.barrierSeq++
-	round := 0
-	for k := 1; k < p; k <<= 1 {
-		tag := barrierTagBase - (seq*64+round)%barrierTagSpan
-		dst := (r.id + k) % p
-		src := (r.id - k + p) % p
-		r.isend(dst, tag, runtime.Blank(1))
-		q := &r.barReq
-		*q = Request{owner: r, isRcv: true, src: src, tag: tag}
-		r.post(q)
-		r.Wait(q)
-		round++
-	}
+	r.bar.Wait(r.proc)
 }

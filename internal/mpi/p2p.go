@@ -13,7 +13,6 @@ import (
 type Request struct {
 	owner *Rank
 	done  bool
-	isRcv bool
 
 	// match pattern (receives only)
 	src, tag int
@@ -38,8 +37,8 @@ func (r *Rank) Isend(dst, tag int, data []byte) *Request {
 	return &Request{owner: r, done: true, Src: r.id, Tag: tag}
 }
 
-// isend is Isend without a request: Send, Barrier and the collectives
-// discard it, so they skip its allocation.
+// isend is Isend without a request: Send and the collectives discard
+// it, so they skip its allocation.
 func (r *Rank) isend(dst, tag int, data []byte) {
 	// Self-sends are legal and ride the loopback (shared-memory) path
 	// like any other same-node message.
@@ -48,6 +47,9 @@ func (r *Rank) isend(dst, tag int, data []byte) {
 	if !runtime.IsBlank(data) {
 		buf = make([]byte, len(data))
 		copy(buf, data)
+	}
+	if r.sendSeq == nil {
+		r.sendSeq = make(map[int]uint64)
 	}
 	seq := r.sendSeq[dst]
 	r.sendSeq[dst] = seq + 1
@@ -68,20 +70,14 @@ func (r *Rank) Send(dst, tag int, data []byte) { r.isend(dst, tag, data) }
 // matching unexpected message wins, else the request queues in post
 // order.
 func (r *Rank) Irecv(src, tag int) *Request {
-	req := &Request{owner: r, isRcv: true, src: src, tag: tag}
-	r.post(req)
-	return req
-}
-
-// post charges a receive and matches req against the unexpected
-// queue, or queues it as posted.
-func (r *Rank) post(req *Request) {
+	req := &Request{owner: r, src: src, tag: tag}
 	r.ep.ChargeOp(r.proc, r.comm.two)
-	if env := r.takeUnexpected(req.src, req.tag); env != nil {
+	if env := r.takeUnexpected(src, tag); env != nil {
 		r.complete(req, env)
-		return
+	} else {
+		r.posted = append(r.posted, req)
 	}
-	r.posted = append(r.posted, req)
+	return req
 }
 
 // Recv blocks until a message matching (src, tag) arrives and returns
@@ -130,6 +126,9 @@ func (r *Rank) deliver(env *envelope) {
 		}
 		r.ooo[src] = append(r.ooo[src], env)
 		return
+	}
+	if r.recvSeq == nil {
+		r.recvSeq = make(map[int]uint64)
 	}
 	for env != nil {
 		next++
@@ -190,7 +189,7 @@ func (q *Request) matches(env *envelope) bool {
 
 // matchPattern matches env against a receive's (src, tag). AnyTag
 // matches user tags (>= 0) only, never the negative internal tags of
-// barrier and collective traffic.
+// collective traffic.
 func matchPattern(src, tag int, env *envelope) bool {
 	return (src == AnySource || src == env.src) &&
 		(tag == env.tag || tag == AnyTag && env.tag >= 0)

@@ -87,7 +87,6 @@ func (c *Comm) NewWinSizes(sizes []int) (*Win, error) {
 		w.targetDone = append(w.targetDone, sim.NewCond(c.world.EngineOf(r)))
 	}
 	w.done = w.complete
-	c.wins = append(c.wins, w)
 	return w, nil
 }
 

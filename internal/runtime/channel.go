@@ -15,14 +15,11 @@ import (
 // fence map to Drain: wait until the channel has no writes in flight.
 //
 // Each write is a put (Put) whose pooled record the channel keeps
-// while it is in flight or stashed. Ownership is split exactly like the
-// runtime's other primitives: sender state (sequence counter, in-flight
-// count, credit waits) lives on the source rank's engine; receiver
-// state (resequencer cursor, stash, arrival log) is touched only inside
-// Inject delivery callbacks on the destination rank's engine.
-// Cross-group writes ride Inject's window-barrier deferral and
-// therefore serialize in the established
-// (at, senderRank<<40|senderCounter) order.
+// while it is in flight or stashed. Sender state (sequence counter,
+// in-flight count, credit waits) lives on the source rank's engine;
+// receiver state (resequencer cursor, stash, FIFO check) only on the
+// destination's, inside delivery callbacks. Cross-group writes ride
+// Inject's window-barrier deferral, in its (at, sender) total order.
 type Channel struct {
 	src *Endpoint
 	dst int
@@ -34,10 +31,13 @@ type Channel struct {
 	inFlight int
 	cond     *sim.Cond // credit release and drain wakeups
 
-	// Receiver side (destination engine only).
-	nextDeliver uint64
-	pending     map[uint64]*putRec
-	arrivals    []uint64 // seqs in application (post-resequencer) order
+	// Receiver side (destination engine only). nextDeliver counts the
+	// writes applied; the first one applied out of sequence order is
+	// kept as (badSeq, badPos) for the conformance FIFO oracle.
+	nextDeliver    uint64
+	pending        map[uint64]*putRec
+	misordered     bool
+	badSeq, badPos uint64
 
 	// unordered bypasses the resequencer: arrivals apply in wire order.
 	// This deliberately breaks the FIFO contract; it exists so the
@@ -101,7 +101,6 @@ func (c *Channel) arrive(o *putRec, at sim.Time) {
 		return
 	}
 	c.deliver(o, at)
-	c.nextDeliver++
 	for {
 		st, ok := c.pending[c.nextDeliver]
 		if !ok {
@@ -109,14 +108,17 @@ func (c *Channel) arrive(o *putRec, at sim.Time) {
 		}
 		delete(c.pending, c.nextDeliver)
 		c.deliver(st, at)
-		c.nextDeliver++
 	}
 }
 
-// deliver logs and lands one write. The origin may reuse the record
-// once it has landed, so nothing reads it after.
+// deliver checks one write's place in sequence order and lands it.
+// The origin may reuse the record once it has landed, so nothing
+// reads it after.
 func (c *Channel) deliver(o *putRec, at sim.Time) {
-	c.arrivals = append(c.arrivals, o.seq)
+	if o.seq != c.nextDeliver && !c.misordered {
+		c.misordered, c.badSeq, c.badPos = true, o.seq, c.nextDeliver
+	}
+	c.nextDeliver++
 	o.land(at)
 }
 
@@ -131,8 +133,10 @@ func (c *Channel) Drain(p *sim.Proc) {
 // Sent returns how many writes entered the channel.
 func (c *Channel) Sent() uint64 { return c.nextSeq }
 
-// Arrivals returns the applied sequence numbers in application order.
-// After a clean (ordered) run this is exactly 0..Sent()-1; the
-// conformance FIFO oracle checks precisely that. Read only after the
-// world has run to completion.
-func (c *Channel) Arrivals() []uint64 { return c.arrivals }
+// Applied returns how many writes the receiver has applied and whether
+// any was misordered, the first such write seq applied at position
+// pos. After a clean run, applied is Sent() and misordered false, as
+// the conformance FIFO oracle checks. Read only after the run.
+func (c *Channel) Applied() (applied uint64, misordered bool, seq, pos uint64) {
+	return c.nextDeliver, c.misordered, c.badSeq, c.badPos
+}

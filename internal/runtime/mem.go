@@ -2,14 +2,13 @@ package runtime
 
 import "encoding/binary"
 
-// Mem is one rank's remotely accessible memory: an MPI window or a
-// SHMEM symmetric heap. It is a data region [0, sigBase) followed by
-// signal words [sigBase, size); an MPI window has none (sigBase =
-// size). The signal words exist from the start. The data region is
-// made only when a real payload lands or something writes it or asks
-// for all of it, so a run that moves blank payloads (Blank) never
-// holds its data memory. Until then every data byte reads as zero,
-// which is exactly what fresh memory holds.
+// Mem is one rank's remotely accessible memory, an MPI window or a
+// SHMEM symmetric heap: a data region [0, sigBase) followed by signal
+// words [sigBase, size), none in a window (sigBase = size). The signal
+// words exist from the start; the data region is made only when a real
+// payload lands or something writes it or asks for all of it, so a run
+// that moves blank payloads (Blank) never holds it, and until then
+// every data byte reads as zero, as fresh memory does.
 //
 // All accesses to one rank's Mem run on that rank's engine (put
 // landings, remote-atomic service and the rank's own processes), or in

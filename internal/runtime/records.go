@@ -5,27 +5,22 @@ import (
 	"msgroofline/internal/sim"
 )
 
-// Message-path records (DESIGN.md §18). Every Inject, put and
-// RemoteAtomic used to allocate a handful of closures; these pooled
-// records replace them. Each record binds its methods once, when it is
-// first made (l.fire = l.apply), and hands those bound func values to
-// the unchanged CoupledEngine.Defer and At, so a warm endpoint's
-// message path allocates nothing.
+// Message-path records (DESIGN.md §18). Each pooled record binds its
+// methods once, when it is first made (l.fire = l.apply), and hands
+// those bound func values to the unchanged CoupledEngine.Defer and At,
+// so a warm endpoint's message path allocates nothing.
 //
-// Ownership: an endpoint's free lists are touched only by its own group
-// engine or by the serial window barrier (mergeRuns), never by the
-// barrier's delivery workers, which only schedule the bound values.
-// Each record therefore returns to the list it came from, on a
-// goroutine that owns that list:
+// Ownership: a free list is touched only by its owner's group engine
+// or by the serial window barrier (mergeRuns), never by the barrier's
+// delivery workers, which only schedule the bound values. Each record
+// returns to its list on a goroutine that owns that list:
 //
 //   - a flight is taken from the sender's list in the sender's window
 //     and run and returned by the barrier;
 //   - a landing is taken from the list of the endpoint whose engine
-//     will run it (at the barrier, or in the sender's window on the
-//     same-group path) and returns itself there when it fires;
-//   - a putRec is taken by its origin and returned by its local half,
-//     both on the origin's engine (see putRec for when it may be
-//     reused);
+//     runs it and returns itself there when it fires;
+//   - a putRec (put.go) or barSignal (barrier.go) is taken by its
+//     origin and reused, on the origin's engine, once it has landed;
 //   - an atomicTxn is taken and returned by its origin's process.
 
 // flight is one cross-group Inject awaiting the window barrier.
@@ -111,10 +106,9 @@ func (l *landing) apply() {
 
 // atomicTxn is one RemoteAtomic on the word at off in dst's mem. Its
 // stages run in order: request (barrier, cross-group only), service
-// (dst's engine: arbitrate the memory unit), serve (dst's engine:
-// update the word at the service instant), respond (the barrier
-// cross-group, inline otherwise) and fire (the origin's engine: wake
-// the caller).
+// and serve (dst's engine: arbitrate the memory unit, then update the
+// word at the service instant), respond (the barrier cross-group,
+// inline otherwise) and fire (the origin's engine: wake the caller).
 type atomicTxn struct {
 	ep               *Endpoint // origin
 	tp               machine.TransportParams

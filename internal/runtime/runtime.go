@@ -6,14 +6,12 @@
 // through a NIC with a LogGP gap, timing the wire journey on the
 // netsim fabric, and round-trip remote atomics.
 //
-// Per-rank state is rank-confined: a rank's endpoint (NIC channels,
-// injection stats) and everything the stacks build on top of it
-// (window memory, CQ bookkeeping, PE heaps) live with the rank's node
-// group and are touched only from that group's engine.
-// Cross-group effects — puts, gets, atomics, signals — arrive as
-// events on the owning group's engine, and mutations of shared fabric
-// state (link-bandwidth reservations, atomic-unit arbitration, fault
-// draws) are deferred to the window barrier where they apply in the
+// Per-rank state is rank-confined: a rank's endpoint and everything
+// the stacks build on it (window memory, PE heaps, barriers) live with
+// the rank's node group and are touched only from that group's engine.
+// Cross-group effects arrive as events on the owning group's engine,
+// and mutations of shared fabric state (link reservations, fault
+// draws) are deferred to the window barrier, where they apply in the
 // (at, senderRank<<40|senderCounter) total order (sim.CoupledEngine).
 //
 // Routes depend only on the two fabric nodes, so endpoints keep no
@@ -53,15 +51,11 @@ func NewWorld(cfg *machine.Config, ranks int) (*World, error) {
 // `shards` sets only how many groups may execute a conservative
 // window concurrently (clamped to [1, groups]; <= 0 means 1).
 //
-// Because the group structure, the window bounds, and the
-// (at, senderRank<<40|senderCounter) barrier order are all
-// topology-determined, simulated output is byte-identical at every
-// -shards value by construction — certified by the per-group
-// event-order digests (Digest) — while -shards > 1 buys wall-clock
-// parallelism on multi-node machines. There is no sequential fallback
-// path: every world, including a single-node one (where the lone
-// group degenerates to exact sequential execution), runs on the same
-// engine.
+// The group structure, the window bounds and the barrier order are all
+// topology-determined, so simulated output is byte-identical at every
+// -shards value (the Digest certifies it), while -shards > 1 buys
+// wall-clock parallelism on multi-node machines. A single-node world
+// runs on the same engine, as one exactly sequential group.
 func NewWorldSharded(cfg *machine.Config, ranks, shards int) (*World, error) {
 	inst, err := cfg.Instantiate(ranks)
 	if err != nil {
@@ -249,28 +243,23 @@ func (ep *Endpoint) Compute(p *sim.Proc, d sim.Time) {
 }
 
 // Inject sends bytes toward dst on the given channel and schedules
-// the delivery callbacks at the arrival time of the last byte. The
-// calling process is NOT blocked (nonblocking semantics); callers
-// charge op overhead separately via ChargeOp. The injection is paced
-// by the transport gap on the chosen channel, then the message takes
-// the software pipeline latency plus the fabric (or shared-memory)
-// journey.
+// the delivery callbacks at the arrival time of the last byte, without
+// blocking the caller (who charges op overhead via ChargeOp). The
+// injection is paced by the transport gap on the chosen channel, then
+// the message takes the software pipeline latency plus the fabric (or
+// shared-memory) journey.
 //
 // The two callbacks split the delivery by ownership: `remote` runs on
-// dst's engine (mutate target-rank state there — window memory,
-// receive queues, signals), `local` runs on the sender's engine at
-// the same timestamp (origin-side completion — outstanding-op
-// decrements, local conds). Either may be nil. When src and dst share
-// a node group both run, remote first, as one event.
-//
-// Same-node delivery is stateless (latency + memory bandwidth) and is
-// scheduled immediately; a cross-node journey reserves fabric link
-// bandwidth, so it is deferred to the window barrier where all
+// dst's engine (target-rank state: memory, receive queues, signals),
+// `local` on the sender's at the same timestamp (origin-side
+// completion). Either may be nil. When src and dst share a node group
+// both run, remote first, as one event. Same-node delivery is
+// stateless and scheduled at once; a cross-node journey reserves link
+// bandwidth, so it is deferred to the window barrier, where all
 // reservations apply in the global (at, sender) order.
 //
-// Inject allocates nothing once the endpoint's records are warm: the
-// barrier runs a pooled flight and each delivery is a pooled landing
-// (records.go). Callers that pass bound method values rather than
+// Inject allocates nothing once the endpoint's records are warm
+// (records.go), so callers that pass bound method values rather than
 // fresh closures keep the whole message path allocation-free.
 func (ep *Endpoint) Inject(tp machine.TransportParams, dst int, bytes int64, ch int, remote, local func(at sim.Time)) {
 	if dst < 0 || dst >= ep.world.Size() {
@@ -354,18 +343,14 @@ func (ep *Endpoint) WireLatency(dst int) sim.Time {
 // request flight, the remote AtomicTime service (where dst's engine
 // updates the word), and the response flight.
 //
-// Atomic request/response packets are tiny and bypass the data-path
-// gap pacing; hardware atomics ride a dedicated queue. Contention for
-// the remote location itself is serialized by atomicFree, mutated
-// only on the target's engine (owner-computes), so arbitration order
-// is the target group's event order — invariant under the worker
-// count. Cross-group flights reserve fabric links at the window
-// barrier; the response is scheduled strictly after the word is
-// updated, so the caller can never observe a result before the remote
-// mutation, under any perturbation.
-//
-// The transaction is a pooled atomicTxn (records.go): a warm
-// endpoint's atomic allocates nothing.
+// Atomic packets are tiny and ride a dedicated queue, bypassing the
+// data-path gap. Contention for the remote location is serialized by
+// atomicFree on the target's engine (owner-computes), so arbitration
+// follows the target group's event order, whatever the worker count.
+// Cross-group flights reserve fabric links at the window barrier; the
+// response leaves strictly after the word is updated, so no caller sees
+// a result before the remote mutation, under any perturbation. The
+// transaction is a pooled atomicTxn (records.go).
 func (ep *Endpoint) RemoteAtomic(p *sim.Proc, tp machine.TransportParams, dst int, mem *Mem, off int, cas bool, compare, operand uint64) uint64 {
 	ep.ChargeOp(p, tp)
 	t := ep.atomicTxn()

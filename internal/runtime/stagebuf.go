@@ -7,23 +7,17 @@ import (
 
 // Payload staging. A put stages the caller's bytes at issue time (the
 // origin buffer may be legally reused once the local completion lands,
-// which can precede the remote delivery event in real execution order)
-// and lands the staged copy in the target's memory from the delivery
-// closure. Only real bytes are staged: a blank payload (see Blank)
+// which can precede the remote delivery event) and lands the staged
+// copy in the target's memory at delivery. A blank payload (see Blank)
 // carries a length and nothing else, so Stage returns nil for it and
-// Land of nil writes nothing. The simulated cost of a message depends
-// on its length alone, so both forms charge identically.
+// Land of nil writes nothing; a message's simulated cost depends on its
+// length alone, so both forms charge identically.
 //
-// The staging copies come from a pool, which removes the dominant
-// allocation stream of the put workloads; it is safe because a
-// released buffer is never read again and every borrow overwrites the
-// full length it asked for. Borrow/Release are concurrency-safe:
-// delivery closures run on the target group's engine, which may be a
-// different goroutine than the origin's when window workers > 1.
-//
-// The pool holds *[]byte. A borrow parks the emptied pointer in
-// headerPool and a release reuses one from there, so a warm
-// borrow/release cycle allocates nothing.
+// Staging copies come from a concurrency-safe pool (the target group's
+// engine may run on another goroutine than the origin's): a released
+// buffer is never read again and every borrow overwrites the length it
+// asked for. The pool holds *[]byte; a borrow parks the emptied pointer
+// in headerPool for the next release, so a warm cycle allocates nothing.
 var stagePool, headerPool sync.Pool
 
 // blankBytes backs every blank payload. It is never written, so its

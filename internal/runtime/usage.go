@@ -6,27 +6,21 @@ import (
 )
 
 // Process-wide shard-utilization tally. Every completed World.Run
-// folds its coupled engine's execution summary in here so a
-// command-line binary can end with one stderr line proving the
-// grouped (sharded) path actually executed — see
-// cliflags.ReportShards. The tally never feeds back into simulation
-// state, so stdout determinism is untouched; commands running many
-// worlds concurrently (-jobs) serialize on the mutex only once per
-// world.
+// folds its engine's execution summary in here, so a command can end
+// with one stderr line proving the grouped path ran (see
+// cliflags.ReportShards). It never feeds back into simulation state,
+// and concurrent worlds take its mutex once each.
 
 // UsageSummary aggregates coupled-engine execution across every
 // world the process has run.
 type UsageSummary struct {
-	// Worlds counts completed World.Run calls; Grouped counts the
-	// subset whose fabric topology produced more than one node group
-	// (the worlds that exercise the window protocol).
-	Worlds  int
-	Grouped int
+	// Worlds counts completed World.Run calls, Grouped those whose
+	// fabric made more than one node group (the window protocol).
+	Worlds, Grouped int
 	// Windows is the total conservative windows executed.
 	Windows uint64
-	// Events sums executed events by node-group index (ragged across
-	// machines: index 0 aggregates every world's first group, and so
-	// on up to the largest group count seen).
+	// Events sums executed events by node-group index (ragged: index 0
+	// aggregates every world's first group, and so on).
 	Events []int64
 	// MaxGroups is the largest node-group count of any one world, and
 	// Imbalance the worst per-world ratio of the busiest group's
@@ -35,24 +29,20 @@ type UsageSummary struct {
 	Imbalance float64
 	// MaxWorkers is the largest window worker parallelism used.
 	MaxWorkers int
-	// Busy is the summed per-group busy time inside windows; divided
-	// by a command's wall time it gives the parallel-efficiency
-	// figure (see sim.CoupledEngine.BusyWall).
+	// Busy is the summed per-group busy time inside windows; over a
+	// command's wall time it is the parallel efficiency (see
+	// sim.CoupledEngine.BusyWall).
 	Busy time.Duration
-	// ExecWall, BarrierWall and ScanWall attribute the window loops'
-	// wall time to their three phases — group execution, barrier
-	// deferred-op application, and window-bound maintenance (min-tree
-	// reads plus active-set collection) — the engine-layer start of a
-	// Breaking-Band-style cost breakdown (see
-	// sim.CoupledEngine.PhaseWall).
-	ExecWall    time.Duration
-	BarrierWall time.Duration
-	ScanWall    time.Duration
+	// ExecWall, BarrierWall and ScanWall split the window loops' wall
+	// time into group execution, barrier deferred-op application and
+	// window-bound maintenance (min-tree reads plus active-set
+	// collection): the engine layer of a Breaking-Band-style cost
+	// breakdown (see sim.CoupledEngine.PhaseWall).
+	ExecWall, BarrierWall, ScanWall time.Duration
 	// Deliveries counts the events barrier ops scheduled on node
 	// groups, and ParDeliveries those the window worker pool applied
 	// (see sim.CoupledEngine.Deliveries).
-	Deliveries    uint64
-	ParDeliveries uint64
+	Deliveries, ParDeliveries uint64
 }
 
 var (

@@ -9,16 +9,17 @@ import (
 // Message-path benchmarks for the PGAS core, the shmem counterpart of
 // internal/mpi's BenchmarkMsgPath*. Each warms a world whose origin PE
 // 0 and target PE npes-1 sit in different node groups, so every put
-// and atomic between them crosses the window barrier. CI gates their
-// allocs/op (DESIGN.md §18).
+// and atomic between them, and every barrier round, crosses the window
+// barrier. CI gates their allocs/op (DESIGN.md §18).
 
 // msgPathWarmup is how many ops the origin runs before the timer
 // starts: enough to grow every pool and queue to its steady size.
 const msgPathWarmup = 64
 
 // benchMsgPath runs op on PE 0 of an npes-PE job over tr, first
-// msgPathWarmup times and then b.N times, and times the b.N.
-func benchMsgPath(b *testing.B, name string, tr machine.Transport, npes, groups int, op func(c *Ctx, peer int)) {
+// msgPathWarmup times and then b.N times, and times PE 0's b.N. With
+// every set, every PE runs op the same number of times.
+func benchMsgPath(b *testing.B, name string, tr machine.Transport, npes, groups int, every bool, op func(c *Ctx, peer int)) {
 	cfg, err := machine.Get(name)
 	if err != nil {
 		b.Fatal(err)
@@ -35,17 +36,22 @@ func benchMsgPath(b *testing.B, name string, tr machine.Transport, npes, groups 
 	}
 	b.ReportAllocs()
 	err = j.Launch(func(c *Ctx) {
-		if c.MyPE() != 0 {
+		origin := c.MyPE() == 0
+		if !origin && !every {
 			return
 		}
 		for i := 0; i < msgPathWarmup; i++ {
 			op(c, peer)
 		}
-		b.ResetTimer()
+		if origin {
+			b.ResetTimer()
+		}
 		for i := 0; i < b.N; i++ {
 			op(c, peer)
 		}
-		b.StopTimer()
+		if origin {
+			b.StopTimer()
+		}
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -62,13 +68,13 @@ func putSignalQuiet(c *Ctx, peer int) {
 // BenchmarkMsgPathGPUPutSignalQuiet is a device-initiated
 // put-with-signal and quiet between two GPUs of perlmutter-gpu.
 func BenchmarkMsgPathGPUPutSignalQuiet(b *testing.B) {
-	benchMsgPath(b, "perlmutter-gpu", machine.GPUShmem, 4, 4, putSignalQuiet)
+	benchMsgPath(b, "perlmutter-gpu", machine.GPUShmem, 4, 4, false, putSignalQuiet)
 }
 
 // BenchmarkMsgPathGPUFetchAdd is one remote fetch-and-add between two
 // GPUs of perlmutter-gpu.
 func BenchmarkMsgPathGPUFetchAdd(b *testing.B) {
-	benchMsgPath(b, "perlmutter-gpu", machine.GPUShmem, 4, 4, func(c *Ctx, peer int) {
+	benchMsgPath(b, "perlmutter-gpu", machine.GPUShmem, 4, 4, false, func(c *Ctx, peer int) {
 		c.AtomicFetchAdd(peer, 8, 1)
 	})
 }
@@ -77,5 +83,12 @@ func BenchmarkMsgPathGPUFetchAdd(b *testing.B) {
 // put-with-signal and the drain that waits for it, between the two
 // sockets of perlmutter-cpu.
 func BenchmarkMsgPathChannelPutSignalQuiet(b *testing.B) {
-	benchMsgPath(b, "perlmutter-cpu", machine.MemChannel, 128, 2, putSignalQuiet)
+	benchMsgPath(b, "perlmutter-cpu", machine.MemChannel, 128, 2, false, putSignalQuiet)
+}
+
+// BenchmarkMsgPathShmemBarrier is one barrier_all over the 4 GPUs of
+// perlmutter-gpu: a quiet and two dissemination rounds of 8-byte
+// signals per PE.
+func BenchmarkMsgPathShmemBarrier(b *testing.B) {
+	benchMsgPath(b, "perlmutter-gpu", machine.GPUShmem, 4, 4, true, func(c *Ctx, _ int) { c.Barrier() })
 }

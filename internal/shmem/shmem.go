@@ -12,33 +12,29 @@
 //   - GPUShmem: device-initiated puts, 1 op per put and 2 per fused
 //     put-with-signal; Quiet charges one op.
 //   - StreamTriggered (Bridges et al.): every put is a descriptor the
-//     host enqueues onto the PE's gpu.Stream for OpsPerMsg tiny
-//     enqueue ops, and the trigger engine fires it once its stream
-//     predecessor has completed; the put hook records the fire as the
-//     issue time. Tiny o at enqueue, TriggerLatency added to every
-//     message's latency. Quiet charges one op and waits for every
-//     descriptor to fire and deliver.
+//     host enqueues onto the PE's gpu.Stream for OpsPerMsg tiny ops; it
+//     fires TriggerLatency after its stream predecessor has completed,
+//     and the put hook records the fire as its issue time. Quiet
+//     charges one op and waits for every descriptor to fire and deliver.
 //   - MemChannel (RAMC, Schonbein et al.): every put is a write into
 //     the ordered runtime.Channel toward its destination, opened on
-//     the first write and charging its own op. The channel applies a
-//     write only after every earlier one on it, so ordering replaces
+//     the first write and charging its own op. Channel order replaces
 //     per-op completion and makes the signal correct; Quiet drains the
 //     PE's channels in destination order.
 //
-// Remote memory is internal/runtime's: each heap is a lazy runtime.Mem
-// (its data region below the signal words is made on first real use),
-// and puts and atomics run as runtime put records and word atomics.
+// Remote memory, puts, atomics and the barrier are internal/runtime's:
+// each heap is a lazy runtime.Mem, whose data region below the signal
+// words is made on first real use.
 //
 // GPU execution is modeled with contexts (Ctx): every PE gets one
-// kernel context, and ForkJoin spawns additional block contexts so
-// workloads can express the thread-block-level concurrency that gives
-// GPUs their messaging and compute throughput.
+// kernel context, and ForkJoin spawns block contexts for the
+// thread-block-level concurrency that gives GPUs their messaging and
+// compute throughput.
 package shmem
 
 import (
 	"cmp"
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"msgroofline/internal/gpu"
@@ -77,10 +73,8 @@ func NewJob(cfg *machine.Config, npes, heapBytes int) (*Job, error) {
 // heapBytes, with its signal words at [sigBase, heapBytes): they never
 // force the lazy data region below them into existence. shards is the
 // -shards worker count for the underlying world (see
-// runtime.NewWorldSharded: PEs are grouped by fabric node on the
-// coupled conservative-lookahead engine, and shards sets how many node
-// groups execute concurrently; results are byte-identical at every
-// shard count).
+// runtime.NewWorldSharded; results are byte-identical at every shard
+// count).
 func NewJobSharded(cfg *machine.Config, tr machine.Transport, npes, heapBytes, sigBase, shards int) (*Job, error) {
 	switch tr {
 	case machine.GPUShmem, machine.StreamTriggered, machine.MemChannel:
@@ -105,20 +99,18 @@ func NewJobSharded(cfg *machine.Config, tr machine.Transport, npes, heapBytes, s
 	j.done = j.completed
 	for pe := 0; pe < npes; pe++ {
 		eng := w.EngineOf(pe)
-		p := &PE{
-			job:      j,
-			id:       pe,
-			ep:       w.Endpoint(pe),
-			mem:      runtime.NewMem(heapBytes, sigBase),
-			landed:   sim.NewCond(eng),
-			quiesced: sim.NewCond(eng),
-			barSig:   make([]uint64, bits.Len(uint(npes-1))),
-			barCond:  sim.NewCond(eng),
-		}
+		p := &PE{job: j, id: pe, ep: w.Endpoint(pe), mem: runtime.NewMem(heapBytes, sigBase),
+			landed: sim.NewCond(eng), quiesced: sim.NewCond(eng)}
 		if tr == machine.StreamTriggered {
 			p.stream = gpu.NewStream(tp.TriggerLatency)
 		}
 		j.pes = append(j.pes, p)
+	}
+	bars := runtime.NewBarriers(w, runtime.BarrierCost{TP: tp, Bytes: 8},
+		func(pe int) *sim.Cond { return sim.NewCond(w.EngineOf(pe)) },
+		func(pe int) *sim.Cond { return j.pes[pe].quiesced })
+	for pe, b := range bars {
+		j.pes[pe].bar = b
 	}
 	return j, nil
 }
@@ -172,24 +164,18 @@ type PE struct {
 	id  int
 	ep  *runtime.Endpoint
 	mem runtime.Mem // the symmetric heap
-	// stream is the PE's device stream on StreamTriggered, nil
-	// otherwise.
-	stream *gpu.Stream
-	// chans holds the MemChannel channels this PE has written to,
+	// stream is the PE's device stream on StreamTriggered (nil
+	// otherwise); chans the MemChannel channels it has written to,
 	// sorted by Dst().
-	chans []*runtime.Channel
+	stream *gpu.Stream
+	chans  []*runtime.Channel
 
-	// outstanding counts injections not yet remotely complete: puts
-	// and barrier signals (channel writes are tracked by their
-	// channels).
-	outstanding int
-	landed      *sim.Cond // signaled when data lands in this PE's heap
-	quiesced    *sim.Cond // signaled when one of this PE's puts completes
-
-	barSig  []uint64 // barrier generation seen per dissemination round
-	barCond *sim.Cond
-	barSeq  int
-
+	// outstanding counts puts not yet remotely complete (channel
+	// writes are tracked by their channels, barrier signals by bar).
+	outstanding   int
+	landed        *sim.Cond // signaled when data lands in this PE's heap
+	quiesced      *sim.Cond // signaled when a put or barrier signal completes
+	bar           *runtime.Barrier
 	puts, atomics int64
 }
 
@@ -217,17 +203,17 @@ func (pe *PE) SetUint64At(off int, v uint64) { pe.mem.Store(off, v) }
 func (pe *PE) Stream() *gpu.Stream { return pe.stream }
 
 // Channels returns the memory channels this PE has written to, in
-// destination order, whose arrival logs feed the conformance
+// destination order, whose FIFO checks feed the conformance
 // channel-FIFO oracle.
 func (pe *PE) Channels() []*runtime.Channel { return pe.chans }
 
 // OpStats returns cumulative put and atomic counts for this PE.
 func (pe *PE) OpStats() (puts, atomics int64) { return pe.puts, pe.atomics }
 
-// Outstanding returns the number of this PE's injections still in
-// flight, channel writes excepted (conformance oracles check it is zero
-// after Quiet and at exit).
-func (pe *PE) Outstanding() int { return pe.outstanding }
+// Outstanding returns the number of this PE's puts and barrier
+// signals still in flight, channel writes excepted (conformance
+// oracles check it is zero after Quiet and at exit).
+func (pe *PE) Outstanding() int { return pe.outstanding + pe.bar.InFlight() }
 
 // Ctx is an execution context: the kernel main context created by
 // Launch, or a block context created by ForkJoin. All communication
@@ -369,14 +355,12 @@ func (pe *PE) channel(dst int) *runtime.Channel {
 	return pe.chans[i]
 }
 
-// completed retires one outstanding injection at its remote completion.
-func (pe *PE) completed(sim.Time) {
+// completed is the local half of src's puts, at their remote completion.
+func (j *Job) completed(src, _ int) {
+	pe := j.pes[src]
 	pe.outstanding--
 	pe.quiesced.Broadcast()
 }
-
-// completed is the local half of src's puts.
-func (j *Job) completed(src, _ int) { j.pes[src].completed(0) }
 
 // Quiet blocks until all puts issued by this PE have completed
 // remotely (nvshmem_quiet). GPUShmem and StreamTriggered charge one op;
@@ -390,7 +374,7 @@ func (c *Ctx) Quiet() {
 	for _, ch := range pe.chans {
 		ch.Drain(c.proc)
 	}
-	pe.quiesced.WaitFor(c.proc, func() bool { return pe.outstanding == 0 })
+	pe.quiesced.WaitFor(c.proc, func() bool { return pe.Outstanding() == 0 })
 }
 
 // WaitUntilAll blocks until every listed local signal slot equals
@@ -438,30 +422,11 @@ func (c *Ctx) atomic(dst, off int, cas bool, compare, operand uint64) uint64 {
 	return pe.ep.RemoteAtomic(c.proc, pe.job.tp, dst, &pe.job.pes[dst].mem, off, cas, compare, operand)
 }
 
-// Barrier synchronizes all PEs (nvshmem_barrier_all): quiet, then a
-// dissemination exchange of raw 8-byte injections (outside any stream
-// or channel, not traced), paying log2(NPEs) small-message latencies.
-//
-// Round r has exactly one sender, PE me-2^r, so barSig[r] holds the
-// newest barrier generation that sender has signalled. A signal is
-// stored as a maximum: the sender only reaches barrier b+1 after
-// finishing barrier b, so a newer generation also vouches for every
-// older one, and a late signal of an older barrier never lowers it.
+// Barrier synchronizes all PEs (nvshmem_barrier_all): quiet, then
+// runtime's dissemination barrier of raw 8-byte signals (outside any
+// stream or channel, not traced), one op per round, paying log2(NPEs)
+// small-message latencies. Quiet also waits for its signals.
 func (c *Ctx) Barrier() {
 	c.Quiet()
-	pe := c.pe
-	job := pe.job
-	n := job.NPEs()
-	pe.barSeq++
-	gen := uint64(pe.barSeq)
-	for r, k := 0, 1; k < n; r, k = r+1, k<<1 {
-		dst := job.pes[(pe.id+k)%n]
-		pe.ep.ChargeOp(c.proc, job.tp)
-		pe.outstanding++
-		pe.ep.Inject(job.tp, dst.id, 8, pe.ep.AutoChannel(), func(sim.Time) {
-			dst.barSig[r] = max(dst.barSig[r], gen)
-			dst.barCond.Broadcast()
-		}, pe.completed)
-		pe.barCond.WaitFor(c.proc, func() bool { return pe.barSig[r] >= gen })
-	}
+	c.pe.bar.Wait(c.proc)
 }

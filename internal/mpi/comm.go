@@ -154,6 +154,7 @@ type Rank struct {
 	// only from this rank's engine: taken to send, returned once matched.
 	envs  *envelope
 	nenvs int
+	get   *getRec // made on the first Get
 }
 
 // envelope is a two-sided message: in flight, then delivered and

@@ -133,43 +133,69 @@ func (w *Win) put(r *Rank, dst, off int) runtime.Put {
 		Issue: r.proc.Now(), Hook: w.hook, Done: w.done}
 }
 
-// Get fetches n bytes from src's window at srcOff. It blocks until
-// the data arrives (put semantics reversed: a request flight, then
-// the payload rides the fabric back reserving reverse-path links).
-func (r *Rank) Get(w *Win, src, srcOff, n int) []byte {
-	w.checkRange(src, srcOff, n)
+// Get fills buf with len(buf) bytes of src's window at srcOff, like
+// MPI_Get into an origin buffer. It blocks until the data arrives (put
+// semantics reversed: a request flight, then the payload rides the
+// fabric back reserving reverse-path links).
+func (r *Rank) Get(w *Win, src, srcOff int, buf []byte) {
+	w.checkRange(src, srcOff, len(buf))
 	r.ep.ChargeOp(r.proc, r.comm.one)
-	me := r.id
-	w.gets[me]++
+	w.gets[r.id]++
+	g := r.get
+	if g == nil {
+		g = &getRec{r: r}
+		g.serve, g.request, g.arrive, g.ready = g.runServe, g.runRequest, g.runArrive, g.isDone
+		r.get = g
+	}
 	world := r.comm.world
 	now := r.proc.Now()
-	reqArrive := now + r.ep.WireLatency(src) + r.comm.one.SoftLatency/2
-	var out []byte
-	srcEp := world.Endpoint(src)
-	// serve runs on src's engine (owner-computes): read the exposed
-	// memory there and inject the payload back toward the origin.
-	serve := func() {
-		data := make([]byte, n)
-		copy(data, w.View(src, srcOff, n))
-		srcEp.Inject(r.comm.one, me, int64(n), srcEp.AutoChannel(), func(at sim.Time) {
-			out = data
-			w.originDone[me].Broadcast()
-		}, nil)
-	}
-	if world.GroupOf(me) == world.GroupOf(src) {
-		world.EngineOf(me).At(reqArrive, serve)
+	g.w, g.src, g.off, g.buf, g.done = w, src, srcOff, buf, false
+	g.at = now + r.ep.WireLatency(src) + r.comm.one.SoftLatency/2
+	if world.GroupOf(r.id) == world.GroupOf(src) {
+		world.EngineOf(r.id).At(g.at, g.serve)
 	} else {
 		// Cross-group: route the request through the barrier so the
 		// event lands on src's engine without racing its window. The
-		// request flight is at least one link latency, so reqArrive is
-		// past the window bound by construction.
-		world.Coupled().Defer(me, now, func() {
-			world.Coupled().At(src, reqArrive, serve)
-		})
+		// request flight is at least one link latency, so g.at is past
+		// the window bound by construction.
+		world.Coupled().Defer(r.id, now, g.request)
 	}
-	w.originDone[me].WaitFor(r.proc, func() bool { return out != nil })
-	return out
+	w.originDone[r.id].WaitFor(r.proc, g.ready)
 }
+
+// getRec is a rank's Get in flight, made on its first Get and reused
+// after: Get blocks, so a rank has at most one. Its methods are bound
+// once, so a Get allocates nothing.
+type getRec struct {
+	r        *Rank
+	w        *Win
+	src, off int
+	buf      []byte
+	at       sim.Time // the request's arrival at src
+	done     bool
+
+	serve, request func()
+	arrive         func(at sim.Time)
+	ready          func() bool
+}
+
+// runServe runs on src's engine (owner-computes): it reads the exposed
+// memory there into the origin's buffer, which the origin does not
+// touch until runArrive, and injects the payload back toward it.
+func (g *getRec) runServe() {
+	copy(g.buf, g.w.View(g.src, g.off, len(g.buf)))
+	ep := g.r.comm.world.Endpoint(g.src)
+	ep.Inject(g.r.comm.one, g.r.id, int64(len(g.buf)), ep.AutoChannel(), g.arrive, nil)
+}
+
+func (g *getRec) runRequest() { g.r.comm.world.Coupled().At(g.src, g.at, g.serve) }
+
+func (g *getRec) runArrive(sim.Time) {
+	g.done = true
+	g.w.originDone[g.r.id].Broadcast()
+}
+
+func (g *getRec) isDone() bool { return g.done }
 
 // Flush blocks until every put this rank issued to dst has completed
 // in dst's memory (MPI_Win_flush).

@@ -128,8 +128,9 @@ func TestGetRoundTrip(t *testing.T) {
 	var elapsed sim.Time
 	err := c.Launch(func(r *Rank) {
 		if r.Rank() == 0 {
+			got = make([]byte, 3)
 			start := r.Now()
-			got = r.Get(w, 1, 1, 3)
+			r.Get(w, 1, 1, got)
 			elapsed = r.Now() - start
 		}
 	})
@@ -178,8 +179,9 @@ func TestCrossNodeGet(t *testing.T) {
 				return
 			}
 			i := r.Rank() / 127
+			res.got[i] = make([]byte, 8)
 			start := r.Now()
-			res.got[i] = r.Get(w, 127-r.Rank(), 0, 8)
+			r.Get(w, 127-r.Rank(), 0, res.got[i])
 			res.elapsed[i] = r.Now() - start
 		})
 		if err != nil {
@@ -343,7 +345,7 @@ func TestOpStats(t *testing.T) {
 		if r.Rank() == 0 {
 			r.Put(w, 1, 0, []byte{1})
 			r.Flush(w, 1)
-			r.Get(w, 1, 0, 1)
+			r.Get(w, 1, 0, make([]byte, 1))
 			r.CompareAndSwap(w, 1, 8, 0, 1)
 		}
 	})

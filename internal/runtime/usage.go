@@ -3,6 +3,8 @@ package runtime
 import (
 	"sync"
 	"time"
+
+	"msgroofline/internal/sim"
 )
 
 // Process-wide shard-utilization tally. Every completed World.Run
@@ -40,9 +42,14 @@ type UsageSummary struct {
 	// breakdown (see sim.CoupledEngine.PhaseWall).
 	ExecWall, BarrierWall, ScanWall time.Duration
 	// Deliveries counts the events barrier ops scheduled on node
-	// groups, and ParDeliveries those the window worker pool applied
-	// (see sim.CoupledEngine.Deliveries).
+	// groups, and ParDeliveries those in rounds opened to the window
+	// pool (see sim.CoupledEngine.Deliveries).
 	Deliveries, ParDeliveries uint64
+	// Pool sums the worlds' pooled-window counts: windows opened to
+	// the window pool, those that woke its helpers and those a helper
+	// joined, with the joins' summed delay (see
+	// sim.CoupledEngine.Pool).
+	Pool sim.PoolStats
 }
 
 var (
@@ -84,6 +91,12 @@ func noteUsage(w *World) {
 	all, par := w.eng.Deliveries()
 	usage.Deliveries += all
 	usage.ParDeliveries += par
+	p := w.eng.Pool()
+	usage.Pool.Pooled += p.Pooled
+	usage.Pool.Woken += p.Woken
+	usage.Pool.Joined += p.Joined
+	usage.Pool.Joins += p.Joins
+	usage.Pool.JoinWait += p.JoinWait
 }
 
 // Usage returns a copy of the process-wide shard-utilization tally.

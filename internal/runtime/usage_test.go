@@ -3,6 +3,7 @@ package runtime
 import (
 	"testing"
 
+	"msgroofline/internal/machine"
 	"msgroofline/internal/sim"
 )
 
@@ -64,5 +65,58 @@ func TestUsageFoldsWorldsSeparately(t *testing.T) {
 	}
 	if u.Imbalance != worst || worst <= 1.5 {
 		t.Fatalf("imbalance %v, want the imbalanced world's %v (> 1.5)", u.Imbalance, worst)
+	}
+}
+
+// TestUsageFoldsPoolStats runs two worlds with two window workers and
+// one with one: the tally's pool counts are the sums of the worlds'
+// own, every window of a two-worker world is pooled, and the
+// one-worker world pools none. A two-worker run's first pooled window
+// always wakes the helpers, so the woken count is folded too.
+func TestUsageFoldsPoolStats(t *testing.T) {
+	usageMu.Lock()
+	saved := usage
+	usage = UsageSummary{}
+	usageMu.Unlock()
+	defer func() {
+		usageMu.Lock()
+		usage = saved
+		usageMu.Unlock()
+	}()
+	cfg, err := machine.Get("dragonfly-1k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want sim.PoolStats
+	for _, c := range []struct{ ranks, shards int }{{16, 2}, {8, 2}, {8, 1}} {
+		w, err := NewWorldSharded(cfg, c.ranks, c.shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < c.ranks; r++ {
+			w.Spawn(r, "sleeper", func(p *sim.Proc) {
+				for i := 0; i < 1+r%3; i++ {
+					p.Sleep(sim.Microsecond)
+				}
+			})
+		}
+		if err := w.Run(); err != nil {
+			t.Fatal(err)
+		}
+		p := w.Coupled().Pool()
+		if c.shards > 1 && (p.Pooled == 0 || p.Pooled != w.Windows()) || c.shards == 1 && p.Pooled != 0 {
+			t.Fatalf("%d ranks at %d shards: %d of %d windows pooled", c.ranks, c.shards, p.Pooled, w.Windows())
+		}
+		want.Pooled += p.Pooled
+		want.Woken += p.Woken
+		want.Joined += p.Joined
+		want.Joins += p.Joins
+		want.JoinWait += p.JoinWait
+	}
+	if want.Woken == 0 {
+		t.Fatal("no window woke the helpers")
+	}
+	if u := Usage(); u.Pool != want || u.Worlds != 3 {
+		t.Fatalf("tally pool %+v over %d worlds, want %+v over 3", u.Pool, u.Worlds, want)
 	}
 }

@@ -11,8 +11,8 @@ package sim
 // (same node ⟺ stateless shared-memory delivery), each group owns a
 // private Engine, and every window executes each group's events in
 // [minNext, minNext+lookahead) — in parallel across up to `workers`
-// persistent pool workers — before a barrier applies the window's
-// deferred cross-group operations. A cross-group effect emitted
+// pool workers — before a barrier applies the window's deferred
+// cross-group operations. A cross-group effect emitted
 // inside a window lands at least `lookahead` later, so it can never
 // fall into its sender's own window.
 //
@@ -20,11 +20,11 @@ package sim
 // groups (a 10K-rank dragonfly decomposes into 1024 node groups, of
 // which only a few dozen are typically eligible per window):
 //
-//   - a persistent worker pool (startPool) replaces the historical
-//     goroutine-per-group-per-window spawns: long-lived workers claim
-//     blocks of the window's active set from an atomic cursor and time
-//     themselves once per window, so a window costs O(workers)
-//     channel operations and clock reads however many groups exist;
+//   - a window pool without a handshake (runPool): Run's goroutine
+//     claims blocks of the active set from an atomic cursor itself,
+//     long-lived helpers join through an open/in-flight gate, and they
+//     are woken only when the window's measured work can pay for
+//     their measured join delay;
 //   - active-group dispatch: only groups whose next event beats the
 //     window bound are dispatched; idle groups skip the dispatch, the
 //     clock reads, and the deferred-op scan entirely;
@@ -64,6 +64,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -96,8 +97,8 @@ type GroupStats struct {
 	// Executed is the number of events the group dispatched.
 	Executed int64
 	// Busy is the group's share of the run's busy time, attributed
-	// by executed events: busy time is measured once per inline run
-	// and once per pool worker and window, not per group. On a
+	// by executed events: busy time is measured once per inline run,
+	// or per pooled window for each worker that took part. On a
 	// single-core runner the sum of Busy over groups approaches the
 	// total wall time; on an N-core runner it approaches N times the
 	// wall time of the window execution.
@@ -132,15 +133,16 @@ type CoupledEngine struct {
 	counter []uint64       // per-rank deferred-op stream counters
 	ops     [][]deferredOp // per-group deferred ops this window
 	gerr    []error        // first group-confined error (Defer/At misuse)
+	gerrSet atomic.Bool    // some gerr is set: firstErr scans only then
 	mcap    int
 	maxEv   uint64
 
 	windows    uint64
 	dispatches uint64 // total group-window dispatches (sum of active-set sizes)
 	// busy is the run's summed busy time: the whole loop of an inline
-	// (workers <= 1) run, measured once, or each pool worker's time
-	// per window plus the windows a pool run executes inline.
-	// GroupStats attributes it to groups by executed events.
+	// (workers <= 1) run, measured once, or per pooled window the
+	// coordinator's time and each joined helper's. GroupStats
+	// attributes it to groups by executed events.
 	busy time.Duration
 	// Per-phase wall attribution of the window loop (PhaseWall):
 	// group execution, barrier deferred-op application, and
@@ -163,7 +165,7 @@ type CoupledEngine struct {
 	// the merge's cursor over them, and pend[w] buffers a round's
 	// deliveries to the groups g with g%workers == w. All are reused
 	// across windows. deliveries counts barrier-time At calls and
-	// parDeliveries those the pool applied.
+	// parDeliveries those in rounds opened to the pool.
 	inBarrier     bool
 	bops          []int32
 	runs, heads   [][]deferredOp
@@ -171,16 +173,23 @@ type CoupledEngine struct {
 	deliveries    uint64
 	parDeliveries uint64
 
-	// Persistent worker pool (workers > 1). w1, active and delivering
-	// (a pend task, not a window) are published before the start
-	// tokens are sent and the reports are read after the done tokens
-	// arrive, so the channel handshake orders every access. cursor
-	// hands out blocks of indices into active.
+	// Window pool (workers > 1; see runPool). The task (w1, active or
+	// pend, delivering, units, opened) and the slots change only while
+	// the gate (open, inflight) is closed and no helper is in flight.
 	w1         Time
-	cursor     atomic.Int64
+	units      int
 	delivering bool
-	wstart     []chan struct{}
-	wdone      chan poolDone
+	opened     time.Time
+	cursor     atomic.Int64
+	open       atomic.Bool
+	inflight   atomic.Int32
+	wake       []chan struct{} // per helper, 1-buffered
+	slots      []poolSlot      // per worker
+	// Wake policy (wakePays): running estimates and skipped windows.
+	perGroup, joinDelay time.Duration
+	skipped             int
+	pool                PoolStats
+	poolHook            func(w int) // test hook: runs as worker w enters a task
 
 	started bool
 }
@@ -318,6 +327,7 @@ func (ce *CoupledEngine) Defer(rank int, at Time, run func()) {
 		if ce.gerr[g] == nil {
 			ce.gerr[g] = fmt.Errorf("sim: coupled mailbox group %d over capacity %d (raise SetMailboxCap)",
 				g, ce.mcap)
+			ce.gerrSet.Store(true)
 		}
 		return
 	}
@@ -380,7 +390,7 @@ func (ce *CoupledEngine) Windows() uint64 { return ce.windows }
 func (ce *CoupledEngine) Dispatches() uint64 { return ce.dispatches }
 
 // Deliveries returns how many events barrier ops scheduled with At
-// and how many of them the worker pool applied.
+// and how many of them were in rounds opened to the window pool.
 func (ce *CoupledEngine) Deliveries() (all, parallel uint64) {
 	return ce.deliveries, ce.parDeliveries
 }
@@ -442,8 +452,12 @@ func (ce *CoupledEngine) BusyWall(wall time.Duration) float64 {
 	return float64(ce.busy) / float64(wall)
 }
 
-// firstErr collects the first group-confined error in group order.
+// firstErr collects the first group-confined error in group order,
+// scanning the groups only once one has recorded an error.
 func (ce *CoupledEngine) firstErr() error {
+	if !ce.gerrSet.Load() {
+		return nil
+	}
 	for _, err := range ce.gerr {
 		if err != nil {
 			return err
@@ -532,41 +546,25 @@ func (ce *CoupledEngine) Run() error {
 		if err != nil {
 			return err
 		}
-		if err := ce.firstErr(); err != nil {
-			return err
-		}
 		if ce.maxEv != 0 && ce.Executed() > ce.maxEv {
 			return fmt.Errorf("sim: coupled event limit %d exceeded at t=%v", ce.maxEv, ce.Elapsed())
 		}
 	}
 }
 
-// window executes one conservative window on every active group. With
-// one worker (or one active group) the groups run inline; with more,
-// the persistent pool workers claim blocks of the active set (see
-// claimBlocks); each group that ran is retired into its worker's run.
-// A worker panic is re-raised on the caller's goroutine so recovery
-// semantics match the sequential engine at every worker count. The
-// surfaced failure, error or panic, is the one of the lowest failing
-// group, the one an inline run stops at, so it is identical at every
-// worker count.
+// window executes one conservative window on every active group,
+// inline with one worker, else as a pool task (runPool), retiring each
+// group into its worker's run. The surfaced error or panic (re-raised
+// on Run's goroutine) is the lowest failing group's at every worker
+// count, the one an inline run stops at.
 func (ce *CoupledEngine) window(w1 Time) error {
 	ce.next = slices.Grow(ce.next[:0], len(ce.active))[:len(ce.active)]
 	if ce.workers <= 1 {
 		return ce.runInline(w1)
 	}
-	if len(ce.active) == 1 {
-		// One eligible group: skip the pool handshake. Inline panics
-		// propagate natively — observably identical to the pool's
-		// recover/re-raise.
-		t0 := time.Now()
-		err := ce.runInline(w1)
-		ce.busy += time.Since(t0)
-		return err
-	}
 	ce.w1 = w1
-	ce.cursor.Store(0)
-	return ce.runPool(len(ce.active))
+	ce.pool.Pooled++
+	return ce.runPool(len(ce.active), ce.wakePays(len(ce.active)))
 }
 
 // runInline runs the window's active groups on Run's goroutine.
@@ -599,20 +597,130 @@ func (ce *CoupledEngine) take(w int, g int32) {
 	ce.ops[g] = ce.ops[g][:0]
 }
 
-// runPool hands one task (a window, or pend when delivering) to every
-// pool worker and waits for all of them. It surfaces the lowest
-// failure among n task indices (active-set positions, or workers when
-// delivering): a panic is re-raised, an error returned.
-func (ce *CoupledEngine) runPool(n int) error {
-	for _, ch := range ce.wstart {
-		ch <- struct{}{}
+// PoolStats counts a run's windows on the pool (workers > 1): opened
+// to it, that woke the helpers, and that a helper joined, with every
+// helper join of a window or delivery round and its summed delay.
+type PoolStats struct {
+	Pooled, Woken, Joined, Joins uint64
+	JoinWait                     time.Duration
+}
+
+// Pool returns the run's pooled-window counts.
+func (ce *CoupledEngine) Pool() PoolStats { return ce.pool }
+
+// poolSlot is a worker's part of the current task: its lowest failing
+// unit (the task's length if none) with the error or recovered panic,
+// and, for a helper that joined, its join delay and busy time.
+type poolSlot struct {
+	fail       int
+	err        error
+	panic      any
+	joined     bool
+	join, busy time.Duration
+}
+
+// claimsPerWorker is how many blocks of the active set each worker
+// claims in an evenly loaded window; the block size follows from it,
+// the active-set size and the worker count. At 8, a worker idles at
+// most about one eighth of its share waiting for the last block, and a
+// window of tens of thousands of active groups costs tens of cursor
+// claims instead of one per group.
+const claimsPerWorker = 8
+
+// Wake policy: a window wakes the helpers only when its expected work,
+// active groups × perGroup, exceeds wakeRatio × their join delay, so a
+// helper that joins in time still finds a quarter of it; the first
+// window and every reprobeEvery-th skipped one wake them anyway. On a
+// 2-vCPU KVM host helpers join 60–450 µs after the opening: the 1K
+// hashtable's windows (65–128 groups at about 500 ns) stay on the
+// coordinator, the 10K stencil's and phold-100k's wake the helpers.
+// The estimates weight a new sample 1/2^estShift.
+const (
+	wakeRatio    = 2
+	reprobeEvery = 64
+	estShift     = 3
+)
+
+// wakePays reports whether a window of n active groups wakes the
+// helpers; a one-group window's one block is the coordinator's.
+func (ce *CoupledEngine) wakePays(n int) bool {
+	if n > 1 && (time.Duration(n)*ce.perGroup > wakeRatio*ce.joinDelay || ce.skipped >= reprobeEvery) {
+		ce.skipped = 0
+		return true
 	}
-	first := poolDone{fail: n}
-	for range ce.wstart {
-		d := <-ce.wdone
-		ce.busy += d.busy
-		if d.fail < first.fail {
-			first = d
+	ce.skipped++
+	return false
+}
+
+// runPool runs a task of n units (active-set positions, or pend shares
+// when delivering) with Run's goroutine as worker 0 and surfaces the
+// lowest failing unit's panic (re-raised) or error.
+//
+// The gate: the coordinator publishes the task, sets open, wakes the
+// helpers (non-blocking sends) if wake is set and claims blocks itself.
+// When it stops claiming it clears open and yields while inflight is
+// not zero. A helper enters inflight before it reads open, claims only
+// if the task is open, and leaves inflight when done. Go's atomics are
+// sequentially consistent: either the helper's entry precedes the
+// close and the coordinator waits for it, or the helper reads the
+// close and touches nothing. So no window waits for a helper that has
+// not joined, and the atomics order the task before a helper's reads
+// and its slot and run before the coordinator's.
+//
+// Claims are monotone and a worker runs its blocks in order up to its
+// first failure, so the lowest failure recorded is the one an inline
+// run stops at; what nobody claimed lies above the coordinator's.
+func (ce *CoupledEngine) runPool(n int, wake bool) error {
+	for w := range ce.slots {
+		ce.slots[w] = poolSlot{fail: n}
+	}
+	ce.units = n
+	ce.cursor.Store(0)
+	ce.opened = time.Now()
+	ce.open.Store(true)
+	for i := 0; wake && i < len(ce.wake); i++ {
+		select {
+		case ce.wake[i] <- struct{}{}:
+		default:
+		}
+	}
+	if ce.poolHook != nil {
+		ce.poolHook(0)
+	}
+	ce.claim(0)
+	ce.open.Store(false)
+	for ce.inflight.Load() != 0 {
+		runtime.Gosched()
+	}
+	span := time.Since(ce.opened)
+	busy, first, joined := span, &ce.slots[0], false
+	for w := 1; w < len(ce.slots); w++ {
+		s := &ce.slots[w]
+		if wake {
+			// A helper that missed the task waited at least its span.
+			d := span
+			if s.joined {
+				d = s.join
+			}
+			ce.joinDelay += (d - ce.joinDelay) >> estShift
+		}
+		if s.joined {
+			joined, busy = true, busy+s.busy
+			ce.pool.Joins++
+			ce.pool.JoinWait += s.join
+		}
+		if s.fail < first.fail {
+			first = s
+		}
+	}
+	if !ce.delivering {
+		ce.busy += busy
+		ce.perGroup += (busy/time.Duration(n) - ce.perGroup) >> estShift
+		if wake {
+			ce.pool.Woken++
+		}
+		if joined {
+			ce.pool.Joined++
 		}
 	}
 	if first.panic != nil {
@@ -621,110 +729,94 @@ func (ce *CoupledEngine) runPool(n int) error {
 	return first.err
 }
 
-// claimsPerWorker is how many blocks of the active set each pool
-// worker claims in an evenly loaded window; the block size follows
-// from it, the active-set size and the worker count. More, smaller
-// blocks even out the workers' finishing times; fewer cut the
-// shared-cursor traffic. At 8, a worker idles at most about one
-// eighth of its share waiting for the last block, and a window of
-// tens of thousands of active groups costs tens of cursor claims
-// instead of one per group.
-const claimsPerWorker = 8
-
-// poolDone is one pool worker's report for one task: its busy time
-// (windows only) and, when a group or a delivery failed, the group's
-// index in the active set or the worker's index, with its error or
-// recovered panic (fail is the task's length otherwise).
-type poolDone struct {
-	busy  time.Duration
-	fail  int
-	err   error
-	panic any
-}
-
-// startPool launches the persistent window workers. Workers park on
-// their start channels between tasks and exit when Run closes them.
-func (ce *CoupledEngine) startPool() {
-	ce.wdone = make(chan poolDone, ce.workers)
-	ce.wstart = make([]chan struct{}, ce.workers)
-	for w := range ce.wstart {
-		ce.wstart[w] = make(chan struct{}, 1)
-		go ce.poolWorker(w, ce.wstart[w])
+// claim runs worker w's part of the open task: blocks of units from
+// the cursor, in order, up to a failing unit it records in w's slot.
+// A worker sorts only the run it filled.
+func (ce *CoupledEngine) claim(w int) {
+	s, n, block := &ce.slots[w], ce.units, int64(1)
+	if !ce.delivering {
+		block = int64(max(1, n/(claimsPerWorker*ce.workers)))
 	}
-}
-
-// stopPool retires the workers (deferred from Run, so the pool dies
-// with the run whether it completed, errored, or panicked).
-func (ce *CoupledEngine) stopPool() {
-	for _, ch := range ce.wstart {
-		close(ch)
-	}
-}
-
-// poolWorker is persistent worker w: per start token it either applies
-// its share of the barrier's deliveries or claims blocks of the active
-// set until none remain, then reports. A window's clock starts after
-// the start token arrives, so pool wait time is never counted as busy.
-func (ce *CoupledEngine) poolWorker(w int, start chan struct{}) {
-	for range start {
-		if ce.delivering {
-			ce.wdone <- ce.deliverShare(w)
-			continue
-		}
-		t0 := time.Now()
-		d := ce.claimBlocks(w)
-		d.busy = time.Since(t0)
-		ce.wdone <- d
-	}
-}
-
-// claimBlocks runs blocks of consecutive active-set indices claimed
-// from the shared cursor, each in ascending order, and stops at the
-// first group that fails. Claims are monotone, so every index below a
-// failing one was claimed before it; a lower failure, if any, is
-// reported by whichever worker holds it, and the window surfaces the
-// lowest reported. Once the blocks run out, worker w sorts its run.
-func (ce *CoupledEngine) claimBlocks(w int) (d poolDone) {
-	n := len(ce.active)
-	block := int64(max(1, n/(claimsPerWorker*ce.workers)))
 	defer func() {
 		if r := recover(); r != nil {
-			d.panic = r
+			s.panic = r
 		}
 	}()
 	for {
 		lo := ce.cursor.Add(block) - block
 		if lo >= int64(n) {
-			sortOps(ce.runs[w])
-			return poolDone{fail: n}
-		}
-		hi := min(lo+block, int64(n))
-		for d.fail = int(lo); d.fail < int(hi); d.fail++ {
-			if d.err = ce.subs[ce.active[d.fail]].RunBefore(ce.w1); d.err != nil {
-				return d
+			s.fail = n
+			if !ce.delivering {
+				sortOps(ce.runs[w])
 			}
-			ce.retire(w, d.fail)
+			return
+		}
+		for s.fail = int(lo); s.fail < int(min(lo+block, int64(n))); s.fail++ {
+			if ce.delivering {
+				ce.applyShare(s.fail)
+				continue
+			}
+			if s.err = ce.subs[ce.active[s.fail]].RunBefore(ce.w1); s.err != nil {
+				return
+			}
+			ce.retire(w, s.fail)
 		}
 	}
 }
 
-// parDeliveryMin is the smallest round of deliveries the pool applies.
-// A pool task costs 3–4 µs of handshakes and wake-ups; a delivery 15 ns
-// into a cached engine and 200–400 ns into a cold one. Two workers
-// break even near 500 cached deliveries, so 1024 cannot lose, and the
-// rounds that dominate barrier time (tens of thousands on phold-100k,
-// thousands on the 10K stencil) cross it.
+// startPool launches the helpers, parked on their wake channels until
+// stopPool (deferred from Run) closes them; the first window wakes them.
+func (ce *CoupledEngine) startPool() {
+	ce.skipped = reprobeEvery
+	ce.slots = make([]poolSlot, ce.workers)
+	ce.wake = make([]chan struct{}, ce.workers-1)
+	for i := range ce.wake {
+		ce.wake[i] = make(chan struct{}, 1)
+		go ce.helper(i+1, ce.wake[i])
+	}
+}
+
+func (ce *CoupledEngine) stopPool() {
+	for _, ch := range ce.wake {
+		close(ch)
+	}
+}
+
+// helper is worker w: on each wake it joins the task if it is still
+// open (see runPool) and claims blocks until none remain.
+func (ce *CoupledEngine) helper(w int, wake chan struct{}) {
+	for range wake {
+		if ce.poolHook != nil {
+			ce.poolHook(w)
+		}
+		ce.inflight.Add(1)
+		if ce.open.Load() {
+			t0 := time.Now()
+			s := &ce.slots[w]
+			s.joined, s.join = true, t0.Sub(ce.opened)
+			ce.claim(w)
+			s.busy = time.Since(t0)
+		}
+		ce.inflight.Add(-1)
+	}
+}
+
+// parDeliveryMin is the smallest round of deliveries opened to the
+// pool, as a task that always wakes the helpers. A delivery into a
+// cold engine costs 200–400 ns (15 ns into a cached one), so each of
+// two shares of 1024 takes 100–200 µs, about a helper's join delay; a
+// round done before a helper joins costs that helper's CPU, not the
+// coordinator's time. phold-100k's and the 10K stencil's large rounds
+// cross it; the 1K hashtable's of about 70 stay inline.
 const parDeliveryMin = 1024
 
 // deliver applies the round's buffered deliveries, each engine seeing
-// its At calls in call order, inline or, for a large round, on the
-// pool, worker w applying pend[w]. A panic is re-raised from the
-// lowest panicking worker, the one the inline order (pend[0] first)
-// stops at. One serial pass then publishes the events' times, so a
-// delivery that re-awakens a group (or moves its next event earlier)
-// shows in the next window's bound without a group scan. Window-time
-// At calls target the caller's group, which re-publishes wholesale
-// after the window, so only the barrier needs this.
+// its At calls in call order: inline, or for a large round as a pool
+// task whose unit w applies pend[w]. One serial pass then publishes
+// the events' times, so a delivery that re-awakens a group (or moves
+// its next event earlier) shows in the next window's bound without a
+// group scan. Window-time At calls target the caller's group, which
+// re-publishes wholesale after the window.
 func (ce *CoupledEngine) deliver() {
 	n := 0
 	for _, p := range ce.pend {
@@ -734,7 +826,7 @@ func (ce *CoupledEngine) deliver() {
 	if ce.workers > 1 && n >= parDeliveryMin {
 		ce.parDeliveries += uint64(n)
 		ce.delivering = true
-		ce.runPool(ce.workers)
+		ce.runPool(ce.workers, true)
 		ce.delivering = false
 	} else {
 		for w := range ce.pend {
@@ -759,18 +851,6 @@ func (ce *CoupledEngine) applyShare(w int) {
 		d := &pend[i]
 		d.t = ce.subs[d.g].At(d.t, d.fn)
 	}
-}
-
-// deliverShare is pool worker w's part of a delivery.
-func (ce *CoupledEngine) deliverShare(w int) (d poolDone) {
-	d.fail = ce.workers
-	defer func() {
-		if r := recover(); r != nil {
-			d.fail, d.panic = w, r
-		}
-	}()
-	ce.applyShare(w)
-	return d
 }
 
 // cmpOps orders deferred ops by (at, key). Keys embed each sender's

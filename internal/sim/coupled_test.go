@@ -212,47 +212,111 @@ func poolScenario(t *testing.T, c poolCase, workers int, misbehave func(ce *sim.
 	return ce
 }
 
+// poolModes choose who claims a pooled task's blocks: whoever gets
+// there ("any"), the coordinator alone, with every helper held out of
+// the pool until the run ends ("held"), or the helpers first, with the
+// coordinator pausing after it opens the gate until a helper it woke
+// is about to join, and 1 ms more ("late"). The first pooled window
+// always wakes the helpers. checkJoins fails a test in which a held
+// helper joined, or no late run was joined by a helper.
+var poolModes = []string{"any", "held", "late"}
+
+// armPool installs mode's pool hook on ce and returns what releases it.
+func armPool(ce *sim.CoupledEngine, mode string) (release func()) {
+	switch mode {
+	case "held":
+		hold := make(chan struct{})
+		sim.SetPoolHook(ce, func(w int) {
+			if w > 0 {
+				<-hold
+			}
+		})
+		return func() { close(hold) }
+	case "late":
+		entered := make(chan struct{}, 1)
+		sim.SetPoolHook(ce, func(w int) {
+			if w > 0 {
+				select {
+				case entered <- struct{}{}:
+				default:
+				}
+				return
+			}
+			select {
+			case <-entered:
+			case <-time.After(100 * time.Millisecond):
+			}
+			time.Sleep(time.Millisecond)
+		})
+	}
+	return func() {}
+}
+
+// checkJoins records run ce of mode in lateJoins, and fails t if a held
+// helper joined.
+func checkJoins(t *testing.T, ce *sim.CoupledEngine, mode string, lateJoins *uint64) {
+	t.Helper()
+	j := ce.Pool().Joined
+	if mode == "held" && j != 0 {
+		t.Fatalf("workers=%d: a held helper joined %d windows", ce.Workers(), j)
+	}
+	if mode == "late" {
+		*lateJoins += j
+	}
+}
+
 // TestCoupledPoolErrorPropagation pins the worker-pool error contract:
 // when several groups fail in one window, the surfaced error is the
 // lowest-numbered failing group's, and the error string is identical
-// at every worker count of each scenario.
+// at every worker count of each scenario, whether the coordinator, the
+// helpers or both claimed the failing blocks.
 func TestCoupledPoolErrorPropagation(t *testing.T) {
+	var lateJoins uint64
 	for _, c := range poolCases {
 		var want string
 		for _, workers := range c.workers {
-			ce := poolScenario(t, c, workers, func(ce *sim.CoupledEngine, g int) {
-				ce.Sub(g).Spawn("bad", func(p *sim.Proc) {
-					// Exceed the event limit inside the window; each
-					// failing group trips it at its own simulated
-					// time, so error strings differ and ordering
-					// mistakes show.
-					for i := 0; i < 100; i++ {
-						p.Sleep(sim.Nanosecond * sim.Time(1+g))
-					}
+			for _, mode := range poolModes {
+				ce := poolScenario(t, c, workers, func(ce *sim.CoupledEngine, g int) {
+					ce.Sub(g).Spawn("bad", func(p *sim.Proc) {
+						// Exceed the event limit inside the window; each
+						// failing group trips it at its own simulated
+						// time, so error strings differ and ordering
+						// mistakes show.
+						for i := 0; i < 100; i++ {
+							p.Sleep(sim.Nanosecond * sim.Time(1+g))
+						}
+					})
 				})
-			})
-			ce.SetEventLimit(20)
-			err := ce.Run()
-			if err == nil {
-				t.Fatalf("groups=%d workers=%d: want event-limit error", c.groups, workers)
-			}
-			if !strings.Contains(err.Error(), "event limit") {
-				t.Fatalf("groups=%d workers=%d: unexpected error %v", c.groups, workers, err)
-			}
-			if want == "" {
-				want = err.Error()
-			} else if err.Error() != want {
-				t.Fatalf("groups=%d workers=%d: error %q != workers=1 error %q", c.groups, workers, err.Error(), want)
+				ce.SetEventLimit(20)
+				release := armPool(ce, mode)
+				err := ce.Run()
+				release()
+				if err == nil {
+					t.Fatalf("groups=%d workers=%d %s: want event-limit error", c.groups, workers, mode)
+				}
+				if !strings.Contains(err.Error(), "event limit") {
+					t.Fatalf("groups=%d workers=%d %s: unexpected error %v", c.groups, workers, mode, err)
+				}
+				checkJoins(t, ce, mode, &lateJoins)
+				if want == "" {
+					want = err.Error()
+				} else if err.Error() != want {
+					t.Fatalf("groups=%d workers=%d %s: error %q != workers=1 error %q", c.groups, workers, mode, err.Error(), want)
+				}
 			}
 		}
+	}
+	if lateJoins == 0 {
+		t.Fatal("no helper joined a late run")
 	}
 }
 
 // TestCoupledPoolPanicPropagation pins the panic contract: a panic in
 // an event closure or a process body executes on whichever pool
-// worker dispatched it and must be re-raised on Run's goroutine; the
-// chosen panic is the lowest-numbered panicking group's at every
-// worker count of each scenario.
+// worker dispatched it, the coordinator or a helper, and must be
+// re-raised on Run's goroutine; the chosen panic is the
+// lowest-numbered panicking group's at every worker count of each
+// scenario.
 func TestCoupledPoolPanicPropagation(t *testing.T) {
 	misbehave := []struct {
 		kind string
@@ -270,20 +334,69 @@ func TestCoupledPoolPanicPropagation(t *testing.T) {
 			})
 		}},
 	}
+	var lateJoins uint64
 	for _, m := range misbehave {
 		for _, c := range poolCases {
 			want := fmt.Sprintf("boom-%d", c.bad[0])
 			for _, workers := range c.workers {
-				ce := poolScenario(t, c, workers, m.bad)
-				got := func() (r any) {
-					defer func() { r = recover() }()
-					_ = ce.Run()
-					return nil
-				}()
-				if got != want {
-					t.Fatalf("%s groups=%d workers=%d: recovered %v, want %s", m.kind, c.groups, workers, got, want)
+				for _, mode := range poolModes {
+					ce := poolScenario(t, c, workers, m.bad)
+					release := armPool(ce, mode)
+					got := func() (r any) {
+						defer func() { r = recover() }()
+						_ = ce.Run()
+						return nil
+					}()
+					release()
+					if got != want {
+						t.Fatalf("%s groups=%d workers=%d %s: recovered %v, want %s", m.kind, c.groups, workers, mode, got, want)
+					}
+					checkJoins(t, ce, mode, &lateJoins)
 				}
 			}
+		}
+	}
+	if lateJoins == 0 {
+		t.Fatal("no helper joined a late run")
+	}
+}
+
+// TestCoupledPoolNeverWaitsForParkedHelper holds every helper out of
+// the pool for the whole run. The coordinator must then run every
+// window and every delivery round alone, without waiting for a helper
+// it woke, and the storms must match their workers=1 runs: the
+// 64-group storm, and the 8192-group one whose rounds are opened to
+// the pool.
+func TestCoupledPoolNeverWaitsForParkedHelper(t *testing.T) {
+	for _, groups := range []int{64, 8192} {
+		ref := simbench.CoupledWindows(groups, 1, 30000, 7)
+		ce, err := simbench.NewCoupledWindows(groups, 4, 30000, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		release := armPool(ce, "held")
+		done := make(chan error, 1)
+		go func() { done <- ce.Run() }()
+		select {
+		case err = <-done:
+		case <-time.After(time.Minute):
+			t.Fatalf("groups=%d: the run waited for a held helper", groups)
+		}
+		release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ce.Digest() != ref.Digest() || ce.Executed() != ref.Executed() || ce.Elapsed() != ref.Elapsed() {
+			t.Fatalf("groups=%d: (digest,events,elapsed)=(%x,%d,%v) != workers=1 (%x,%d,%v)", groups,
+				ce.Digest(), ce.Executed(), ce.Elapsed(), ref.Digest(), ref.Executed(), ref.Elapsed())
+		}
+		p := ce.Pool()
+		if p.Pooled != ce.Windows() || p.Woken == 0 || p.Joined != 0 || p.Joins != 0 {
+			t.Fatalf("groups=%d: pool %+v over %d windows, want every window pooled, some woken, none joined",
+				groups, p, ce.Windows())
+		}
+		if _, par := ce.Deliveries(); groups == 8192 && par == 0 {
+			t.Fatalf("groups=%d: no delivery round was opened to the pool", groups)
 		}
 	}
 }
@@ -413,7 +526,7 @@ func TestCoupledWindowsWorkerInvariance(t *testing.T) {
 // TestCoupledParallelDeliveryMatchesInline pins the pool-applied
 // barrier deliveries against the inline ones. The token storm over
 // 8192 groups delivers rounds of thousands of events, above the
-// cutoff for pool delivery, so workers 2 and 4 apply them on the pool
+// cutoff for pool delivery, so workers 2 and 4 open them to the pool
 // while workers 1 schedules each on the spot; the event population,
 // its order and the end time must not change, with and without a
 // schedule perturbation. The 4096-group storm of

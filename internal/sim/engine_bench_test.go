@@ -56,9 +56,9 @@ func BenchmarkEngineTimerChurn(b *testing.B) {
 // the shape where block claims, the workers' sorted runs and pool
 // delivery matter. At more than one worker its barrier rounds deliver
 // about 1500 events, above the pool-delivery cutoff, and the benchmark
-// fails if none was applied on the pool. Steady state must stay at 0
-// allocs/op — the dispatch path (persistent pool, active-set
-// collection, horizon slots, min-tree maintenance) and the barrier
+// fails if no round was opened to the pool. Steady state must stay at
+// 0 allocs/op — the dispatch path (the pool's gate and wake policy,
+// active-set collection, horizon slots, min-tree maintenance) and the barrier
 // (per-worker runs, one follow-up batch, one delivery buffer) reuse
 // all storage across windows; ci.yml gates on it. On single-core
 // runners compare sim.busy_wall from the phold-100k benchmark
@@ -70,7 +70,7 @@ func BenchmarkEngineCoupledWindows(b *testing.B) {
 				b.ReportAllocs()
 				ce := simbench.CoupledWindows(groups, workers, b.N, 1)
 				if _, par := ce.Deliveries(); groups == 4096 && workers > 1 && b.N >= groups && par == 0 {
-					b.Fatalf("%d events: no barrier delivery ran on the pool", b.N)
+					b.Fatalf("%d events: no delivery round was opened to the pool", b.N)
 				}
 				if ev := ce.Executed(); ev > 0 {
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ev), "ns/event")

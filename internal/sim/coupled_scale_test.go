@@ -149,9 +149,10 @@ func refApplyDeferred(ce *CoupledEngine) {
 	var batch []deferredOp
 	for {
 		batch = batch[:0]
-		for g := range ce.ops {
-			batch = append(batch, ce.ops[g]...)
-			ce.ops[g] = ce.ops[g][:0]
+		for g := range ce.groups {
+			gr := &ce.groups[g]
+			batch = append(batch, gr.mailbox...)
+			gr.mailbox = gr.mailbox[:0]
 		}
 		if len(batch) == 0 {
 			return

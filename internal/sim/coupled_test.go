@@ -526,12 +526,13 @@ func TestCoupledWindowsWorkerInvariance(t *testing.T) {
 // TestCoupledParallelDeliveryMatchesInline pins the pool-applied
 // barrier deliveries against the inline ones. The token storm over
 // 8192 groups delivers rounds of thousands of events, above the
-// cutoff for pool delivery, so workers 2 and 4 open them to the pool
-// while workers 1 schedules each on the spot; the event population,
-// its order and the end time must not change, with and without a
-// schedule perturbation. The 4096-group storm of
-// BenchmarkEngineCoupledWindows must take the pool path as well, so
-// its 0-alloc gate covers it.
+// cutoff for pool delivery, so workers 2, 3 and 4 open them to the
+// pool while workers 1 schedules each on the spot; the event
+// population, its order and the end time must not change, with and
+// without a schedule perturbation. 8192 groups do not split evenly
+// into 3 delivery shares, so workers 3 covers uneven ranges. The
+// 4096-group storm of BenchmarkEngineCoupledWindows must take the
+// pool path as well, so its 0-alloc gate covers it.
 func TestCoupledParallelDeliveryMatchesInline(t *testing.T) {
 	const groups, events = 8192, 30000
 	groupOf := make([]int, groups)
@@ -558,7 +559,7 @@ func TestCoupledParallelDeliveryMatchesInline(t *testing.T) {
 		return ce
 	}
 	ref := storm(1, nil)
-	for _, workers := range []int{2, 4} {
+	for _, workers := range []int{2, 3, 4} {
 		ce := storm(workers, nil)
 		if ce.Digest() != ref.Digest() || ce.Executed() != ref.Executed() || ce.Elapsed() != ref.Elapsed() {
 			t.Fatalf("workers=%d: (digest,events,elapsed)=(%x,%d,%v) != workers=1 (%x,%d,%v)",
@@ -579,5 +580,75 @@ func TestCoupledParallelDeliveryMatchesInline(t *testing.T) {
 	}
 	if _, par := simbench.CoupledWindows(4096, 2, 200000, 1).Deliveries(); par == 0 {
 		t.Fatal("the 4096-group benchmark storm never delivered on the pool")
+	}
+}
+
+// TestCoupledInlineOverflowKeepsSchedule pins a storm in which every
+// group outgrows the first slots its record holds: each of 256
+// two-rank groups starts with 12 pending events, all inside the first
+// window, so its event pool, heap and free list grow past them, and
+// every one of those events defers an op in that window, so its
+// mailbox does too. The barrier ops re-arm about 3000 tokens (rounds
+// large enough to be delivered on the pool). Digest, event count and
+// end time must equal the values the engine gave before groups kept
+// their first slots inline, at every worker count.
+func TestCoupledInlineOverflowKeepsSchedule(t *testing.T) {
+	const (
+		groups, perGroup, hops = 256, 12, 40000
+		wantDigest             = 0x196e297120551a16
+		wantEvents             = 43072
+		wantElapsed            = sim.Time(38553000)
+	)
+	groupOf := make([]int, 2*groups)
+	for r := range groupOf {
+		groupOf[r] = r / 2
+	}
+	const la = 2 * sim.Microsecond
+	for _, workers := range []int{1, 2, 4} {
+		ce, err := sim.NewCoupled(groupOf, la, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Per-rank LCG streams, drawn only by barrier ops (one total
+		// order), so the storm is the same at every worker count.
+		rng := make([]uint64, len(groupOf))
+		for r := range rng {
+			rng[r] = uint64(r)*0x9e3779b97f4a7c15 + 1
+		}
+		draw := func(r int) uint64 {
+			rng[r] = rng[r]*6364136223846793005 + 1442695040888963407
+			return rng[r] >> 17
+		}
+		left := hops
+		var ev func(r int) func()
+		ev = func(r int) func() {
+			return func() {
+				now := ce.EngineOf(r).Now()
+				ce.Defer(r, now, func() {
+					if left <= 0 {
+						return
+					}
+					left--
+					dst := int(draw(r) % uint64(len(groupOf)))
+					ce.At(dst, now+la+sim.Time(draw(r)%1500)*sim.Nanosecond, ev(dst))
+				})
+			}
+		}
+		for r := range groupOf {
+			for i := 0; i < perGroup/2; i++ {
+				ce.EngineOf(r).At(sim.Time(i*300+r%7)*sim.Nanosecond, ev(r))
+			}
+		}
+		if err := ce.Run(); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if ce.Digest() != wantDigest || ce.Executed() != wantEvents || ce.Elapsed() != wantElapsed {
+			t.Fatalf("workers=%d: (digest,events,elapsed)=(%#x,%d,%d), want (%#x,%d,%d)",
+				workers, ce.Digest(), ce.Executed(), int64(ce.Elapsed()),
+				uint64(wantDigest), wantEvents, int64(wantElapsed))
+		}
+		if _, par := ce.Deliveries(); workers > 1 && par == 0 {
+			t.Fatalf("workers=%d: no delivery round was opened to the pool", workers)
+		}
 	}
 }

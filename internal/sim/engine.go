@@ -73,22 +73,24 @@ type Engine struct {
 	// perturb, when non-nil, enables the schedule-fuzzing mode of
 	// perturb.go: every allocation draws (or replays) one decision
 	// that may jitter the firing time and randomize the ordering key.
-	// perturbStream is this engine's decision-stream index within the
-	// perturbation (node-group index on a coupled world, 0 otherwise);
-	// perturbScript/perturbReplay hold the pre-sliced stream script.
-	perturb       *Perturbation
-	perturbStream int
-	perturbScript []PerturbDecision
-	perturbReplay bool
-	rngState      uint64
+	// It is kept out of line so unperturbed engines stay small.
+	perturb *perturbState
 }
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
-	return &Engine{
-		horizon: math.MaxInt64,
-		digest:  fnvOffsetBasis,
-	}
+	e := new(Engine)
+	e.init(nil, nil, nil)
+	return e
+}
+
+// init readies a zero Engine at time zero, its event pool, heap and
+// free list starting as the given empty slices: nil for NewEngine,
+// views of a group record's inline slots for NewCoupled. Past their
+// capacity, append moves each to the heap.
+func (e *Engine) init(nodes []eventNode, heap []heapEnt, free []int32) {
+	e.horizon, e.digest = math.MaxInt64, fnvOffsetBasis
+	e.nodes, e.heap, e.free = nodes, heap, free
 }
 
 // Now returns the current simulated time.

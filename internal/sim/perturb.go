@@ -110,23 +110,31 @@ func (e *Engine) setPerturbationStream(p *Perturbation, stream int) {
 	if e.seq != 0 || e.nowLen != 0 || len(e.heap) != 0 {
 		panic("sim: SetPerturbation on an engine with scheduled events")
 	}
-	e.perturb = p
-	e.perturbStream = stream
-	e.perturbScript = nil
-	e.perturbReplay = false
+	e.perturb = nil
 	if p == nil {
 		return
 	}
-	e.rngState = streamSeed(p.Seed, stream)
+	e.perturb = &perturbState{Perturbation: p, stream: stream, rng: streamSeed(p.Seed, stream)}
 	if p.Record {
 		for len(p.traces) <= stream {
 			p.traces = append(p.traces, nil)
 		}
 	}
 	if p.Script != nil {
-		e.perturbReplay = true
-		e.perturbScript = streamScript(p.Script, p.StreamLens, stream)
+		e.perturb.replay = true
+		e.perturb.script = streamScript(p.Script, p.StreamLens, stream)
 	}
+}
+
+// perturbState is one engine's part of a perturbation: its
+// decision-stream index (node-group index on a coupled world, 0
+// otherwise), its pre-sliced replay script and its generator state.
+type perturbState struct {
+	*Perturbation
+	stream int
+	script []PerturbDecision
+	replay bool
+	rng    uint64
 }
 
 // streamSeed derives the decision-stream seed for one engine: stream 0
@@ -171,9 +179,9 @@ func streamScript(script []PerturbDecision, lens []int, stream int) []PerturbDec
 
 // rngNext is splitmix64: a tiny, stable PRNG so perturbed schedules
 // never depend on the Go version's math/rand internals.
-func (e *Engine) rngNext() uint64 {
-	e.rngState += 0x9e3779b97f4a7c15
-	z := e.rngState
+func (ps *perturbState) rngNext() uint64 {
+	ps.rng += 0x9e3779b97f4a7c15
+	z := ps.rng
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
@@ -185,20 +193,20 @@ func (e *Engine) rngNext() uint64 {
 func (e *Engine) perturbDecision(idx uint64) PerturbDecision {
 	p := e.perturb
 	var d PerturbDecision
-	if e.perturbReplay {
-		if int(idx) < len(e.perturbScript) {
-			d = e.perturbScript[idx]
+	if p.replay {
+		if int(idx) < len(p.script) {
+			d = p.script[idx]
 		}
 	} else {
 		if p.Reorder {
-			d.Prio = uint32(e.rngNext() >> 32)
+			d.Prio = uint32(p.rngNext() >> 32)
 		}
 		if p.MaxJitter > 0 {
-			d.Jitter = Time(e.rngNext() % uint64(p.MaxJitter+1))
+			d.Jitter = Time(p.rngNext() % uint64(p.MaxJitter+1))
 		}
 	}
 	if p.Record {
-		p.traces[e.perturbStream] = append(p.traces[e.perturbStream], d)
+		p.traces[p.stream] = append(p.traces[p.stream], d)
 	}
 	return d
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestTimeUnits(t *testing.T) {
@@ -362,8 +363,8 @@ func TestEngineAtAndExecuted(t *testing.T) {
 
 // TestNewEngineAllocatesOnce pins the engine's construction cost: one
 // allocation, the Engine itself. Process state (each Proc and its
-// coroutine) is made by Spawn, so the 100K process-free engines of a
-// large coupled world carry none.
+// coroutine) is made by Spawn. Coupled worlds do not call NewEngine:
+// their engines live in the group slab (TestNewCoupledAllocatesPerWorld).
 func TestNewEngineAllocatesOnce(t *testing.T) {
 	var e *Engine
 	if n := testing.AllocsPerRun(100, func() { e = NewEngine() }); n != 1 {
@@ -371,6 +372,31 @@ func TestNewEngineAllocatesOnce(t *testing.T) {
 	}
 	if e.Now() != 0 {
 		t.Fatalf("NewEngine starts at %v, want 0", e.Now())
+	}
+}
+
+// TestNewCoupledAllocatesPerWorld pins the coupled engine's
+// construction cost to a count that does not grow with the group
+// count: the group records are one slab, and each group's engine and
+// mailbox start in its record's inline slots. It also checks that a
+// record fills whole 64-byte cache lines.
+func TestNewCoupledAllocatesPerWorld(t *testing.T) {
+	allocs := func(groups int) float64 {
+		groupOf := make([]int, groups)
+		for g := range groupOf {
+			groupOf[g] = g
+		}
+		return testing.AllocsPerRun(10, func() {
+			if _, err := NewCoupled(groupOf, Microsecond, 2); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(64), allocs(8192); small != large {
+		t.Fatalf("NewCoupled made %v allocations for 64 groups and %v for 8192, want equal", small, large)
+	}
+	if size := unsafe.Sizeof(group{}); size%64 != 0 {
+		t.Fatalf("a group record is %d bytes, not whole 64-byte lines", size)
 	}
 }
 

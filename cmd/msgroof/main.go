@@ -27,7 +27,6 @@ import (
 	"msgroofline/internal/bench"
 	"msgroofline/internal/cliflags"
 	"msgroofline/internal/core"
-	"msgroofline/internal/loggp"
 	"msgroofline/internal/machine"
 	"msgroofline/internal/plot"
 	"msgroofline/internal/table"
@@ -99,7 +98,7 @@ func main() {
 	}
 	chart.Series = append(chart.Series, res.Series()...)
 	fmt.Println(chart.Render())
-	fmt.Printf("fitted %v  (RMS rel. err %.3f)\n", model.Params, loggp.FitError(model.Params, res.Samples()))
+	fmt.Printf("fitted %v  (RMS rel. err %.3f)\n", model.Params, core.FitError(model.Params, res.Samples()))
 	fmt.Printf("peak measured %.2f GB/s of %.0f GB/s theoretical\n", res.MaxGBs(), cfg.TheoreticalGBs)
 	common.ReportSched("sweep", res.Sched)
 	common.ReportShards("shards")

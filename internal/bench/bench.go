@@ -19,7 +19,7 @@ import (
 	"strings"
 
 	"msgroofline/internal/comm"
-	"msgroofline/internal/loggp"
+	"msgroofline/internal/core"
 	"msgroofline/internal/machine"
 	"msgroofline/internal/mpi"
 	"msgroofline/internal/plot"
@@ -564,10 +564,10 @@ func splitRun(cfg *machine.Config, volume int64, parts int) (sim.Time, error) {
 }
 
 // Samples converts measured points into fitter input.
-func (r *Result) Samples() []loggp.Sample {
-	out := make([]loggp.Sample, len(r.Points))
+func (r *Result) Samples() []core.Sample {
+	out := make([]core.Sample, len(r.Points))
 	for i, p := range r.Points {
-		out[i] = loggp.Sample{N: p.N, Bytes: p.Bytes, Elapsed: p.Elapsed}
+		out[i] = core.Sample{N: p.N, Bytes: p.Bytes, Elapsed: p.Elapsed}
 	}
 	return out
 }

@@ -4,7 +4,7 @@ import (
 	"reflect"
 	"testing"
 
-	"msgroofline/internal/loggp"
+	"msgroofline/internal/core"
 	"msgroofline/internal/machine"
 	"msgroofline/internal/sim"
 )
@@ -199,11 +199,12 @@ func TestFitFromMeasuredSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := loggp.Fit(r.Samples(), 2, 50*sim.Nanosecond)
+	m, err := core.Fit("two-sided", r.Samples(), 2, 50*sim.Nanosecond, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fe := loggp.FitError(p, r.Samples()); fe > 0.35 {
+	p := m.Params
+	if fe := core.FitError(p, r.Samples()); fe > 0.35 {
 		t.Fatalf("fit RMS relative error = %.2f", fe)
 	}
 	// Fitted bandwidth near the IF link.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"msgroofline/internal/core"
-	"msgroofline/internal/loggp"
 	"msgroofline/internal/machine"
 	"msgroofline/internal/sim"
 )
@@ -13,7 +12,7 @@ import (
 // bandwidth bound for an application given its messages per
 // synchronization, compared to the loose flood bound.
 func ExampleModel_CeilingGBs() {
-	p := loggp.Params{
+	p := core.Params{
 		L:         sim.FromMicroseconds(3),
 		O:         150 * sim.Nanosecond,
 		Gap:       50 * sim.Nanosecond,
@@ -49,4 +48,54 @@ func ExampleModel_SplitSpeedup() {
 	// Output:
 	// 1 KiB:  0.90x
 	// 1 MiB:  3.09x
+}
+
+// ExampleParams_SweepBandwidth shows the model's core intuition: more
+// messages per synchronization hide latency, raising sustained
+// bandwidth at a fixed message size.
+func ExampleParams_SweepBandwidth() {
+	p := core.Params{
+		L:         sim.FromMicroseconds(3),
+		O:         150 * sim.Nanosecond,
+		Gap:       50 * sim.Nanosecond,
+		Bandwidth: 32e9,
+		OpsPerMsg: 2,
+	}
+	for _, n := range []int{1, 10, 100, 1000} {
+		fmt.Printf("n=%4d: %7.4f GB/s\n", n, p.SweepBandwidth(n, 1024)/1e9)
+	}
+	// Output:
+	// n=   1:  0.3057 GB/s
+	// n=  10:  1.5754 GB/s
+	// n= 100:  2.6947 GB/s
+	// n=1000:  2.9008 GB/s
+}
+
+// ExampleFit recovers LogGP parameters from measured sweep samples,
+// exactly how the paper draws its latency ceilings from empirical dots.
+func ExampleFit() {
+	truth := core.Params{
+		L: sim.FromMicroseconds(4), O: 100 * sim.Nanosecond,
+		Gap: 40 * sim.Nanosecond, Bandwidth: 25e9, OpsPerMsg: 2,
+	}
+	var samples []core.Sample
+	for _, n := range []int{1, 8, 64, 512} {
+		for _, b := range []int64{8, 1024, 131072} {
+			samples = append(samples, core.Sample{N: n, Bytes: b, Elapsed: truth.SweepTime(n, b)})
+		}
+	}
+	m, _ := core.Fit("fitted", samples, 2, truth.Gap, 0)
+	fmt.Printf("fitted L within 15%%: %v\n", within(float64(m.Params.L), float64(truth.L), 0.15))
+	fmt.Printf("fitted bw within 15%%: %v\n", within(m.Params.Bandwidth, truth.Bandwidth, 0.15))
+	// Output:
+	// fitted L within 15%: true
+	// fitted bw within 15%: true
+}
+
+func within(a, b, tol float64) bool {
+	d := a - b
+	if d < 0 {
+		d = -d
+	}
+	return d <= tol*b
 }

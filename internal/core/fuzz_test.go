@@ -1,4 +1,4 @@
-package loggp
+package core
 
 import (
 	"math"

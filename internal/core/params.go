@@ -1,29 +1,19 @@
-// Package loggp implements the LogGP communication cost model
-// (Alexandrov et al., SPAA'95) as used by the Message Roofline Model:
-//
-//	L   — network latency, processor independent
-//	o   — per-operation sequential overhead (sender/receiver CPU time)
-//	g   — gap: minimum time between consecutive message injections
-//	G   — time per byte (1 / bandwidth)
-//	P   — number of processors (carried by callers)
-//
-// L, g and G can be overlapped with computation; L and G can further
-// be overlapped by issuing more messages per synchronization; o and g
-// can not. The package provides analytic sweep costs (n messages of B
-// bytes per synchronization, k library operations per message) and a
-// least-squares fitter recovering (o, L, G) from measured sweeps.
-package loggp
+package core
 
 import (
 	"errors"
 	"fmt"
 	"math"
 
+	"msgroofline/internal/machine"
 	"msgroofline/internal/sim"
 	"msgroofline/internal/stats"
 )
 
-// Params is one transport's LogGP parameter set.
+// Params is one transport's LogGP parameter set (Alexandrov et al.,
+// SPAA'95). L, g and G can be overlapped with computation, and L and G
+// further by issuing more messages per synchronization; o and g can
+// not.
 type Params struct {
 	L         sim.Time // network latency
 	O         sim.Time // overhead per library operation
@@ -35,6 +25,24 @@ type Params struct {
 	// resolution and wire entry. It extends L, not o — the host is off
 	// the critical path — so every latency term below uses L+Trigger.
 	Trigger sim.Time
+}
+
+// NewParams builds the analytic parameter set of transport tp over a
+// wire with zero-byte latency wire and single-channel bandwidth bw
+// (bytes/s). It charges what the simulator charges: each of the
+// SyncRoundTrips remote completions a synchronized message waits for
+// pays the software latency and the wire again, so
+// L = max(1, rt)·(SoftLatency + wire), while the trigger delay of
+// offloaded transports stays apart from L.
+func NewParams(tp machine.TransportParams, wire sim.Time, bw float64) Params {
+	return Params{
+		L:         sim.Time(max(1, tp.SyncRoundTrips)) * (tp.SoftLatency + wire),
+		O:         tp.OpOverhead,
+		Gap:       tp.Gap,
+		Bandwidth: bw,
+		OpsPerMsg: tp.OpsPerMsg,
+		Trigger:   tp.TriggerLatency,
+	}
 }
 
 // G returns the per-byte time in picoseconds (1/bandwidth).
@@ -53,11 +61,11 @@ func (p Params) Validate() error {
 	// NaN fails every comparison, so `<= 0` alone would wave a NaN
 	// bandwidth through and G() would poison every downstream time.
 	case math.IsNaN(p.Bandwidth) || math.IsInf(p.Bandwidth, 0) || p.Bandwidth <= 0:
-		return fmt.Errorf("loggp: bandwidth must be positive and finite, got %v", p.Bandwidth)
+		return fmt.Errorf("core: bandwidth must be positive and finite, got %v", p.Bandwidth)
 	case p.L < 0 || p.O < 0 || p.Gap < 0 || p.Trigger < 0:
-		return errors.New("loggp: negative time parameter")
+		return errors.New("core: negative time parameter")
 	case p.OpsPerMsg < 1:
-		return fmt.Errorf("loggp: OpsPerMsg must be >= 1, got %d", p.OpsPerMsg)
+		return fmt.Errorf("core: OpsPerMsg must be >= 1, got %d", p.OpsPerMsg)
 	}
 	return nil
 }
@@ -173,17 +181,18 @@ type Sample struct {
 	Elapsed sim.Time
 }
 
-// Fit recovers (o, L, G) from measured samples by non-negative least
-// squares on t = (n·k)·o + L + (n·B)·G, with k = opsPerMsg. The
-// returned Params carry the supplied gap unchanged (the gap is not
+// Fit builds a model by recovering (o, L, G) from measured samples
+// with non-negative least squares on t = (n·k)·o + L + (n·B)·G, with
+// k = opsPerMsg, as the paper does with its empirical dots. The
+// parameters carry the supplied gap unchanged (the gap is not
 // separable from o in this regression; callers measure it with a
 // flood benchmark instead).
-func Fit(samples []Sample, opsPerMsg int, gap sim.Time) (Params, error) {
+func Fit(name string, samples []Sample, opsPerMsg int, gap sim.Time, theoreticalGBs float64) (*Model, error) {
 	if len(samples) < 3 {
-		return Params{}, fmt.Errorf("loggp: need >= 3 samples to fit 3 parameters, got %d", len(samples))
+		return nil, fmt.Errorf("core: need >= 3 samples to fit 3 parameters, got %d", len(samples))
 	}
 	if opsPerMsg < 1 {
-		return Params{}, fmt.Errorf("loggp: opsPerMsg must be >= 1, got %d", opsPerMsg)
+		return nil, fmt.Errorf("core: opsPerMsg must be >= 1, got %d", opsPerMsg)
 	}
 	rows := make([][]float64, len(samples))
 	y := make([]float64, len(samples))
@@ -197,7 +206,7 @@ func Fit(samples []Sample, opsPerMsg int, gap sim.Time) (Params, error) {
 	}
 	c, err := stats.NonNegativeLeastSquares(rows, y)
 	if err != nil {
-		return Params{}, fmt.Errorf("loggp: fit failed: %w", err)
+		return nil, fmt.Errorf("core: fit failed: %w", err)
 	}
 	o, l, g := c[0], c[1], c[2]
 	p := Params{
@@ -209,7 +218,7 @@ func Fit(samples []Sample, opsPerMsg int, gap sim.Time) (Params, error) {
 	if g > 0 {
 		p.Bandwidth = float64(sim.Second) / g
 	}
-	return p, nil
+	return &Model{Name: name, Params: p, TheoreticalGBs: theoreticalGBs, Channels: 1}, nil
 }
 
 // FitError returns the RMS relative error of the model against the

@@ -1,4 +1,4 @@
-package loggp
+package core
 
 import (
 	"math"
@@ -121,10 +121,11 @@ func TestFitRecoversParameters(t *testing.T) {
 			samples = append(samples, Sample{N: n, Bytes: b, Elapsed: truth.SweepTime(n, b)})
 		}
 	}
-	got, err := Fit(samples, truth.OpsPerMsg, truth.Gap)
+	m, err := Fit("truth", samples, truth.OpsPerMsg, truth.Gap, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := m.Params
 	relOK := func(a, b float64, tol float64) bool {
 		if b == 0 {
 			return a == 0
@@ -148,11 +149,11 @@ func TestFitRecoversParameters(t *testing.T) {
 }
 
 func TestFitRejectsBadInput(t *testing.T) {
-	if _, err := Fit(nil, 2, 0); err == nil {
+	if _, err := Fit("none", nil, 2, 0, 0); err == nil {
 		t.Fatal("expected error for no samples")
 	}
 	s := []Sample{{1, 8, 1}, {2, 8, 2}, {4, 8, 4}}
-	if _, err := Fit(s, 0, 0); err == nil {
+	if _, err := Fit("no ops", s, 0, 0, 0); err == nil {
 		t.Fatal("expected error for zero opsPerMsg")
 	}
 }

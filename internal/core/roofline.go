@@ -2,7 +2,10 @@
 // Message Roofline Model. It characterizes an application's sustained
 // messaging performance (GB/s) as a function of message size, number
 // of messages per synchronization, peak network bandwidth, and network
-// latency, and provides
+// latency. It owns the model's LogGP parameter set (Params), the one
+// constructor of analytic parameters (NewParams, which ForMachine and
+// the Ridgeline's network ceiling call), the least-squares fit of
+// measured sweeps (Fit), and provides
 //
 //   - the sharp bound  B / max(o, L, B·G) (ideal, unattainable),
 //   - the rounded bound B / (o + max(L, B·G)) (empirically observed),
@@ -18,7 +21,6 @@ import (
 	"fmt"
 	"math"
 
-	"msgroofline/internal/loggp"
 	"msgroofline/internal/machine"
 	"msgroofline/internal/plot"
 	"msgroofline/internal/sim"
@@ -29,9 +31,9 @@ import (
 type Model struct {
 	// Name labels the model in plots, e.g. "perlmutter-cpu two-sided".
 	Name string
-	// Params are the LogGP parameters, either analytic (from the
-	// machine catalog) or fitted from measured sweeps.
-	Params loggp.Params
+	// Params are the LogGP parameters, either analytic (NewParams over
+	// the machine catalog) or fitted from measured sweeps (Fit).
+	Params Params
 	// TheoreticalGBs is the horizontal ceiling drawn on plots (the
 	// marketing peak; may exceed Params.Bandwidth, as on Summit).
 	TheoreticalGBs float64
@@ -49,13 +51,14 @@ func ForMachine(cfg *machine.Config, tr machine.Transport, ranks, src, dst int) 
 	if err != nil {
 		return nil, err
 	}
-	p, err := inst.ModelParams(tr, src, dst)
-	if err != nil {
-		return nil, err
+	tp, ok := cfg.Params(tr)
+	if !ok {
+		return nil, fmt.Errorf("machine %s: transport %v not available", cfg.Name, tr)
 	}
+	wire, bw := pairWire(inst, tp, src, dst)
 	m := &Model{
 		Name:           fmt.Sprintf("%s %s", cfg.Name, tr),
-		Params:         p,
+		Params:         NewParams(tp, wire, bw),
 		TheoreticalGBs: cfg.TheoreticalGBs,
 		Channels:       1,
 	}
@@ -67,14 +70,35 @@ func ForMachine(cfg *machine.Config, tr machine.Transport, ranks, src, dst int) 
 	return m, nil
 }
 
-// Fit builds a model by least-squares fitting measured sweep samples
-// (see loggp.Fit), as the paper does with its empirical dots.
-func Fit(name string, samples []loggp.Sample, opsPerMsg int, gap sim.Time, theoreticalGBs float64) (*Model, error) {
-	p, err := loggp.Fit(samples, opsPerMsg, gap)
-	if err != nil {
-		return nil, err
+// pairWire returns the zero-byte wire latency and single-channel
+// bottleneck bandwidth from rank src to rank dst, read from the
+// placement data runtime.Endpoint.wireTime reads: shared memory on one
+// node; otherwise the route, plus CrossSocketExtra across sockets. A
+// host-staged transport between ranks that both have hosts takes the
+// device→host, host→host and host→device legs (a leg whose ends
+// coincide is skipped): their latencies add, and the slowest leg sets
+// the bandwidth.
+func pairWire(in *machine.Instance, tp machine.TransportParams, src, dst int) (sim.Time, float64) {
+	a, b := in.Places[src], in.Places[dst]
+	if a.Node == b.Node {
+		return in.Cfg.MemLatency, in.Cfg.MemBandwidth
 	}
-	return &Model{Name: name, Params: p, TheoreticalGBs: theoreticalGBs, Channels: 1}, nil
+	var wire sim.Time
+	if a.Socket != b.Socket {
+		wire = tp.CrossSocketExtra
+	}
+	legs := [][2]string{{a.Node, b.Node}}
+	if tp.HostStaged && a.Host != "" && b.Host != "" {
+		legs = [][2]string{{a.Node, a.Host}, {a.Host, b.Host}, {b.Host, b.Node}}
+	}
+	bw := math.Inf(1)
+	for _, l := range legs {
+		if l[0] != l[1] {
+			wire += in.Net.BaseLatency(l[0], l[1])
+			bw = min(bw, in.Net.PeakBandwidth(l[0], l[1]))
+		}
+	}
+	return wire, bw
 }
 
 // SharpGBs is the sharp bound at message size b, in GB/s.
@@ -224,8 +248,10 @@ func (m *Model) Chart(ns []int, sizes []int64, dots []Dot) *plot.Chart {
 // SplitTime models sending `volume` bytes as `parts` equal messages
 // over `channels` parallel injection channels: issue overheads
 // serialize, the latency is paid once, and serialization proceeds in
-// ceil(parts/channels) waves at the single-channel rate.
-func SplitTime(p loggp.Params, volume int64, parts, channels int) sim.Time {
+// ceil(parts/channels) waves at the single-channel rate. Like
+// SweepTime it charges the trigger latency of offloaded transports
+// once, with L.
+func SplitTime(p Params, volume int64, parts, channels int) sim.Time {
 	if parts < 1 {
 		parts = 1
 	}
@@ -238,7 +264,7 @@ func SplitTime(p loggp.Params, volume int64, parts, channels int) sim.Time {
 	if p.Gap > ser {
 		ser = p.Gap
 	}
-	return sim.Time(parts)*sim.Time(p.OpsPerMsg)*p.O + p.L + sim.Time(waves)*ser
+	return sim.Time(parts)*sim.Time(p.OpsPerMsg)*p.O + p.L + p.Trigger + sim.Time(waves)*ser
 }
 
 // SplitSpeedup is the modeled Fig-10 quantity: time of one message of

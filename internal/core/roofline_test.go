@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"msgroofline/internal/loggp"
 	"msgroofline/internal/machine"
 	"msgroofline/internal/sim"
 	"msgroofline/internal/trace"
@@ -35,10 +34,6 @@ func TestForMachine(t *testing.T) {
 	}
 	if m.Params.OpsPerMsg != 2 {
 		t.Fatalf("ops/msg = %d", m.Params.OpsPerMsg)
-	}
-	cfgGPU, _ := machine.Get("perlmutter-gpu")
-	if _, err := ForMachine(cfgGPU, machine.OneSided, 4, 0, 1); err == nil {
-		t.Fatal("expected error: no CPU one-sided MPI on GPU partition")
 	}
 }
 
@@ -136,10 +131,10 @@ func TestPlaceDegenerateSummary(t *testing.T) {
 
 func TestFitModel(t *testing.T) {
 	truth := pmTwoSided(t).Params
-	var samples []loggp.Sample
+	var samples []Sample
 	for _, n := range []int{1, 4, 16, 64, 256} {
 		for _, b := range []int64{8, 256, 8192, 262144} {
-			samples = append(samples, loggp.Sample{N: n, Bytes: b, Elapsed: truth.SweepTime(n, b)})
+			samples = append(samples, Sample{N: n, Bytes: b, Elapsed: truth.SweepTime(n, b)})
 		}
 	}
 	m, err := Fit("fitted", samples, truth.OpsPerMsg, truth.Gap, 32)
@@ -187,7 +182,7 @@ func TestSplitSpeedupFig10(t *testing.T) {
 }
 
 func TestSplitTimeWaves(t *testing.T) {
-	p := loggp.Params{
+	p := Params{
 		L: sim.FromMicroseconds(1), O: 0, Gap: 0,
 		Bandwidth: 1e9, OpsPerMsg: 1,
 	}
@@ -197,6 +192,23 @@ func TestSplitTimeWaves(t *testing.T) {
 	one := SplitTime(p, v, 4, 4)
 	if two <= one {
 		t.Fatalf("8 parts on 4 channels (%v) should exceed 4 parts (%v)", two, one)
+	}
+}
+
+func TestSplitTimeChargesTrigger(t *testing.T) {
+	// One channel and b bytes per part is a sweep window of n messages:
+	// the trigger latency of an offloaded transport is paid once in
+	// both.
+	p := pairParams(t, "perlmutter-gpu", machine.StreamTriggered, 4, 0, 1)
+	if p.Trigger <= 0 {
+		t.Fatalf("stream-triggered trigger = %v, want > 0", p.Trigger)
+	}
+	for _, n := range []int{1, 4, 64} {
+		for _, b := range []int64{8, 4096, 1 << 20} {
+			if got, want := SplitTime(p, int64(n)*b, n, 1), p.SweepTime(n, b); got != want {
+				t.Errorf("n=%d b=%d: SplitTime = %v, SweepTime = %v", n, b, got, want)
+			}
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"msgroofline/internal/bench"
 	"msgroofline/internal/ccl"
 	"msgroofline/internal/comm"
+	"msgroofline/internal/core"
 	"msgroofline/internal/hashtable"
 	"msgroofline/internal/machine"
 	"msgroofline/internal/plot"
@@ -176,15 +177,12 @@ func ExtOffload(env *Env) (*Output, error) {
 		if err != nil {
 			return nil, err
 		}
-		in, err := cfg.Instantiate(2)
-		if err != nil {
-			return nil, err
-		}
 		for _, tr := range []machine.Transport{r.base, r.tr} {
-			p, err := in.ModelParams(tr, 0, 1)
+			m, err := core.ForMachine(cfg, tr, 2, 0, 1)
 			if err != nil {
 				return nil, err
 			}
+			p := m.Params
 			ceil := p.RoundedBandwidth
 			if p.Trigger > 0 || tr == machine.MemChannel {
 				ceil = p.OffloadBandwidth

@@ -6,7 +6,6 @@ import (
 
 	"msgroofline/internal/bench"
 	"msgroofline/internal/core"
-	"msgroofline/internal/loggp"
 	"msgroofline/internal/machine"
 	"msgroofline/internal/plot"
 	"msgroofline/internal/table"
@@ -106,7 +105,7 @@ func Fig1(env *Env) (*Output, error) {
 		Text:   chart.Render(),
 		Series: series,
 		Notes: []string{
-			fmt.Sprintf("Fitted LogGP: %v (RMS rel. err %.2f)", m.Params, loggp.FitError(m.Params, res.Samples())),
+			fmt.Sprintf("Fitted LogGP: %v (RMS rel. err %.2f)", m.Params, core.FitError(m.Params, res.Samples())),
 			fmt.Sprintf("Overlap gain at 64 B going 1 -> 100 msg/sync: %.1fx (paper: ~10x when L >> G)", gain),
 			fmt.Sprintf("36 GB/s Infinity Fabric ceiling; measured peak %.1f GB/s", res.MaxGBs()),
 		},

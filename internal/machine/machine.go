@@ -13,7 +13,6 @@ import (
 	"sort"
 	"strings"
 
-	"msgroofline/internal/loggp"
 	"msgroofline/internal/netsim"
 	"msgroofline/internal/sim"
 )
@@ -248,38 +247,6 @@ func (c *Config) Params(t Transport) (TransportParams, bool) {
 // communicate through shared memory rather than links).
 func (in *Instance) SameNode(a, b int) bool {
 	return in.Places[a].Node == in.Places[b].Node
-}
-
-// ModelParams derives the LogGP parameter set the Message Roofline
-// model should use for traffic between two representative ranks on
-// this machine: software costs from the transport table plus wire
-// latency and single-channel bottleneck bandwidth from the fabric.
-func (in *Instance) ModelParams(t Transport, src, dst int) (loggp.Params, error) {
-	tp, ok := in.Cfg.Params(t)
-	if !ok {
-		return loggp.Params{}, fmt.Errorf("machine %s: transport %v not available", in.Cfg.Name, t)
-	}
-	var wireLat sim.Time
-	bw := in.Cfg.MemBandwidth
-	if !in.SameNode(src, dst) {
-		a, b := in.Places[src].Node, in.Places[dst].Node
-		wireLat = in.Net.BaseLatency(a, b)
-		bw = in.Net.PeakBandwidth(a, b)
-	} else {
-		wireLat = in.Cfg.MemLatency
-	}
-	rt := tp.SyncRoundTrips
-	if rt < 1 {
-		rt = 1
-	}
-	return loggp.Params{
-		L:         sim.Time(rt) * (tp.SoftLatency + wireLat),
-		O:         tp.OpOverhead,
-		Gap:       tp.Gap,
-		Bandwidth: bw,
-		OpsPerMsg: tp.OpsPerMsg,
-		Trigger:   tp.TriggerLatency,
-	}, nil
 }
 
 var catalog = map[string]*Config{}

@@ -18,7 +18,7 @@ package ridgeline
 import (
 	"fmt"
 
-	"msgroofline/internal/loggp"
+	"msgroofline/internal/core"
 	"msgroofline/internal/machine"
 	"msgroofline/internal/sim"
 )
@@ -120,26 +120,12 @@ type Kernel struct {
 // parameter set on a generated topology: the LogGP rounded (saturated
 // steady-state) bandwidth at the operating message size, capped by
 // the rank's uniform-traffic share of the topology's limiting tier.
-// wireLatNs adds the fabric's propagation latency (TopoMetrics
-// .MaxWireLatencyNs) to the software latency inside L.
+// The parameters come from core.NewParams over the fabric's worst
+// propagation latency (TopoMetrics.MaxWireLatencyNs) at the injection
+// bandwidth (TopoMetrics.InjectionGBs).
 func NetBWPerRank(tp machine.TransportParams, m machine.TopoMetrics, msgBytes int64) float64 {
-	rt := tp.SyncRoundTrips
-	if rt < 1 {
-		rt = 1
-	}
-	p := loggp.Params{
-		L:         sim.Time(rt) * (tp.SoftLatency + sim.FromNanoseconds(m.MaxWireLatencyNs)),
-		O:         tp.OpOverhead,
-		Gap:       tp.Gap,
-		Bandwidth: m.InjectionGBs * 1e9,
-		OpsPerMsg: tp.OpsPerMsg,
-		Trigger:   tp.TriggerLatency,
-	}
-	bw := p.RoundedBandwidth(msgBytes)
-	if share := m.UniformGBsPerRank * 1e9; share < bw {
-		bw = share
-	}
-	return bw
+	p := core.NewParams(tp, sim.FromNanoseconds(m.MaxWireLatencyNs), m.InjectionGBs*1e9)
+	return min(p.RoundedBandwidth(msgBytes), m.UniformGBsPerRank*1e9)
 }
 
 // SurfaceFor assembles the ridgeline surface of one transport on one

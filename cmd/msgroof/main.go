@@ -69,17 +69,7 @@ func main() {
 		fatal(err)
 	}
 	// The strict protocol fits against the one-sided parameter set.
-	tr := machine.TwoSided
-	switch transport {
-	case bench.OneSided, bench.OneSidedStrict:
-		tr = machine.OneSided
-	case bench.ShmemPutSignal:
-		tr = machine.GPUShmem
-	case bench.StreamTriggered:
-		tr = machine.StreamTriggered
-	case bench.MemChannel:
-		tr = machine.MemChannel
-	}
+	tr := transport.Stack()
 	tp, ok := cfg.Params(tr)
 	if !ok {
 		fatal(fmt.Errorf("machine %s lacks transport %v", cfg.Name, tr))

@@ -76,25 +76,36 @@ const (
 	MemChannel
 )
 
-// String names the transport exactly as Result.Transport labels it in
-// the figures.
-func (t Transport) String() string {
+// Stack returns the calibrated software stack t runs on, whose
+// parameter set a fit of its sweep uses: the strict one-sided protocol
+// is a discipline of the one-sided stack, not a stack of its own. An
+// unknown t maps to -1, which no machine has.
+func (t Transport) Stack() machine.Transport {
 	switch t {
 	case TwoSided:
-		return machine.TwoSided.String()
-	case OneSided:
-		return machine.OneSided.String()
-	case OneSidedStrict:
-		return "one-sided-strict"
+		return machine.TwoSided
+	case OneSided, OneSidedStrict:
+		return machine.OneSided
 	case ShmemPutSignal:
-		return machine.GPUShmem.String()
+		return machine.GPUShmem
 	case StreamTriggered:
-		return machine.StreamTriggered.String()
+		return machine.StreamTriggered
 	case MemChannel:
-		return machine.MemChannel.String()
-	default:
-		return fmt.Sprintf("Transport(%d)", int(t))
+		return machine.MemChannel
 	}
+	return -1
+}
+
+// String names the transport exactly as Result.Transport labels it in
+// the figures: its stack's name, except for the strict variant.
+func (t Transport) String() string {
+	if t == OneSidedStrict {
+		return "one-sided-strict"
+	}
+	if s := t.Stack(); s >= 0 {
+		return s.String()
+	}
+	return fmt.Sprintf("Transport(%d)", int(t))
 }
 
 // Transports enumerates every sweepable protocol in figure order — the
@@ -396,49 +407,33 @@ func measureCommStream(cfg *machine.Config, kind comm.Kind, ranks, n int, b int6
 // compare-and-swap from PE 0 to dst (Fig 4 / §III-C), averaged over
 // reps back-to-back operations.
 func CASLatency(cfg *machine.Config, npes, dst, reps int) (sim.Time, error) {
-	j, err := shmem.NewJob(cfg, npes, 64)
-	if err != nil {
-		return 0, err
-	}
-	var total sim.Time
-	err = j.Launch(func(c *shmem.Ctx) {
-		if c.MyPE() != 0 {
-			return
-		}
-		start := c.Now()
-		for i := 0; i < reps; i++ {
-			c.AtomicCompareSwap(dst, 0, uint64(i), uint64(i+1))
-		}
-		total = c.Now() - start
-	})
-	if err != nil {
-		return 0, err
-	}
-	return total / sim.Time(reps), nil
+	return casLatency(cfg, comm.Shmem, npes, dst, reps)
 }
 
 // OneSidedCASLatency measures the CPU one-sided
 // MPI_Compare_and_swap round trip (the 2 us / 500K GUPS figure of
 // §III-C), averaged over reps back-to-back operations.
 func OneSidedCASLatency(cfg *machine.Config, ranks, dst, reps int) (sim.Time, error) {
-	c, err := mpi.NewComm(cfg, ranks)
-	if err != nil {
-		return 0, err
-	}
-	w, err := c.NewWin(64)
+	return casLatency(cfg, comm.OneSided, ranks, dst, reps)
+}
+
+// casLatency times reps back-to-back compare-and-swaps from rank 0 to
+// dst over the given stack's atomics heap and returns their mean.
+func casLatency(cfg *machine.Config, kind comm.Kind, ranks, dst, reps int) (sim.Time, error) {
+	t, err := comm.New(comm.Spec{Machine: cfg, Kind: kind, Ranks: ranks, SharedBytes: 64, NoTrace: true})
 	if err != nil {
 		return 0, err
 	}
 	var total sim.Time
-	err = c.Launch(func(r *mpi.Rank) {
-		if r.Rank() != 0 {
+	err = t.Launch(func(ep comm.Endpoint) {
+		if ep.Rank() != 0 {
 			return
 		}
-		start := r.Now()
+		start := ep.Now()
 		for i := 0; i < reps; i++ {
-			r.CompareAndSwap(w, dst, 0, uint64(i), uint64(i+1))
+			ep.CAS(dst, 0, uint64(i), uint64(i+1))
 		}
-		total = r.Now() - start
+		total = ep.Now() - start
 	})
 	if err != nil {
 		return 0, err

@@ -312,11 +312,22 @@ func TestLegacyWrappersMatchSweep(t *testing.T) {
 }
 
 func TestTransportNames(t *testing.T) {
-	for _, tr := range []Transport{TwoSided, OneSided, OneSidedStrict, ShmemPutSignal} {
+	for _, tr := range Transports() {
 		got, err := ParseTransport(tr.String())
 		if err != nil || got != tr {
 			t.Fatalf("round trip %v: got %v, err %v", tr, got, err)
 		}
+		// Every transport but the strict discipline is named after
+		// the stack it runs on.
+		if tr != OneSidedStrict && tr.String() != tr.Stack().String() {
+			t.Fatalf("%v runs on stack %v", tr, tr.Stack())
+		}
+	}
+	if OneSidedStrict.Stack() != machine.OneSided {
+		t.Fatalf("strict one-sided runs on %v, want the one-sided stack", OneSidedStrict.Stack())
+	}
+	if bad := Transport(99); bad.Stack() >= 0 || bad.String() != "Transport(99)" {
+		t.Fatalf("unknown transport: stack %d, name %q", int(bad.Stack()), bad.String())
 	}
 	if _, err := ParseTransport("carrier-pigeon"); err == nil {
 		t.Fatal("want parse error")

@@ -24,6 +24,8 @@
 //     are host-side and can never change simulated output.
 //   - Result.Sched is the sweep's *sched.Stats (worker-pool
 //     wall-time metadata).
+//   - Transport.Stack names the calibrated machine.Transport a
+//     protocol runs on, whose parameters a fit of its sweep uses.
 //   - CASLatency / OneSidedCASLatency measure the atomic probes,
 //     TriggerDelay / ChannelOpen the offload micro-numbers,
 //     SweepSplit runs the Fig 10 experiment, and Baseline fits

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"msgroofline/internal/machine"
@@ -37,7 +38,11 @@ func TestFrontierGPUExtension(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fully connected MI250X pairs at 50 GB/s aggregate.
-	if bw := in.Net.AggregateBandwidth("fg:g0", "fg:g3"); bw != 50e9 {
+	r, err := in.Net.RouteTo("fg:g0", "fg:g3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bw := r.AggregateBandwidth(); bw != 50e9 {
 		t.Fatalf("pair aggregate = %v, want 50e9", bw)
 	}
 	p := pairParams(t, machine.FrontierGPUName, machine.GPUShmem, 4, 0, 1)
@@ -122,6 +127,52 @@ func TestForMachineUnsupportedTransport(t *testing.T) {
 	c, _ := machine.Get("perlmutter-gpu")
 	if _, err := ForMachine(c, machine.OneSided, 2, 0, 1); err == nil {
 		t.Fatal("expected error for CPU one-sided MPI on GPU partition")
+	}
+}
+
+// TestForMachineUnreachablePair builds two-rank explicit machines whose
+// ranks, or one leg of a host-staged pair, sit on unconnected link
+// components. The simulator refuses such a send, so the model must too,
+// rather than return Bandwidth 0 and an L of the software costs alone.
+func TestForMachineUnreachablePair(t *testing.T) {
+	link := func(a, b string) machine.LinkSpec {
+		return machine.LinkSpec{A: a, B: b, GBs: 25, LatencyNs: 100, Channels: 1}
+	}
+	for _, tc := range []struct {
+		name  string
+		base  string
+		links []machine.LinkSpec
+		hosts []string
+	}{
+		// x0 and y0 are on different components.
+		{"direct", "perlmutter-cpu", []machine.LinkSpec{link("x0", "x1"), link("y0", "y1")}, nil},
+		// The devices are linked, but host h1 is not reachable from g1.
+		{"staged-leg", "perlmutter-gpu", []machine.LinkSpec{link("g0", "g1"), link("g0", "h0"), link("h1", "z")}, []string{"h0", "h1"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base, err := machine.Get(tc.base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := *base
+			nodes := []string{"x0", "y0"}
+			if tc.hosts != nil {
+				nodes = []string{"g0", "g1"}
+			}
+			cfg.MaxRanks = 2
+			cfg.Topology = machine.Topology{Explicit: &machine.Explicit{
+				Links: tc.links,
+				Place: machine.Placement{Kind: machine.PlacePerRank, Nodes: nodes, Sockets: []int{0, 1}, Hosts: tc.hosts},
+			}}
+			m, err := ForMachine(&cfg, machine.TwoSided, 2, 0, 1)
+			if err == nil {
+				t.Fatalf("ForMachine on an unreachable pair returned %v (Bandwidth %v, Channels %d), want an error",
+					m.Params, m.Params.Bandwidth, m.Channels)
+			}
+			if !strings.Contains(err.Error(), "no route") {
+				t.Fatalf("error %q does not name the missing route", err)
+			}
+		})
 	}
 }
 

@@ -45,7 +45,8 @@ type Model struct {
 }
 
 // ForMachine derives the analytic model for traffic between two
-// representative ranks on a catalog machine.
+// representative ranks on a catalog machine. A pair with no route
+// between its nodes is an error, as it is in the simulator.
 func ForMachine(cfg *machine.Config, tr machine.Transport, ranks, src, dst int) (*Model, error) {
 	inst, err := cfg.Instantiate(ranks)
 	if err != nil {
@@ -55,7 +56,10 @@ func ForMachine(cfg *machine.Config, tr machine.Transport, ranks, src, dst int) 
 	if !ok {
 		return nil, fmt.Errorf("machine %s: transport %v not available", cfg.Name, tr)
 	}
-	wire, bw := pairWire(inst, tp, src, dst)
+	wire, bw, err := pairWire(inst, tp, src, dst)
+	if err != nil {
+		return nil, err
+	}
 	m := &Model{
 		Name:           fmt.Sprintf("%s %s", cfg.Name, tr),
 		Params:         NewParams(tp, wire, bw),
@@ -63,9 +67,12 @@ func ForMachine(cfg *machine.Config, tr machine.Transport, ranks, src, dst int) 
 		Channels:       1,
 	}
 	if !inst.SameNode(src, dst) {
-		a, b := inst.Places[src].Node, inst.Places[dst].Node
-		m.Channels = inst.Net.Channels(a, b)
-		m.AggregateGBs = inst.Net.AggregateBandwidth(a, b) / 1e9
+		r, err := inst.Net.RouteTo(inst.Places[src].Node, inst.Places[dst].Node)
+		if err != nil {
+			return nil, err
+		}
+		m.Channels = r.Channels()
+		m.AggregateGBs = r.AggregateBandwidth() / 1e9
 	}
 	return m, nil
 }
@@ -77,11 +84,11 @@ func ForMachine(cfg *machine.Config, tr machine.Transport, ranks, src, dst int) 
 // host-staged transport between ranks that both have hosts takes the
 // device→host, host→host and host→device legs (a leg whose ends
 // coincide is skipped): their latencies add, and the slowest leg sets
-// the bandwidth.
-func pairWire(in *machine.Instance, tp machine.TransportParams, src, dst int) (sim.Time, float64) {
+// the bandwidth. A leg with no route is an error.
+func pairWire(in *machine.Instance, tp machine.TransportParams, src, dst int) (sim.Time, float64, error) {
 	a, b := in.Places[src], in.Places[dst]
 	if a.Node == b.Node {
-		return in.Cfg.MemLatency, in.Cfg.MemBandwidth
+		return in.Cfg.MemLatency, in.Cfg.MemBandwidth, nil
 	}
 	var wire sim.Time
 	if a.Socket != b.Socket {
@@ -93,12 +100,17 @@ func pairWire(in *machine.Instance, tp machine.TransportParams, src, dst int) (s
 	}
 	bw := math.Inf(1)
 	for _, l := range legs {
-		if l[0] != l[1] {
-			wire += in.Net.BaseLatency(l[0], l[1])
-			bw = min(bw, in.Net.PeakBandwidth(l[0], l[1]))
+		if l[0] == l[1] {
+			continue
 		}
+		r, err := in.Net.RouteTo(l[0], l[1])
+		if err != nil {
+			return 0, 0, err
+		}
+		wire += r.BaseLatency()
+		bw = min(bw, r.PeakBandwidth())
 	}
-	return wire, bw
+	return wire, bw, nil
 }
 
 // SharpGBs is the sharp bound at message size b, in GB/s.

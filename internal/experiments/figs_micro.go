@@ -49,11 +49,14 @@ func Fig2() (*Output, error) {
 		if err != nil {
 			return nil, err
 		}
-		a, bnode := in.Places[0].Node, in.Places[cfg.MaxRanks-1].Node
+		r, err := in.Net.RouteTo(in.Places[0].Node, in.Places[cfg.MaxRanks-1].Node)
+		if err != nil {
+			return nil, err
+		}
 		t.AddRow(cfg.Title, d.text,
-			fmt.Sprint(in.Net.Hops(a, bnode)),
-			fmt.Sprintf("%.0f", in.Net.PeakBandwidth(a, bnode)/1e9),
-			fmt.Sprintf("%.0f", in.Net.AggregateBandwidth(a, bnode)/1e9))
+			fmt.Sprint(r.Hops()),
+			fmt.Sprintf("%.0f", r.PeakBandwidth()/1e9),
+			fmt.Sprintf("%.0f", r.AggregateBandwidth()/1e9))
 	}
 	t.RenderTo(&b)
 	return &Output{ID: "fig2", Title: "Node architectures", Text: b.String()}, nil

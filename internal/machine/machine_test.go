@@ -2,7 +2,20 @@ package machine
 
 import (
 	"testing"
+
+	"msgroofline/internal/netsim"
 )
+
+// mustRoute resolves the route from a to b on the instance's fabric,
+// failing the test when there is none.
+func mustRoute(t testing.TB, in *Instance, a, b string) netsim.Route {
+	t.Helper()
+	r, err := in.Net.RouteTo(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
 
 func TestCatalogComplete(t *testing.T) {
 	want := []string{
@@ -72,8 +85,7 @@ func TestPerlmutterCPUPlacement(t *testing.T) {
 		t.Fatal("ranks 0 and 127 should sit on different sockets")
 	}
 	// Cross-socket peak must be the IF 32 GB/s.
-	bw := in.Net.PeakBandwidth("pm:s0", "pm:s1")
-	if bw != 32e9 {
+	if bw := mustRoute(t, in, "pm:s0", "pm:s1").PeakBandwidth(); bw != 32e9 {
 		t.Fatalf("IF bandwidth = %v, want 32e9", bw)
 	}
 }
@@ -85,19 +97,20 @@ func TestSummitGPUTopology(t *testing.T) {
 		t.Fatal(err)
 	}
 	// In-island: direct, 1 hop.
-	if h := in.Net.Hops("sg:g0", "sg:g2"); h != 1 {
+	if h := mustRoute(t, in, "sg:g0", "sg:g2").Hops(); h != 1 {
 		t.Fatalf("in-island hops = %d, want 1", h)
 	}
 	// Cross-island: g -> s0 -> s1 -> g, 3 hops.
-	if h := in.Net.Hops("sg:g0", "sg:g3"); h != 3 {
+	cross := mustRoute(t, in, "sg:g0", "sg:g3")
+	if h := cross.Hops(); h != 3 {
 		t.Fatalf("cross-island hops = %d, want 3", h)
 	}
 	// Cross-island aggregate bottleneck is the X-Bus (32 GB/s, §II);
 	// a single channel stream is limited by one NVLink2 brick.
-	if bw := in.Net.AggregateBandwidth("sg:g0", "sg:g3"); bw != 32e9 {
+	if bw := cross.AggregateBandwidth(); bw != 32e9 {
 		t.Fatalf("cross-island aggregate bw = %v, want 32e9", bw)
 	}
-	if bw := in.Net.PeakBandwidth("sg:g0", "sg:g3"); bw != 25e9 {
+	if bw := cross.PeakBandwidth(); bw != 25e9 {
 		t.Fatalf("cross-island single-channel bw = %v, want 25e9", bw)
 	}
 	if in.Places[2].Socket == in.Places[3].Socket {
@@ -114,13 +127,14 @@ func TestPerlmutterGPUChannels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ch := in.Net.Channels("pg:g0", "pg:g1"); ch != 4 {
+	r := mustRoute(t, in, "pg:g0", "pg:g1")
+	if ch := r.Channels(); ch != 4 {
 		t.Fatalf("channels = %d, want 4", ch)
 	}
-	if bw := in.Net.PeakBandwidth("pg:g0", "pg:g1"); bw != 25e9 {
+	if bw := r.PeakBandwidth(); bw != 25e9 {
 		t.Fatalf("single-channel bw = %v, want 25e9", bw)
 	}
-	if bw := in.Net.AggregateBandwidth("pg:g0", "pg:g1"); bw != 100e9 {
+	if bw := r.AggregateBandwidth(); bw != 100e9 {
 		t.Fatalf("aggregate bw = %v, want 100e9 (paper: 100 GB/s/dir/pair)", bw)
 	}
 	if c.GPU == nil {

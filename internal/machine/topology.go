@@ -176,10 +176,10 @@ func (t *Topology) Build(ranks int) (*netsim.Network, []Place, error) {
 		return nil, nil, err
 	}
 	for _, p := range places {
-		if !n.HasNode(p.Node) {
+		if n.NodeIndex(p.Node) < 0 {
 			return nil, nil, fmt.Errorf("machine: placement node %q is not in the fabric", p.Node)
 		}
-		if p.Host != "" && !n.HasNode(p.Host) {
+		if p.Host != "" && n.NodeIndex(p.Host) < 0 {
 			return nil, nil, fmt.Errorf("machine: placement host %q is not in the fabric", p.Host)
 		}
 	}

@@ -106,14 +106,14 @@ func testGeneratedProperties(t *testing.T, name string, diameter int) {
 	}
 	for i, a := range nodes {
 		for _, b := range nodes[i+1:] {
-			h := in.Net.Hops(a, b)
+			h := mustRoute(t, in, a, b).Hops()
 			if h < 1 {
-				t.Fatalf("%s: %s and %s disconnected (hops %d)", name, a, b, h)
+				t.Fatalf("%s: distinct nodes %s and %s at %d hops", name, a, b, h)
 			}
 			if h > diameter {
 				t.Fatalf("%s: hops(%s,%s) = %d exceeds diameter %d", name, a, b, h, diameter)
 			}
-			if rh := in.Net.Hops(b, a); rh != h {
+			if rh := mustRoute(t, in, b, a).Hops(); rh != h {
 				t.Fatalf("%s: asymmetric path %s-%s: %d vs %d", name, a, b, h, rh)
 			}
 		}
@@ -156,7 +156,7 @@ func TestDragonflyDetours(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range detours {
-		if !net.HasNode(d) {
+		if net.NodeIndex(d) < 0 {
 			t.Fatalf("detour %q not in fabric", d)
 		}
 	}

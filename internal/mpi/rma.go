@@ -266,9 +266,6 @@ func (w *Win) Uint64At(rank, off int) uint64 {
 	return binary.LittleEndian.Uint64(w.View(rank, off, 8))
 }
 
-// SetUint64At writes v at off in rank's window (local initialization).
-func (w *Win) SetUint64At(rank, off int, v uint64) { w.mem[rank].Store(off, v) }
-
 // CompareAndSwap atomically compares the uint64 at (dst, dstOff) with
 // compare and, if equal, replaces it with swap. It returns the value
 // observed before the operation (MPI_Compare_and_swap). The caller

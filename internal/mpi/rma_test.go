@@ -204,10 +204,11 @@ func TestCrossNodeGet(t *testing.T) {
 	}
 	for i, peer := range []int{127, 0} {
 		me := 127 - peer
-		p, err := ref.Net.PathTo(ref.Places[peer].Node, ref.Places[me].Node)
+		r, err := ref.Net.RouteTo(ref.Places[peer].Node, ref.Places[me].Node)
 		if err != nil {
 			t.Fatal(err)
 		}
+		p := r.Min()
 		reply := tp.OpOverhead + p.BaseLatency() + tp.SoftLatency/2
 		want := p.Transfer(reply+tp.SoftLatency+tp.CrossSocketExtra, 8, 0)
 		if one.elapsed[i] != want {

@@ -44,30 +44,42 @@ func TestLinkIdleGap(t *testing.T) {
 	}
 }
 
+// mustRoute resolves the route from src to dst, failing the test when
+// there is none.
+func mustRoute(t testing.TB, n *Network, src, dst string) Route {
+	t.Helper()
+	r, err := n.RouteTo(src, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestNetworkRouting(t *testing.T) {
 	n := New()
 	n.AddLink("a", "b", 1e9, 10, 1)
 	n.AddLink("b", "c", 1e9, 10, 1)
 	n.AddLink("a", "c", 1e9, 50, 1) // direct but same hops? no: 1 hop, preferred
-	if h := n.Hops("a", "c"); h != 1 {
+	if h := mustRoute(t, n, "a", "c").Hops(); h != 1 {
 		t.Fatalf("hops a-c = %d, want 1 (direct)", h)
 	}
-	if h := n.Hops("a", "b"); h != 1 {
+	if h := mustRoute(t, n, "a", "b").Hops(); h != 1 {
 		t.Fatalf("hops a-b = %d, want 1", h)
 	}
-	if h := n.Hops("a", "a"); h != 0 {
+	if h := mustRoute(t, n, "a", "a").Hops(); h != 0 {
 		t.Fatalf("hops a-a = %d, want 0", h)
 	}
 	n2 := New()
 	n2.AddLink("a", "b", 1e9, 10, 1)
 	n2.AddLink("b", "c", 2e9, 10, 1)
-	if h := n2.Hops("a", "c"); h != 2 {
+	r := mustRoute(t, n2, "a", "c")
+	if h := r.Hops(); h != 2 {
 		t.Fatalf("hops = %d, want 2", h)
 	}
-	if bw := n2.PeakBandwidth("a", "c"); bw != 1e9 {
+	if bw := r.PeakBandwidth(); bw != 1e9 {
 		t.Fatalf("bottleneck = %v, want 1e9", bw)
 	}
-	if lat := n2.BaseLatency("a", "c"); lat != 20 {
+	if lat := r.BaseLatency(); lat != 20 {
 		t.Fatalf("latency = %v, want 20ps", lat)
 	}
 }
@@ -76,11 +88,8 @@ func TestNetworkDisconnected(t *testing.T) {
 	n := New()
 	n.AddNode("x")
 	n.AddNode("y")
-	if _, err := n.Transfer(0, "x", "y", 100, 0); err == nil {
+	if _, err := n.RouteTo("x", "y"); err == nil {
 		t.Fatal("expected no-route error")
-	}
-	if n.Hops("x", "y") != -1 {
-		t.Fatal("expected -1 hops for disconnected pair")
 	}
 }
 
@@ -89,10 +98,7 @@ func TestTransferMultiHopStoreAndForward(t *testing.T) {
 	n.AddLink("a", "b", 1e9, 100*sim.Nanosecond, 1)
 	n.AddLink("b", "c", 1e9, 100*sim.Nanosecond, 1)
 	// 1000 B: 1 us per hop serialization + 100 ns per hop latency.
-	got, err := n.Transfer(0, "a", "c", 1000, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := mustRoute(t, n, "a", "c").Transfer(0, 1000, 0)
 	want := 2*(sim.Microsecond+100*sim.Nanosecond) + 0*sim.Nanosecond
 	if got != want {
 		t.Fatalf("delivery = %v, want %v", got, want)
@@ -102,25 +108,21 @@ func TestTransferMultiHopStoreAndForward(t *testing.T) {
 func TestParallelChannelsAvoidContention(t *testing.T) {
 	n := New()
 	n.AddLink("a", "b", 1e9, 0, 4)
+	r := mustRoute(t, n, "a", "b")
 	// Four messages on distinct channels all start at t=0.
 	for ch := 0; ch < 4; ch++ {
-		got, err := n.Transfer(0, "a", "b", 1000, ch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != sim.Microsecond {
+		if got := r.Transfer(0, 1000, ch); got != sim.Microsecond {
 			t.Fatalf("channel %d delivery = %v, want 1us", ch, got)
 		}
 	}
 	// A fifth message reuses channel 0 and queues.
-	got, _ := n.Transfer(0, "a", "b", 1000, 4)
-	if got != 2*sim.Microsecond {
+	if got := r.Transfer(0, 1000, 4); got != 2*sim.Microsecond {
 		t.Fatalf("queued delivery = %v, want 2us", got)
 	}
-	if c := n.Channels("a", "b"); c != 4 {
+	if c := r.Channels(); c != 4 {
 		t.Fatalf("Channels = %d, want 4", c)
 	}
-	if bw := n.AggregateBandwidth("a", "b"); bw != 4e9 {
+	if bw := r.AggregateBandwidth(); bw != 4e9 {
 		t.Fatalf("aggregate = %v, want 4e9", bw)
 	}
 }
@@ -128,15 +130,16 @@ func TestParallelChannelsAvoidContention(t *testing.T) {
 func TestSameChannelContention(t *testing.T) {
 	n := New()
 	n.AddLink("a", "b", 1e9, 0, 2)
+	ab, ba := mustRoute(t, n, "a", "b"), mustRoute(t, n, "b", "a")
 	// Two messages on the same channel index serialize.
-	first, _ := n.Transfer(0, "a", "b", 1000, 1)
-	second, _ := n.Transfer(0, "a", "b", 1000, 1)
+	first := ab.Transfer(0, 1000, 1)
+	second := ab.Transfer(0, 1000, 1)
 	if first != sim.Microsecond || second != 2*sim.Microsecond {
 		t.Fatalf("got %v, %v; want 1us, 2us", first, second)
 	}
 	// Opposite directions never contend (full duplex).
-	fwd, _ := n.Transfer(0, "a", "b", 1000, 0)
-	rev, _ := n.Transfer(0, "b", "a", 1000, 0)
+	fwd := ab.Transfer(0, 1000, 0)
+	rev := ba.Transfer(0, 1000, 0)
 	if fwd != sim.Microsecond || rev != sim.Microsecond {
 		t.Fatalf("duplex broken: fwd=%v rev=%v", fwd, rev)
 	}
@@ -145,15 +148,18 @@ func TestSameChannelContention(t *testing.T) {
 func TestNegativeChannelIndex(t *testing.T) {
 	n := New()
 	n.AddLink("a", "b", 1e9, 0, 3)
-	if _, err := n.Transfer(0, "a", "b", 8, -2); err != nil {
-		t.Fatalf("negative channel index should be tolerated: %v", err)
+	// A negative channel index is tolerated: it wraps onto a member
+	// link instead of panicking.
+	if got := mustRoute(t, n, "a", "b").Transfer(0, 8, -2); got <= 0 {
+		t.Fatalf("negative channel index delivery = %v", got)
 	}
 }
 
 func TestReset(t *testing.T) {
 	n := New()
 	n.AddLink("a", "b", 1e9, 0, 1)
-	n.Transfer(0, "a", "b", 1000, 0)
+	r := mustRoute(t, n, "a", "b")
+	r.Transfer(0, 1000, 0)
 	if len(n.Stats()) == 0 {
 		t.Fatal("expected stats before reset")
 	}
@@ -161,8 +167,7 @@ func TestReset(t *testing.T) {
 	if len(n.Stats()) != 0 {
 		t.Fatal("expected no stats after reset")
 	}
-	got, _ := n.Transfer(0, "a", "b", 1000, 0)
-	if got != sim.Microsecond {
+	if got := r.Transfer(0, 1000, 0); got != sim.Microsecond {
 		t.Fatalf("post-reset delivery = %v, want 1us", got)
 	}
 }
@@ -173,15 +178,13 @@ func TestTransferLowerBoundProperty(t *testing.T) {
 	n := New()
 	n.AddLink("a", "b", 25e9, 500*sim.Nanosecond, 1)
 	n.AddLink("b", "c", 32e9, 200*sim.Nanosecond, 1)
+	r := mustRoute(t, n, "a", "c")
 	f := func(sz uint16, at uint16) bool {
 		n.Reset()
 		bytes := int64(sz) + 1
 		t0 := sim.Time(at) * sim.Nanosecond
-		got, err := n.Transfer(t0, "a", "c", bytes, 0)
-		if err != nil {
-			return false
-		}
-		lb := t0 + n.BaseLatency("a", "c") + sim.TransferTime(bytes, n.PeakBandwidth("a", "c"))
+		got := r.Transfer(t0, bytes, 0)
+		lb := t0 + r.BaseLatency() + sim.TransferTime(bytes, r.PeakBandwidth())
 		return got >= lb
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -211,8 +214,8 @@ func TestLookaheadBound(t *testing.T) {
 	}
 	// Unknown nodes are an error, not a panic: generated topologies
 	// feed arbitrary names here.
-	if _, err := n.PathTo("nope", "a"); err == nil {
-		t.Fatal("PathTo from unknown node should error")
+	if _, err := n.RouteTo("nope", "a"); err == nil {
+		t.Fatal("RouteTo from unknown node should error")
 	}
 	if _, err := n.RouteTo("a", "nope"); err == nil {
 		t.Fatal("RouteTo to unknown node should error")

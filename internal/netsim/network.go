@@ -258,12 +258,6 @@ func (n *Network) Nodes() []string {
 	return out
 }
 
-// HasNode reports whether name is a registered node.
-func (n *Network) HasNode(name string) bool {
-	_, ok := n.nodeIndex[name]
-	return ok
-}
-
 // NodeIndex returns the dense index of a registered node (its position
 // in Nodes), or -1 for an unknown name. RouteAt takes these indices.
 func (n *Network) NodeIndex(name string) int32 {
@@ -316,17 +310,6 @@ func (n *Network) AddClassLink(a, b, class string, bandwidth float64, latency si
 		clear(sh.routes)
 		sh.mu.Unlock()
 	}
-}
-
-// PathTo resolves the shortest (fewest-hop) route from src to dst as
-// one Path (see Route.Min). Unknown nodes and disconnected pairs
-// return errors.
-func (n *Network) PathTo(src, dst string) (*Path, error) {
-	r, err := n.RouteTo(src, dst)
-	if err != nil {
-		return nil, err
-	}
-	return r.Min(), nil
 }
 
 // pair returns the node indices of src and dst.
@@ -439,81 +422,6 @@ func (n *Network) edge(from, to int32) *channelGroup {
 		}
 	}
 	panic("netsim: tree hop without an edge")
-}
-
-// Transfer delivers a message of the given size from src to dst along
-// the minimal route, injected at time at, using channel ch (messages on
-// distinct channel indices ride parallel links where the topology
-// provides them). It returns the delivery time of the last byte, using
-// store-and-forward timing per hop with FIFO link contention.
-func (n *Network) Transfer(at sim.Time, src, dst string, bytes int64, ch int) (sim.Time, error) {
-	r, err := n.RouteTo(src, dst)
-	if err != nil {
-		return 0, err
-	}
-	return r.TransferMinimal(at, bytes, ch), nil
-}
-
-// TransferPacket routes a fixed-occupancy packet (atomic transaction)
-// from src to dst injected at time at on channel ch: each hop is held
-// for `occupancy` against later packets while the packet itself cuts
-// through at propagation latency.
-func (n *Network) TransferPacket(at sim.Time, src, dst string, occupancy sim.Time, ch int) (sim.Time, error) {
-	r, err := n.RouteTo(src, dst)
-	if err != nil {
-		return 0, err
-	}
-	return r.TransferPacket(at, occupancy, ch), nil
-}
-
-// summary returns the metrics of the minimal route from src to dst;
-// ok is false for unknown or disconnected nodes, whose zero summary
-// reports 0 for every metric.
-func (n *Network) summary(src, dst string) (s summary, ok bool) {
-	r, err := n.RouteTo(src, dst)
-	if err != nil {
-		return s, false
-	}
-	return r.sum(), true
-}
-
-// Hops returns the number of hops between src and dst (0 for the same
-// node), or -1 if unreachable.
-func (n *Network) Hops(src, dst string) int {
-	if s, ok := n.summary(src, dst); ok {
-		return s.Hops()
-	}
-	return -1
-}
-
-// Channels returns the minimum number of parallel channels along the
-// route (the usable injection-splitting width), or 0 if unreachable.
-func (n *Network) Channels(src, dst string) int {
-	s, _ := n.summary(src, dst)
-	return s.Channels()
-}
-
-// PeakBandwidth returns the single-channel bottleneck bandwidth
-// (bytes/s) along the route, or 0 if unreachable. This is the ceiling
-// a single serialized message stream can achieve.
-func (n *Network) PeakBandwidth(src, dst string) float64 {
-	s, _ := n.summary(src, dst)
-	return s.PeakBandwidth()
-}
-
-// AggregateBandwidth returns the bottleneck of per-hop summed channel
-// bandwidth (bytes/s): the ceiling reachable by splitting a message
-// across all parallel channels.
-func (n *Network) AggregateBandwidth(src, dst string) float64 {
-	s, _ := n.summary(src, dst)
-	return s.AggregateBandwidth()
-}
-
-// BaseLatency returns the sum of propagation latencies along the
-// route (zero-byte wire time, no contention).
-func (n *Network) BaseLatency(src, dst string) sim.Time {
-	s, _ := n.summary(src, dst)
-	return s.BaseLatency()
 }
 
 // LookaheadBound returns the minimum propagation latency over every

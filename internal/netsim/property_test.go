@@ -18,17 +18,14 @@ func TestPropertyBusyConservation(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		net := New()
 		net.AddLink("a", "b", 10e9, 100*sim.Nanosecond, 1)
+		r := mustRoute(t, net, "a", "b")
 		var expectBusy sim.Time
 		var last sim.Time
 		at := sim.Time(0)
 		for i := 0; i < n; i++ {
 			bytes := int64(rng.Intn(1<<16)) + 1
 			expectBusy += sim.TransferTime(bytes, 10e9)
-			deliver, err := net.Transfer(at, "a", "b", bytes, 0)
-			if err != nil {
-				return false
-			}
-			if deliver > last {
+			if deliver := r.Transfer(at, bytes, 0); deliver > last {
 				last = deliver
 			}
 			at += sim.Time(rng.Intn(1000)) * sim.Nanosecond
@@ -56,12 +53,13 @@ func TestPropertyFIFODelivery(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		net := New()
 		net.AddLink("a", "b", 5e9, 250*sim.Nanosecond, 1)
+		r := mustRoute(t, net, "a", "b")
 		var prev sim.Time
 		at := sim.Time(0)
 		for i := 0; i < n; i++ {
 			at += sim.Time(rng.Intn(500)) * sim.Nanosecond
-			deliver, err := net.Transfer(at, "a", "b", int64(rng.Intn(4096)+1), 0)
-			if err != nil || deliver < prev {
+			deliver := r.Transfer(at, int64(rng.Intn(4096)+1), 0)
+			if deliver < prev {
 				return false
 			}
 			prev = deliver
@@ -81,13 +79,10 @@ func TestPropertyPacketSpacing(t *testing.T) {
 		net := New()
 		occ := 500 * sim.Nanosecond
 		net.AddLink("a", "b", 32e9, 250*sim.Nanosecond, 1)
+		r := mustRoute(t, net, "a", "b")
 		var deliveries []sim.Time
 		for i := 0; i < n; i++ {
-			d, err := net.TransferPacket(0, "a", "b", occ, 0)
-			if err != nil {
-				return false
-			}
-			deliveries = append(deliveries, d)
+			deliveries = append(deliveries, r.TransferPacket(0, occ, 0))
 		}
 		for i, d := range deliveries {
 			want := sim.Time(i)*occ + 250*sim.Nanosecond

@@ -11,8 +11,8 @@ type Routing int
 
 const (
 	// RouteMinimal always takes the shortest (fewest-hop) path — the
-	// BFS route PathTo resolves. This is the historical behaviour and
-	// the default.
+	// BFS route Route.Min returns. This is the historical behaviour
+	// and the default.
 	RouteMinimal Routing = iota
 	// RouteAdaptive chooses per message between the minimal path and
 	// Valiant-style non-minimal detours through registered
@@ -53,10 +53,11 @@ func (n *Network) AddDetour(node string) {
 // per-send cost scale with the topology, not the path.
 const maxAltsPerRoute = 4
 
-// Route is a resolved routing decision between two nodes, composed on
-// each lookup without allocation: the injection hop out of a leaf
-// source, the core route between the two attachments, and the ejection
-// hop into a leaf destination. The shared, read-only core route holds
+// Route is a resolved routing decision between two nodes and the only
+// way to query or send along one (RouteTo by name, RouteAt by index).
+// It is composed on each lookup without allocation: the injection hop
+// out of a leaf source, the core route between the two attachments,
+// and the ejection hop into a leaf destination. The shared, read-only core route holds
 // the minimal path plus (under RouteAdaptive) a bounded set of
 // non-minimal alternatives; per-message state lives in the links.
 type Route struct {

@@ -32,10 +32,7 @@ func TestRouteMinimalDegeneratesToPath(t *testing.T) {
 	if len(r.Alts()) != 0 {
 		t.Fatalf("minimal routing built %d alts", len(r.Alts()))
 	}
-	p, err := np.PathTo("a", "b")
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := mustRoute(t, np, "a", "b").Min()
 	for i := 0; i < 5; i++ {
 		at := sim.Time(i) * 10 * sim.Nanosecond
 		if got, want := r.Transfer(at, 1000, 0), p.Transfer(at, 1000, 0); got != want {
@@ -59,7 +56,7 @@ func TestAdaptiveIdleTakesMinimal(t *testing.T) {
 	// Idle fabric: the minimal path wins the tiebreak and timing
 	// matches plain minimal routing.
 	ref := diamond(RouteMinimal)
-	p, _ := ref.PathTo("a", "b")
+	p := mustRoute(t, ref, "a", "b").Min()
 	if got, want := r.Transfer(0, 1000, 0), p.Transfer(0, 1000, 0); got != want {
 		t.Fatalf("idle adaptive transfer = %v, want minimal %v", got, want)
 	}
@@ -71,12 +68,10 @@ func TestAdaptiveIdleTakesMinimal(t *testing.T) {
 func TestAdaptiveDivertsUnderCongestion(t *testing.T) {
 	n := diamond(RouteAdaptive)
 	// Congest the direct a-b link: book it far into the future.
+	r := mustRoute(t, n, "a", "b")
 	for i := 0; i < 10; i++ {
-		if _, err := n.Transfer(0, "a", "b", 100000, 0); err != nil {
-			t.Fatal(err)
-		}
+		r.TransferMinimal(0, 100000, 0)
 	}
-	r, _ := n.RouteTo("a", "b")
 	got := r.Transfer(0, 1000, 0)
 	// The 2-hop detour is idle: 2 x (1 us serialization + 100 ns).
 	want := 2 * (sim.Microsecond + 100*sim.Nanosecond)
@@ -142,9 +137,7 @@ func TestClassStatsAll(t *testing.T) {
 	n.AddClassLink("a", "b", "global", 1e9, 0, 1)
 	n.AddClassLink("b", "c", "local", 1e9, 0, 2)
 	n.AddClassLink("c", "d", "global", 2e9, 0, 1) // idle, same class as a-b
-	if _, err := n.Transfer(0, "a", "b", 1000, 0); err != nil {
-		t.Fatal(err)
-	}
+	mustRoute(t, n, "a", "b").Transfer(0, 1000, 0)
 	cs := n.ClassStatsAll()
 	if len(cs) != 2 || cs[0].Class != "global" || cs[1].Class != "local" {
 		t.Fatalf("classes = %+v", cs)
@@ -169,10 +162,6 @@ func TestClassStatsAll(t *testing.T) {
 		t.Fatalf("local stats = %+v", cs[1])
 	}
 	// Link Class accessor and Stats plumbing.
-	p, _ := n.PathTo("a", "b")
-	if p == nil {
-		t.Fatal("path missing")
-	}
 	found := false
 	for _, ls := range n.Stats() {
 		if ls.Name == "a->b#0" {

@@ -46,21 +46,16 @@ func TestAddLinkMidRunInvalidatesPaths(t *testing.T) {
 		}
 	}
 	matchRef("before AddLink", 0)
-	if h := n.Hops("e", "b"); h != 2 {
+	if h := mustRoute(t, n, "e", "b").Hops(); h != 2 {
 		t.Fatalf("e->b hops = %d, want 2 via c", h)
 	}
-	if _, err := n.Transfer(0, "e", "b", 4096, 0); err != nil {
-		t.Fatal(err)
-	}
+	mustRoute(t, n, "e", "b").Transfer(0, 4096, 0)
 
-	old, err := n.PathTo("a", "b")
-	if err != nil {
-		t.Fatal(err)
-	}
+	old := mustRoute(t, n, "a", "b").Min()
 	if old.Hops() != 2 {
 		t.Fatalf("a->b hops = %d, want 2 via c", old.Hops())
 	}
-	if again, _ := n.PathTo("a", "b"); again != old {
+	if again := mustRoute(t, n, "a", "b").Min(); again != old {
 		t.Fatal("repeat lookup did not hit the cache")
 	}
 	// First send over the cached route.
@@ -69,10 +64,7 @@ func TestAddLinkMidRunInvalidatesPaths(t *testing.T) {
 	// Topology grows mid-run: a direct a-b cable appears.
 	n.AddLink("a", "b", 1e9, 100*sim.Nanosecond, 1)
 	n.AddLink("e", "b", 1e9, 100*sim.Nanosecond, 1)
-	fresh, err := n.PathTo("a", "b")
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := mustRoute(t, n, "a", "b").Min()
 	if fresh == old {
 		t.Fatal("AddLink did not invalidate the path cache")
 	}
@@ -80,7 +72,7 @@ func TestAddLinkMidRunInvalidatesPaths(t *testing.T) {
 		t.Fatalf("a->b hops after AddLink = %d, want 1", fresh.Hops())
 	}
 	matchRef("after AddLink", 1)
-	if h := n.Hops("e", "b"); h != 1 {
+	if h := mustRoute(t, n, "e", "b").Hops(); h != 1 {
 		t.Fatalf("e->b hops after AddLink = %d, want 1", h)
 	}
 	if fresh.BaseLatency() >= old.BaseLatency() {

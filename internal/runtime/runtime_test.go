@@ -340,11 +340,11 @@ func stagedDelivery(t *testing.T, name string, dst int, f *netsim.Faults) (got, 
 		if leg[0] == leg[1] {
 			continue
 		}
-		p, err := ref.Net.PathTo(leg[0], leg[1])
+		r, err := ref.Net.RouteTo(leg[0], leg[1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		want = p.Transfer(want, 1<<20, 0)
+		want = r.Min().Transfer(want, 1<<20, 0)
 	}
 	return got, want
 }

@@ -115,9 +115,12 @@ func TestPropertyPutLowerBound(t *testing.T) {
 			return false
 		}
 		in, _ := cfg.Instantiate(6)
-		wire := in.Net.BaseLatency(in.Places[0].Node, in.Places[dst].Node)
-		ser := sim.TransferTime(int64(sz+8), in.Net.PeakBandwidth(in.Places[0].Node, in.Places[dst].Node))
-		lb := tp.SoftLatency + wire + ser
+		r, err := in.Net.RouteTo(in.Places[0].Node, in.Places[dst].Node)
+		if err != nil {
+			return false
+		}
+		ser := sim.TransferTime(int64(sz+8), r.PeakBandwidth())
+		lb := tp.SoftLatency + r.BaseLatency() + ser
 		return elapsed >= lb
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {

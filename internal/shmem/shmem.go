@@ -194,9 +194,6 @@ func (pe *PE) View(off, n int) []byte { return pe.mem.View(off, n) }
 // Uint64At reads a little-endian uint64 at off in the local heap.
 func (pe *PE) Uint64At(off int) uint64 { return pe.mem.Load(off) }
 
-// SetUint64At writes a little-endian uint64 at off in the local heap.
-func (pe *PE) SetUint64At(off int, v uint64) { pe.mem.Store(off, v) }
-
 // Stream returns the PE's device stream on StreamTriggered (nil
 // otherwise), whose enqueue/ready/fire log feeds the conformance
 // stream-ordering oracle.

@@ -410,3 +410,36 @@ func TestSeriesGrouping(t *testing.T) {
 		t.Fatal("At should miss")
 	}
 }
+
+// TestFloodIsLooseBound checks §IV's claim that the classic flood
+// bound (a sender streaming messages with no synchronization) is
+// loose: the two-sided window of 512 messages reaches at least twice
+// the bandwidth of the 1-msg/sync point at the same size.
+func TestFloodIsLooseBound(t *testing.T) {
+	r, err := Sweep(cfg(t, "perlmutter-cpu"), Spec{Transport: TwoSided, Ranks: 2, Ns: []int{1, 512}, Sizes: []int64{4096}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, _ := r.At(1, 4096)
+	flood, _ := r.At(512, 4096)
+	if flood.GBs/one.GBs < 2 {
+		t.Fatalf("n=512 at %.3f GB/s is only %.1fx the 1-msg/sync point %.3f GB/s: not a loose bound",
+			flood.GBs, flood.GBs/one.GBs, one.GBs)
+	}
+}
+
+// TestFloodApproachesLinkPeak checks that a flood of 64 one-MiB
+// two-sided messages runs at the link peak, never above it.
+func TestFloodApproachesLinkPeak(t *testing.T) {
+	for _, name := range []string{"perlmutter-cpu", "frontier-cpu"} {
+		m := cfg(t, name)
+		r, err := Sweep(m, Spec{Transport: TwoSided, Ranks: 2, Ns: []int{64}, Sizes: []int64{1 << 20}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		flood := r.Points[0].GBs
+		if peak := m.TheoreticalGBs; flood < 0.85*peak || flood > peak*1.001 {
+			t.Fatalf("%s flood = %.1f GB/s, want near %.0f", name, flood, peak)
+		}
+	}
+}

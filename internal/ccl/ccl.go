@@ -6,8 +6,7 @@
 //
 //   - ReduceScatter: P-1 ring steps, each moving 1/P of the vector;
 //   - AllReduce:     ReduceScatter + a P-1 step ring allgather
-//     (2(P-1) steps, the classic 2·(P-1)/P bandwidth bound);
-//   - Broadcast:     pipelined ring with chunking.
+//     (2(P-1) steps, the classic 2·(P-1)/P bandwidth bound).
 //
 // Payloads are float64 vectors. Every operation carries real data and
 // is verified in tests against a locally computed reduction.
@@ -207,55 +206,4 @@ func (c *Ctx) AllReduce(data []float64) error {
 		return err
 	}
 	return c.allGather(data)
-}
-
-// Broadcast sends root's vector to all PEs through a pipelined ring:
-// the vector moves in chunkElems-sized pieces, so the pipeline hides
-// all but the first hop's latency. data is overwritten on non-roots.
-func (c *Ctx) Broadcast(root int, data []float64, chunkElems int) error {
-	p := c.plan
-	np := p.npes
-	if len(data) > p.maxElems {
-		return fmt.Errorf("ccl: vector %d exceeds plan max %d", len(data), p.maxElems)
-	}
-	if chunkElems < 1 || 8*chunkElems > p.chunkCap {
-		return fmt.Errorf("ccl: chunkElems %d out of range (plan chunk capacity %d elems)", chunkElems, p.chunkCap/8)
-	}
-	if np == 1 {
-		return nil
-	}
-	me := c.sc.MyPE()
-	c.seq++
-	vrank := (me - root + np) % np
-	right := (me + 1) % np
-	chunks := (len(data) + chunkElems - 1) / chunkElems
-	// Chunks flow through the ring in groups of at most p.slots so a
-	// fast sender can never overwrite a staging slot its neighbor has
-	// not consumed; a barrier drains each group.
-	for group := 0; group < chunks; group += p.slots {
-		end := group + p.slots
-		if end > chunks {
-			end = chunks
-		}
-		for ch := group; ch < end; ch++ {
-			lo := ch * chunkElems
-			hi := lo + chunkElems
-			if hi > len(data) {
-				hi = len(data)
-			}
-			slot := ch % p.slots
-			sig := c.seq*1000000 + uint64(ch) + 1
-			if vrank != 0 {
-				// Wait for this chunk from the left, then adopt it.
-				c.sc.WaitUntilAll([]int{p.sigOff(slot)}, sig)
-				decodeInto(data[lo:hi], c.sc.PE().Heap()[p.stagingOff(slot):])
-			}
-			if vrank != np-1 {
-				c.sc.PutSignalNBI(right, p.stagingOff(slot), c.encode(data[lo:hi]), p.sigOff(slot), sig)
-			}
-		}
-		c.sc.Quiet()
-		c.sc.Barrier()
-	}
-	return nil
 }

@@ -159,37 +159,6 @@ func TestAllGather(t *testing.T) {
 	}
 }
 
-func TestBroadcastPipelined(t *testing.T) {
-	for _, root := range []int{0, 2} {
-		const npes, n = 4, 57
-		job, plan := newJobWithPlan(t, "perlmutter-gpu", npes, n)
-		results := make([][]float64, npes)
-		err := job.Launch(func(sc *shmem.Ctx) {
-			c := plan.NewCtx(sc)
-			data := make([]float64, n)
-			if sc.MyPE() == root {
-				copy(data, vec(99, n))
-			}
-			if err := c.Broadcast(root, data, 5); err != nil {
-				t.Error(err)
-				return
-			}
-			results[sc.MyPE()] = data
-		})
-		if err != nil {
-			t.Fatalf("root=%d: %v", root, err)
-		}
-		want := vec(99, n)
-		for pe, res := range results {
-			for i := range res {
-				if res[i] != want[i] {
-					t.Fatalf("root=%d pe=%d elem %d = %v, want %v", root, pe, i, res[i], want[i])
-				}
-			}
-		}
-	}
-}
-
 func TestRepeatedCollectives(t *testing.T) {
 	// Slot reuse across calls must stay correct.
 	const npes, n = 3, 30
@@ -226,9 +195,6 @@ func TestVectorTooLarge(t *testing.T) {
 		c := plan.NewCtx(sc)
 		if err := c.AllReduce(make([]float64, 17)); err == nil {
 			t.Error("oversized vector should fail")
-		}
-		if err := c.Broadcast(0, make([]float64, 8), 1000); err == nil {
-			t.Error("oversized chunk should fail")
 		}
 	})
 	if err != nil {

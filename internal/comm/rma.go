@@ -118,7 +118,7 @@ func (t *rma) AtomicCount() int64 {
 	if t.heapWin == nil {
 		return 0
 	}
-	_, _, atomics := t.heapWin.OpStats()
+	_, atomics := t.heapWin.OpStats()
 	return atomics
 }
 

@@ -7,8 +7,7 @@
 // checks invariant oracles against a clean reference run:
 //
 //   - MPI: non-overtaking per (source, tag), Waitall completion,
-//     unexpected-queue drainage, collective results byte-equal to a
-//     sequential reference;
+//     unexpected-queue drainage;
 //   - SHMEM: put-with-signal visibility, quiet/fence ordering,
 //     Outstanding drainage;
 //   - workloads: stencil checksum bit-stable, sptrsv solution within

@@ -24,7 +24,7 @@ func TestSweep(t *testing.T) {
 	if !rep.Ok() {
 		t.Fatalf("conformance violations:\n%s", rep.String())
 	}
-	if want := 24 * *seedCount; rep.Runs != want {
+	if want := 22 * *seedCount; rep.Runs != want {
 		t.Fatalf("ran %d cases, want %d", rep.Runs, want)
 	}
 }

@@ -112,11 +112,11 @@ func workloadMachine(kind comm.Kind, cpu, gpu string) *machine.Config {
 
 // allCases enumerates the full conformance matrix: the three paper
 // workloads on every transport they support (each cell one table row
-// against the unified internal/comm kernel), plus five micro-kernels
+// against the unified internal/comm kernel), plus four micro-kernels
 // targeting the semantics the workloads cannot isolate (message
-// ordering with wildcards, collective correctness, put-with-signal
-// visibility and quiet ordering, stream-dependency firing order, and
-// channel FIFO delivery).
+// ordering with wildcards, put-with-signal visibility and quiet
+// ordering, stream-dependency firing order, and channel FIFO
+// delivery).
 func allCases() []kcase {
 	return []kcase{
 		{"stencil", TwoSided, stencilRun(TwoSided)},
@@ -138,8 +138,6 @@ func allCases() []kcase {
 		{"hashtable", StreamTrig, hashtableRun(StreamTrig)},
 		{"hashtable", MemChan, hashtableRun(MemChan)},
 		{"msgorder", TwoSided, msgorderRun},
-		{"coll4", TwoSided, collectivesRun(4)},
-		{"coll5", TwoSided, collectivesRun(5)},
 		{"putsignal", Shmem, putsignalRun},
 		{"streamorder", StreamTrig, streamorderRun},
 		{"chanfifo", MemChan, chanfifoRun},
@@ -328,157 +326,6 @@ func msgorderRun(ch chaos) (outcome, error) {
 		fmt.Fprintf(&fp, "%d/%d:%v;", key[0], key[1], streams[key])
 	}
 	return outcome{fp: fp.String(), digest: c.Digest()}, nil
-}
-
-func collVec(r, n int) []byte {
-	b := make([]byte, 8*n)
-	for i := 0; i < n; i++ {
-		// Small integers: float64 addition over them is exact and
-		// associative, so recursive doubling must be byte-equal to
-		// the sequential reference.
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(float64(r*16+i+1)))
-	}
-	return b
-}
-
-// collectivesRun checks every collective against an in-process
-// sequential reference on p ranks (p=4 exercises the recursive
-// doubling / XOR schedules, p=5 the tree+shift fallbacks), with a
-// Barrier between phases so barrier traffic interleaves collective
-// traffic under fuzzing.
-func collectivesRun(p int) func(chaos) (outcome, error) {
-	return func(ch chaos) (outcome, error) {
-		c, err := mpi.NewCommSharded(mach("perlmutter-cpu"), p, ch.shards)
-		if err != nil {
-			return outcome{}, err
-		}
-		if ch.perturb != nil {
-			c.World().SetPerturbation(ch.perturb)
-		}
-		if ch.faults != nil {
-			c.World().Inst.Net.SetFaults(ch.faults)
-		}
-		c.SetDebugUnordered(ch.unordered)
-
-		const vn = 8
-		// Sequential references.
-		wantSum := make([]float64, vn)
-		for r := 0; r < p; r++ {
-			for i := 0; i < vn; i++ {
-				wantSum[i] += float64(r*16 + i + 1)
-			}
-		}
-		var wantGather []byte
-		for r := 0; r < p; r++ {
-			wantGather = append(wantGather, collVec(r, vn)...)
-		}
-
-		oracleErrs := make([]error, p)
-		digests := make([][]byte, p)
-		err = c.Launch(func(r *mpi.Rank) {
-			me := r.Rank()
-			fail := func(format string, args ...any) {
-				if oracleErrs[me] == nil {
-					oracleErrs[me] = fmt.Errorf(format, args...)
-				}
-			}
-			mine := collVec(me, vn)
-			var all []byte
-
-			sum := r.Allreduce(mine, mpi.SumFloat64)
-			for i := 0; i < vn; i++ {
-				if got := f64at(sum, i); got != wantSum[i] {
-					fail("coll: Allreduce[%d] = %v, want %v", i, got, wantSum[i])
-				}
-			}
-			all = append(all, sum...)
-			r.Barrier()
-
-			bc := r.Bcast(p-1, collVec(p-1, vn))
-			if !bytes.Equal(bc, collVec(p-1, vn)) {
-				fail("coll: Bcast payload corrupted")
-			}
-			all = append(all, bc...)
-			r.Barrier()
-
-			ag := r.Allgather(mine)
-			if !bytes.Equal(ag, wantGather) {
-				fail("coll: Allgather mismatch")
-			}
-			all = append(all, ag...)
-			r.Barrier()
-
-			blocks := make([][]byte, p)
-			for d := 0; d < p; d++ {
-				blocks[d] = collVec(me*p+d, vn)
-			}
-			a2a := r.Alltoall(blocks)
-			for d := 0; d < p; d++ {
-				if !bytes.Equal(a2a[d], collVec(d*p+me, vn)) {
-					fail("coll: Alltoall block from %d mismatch", d)
-				}
-				all = append(all, a2a[d]...)
-			}
-			r.Barrier()
-
-			red := r.Reduce(1, mine, mpi.SumFloat64)
-			if me == 1 {
-				for i := 0; i < vn; i++ {
-					if got := f64at(red, i); got != wantSum[i] {
-						fail("coll: Reduce[%d] = %v, want %v", i, got, wantSum[i])
-					}
-				}
-				all = append(all, red...)
-			}
-			r.Barrier()
-
-			g := r.Gather(0, mine)
-			if me == 0 {
-				if !bytes.Equal(g, wantGather) {
-					fail("coll: Gather mismatch")
-				}
-				all = append(all, g...)
-			}
-			sc := r.Scatter(2, scatterBlocks(p, vn))
-			if !bytes.Equal(sc, collVec(2*p+me, vn)) {
-				fail("coll: Scatter block mismatch")
-			}
-			all = append(all, sc...)
-			r.Barrier()
-
-			if u, po, o := r.PendingUnexpected(), r.PendingPosted(), r.PendingOutOfOrder(); u != 0 || po != 0 || o != 0 {
-				fail("coll: queues not drained: unexpected=%d posted=%d outOfOrder=%d", u, po, o)
-			}
-			digests[me] = all
-		})
-		if err != nil {
-			return outcome{}, err
-		}
-		for _, oe := range oracleErrs {
-			if oe != nil {
-				return outcome{}, oe
-			}
-		}
-		h := fnv.New64a()
-		for _, d := range digests {
-			h.Write(d)
-		}
-		return outcome{fp: fmt.Sprintf("coll=%016x", h.Sum64()), digest: c.Digest()}, nil
-	}
-}
-
-func f64at(b []byte, i int) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-}
-
-// scatterBlocks is the block set rank 2 scatters: block d holds
-// collVec(2*p+d), so rank me must receive collVec(2*p+me).
-func scatterBlocks(p, vn int) [][]byte {
-	blocks := make([][]byte, p)
-	for d := 0; d < p; d++ {
-		blocks[d] = collVec(2*p+d, vn)
-	}
-	return blocks
 }
 
 // putsignalRun is the SHMEM memory-ordering oracle on a 4-PE ring:

@@ -8,14 +8,14 @@ import (
 )
 
 // workloadCases returns every conformance cell: all three paper
-// workloads on all six transports plus the six protocol
+// workloads on every transport they support plus the four protocol
 // micro-kernels. Every cell runs on the coupled engine and accepts a
 // Shards (worker-count) knob, so all of them must be shard-invariant.
 func workloadCases(t *testing.T) []kcase {
 	t.Helper()
 	out := allCases()
-	if len(out) != 24 {
-		t.Fatalf("expected 24 conformance cells, got %d", len(out))
+	if len(out) != 22 {
+		t.Fatalf("expected 22 conformance cells, got %d", len(out))
 	}
 	return out
 }

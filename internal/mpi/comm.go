@@ -7,7 +7,7 @@
 //     rounds are real 1-byte messages (so synchronization pays
 //     realistic latency) that land as generation signals, not through
 //     matching: internal/runtime's Barrier, which shmem shares;
-//   - one-sided (MPI-3 RMA): windows with Put/Get, Win_fence,
+//   - one-sided (MPI-3 RMA): windows with Put, Win_fence,
 //     Win_flush, Win_flush_local, Fetch_and_op and Compare_and_swap
 //     (rma.go), each window one lazy runtime.Mem per rank, with puts
 //     and atomics as internal/runtime's put records and word atomics.
@@ -43,8 +43,8 @@ type Comm struct {
 	ntf    machine.TransportParams
 	hasNtf bool
 	ranks  []*Rank
-	// sendHook, when set, observes every user-level two-sided message
-	// at delivery time (internal collective traffic is excluded).
+	// sendHook, when set, observes every two-sided message at delivery
+	// time (barrier rounds are not messages and are not seen).
 	sendHook runtime.MsgHook
 	// debugUnordered disables the per-(source, destination) arrival
 	// resequencer, exposing raw (possibly fault-reordered) network
@@ -57,8 +57,8 @@ type Comm struct {
 // conformance suite can prove its oracles catch ordering bugs.
 func (c *Comm) SetDebugUnordered(v bool) { c.debugUnordered = v }
 
-// SetSendHook installs a hook observing user two-sided messages
-// (tag >= 0) at delivery. Call before Launch.
+// SetSendHook installs a hook observing two-sided messages at
+// delivery. Call before Launch.
 func (c *Comm) SetSendHook(h runtime.MsgHook) { c.sendHook = h }
 
 // NewComm builds a communicator with n ranks on the named machine
@@ -148,13 +148,11 @@ type Rank struct {
 	sendSeq, recvSeq map[int]uint64
 	ooo              map[int][]*envelope
 
-	bar     *runtime.Barrier
-	collSeq int
+	bar *runtime.Barrier
 	// envs is the free list of pooled envelopes, nenvs long, touched
 	// only from this rank's engine: taken to send, returned once matched.
 	envs  *envelope
 	nenvs int
-	get   *getRec // made on the first Get
 }
 
 // envelope is a two-sided message: in flight, then delivered and

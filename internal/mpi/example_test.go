@@ -1,9 +1,7 @@
 package mpi_test
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"msgroofline/internal/machine"
 	"msgroofline/internal/mpi"
@@ -29,27 +27,6 @@ func ExampleComm_Launch() {
 	// err: <nil>
 }
 
-// ExampleRank_Allreduce demonstrates a collective.
-func ExampleRank_Allreduce() {
-	cfg, _ := machine.Get("perlmutter-cpu")
-	c, _ := mpi.NewComm(cfg, 8)
-	var rank0Sum float64
-	_ = c.Launch(func(r *mpi.Rank) {
-		contrib := make([]byte, 8)
-		// Each rank contributes its rank id + 1 as a float64.
-		for i, b := range f64bytes(float64(r.Rank() + 1)) {
-			contrib[i] = b
-		}
-		out := r.Allreduce(contrib, mpi.SumFloat64)
-		if r.Rank() == 0 {
-			rank0Sum = f64from(out)
-		}
-	})
-	fmt.Printf("sum over 8 ranks: %.0f\n", rank0Sum)
-	// Output:
-	// sum over 8 ranks: 36
-}
-
 // ExampleRank_PutNotify shows the extension operation: a fused
 // one-sided put with a hardware notification.
 func ExampleRank_PutNotify() {
@@ -67,14 +44,4 @@ func ExampleRank_PutNotify() {
 	})
 	// Output:
 	// rank 1 sees "hello"
-}
-
-func f64bytes(v float64) []byte {
-	out := make([]byte, 8)
-	binary.LittleEndian.PutUint64(out, math.Float64bits(v))
-	return out
-}
-
-func f64from(b []byte) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }

@@ -110,12 +110,3 @@ func BenchmarkMsgPathFetchAndAdd(b *testing.B) {
 		return func() { r.FetchAndAdd(w, 127, 8, 1) }
 	})
 }
-
-// BenchmarkMsgPathGet is an 8-byte get by rank 0 from rank 127's
-// window, into one origin buffer.
-func BenchmarkMsgPathGet(b *testing.B) {
-	benchMsgPath(b, originOnly, func(r *Rank, w *Win) func() {
-		buf := make([]byte, 8)
-		return func() { r.Get(w, 127, 0, buf) }
-	})
-}

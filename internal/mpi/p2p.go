@@ -37,8 +37,8 @@ func (r *Rank) Isend(dst, tag int, data []byte) *Request {
 	return &Request{owner: r, done: true, Src: r.id, Tag: tag}
 }
 
-// isend is Isend without a request: Send and the collectives discard
-// it, so they skip its allocation.
+// isend is Isend without a request: Send discards it, so it skips
+// its allocation.
 func (r *Rank) isend(dst, tag int, data []byte) {
 	// Self-sends are legal and ride the loopback (shared-memory) path
 	// like any other same-node message.
@@ -187,12 +187,10 @@ func (q *Request) matches(env *envelope) bool {
 	return matchPattern(q.src, q.tag, env)
 }
 
-// matchPattern matches env against a receive's (src, tag). AnyTag
-// matches user tags (>= 0) only, never the negative internal tags of
-// collective traffic.
+// matchPattern matches env against a receive's (src, tag), either of
+// which may be a wildcard.
 func matchPattern(src, tag int, env *envelope) bool {
-	return (src == AnySource || src == env.src) &&
-		(tag == env.tag || tag == AnyTag && env.tag >= 0)
+	return (src == AnySource || src == env.src) && (tag == AnyTag || tag == env.tag)
 }
 
 // complete copies a matched envelope's results into req and returns
@@ -240,7 +238,7 @@ func (r *Rank) release(env *envelope) {
 func (env *envelope) arrive(at sim.Time) {
 	env.at = at
 	t := env.to
-	if hook := t.comm.sendHook; hook != nil && env.tag >= 0 {
+	if hook := t.comm.sendHook; hook != nil {
 		hook(env.src, t.id, int64(len(env.data)), env.issue, at)
 	}
 	t.deliver(env)

@@ -39,7 +39,7 @@ type Win struct {
 	targetDone []*sim.Cond
 
 	// Per-origin-rank op counters (rank-confined; OpStats sums them).
-	puts, gets, atomics []int64
+	puts, atomics []int64
 	// hook, when set, observes every put at delivery time, running on
 	// the target's engine — it must be safe under parallel windows.
 	hook runtime.MsgHook
@@ -75,7 +75,6 @@ func (c *Comm) NewWinSizes(sizes []int) (*Win, error) {
 		outstanding: make([]map[int]int, c.Size()),
 		pending:     make([]int, c.Size()),
 		puts:        make([]int64, c.Size()),
-		gets:        make([]int64, c.Size()),
 		atomics:     make([]int64, c.Size()),
 	}
 	for r, s := range sizes {
@@ -104,13 +103,12 @@ func (w *Win) View(rank, off, n int) []byte {
 
 // OpStats reports cumulative one-sided operation counts (summed over
 // the per-rank counters; call between runs or after Launch returns).
-func (w *Win) OpStats() (puts, gets, atomics int64) {
+func (w *Win) OpStats() (puts, atomics int64) {
 	for r := range w.puts {
 		puts += w.puts[r]
-		gets += w.gets[r]
 		atomics += w.atomics[r]
 	}
-	return puts, gets, atomics
+	return puts, atomics
 }
 
 // Put starts a nonblocking RMA put of data into dst's window at
@@ -132,70 +130,6 @@ func (w *Win) put(r *Rank, dst, off int) runtime.Put {
 	return runtime.Put{Dst: dst, Mem: &w.mem[dst], Wake: w.targetDone[dst], Off: off,
 		Issue: r.proc.Now(), Hook: w.hook, Done: w.done}
 }
-
-// Get fills buf with len(buf) bytes of src's window at srcOff, like
-// MPI_Get into an origin buffer. It blocks until the data arrives (put
-// semantics reversed: a request flight, then the payload rides the
-// fabric back reserving reverse-path links).
-func (r *Rank) Get(w *Win, src, srcOff int, buf []byte) {
-	w.checkRange(src, srcOff, len(buf))
-	r.ep.ChargeOp(r.proc, r.comm.one)
-	w.gets[r.id]++
-	g := r.get
-	if g == nil {
-		g = &getRec{r: r}
-		g.serve, g.request, g.arrive, g.ready = g.runServe, g.runRequest, g.runArrive, g.isDone
-		r.get = g
-	}
-	world := r.comm.world
-	now := r.proc.Now()
-	g.w, g.src, g.off, g.buf, g.done = w, src, srcOff, buf, false
-	g.at = now + r.ep.WireLatency(src) + r.comm.one.SoftLatency/2
-	if world.GroupOf(r.id) == world.GroupOf(src) {
-		world.EngineOf(r.id).At(g.at, g.serve)
-	} else {
-		// Cross-group: route the request through the barrier so the
-		// event lands on src's engine without racing its window. The
-		// request flight is at least one link latency, so g.at is past
-		// the window bound by construction.
-		world.Coupled().Defer(r.id, now, g.request)
-	}
-	w.originDone[r.id].WaitFor(r.proc, g.ready)
-}
-
-// getRec is a rank's Get in flight, made on its first Get and reused
-// after: Get blocks, so a rank has at most one. Its methods are bound
-// once, so a Get allocates nothing.
-type getRec struct {
-	r        *Rank
-	w        *Win
-	src, off int
-	buf      []byte
-	at       sim.Time // the request's arrival at src
-	done     bool
-
-	serve, request func()
-	arrive         func(at sim.Time)
-	ready          func() bool
-}
-
-// runServe runs on src's engine (owner-computes): it reads the exposed
-// memory there into the origin's buffer, which the origin does not
-// touch until runArrive, and injects the payload back toward it.
-func (g *getRec) runServe() {
-	copy(g.buf, g.w.View(g.src, g.off, len(g.buf)))
-	ep := g.r.comm.world.Endpoint(g.src)
-	ep.Inject(g.r.comm.one, g.r.id, int64(len(g.buf)), ep.AutoChannel(), g.arrive, nil)
-}
-
-func (g *getRec) runRequest() { g.r.comm.world.Coupled().At(g.src, g.at, g.serve) }
-
-func (g *getRec) runArrive(sim.Time) {
-	g.done = true
-	g.w.originDone[g.r.id].Broadcast()
-}
-
-func (g *getRec) isDone() bool { return g.done }
 
 // Flush blocks until every put this rank issued to dst has completed
 // in dst's memory (MPI_Win_flush).

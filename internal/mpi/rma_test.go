@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"bytes"
-	goruntime "runtime"
 	"testing"
 
 	"msgroofline/internal/machine"
@@ -117,113 +116,6 @@ func TestFenceEpoch(t *testing.T) {
 		if got[rk] != byte(left+1) {
 			t.Fatalf("rank %d read %d after fence, want %d", rk, got[rk], left+1)
 		}
-	}
-}
-
-func TestGetRoundTrip(t *testing.T) {
-	c := newComm(t, "perlmutter-cpu", 2)
-	w, _ := c.NewWin(16)
-	copy(w.Local(1), []byte{1, 2, 3, 4})
-	var got []byte
-	var elapsed sim.Time
-	err := c.Launch(func(r *Rank) {
-		if r.Rank() == 0 {
-			got = make([]byte, 3)
-			start := r.Now()
-			r.Get(w, 1, 1, got)
-			elapsed = r.Now() - start
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, []byte{2, 3, 4}) {
-		t.Fatalf("get = %v", got)
-	}
-	if elapsed < sim.FromMicroseconds(1) {
-		t.Fatalf("get took %v, suspiciously fast for a round trip", elapsed)
-	}
-}
-
-// TestCrossNodeGet reads across perlmutter-cpu's two sockets, which
-// are two fabric nodes and so two node groups: ranks 0 and 127 Get
-// from each other at once. Each request crosses the window barrier,
-// and each WireLatency resolves a fabric route from the rank's worker
-// goroutine. Bytes, elapsed times and the digest must not depend on
-// the worker count.
-func TestCrossNodeGet(t *testing.T) {
-	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(4))
-	cfg, err := machine.Get("perlmutter-cpu")
-	if err != nil {
-		t.Fatal(err)
-	}
-	type result struct {
-		got     [2][]byte
-		elapsed [2]sim.Time
-		digest  uint64
-	}
-	run := func(shards int) result {
-		c, err := NewCommSharded(cfg, 128, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g := c.World().Groups(); g != 2 {
-			t.Fatalf("%d node groups, want 2", g)
-		}
-		w, _ := c.NewWin(8)
-		copy(w.Local(0), "origin-0")
-		copy(w.Local(127), "peer-127")
-		var res result
-		err = c.Launch(func(r *Rank) {
-			if r.Rank() != 0 && r.Rank() != 127 {
-				return
-			}
-			i := r.Rank() / 127
-			res.got[i] = make([]byte, 8)
-			start := r.Now()
-			r.Get(w, 127-r.Rank(), 0, res.got[i])
-			res.elapsed[i] = r.Now() - start
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res.digest = c.Digest()
-		return res
-	}
-	one := run(1)
-	if string(one.got[0]) != "peer-127" || string(one.got[1]) != "origin-0" {
-		t.Fatalf("gets read %q and %q", one.got[0], one.got[1])
-	}
-	// Each Get is the op overhead, the request flight (the fabric's
-	// base latency plus half the software latency), then the 8-byte
-	// reply's journey over idle links of the reverse direction.
-	tp, _ := cfg.Params(machine.OneSided)
-	ref, err := cfg.Instantiate(128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, peer := range []int{127, 0} {
-		me := 127 - peer
-		r, err := ref.Net.RouteTo(ref.Places[peer].Node, ref.Places[me].Node)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := r.Min()
-		reply := tp.OpOverhead + p.BaseLatency() + tp.SoftLatency/2
-		want := p.Transfer(reply+tp.SoftLatency+tp.CrossSocketExtra, 8, 0)
-		if one.elapsed[i] != want {
-			t.Fatalf("rank %d's get took %v, want %v", me, one.elapsed[i], want)
-		}
-	}
-	four := run(4)
-	for i := range one.got {
-		if !bytes.Equal(one.got[i], four.got[i]) || one.elapsed[i] != four.elapsed[i] {
-			t.Fatalf("get %d: shards 1 read %q in %v, shards 4 read %q in %v",
-				i, one.got[i], one.elapsed[i], four.got[i], four.elapsed[i])
-		}
-	}
-	if one.digest != four.digest {
-		t.Fatalf("digest %x at shards 1, %x at shards 4", one.digest, four.digest)
 	}
 }
 
@@ -346,16 +238,15 @@ func TestOpStats(t *testing.T) {
 		if r.Rank() == 0 {
 			r.Put(w, 1, 0, []byte{1})
 			r.Flush(w, 1)
-			r.Get(w, 1, 0, make([]byte, 1))
 			r.CompareAndSwap(w, 1, 8, 0, 1)
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	puts, gets, atomics := w.OpStats()
-	if puts != 1 || gets != 1 || atomics != 1 {
-		t.Fatalf("op stats = %d/%d/%d", puts, gets, atomics)
+	puts, atomics := w.OpStats()
+	if puts != 1 || atomics != 1 {
+		t.Fatalf("op stats = %d/%d", puts, atomics)
 	}
 }
 

@@ -12,13 +12,7 @@ import (
 // machine catalog and so cannot live in this package.
 
 // CachedRoutes counts the core routes in n's cache.
-func CachedRoutes(n *Network) int {
-	k := 0
-	for i := range n.cache {
-		k += len(n.cache[i].routes)
-	}
-	return k
-}
+func CachedRoutes(n *Network) int { return len(n.routes) }
 
 // HopNames lists the hops of a path leaving src, each as "node/k": the
 // node entered and the position k, among the edges of the node left,

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"msgroofline/internal/sim"
 )
@@ -32,14 +30,12 @@ type channelGroup struct {
 // between placed ranks keep the ranks' node indices (NodeIndex) and
 // look routes up by index (RouteAt), which skips hashing the names.
 //
-// The topology itself (nodes, links, adjacency) is immutable once
-// construction finishes — generators build the whole fabric before the
-// first rank runs — and AddLink during a run has never been supported
-// (it already mutated the adjacency without synchronization). That
-// contract lets route resolution read the graph without any lock: the
-// per-source BFS trees install by CAS, and the path/route caches are
-// sharded (cacheShards ways by pair hash) so parallel window workers
-// resolving distinct pairs do not serialize on one mutex.
+// A Network is not safe for concurrent use: one goroutine at a time
+// builds it, resolves routes on it and sends along them. A simulated
+// world needs no lock for that. A node group is one fabric node, so a
+// same-group send never looks a route up, and every cross-group send
+// resolves its route and reserves its links in a deferred op, which
+// the window barrier runs on the goroutine that runs the world.
 type Network struct {
 	nodes     []string
 	nodeIndex map[string]int
@@ -49,17 +45,15 @@ type Network struct {
 	// node's entries are in link-insertion order, which fixes BFS
 	// tie-breaking.
 	adjx [][]xgroup
-	// trees holds the lazily built BFS predecessor tree of each source
-	// node (see tree); AddNode and AddLink drop the whole set.
-	trees atomic.Pointer[treeSet]
-	// cache holds the lazily-populated core path and route caches,
-	// keyed and sharded by attachment pair. Routes resolve on first use, mostly at the
-	// window barrier but also from concurrently executing node-group
-	// engines (an MPI Get's request latency), so resolution must be
-	// race-free; the resolved values are pure functions of the static
-	// topology, so neither lazy population nor the
-	// resolve-outside-the-lock build order perturbs simulated timing.
-	cache [cacheShards]cacheShard
+	// trees[i] is the BFS predecessor tree rooted at node i, built on
+	// first use (see tree); AddNode and AddLink drop them all.
+	trees [][]int32
+	// paths and routes cache the core paths and core routes between
+	// attachments, keyed by pairKey and filled on first use. Cached
+	// values are pure functions of the topology, so when a route first
+	// resolves never changes simulated timing.
+	paths  map[uint64]*Path
+	routes map[uint64]*coreRoute
 	// routing selects the route-choice policy (minimal by default);
 	// detours lists the candidate intermediate nodes Valiant-style
 	// non-minimal routes may bounce through (see route.go).
@@ -76,11 +70,6 @@ type Network struct {
 	self coreRoute
 }
 
-// treeSet has one slot per node for the BFS tree rooted there.
-type treeSet struct {
-	slots []atomic.Pointer[[]int32]
-}
-
 // xgroup is one outgoing edge of the index-based adjacency: the dense
 // index of the neighbour plus the channel group reaching it.
 type xgroup struct {
@@ -88,36 +77,15 @@ type xgroup struct {
 	g  *channelGroup
 }
 
-// cacheShards is the path/route cache shard count (power of two). 16
-// shards keep parallel window workers from serializing on resolution
-// while costing four words of mutex state per shard.
-const cacheShards = 16
-
-// cacheShard is one lock-striped slice of the resolution caches,
-// keyed by the pairKey of two attachments.
-type cacheShard struct {
-	mu     sync.RWMutex
-	paths  map[uint64]*Path
-	routes map[uint64]*coreRoute
-}
-
 // pairKey packs a (src, dst) node-index pair into one cache key.
 func pairKey(si, di int32) uint64 { return uint64(uint32(si))<<32 | uint64(uint32(di)) }
-
-// shard returns the cache shard of a pair key (a Fibonacci hash; any
-// stable mix works — the caches are invisible to simulated state).
-func (n *Network) shard(key uint64) *cacheShard {
-	return &n.cache[(key*0x9e3779b97f4a7c15)>>32%cacheShards]
-}
 
 // New returns an empty network.
 func New() *Network {
 	n := &Network{
 		nodeIndex: make(map[string]int),
-	}
-	for i := range n.cache {
-		n.cache[i].paths = make(map[uint64]*Path)
-		n.cache[i].routes = make(map[uint64]*coreRoute)
+		paths:     make(map[uint64]*Path),
+		routes:    make(map[uint64]*coreRoute),
 	}
 	n.self.min = &Path{net: n}
 	n.self.min.metrics()
@@ -248,7 +216,7 @@ func (n *Network) AddNode(name string) {
 	n.nodeIndex[name] = len(n.nodes)
 	n.nodes = append(n.nodes, name)
 	n.adjx = append(n.adjx, nil)
-	n.trees.Store(nil)
+	n.trees = nil
 }
 
 // Nodes returns all node names in insertion order.
@@ -302,14 +270,9 @@ func (n *Network) AddClassLink(a, b, class string, bandwidth float64, latency si
 	ai, bi := n.nodeIndex[a], n.nodeIndex[b]
 	n.adjx[ai] = append(n.adjx[ai], xgroup{to: int32(bi), g: fwd})
 	n.adjx[bi] = append(n.adjx[bi], xgroup{to: int32(ai), g: rev})
-	n.trees.Store(nil)
-	for i := range n.cache {
-		sh := &n.cache[i]
-		sh.mu.Lock()
-		clear(sh.paths)
-		clear(sh.routes)
-		sh.mu.Unlock()
-	}
+	n.trees = nil
+	clear(n.paths)
+	clear(n.routes)
 }
 
 // pair returns the node indices of src and dst.
@@ -326,21 +289,13 @@ func (n *Network) pair(src, dst string) (si, di int32, err error) {
 }
 
 // pathTo resolves (and caches) the core path between two attachments;
-// ok is false when di is unreachable. On a cache miss it builds the
-// path outside any lock, then installs it in the shard under a
-// double-check, so every caller sees the same canonical *Path (racing
-// resolvers build identical values; the insert loser adopts the
-// winner's).
+// ok is false when di is unreachable.
 func (n *Network) pathTo(si, di int32) (*Path, bool) {
 	key := pairKey(si, di)
-	sh := n.shard(key)
-	sh.mu.RLock()
-	p, ok := sh.paths[key]
-	sh.mu.RUnlock()
-	if ok {
+	if p, ok := n.paths[key]; ok {
 		return p, true
 	}
-	p = &Path{net: n}
+	p := &Path{net: n}
 	if si != di {
 		prev, hops := n.span(si, di)
 		if hops < 0 {
@@ -352,12 +307,7 @@ func (n *Network) pathTo(si, di int32) (*Path, bool) {
 		}
 	}
 	p.metrics()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if q, ok := sh.paths[key]; ok {
-		return q, true // lost a resolve race; the winner is canonical
-	}
-	sh.paths[key] = p
+	n.paths[key] = p
 	return p, true
 }
 
@@ -382,17 +332,13 @@ func (n *Network) span(si, di int32) (prev []int32, hops int) {
 // when x is unreachable). BFS never re-marks a node, so the full walk
 // marks every node exactly as a walk stopping at any one destination
 // would, and one tree serves every route from root. Trees are built
-// on first use and installed by CAS without a lock: racing builders
-// compute identical trees and the loser adopts the winner's.
+// on first use.
 func (n *Network) tree(root int32) []int32 {
-	set := n.trees.Load()
-	if set == nil {
-		n.trees.CompareAndSwap(nil, &treeSet{slots: make([]atomic.Pointer[[]int32], len(n.nodes))})
-		set = n.trees.Load()
+	if n.trees == nil {
+		n.trees = make([][]int32, len(n.nodes))
 	}
-	slot := &set.slots[root]
-	if t := slot.Load(); t != nil {
-		return *t
+	if t := n.trees[root]; t != nil {
+		return t
 	}
 	prev := make([]int32, len(n.nodes))
 	for i := range prev {
@@ -408,8 +354,8 @@ func (n *Network) tree(root int32) []int32 {
 			}
 		}
 	}
-	slot.CompareAndSwap(nil, &prev)
-	return *slot.Load()
+	n.trees[root] = prev
+	return prev
 }
 
 // edge returns the channel group BFS marked `to` with when it scanned

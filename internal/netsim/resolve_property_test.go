@@ -2,7 +2,6 @@ package netsim_test
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -49,44 +48,35 @@ func samplePairs(nodes []string, k int) [][2]string {
 	return pairs
 }
 
-// resolveAll resolves every pair on n and renders each route. With
-// one worker it walks the pairs forward; with more, the workers share
-// n and walk them backward, interleaved. A resolution that never ends
-// (one looping on a corrupt predecessor chain) fails after the
-// deadline.
-func resolveAll(n *netsim.Network, pairs [][2]string, workers int, deadline time.Duration) ([]string, error) {
+// resolveAll resolves every pair on n and renders each route, walking
+// the pairs forward, or backward when backward is set. A resolution
+// that never ends (one looping on a corrupt predecessor chain) fails
+// after the deadline.
+func resolveAll(n *netsim.Network, pairs [][2]string, backward bool, deadline time.Duration) ([]string, error) {
 	got := make([]string, len(pairs))
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for k := w; k < len(pairs); k += workers {
-				i := k
-				if workers > 1 {
-					i = len(pairs) - 1 - k
-				}
-				r, err := n.RouteTo(pairs[i][0], pairs[i][1])
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				got[i] = routeNames(n, pairs[i][0], r)
-			}
-		}(w)
-	}
+	var err error
 	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
+	go func() {
+		defer close(done)
+		for k := range pairs {
+			i := k
+			if backward {
+				i = len(pairs) - 1 - k
+			}
+			var r netsim.Route
+			if r, err = n.RouteTo(pairs[i][0], pairs[i][1]); err != nil {
+				return
+			}
+			got[i] = routeNames(n, pairs[i][0], r)
+		}
+	}()
 	select {
 	case <-done:
 	case <-time.After(deadline):
 		return nil, fmt.Errorf("resolution still running after %v", deadline)
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	return got, nil
 }
@@ -199,14 +189,14 @@ var handFabrics = []fabric{
 }
 
 // TestRouteResolutionMatchesReferenceBFS resolves node pairs on every
-// catalog fabric and on hand-built ones, in two orders — forward on
-// one goroutine, backward from 4 goroutines sharing the network — and
-// checks each route's hops and adaptive alternative set against a
-// reference BFS that stops at the destination and allocates fresh
-// slices per call. Resolution reads shared per-source trees built
-// concurrently, so a tree that disagrees with the walk it replaces, or
-// one a racing builder corrupts, shows up as a route that differs from
-// the reference.
+// catalog fabric and on hand-built ones, in two orders — forward and
+// backward, each on a fresh network — and checks each route's hops and
+// adaptive alternative set against a reference BFS that stops at the
+// destination and allocates fresh slices per call. Resolution reads
+// cached per-source trees and paths, so a tree that disagrees with the
+// walk it replaces, or a cache entry that one order fills and the
+// other reads wrongly, shows up as a route that differs from the
+// reference.
 func TestRouteResolutionMatchesReferenceBFS(t *testing.T) {
 	for _, f := range append(catalogFabrics(), handFabrics...) {
 		t.Run(f.name, func(t *testing.T) {
@@ -234,14 +224,14 @@ func TestRouteResolutionMatchesReferenceBFS(t *testing.T) {
 			if p := f.detoured; p != [2]string{} && len(netsim.RefAlts(ref, p[0], p[1])) == 0 {
 				t.Fatalf("%s -> %s has no detours", p[0], p[1])
 			}
-			for _, workers := range []int{1, 4} {
-				got, err := resolveAll(fresh(), pairs, workers, time.Minute)
+			for _, backward := range []bool{false, true} {
+				got, err := resolveAll(fresh(), pairs, backward, time.Minute)
 				if err != nil {
-					t.Fatalf("%d workers: %v", workers, err)
+					t.Fatalf("backward=%v: %v", backward, err)
 				}
 				for i, p := range pairs {
 					if got[i] != want[i] {
-						t.Fatalf("%d workers, %s -> %s: route %s, reference %s", workers, p[0], p[1], got[i], want[i])
+						t.Fatalf("backward=%v, %s -> %s: route %s, reference %s", backward, p[0], p[1], got[i], want[i])
 					}
 				}
 			}

@@ -79,7 +79,7 @@ type detour struct{ a, b *Path }
 // RouteTo resolves the Route from src to dst under the network's
 // routing policy. Under RouteMinimal (or with no registered detours)
 // the Route degenerates to the minimal path and behaves byte-for-byte
-// identically to it. Safe to call concurrently (see core).
+// identically to it.
 func (n *Network) RouteTo(src, dst string) (Route, error) {
 	si, di, err := n.pair(src, dst)
 	if err != nil {
@@ -113,34 +113,21 @@ func (n *Network) RouteAt(si, di int32) (Route, error) {
 }
 
 // core resolves (and caches) the core route between two attachments,
-// or returns nil when d is unreachable from s. The route is composed
-// from canonical cached paths without holding any lock (path
-// resolution synchronizes per path-cache shard on its own), then
-// installed in its route shard under a double-check, so parallel
-// workers resolving distinct pairs never serialize on a shared mutex.
+// or returns nil when d is unreachable from s.
 func (n *Network) core(s, d int32) *coreRoute {
 	key := pairKey(s, d)
-	sh := n.shard(key)
-	sh.mu.RLock()
-	c, ok := sh.routes[key]
-	sh.mu.RUnlock()
-	if ok {
+	if c, ok := n.routes[key]; ok {
 		return c
 	}
 	min, ok := n.pathTo(s, d)
 	if !ok {
 		return nil
 	}
-	c = &coreRoute{min: min}
+	c := &coreRoute{min: min}
 	if n.routing == RouteAdaptive {
 		c.alts = n.buildAlts(s, d, min)
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if q, ok := sh.routes[key]; ok {
-		return q // lost a resolve race; the winner is canonical
-	}
-	sh.routes[key] = c
+	n.routes[key] = c
 	return c
 }
 
@@ -151,7 +138,7 @@ func (n *Network) core(s, d int32) *coreRoute {
 // or no longer than the minimal path are skipped. The end hops of a
 // node pair shift every candidate alike, so the kept set is the
 // pair's own. Candidates are ranked by BFS-tree hop counts, and only
-// the kept ones resolve their legs through the sharded path cache.
+// the kept ones resolve their legs through the path cache.
 func (n *Network) buildAlts(s, d int32, min *Path) []detour {
 	type cand struct {
 		via  int32

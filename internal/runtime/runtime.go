@@ -323,19 +323,6 @@ func (ep *Endpoint) wireTime(tp machine.TransportParams, start sim.Time, dst int
 	return w.route(ep.node, to.node).Transfer(t, bytes, ch)
 }
 
-// WireLatency is the zero-contention propagation latency from this
-// endpoint to dst: the fabric's base latency, or the shared-memory
-// latency when the ranks co-reside. Hardware atomics ride this path
-// directly, bypassing the software pipeline latency that full
-// messages pay.
-func (ep *Endpoint) WireLatency(dst int) sim.Time {
-	w := ep.world
-	if to := w.eps[dst]; ep.node != to.node {
-		return w.route(ep.node, to.node).BaseLatency()
-	}
-	return w.Inst.Cfg.MemLatency
-}
-
 // RemoteAtomic performs a blocking remote atomic on the uint64 at off
 // in dst's memory mem and returns the value it held before: a
 // compare-and-swap to operand when cas is set, a fetch-and-add of

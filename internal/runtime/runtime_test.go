@@ -295,14 +295,19 @@ func TestComputeAdvancesClock(t *testing.T) {
 	}
 }
 
+// TestWireLatency checks the zero-contention wire latency that atomic
+// packets ride when their transport holds no link: the shared-memory
+// latency between co-resident ranks, the fabric's base latency
+// otherwise, with no software pipeline latency either way.
 func TestWireLatency(t *testing.T) {
 	w := newWorld(t, "perlmutter-cpu", 128)
+	ep, tp := w.Endpoint(0), machine.TransportParams{}
 	// Same socket: memory latency.
-	if got := w.Endpoint(0).WireLatency(1); got != w.Inst.Cfg.MemLatency {
+	if got := ep.atomicFlight(tp, 0, 1, 0); got != w.Inst.Cfg.MemLatency {
 		t.Fatalf("same-node wire = %v", got)
 	}
 	// Cross socket: fabric base latency (IF hop, 150 ns).
-	if got := w.Endpoint(0).WireLatency(127); got != sim.FromNanoseconds(150) {
+	if got := ep.atomicFlight(tp, 0, 127, 0); got != sim.FromNanoseconds(150) {
 		t.Fatalf("cross-socket wire = %v, want 150ns", got)
 	}
 }

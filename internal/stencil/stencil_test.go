@@ -125,8 +125,20 @@ func TestMsgsPerSyncIsFour(t *testing.T) {
 // one-sided stencil at 2 and 6 iterations. Once its records are warm an
 // iteration allocates nothing, so the four extra iterations must cost
 // less than one allocation per rank in all; a fresh Exchange result
-// per rank and iteration costs four.
+// per rank and iteration costs four. The barrier's signal records are
+// still warming at 2 iterations (they settle by about 10), and make 12
+// of the 16 allowed.
+//
+// It counts only in builds without the race detector. The race runtime
+// allocates on its own and at random: its sync.Pool drops a quarter of
+// the values put back, so Launch's per-rank process names sometimes
+// need a new fmt printer, and it allocates goroutine and thread records
+// at other times than a plain build. Under -race the difference swung from -8 to 33 over a dozen pairs, against
+// exactly 12 without it.
 func TestOneSidedSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates at random; allocations are counted without -race")
+	}
 	cfg := Config{Machine: mc(t, "perlmutter-cpu"), Transport: comm.OneSided, Grid: 64, PX: 4, PY: 4}
 	mallocs := func(iters int) int64 {
 		cfg.Iters = iters

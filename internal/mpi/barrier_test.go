@@ -49,10 +49,10 @@ func barrierUnderFaults(t *testing.T, seed uint64, shards int) (enter, exit [3][
 // TestBarrierUnderFaults checks that no rank leaves a barrier before
 // the last rank entered it, although faults reorder round signals
 // across barriers, and that the run does not depend on the worker
-// count. A landing must raise a round's generation to the maximum: one
-// that stores the arriving generation lets a late signal of barrier b
-// lower the word after barrier b+1's signal landed, and barrier b+1
-// then waits forever.
+// count. A round must count its signals up to the barrier's
+// generation: one that leaves as soon as any signal has landed
+// (count > 0) lets barrier 2 pass on barrier 1's signal, and a rank
+// then leaves before a skewed rank entered.
 func TestBarrierUnderFaults(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		enter, exit, d1 := barrierUnderFaults(t, seed, 1)

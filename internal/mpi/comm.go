@@ -5,8 +5,8 @@
 //     (Isend/Irecv/Recv/Wait/Waitall) with an eager protocol and an
 //     unexpected-message queue, plus a dissemination Barrier whose
 //     rounds are real 1-byte messages (so synchronization pays
-//     realistic latency) that land as generation signals, not through
-//     matching: internal/runtime's Barrier, which shmem shares;
+//     realistic latency) that land as counted round signals, not
+//     through matching: internal/runtime's Barrier, which shmem shares;
 //   - one-sided (MPI-3 RMA): windows with Put, Win_fence,
 //     Win_flush, Win_flush_local, Fetch_and_op and Compare_and_swap
 //     (rma.go), each window one lazy runtime.Mem per rank, with puts
@@ -205,8 +205,8 @@ func (r *Rank) PendingOutOfOrder() int {
 // ceil(log2(P)) rounds, each a real 1-byte message, so its cost scales
 // like log(P) x latency exactly as a software MPI_Barrier does. A
 // round charges a send and a receive post like Isend+Irecv, but its
-// message lands as a generation signal (runtime.Barrier) on its own
-// context: no tag matching, sequence number or request.
+// message lands as a counted round signal (runtime.Barrier) on its
+// own context: no tag matching, sequence number or request.
 func (r *Rank) Barrier() {
 	if r.comm.Size() == 1 {
 		r.ep.ChargeOp(r.proc, r.comm.two)

@@ -141,8 +141,8 @@ func TestTagAndSourceMatching(t *testing.T) {
 
 // TestAnyTagSkipsInternalTraffic posts a wildcard receive that is
 // still open while its peers run a barrier: it must wait for the user
-// message, because barrier rounds land as generation signals and never
-// reach the matching queue.
+// message, because barrier rounds land as counted round signals and
+// never reach the matching queue.
 func TestAnyTagSkipsInternalTraffic(t *testing.T) {
 	c := newComm(t, "perlmutter-cpu", 4)
 	var got *Request

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"math/bits"
-	"sync/atomic"
 
 	"msgroofline/internal/machine"
 	"msgroofline/internal/sim"
@@ -22,19 +21,20 @@ type BarrierCost struct {
 // round r of ⌈log2 P⌉ charges an op, signals rank me+2^r and waits for
 // the signal of rank me-2^r.
 //
-// Round r has exactly one sender, so sig[r] holds the newest barrier
-// generation that sender has signalled, and a landing stores the
-// maximum. The sender only reaches barrier b+1 after finishing barrier
-// b, so a newer generation also vouches for every older one, and a late
-// signal of an older barrier never lowers it. Signals need no sequence
-// numbers or matching, and no order among themselves or with other
-// traffic.
+// Round r has exactly one sender, and it sends exactly one round-r
+// signal per barrier, so in[r] counts the round-r signals that have
+// landed and barrier g leaves round r once that count is at least g.
+// A count of g means the sender has entered barrier g, whatever order
+// its signals landed in, which is what MPI's non-overtaking matching
+// tells a dissemination barrier over messages. Signals carry no
+// generation, sequence number or record, and need no order among
+// themselves or with other traffic.
 type Barrier struct {
 	ep    *Endpoint
 	all   []*Barrier // every rank's, by rank
 	cost  *BarrierCost
 	wake  *sim.Cond // broadcast when a signal lands here
-	sig   []uint64
+	in    []inbox   // by round
 	gen   uint64
 	round int         // the round Wait waits on
 	ready func() bool // b.signalled, bound once
@@ -43,7 +43,15 @@ type Barrier struct {
 	quiesced *sim.Cond
 	inFlight int
 	retire   func(sim.Time) // b.complete, bound once
-	sent     *barSignal     // every signal record this rank has made
+}
+
+// inbox counts one round's signals at one rank, on that rank's engine.
+// The round's sender sets wake and land before its first signal; the
+// landings only read them.
+type inbox struct {
+	count uint64
+	wake  *sim.Cond      // the rank's
+	land  func(sim.Time) // in.arrive
 }
 
 // NewBarriers builds the barrier of every rank of w. A signal landing
@@ -52,10 +60,10 @@ type Barrier struct {
 func NewBarriers(w *World, cost BarrierCost, wake, quiesced func(rank int) *sim.Cond) []*Barrier {
 	n := w.Size()
 	rounds := bits.Len(uint(n - 1))
-	all, bs, sig := make([]*Barrier, n), make([]Barrier, n), make([]uint64, n*rounds)
+	all, bs, in := make([]*Barrier, n), make([]Barrier, n), make([]inbox, n*rounds)
 	for r := range all {
 		b := &bs[r]
-		*b = Barrier{ep: w.eps[r], all: all, cost: &cost, wake: wake(r), sig: sig[r*rounds : (r+1)*rounds]}
+		*b = Barrier{ep: w.eps[r], all: all, cost: &cost, wake: wake(r), in: in[r*rounds : (r+1)*rounds]}
 		b.ready = b.signalled
 		if quiesced != nil {
 			b.quiesced, b.retire = quiesced(r), b.complete
@@ -72,12 +80,15 @@ func (b *Barrier) Wait(p *sim.Proc) {
 	b.gen++
 	for r, k := 0, 1; k < n; r, k = r+1, k<<1 {
 		ep.ChargeOp(p, c.TP)
-		s := b.signal()
-		s.to, s.round, s.gen = b.all[(ep.rank+k)%n], r, b.gen
+		to := b.all[(ep.rank+k)%n]
+		in := &to.in[r]
+		if in.land == nil {
+			in.wake, in.land = to.wake, in.arrive
+		}
 		if b.quiesced != nil {
 			b.inFlight++
 		}
-		ep.Inject(c.TP, s.to.ep.rank, c.Bytes, ep.AutoChannel(), s.land, b.retire)
+		ep.Inject(c.TP, to.ep.rank, c.Bytes, ep.AutoChannel(), in.land, b.retire)
 		if c.RecvOp {
 			ep.ChargeOp(p, c.TP)
 		}
@@ -90,45 +101,14 @@ func (b *Barrier) Wait(p *sim.Proc) {
 // locally (always zero without a quiesced cond).
 func (b *Barrier) InFlight() int { return b.inFlight }
 
-func (b *Barrier) signalled() bool { return b.sig[b.round] >= b.gen }
+func (b *Barrier) signalled() bool { return b.in[b.round].count >= b.gen }
 
 func (b *Barrier) complete(sim.Time) {
 	b.inFlight--
 	b.quiesced.Broadcast()
 }
 
-// barSignal is one round signal. It lands on the target's engine,
-// possibly while its origin runs in another window worker, so, as with
-// putRec, the origin reuses it only once it reads landed.
-type barSignal struct {
-	to     *Barrier
-	round  int
-	gen    uint64
-	landed atomic.Bool
-	land   func(sim.Time) // s.arrive, bound once
-	next   *barSignal
-}
-
-// signal returns the first landed record on the sent list, or a new
-// one at its head.
-func (b *Barrier) signal() *barSignal {
-	s := b.sent
-	for s != nil && !s.landed.Load() {
-		s = s.next
-	}
-	if s == nil {
-		s = &barSignal{next: b.sent}
-		s.land = s.arrive
-		b.sent = s
-	}
-	s.landed.Store(false)
-	return s
-}
-
-func (s *barSignal) arrive(sim.Time) {
-	to := s.to
-	to.sig[s.round] = max(to.sig[s.round], s.gen)
-	// The origin may reuse the record as soon as it reads landed.
-	s.landed.Store(true)
-	to.wake.Broadcast()
+func (in *inbox) arrive(sim.Time) {
+	in.count++
+	in.wake.Broadcast()
 }

@@ -19,8 +19,8 @@ import (
 //     and run and returned by the barrier;
 //   - a landing is taken from the list of the endpoint whose engine
 //     runs it and returns itself there when it fires;
-//   - a putRec (put.go) or barSignal (barrier.go) is taken by its
-//     origin and reused, on the origin's engine, once it has landed;
+//   - a putRec (put.go) is taken by its origin and reused, on the
+//     origin's engine, once it has landed;
 //   - an atomicTxn is taken and returned by its origin's process.
 
 // flight is one cross-group Inject awaiting the window barrier.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"msgroofline/internal/machine"
+	"msgroofline/internal/netsim"
 	"msgroofline/internal/sim"
 )
 
@@ -256,41 +257,77 @@ func TestRepeatedBarriers(t *testing.T) {
 	}
 }
 
-// TestBarrierBackToBackAbove256 runs 4 back-to-back barriers on a
-// 300-rank memory-channel world, which has 9 dissemination rounds,
-// with a different rank-dependent skew before each. Signals of
-// consecutive barriers must not collide (they once shared slots and
-// deadlocked above 256 ranks), and no rank may leave barrier b before
-// the last rank entered it.
-func TestBarrierBackToBackAbove256(t *testing.T) {
-	const npes, barriers = 300, 4
+// backToBackBarriers runs 4 back-to-back barriers on a 300-PE
+// memory-channel world of dragonfly-1k, which has 9 dissemination
+// rounds, with a different PE-dependent skew before each and the given
+// faults (nil for none) on the fabric. It returns each PE's entry and
+// exit time per barrier, the most barrier signals a PE still had in
+// flight once the quiet after a barrier returned, and the run's digest.
+func backToBackBarriers(t *testing.T, faults *netsim.Faults, shards int) (enter, leave *[4][300]sim.Time, inFlight int, digest uint64) {
+	t.Helper()
 	cfg, err := machine.Get("dragonfly-1k")
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := NewJobSharded(cfg, machine.MemChannel, npes, 64, 0, 1)
+	j, err := NewJobSharded(cfg, machine.MemChannel, 300, 64, 0, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var enter, leave [barriers][npes]sim.Time
+	j.World().Inst.Net.SetFaults(faults)
+	enter, leave = new([4][300]sim.Time), new([4][300]sim.Time)
+	var quiet [300]int // by PE
 	err = j.Launch(func(c *Ctx) {
 		me := c.MyPE()
-		for b := 0; b < barriers; b++ {
+		for b := range enter {
 			c.Compute(sim.FromNanoseconds(float64((me*37+b*101)%293) * 20))
 			enter[b][me] = c.Now()
 			c.Barrier()
 			leave[b][me] = c.Now()
+			c.Quiet()
+			quiet[me] = max(quiet[me], c.pe.bar.InFlight())
 		}
 	})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("shards %d: %v", shards, err)
 	}
-	for b := 0; b < barriers; b++ {
-		last := slices.Max(enter[b][:])
-		for pe, at := range leave[b] {
-			if at < last {
-				t.Fatalf("barrier %d: PE %d left at %v before the last PE entered at %v", b, pe, at, last)
+	if fs := j.World().Inst.Net.FaultStats(); faults != nil && (fs.Drops == 0 || fs.Spikes == 0) {
+		t.Fatalf("shards %d: %d drops and %d spikes, want some of each", shards, fs.Drops, fs.Spikes)
+	}
+	return enter, leave, slices.Max(quiet[:]), j.Digest()
+}
+
+// TestBarrierBackToBackAbove256 runs backToBackBarriers without faults
+// and under latency spikes and drops (seeds 1-3), which reorder a PE's
+// round signals across barriers, at 1 and 2 shards. Signals of
+// consecutive barriers must not collide (slots indexed by barrier and
+// round wrap above 256 ranks and deadlock), no PE may leave barrier b
+// before the last PE entered it, the quiet after each barrier must
+// leave no barrier signal in flight, and both shard counts must give
+// one digest.
+func TestBarrierBackToBackAbove256(t *testing.T) {
+	for seed := uint64(0); seed <= 3; seed++ {
+		var faults *netsim.Faults // seed 0 runs without
+		if seed > 0 {
+			faults = &netsim.Faults{Seed: seed, DropProb: 0.1, SpikeProb: 0.5, MaxSpike: 60 * sim.Microsecond}
+		}
+		var digests [2]uint64
+		for i, shards := range []int{1, 2} {
+			enter, leave, inFlight, d := backToBackBarriers(t, faults, shards)
+			for b := range enter {
+				last := slices.Max(enter[b][:])
+				for pe, at := range leave[b] {
+					if at < last {
+						t.Fatalf("seed %d shards %d barrier %d: PE %d left at %v before the last PE entered at %v", seed, shards, b, pe, at, last)
+					}
+				}
 			}
+			if inFlight != 0 {
+				t.Errorf("seed %d shards %d: %d barrier signals in flight after a quiet", seed, shards, inFlight)
+			}
+			digests[i] = d
+		}
+		if digests[0] != digests[1] {
+			t.Errorf("seed %d: digest %016x at shards 1, %016x at shards 2", seed, digests[0], digests[1])
 		}
 	}
 }

@@ -16,11 +16,7 @@ import (
 )
 
 func main() {
-	for _, name := range []string{"perlmutter-gpu", "summit-gpu", "frontier-gpu"} {
-		cfg, err := machine.Get(name)
-		if err != nil {
-			log.Fatal(err)
-		}
+	for _, cfg := range []*machine.Config{machine.PerlmutterGPU, machine.SummitGPU, machine.FrontierGPU} {
 		fmt.Printf("%s (%d GPUs):\n", cfg.Title, cfg.MaxRanks)
 		fmt.Printf("  %10s %14s %12s\n", "elements", "time", "algbw GB/s")
 		for _, n := range []int{1 << 10, 1 << 14, 1 << 18} {

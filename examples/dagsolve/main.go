@@ -45,8 +45,7 @@ func main() {
 	}
 
 	// 3. Distributed solves.
-	pm, _ := machine.Get("perlmutter-cpu")
-	pg, _ := machine.Get("perlmutter-gpu")
+	pm, pg := machine.PerlmutterCPU, machine.PerlmutterGPU
 	runs := []struct {
 		name string
 		cfg  sptrsv.Config

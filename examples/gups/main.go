@@ -14,10 +14,7 @@ import (
 )
 
 func main() {
-	pm, err := machine.Get("perlmutter-cpu")
-	if err != nil {
-		log.Fatal(err)
-	}
+	pm := machine.PerlmutterCPU
 	fmt.Println("distributed hashtable, Perlmutter CPU, 128 inserts/process")
 	fmt.Printf("%6s %16s %16s %10s\n", "ranks", "two-sided", "one-sided", "1s/2s")
 	for _, p := range []int{2, 8, 32, 128} {
@@ -38,11 +35,7 @@ func main() {
 	}
 
 	fmt.Println("\nGPU atomics (NVSHMEM CAS), 600 inserts/PE:")
-	for _, name := range []string{"perlmutter-gpu", "summit-gpu"} {
-		g, err := machine.Get(name)
-		if err != nil {
-			log.Fatal(err)
-		}
+	for _, g := range []*machine.Config{machine.PerlmutterGPU, machine.SummitGPU} {
 		fmt.Printf("  %s:\n", g.Title)
 		for p := 1; p <= g.MaxRanks; p++ {
 			res, err := hashtable.Run(hashtable.Config{Machine: g, Transport: comm.Shmem, Ranks: p, TotalInserts: 600 * g.MaxRanks})

@@ -15,10 +15,7 @@ import (
 
 func main() {
 	// 1. Pick a platform from the catalog (Table I of the paper).
-	cfg, err := machine.Get("perlmutter-cpu")
-	if err != nil {
-		log.Fatal(err)
-	}
+	cfg := machine.PerlmutterCPU
 	fmt.Printf("machine: %s (%v, up to %d ranks, %0.f GB/s ceiling)\n\n",
 		cfg.Title, cfg.Kind, cfg.MaxRanks, cfg.TheoreticalGBs)
 

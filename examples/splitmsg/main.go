@@ -14,10 +14,7 @@ import (
 )
 
 func main() {
-	cfg, err := machine.Get("perlmutter-gpu")
-	if err != nil {
-		log.Fatal(err)
-	}
+	cfg := machine.PerlmutterGPU
 	model, err := core.ForMachine(cfg, machine.GPUShmem, 4, 0, 1)
 	if err != nil {
 		log.Fatal(err)

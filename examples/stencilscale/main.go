@@ -14,14 +14,8 @@ import (
 )
 
 func main() {
-	pm, err := machine.Get("perlmutter-cpu")
-	if err != nil {
-		log.Fatal(err)
-	}
-	pg, err := machine.Get("perlmutter-gpu")
-	if err != nil {
-		log.Fatal(err)
-	}
+	pm := machine.PerlmutterCPU
+	pg := machine.PerlmutterGPU
 
 	// Correctness first: all three variants must match the serial
 	// reference bit-for-bit on a small verified grid.

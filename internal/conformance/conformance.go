@@ -21,6 +21,7 @@ package conformance
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"msgroofline/internal/netsim"
@@ -28,57 +29,42 @@ import (
 	"msgroofline/internal/sim"
 )
 
-// Options configures a conformance sweep.
+// Options configures a conformance sweep. Seeds run on GOMAXPROCS
+// workers, and every failing seed is shrunk.
 type Options struct {
-	// Seeds is how many consecutive seeds to run (default 50).
+	// Seeds is how many consecutive seeds to run, from 0 (default 50).
 	Seeds int
-	// FirstSeed is the first seed value (seeds are FirstSeed,
-	// FirstSeed+1, ...).
-	FirstSeed uint64
-	// Jobs bounds the worker pool; <= 0 selects GOMAXPROCS.
-	Jobs int
-	// MaxJitter bounds per-event schedule jitter (default 2us).
-	MaxJitter sim.Time
 	// DropProb is the per-transmission drop probability. Zero selects
 	// the default 0.02; negative disables drops.
 	DropProb float64
 	// SpikeProb is the per-message latency-spike probability. Zero
 	// selects the default 0.05; negative disables spikes.
 	SpikeProb float64
-	// MaxSpike bounds spike delay (default 3us).
-	MaxSpike sim.Time
 	// Kernels filters cases by kernel name (nil keeps all).
 	Kernels []string
-	// Transports filters cases by transport name (nil keeps all).
-	Transports []string
 	// Unordered disables the MPI non-overtaking resequencer in the
 	// micro-kernels (deliberate bug injection for mutation testing).
 	Unordered bool
-	// NoShrink skips schedule minimization of failing seeds.
-	NoShrink bool
-	// ShrinkBudget caps replays spent shrinking one violation
-	// (default 200).
-	ShrinkBudget int
 }
+
+const (
+	// maxJitter bounds per-event schedule jitter.
+	maxJitter = 2 * sim.Microsecond
+	// maxSpike bounds a latency spike's delay.
+	maxSpike = 3 * sim.Microsecond
+	// shrinkBudget caps the replays spent shrinking one violation.
+	shrinkBudget = 200
+)
 
 func (o Options) withDefaults() Options {
 	if o.Seeds <= 0 {
 		o.Seeds = 50
-	}
-	if o.MaxJitter <= 0 {
-		o.MaxJitter = 2 * sim.Microsecond
 	}
 	if o.DropProb == 0 {
 		o.DropProb = 0.02
 	}
 	if o.SpikeProb == 0 {
 		o.SpikeProb = 0.05
-	}
-	if o.MaxSpike <= 0 {
-		o.MaxSpike = 3 * sim.Microsecond
-	}
-	if o.ShrinkBudget <= 0 {
-		o.ShrinkBudget = 200
 	}
 	return o
 }
@@ -141,8 +127,7 @@ func Run(o Options) (*Report, error) {
 	o = o.withDefaults()
 	cases := selectCases(o)
 	if len(cases) == 0 {
-		return nil, fmt.Errorf("conformance: no cases match kernels=%v transports=%v",
-			o.Kernels, o.Transports)
+		return nil, fmt.Errorf("conformance: no cases match kernels=%v", o.Kernels)
 	}
 	refs := make([]outcome, len(cases))
 	for i, kc := range cases {
@@ -152,8 +137,8 @@ func Run(o Options) (*Report, error) {
 		}
 		refs[i] = out
 	}
-	perSeed, _, err := sched.Map(o.Jobs, o.Seeds, func(i int) ([]Violation, error) {
-		seed := o.FirstSeed + uint64(i)
+	perSeed, _, err := sched.Map(0, o.Seeds, func(i int) ([]Violation, error) {
+		seed := uint64(i)
 		var vs []Violation
 		for ci, kc := range cases {
 			detail := check(kc, refs[ci], o.seedChaos(seed))
@@ -179,16 +164,12 @@ func Run(o Options) (*Report, error) {
 // still reproduces a failure.
 func (o Options) buildViolation(kc kcase, ref outcome, seed uint64, detail string) Violation {
 	v := Violation{Kernel: kc.kernel, Transport: kc.transport, Seed: seed, Detail: detail}
-	rec := &sim.Perturbation{Seed: seed, Reorder: true, MaxJitter: o.MaxJitter, Record: true}
+	rec := &sim.Perturbation{Seed: seed, Reorder: true, MaxJitter: maxJitter, Record: true}
 	runCase(kc, chaos{perturb: rec, faults: o.faults(seed), unordered: o.Unordered})
 	script := append([]sim.PerturbDecision(nil), rec.Trace()...)
 	v.TraceLen = len(script)
 	v.StreamLens = rec.TraceLens()
-	if o.NoShrink {
-		v.Script = script
-		return v
-	}
-	v.Script = shrinkScript(script, o.ShrinkBudget, func(s []sim.PerturbDecision) bool {
+	v.Script = shrinkScript(script, shrinkBudget, func(s []sim.PerturbDecision) bool {
 		return check(kc, ref, o.scriptChaos(seed, s, v.StreamLens)) != ""
 	})
 	return v
@@ -216,7 +197,7 @@ func Replay(o Options, v Violation) string {
 // engine.
 func (o Options) seedChaos(seed uint64) chaos {
 	return chaos{
-		perturb:   &sim.Perturbation{Seed: seed, Reorder: true, MaxJitter: o.MaxJitter},
+		perturb:   &sim.Perturbation{Seed: seed, Reorder: true, MaxJitter: maxJitter},
 		faults:    o.faults(seed),
 		unordered: o.Unordered,
 	}
@@ -255,25 +236,14 @@ func (o Options) faults(seed uint64) *netsim.Faults {
 		Seed:      seed*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d,
 		DropProb:  drop,
 		SpikeProb: spike,
-		MaxSpike:  o.MaxSpike,
+		MaxSpike:  maxSpike,
 	}
 }
 
 func selectCases(o Options) []kcase {
-	keep := func(want []string, got string) bool {
-		if len(want) == 0 {
-			return true
-		}
-		for _, w := range want {
-			if w == got {
-				return true
-			}
-		}
-		return false
-	}
 	var out []kcase
 	for _, kc := range allCases() {
-		if keep(o.Kernels, kc.kernel) && keep(o.Transports, kc.transport) {
+		if len(o.Kernels) == 0 || slices.Contains(o.Kernels, kc.kernel) {
 			out = append(out, kc)
 		}
 	}

@@ -22,7 +22,7 @@ import (
 	"msgroofline/internal/stencil"
 )
 
-// Transport names used by the case table and Options filters.
+// Transport names used by the case table.
 const (
 	TwoSided   = "two-sided"
 	OneSided   = "one-sided"
@@ -72,14 +72,6 @@ type kcase struct {
 	run       func(ch chaos) (outcome, error)
 }
 
-func mach(name string) *machine.Config {
-	cfg, err := machine.Get(name)
-	if err != nil {
-		panic(fmt.Sprintf("conformance: %v", err))
-	}
-	return cfg
-}
-
 // testMatrix is the shared sparse triangular system solved by every
 // sptrsv case. It is generated once and only read afterwards, so
 // parallel seed jobs may share it.
@@ -103,11 +95,11 @@ func testMatrix() *spmat.SupTri {
 // a GPU platform for the device-driven stacks (shmem, stream-
 // triggered), a CPU platform (with notified access and memory
 // channels calibrated) otherwise.
-func workloadMachine(kind comm.Kind, cpu, gpu string) *machine.Config {
+func workloadMachine(kind comm.Kind, cpu, gpu *machine.Config) *machine.Config {
 	if kind == comm.Shmem || kind == comm.StreamTriggered {
-		return mach(gpu)
+		return gpu
 	}
-	return mach(cpu)
+	return cpu
 }
 
 // allCases enumerates the full conformance matrix: the three paper
@@ -154,7 +146,7 @@ func stencilRun(transport string) func(chaos) (outcome, error) {
 			return outcome{}, err
 		}
 		res, err := stencil.Run(stencil.Config{
-			Machine:   workloadMachine(kind, "perlmutter-cpu", "perlmutter-gpu"),
+			Machine:   workloadMachine(kind, machine.PerlmutterCPU, machine.PerlmutterGPU),
 			Transport: kind,
 			Grid:      24, Iters: 3, PX: 2, PY: 2, Verify: true,
 			Shards:  ch.shards,
@@ -177,7 +169,7 @@ func sptrsvRun(transport string) func(chaos) (outcome, error) {
 			return outcome{}, err
 		}
 		res, err := sptrsv.Run(sptrsv.Config{
-			Machine:   workloadMachine(kind, "frontier-cpu", "summit-gpu"),
+			Machine:   workloadMachine(kind, machine.FrontierCPU, machine.SummitGPU),
 			Transport: kind,
 			Matrix:    testMatrix(), Ranks: 4,
 			Shards:  ch.shards,
@@ -201,7 +193,7 @@ func hashtableRun(transport string) func(chaos) (outcome, error) {
 			return outcome{}, err
 		}
 		res, err := hashtable.Run(hashtable.Config{
-			Machine:   workloadMachine(kind, "perlmutter-cpu", "perlmutter-gpu"),
+			Machine:   workloadMachine(kind, machine.PerlmutterCPU, machine.PerlmutterGPU),
 			Transport: kind,
 			Ranks:     4, TotalInserts: 400, Blocks: 4,
 			Shards:  ch.shards,
@@ -241,7 +233,7 @@ func moDecode(b []byte) (src, tag, k int) {
 // tag) stream to complete in send order regardless of how the fabric
 // reorders arrivals; afterwards every queue must have drained.
 func msgorderRun(ch chaos) (outcome, error) {
-	c, err := mpi.NewCommSharded(mach("perlmutter-cpu"), 3, ch.shards)
+	c, err := mpi.NewCommSharded(machine.PerlmutterCPU, 3, ch.shards)
 	if err != nil {
 		return outcome{}, err
 	}
@@ -347,7 +339,7 @@ func putsignalRun(ch chaos) (outcome, error) {
 	quietOff := sigBase + rounds*8
 	heap := quietOff + slotBytes
 
-	j, err := shmem.NewJobSharded(mach("summit-gpu"), machine.GPUShmem, pes, heap, sigBase, ch.shards)
+	j, err := shmem.NewJobSharded(machine.SummitGPU, machine.GPUShmem, pes, heap, sigBase, ch.shards)
 	if err != nil {
 		return outcome{}, err
 	}
@@ -435,7 +427,7 @@ func streamorderRun(ch chaos) (outcome, error) {
 		return b
 	}
 	tr, err := comm.New(comm.Spec{
-		Machine: mach("perlmutter-gpu"), Kind: comm.StreamTriggered, Ranks: 2,
+		Machine: machine.PerlmutterGPU, Kind: comm.StreamTriggered, Ranks: 2,
 		StreamSlots: []int{0, soSlots}, SlotBytes: soSlotBytes,
 		Shards: ch.shards, Perturb: ch.perturb, Faults: ch.faults,
 		NoTrace: true, DebugUnordered: ch.unordered,
@@ -513,7 +505,7 @@ func chanfifoRun(ch chaos) (outcome, error) {
 		return b
 	}
 	tr, err := comm.New(comm.Spec{
-		Machine: mach("perlmutter-cpu"), Kind: comm.MemChannel, Ranks: 2,
+		Machine: machine.PerlmutterCPU, Kind: comm.MemChannel, Ranks: 2,
 		StreamSlots: []int{0, cfSlots}, SlotBytes: cfSlotBytes,
 		Shards: ch.shards, Perturb: ch.perturb, Faults: ch.faults,
 		NoTrace: true, DebugUnordered: ch.unordered,

@@ -13,7 +13,6 @@ import (
 	"strings"
 	"time"
 
-	"msgroofline/internal/machine"
 	"msgroofline/internal/plot"
 	"msgroofline/internal/sched"
 	"msgroofline/internal/sim"
@@ -86,9 +85,9 @@ type Experiment struct {
 // Registry lists every experiment in paper order.
 func Registry() []Experiment {
 	return []Experiment{
-		{ID: "tableI", Title: "Evaluation platforms (Table I / Table III)", Run: func(*Env) (*Output, error) { return TableI() }},
+		{ID: "tableI", Title: "Evaluation platforms (Table I / Table III)", Run: TableI},
 		{ID: "fig1", Title: "Message Roofline overview on Frontier (Fig 1)", Run: Fig1, Cost: 5},
-		{ID: "fig2", Title: "Node architectures (Fig 2)", Run: func(*Env) (*Output, error) { return Fig2() }},
+		{ID: "fig2", Title: "Node architectures (Fig 2)", Run: Fig2},
 		{ID: "fig3", Title: "Two-sided vs one-sided MPI bandwidth on CPUs (Fig 3)", Run: Fig3, Cost: 37},
 		{ID: "fig4", Title: "GPU-initiated put-with-signal and CAS (Fig 4)", Run: Fig4, Cost: 13},
 		{ID: "tableII", Title: "Workload characterization (Table II)", Run: TableII, Cost: 24},
@@ -191,12 +190,6 @@ func RunSuite(exps []Experiment, opt SuiteOptions) ([]*Output, *sched.Stats, Unp
 }
 
 // helpers -------------------------------------------------------------------
-
-// getMachine resolves a catalog name, turning an unknown machine into
-// a reported experiment failure instead of a crash.
-func getMachine(name string) (*machine.Config, error) {
-	return machine.Get(name)
-}
 
 // matrixFor returns the SpTRSV factor for the scale.
 func matrixFor(s Scale) (*spmat.SupTri, string, error) {

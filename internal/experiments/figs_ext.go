@@ -27,12 +27,8 @@ func ExtCCL(env *Env) (*Output, error) {
 	t := table.New("Extension — ring AllReduce (NCCL-style) on GPU machines",
 		"Machine", "GPUs", "elements", "time", "algbw GB/s")
 	var series []plot.Series
-	for _, name := range []string{"perlmutter-gpu", "summit-gpu", "frontier-gpu"} {
-		cfg, err := getMachine(name)
-		if err != nil {
-			return nil, err
-		}
-		ser := plot.Series{Name: name + " allreduce"}
+	for _, cfg := range []*machine.Config{machine.PerlmutterGPU, machine.SummitGPU, machine.FrontierGPU} {
+		ser := plot.Series{Name: cfg.Name + " allreduce"}
 		for _, n := range sizes {
 			plan, err := ccl.NewPlan(cfg.MaxRanks, n)
 			if err != nil {
@@ -84,10 +80,7 @@ func ExtCCL(env *Env) (*Output, error) {
 // extension platform (projected ROC_SHMEM parameters).
 func ExtFrontierGPU(env *Env) (*Output, error) {
 	s := env.Scale
-	cfg, err := getMachine("frontier-gpu")
-	if err != nil {
-		return nil, err
-	}
+	cfg := machine.FrontierGPU
 	ns, sizes := sweepDims(s)
 	res, err := bench.Sweep(cfg, bench.Spec{Transport: bench.ShmemPutSignal, Ns: ns, Sizes: sizes, Shards: env.Shards})
 	if err != nil {
@@ -146,14 +139,8 @@ func ExtFrontierGPU(env *Env) (*Output, error) {
 // channel amortizes a one-time open handshake over an ordered FIFO.
 func ExtOffload(env *Env) (*Output, error) {
 	ns, sizes := sweepDims(env.Scale)
-	gpu, err := getMachine("perlmutter-gpu")
-	if err != nil {
-		return nil, err
-	}
-	cpu, err := getMachine("perlmutter-cpu")
-	if err != nil {
-		return nil, err
-	}
+	gpu := machine.PerlmutterGPU
+	cpu := machine.PerlmutterCPU
 	resST, err := bench.Sweep(gpu, bench.Spec{Transport: bench.StreamTriggered, Ns: ns, Sizes: sizes, Shards: env.Shards})
 	if err != nil {
 		return nil, err
@@ -167,18 +154,14 @@ func ExtOffload(env *Env) (*Output, error) {
 	split := table.New("Extension — offloaded transports: o/L split vs host-driven baselines",
 		"Machine", "Transport", "o (us)", "L+T (us)", "ceiling @8B", "ceiling @1MB")
 	for _, r := range []struct {
-		cfg      string
+		cfg      *machine.Config
 		base, tr machine.Transport
 	}{
-		{"perlmutter-gpu", machine.GPUShmem, machine.StreamTriggered},
-		{"perlmutter-cpu", machine.OneSided, machine.MemChannel},
+		{gpu, machine.GPUShmem, machine.StreamTriggered},
+		{cpu, machine.OneSided, machine.MemChannel},
 	} {
-		cfg, err := getMachine(r.cfg)
-		if err != nil {
-			return nil, err
-		}
 		for _, tr := range []machine.Transport{r.base, r.tr} {
-			m, err := core.ForMachine(cfg, tr, 2, 0, 1)
+			m, err := core.ForMachine(r.cfg, tr, 2, 0, 1)
 			if err != nil {
 				return nil, err
 			}
@@ -187,7 +170,7 @@ func ExtOffload(env *Env) (*Output, error) {
 			if p.Trigger > 0 || tr == machine.MemChannel {
 				ceil = p.OffloadBandwidth
 			}
-			split.AddRow(cfg.Name, tr.String(), usStr(sim.Time(p.OpsPerMsg)*p.O),
+			split.AddRow(r.cfg.Name, tr.String(), usStr(sim.Time(p.OpsPerMsg)*p.O),
 				usStr(p.L+p.Trigger),
 				fmt.Sprintf("%.4f GB/s", ceil(8)/1e9),
 				fmt.Sprintf("%.1f GB/s", ceil(1<<20)/1e9))
@@ -243,10 +226,7 @@ func ExtNotified(env *Env) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	pm, err := getMachine("perlmutter-cpu")
-	if err != nil {
-		return nil, err
-	}
+	pm := machine.PerlmutterCPU
 	ranks := []int{4, 8, 16}
 	if s == Full {
 		ranks = []int{4, 8, 16, 32}

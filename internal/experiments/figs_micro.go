@@ -12,7 +12,7 @@ import (
 )
 
 // TableI renders the evaluation-platform inventory.
-func TableI() (*Output, error) {
+func TableI(*Env) (*Output, error) {
 	t := table.New("Evaluation Platforms",
 		"Machine", "GPUs/node", "GPU interconnect", "GPU runtime",
 		"GPU-CPU", "CPUs", "CPU interconnect", "CPU runtime", "CPU-NIC")
@@ -30,30 +30,29 @@ func TableI() (*Output, error) {
 }
 
 // Fig2 describes the node architectures encoded in the catalog.
-func Fig2() (*Output, error) {
+func Fig2(*Env) (*Output, error) {
 	var b strings.Builder
-	descr := []struct{ name, text string }{
-		{"perlmutter-cpu", "two Milan sockets, Infinity Fabric 32 GB/s/dir x4 channels; NIC on socket 0 via PCIe4"},
-		{"frontier-cpu", "one 64-core socket as four NUMA quadrants, fully connected Infinity Fabric 36 GB/s/dir"},
-		{"summit-cpu", "two POWER9 sockets, X-Bus (64 GB/s theoretical, ~26 achievable) x2 channels"},
-		{"summit-gpu", "dual-island dumbbell: 3 V100 per island fully connected NVLink2 (2x25 GB/s per pair); islands joined GPU-CPU-XBus-CPU-GPU"},
-		{"perlmutter-gpu", "four A100 fully connected NVLink3, 4x25 GB/s port channels per pair (100 GB/s/dir)"},
+	descr := []struct {
+		cfg  *machine.Config
+		text string
+	}{
+		{machine.PerlmutterCPU, "two Milan sockets, Infinity Fabric 32 GB/s/dir x4 channels; NIC on socket 0 via PCIe4"},
+		{machine.FrontierCPU, "one 64-core socket as four NUMA quadrants, fully connected Infinity Fabric 36 GB/s/dir"},
+		{machine.SummitCPU, "two POWER9 sockets, X-Bus (64 GB/s theoretical, ~26 achievable) x2 channels"},
+		{machine.SummitGPU, "dual-island dumbbell: 3 V100 per island fully connected NVLink2 (2x25 GB/s per pair); islands joined GPU-CPU-XBus-CPU-GPU"},
+		{machine.PerlmutterGPU, "four A100 fully connected NVLink3, 4x25 GB/s port channels per pair (100 GB/s/dir)"},
 	}
 	t := table.New("Node architectures (Fig 2)", "Machine", "Topology", "Hops g0->gN/cross", "Peak/pair GB/s", "Aggregate GB/s")
 	for _, d := range descr {
-		cfg, err := getMachine(d.name)
+		in, err := d.cfg.Instantiate(d.cfg.MaxRanks)
 		if err != nil {
 			return nil, err
 		}
-		in, err := cfg.Instantiate(cfg.MaxRanks)
+		r, err := in.Net.RouteTo(in.Places[0].Node, in.Places[d.cfg.MaxRanks-1].Node)
 		if err != nil {
 			return nil, err
 		}
-		r, err := in.Net.RouteTo(in.Places[0].Node, in.Places[cfg.MaxRanks-1].Node)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(cfg.Title, d.text,
+		t.AddRow(d.cfg.Title, d.text,
 			fmt.Sprint(r.Hops()),
 			fmt.Sprintf("%.0f", r.PeakBandwidth()/1e9),
 			fmt.Sprintf("%.0f", r.AggregateBandwidth()/1e9))
@@ -74,10 +73,7 @@ func sweepDims(s Scale) ([]int, []int64) {
 // rounded bounds.
 func Fig1(env *Env) (*Output, error) {
 	s := env.Scale
-	cfg, err := getMachine("frontier-cpu")
-	if err != nil {
-		return nil, err
-	}
+	cfg := machine.FrontierCPU
 	ns, sizes := sweepDims(s)
 	res, err := bench.Sweep(cfg, bench.Spec{Transport: bench.OneSided, Ns: ns, Sizes: sizes, Shards: env.Shards})
 	if err != nil {
@@ -122,11 +118,7 @@ func Fig3(env *Env) (*Output, error) {
 	var b strings.Builder
 	var all []plot.Series
 	var notes []string
-	for _, name := range []string{"perlmutter-cpu", "frontier-cpu", "summit-cpu"} {
-		cfg, err := getMachine(name)
-		if err != nil {
-			return nil, err
-		}
+	for _, cfg := range []*machine.Config{machine.PerlmutterCPU, machine.FrontierCPU, machine.SummitCPU} {
 		two, err := bench.Sweep(cfg, bench.Spec{Transport: bench.TwoSided, Ns: ns, Sizes: sizes, Shards: env.Shards})
 		if err != nil {
 			return nil, err
@@ -140,12 +132,12 @@ func Fig3(env *Env) (*Output, error) {
 			XLabel: "message size (bytes)", YLabel: "GB/s", XLog: true, YLog: true,
 		}
 		for _, ser := range two.Series() {
-			ser.Name = name + " " + ser.Name
+			ser.Name = cfg.Name + " " + ser.Name
 			chart.Add(ser)
 			all = append(all, ser)
 		}
 		for _, ser := range one.Series() {
-			ser.Name = name + " " + ser.Name
+			ser.Name = cfg.Name + " " + ser.Name
 			chart.Add(ser)
 			all = append(all, ser)
 		}
@@ -156,8 +148,8 @@ func Fig3(env *Env) (*Output, error) {
 		bSmall := sizes[0]
 		p2, _ := two.At(nHi, bSmall)
 		p1, _ := one.At(nHi, bSmall)
-		switch name {
-		case "summit-cpu":
+		switch cfg {
+		case machine.SummitCPU:
 			notes = append(notes, fmt.Sprintf("%s: Spectrum one-sided stays below two-sided at every point (paper Fig 3c); at n=%d, B=%d: %.3f vs %.3f GB/s",
 				cfg.Title, nHi, bSmall, p1.GBs, p2.GBs))
 		default:
@@ -175,11 +167,7 @@ func Fig4(env *Env) (*Output, error) {
 	var b strings.Builder
 	var all []plot.Series
 	var notes []string
-	for _, name := range []string{"perlmutter-gpu", "summit-gpu"} {
-		cfg, err := getMachine(name)
-		if err != nil {
-			return nil, err
-		}
+	for _, cfg := range []*machine.Config{machine.PerlmutterGPU, machine.SummitGPU} {
 		res, err := bench.Sweep(cfg, bench.Spec{Transport: bench.ShmemPutSignal, Ns: ns, Sizes: sizes, Shards: env.Shards})
 		if err != nil {
 			return nil, err
@@ -189,7 +177,7 @@ func Fig4(env *Env) (*Output, error) {
 			XLabel: "message size (bytes)", YLabel: "GB/s", XLog: true, YLog: true,
 		}
 		for _, ser := range res.Series() {
-			ser.Name = name + " " + ser.Name
+			ser.Name = cfg.Name + " " + ser.Name
 			chart.Add(ser)
 			all = append(all, ser)
 		}
@@ -201,34 +189,22 @@ func Fig4(env *Env) (*Output, error) {
 	}
 	// CAS latencies (§III-C).
 	t := table.New("GPU atomic compare-and-swap latency", "Machine", "Pair", "us/CAS", "Paper")
-	pmGPU, err := getMachine("perlmutter-gpu")
-	if err != nil {
-		return nil, err
-	}
-	pg, err := bench.CASLatency(pmGPU, 4, 1, 32)
+	pg, err := bench.CASLatency(machine.PerlmutterGPU, 4, 1, 32)
 	if err != nil {
 		return nil, err
 	}
 	t.AddRow("Perlmutter GPU", "g0->g1", usStr(pg), "0.8")
-	smGPU, err := getMachine("summit-gpu")
-	if err != nil {
-		return nil, err
-	}
-	in, err := bench.CASLatency(smGPU, 6, 1, 32)
+	in, err := bench.CASLatency(machine.SummitGPU, 6, 1, 32)
 	if err != nil {
 		return nil, err
 	}
 	t.AddRow("Summit GPU", "g0->g1 (in island)", usStr(in), "1.0")
-	cross, err := bench.CASLatency(smGPU, 6, 3, 32)
+	cross, err := bench.CASLatency(machine.SummitGPU, 6, 3, 32)
 	if err != nil {
 		return nil, err
 	}
 	t.AddRow("Summit GPU", "g0->g3 (cross socket)", usStr(cross), "1.6")
-	pmCPU, err := getMachine("perlmutter-cpu")
-	if err != nil {
-		return nil, err
-	}
-	cpu, err := bench.OneSidedCASLatency(pmCPU, 2, 1, 32)
+	cpu, err := bench.OneSidedCASLatency(machine.PerlmutterCPU, 2, 1, 32)
 	if err != nil {
 		return nil, err
 	}
@@ -247,10 +223,7 @@ func Fig10(env *Env) (*Output, error) {
 	for v := int64(1 << 10); v <= hi; v *= 2 {
 		volumes = append(volumes, v)
 	}
-	cfg, err := getMachine("perlmutter-gpu")
-	if err != nil {
-		return nil, err
-	}
+	cfg := machine.PerlmutterGPU
 	pts, err := bench.SweepSplit(cfg, 4, volumes)
 	if err != nil {
 		return nil, err

@@ -52,23 +52,19 @@ func ExtRidgeline(env *Env) (*Output, error) {
 	class := table.New("Ridgeline classification (one-sided, per rank: peak 50 Gflop/s, DRAM 20 GB/s)",
 		"Kernel", "Machine", "net GB/s", "bound", "Gflop/s", "crossover ci")
 	var series []plot.Series
-	for _, name := range []string{"dragonfly-1k", "fattree-1k", "dragonfly-10k"} {
-		cfg, err := getMachine(name)
-		if err != nil {
-			return nil, err
-		}
+	for _, cfg := range []*machine.Config{machine.Dragonfly1K, machine.FatTree1K, machine.Dragonfly10K} {
 		m, err := cfg.Topology.Metrics()
 		if err != nil {
 			return nil, err
 		}
-		ser := plot.Series{Name: name + " ridgeline"}
+		ser := plot.Series{Name: cfg.Name + " ridgeline"}
 		for _, k := range rlKernels() {
-			s := ridgeline.SurfaceFor(name, tp, m, k.MsgBytes, rlPeakFlops, rlMemBW)
+			s := ridgeline.SurfaceFor(cfg.Name, tp, m, k.MsgBytes, rlPeakFlops, rlMemBW)
 			if err := s.Validate(); err != nil {
 				return nil, err
 			}
 			perf, bound := s.Bound(k.AI, k.CI)
-			class.AddRow(k.Name, name,
+			class.AddRow(k.Name, cfg.Name,
 				fmt.Sprintf("%.3f", s.NetBW/1e9), bound.String(),
 				fmt.Sprintf("%.2f", perf/1e9),
 				fmt.Sprintf("%.1f", s.NetworkCrossoverCI(k.AI)))
@@ -116,16 +112,7 @@ func ExtRidgeline(env *Env) (*Output, error) {
 	}
 	check := table.New("Simulated cross-check — 2D stencil, 1024 ranks (32x32), one-sided",
 		"Machine", "elapsed", "halo B", "per-rank GB/s", "ceiling GB/s", "used")
-	type valPoint struct {
-		name    string
-		elapsed sim.Time
-	}
-	var vals []valPoint
-	for _, name := range []string{"dragonfly-1k", "fattree-1k"} {
-		cfg, err := getMachine(name)
-		if err != nil {
-			return nil, err
-		}
+	for _, cfg := range []*machine.Config{machine.Dragonfly1K, machine.FatTree1K} {
 		r, err := stencil.Run(stencil.Config{
 			Machine: cfg, Transport: comm.OneSided,
 			Grid: grid, PX: 32, PY: 32, Iters: 2, Shards: env.Shards,
@@ -141,12 +128,11 @@ func ExtRidgeline(env *Env) (*Output, error) {
 		ceiling := ridgeline.NetBWPerRank(tp, m, halo)
 		perRank := float64(r.Comm.TotalBytes) / float64(r.Ranks) / r.Elapsed.Seconds()
 		if perRank > ceiling {
-			return nil, fmt.Errorf("ext-ridgeline: %s sustained %.3g B/s exceeds analytic ceiling %.3g B/s", name, perRank, ceiling)
+			return nil, fmt.Errorf("ext-ridgeline: %s sustained %.3g B/s exceeds analytic ceiling %.3g B/s", cfg.Name, perRank, ceiling)
 		}
-		check.AddRow(name, usStr(r.Elapsed)+" us", fmt.Sprint(halo),
+		check.AddRow(cfg.Name, usStr(r.Elapsed)+" us", fmt.Sprint(halo),
 			fmt.Sprintf("%.4f", perRank/1e9), fmt.Sprintf("%.3f", ceiling/1e9),
 			fmt.Sprintf("%.1f%%", 100*perRank/ceiling))
-		vals = append(vals, valPoint{name, r.Elapsed})
 	}
 
 	// 4. Routing micro-run: uniform cross-fabric bursts driven through
@@ -165,7 +151,7 @@ func ExtRidgeline(env *Env) (*Output, error) {
 		Notes: []string{
 			"Perf(ai, ci) = min(peak, ai*MemBW, ci*NetBW) per rank; NetBW is the LogGP rounded bandwidth at the kernel's message size capped by the rank's uniform-traffic share of the limiting tier.",
 			"The fat-tree advantage grows with scale: the balanced dragonfly's global tier is shared by quadratically more cross-group pairs, so GUPS-class kernels stay network-bound everywhere while stencil-class kernels stay memory-bound.",
-			fmt.Sprintf("Simulated stencil sustains well under the analytic ceiling on both fabrics (nearest-neighbor halos barely touch the global tier), and the %s/%s elapsed ordering matches the per-link latency ordering.", vals[0].name, vals[1].name),
+			fmt.Sprintf("Simulated stencil sustains well under the analytic ceiling on both fabrics (nearest-neighbor halos barely touch the global tier), and the %s/%s elapsed ordering matches the per-link latency ordering.", machine.Dragonfly1K.Name, machine.FatTree1K.Name),
 			note,
 		},
 	}, nil
@@ -174,11 +160,7 @@ func ExtRidgeline(env *Env) (*Output, error) {
 // crayOneSided resolves the one-sided Cray MPI parameter set the
 // generated catalog machines share.
 func crayOneSided() (machine.TransportParams, error) {
-	cfg, err := getMachine("dragonfly-1k")
-	if err != nil {
-		return machine.TransportParams{}, err
-	}
-	tp, ok := cfg.Params(machine.OneSided)
+	tp, ok := machine.Dragonfly1K.Params(machine.OneSided)
 	if !ok {
 		return machine.TransportParams{}, fmt.Errorf("ext-ridgeline: dragonfly-1k lacks one-sided parameters")
 	}
@@ -191,19 +173,11 @@ func crayOneSided() (machine.TransportParams, error) {
 // fat-tree. It reports achieved aggregate bandwidth, the adaptive
 // pick split, and the mean utilization of the bisection-limiting tier.
 func rlRoutingMicro() (*table.Table, string, error) {
-	dfAd, err := getMachine("dragonfly-1k")
-	if err != nil {
-		return nil, "", err
-	}
 	// A value copy with the routing policy flipped: the specs inside
 	// Topology are read-only, so sharing their pointers is safe.
-	dfMinCfg := *dfAd
+	dfMinCfg := *machine.Dragonfly1K
 	dfMinCfg.Name = "dragonfly-1k-minimal"
 	dfMinCfg.Topology.Routing = machine.RoutingMinimal
-	ftCfg, err := getMachine("fattree-1k")
-	if err != nil {
-		return nil, "", err
-	}
 	const (
 		msgBytes = 64 << 10
 		rounds   = 4
@@ -220,9 +194,9 @@ func rlRoutingMicro() (*table.Table, string, error) {
 		out    *float64
 		tallyA bool
 	}{
-		{dfAd, "adaptive", "global", &adAgg, true},
+		{machine.Dragonfly1K, "adaptive", "global", &adAgg, true},
 		{&dfMinCfg, "minimal", "global", &minAgg, false},
-		{ftCfg, "minimal", "core", &ftAgg, false},
+		{machine.FatTree1K, "minimal", "core", &ftAgg, false},
 	} {
 		inst, err := c.cfg.Instantiate(c.cfg.MaxRanks)
 		if err != nil {

@@ -127,25 +127,6 @@ func TestPlannerDedupsCrossFigureOverlap(t *testing.T) {
 	}
 }
 
-func TestUnknownMachineIsReportedNotPanic(t *testing.T) {
-	if _, err := getMachine("no-such-machine"); err == nil {
-		t.Fatal("want error for unknown machine")
-	}
-	// Through the Experiment.Run path: a run that needs a machine the
-	// catalog lacks must surface the error, not crash the suite.
-	exp := Experiment{ID: "ghost", Title: "ghost", Run: func(*Env) (*Output, error) {
-		cfg, err := getMachine("no-such-machine")
-		if err != nil {
-			return nil, err
-		}
-		return &Output{ID: "ghost", Text: cfg.Name}, nil
-	}}
-	_, _, _, err := RunSuite([]Experiment{exp}, SuiteOptions{Scale: Quick, Jobs: 2})
-	if err == nil || !strings.Contains(err.Error(), "unknown machine") {
-		t.Fatalf("unknown machine should propagate: %v", err)
-	}
-}
-
 func TestRunSuiteStartsCostliestFirst(t *testing.T) {
 	// One worker runs the experiments in start order: descending Cost,
 	// ties in the given order. Outputs and per-experiment wall times

@@ -3,12 +3,15 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"msgroofline/internal/plot"
 )
 
 // TestSuiteByteIdenticalAcrossShards is the quick-suite half of the
 // shard-determinism suite: the full registry rendered at Shards=1 and
 // Shards=4 must be byte-equal (the cmd/experiments -shards guarantee
-// the CI job pins against the committed golden). Shards only sets
+// the CI job pins against the committed golden), and so must each
+// output's series as -csv writes them. Shards only sets
 // the window worker parallelism of the coupled engine, so any
 // divergence means the Shards plumbing changed simulated behavior.
 func TestSuiteByteIdenticalAcrossShards(t *testing.T) {
@@ -23,6 +26,9 @@ func TestSuiteByteIdenticalAcrossShards(t *testing.T) {
 		var b strings.Builder
 		for _, o := range outs {
 			b.WriteString(o.Render())
+			if err := plot.WriteCSV(&b, o.Series); err != nil {
+				t.Fatalf("shards=%d: %s: %v", shards, o.ID, err)
+			}
 		}
 		return b.String()
 	}

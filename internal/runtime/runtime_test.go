@@ -86,10 +86,6 @@ func TestInjectGapPacing(t *testing.T) {
 	if d01 < tp.Gap {
 		t.Fatalf("spacing %v below gap %v", d01, tp.Gap)
 	}
-	msgs, bytes := w.Endpoint(0).Stats()
-	if msgs != 3 || bytes != 24 {
-		t.Fatalf("stats = %d msgs, %d bytes", msgs, bytes)
-	}
 }
 
 func TestSameNodeUsesMemoryPath(t *testing.T) {
@@ -277,21 +273,6 @@ func TestDeterministicWorld(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("nondeterministic: %v vs %v", a, b)
-	}
-}
-
-func TestComputeAdvancesClock(t *testing.T) {
-	w := newWorld(t, "perlmutter-cpu", 2)
-	var after sim.Time
-	w.Spawn(0, "c", func(p *sim.Proc) {
-		w.Endpoint(0).Compute(p, 7*sim.Microsecond)
-		after = p.Now()
-	})
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if after != 7*sim.Microsecond {
-		t.Fatalf("compute advanced to %v, want 7us", after)
 	}
 }
 

@@ -35,9 +35,9 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sptrsv %s: %w", cfg.Transport, err)
 	}
-	rate := cfg.CPUFlopRate
+	rate := DefaultCPUFlopRate
 	if cfg.Machine.Kind == machine.GPU {
-		rate = cfg.CPUFlopRate * cfg.GPUSparseScale
+		rate *= DefaultGPUSparseScale
 	}
 	x := make([]float64, m.N)
 	err = t.Launch(func(ep comm.Endpoint) {

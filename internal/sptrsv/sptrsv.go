@@ -53,10 +53,6 @@ type Config struct {
 	Matrix    *spmat.SupTri
 	// Ranks is the number of MPI ranks or GPU PEs.
 	Ranks int
-	// CPUFlopRate overrides DefaultCPUFlopRate when nonzero.
-	CPUFlopRate float64
-	// GPUSparseScale overrides DefaultGPUSparseScale when nonzero.
-	GPUSparseScale float64
 	// PollCheck overrides DefaultPollCheck when nonzero; the
 	// free-polling ablation passes a negative value to zero it.
 	PollCheck sim.Time
@@ -77,12 +73,6 @@ func (c *Config) fill() error {
 	}
 	if c.Ranks < 1 {
 		return fmt.Errorf("sptrsv: ranks = %d", c.Ranks)
-	}
-	if c.CPUFlopRate == 0 {
-		c.CPUFlopRate = DefaultCPUFlopRate
-	}
-	if c.GPUSparseScale == 0 {
-		c.GPUSparseScale = DefaultGPUSparseScale
 	}
 	switch {
 	case c.PollCheck == 0:

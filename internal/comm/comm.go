@@ -9,7 +9,7 @@
 //     fence epochs for BSP exchange, the 4-op put/flush/put/flush
 //     protocol plus Listing-1 polling for streamed delivery, and
 //     CAS/fetch-add with per-op flush_local for atomics;
-//   - Notified: internal/mpi RMA with hardware put-with-signal
+//   - Notified: CPU one-sided with hardware put-with-signal
 //     (foMPI-style notified access, §V): one fused 2-op flight per
 //     delivery, no second flush round trip, no polling loop;
 //   - Shmem: NVSHMEM-style PGAS (put_signal_nbi, wait_until_*,
@@ -24,10 +24,10 @@
 //     completion and quiet maps to channel drainage. A rank opens a
 //     channel on its first write to that destination.
 //
-// The last three are one implementation (shmemT over the internal/shmem
-// PGAS core): the same lazy heap, dissemination barrier, exchange,
-// slot wait and remote atomics, differing only in how a put leaves
-// the host and in what Quiet waits on.
+// Notified and the last three are one implementation (shmemT over the
+// internal/shmem PGAS core): the same lazy heap, dissemination barrier,
+// exchange, slot wait and remote atomics, differing only in how a put
+// leaves the host and in what Quiet waits on.
 //
 // The kernels in internal/{stencil,sptrsv,hashtable} are written once
 // against this interface; the transport is a table entry, not a
@@ -120,10 +120,6 @@ type Caps struct {
 	// none — its hashtable design broadcasts every update instead
 	// (BcastPut/CollectPuts).
 	Atomics bool
-	// Fused reports that put-with-signal delivery is one fused flight
-	// (notified access, shmem) rather than the strict 4-op protocol,
-	// and that completion needs no per-op flush_local.
-	Fused bool
 }
 
 // Msg is one outgoing transfer of an exchange: Data lands in Peer's
@@ -275,12 +271,12 @@ type Endpoint interface {
 	// Barrier synchronizes all ranks.
 	Barrier()
 	// Quiet completes this rank's outstanding nonblocking deliveries
-	// per the transport's native discipline. The MPI transports are
-	// already locally complete by protocol construction (eager
-	// two-sided sends; the strict path flushes per op; notified
-	// access fuses completion), so they charge nothing. Shmem and
-	// stream-triggered charge one op; memory channels drain each
-	// channel the rank has written to.
+	// per the transport's native discipline. Two-sided, one-sided
+	// and notified access are already locally complete by protocol
+	// construction (eager two-sided sends; the strict path flushes
+	// per op; notified access fuses completion), so they neither
+	// charge nor wait. Shmem and stream-triggered charge one op;
+	// memory channels drain each channel the rank has written to.
 	Quiet()
 
 	// Exchange runs one BSP epoch: every Msg lands in its peer's
@@ -338,10 +334,8 @@ func New(spec Spec) (Transport, error) {
 	case TwoSided:
 		return newTwoSided(spec)
 	case OneSided:
-		return newRMA(spec, false)
-	case Notified:
-		return newRMA(spec, true)
-	case Shmem, StreamTriggered, MemChannel:
+		return newRMA(spec)
+	case Notified, Shmem, StreamTriggered, MemChannel:
 		return newShmem(spec)
 	}
 	return nil, fmt.Errorf("comm: unknown transport kind %d", int(spec.Kind))

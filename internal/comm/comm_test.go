@@ -234,8 +234,9 @@ func TestTraceTapByteSignature(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := int64(slotBytes)
-			if tr.Caps().Fused {
-				want += 8 // signal word rides the payload flight
+			switch kind {
+			case comm.Notified, comm.Shmem, comm.StreamTriggered, comm.MemChannel:
+				want += 8 // PGAS: the signal word rides the payload flight
 			}
 			sum := tr.Recorder().Summarize(tr.Elapsed())
 			if sum.MinBytes != want || sum.MaxBytes != want {

@@ -1,9 +1,6 @@
 package comm
 
 import (
-	"fmt"
-
-	"msgroofline/internal/machine"
 	"msgroofline/internal/mpi"
 	"msgroofline/internal/sim"
 )
@@ -11,79 +8,50 @@ import (
 // oneWord is the signal payload of the strict protocol's second put.
 var oneWord = []byte{1, 0, 0, 0, 0, 0, 0, 0}
 
-// rma delegates to internal/mpi RMA in two flavors sharing one
-// window plumbing:
-//
-//   - strict (notified=false): fence epochs for exchange; the 4-op
-//     put data / flush / put signal / flush protocol plus Listing-1
-//     signal polling for streams; CAS/fetch-add with per-op
-//     flush_local for atomics (§III, k=4);
-//   - notified (notified=true): hardware put-with-signal — one fused
-//     2-op flight per delivery, receiver-side WaitNotify instead of
-//     polling, no flush_local (§V, k=2).
+// rma delegates to internal/mpi RMA under the paper's strict
+// discipline (§III, k=4): fence epochs for exchange; the 4-op put data
+// / flush / put signal / flush protocol plus Listing-1 signal polling
+// for streams; CAS/fetch-add with per-op flush_local for atomics.
 type rma struct {
 	base
-	c        *mpi.Comm
-	notified bool
+	c *mpi.Comm
 
-	exchWin *mpi.Win // exchange mode: 2 parities x K slots (+ signals when notified)
-	dataWin *mpi.Win // strict stream mode: data slots
-	sigWin  *mpi.Win // strict stream mode: signal words
-	ntfWin  *mpi.Win // notified stream mode: data slots then signal words
+	exchWin *mpi.Win // exchange mode: 2 parities x K slots
+	dataWin *mpi.Win // stream mode: data slots
+	sigWin  *mpi.Win // stream mode: signal words
 	heapWin *mpi.Win // shared mode: raw atomics heap
 }
 
-func newRMA(spec Spec, notified bool) (*rma, error) {
-	if notified {
-		if _, ok := spec.Machine.Params(machine.NotifiedAccess); !ok {
-			return nil, fmt.Errorf("comm: machine %s has no notified-access transport", spec.Machine.Name)
-		}
-	}
+func newRMA(spec Spec) (*rma, error) {
 	c, err := mpi.NewCommSharded(spec.Machine, spec.Ranks, spec.Shards)
 	if err != nil {
 		return nil, err
 	}
 	spec.applyChaos(c.World(), c.World().Inst.Net)
-	t := &rma{base: base{spec: spec}, c: c, notified: notified}
+	t := &rma{base: base{spec: spec}, c: c}
 	// The trace tap goes on whichever window carries payload puts;
 	// protocol-overhead signal puts (sigWin) are charged, not traced.
 	var tapWin *mpi.Win
 	switch {
 	case spec.ExchangeSlots > 0:
-		size := 2 * spec.ExchangeSlots * spec.SlotBytes
-		if notified {
-			size += 2 * spec.ExchangeSlots * 8
-		}
-		if t.exchWin, err = c.NewWin(size); err != nil {
+		if t.exchWin, err = c.NewWin(2 * spec.ExchangeSlots * spec.SlotBytes); err != nil {
 			return nil, err
 		}
 		tapWin = t.exchWin
 	case spec.StreamSlots != nil:
-		if notified {
-			// Data slots followed by notification slots in one window.
-			sizes := make([]int, spec.Ranks)
-			for r := range sizes {
-				sizes[r] = (spec.SlotBytes + 8) * spec.StreamSlots[r]
-			}
-			if t.ntfWin, err = c.NewWinSizes(sizes); err != nil {
-				return nil, err
-			}
-			tapWin = t.ntfWin
-		} else {
-			dataSizes := make([]int, spec.Ranks)
-			sigSizes := make([]int, spec.Ranks)
-			for r := range dataSizes {
-				dataSizes[r] = spec.SlotBytes * spec.StreamSlots[r]
-				sigSizes[r] = 8 * spec.StreamSlots[r]
-			}
-			if t.dataWin, err = c.NewWinSizes(dataSizes); err != nil {
-				return nil, err
-			}
-			if t.sigWin, err = c.NewWinSizes(sigSizes); err != nil {
-				return nil, err
-			}
-			tapWin = t.dataWin
+		dataSizes := make([]int, spec.Ranks)
+		sigSizes := make([]int, spec.Ranks)
+		for r := range dataSizes {
+			dataSizes[r] = spec.SlotBytes * spec.StreamSlots[r]
+			sigSizes[r] = 8 * spec.StreamSlots[r]
 		}
+		if t.dataWin, err = c.NewWinSizes(dataSizes); err != nil {
+			return nil, err
+		}
+		if t.sigWin, err = c.NewWinSizes(sigSizes); err != nil {
+			return nil, err
+		}
+		tapWin = t.dataWin
 	case spec.SharedBytes > 0:
 		if t.heapWin, err = c.NewWin(spec.SharedBytes); err != nil {
 			return nil, err
@@ -96,14 +64,8 @@ func newRMA(spec Spec, notified bool) (*rma, error) {
 	return t, nil
 }
 
-func (t *rma) Kind() Kind {
-	if t.notified {
-		return Notified
-	}
-	return OneSided
-}
-
-func (t *rma) Caps() Caps        { return Caps{Atomics: true, Fused: t.notified} }
+func (t *rma) Kind() Kind        { return OneSided }
+func (t *rma) Caps() Caps        { return Caps{Atomics: true} }
 func (t *rma) Digest() uint64    { return t.c.Digest() }
 func (t *rma) Elapsed() sim.Time { return t.c.Elapsed() }
 
@@ -128,13 +90,6 @@ func (t *rma) Launch(body func(Endpoint)) error {
 		if t.spec.StreamSlots != nil {
 			ep.expected = t.spec.StreamSlots[r.Rank()]
 			ep.mask = make([]bool, ep.expected)
-			if t.notified {
-				base := t.spec.SlotBytes * ep.expected
-				ep.sigs = make([]int, ep.expected)
-				for i := range ep.sigs {
-					ep.sigs[i] = base + 8*i
-				}
-			}
 		}
 		body(ep)
 	})
@@ -147,7 +102,6 @@ type rmaEp struct {
 	// Streamed-delivery receive state.
 	expected int
 	mask     []bool
-	sigs     []int // notified: this rank's notification offsets
 	got      int
 	out      [][]byte // Exchange's result, reused
 }
@@ -160,35 +114,20 @@ func (e *rmaEp) Compute(d sim.Time) { e.r.Compute(d) }
 func (e *rmaEp) Barrier()           { e.r.Barrier() }
 
 // Quiet is a no-op: the strict protocol flushes every delivery at
-// issue time and notified-access ops complete fused, so there is
-// never outstanding local state to drain (and no op to charge).
+// issue time, so there is never outstanding local state to drain (and
+// no op to charge).
 func (e *rmaEp) Quiet() {}
 
-// Exchange runs one epoch against the parity-double-buffered window:
-// strict mode closes it with a fence (Put x sends + MPI_Win_fence,
-// §III-A); notified mode replaces the fence with per-slot
-// put-with-signal and receiver-side WaitNotify — no barrier.
+// Exchange runs one epoch against the parity-double-buffered window
+// and closes it with a fence (Put x sends + MPI_Win_fence, §III-A).
 func (e *rmaEp) Exchange(epoch int, sends []Msg, recvs []Expect) [][]byte {
 	t := e.t
 	k, stride := t.spec.ExchangeSlots, t.spec.SlotBytes
 	parity := epoch % 2
-	if t.notified {
-		sigBase := 2 * k * stride
-		for _, m := range sends {
-			if err := e.r.PutNotify(t.exchWin, m.Peer, (parity*k+m.Slot)*stride, m.Data,
-				sigBase+(parity*k+m.Slot)*8, uint64(epoch+1)); err != nil {
-				panic(err)
-			}
-		}
-		for _, x := range recvs {
-			e.r.WaitNotify(t.exchWin, sigBase+(parity*k+x.Slot)*8, uint64(epoch+1))
-		}
-	} else {
-		for _, m := range sends {
-			e.r.Put(t.exchWin, m.Peer, (parity*k+m.Slot)*stride, m.Data)
-		}
-		e.r.Fence(t.exchWin)
+	for _, m := range sends {
+		e.r.Put(t.exchWin, m.Peer, (parity*k+m.Slot)*stride, m.Data)
 	}
+	e.r.Fence(t.exchWin)
 	e.t.sync()
 	e.out = e.out[:0]
 	for _, x := range recvs {
@@ -197,40 +136,23 @@ func (e *rmaEp) Exchange(epoch int, sends []Msg, recvs []Expect) [][]byte {
 	return e.out
 }
 
-// Deliver streams one payload into (peer, slot). Strict mode is the
-// paper's 4-op protocol: Put data, Win_flush, Put signal, Win_flush.
-// Notified mode is ONE fused operation and one flight.
+// Deliver streams one payload into (peer, slot) with the paper's 4-op
+// protocol: Put data, Win_flush, Put signal, Win_flush.
 func (e *rmaEp) Deliver(peer, slot int, data []byte) {
 	t := e.t
-	stride := t.spec.SlotBytes
-	if t.notified {
-		base := stride * t.spec.StreamSlots[peer]
-		if err := e.r.PutNotify(t.ntfWin, peer, slot*stride, data, base+8*slot, 1); err != nil {
-			panic(err)
-		}
-		return
-	}
-	e.r.Put(t.dataWin, peer, slot*stride, data)
+	e.r.Put(t.dataWin, peer, slot*t.spec.SlotBytes, data)
 	e.r.Flush(t.dataWin, peer)
 	e.r.Put(t.sigWin, peer, slot*8, oneWord)
 	e.r.Flush(t.sigWin, peer)
 }
 
-// WaitAnySlot blocks for the next unconsumed delivery. Strict mode is
-// the paper's Listing-1 acknowledgment loop — scan the signal words
-// masking out arrivals, charging PollCheck per remaining slot per
-// wakeup. Notified mode waits on the hardware notification instead.
+// WaitAnySlot blocks for the next unconsumed delivery with the paper's
+// Listing-1 acknowledgment loop: scan the signal words masking out
+// arrivals, charging PollCheck per remaining slot per wakeup.
 func (e *rmaEp) WaitAnySlot() (int, []byte) {
 	t := e.t
 	stride := t.spec.SlotBytes
 	me := e.r.Rank()
-	if t.notified {
-		i := e.r.WaitNotifyAny(t.ntfWin, e.sigs, e.mask, 1)
-		e.mask[i] = true
-		e.got++
-		t.sync()
-		return i, t.ntfWin.View(me, i*stride, stride)
-	}
 	found := -1
 	t.sigWin.TargetSignal(me).WaitFor(e.r.Proc(), func() bool {
 		for i := 0; i < e.expected; i++ {
@@ -262,15 +184,9 @@ func (e *rmaEp) FetchAdd(peer, off int, delta uint64) uint64 {
 	return e.r.FetchAndAdd(e.t.heapWin, peer, off, delta)
 }
 
-// FlushLocal completes outstanding RMA toward peer locally — a
-// charged MPI op on the strict path; fused notified-access ops are
-// already locally complete, so notified mode skips it.
-func (e *rmaEp) FlushLocal(peer int) {
-	if e.t.notified {
-		return
-	}
-	e.r.FlushLocal(e.t.heapWin, peer)
-}
+// FlushLocal completes outstanding RMA toward peer locally, a charged
+// MPI op.
+func (e *rmaEp) FlushLocal(peer int) { e.r.FlushLocal(e.t.heapWin, peer) }
 
 func (e *rmaEp) Lanes(int) int { return 1 }
 

@@ -10,13 +10,14 @@ import (
 	"msgroofline/internal/sim"
 )
 
-// shmemT serves the three PGAS transports from the internal/shmem
+// shmemT serves the four PGAS transports from the internal/shmem
 // core: put-with-signal delivery (the signal word rides the payload
 // flight), wait_until_* receivers, blocking remote atomics, the
 // dissemination barrier, and fork/join thread-block contexts on Shmem.
 // The Job's machine.Transport decides how a put leaves the host:
 // device-initiated on Shmem (k=2 per fused put), a stream-triggered
-// descriptor on StreamTriggered, a channel write on MemChannel.
+// descriptor on StreamTriggered, a channel write on MemChannel, a
+// fused CPU notified-access op on Notified (k=2, nothing to quiet).
 type shmemT struct {
 	base
 	j *shmem.Job
@@ -28,6 +29,7 @@ type shmemT struct {
 // pgasTransports maps each PGAS Kind to the machine transport its
 // puts leave the host on.
 var pgasTransports = map[Kind]machine.Transport{
+	Notified:        machine.NotifiedAccess,
 	Shmem:           machine.GPUShmem,
 	StreamTriggered: machine.StreamTriggered,
 	MemChannel:      machine.MemChannel,
@@ -67,7 +69,7 @@ func newShmem(spec Spec) (*shmemT, error) {
 }
 
 func (t *shmemT) Kind() Kind        { return t.spec.Kind }
-func (t *shmemT) Caps() Caps        { return Caps{Atomics: true, Fused: true} }
+func (t *shmemT) Caps() Caps        { return Caps{Atomics: true} }
 func (t *shmemT) Digest() uint64    { return t.j.Digest() }
 func (t *shmemT) Elapsed() sim.Time { return t.j.Elapsed() }
 
@@ -151,7 +153,7 @@ func (e *shEp) Exchange(epoch int, sends []Msg, recvs []Expect) [][]byte {
 	return e.out
 }
 
-// Deliver is one fused put-with-signal (k=2 on Shmem).
+// Deliver is one fused put-with-signal (k=2 on Shmem and Notified).
 func (e *shEp) Deliver(peer, slot int, data []byte) {
 	stride := e.t.spec.SlotBytes
 	e.c.PutSignalNBI(peer, slot*stride, data, e.t.sigBase+8*slot, 1)
@@ -174,13 +176,14 @@ func (e *shEp) FetchAdd(peer, off int, delta uint64) uint64 {
 	return e.c.AtomicFetchAdd(peer, off, delta)
 }
 
-// FlushLocal is a no-op: puts complete by quiet, stream or channel
-// order without a local-completion op, and atomics block.
+// FlushLocal is a no-op: puts complete fused or by quiet, stream or
+// channel order without a local-completion op, and atomics block.
 func (e *shEp) FlushLocal(int) {}
 
-// Lanes is want on Shmem (GPU thread-block contexts) and 1 on the two
-// offload paths, whose puts serialize through the rank's single device
-// stream or per-destination byte streams.
+// Lanes is want on Shmem (GPU thread-block contexts) and 1 elsewhere:
+// a Notified rank is one CPU process, and the two offload paths
+// serialize their puts through the rank's single device stream or
+// per-destination byte streams.
 func (e *shEp) Lanes(want int) int {
 	if e.t.spec.Kind == Shmem {
 		return want
@@ -189,7 +192,7 @@ func (e *shEp) Lanes(want int) int {
 }
 
 // ForkJoin spreads body over lanes concurrent thread-block contexts on
-// Shmem and runs it inline on the offload paths.
+// Shmem and runs it inline elsewhere.
 func (e *shEp) ForkJoin(lanes int, body func(Endpoint, int)) {
 	if e.t.spec.Kind != Shmem {
 		for i := 0; i < lanes; i++ {

@@ -112,7 +112,8 @@ func ExtRidgeline(env *Env) (*Output, error) {
 	}
 	check := table.New("Simulated cross-check — 2D stencil, 1024 ranks (32x32), one-sided",
 		"Machine", "elapsed", "halo B", "per-rank GB/s", "ceiling GB/s", "used")
-	for _, cfg := range []*machine.Config{machine.Dragonfly1K, machine.FatTree1K} {
+	var fabrics [2]rlFabric
+	for i, cfg := range []*machine.Config{machine.Dragonfly1K, machine.FatTree1K} {
 		r, err := stencil.Run(stencil.Config{
 			Machine: cfg, Transport: comm.OneSided,
 			Grid: grid, PX: 32, PY: 32, Iters: 2, Shards: env.Shards,
@@ -130,6 +131,7 @@ func ExtRidgeline(env *Env) (*Output, error) {
 		if perRank > ceiling {
 			return nil, fmt.Errorf("ext-ridgeline: %s sustained %.3g B/s exceeds analytic ceiling %.3g B/s", cfg.Name, perRank, ceiling)
 		}
+		fabrics[i] = rlFabric{cfg.Name, r.Elapsed, m.MaxWireLatencyNs}
 		check.AddRow(cfg.Name, usStr(r.Elapsed)+" us", fmt.Sprint(halo),
 			fmt.Sprintf("%.4f", perRank/1e9), fmt.Sprintf("%.3f", ceiling/1e9),
 			fmt.Sprintf("%.1f%%", 100*perRank/ceiling))
@@ -151,10 +153,30 @@ func ExtRidgeline(env *Env) (*Output, error) {
 		Notes: []string{
 			"Perf(ai, ci) = min(peak, ai*MemBW, ci*NetBW) per rank; NetBW is the LogGP rounded bandwidth at the kernel's message size capped by the rank's uniform-traffic share of the limiting tier.",
 			"The fat-tree advantage grows with scale: the balanced dragonfly's global tier is shared by quadratically more cross-group pairs, so GUPS-class kernels stay network-bound everywhere while stencil-class kernels stay memory-bound.",
-			fmt.Sprintf("Simulated stencil sustains well under the analytic ceiling on both fabrics (nearest-neighbor halos barely touch the global tier), and the %s/%s elapsed ordering matches the per-link latency ordering.", machine.Dragonfly1K.Name, machine.FatTree1K.Name),
+			rlOrderNote(fabrics),
 			note,
 		},
 	}, nil
+}
+
+// rlFabric is one fabric of the simulated cross-check: its simulated
+// stencil time and the longest wire latency of its topology.
+type rlFabric struct {
+	name      string
+	elapsed   sim.Time
+	latencyNs float64
+}
+
+// rlOrderNote states the cross-check's outcome. The two fabrics'
+// simulated stencil times should rank them as their per-link latencies
+// do; when they do not, the note is a WARNING.
+func rlOrderNote(f [2]rlFabric) string {
+	const ceiling = "Simulated stencil sustains well under the analytic ceiling on both fabrics (nearest-neighbor halos barely touch the global tier)"
+	if (f[0].elapsed < f[1].elapsed) == (f[0].latencyNs < f[1].latencyNs) {
+		return fmt.Sprintf("%s, and the %s/%s elapsed ordering matches the per-link latency ordering.", ceiling, f[0].name, f[1].name)
+	}
+	return fmt.Sprintf("%s. WARNING: the %s/%s elapsed ordering (%s vs %s us) deviates from the per-link latency ordering (%.0f vs %.0f ns).",
+		ceiling, f[0].name, f[1].name, usStr(f[0].elapsed), usStr(f[1].elapsed), f[0].latencyNs, f[1].latencyNs)
 }
 
 // crayOneSided resolves the one-sided Cray MPI parameter set the

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"msgroofline/internal/sim"
 )
 
 func TestStencilDims(t *testing.T) {
@@ -81,3 +83,23 @@ func TestOutputRender(t *testing.T) {
 }
 
 func contains(s, sub string) bool { return strings.Contains(s, sub) }
+
+// TestRidgelineOrderNote checks that the cross-check note claims the
+// elapsed ordering matches the per-link latency ordering only when it
+// does, and warns when the simulated times rank the fabrics the other
+// way.
+func TestRidgelineOrderNote(t *testing.T) {
+	df := rlFabric{"dragonfly-1k", 105460 * sim.Nanosecond, 1700}
+	ft := rlFabric{"fattree-1k", 106870 * sim.Nanosecond, 2400}
+	if n := rlOrderNote([2]rlFabric{df, ft}); strings.Contains(n, "WARNING") || !strings.Contains(n, "matches the per-link latency ordering") {
+		t.Errorf("agreeing orders: %q", n)
+	}
+	df.elapsed, ft.elapsed = ft.elapsed, df.elapsed
+	n := rlOrderNote([2]rlFabric{df, ft})
+	if !strings.Contains(n, "WARNING") || strings.Contains(n, "matches") {
+		t.Errorf("flipped elapsed times: %q", n)
+	}
+	if !strings.Contains(n, "106.87 vs 105.46 us") || !strings.Contains(n, "1700 vs 2400 ns") {
+		t.Errorf("warning does not name both orderings: %q", n)
+	}
+}

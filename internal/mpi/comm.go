@@ -36,13 +36,11 @@ const (
 
 // Comm is a communicator spanning every rank of a simulated world.
 type Comm struct {
-	world  *runtime.World
-	two    machine.TransportParams
-	one    machine.TransportParams
-	has1s  bool
-	ntf    machine.TransportParams
-	hasNtf bool
-	ranks  []*Rank
+	world *runtime.World
+	two   machine.TransportParams
+	one   machine.TransportParams
+	has1s bool
+	ranks []*Rank
 	// sendHook, when set, observes every two-sided message at delivery
 	// time (barrier rounds are not messages and are not seen).
 	sendHook runtime.MsgHook
@@ -82,7 +80,6 @@ func NewCommSharded(cfg *machine.Config, n, shards int) (*Comm, error) {
 	}
 	c := &Comm{world: w, two: two}
 	c.one, c.has1s = cfg.Params(machine.OneSided)
-	c.ntf, c.hasNtf = cfg.Params(machine.NotifiedAccess)
 	for r := 0; r < n; r++ {
 		c.ranks = append(c.ranks, &Rank{comm: c, id: r, ep: w.Endpoint(r), arrived: sim.NewCond(w.EngineOf(r))})
 	}

@@ -227,46 +227,3 @@ func (w *Win) checkRange(rank, off, n int) {
 			off, off+n, rank, size))
 	}
 }
-
-// PutNotify is the extension operation of the paper's conclusion:
-// hardware-level put-with-signal (foMPI-style notified access). The
-// data and the uint64 notification value land in the target window in
-// one fused operation — one flight, one remote-completion event —
-// instead of the standard 4-op put/flush/put/flush protocol. It
-// requires the machine's NotifiedAccess transport.
-func (r *Rank) PutNotify(w *Win, dst, dstOff int, data []byte, sigOff int, sigVal uint64) error {
-	if !r.comm.hasNtf {
-		return fmt.Errorf("mpi: machine has no notified-access transport")
-	}
-	w.checkRange(dst, dstOff, len(data))
-	w.checkRange(dst, sigOff, 8)
-	tp := r.comm.ntf
-	// Fused operation: both halves charged at the origin.
-	r.ep.ChargeOp(r.proc, tp)
-	r.ep.ChargeOp(r.proc, tp)
-	p := w.put(r, dst, dstOff)
-	p.Signal, p.SigOff, p.SigVal = true, sigOff, sigVal
-	r.ep.Put(tp, p, data, r.ep.AutoChannel())
-	return nil
-}
-
-// WaitNotify blocks until the uint64 notification at sigOff in this
-// rank's window equals val — the receiver side of notified access,
-// with no user polling loop to pay for.
-func (r *Rank) WaitNotify(w *Win, sigOff int, val uint64) {
-	w.targetDone[r.id].WaitFor(r.proc, func() bool {
-		return w.Uint64At(r.id, sigOff) == val
-	})
-}
-
-// WaitNotifyAny blocks until any unmasked notification slot equals
-// val and returns its index (the notified-access counterpart of
-// nvshmem_wait_until_any).
-func (r *Rank) WaitNotifyAny(w *Win, sigOffs []int, mask []bool, val uint64) int {
-	found := -1
-	w.targetDone[r.id].WaitFor(r.proc, func() bool {
-		found = w.mem[r.id].FirstEqual(sigOffs, mask, val)
-		return found >= 0
-	})
-	return found
-}

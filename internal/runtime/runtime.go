@@ -150,9 +150,6 @@ func (w *World) Spawn(rank int, name string, fn func(*sim.Proc)) {
 // (stream g for group g; see sim.Perturbation). Call before spawning.
 func (w *World) SetPerturbation(p *sim.Perturbation) { w.eng.SetPerturbation(p) }
 
-// SetEventLimit caps total dispatched events across all groups.
-func (w *World) SetEventLimit(n uint64) { w.eng.SetEventLimit(n) }
-
 // Run drives the simulation to completion and surfaces deadlocks.
 func (w *World) Run() error {
 	err := w.eng.Run()

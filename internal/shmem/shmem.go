@@ -5,7 +5,7 @@
 // (compare-and-swap, fetch-and-add), quiet, and a dissemination
 // barrier. Ring collectives live in the separate internal/ccl layer.
 //
-// One implementation serves three issue paths, chosen by the
+// One implementation serves four issue paths, chosen by the
 // machine.Transport a Job is built on. They differ only in how a put
 // leaves the host and in what Quiet waits on:
 //
@@ -21,6 +21,10 @@
 //     the first write and charging its own op. Channel order replaces
 //     per-op completion and makes the signal correct; Quiet drains the
 //     PE's channels in destination order.
+//   - NotifiedAccess (foMPI-style notified access, §V): a CPU rank's
+//     put-with-signal in hardware, 1 op per put and 2 per fused
+//     put-with-signal. A fused op is locally complete at issue, so
+//     Quiet neither charges an op nor waits.
 //
 // Remote memory, puts, atomics and the barrier are internal/runtime's:
 // each heap is a lazy runtime.Mem, whose data region below the signal
@@ -69,7 +73,7 @@ func NewJob(cfg *machine.Config, npes, heapBytes int) (*Job, error) {
 }
 
 // NewJobSharded builds a job whose puts leave the host over tr
-// (GPUShmem, StreamTriggered or MemChannel). Each PE's heap holds
+// (GPUShmem, StreamTriggered, MemChannel or NotifiedAccess). Each PE's heap holds
 // heapBytes, with its signal words at [sigBase, heapBytes): they never
 // force the lazy data region below them into existence. shards is the
 // -shards worker count for the underlying world (see
@@ -77,7 +81,7 @@ func NewJob(cfg *machine.Config, npes, heapBytes int) (*Job, error) {
 // count).
 func NewJobSharded(cfg *machine.Config, tr machine.Transport, npes, heapBytes, sigBase, shards int) (*Job, error) {
 	switch tr {
-	case machine.GPUShmem, machine.StreamTriggered, machine.MemChannel:
+	case machine.GPUShmem, machine.StreamTriggered, machine.MemChannel, machine.NotifiedAccess:
 	default:
 		return nil, fmt.Errorf("shmem: %s is not a PGAS transport", tr)
 	}
@@ -282,8 +286,8 @@ func (c *Ctx) PutSignalNBICh(dst, dstOff int, data []byte, sigOff int, sigVal ui
 
 // putNBIOn issues one put, fused with a signal when sigOff >= 0 (the
 // signal word rides the payload flight), on injection channel ch (< 0
-// picks the next one round-robin). GPUShmem charges ops device ops;
-// the other issue paths charge their own (see the package doc).
+// picks the next one round-robin). GPUShmem and NotifiedAccess charge
+// ops; the offload paths charge their own (see the package doc).
 func (c *Ctx) putNBIOn(dst, dstOff int, data []byte, sigOff int, sigVal uint64, ch, ops int) {
 	pe := c.pe
 	job := pe.job
@@ -362,10 +366,14 @@ func (j *Job) completed(src, _ int) {
 // Quiet blocks until all puts issued by this PE have completed
 // remotely (nvshmem_quiet). GPUShmem and StreamTriggered charge one op;
 // MemChannel drains its channels in destination order, the transport's
-// native fence.
+// native fence. NotifiedAccess returns at once: its fused ops need no
+// completion call.
 func (c *Ctx) Quiet() {
 	pe := c.pe
-	if pe.job.tr != machine.MemChannel {
+	switch pe.job.tr {
+	case machine.NotifiedAccess:
+		return
+	case machine.GPUShmem, machine.StreamTriggered:
 		pe.ep.ChargeOp(c.proc, pe.job.tp)
 	}
 	for _, ch := range pe.chans {
@@ -422,7 +430,8 @@ func (c *Ctx) atomic(dst, off int, cas bool, compare, operand uint64) uint64 {
 // Barrier synchronizes all PEs (nvshmem_barrier_all): quiet, then
 // runtime's dissemination barrier of raw 8-byte signals (outside any
 // stream or channel, not traced), one op per round, paying log2(NPEs)
-// small-message latencies. Quiet also waits for its signals.
+// small-message latencies. Quiet also waits for its signals, except
+// on NotifiedAccess, whose Quiet returns at once.
 func (c *Ctx) Barrier() {
 	c.Quiet()
 	c.pe.bar.Wait(c.proc)

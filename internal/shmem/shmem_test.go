@@ -47,6 +47,7 @@ func TestNewJobShardedValidation(t *testing.T) {
 		{"negative signal offset", gpu, machine.GPUShmem, 64, -8},
 		{"negative heap size", gpu, machine.GPUShmem, -8, 0},
 		{"GPU shmem on a CPU machine", cpu, machine.GPUShmem, 64, 64},
+		{"notified access without its parameters", machine.SummitCPU, machine.NotifiedAccess, 64, 32},
 	} {
 		if _, err := NewJobSharded(tc.cfg, tc.tr, 2, tc.heap, tc.sigBase, 1); err == nil {
 			t.Errorf("%s: NewJobSharded accepted it", tc.name)
@@ -57,8 +58,54 @@ func TestNewJobShardedValidation(t *testing.T) {
 			t.Errorf("%s on perlmutter-gpu: %v", tr, err)
 		}
 	}
-	if _, err := NewJobSharded(cpu, machine.MemChannel, 2, 64, 0, 1); err != nil {
-		t.Errorf("memchannel on perlmutter-cpu: %v", err)
+	for _, tr := range []machine.Transport{machine.MemChannel, machine.NotifiedAccess} {
+		if _, err := NewJobSharded(cpu, tr, 2, 64, 32, 1); err != nil {
+			t.Errorf("%s on perlmutter-cpu: %v", tr, err)
+		}
+	}
+}
+
+// TestNotifiedAccessIssuePath pins what the notified-access issue path
+// charges: a fused put-with-signal costs its issuer exactly two ops and
+// a plain put one, and Quiet with a put still in flight neither charges
+// an op nor waits for it to land.
+func TestNotifiedAccessIssuePath(t *testing.T) {
+	cfg := machine.PerlmutterCPU
+	tp, _ := cfg.Params(machine.NotifiedAccess)
+	if tp.OpOverhead <= 0 {
+		t.Fatalf("notified-access op overhead %v, want > 0", tp.OpOverhead)
+	}
+	j, err := NewJobSharded(cfg, machine.NotifiedAccess, 2, 64, 32, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var signalCost, putCost, quietCost sim.Time
+	inFlight := -1
+	err = j.Launch(func(c *Ctx) {
+		if c.MyPE() != 0 {
+			return
+		}
+		t0 := c.Now()
+		c.PutSignalNBI(1, 0, []byte("fused"), 32, 1)
+		t1 := c.Now()
+		c.PutNBI(1, 8, []byte("plain"))
+		t2 := c.Now()
+		c.Quiet()
+		signalCost, putCost, quietCost = t1-t0, t2-t1, c.Now()-t2
+		inFlight = c.PE().Outstanding()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if signalCost != 2*tp.OpOverhead || putCost != tp.OpOverhead {
+		t.Errorf("put-with-signal cost %v and put %v, want 2o = %v and o = %v",
+			signalCost, putCost, 2*tp.OpOverhead, tp.OpOverhead)
+	}
+	if quietCost != 0 || inFlight != 2 {
+		t.Errorf("Quiet took %v and left %d puts outstanding, want 0s and 2 (no op, no wait)", quietCost, inFlight)
+	}
+	if got := j.PE(1).View(0, 5); string(got) != "fused" || j.PE(1).Uint64At(32) != 1 {
+		t.Errorf("PE 1 reads %q with signal %d after the run", got, j.PE(1).Uint64At(32))
 	}
 }
 

@@ -11,7 +11,10 @@
 // size) grid, runs every point as an isolated simulation on an
 // internal/sched worker pool (Spec.Jobs wide), and collects points in
 // grid order — so results are byte-identical at any job count. The
-// callers name the protocol via Spec.Transport.
+// callers name the protocol via Spec.Transport. Beside it,
+// CASLatency and OneSidedCASLatency measure the atomic probes,
+// TriggerDelay and ChannelOpen the offload micro-numbers, and
+// SweepSplit runs the Fig 10 experiment.
 package bench
 
 import (
@@ -455,35 +458,30 @@ func TriggerDelay(cfg *machine.Config, ranks, reps int) (sim.Time, error) {
 }
 
 // ChannelOpen measures the memory channel's one-time open handshake:
-// the sender-timed cost of a single 8-byte send-and-drain on a cold
+// the sender-timed cost of a single 8-byte PutNBI+Quiet on a cold
 // (never-opened) channel minus the same on the now-warm channel — the
 // difference is exactly the open cost, every per-message term cancels.
 func ChannelOpen(cfg *machine.Config, ranks int) (sim.Time, error) {
-	tp, ok := cfg.Params(machine.MemChannel)
-	if !ok {
-		return 0, fmt.Errorf("bench: machine %s has no memory-channel transport", cfg.Name)
-	}
-	w, err := runtime.NewWorld(cfg, ranks)
+	j, err := shmem.NewJobSharded(cfg, machine.MemChannel, ranks, 8, 8, 1)
 	if err != nil {
 		return 0, err
 	}
 	src, dst := farPair(ranks)
-	ep := w.Endpoint(src)
-	ch := runtime.NewChannel(ep, dst, tp)
-	mem := runtime.NewMem(8, 8)
-	put := runtime.Put{Dst: dst, Mem: &mem}
 	var cold, warm sim.Time
-	w.Spawn(src, "opener", func(p *sim.Proc) {
-		start := p.Now()
-		ch.Put(p, put, runtime.Blank(8), ep.AutoChannel())
-		ch.Drain(p)
-		cold = p.Now() - start
-		start = p.Now()
-		ch.Put(p, put, runtime.Blank(8), ep.AutoChannel())
-		ch.Drain(p)
-		warm = p.Now() - start
+	err = j.Launch(func(c *shmem.Ctx) {
+		if c.MyPE() != src {
+			return
+		}
+		put := func() sim.Time {
+			start := c.Now()
+			c.PutNBI(dst, 0, runtime.Blank(8))
+			c.Quiet()
+			return c.Now() - start
+		}
+		cold = put()
+		warm = put()
 	})
-	if err := w.Run(); err != nil {
+	if err != nil {
 		return 0, err
 	}
 	return cold - warm, nil

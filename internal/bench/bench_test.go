@@ -169,6 +169,34 @@ func TestCASLatencies(t *testing.T) {
 	}
 }
 
+// TestChannelOpenMatchesCalibration requires the cold-minus-warm
+// PutNBI+Quiet to recover exactly the calibrated open handshake on
+// every catalog machine with a memory channel, and a machine without
+// one to be refused.
+func TestChannelOpenMatchesCalibration(t *testing.T) {
+	n := 0
+	for _, m := range machine.All() {
+		tp, ok := m.Params(machine.MemChannel)
+		if !ok {
+			if _, err := ChannelOpen(m, 2); err == nil {
+				t.Errorf("%s: ChannelOpen without a memory channel succeeded", m.Name)
+			}
+			continue
+		}
+		n++
+		got, err := ChannelOpen(m, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tp.ChannelOpen {
+			t.Errorf("%s: ChannelOpen = %v, calibrated %v", m.Name, got, tp.ChannelOpen)
+		}
+	}
+	if n == 0 {
+		t.Fatal("no catalog machine has a memory channel")
+	}
+}
+
 func TestSweepSplitFig10(t *testing.T) {
 	volumes := []int64{1024, 16384, 131072, 1 << 20}
 	pts, err := SweepSplit(cfg(t, "perlmutter-gpu"), 4, volumes)

@@ -342,8 +342,8 @@ func New(spec Spec) (Transport, error) {
 }
 
 // StreamInspector is implemented by transports whose sends ride a
-// per-rank device stream; conformance oracles inspect the recorded
-// fire log after Launch.
+// per-rank device stream; conformance oracles read its fire count and
+// first early fire after Launch.
 type StreamInspector interface {
 	Stream(rank int) *gpu.Stream
 }

@@ -164,7 +164,7 @@ func Run(o Options) (*Report, error) {
 // still reproduces a failure.
 func (o Options) buildViolation(kc kcase, ref outcome, seed uint64, detail string) Violation {
 	v := Violation{Kernel: kc.kernel, Transport: kc.transport, Seed: seed, Detail: detail}
-	rec := &sim.Perturbation{Seed: seed, Reorder: true, MaxJitter: maxJitter, Record: true}
+	rec := &sim.Perturbation{Seed: seed, MaxJitter: maxJitter, Record: true}
 	runCase(kc, chaos{perturb: rec, faults: o.faults(seed), unordered: o.Unordered})
 	script := append([]sim.PerturbDecision(nil), rec.Trace()...)
 	v.TraceLen = len(script)
@@ -197,7 +197,7 @@ func Replay(o Options, v Violation) string {
 // engine.
 func (o Options) seedChaos(seed uint64) chaos {
 	return chaos{
-		perturb:   &sim.Perturbation{Seed: seed, Reorder: true, MaxJitter: maxJitter},
+		perturb:   &sim.Perturbation{Seed: seed, MaxJitter: maxJitter},
 		faults:    o.faults(seed),
 		unordered: o.Unordered,
 	}

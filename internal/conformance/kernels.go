@@ -412,11 +412,11 @@ const (
 // streamorderRun is the stream-triggered dependency oracle on a GPU
 // pair: rank 0 enqueues soSlots fused put-with-signal descriptors on
 // its device stream and quiets, rank 1 consumes every slot. The
-// oracle reads the stream's enqueue/ready/fire log afterwards and
-// requires that no descriptor fired before its stream dependency
-// resolved (At >= Ready) nor before its predecessor completed
-// (At >= previous Done) — the contract Spec.DebugUnordered
-// deliberately breaks for mutation testing. Payloads must land
+// oracle reads the stream's fire count and first early fire
+// afterwards and requires that no descriptor fired before its stream
+// dependency resolved (At >= Ready, and Ready >= previous Done) — the
+// contract Spec.DebugUnordered deliberately breaks for mutation
+// testing. Payloads must land
 // uncorrupted in their slots regardless.
 func streamorderRun(ch chaos) (outcome, error) {
 	pattern := func(slot int) []byte {
@@ -457,21 +457,16 @@ func streamorderRun(ch chaos) (outcome, error) {
 	if !ok {
 		return outcome{}, fmt.Errorf("streamorder: transport does not expose its device stream")
 	}
-	log := ins.Stream(0).Log()
-	if len(log) != soSlots {
-		return outcome{}, fmt.Errorf("streamorder: stream logged %d descriptors, want %d", len(log), soSlots)
+	s := ins.Stream(0)
+	if s.Fired() != soSlots {
+		return outcome{}, fmt.Errorf("streamorder: stream fired %d descriptors, want %d", s.Fired(), soSlots)
 	}
-	for i, f := range log {
-		if f.At < f.Ready {
-			return outcome{}, fmt.Errorf(
-				"streamorder: descriptor %d fired at %v before its stream dependency resolved at %v",
-				i, f.At, f.Ready)
-		}
-		if i > 0 && f.At < log[i-1].Done {
-			return outcome{}, fmt.Errorf(
-				"streamorder: descriptor %d fired at %v before predecessor completed at %v",
-				i, f.At, log[i-1].Done)
-		}
+	// Ready is at or after the predecessor's completion, so this also
+	// catches a descriptor that fired before its predecessor completed.
+	if e := s.Early(); e != nil {
+		return outcome{}, fmt.Errorf(
+			"streamorder: descriptor %d fired at %v before its stream dependency resolved at %v",
+			e.Index, e.At, e.Ready)
 	}
 	h := fnv.New64a()
 	for s, b := range got {

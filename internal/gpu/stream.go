@@ -17,14 +17,18 @@ import "msgroofline/internal/sim"
 // resolution and wire entry (the fire delay) and once as the engine's
 // occupancy before the next descriptor becomes eligible.
 //
-// A Stream is pure bookkeeping: it computes and records fire times,
-// and the transport schedules the actual network injection at the
-// returned time. All state belongs to the owning rank's engine, so a
-// Stream needs no locking.
+// A Stream is pure bookkeeping: it computes fire times, and the
+// transport schedules the actual network injection at the returned
+// time. It keeps O(1) state for the oracles: the fire count, a running
+// digest of the fire schedule, and the first descriptor that fired
+// before its stream dependency resolved. All state belongs to the
+// owning rank's engine, so a Stream needs no locking.
 type Stream struct {
 	trigger sim.Time
 	cursor  sim.Time // completion time of the latest descriptor
-	log     []Fire
+	fired   int
+	digest  uint64
+	early   *EarlyFire
 	// unordered disables the stream-dependency wait: descriptors fire
 	// trigger-late after their enqueue regardless of predecessors.
 	// This deliberately breaks the ordering contract; it exists so the
@@ -33,25 +37,21 @@ type Stream struct {
 	unordered bool
 }
 
-// Fire records one descriptor's lifecycle. Times are absolute.
-type Fire struct {
-	// Enq is when the host enqueued the descriptor.
-	Enq sim.Time
-	// Ready is when the stream dependency resolved: the completion
-	// time of the previous descriptor on this stream (Enq for the
-	// first). Recorded even in unordered mode, so an ordering oracle
-	// can check At >= Ready without reference to jitter.
-	Ready sim.Time
-	// At is when the descriptor fired (entered the wire).
-	At sim.Time
-	// Done is when the trigger engine finished the descriptor and the
-	// next one became eligible.
-	Done sim.Time
+// EarlyFire records a descriptor that fired before its stream
+// dependency resolved. Ready is the later of its enqueue and its
+// predecessor's completion, so At < Ready also means it fired before
+// its predecessor completed, independent of any schedule jitter.
+type EarlyFire struct {
+	// Index is the descriptor's position in enqueue order.
+	Index int
+	// At is when it fired (entered the wire); Ready is when its
+	// dependency resolved. Times are absolute.
+	At, Ready sim.Time
 }
 
 // NewStream returns an empty stream with the given trigger latency.
 func NewStream(trigger sim.Time) *Stream {
-	return &Stream{trigger: trigger}
+	return &Stream{trigger: trigger, digest: fnvOffsetBasis}
 }
 
 // SetUnordered toggles the deliberate ordering break.
@@ -74,24 +74,30 @@ func (s *Stream) Enqueue(enq sim.Time) sim.Time {
 	if done > s.cursor {
 		s.cursor = done
 	}
-	s.log = append(s.log, Fire{Enq: enq, Ready: ready, At: at, Done: done})
+	if at < ready && s.early == nil {
+		s.early = &EarlyFire{Index: s.fired, At: at, Ready: ready}
+	}
+	s.fired++
+	s.digest = mix(mix(s.digest, uint64(at)), uint64(done))
 	return at
 }
 
-// Log returns the recorded descriptor lifecycle, in enqueue order.
-func (s *Stream) Log() []Fire { return s.log }
+// Fired returns how many descriptors the stream has fired.
+func (s *Stream) Fired() int { return s.fired }
 
-// Digest folds every fire and completion time with the same FNV-style
-// fold as sim's event digest, so stream schedules can be certified
-// shard- and job-invariant exactly like Result.EventDigest.
-func (s *Stream) Digest() uint64 {
-	h := uint64(1469598103934665603)
-	mix := func(v uint64) {
-		h = (h ^ v) * 1099511628211
-	}
-	for _, f := range s.log {
-		mix(uint64(f.At))
-		mix(uint64(f.Done))
-	}
-	return h
-}
+// Early returns the first descriptor that fired before its stream
+// dependency resolved, or nil if none did.
+func (s *Stream) Early() *EarlyFire { return s.early }
+
+// Digest folds every fire and completion time, in enqueue order, with
+// the same FNV-style fold as sim's event digest, so stream schedules
+// can be certified shard- and job-invariant exactly like
+// Result.EventDigest.
+func (s *Stream) Digest() uint64 { return s.digest }
+
+// fnvOffsetBasis seeds the digest (FNV-1a offset basis).
+const fnvOffsetBasis uint64 = 1469598103934665603
+
+// mix folds one word into a digest: xor, then multiply by the 64-bit
+// FNV prime.
+func mix(h, v uint64) uint64 { return (h ^ v) * 1099511628211 }

@@ -54,7 +54,7 @@ func streamDigest(t *testing.T, shards int) uint64 {
 	if !ok {
 		t.Fatal("stream-triggered transport does not expose its stream")
 	}
-	if n := len(ins.Stream(0).Log()); n != sdSlots {
+	if n := ins.Stream(0).Fired(); n != sdSlots {
 		t.Fatalf("stream fired %d descriptors, want %d", n, sdSlots)
 	}
 	return ins.Stream(0).Digest()

@@ -27,40 +27,36 @@ func enqTimes(seed uint64, n int) []sim.Time {
 	return out
 }
 
-// TestStreamOrderedProperties checks the ordered-firing contract over
-// randomized enqueue schedules: every descriptor becomes ready no
-// earlier than its enqueue, fires one trigger latency after readiness,
-// never before its predecessor completes, and the fire times are
-// strictly monotone per stream.
+// TestStreamOrderedProperties checks ordered firing over randomized
+// enqueue schedules against the reference recurrence: a descriptor is
+// ready at the later of its enqueue and its predecessor's completion,
+// fires one trigger latency after readiness and completes one trigger
+// latency later. Fire times, count and digest must all match it, fire
+// times must be strictly monotone, and no descriptor may fire early.
 func TestStreamOrderedProperties(t *testing.T) {
 	const trigger = 1100 * sim.Nanosecond
 	for seed := uint64(0); seed < 20; seed++ {
 		s := NewStream(trigger)
-		for _, enq := range enqTimes(seed, 50) {
-			s.Enqueue(enq)
+		var cursor, prev sim.Time
+		digest := uint64(1469598103934665603)
+		for i, enq := range enqTimes(seed, 50) {
+			ready := max(cursor, enq)
+			want := ready + trigger
+			cursor = want + trigger
+			digest = (digest ^ uint64(want)) * 1099511628211
+			digest = (digest ^ uint64(cursor)) * 1099511628211
+			at := s.Enqueue(enq)
+			if at != want {
+				t.Fatalf("seed %d: fire %d at %v, want %v", seed, i, at, want)
+			}
+			if i > 0 && at <= prev {
+				t.Fatalf("seed %d: fire times not strictly monotone at %d", seed, i)
+			}
+			prev = at
 		}
-		log := s.Log()
-		if len(log) != 50 {
-			t.Fatalf("seed %d: logged %d fires, want 50", seed, len(log))
-		}
-		for i, f := range log {
-			if f.Ready < f.Enq {
-				t.Fatalf("seed %d: fire %d ready %v before enqueue %v", seed, i, f.Ready, f.Enq)
-			}
-			if f.At != f.Ready+trigger {
-				t.Fatalf("seed %d: fire %d at %v, want ready+trigger %v", seed, i, f.At, f.Ready+trigger)
-			}
-			if f.Done != f.At+trigger {
-				t.Fatalf("seed %d: fire %d done %v, want at+trigger %v", seed, i, f.Done, f.At+trigger)
-			}
-			if i > 0 {
-				if f.At < log[i-1].Done {
-					t.Fatalf("seed %d: fire %d at %v before predecessor done %v", seed, i, f.At, log[i-1].Done)
-				}
-				if f.At <= log[i-1].At {
-					t.Fatalf("seed %d: fire times not strictly monotone at %d", seed, i)
-				}
-			}
+		if s.Fired() != 50 || s.Digest() != digest || s.Early() != nil {
+			t.Fatalf("seed %d: fired %d, digest %016x, early %+v; want 50, %016x, none",
+				seed, s.Fired(), s.Digest(), s.Early(), digest)
 		}
 	}
 }
@@ -88,31 +84,27 @@ func TestStreamDigestDeterministic(t *testing.T) {
 
 // TestStreamUnorderedBreaksDependency: with the ordering deliberately
 // disabled, back-to-back enqueues fire before their predecessor
-// completes — and the recorded Ready times still expose the violation
-// (At < Ready), independent of any schedule jitter.
+// completes, and the stream records the first such descriptor with a
+// Ready time that exposes the violation (At < Ready), independent of
+// any schedule jitter.
 func TestStreamUnorderedBreaksDependency(t *testing.T) {
 	const trigger = 1100 * sim.Nanosecond
 	s := NewStream(trigger)
 	s.SetUnordered(true)
+	var prevDone sim.Time
 	for i := 0; i < 4; i++ {
 		// Enqueues 40ns apart: far faster than the trigger engine.
-		s.Enqueue(sim.Time(i) * 40 * sim.Nanosecond)
-	}
-	log := s.Log()
-	brokeDep := false
-	brokeReady := false
-	for i, f := range log {
-		if i > 0 && f.At < log[i-1].Done {
-			brokeDep = true
+		at := s.Enqueue(sim.Time(i) * 40 * sim.Nanosecond)
+		if i == 1 && at >= prevDone {
+			t.Fatal("unordered stream still waited for its predecessor")
 		}
-		if f.At < f.Ready {
-			brokeReady = true
-		}
+		prevDone = at + trigger
 	}
-	if !brokeDep {
-		t.Fatal("unordered stream still waited for predecessors")
+	e := s.Early()
+	if e == nil || e.Index != 1 || e.At >= e.Ready {
+		t.Fatalf("early fire = %+v, want descriptor 1 with At < Ready", e)
 	}
-	if !brokeReady {
-		t.Fatal("Ready times do not expose the unordered violation")
+	if s.Fired() != 4 {
+		t.Fatalf("fired %d descriptors, want 4", s.Fired())
 	}
 }

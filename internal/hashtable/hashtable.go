@@ -47,9 +47,6 @@ type Config struct {
 	// TotalInserts across all ranks (the paper uses one million);
 	// each rank performs TotalInserts/Ranks.
 	TotalInserts int
-	// LoadFactor sizes the table: capacity = TotalInserts/LoadFactor.
-	// The paper-style default of 0.5 doubles capacity over inserts.
-	LoadFactor float64
 	// Blocks is the GPU-only concurrency: inserts are spread over
 	// this many thread-block contexts per PE (default 8).
 	Blocks int
@@ -71,12 +68,6 @@ func (c *Config) fill() error {
 	if c.TotalInserts < 1 {
 		return fmt.Errorf("hashtable: inserts = %d", c.TotalInserts)
 	}
-	if c.LoadFactor == 0 {
-		c.LoadFactor = 0.5
-	}
-	if c.LoadFactor <= 0 || c.LoadFactor > 0.95 {
-		return fmt.Errorf("hashtable: load factor %v", c.LoadFactor)
-	}
 	if c.Blocks == 0 {
 		c.Blocks = 8
 	}
@@ -85,6 +76,10 @@ func (c *Config) fill() error {
 	}
 	return nil
 }
+
+// loadFactor sizes the table: capacity = TotalInserts/loadFactor. The
+// paper-style 0.5 doubles capacity over inserts.
+const loadFactor = 0.5
 
 // geometry derives the distributed table shape.
 type geometry struct {
@@ -97,7 +92,7 @@ type geometry struct {
 
 func newGeometry(c *Config) geometry {
 	per := (c.TotalInserts + c.Ranks - 1) / c.Ranks
-	capacity := int(float64(per*c.Ranks) / c.LoadFactor)
+	capacity := int(float64(per*c.Ranks) / loadFactor)
 	slots := (capacity + c.Ranks - 1) / c.Ranks
 	return geometry{
 		ranks:    c.Ranks,

@@ -28,7 +28,6 @@ func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Ranks: 0, TotalInserts: 10},
 		{Ranks: 2, TotalInserts: 0},
-		{Ranks: 2, TotalInserts: 10, LoadFactor: 2},
 		{Ranks: 2, TotalInserts: 10, Blocks: -1},
 	}
 	for _, c := range bad {
@@ -53,7 +52,7 @@ func TestKeysUniqueNonzero(t *testing.T) {
 }
 
 func TestGeometry(t *testing.T) {
-	cfg := Config{Ranks: 4, TotalInserts: 1000, LoadFactor: 0.5}
+	cfg := Config{Ranks: 4, TotalInserts: 1000}
 	if err := cfg.fill(); err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +96,7 @@ func TestTwoSidedCorrectness(t *testing.T) {
 	}
 	// Broadcast protocol: each insert round sends P-1 messages per
 	// rank: total = perRank * P * (P-1).
-	g := newGeometry(&Config{Ranks: 4, TotalInserts: 400, LoadFactor: 0.5, Blocks: 8})
+	g := newGeometry(&Config{Ranks: 4, TotalInserts: 400, Blocks: 8})
 	want := g.perRank * 4 * 3
 	if res.Comm.Messages != want {
 		t.Fatalf("messages = %d, want %d", res.Comm.Messages, want)

@@ -15,6 +15,7 @@ import "fmt"
 // all-to-all over "local" links; groups are all-to-all over "global"
 // links, with each group's RoutersPerGroup*GlobalLinksPerRouter
 // global ports distributed round-robin across its Groups-1 peers.
+// Routers are named "df:g<g>r<r>" and nodes "df:g<g>r<r>n<n>".
 type Dragonfly struct {
 	Groups               int
 	RoutersPerGroup      int
@@ -27,20 +28,11 @@ type Dragonfly struct {
 	NodeGBs, NodeLatencyNs     float64
 	LocalGBs, LocalLatencyNs   float64
 	GlobalGBs, GlobalLatencyNs float64
-	// Prefix namespaces node names ("df" when empty).
-	Prefix string
 }
 
-func (d *Dragonfly) prefix() string {
-	if d.Prefix == "" {
-		return "df"
-	}
-	return d.Prefix
-}
-
-func (d *Dragonfly) router(g, r int) string { return fmt.Sprintf("%s:g%dr%d", d.prefix(), g, r) }
+func (d *Dragonfly) router(g, r int) string { return fmt.Sprintf("df:g%dr%d", g, r) }
 func (d *Dragonfly) node(g, r, n int) string {
-	return fmt.Sprintf("%s:g%dr%dn%d", d.prefix(), g, r, n)
+	return fmt.Sprintf("df:g%dr%dn%d", g, r, n)
 }
 
 // NodeCount returns the compute-node count.
@@ -160,7 +152,7 @@ func (d *Dragonfly) Metrics() (TopoMetrics, error) {
 // "aggregation" switches, Radix/2 hosts per edge switch, and
 // (Radix/2)^2 "core" switches — Radix^3/4 hosts. With 2 levels: Radix
 // edge switches of Radix/2 hosts each under Radix/2 core switches —
-// Radix^2/2 hosts.
+// Radix^2/2 hosts. Every switch and host name starts with "ft:".
 type FatTree struct {
 	Radix  int
 	Levels int
@@ -170,15 +162,6 @@ type FatTree struct {
 	HostGBs, HostLatencyNs float64
 	EdgeGBs, EdgeLatencyNs float64
 	CoreGBs, CoreLatencyNs float64
-	// Prefix namespaces node names ("ft" when empty).
-	Prefix string
-}
-
-func (f *FatTree) prefix() string {
-	if f.Prefix == "" {
-		return "ft"
-	}
-	return f.Prefix
 }
 
 func (f *FatTree) validate() error {
@@ -219,15 +202,15 @@ func (f *FatTree) expand() ([]LinkSpec, Placement, []string, error) {
 	}
 	if f.Levels == 2 {
 		for e := 0; e < f.Radix; e++ {
-			sw := fmt.Sprintf("%s:e%d", f.prefix(), e)
+			sw := fmt.Sprintf("ft:e%d", e)
 			for h := 0; h < half; h++ {
-				addHost(fmt.Sprintf("%s:e%dh%d", f.prefix(), e, h), sw)
+				addHost(fmt.Sprintf("ft:e%dh%d", e, h), sw)
 			}
 		}
 		for e := 0; e < f.Radix; e++ {
 			for c := 0; c < half; c++ {
 				links = append(links, LinkSpec{
-					A: fmt.Sprintf("%s:e%d", f.prefix(), e), B: fmt.Sprintf("%s:c%d", f.prefix(), c),
+					A: fmt.Sprintf("ft:e%d", e), B: fmt.Sprintf("ft:c%d", c),
 					GBs: f.CoreGBs, LatencyNs: f.CoreLatencyNs, Channels: 1, Class: "core",
 				})
 			}
@@ -236,9 +219,9 @@ func (f *FatTree) expand() ([]LinkSpec, Placement, []string, error) {
 	}
 	for p := 0; p < f.Radix; p++ {
 		for e := 0; e < half; e++ {
-			sw := fmt.Sprintf("%s:p%de%d", f.prefix(), p, e)
+			sw := fmt.Sprintf("ft:p%de%d", p, e)
 			for h := 0; h < half; h++ {
-				addHost(fmt.Sprintf("%s:p%de%dh%d", f.prefix(), p, e, h), sw)
+				addHost(fmt.Sprintf("ft:p%de%dh%d", p, e, h), sw)
 			}
 		}
 	}
@@ -246,8 +229,8 @@ func (f *FatTree) expand() ([]LinkSpec, Placement, []string, error) {
 		for e := 0; e < half; e++ {
 			for a := 0; a < half; a++ {
 				links = append(links, LinkSpec{
-					A:   fmt.Sprintf("%s:p%de%d", f.prefix(), p, e),
-					B:   fmt.Sprintf("%s:p%da%d", f.prefix(), p, a),
+					A:   fmt.Sprintf("ft:p%de%d", p, e),
+					B:   fmt.Sprintf("ft:p%da%d", p, a),
 					GBs: f.EdgeGBs, LatencyNs: f.EdgeLatencyNs, Channels: 1, Class: "aggregation",
 				})
 			}
@@ -259,8 +242,8 @@ func (f *FatTree) expand() ([]LinkSpec, Placement, []string, error) {
 		for a := 0; a < half; a++ {
 			for c := 0; c < half; c++ {
 				links = append(links, LinkSpec{
-					A:   fmt.Sprintf("%s:p%da%d", f.prefix(), p, a),
-					B:   fmt.Sprintf("%s:c%d", f.prefix(), a*half+c),
+					A:   fmt.Sprintf("ft:p%da%d", p, a),
+					B:   fmt.Sprintf("ft:c%d", a*half+c),
 					GBs: f.CoreGBs, LatencyNs: f.CoreLatencyNs, Channels: 1, Class: "core",
 				})
 			}

@@ -64,9 +64,6 @@ const (
 type Explicit struct {
 	Links []LinkSpec
 	Place Placement
-	// Detours lists candidate intermediate nodes for non-minimal
-	// adaptive routes (usually empty on explicit machines).
-	Detours []string
 }
 
 // Topology declares how a machine's fabric is built: exactly one of
@@ -110,7 +107,7 @@ func (t *Topology) expand() (links []LinkSpec, place Placement, detours []string
 	case t.FatTree != nil:
 		return t.FatTree.expand()
 	}
-	return t.Explicit.Links, t.Explicit.Place, t.Explicit.Detours, nil
+	return t.Explicit.Links, t.Explicit.Place, nil, nil
 }
 
 func validateExpansion(links []LinkSpec, place Placement) error {

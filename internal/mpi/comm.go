@@ -59,16 +59,12 @@ func (c *Comm) SetDebugUnordered(v bool) { c.debugUnordered = v }
 // delivery. Call before Launch.
 func (c *Comm) SetSendHook(h runtime.MsgHook) { c.sendHook = h }
 
-// NewComm builds a communicator with n ranks on the named machine
-// configuration. The machine must offer two-sided MPI (CPU machines);
-// one-sided operations additionally require the OneSided transport.
-func NewComm(cfg *machine.Config, n int) (*Comm, error) {
-	return NewCommSharded(cfg, n, 1)
-}
-
-// NewCommSharded is NewComm with a -shards worker count for the
-// underlying world (see runtime.NewWorldSharded; results are
-// byte-identical at every shard count).
+// NewCommSharded builds a communicator with n ranks on the named
+// machine configuration, its world running windows on up to shards
+// workers (see runtime.NewWorldSharded; results are byte-identical at
+// every shard count). The machine must offer two-sided MPI (CPU
+// machines); one-sided operations additionally require the OneSided
+// transport.
 func NewCommSharded(cfg *machine.Config, n, shards int) (*Comm, error) {
 	two, ok := cfg.Params(machine.TwoSided)
 	if !ok {

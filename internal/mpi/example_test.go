@@ -11,7 +11,7 @@ import (
 // ranks passing a token.
 func ExampleComm_Launch() {
 	cfg, _ := machine.Get("perlmutter-cpu")
-	c, _ := mpi.NewComm(cfg, 4)
+	c, _ := mpi.NewCommSharded(cfg, 4, 1)
 	err := c.Launch(func(r *mpi.Rank) {
 		next := (r.Rank() + 1) % r.Size()
 		prev := (r.Rank() - 1 + r.Size()) % r.Size()

@@ -75,12 +75,12 @@ func FuzzMatchQueue(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := NewComm(cfg, 3)
+		c, err := NewCommSharded(cfg, 3, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		c.World().SetPerturbation(&sim.Perturbation{
-			Seed: seed, Reorder: true, MaxJitter: 2 * sim.Microsecond,
+			Seed: seed, MaxJitter: 2 * sim.Microsecond,
 		})
 
 		const ackTag = 977

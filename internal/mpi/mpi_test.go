@@ -14,7 +14,7 @@ func newComm(t *testing.T, name string, n int) *Comm {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewComm(cfg, n)
+	c, err := NewCommSharded(cfg, n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestHostStagedMPIOnGPUMachine(t *testing.T) {
 	// messages pay the PCIe legs plus the host stack, so a small
 	// message is slower than the ~4us device-initiated put.
 	cfg, _ := machine.Get("perlmutter-gpu")
-	c, err := NewComm(cfg, 2)
+	c, err := NewCommSharded(cfg, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

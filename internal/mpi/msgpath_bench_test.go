@@ -25,7 +25,7 @@ func benchMsgPath(b *testing.B, active func(rank int) bool, setup func(r *Rank, 
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, err := NewComm(cfg, 128)
+	c, err := NewCommSharded(cfg, 128, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

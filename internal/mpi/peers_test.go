@@ -36,7 +36,7 @@ func TestPerPeerStateDrains(t *testing.T) {
 	// get a node each, so every message crosses links, and latency
 	// spikes let later messages overtake earlier ones.
 	const ranks, msgs = 8, 40
-	c, err := NewComm(cfg, ranks)
+	c, err := NewCommSharded(cfg, ranks, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestPerPeerStateDrains(t *testing.T) {
 	}
 
 	// One-sided: puts to several targets, a flush to one, then flush-all.
-	c, err = NewComm(cfg, ranks)
+	c, err = NewCommSharded(cfg, ranks, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func liveHeap() int64 {
 func ringWorldHeap(t *testing.T, cfg *machine.Config, n int) int64 {
 	t.Helper()
 	base := liveHeap()
-	c, err := NewComm(cfg, n)
+	c, err := NewCommSharded(cfg, n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -206,7 +206,7 @@ func newCommProp(n int) *Comm {
 	if err != nil {
 		panic(err)
 	}
-	c, err := NewComm(cfg, n)
+	c, err := NewCommSharded(cfg, n, 1)
 	if err != nil {
 		panic(err)
 	}

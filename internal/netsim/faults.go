@@ -17,19 +17,21 @@ import (
 // tolerate. With no faults installed (the default) the data path is
 // untouched and output stays byte-identical to the golden runs.
 
+// A dropped message is re-sent after retransmitDelay, and at most
+// maxRetransmit consecutive drops hit one message, so every message is
+// eventually delivered.
+const (
+	maxRetransmit   = 3
+	retransmitDelay = sim.Microsecond
+)
+
 // Faults configures network fault injection. Install with SetFaults.
 type Faults struct {
 	// Seed drives the deterministic fault stream.
 	Seed uint64
 	// DropProb is the per-transmission probability that the message
-	// is lost and must be retransmitted after RetransmitDelay.
+	// is lost and must be retransmitted.
 	DropProb float64
-	// MaxRetransmit caps consecutive drops of one message (so every
-	// message is eventually delivered); 0 selects the default of 3.
-	MaxRetransmit int
-	// RetransmitDelay is the timeout before a dropped message is
-	// re-sent; 0 selects the default of 1us.
-	RetransmitDelay sim.Time
 	// SpikeProb is the per-message probability of a latency spike.
 	SpikeProb float64
 	// MaxSpike bounds the uniform extra delay of a spike.
@@ -43,7 +45,7 @@ func (f Faults) validate() error {
 	if f.SpikeProb < 0 || f.SpikeProb > 1 {
 		return fmt.Errorf("netsim: spike probability %v outside [0, 1]", f.SpikeProb)
 	}
-	if f.MaxSpike < 0 || f.RetransmitDelay < 0 {
+	if f.MaxSpike < 0 {
 		return fmt.Errorf("netsim: negative fault delay")
 	}
 	return nil
@@ -54,8 +56,6 @@ func (f Faults) validate() error {
 type faultState struct {
 	cfg    Faults
 	rng    uint64
-	maxR   int
-	rto    sim.Time
 	drops  int64
 	spikes int64
 }
@@ -77,14 +77,7 @@ func (n *Network) SetFaults(f *Faults) {
 	if err := f.validate(); err != nil {
 		panic(err.Error())
 	}
-	fs := &faultState{cfg: *f, rng: f.Seed, maxR: f.MaxRetransmit, rto: f.RetransmitDelay}
-	if fs.maxR <= 0 {
-		fs.maxR = 3
-	}
-	if fs.rto <= 0 {
-		fs.rto = sim.Microsecond
-	}
-	n.faults = fs
+	n.faults = &faultState{cfg: *f, rng: f.Seed}
 }
 
 // FaultStats returns cumulative injected-fault counters (zero when no
@@ -120,10 +113,10 @@ func (fs *faultState) spike() sim.Time {
 }
 
 // apply perturbs one delivery: an optional latency spike, then up to
-// maxR drop-and-retransmit rounds, each re-reserving the path's links
-// (resend re-serializes the payload) after the retransmit timeout.
-// It returns the final delivery time; a nil state (no faults
-// installed) returns t.
+// maxRetransmit drop-and-retransmit rounds, each re-reserving the
+// path's links (resend re-serializes the payload) after
+// retransmitDelay. It returns the final delivery time; a nil state (no
+// faults installed) returns t.
 func (fs *faultState) apply(t sim.Time, resend func(at sim.Time) sim.Time) sim.Time {
 	if fs == nil {
 		return t
@@ -132,9 +125,9 @@ func (fs *faultState) apply(t sim.Time, resend func(at sim.Time) sim.Time) sim.T
 		fs.spikes++
 		t += fs.spike()
 	}
-	for r := 0; fs.cfg.DropProb > 0 && r < fs.maxR && fs.roll() < fs.cfg.DropProb; r++ {
+	for r := 0; fs.cfg.DropProb > 0 && r < maxRetransmit && fs.roll() < fs.cfg.DropProb; r++ {
 		fs.drops++
-		t = resend(t + fs.rto)
+		t = resend(t + retransmitDelay)
 	}
 	return t
 }

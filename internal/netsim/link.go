@@ -6,7 +6,9 @@
 //
 // The package is time-passive: callers supply the current simulated
 // time and receive the delivery time back, so it composes with any
-// clock source (in this repository, internal/sim).
+// clock source (in this repository, internal/sim). Optional fault
+// injection (Faults) adds seeded latency spikes and drops; a dropped
+// message is re-sent after a fixed 1 us timeout, at most 3 times.
 package netsim
 
 import (
@@ -101,15 +103,6 @@ func (l *Link) Stats() LinkStats {
 		Bytes:    l.bytes,
 		Messages: l.messages,
 	}
-}
-
-// Reset clears reservation state and counters (between experiment
-// repetitions).
-func (l *Link) Reset() {
-	l.freeAt = 0
-	l.busy = 0
-	l.bytes = 0
-	l.messages = 0
 }
 
 // LinkStats is a snapshot of a link's cumulative counters.

@@ -155,32 +155,14 @@ func TestNegativeChannelIndex(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	n := New()
-	n.AddLink("a", "b", 1e9, 0, 1)
-	r := mustRoute(t, n, "a", "b")
-	r.Transfer(0, 1000, 0)
-	if len(n.Stats()) == 0 {
-		t.Fatal("expected stats before reset")
-	}
-	n.Reset()
-	if len(n.Stats()) != 0 {
-		t.Fatal("expected no stats after reset")
-	}
-	if got := r.Transfer(0, 1000, 0); got != sim.Microsecond {
-		t.Fatalf("post-reset delivery = %v, want 1us", got)
-	}
-}
-
 // Property: delivery time is nondecreasing in message size and never
 // earlier than injection + base latency + serialization at bottleneck.
 func TestTransferLowerBoundProperty(t *testing.T) {
-	n := New()
-	n.AddLink("a", "b", 25e9, 500*sim.Nanosecond, 1)
-	n.AddLink("b", "c", 32e9, 200*sim.Nanosecond, 1)
-	r := mustRoute(t, n, "a", "c")
 	f := func(sz uint16, at uint16) bool {
-		n.Reset()
+		n := New()
+		n.AddLink("a", "b", 25e9, 500*sim.Nanosecond, 1)
+		n.AddLink("b", "c", 32e9, 200*sim.Nanosecond, 1)
+		r := mustRoute(t, n, "a", "c")
 		bytes := int64(sz) + 1
 		t0 := sim.Time(at) * sim.Nanosecond
 		got := r.Transfer(t0, bytes, 0)

@@ -393,19 +393,6 @@ func (n *Network) LookaheadBound() sim.Time {
 	return min
 }
 
-// Reset clears reservation state and counters on every link, plus the
-// adaptive-routing pick counters.
-func (n *Network) Reset() {
-	for _, edges := range n.adjx {
-		for _, x := range edges {
-			for _, l := range x.g.links {
-				l.Reset()
-			}
-		}
-	}
-	n.minPicks, n.altPicks = 0, 0
-}
-
 // Stats returns cumulative counters for every link that carried at
 // least one message, sorted by name.
 func (n *Network) Stats() []LinkStats {

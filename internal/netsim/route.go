@@ -351,7 +351,7 @@ func (r Route) TransferPacket(at, occupancy sim.Time, ch int) sim.Time {
 
 // RoutingStats reports how many adaptive transfers took the minimal
 // path vs a non-minimal detour. Both are 0 under RouteMinimal (the
-// policy never evaluates a choice) and after Reset.
+// policy never evaluates a choice).
 func (n *Network) RoutingStats() (minimal, nonMinimal int64) {
 	return n.minPicks, n.altPicks
 }

@@ -30,24 +30,17 @@ type Chart struct {
 	YLabel string
 	XLog   bool
 	YLog   bool
-	Width  int // plot area columns (default 72)
-	Height int // plot area rows (default 24)
 	Series []Series
 }
 
+// The plot area is width columns by height rows.
+const (
+	width  = 72
+	height = 24
+)
+
 // Add appends a series.
 func (c *Chart) Add(s Series) { c.Series = append(c.Series, s) }
-
-func (c *Chart) dims() (w, h int) {
-	w, h = c.Width, c.Height
-	if w <= 0 {
-		w = 72
-	}
-	if h <= 0 {
-		h = 24
-	}
-	return
-}
 
 // Render draws the chart.
 func (c *Chart) Render() string {
@@ -58,7 +51,7 @@ func (c *Chart) Render() string {
 
 // RenderTo draws the chart to w.
 func (c *Chart) RenderTo(out io.Writer) {
-	w, h := c.dims()
+	w, h := width, height
 	xmin, xmax := math.Inf(1), math.Inf(-1)
 	ymin, ymax := math.Inf(1), math.Inf(-1)
 	tx := func(v float64) float64 {

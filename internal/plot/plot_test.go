@@ -12,7 +12,7 @@ import (
 func TestRenderBasicChart(t *testing.T) {
 	c := Chart{
 		Title: "Fig X", XLabel: "message size", YLabel: "GB/s",
-		XLog: true, YLog: true, Width: 40, Height: 10,
+		XLog: true, YLog: true,
 	}
 	var x, y []float64
 	for b := 8.0; b <= 1<<20; b *= 4 {
@@ -43,7 +43,7 @@ func TestRenderEmpty(t *testing.T) {
 }
 
 func TestRenderSkipsNonPositiveOnLogAxes(t *testing.T) {
-	c := Chart{XLog: true, YLog: true, Width: 20, Height: 8}
+	c := Chart{XLog: true, YLog: true}
 	c.Add(Series{Name: "s", X: []float64{0, -5, 10, math.NaN()}, Y: []float64{1, 1, 100, 1}})
 	out := c.Render()
 	if out == "" || strings.Contains(out, "(no data)") {
@@ -52,7 +52,7 @@ func TestRenderSkipsNonPositiveOnLogAxes(t *testing.T) {
 }
 
 func TestMultipleSeriesDistinctMarkers(t *testing.T) {
-	c := Chart{Width: 30, Height: 8}
+	var c Chart
 	c.Add(Series{Name: "a", X: []float64{1, 2, 3}, Y: []float64{1, 2, 3}})
 	c.Add(Series{Name: "b", X: []float64{1, 2, 3}, Y: []float64{3, 2, 1}})
 	out := c.Render()

@@ -33,7 +33,7 @@ func blankPut(dst, n int) Put {
 // handshake, subsequent sends do not.
 func TestChannelOpenPaidOnce(t *testing.T) {
 	cfg, tp := channelParams(t, "perlmutter-cpu")
-	w, err := NewWorld(cfg, 2)
+	w, err := NewWorldSharded(cfg, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestChannelCreditsBound(t *testing.T) {
 		t.Fatalf("calibration has no credit bound: %d", tp.ChannelCredits)
 	}
 	tp.ChannelCredits = 2
-	w, err := NewWorld(cfg, 2)
+	w, err := NewWorldSharded(cfg, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,12 +122,12 @@ func FuzzChannelOrder(f *testing.F) {
 			plan = plan[:64]
 		}
 		cfg, tp := channelParams(t, "perlmutter-cpu")
-		w, err := NewWorld(cfg, 3)
+		w, err := NewWorldSharded(cfg, 3, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		w.SetPerturbation(&sim.Perturbation{
-			Seed: seed, Reorder: true, MaxJitter: 2 * sim.Microsecond,
+			Seed: seed, MaxJitter: 2 * sim.Microsecond,
 		})
 		w.Inst.Net.SetFaults(&netsim.Faults{
 			Seed:      seed*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d,

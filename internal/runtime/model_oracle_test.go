@@ -38,13 +38,18 @@ func TestModelMatchesUncontendedWire(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				w, err := NewWorld(cfg, r)
-				if err != nil {
-					t.Fatal(err)
+				// Each timing runs on a fresh world, so the second
+				// transfer finds the links idle.
+				world := func() *World {
+					w, err := NewWorldSharded(cfg, r, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return w
 				}
+				zero := world().Endpoint(0).wireTime(tp, 0, dst, 0, 0)
+				w := world()
 				ep, to := w.Endpoint(0), w.Endpoint(dst)
-				zero := ep.wireTime(tp, 0, dst, 0, 0)
-				w.Inst.Net.Reset()
 				ser := ep.wireTime(tp, 0, dst, bytes, 0) - zero
 				if want := sim.Time(max(1, tp.SyncRoundTrips)) * zero; m.Params.L != want {
 					t.Errorf("%s %v 0->%d: model L = %v, simulator charges %v", cfg.Name, tr, dst, m.Params.L, want)

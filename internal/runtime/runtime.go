@@ -39,11 +39,6 @@ type World struct {
 	eps  []*Endpoint
 }
 
-// NewWorld builds a world with `ranks` endpoints on the given machine.
-func NewWorld(cfg *machine.Config, ranks int) (*World, error) {
-	return NewWorldSharded(cfg, ranks, 1)
-}
-
 // NewWorldSharded builds a world with `ranks` endpoints on the
 // sharded (coupled conservative-lookahead) engine. Ranks are grouped
 // by fabric node — the unit at which delivery is stateless shared
@@ -171,12 +166,8 @@ func (w *World) Windows() uint64 { return w.eng.Windows() }
 // GroupStats returns per-node-group execution summaries.
 func (w *World) GroupStats() []sim.GroupStats { return w.eng.GroupStats() }
 
-// BusyWall reports summed per-group busy time over wall time.
+// BusyWall reports the run's busy time over wall time.
 func (w *World) BusyWall(wall time.Duration) float64 { return w.eng.BusyWall(wall) }
-
-// Coupled exposes the underlying coupled engine (Defer/At plumbing
-// for layers that extend the runtime).
-func (w *World) Coupled() *sim.CoupledEngine { return w.eng }
 
 // Endpoint is one rank's attachment to the fabric: its placement plus
 // a NIC with one or more injection channels, each pacing injections at

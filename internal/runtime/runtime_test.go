@@ -14,7 +14,7 @@ func newWorld(t *testing.T, name string, ranks int) *World {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewWorld(cfg, ranks)
+	w, err := NewWorldSharded(cfg, ranks, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestWorldConstruction(t *testing.T) {
 
 func TestNewWorldRejectsOversubscription(t *testing.T) {
 	cfg, _ := machine.Get("perlmutter-gpu")
-	if _, err := NewWorld(cfg, 5); err == nil {
+	if _, err := NewWorldSharded(cfg, 5, 1); err == nil {
 		t.Fatal("5 PEs on a 4-GPU machine should fail")
 	}
 }

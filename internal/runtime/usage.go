@@ -31,7 +31,7 @@ type UsageSummary struct {
 	Imbalance float64
 	// MaxWorkers is the largest window worker parallelism used.
 	MaxWorkers int
-	// Busy is the summed per-group busy time inside windows; over a
+	// Busy is the worlds' summed busy time inside windows; over a
 	// command's wall time it is the parallel efficiency (see
 	// sim.CoupledEngine.BusyWall).
 	Busy time.Duration
@@ -67,13 +67,13 @@ func noteUsage(w *World) {
 		usage.Grouped++
 	}
 	usage.Windows += w.Windows()
+	usage.Busy += w.eng.Busy()
 	for len(usage.Events) < len(gs) {
 		usage.Events = append(usage.Events, 0)
 	}
 	var total, busiest int64
 	for g, s := range gs {
 		usage.Events[g] += s.Executed
-		usage.Busy += s.Busy
 		total += s.Executed
 		busiest = max(busiest, s.Executed)
 	}

@@ -103,7 +103,7 @@ func TestUsageFoldsPoolStats(t *testing.T) {
 		if err := w.Run(); err != nil {
 			t.Fatal(err)
 		}
-		p := w.Coupled().Pool()
+		p := w.eng.Pool()
 		if c.shards > 1 && (p.Pooled == 0 || p.Pooled != w.Windows()) || c.shards == 1 && p.Pooled != 0 {
 			t.Fatalf("%d ranks at %d shards: %d of %d windows pooled", c.ranks, c.shards, p.Pooled, w.Windows())
 		}

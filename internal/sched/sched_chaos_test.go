@@ -17,7 +17,7 @@ import (
 func perturbedElapsed(seed uint64) sim.Time {
 	eng := sim.NewEngine()
 	eng.SetPerturbation(&sim.Perturbation{
-		Seed: seed, Reorder: true, MaxJitter: sim.Microsecond,
+		Seed: seed, MaxJitter: sim.Microsecond,
 	})
 	for i := 0; i < 8; i++ {
 		d := sim.Time(i) * sim.Nanosecond
@@ -115,7 +115,7 @@ func TestPanicInsidePerturbedEngineBecomesError(t *testing.T) {
 	results, _, err := Map(3, 8, func(i int) (sim.Time, error) {
 		if i == 5 {
 			eng := sim.NewEngine()
-			eng.SetPerturbation(&sim.Perturbation{Seed: 99, Reorder: true, MaxJitter: sim.Microsecond})
+			eng.SetPerturbation(&sim.Perturbation{Seed: 99, MaxJitter: sim.Microsecond})
 			eng.At(sim.Nanosecond, func() { panic("boom at t=1ns") })
 			eng.Run()
 			return 0, errors.New("unreachable: panic expected")

@@ -199,8 +199,8 @@ func (pe *PE) View(off, n int) []byte { return pe.mem.View(off, n) }
 func (pe *PE) Uint64At(off int) uint64 { return pe.mem.Load(off) }
 
 // Stream returns the PE's device stream on StreamTriggered (nil
-// otherwise), whose enqueue/ready/fire log feeds the conformance
-// stream-ordering oracle.
+// otherwise), whose fire count and first early fire feed the
+// conformance stream-ordering oracle.
 func (pe *PE) Stream() *gpu.Stream { return pe.stream }
 
 // Channels returns the memory channels this PE has written to, in

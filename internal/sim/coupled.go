@@ -85,9 +85,8 @@ const (
 
 	// DefaultMailboxCap bounds each group's deferred-op mailbox: the
 	// number of cross-group ops one group may emit within a single
-	// window. Exceeding it is a hard error (raise with SetMailboxCap),
-	// keeping worst-case memory proportional to groups × cap instead
-	// of unbounded.
+	// window. Exceeding it is a hard error, keeping worst-case memory
+	// proportional to groups × cap instead of unbounded.
 	DefaultMailboxCap = 1 << 20
 )
 
@@ -97,13 +96,6 @@ type GroupStats struct {
 	Ranks int
 	// Executed is the number of events the group dispatched.
 	Executed int64
-	// Busy is the group's share of the run's busy time, attributed
-	// by executed events: busy time is measured once per inline run,
-	// or per pooled window for each worker that took part. On a
-	// single-core runner the sum of Busy over groups approaches the
-	// total wall time; on an N-core runner it approaches N times the
-	// wall time of the window execution.
-	Busy time.Duration
 }
 
 // deferredOp is one cross-group operation awaiting the window barrier.
@@ -162,15 +154,12 @@ type CoupledEngine struct {
 
 	counter []uint64    // per-rank deferred-op stream counters
 	gerrSet atomic.Bool // some group's err is set: firstErr scans only then
-	mcap    int
-	maxEv   uint64
 
 	windows    uint64
 	dispatches uint64 // total group-window dispatches (sum of active-set sizes)
 	// busy is the run's summed busy time: the whole loop of an inline
 	// (workers <= 1) run, measured once, or per pooled window the
-	// coordinator's time and each joined helper's. GroupStats
-	// attributes it to groups by executed events.
+	// coordinator's time and each joined helper's (Busy).
 	busy time.Duration
 	// Per-phase wall attribution of the window loop (PhaseWall):
 	// group execution, barrier deferred-op application, and
@@ -263,7 +252,6 @@ func NewCoupled(groupOf []int, lookahead Time, workers int) (*CoupledEngine, err
 		counter:   make([]uint64, len(groupOf)),
 		runs:      make([][]deferredOp, workers),
 		pend:      make([][]delivery, workers),
-		mcap:      DefaultMailboxCap,
 	}
 	for r, g := range groupOf {
 		ce.groupOf[r] = int32(g)
@@ -300,27 +288,6 @@ func (ce *CoupledEngine) EngineOf(rank int) *Engine { return &ce.groups[ce.group
 // fold order).
 func (ce *CoupledEngine) Sub(g int) *Engine { return &ce.groups[g].eng }
 
-// SetMailboxCap bounds each group's deferred-op mailbox to n ops per
-// window (default DefaultMailboxCap). Exceeding the bound aborts the
-// run with an error rather than growing without limit.
-func (ce *CoupledEngine) SetMailboxCap(n int) {
-	if n < 1 {
-		panic(fmt.Sprintf("sim: mailbox cap must be >= 1, got %d", n))
-	}
-	ce.mcap = n
-}
-
-// SetEventLimit installs a safety cap on total dispatched events
-// across all groups (checked at window barriers, and per group inside
-// a window so a zero-delay loop cannot stall a window forever). Zero
-// means no limit.
-func (ce *CoupledEngine) SetEventLimit(n uint64) {
-	ce.maxEv = n
-	for g := range ce.groups {
-		ce.groups[g].eng.SetEventLimit(n)
-	}
-}
-
 // SetPerturbation installs schedule fuzzing on every group engine,
 // giving group g decision stream g. Must be called before any process
 // is spawned or event scheduled.
@@ -351,10 +318,9 @@ func (ce *CoupledEngine) Defer(rank int, at Time, run func()) {
 		panic(fmt.Sprintf("sim: rank %d exhausted its %d-bit deferred-op counter", rank, counterBits))
 	}
 	ce.counter[rank] = c + 1
-	if len(gr.mailbox) >= ce.mcap {
+	if len(gr.mailbox) >= DefaultMailboxCap {
 		if gr.err == nil {
-			gr.err = fmt.Errorf("sim: coupled mailbox group %d over capacity %d (raise SetMailboxCap)",
-				g, ce.mcap)
+			gr.err = fmt.Errorf("sim: coupled mailbox group %d over capacity %d", g, DefaultMailboxCap)
 			ce.gerrSet.Store(true)
 		}
 		return
@@ -447,27 +413,22 @@ func (ce *CoupledEngine) Digest() uint64 {
 	return h
 }
 
-// GroupStats returns per-group execution summaries in group order,
-// with the run's busy time attributed to groups proportionally to
-// their executed events.
+// GroupStats returns per-group execution summaries in group order.
 func (ce *CoupledEngine) GroupStats() []GroupStats {
 	out := make([]GroupStats, len(ce.groups))
-	var total int64
 	for g := range ce.groups {
 		gr := &ce.groups[g]
 		out[g] = GroupStats{Ranks: gr.nranks, Executed: int64(gr.eng.Executed())}
-		total += out[g].Executed
-	}
-	if total > 0 {
-		// In floating point: busy nanoseconds times events overflows
-		// int64 on long runs.
-		share := float64(ce.busy) / float64(total)
-		for g := range out {
-			out[g].Busy = time.Duration(share * float64(out[g].Executed))
-		}
 	}
 	return out
 }
+
+// Busy returns the run's busy time: the whole loop of an inline run,
+// measured once, or per pooled window the coordinator's time and each
+// joined helper's. On a single-core runner it approaches the total
+// wall time; on an N-core runner it approaches N times the wall time
+// of the window execution.
+func (ce *CoupledEngine) Busy() time.Duration { return ce.busy }
 
 // BusyWall summarizes parallel efficiency for a run that took `wall`
 // of wall-clock time: the run's busy time divided by wall. On
@@ -500,7 +461,7 @@ func (ce *CoupledEngine) firstErr() error {
 // closed by a barrier applying the deferred cross-group ops one at a
 // time in total order. It returns a DeadlockError if
 // processes are still parked when every queue drains, or the first
-// bound/capacity violation.
+// mailbox-capacity violation.
 func (ce *CoupledEngine) Run() error {
 	if ce.started {
 		return errors.New("sim: CoupledEngine.Run called twice")
@@ -555,7 +516,7 @@ func (ce *CoupledEngine) Run() error {
 		ce.windows++
 		ce.dispatches += uint64(len(ce.active))
 		e0 := time.Now()
-		err := ce.window(w1)
+		ce.window(w1)
 		e1 := time.Now()
 		ce.execWall += e1.Sub(e0)
 		// Dispatched groups re-publish the horizons their workers
@@ -566,46 +527,38 @@ func (ce *CoupledEngine) Run() error {
 			ce.tree.update(int(g), ce.next[i])
 		}
 		ce.scanWall += time.Since(e1)
-		if err != nil {
-			return err
-		}
 		b0 := time.Now()
-		err = ce.applyDeferred()
+		err := ce.applyDeferred()
 		ce.barrierWall += time.Since(b0)
 		if err != nil {
 			return err
-		}
-		if ce.maxEv != 0 && ce.Executed() > ce.maxEv {
-			return fmt.Errorf("sim: coupled event limit %d exceeded at t=%v", ce.maxEv, ce.Elapsed())
 		}
 	}
 }
 
 // window executes one conservative window on every active group,
 // inline with one worker, else as a pool task (runPool), retiring each
-// group into its worker's run. The surfaced error or panic (re-raised
-// on Run's goroutine) is the lowest failing group's at every worker
-// count, the one an inline run stops at.
-func (ce *CoupledEngine) window(w1 Time) error {
+// group into its worker's run. A panic, re-raised on Run's goroutine,
+// is the lowest panicking group's at every worker count, the one an
+// inline run stops at.
+func (ce *CoupledEngine) window(w1 Time) {
 	ce.next = slices.Grow(ce.next[:0], len(ce.active))[:len(ce.active)]
 	if ce.workers <= 1 {
-		return ce.runInline(w1)
+		ce.runInline(w1)
+		return
 	}
 	ce.w1 = w1
 	ce.pool.Pooled++
-	return ce.runPool(len(ce.active), ce.wakePays(len(ce.active)))
+	ce.runPool(len(ce.active), ce.wakePays(len(ce.active)))
 }
 
 // runInline runs the window's active groups on Run's goroutine.
-func (ce *CoupledEngine) runInline(w1 Time) error {
+func (ce *CoupledEngine) runInline(w1 Time) {
 	for i, g := range ce.active {
-		if err := ce.groups[g].eng.RunBefore(w1); err != nil {
-			return err
-		}
+		ce.groups[g].eng.RunBefore(w1)
 		ce.retire(0, i)
 	}
 	sortOps(ce.runs[0])
-	return nil
 }
 
 // retire records active group i's post-window horizon in its slot and
@@ -639,11 +592,10 @@ type PoolStats struct {
 func (ce *CoupledEngine) Pool() PoolStats { return ce.pool }
 
 // poolSlot is a worker's part of the current task: its lowest failing
-// unit (the task's length if none) with the error or recovered panic,
-// and, for a helper that joined, its join delay and busy time.
+// unit (the task's length if none) with the recovered panic, and, for
+// a helper that joined, its join delay and busy time.
 type poolSlot struct {
 	fail       int
-	err        error
 	panic      any
 	joined     bool
 	join, busy time.Duration
@@ -683,8 +635,8 @@ func (ce *CoupledEngine) wakePays(n int) bool {
 }
 
 // runPool runs a task of n units (active-set positions, or pend shares
-// when delivering) with Run's goroutine as worker 0 and surfaces the
-// lowest failing unit's panic (re-raised) or error.
+// when delivering) with Run's goroutine as worker 0 and re-raises the
+// lowest failing unit's panic.
 //
 // The gate: the coordinator publishes the task, sets open, wakes the
 // helpers (non-blocking sends) if wake is set and claims blocks itself.
@@ -700,7 +652,7 @@ func (ce *CoupledEngine) wakePays(n int) bool {
 // Claims are monotone and a worker runs its blocks in order up to its
 // first failure, so the lowest failure recorded is the one an inline
 // run stops at; what nobody claimed lies above the coordinator's.
-func (ce *CoupledEngine) runPool(n int, wake bool) error {
+func (ce *CoupledEngine) runPool(n int, wake bool) {
 	for w := range ce.slots {
 		ce.slots[w] = poolSlot{fail: n}
 	}
@@ -756,11 +708,10 @@ func (ce *CoupledEngine) runPool(n int, wake bool) error {
 	if first.panic != nil {
 		panic(first.panic)
 	}
-	return first.err
 }
 
 // claim runs worker w's part of the open task: blocks of units from
-// the cursor, in order, up to a failing unit it records in w's slot.
+// the cursor, in order, up to a panicking unit it records in w's slot.
 // A worker sorts only the run it filled.
 func (ce *CoupledEngine) claim(w int) {
 	s, n, block := &ce.slots[w], ce.units, int64(1)
@@ -786,9 +737,7 @@ func (ce *CoupledEngine) claim(w int) {
 				ce.applyShare(s.fail)
 				continue
 			}
-			if s.err = ce.groups[ce.active[s.fail]].eng.RunBefore(ce.w1); s.err != nil {
-				return
-			}
+			ce.groups[ce.active[s.fail]].eng.RunBefore(ce.w1)
 			ce.retire(w, s.fail)
 		}
 	}

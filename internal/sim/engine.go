@@ -55,7 +55,6 @@ type Engine struct {
 	seq      uint64
 	executed uint64
 	digest   uint64 // order-sensitive fold of dispatched (at, key) pairs
-	maxEv    uint64 // 0 = unlimited
 	horizon  Time   // last dispatchable time during RunBefore; ownWakeup must not pass it
 
 	nodes []eventNode // slot-addressed pool
@@ -114,10 +113,6 @@ const fnvOffsetBasis uint64 = 1469598103934665603
 // mixDigest folds one word into an order-sensitive digest (FNV-style:
 // xor then multiply by the 64-bit FNV prime).
 func mixDigest(h, v uint64) uint64 { return (h ^ v) * 1099511628211 }
-
-// SetEventLimit installs a safety cap on dispatched events; Run returns
-// an error when it is exceeded. Zero (the default) means no limit.
-func (e *Engine) SetEventLimit(n uint64) { e.maxEv = n }
 
 // alloc takes a slot from the free list (or grows the pool) and stamps
 // it with the scheduling time and the next sequence number. In
@@ -346,12 +341,9 @@ func (e *Engine) step() bool {
 // ownWakeup pops the globally next event when it is p's own wakeup
 // and reports whether it did, so a parking process that the engine
 // would dispatch next keeps running without a switch. It declines when
-// the event limit has been reached or the wakeup lies beyond a running
-// RunBefore bound; the engine loop then takes over.
+// the wakeup lies beyond a running RunBefore bound; the engine loop
+// then takes over.
 func (e *Engine) ownWakeup(p *Proc) bool {
-	if e.maxEv != 0 && e.executed >= e.maxEv {
-		return false
-	}
 	at, slot, ok := e.peekMin()
 	if !ok || at > e.horizon || e.nodes[slot].wake != p {
 		return false
@@ -367,14 +359,10 @@ func (e *Engine) ownWakeup(p *Proc) bool {
 }
 
 // Run dispatches events until none remain. It returns a DeadlockError
-// if simulated processes are still parked when the queue drains, or an
-// event-limit error if the configured cap is exceeded.
+// if simulated processes are still parked when the queue drains.
 func (e *Engine) Run() error {
 	e.horizon = math.MaxInt64
 	for e.step() {
-		if e.maxEv != 0 && e.executed > e.maxEv {
-			return fmt.Errorf("sim: event limit %d exceeded at t=%v", e.maxEv, e.now)
-		}
 	}
 	if e.parkedN > 0 {
 		return e.deadlock()
@@ -396,7 +384,7 @@ func (e *Engine) NextAt() (Time, bool) {
 // on stimuli another engine will deliver at the next window barrier).
 // It is the per-window execution step of the coupled engine
 // (coupled.go).
-func (e *Engine) RunBefore(t Time) error {
+func (e *Engine) RunBefore(t Time) {
 	e.horizon = t - 1
 	for {
 		// Inlined peekMin bound check: a non-empty now queue holds
@@ -413,13 +401,8 @@ func (e *Engine) RunBefore(t Time) error {
 			break
 		}
 		e.step()
-		if e.maxEv != 0 && e.executed > e.maxEv {
-			e.horizon = math.MaxInt64
-			return fmt.Errorf("sim: event limit %d exceeded at t=%v", e.maxEv, e.now)
-		}
 	}
 	e.horizon = math.MaxInt64
-	return nil
 }
 
 // parkedNames appends the names of every cond-parked process to dst

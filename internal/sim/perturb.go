@@ -36,11 +36,10 @@ func (d PerturbDecision) IsNeutral() bool { return d.Jitter == 0 && d.Prio == 0 
 // Perturbation configures engine schedule fuzzing. Install with
 // Engine.SetPerturbation before any event is scheduled.
 type Perturbation struct {
-	// Seed drives the deterministic decision stream. Equal seeds on
-	// equal programs reproduce runs bit-for-bit.
+	// Seed drives the deterministic decision stream, whose drawn
+	// decisions randomize the firing order of same-timestamp events.
+	// Equal seeds on equal programs reproduce runs bit-for-bit.
 	Seed uint64
-	// Reorder randomizes the firing order of same-timestamp events.
-	Reorder bool
 	// MaxJitter, when positive, adds a uniform extra delay in
 	// [0, MaxJitter] to every scheduled event.
 	MaxJitter Time
@@ -198,9 +197,7 @@ func (e *Engine) perturbDecision(idx uint64) PerturbDecision {
 			d = p.script[idx]
 		}
 	} else {
-		if p.Reorder {
-			d.Prio = uint32(p.rngNext() >> 32)
-		}
+		d.Prio = uint32(p.rngNext() >> 32)
 		if p.MaxJitter > 0 {
 			d.Jitter = Time(p.rngNext() % uint64(p.MaxJitter+1))
 		}

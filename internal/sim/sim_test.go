@@ -223,20 +223,9 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
-func TestEventLimit(t *testing.T) {
-	e := NewEngine()
-	e.SetEventLimit(10)
-	var respawn func()
-	respawn = func() { e.At(e.Now()+1, respawn) }
-	e.At(1, respawn)
-	if err := e.Run(); err == nil {
-		t.Fatal("expected event-limit error")
-	}
-}
-
 // TestOwnWakeupRespectsHorizonAndLimit pins the inline fast path of
 // park: a process consumes its own next wakeup without a switch only
-// inside the RunBefore horizon and under the event limit.
+// inside the RunBefore horizon, whose bound is the limit.
 func TestOwnWakeupRespectsHorizonAndLimit(t *testing.T) {
 	t.Run("horizon", func(t *testing.T) {
 		const bound = 100 * Nanosecond
@@ -246,33 +235,12 @@ func TestOwnWakeupRespectsHorizonAndLimit(t *testing.T) {
 			p.Sleep(bound)
 			ran = true
 		})
-		if err := e.RunBefore(bound); err != nil {
-			t.Fatal(err)
-		}
+		e.RunBefore(bound)
 		if ran || e.Now() >= bound {
 			t.Fatalf("RunBefore(%v) ran the wakeup at the bound: ran=%v now=%v", bound, ran, e.Now())
 		}
 		if at, ok := e.NextAt(); !ok || at != bound {
 			t.Fatalf("NextAt = %v, %v; want %v, true", at, ok, bound)
-		}
-	})
-	t.Run("limit", func(t *testing.T) {
-		const limit = 10
-		e := NewEngine()
-		e.SetEventLimit(limit)
-		e.Spawn("sleeper", func(p *Proc) {
-			for i := 0; i < 100; i++ {
-				p.Sleep(Nanosecond)
-			}
-		})
-		err := e.Run()
-		if err == nil || !strings.Contains(err.Error(), "event limit") {
-			t.Fatalf("Run = %v, want an event-limit error", err)
-		}
-		// The spawn event and nine inline wakeups reach the limit; the
-		// engine loop dispatches one more and stops.
-		if e.Executed() != limit+1 || e.Now() != limit*Nanosecond {
-			t.Fatalf("stopped after %d events at %v, want %d at %v", e.Executed(), e.Now(), limit+1, limit*Nanosecond)
 		}
 	})
 }

@@ -5,9 +5,13 @@
 // 10 ps, and an int64 of picoseconds still spans more than 100 days of
 // simulated time, far beyond any experiment in this repository.
 //
-// Simulated processes (see Proc) are goroutines that execute one at a
-// time under control of the Engine's event loop, so runs are fully
-// reproducible: same inputs, same event order, same timings.
+// Simulated processes (see Proc) are coroutines that execute one at a
+// time under control of an Engine's event loop, so runs are fully
+// reproducible: same inputs, same event order, same timings. A
+// CoupledEngine runs one Engine per node group under conservative
+// windows (coupled.go). A run fails only on a deadlock, on a group
+// that overflows its deferred-op mailbox, or on a panic in an event or
+// process, which Run re-raises.
 package sim
 
 import "fmt"

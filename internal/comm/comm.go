@@ -31,18 +31,19 @@
 //
 // The kernels in internal/{stencil,sptrsv,hashtable} are written once
 // against this interface; the transport is a table entry, not a
-// hand-written runner. Simulated clocks, op charging, and protocol op
-// counts moved verbatim from the former per-variant runners, so a
-// workload routed through comm is cycle-identical to the old code.
+// hand-written runner. Each transport charges the simulated clocks and
+// protocol op counts of its calibrated stack, so the workloads differ
+// only in the Kind they pass.
 //
 // Trace accounting is threaded through here exactly once: New
 // installs an internal/trace recorder's Record as the stack's message
 // hook (payload deliveries only — protocol-overhead signal puts of the
 // strict 4-op path are charged but not recorded, while fused
 // put-with-signal records payload+8 as one flight, matching the
-// paper's k=4 / k=2 op accounting), and the epoch operations mark
-// rec.Sync() at the points the old runners did. With NoTrace set no
-// recorder exists and no hook is installed: zero per-message cost.
+// paper's k=4 / k=2 op accounting), and each synchronization (a
+// completed exchange epoch, a consumed slot, a collected insert round)
+// marks rec.Sync(). With NoTrace set no recorder exists and no hook
+// is installed: zero per-message cost.
 package comm
 
 import (
@@ -92,7 +93,7 @@ func (k Kind) String() string {
 }
 
 // ParseKind maps a transport name to its Kind. "gpu" is accepted as
-// an alias for "shmem" (the historical CLI spelling).
+// an alias for "shmem".
 func ParseKind(s string) (Kind, error) {
 	for i, n := range kindNames {
 		if s == n {
@@ -324,8 +325,8 @@ type Endpoint interface {
 }
 
 // New builds the transport selected by spec.Kind: world bootstrap,
-// chaos injection, window/heap geometry, and the trace tap — the
-// boilerplate formerly copy-pasted into every workload runner.
+// chaos injection, window/heap geometry, and the trace tap, so no
+// workload builds its own.
 func New(spec Spec) (Transport, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err

@@ -163,7 +163,7 @@ func Run(o Options) (*Report, error) {
 // its decision trace, then shrinks the trace to a minimal script that
 // still reproduces a failure.
 func (o Options) buildViolation(kc kcase, ref outcome, seed uint64, detail string) Violation {
-	v := Violation{Kernel: kc.kernel, Transport: kc.transport, Seed: seed, Detail: detail}
+	v := Violation{Kernel: kc.kernel, Transport: kc.transport.String(), Seed: seed, Detail: detail}
 	rec := &sim.Perturbation{Seed: seed, MaxJitter: maxJitter, Record: true}
 	runCase(kc, chaos{perturb: rec, faults: o.faults(seed), unordered: o.Unordered})
 	script := append([]sim.PerturbDecision(nil), rec.Trace()...)
@@ -180,7 +180,7 @@ func (o Options) buildViolation(kc kcase, ref outcome, seed uint64, detail strin
 func Replay(o Options, v Violation) string {
 	o = o.withDefaults()
 	for _, kc := range allCases() {
-		if kc.kernel != v.Kernel || kc.transport != v.Transport {
+		if kc.kernel != v.Kernel || kc.transport.String() != v.Transport {
 			continue
 		}
 		ref, err := runCase(kc, chaos{})

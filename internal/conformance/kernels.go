@@ -22,16 +22,6 @@ import (
 	"msgroofline/internal/stencil"
 )
 
-// Transport names used by the case table.
-const (
-	TwoSided   = "two-sided"
-	OneSided   = "one-sided"
-	Shmem      = "shmem"
-	Notified   = "notified"
-	StreamTrig = "stream-triggered"
-	MemChan    = "memchannel"
-)
-
 // chaos bundles the fuzzing configuration of one run. The zero value
 // is a clean (reference) run.
 type chaos struct {
@@ -43,6 +33,17 @@ type chaos struct {
 	// unordered disables the MPI non-overtaking resequencer in the
 	// micro-kernels that build their own communicator (mutation knob).
 	unordered bool
+}
+
+// inject installs the perturbation and faults on a world that a
+// micro-kernel builds itself, outside comm.New.
+func (ch chaos) inject(w *runtime.World) {
+	if ch.perturb != nil {
+		w.SetPerturbation(ch.perturb)
+	}
+	if ch.faults != nil {
+		w.Inst.Net.SetFaults(ch.faults)
+	}
 }
 
 // outcome is the semantic fingerprint of one run: fp is compared
@@ -68,7 +69,7 @@ const relTol = 1e-9
 // allocations.
 type kcase struct {
 	kernel    string
-	transport string
+	transport comm.Kind
 	run       func(ch chaos) (outcome, error)
 }
 
@@ -111,40 +112,36 @@ func workloadMachine(kind comm.Kind, cpu, gpu *machine.Config) *machine.Config {
 // delivery).
 func allCases() []kcase {
 	return []kcase{
-		{"stencil", TwoSided, stencilRun(TwoSided)},
-		{"stencil", OneSided, stencilRun(OneSided)},
-		{"stencil", Notified, stencilRun(Notified)},
-		{"stencil", Shmem, stencilRun(Shmem)},
-		{"stencil", StreamTrig, stencilRun(StreamTrig)},
-		{"stencil", MemChan, stencilRun(MemChan)},
-		{"sptrsv", TwoSided, sptrsvRun(TwoSided)},
-		{"sptrsv", OneSided, sptrsvRun(OneSided)},
-		{"sptrsv", Shmem, sptrsvRun(Shmem)},
-		{"sptrsv", Notified, sptrsvRun(Notified)},
-		{"sptrsv", StreamTrig, sptrsvRun(StreamTrig)},
-		{"sptrsv", MemChan, sptrsvRun(MemChan)},
-		{"hashtable", TwoSided, hashtableRun(TwoSided)},
-		{"hashtable", OneSided, hashtableRun(OneSided)},
-		{"hashtable", Notified, hashtableRun(Notified)},
-		{"hashtable", Shmem, hashtableRun(Shmem)},
-		{"hashtable", StreamTrig, hashtableRun(StreamTrig)},
-		{"hashtable", MemChan, hashtableRun(MemChan)},
-		{"msgorder", TwoSided, msgorderRun},
-		{"putsignal", Shmem, putsignalRun},
-		{"streamorder", StreamTrig, streamorderRun},
-		{"chanfifo", MemChan, chanfifoRun},
+		{"stencil", comm.TwoSided, stencilRun(comm.TwoSided)},
+		{"stencil", comm.OneSided, stencilRun(comm.OneSided)},
+		{"stencil", comm.Notified, stencilRun(comm.Notified)},
+		{"stencil", comm.Shmem, stencilRun(comm.Shmem)},
+		{"stencil", comm.StreamTriggered, stencilRun(comm.StreamTriggered)},
+		{"stencil", comm.MemChannel, stencilRun(comm.MemChannel)},
+		{"sptrsv", comm.TwoSided, sptrsvRun(comm.TwoSided)},
+		{"sptrsv", comm.OneSided, sptrsvRun(comm.OneSided)},
+		{"sptrsv", comm.Shmem, sptrsvRun(comm.Shmem)},
+		{"sptrsv", comm.Notified, sptrsvRun(comm.Notified)},
+		{"sptrsv", comm.StreamTriggered, sptrsvRun(comm.StreamTriggered)},
+		{"sptrsv", comm.MemChannel, sptrsvRun(comm.MemChannel)},
+		{"hashtable", comm.TwoSided, hashtableRun(comm.TwoSided)},
+		{"hashtable", comm.OneSided, hashtableRun(comm.OneSided)},
+		{"hashtable", comm.Notified, hashtableRun(comm.Notified)},
+		{"hashtable", comm.Shmem, hashtableRun(comm.Shmem)},
+		{"hashtable", comm.StreamTriggered, hashtableRun(comm.StreamTriggered)},
+		{"hashtable", comm.MemChannel, hashtableRun(comm.MemChannel)},
+		{"msgorder", comm.TwoSided, msgorderRun},
+		{"putsignal", comm.Shmem, putsignalRun},
+		streamOrder.kcase(),
+		chanFIFO.kcase(),
 	}
 }
 
 // stencilRun checks the halo-exchange workload: the verified-mode
 // checksum is pure dataflow (every rank waits for all halos before
 // stepping), so it must be bit-identical under any legal schedule.
-func stencilRun(transport string) func(chaos) (outcome, error) {
+func stencilRun(kind comm.Kind) func(chaos) (outcome, error) {
 	return func(ch chaos) (outcome, error) {
-		kind, err := comm.ParseKind(transport)
-		if err != nil {
-			return outcome{}, err
-		}
 		res, err := stencil.Run(stencil.Config{
 			Machine:   workloadMachine(kind, machine.PerlmutterCPU, machine.PerlmutterGPU),
 			Transport: kind,
@@ -162,12 +159,8 @@ func stencilRun(transport string) func(chaos) (outcome, error) {
 // sptrsvRun checks the triangular-solve DAG: the assembled solution
 // must match the clean run within relTol (contribution accumulation
 // order legally varies, so bits may differ).
-func sptrsvRun(transport string) func(chaos) (outcome, error) {
+func sptrsvRun(kind comm.Kind) func(chaos) (outcome, error) {
 	return func(ch chaos) (outcome, error) {
-		kind, err := comm.ParseKind(transport)
-		if err != nil {
-			return outcome{}, err
-		}
 		res, err := sptrsv.Run(sptrsv.Config{
 			Machine:   workloadMachine(kind, machine.FrontierCPU, machine.SummitGPU),
 			Transport: kind,
@@ -186,12 +179,8 @@ func sptrsvRun(transport string) func(chaos) (outcome, error) {
 // shard contents internally (every key exactly once, no aliens), and
 // the collision count is order-invariant (k claimants of one home
 // slot always produce k-1 overflows).
-func hashtableRun(transport string) func(chaos) (outcome, error) {
+func hashtableRun(kind comm.Kind) func(chaos) (outcome, error) {
 	return func(ch chaos) (outcome, error) {
-		kind, err := comm.ParseKind(transport)
-		if err != nil {
-			return outcome{}, err
-		}
 		res, err := hashtable.Run(hashtable.Config{
 			Machine:   workloadMachine(kind, machine.PerlmutterCPU, machine.PerlmutterGPU),
 			Transport: kind,
@@ -237,12 +226,7 @@ func msgorderRun(ch chaos) (outcome, error) {
 	if err != nil {
 		return outcome{}, err
 	}
-	if ch.perturb != nil {
-		c.World().SetPerturbation(ch.perturb)
-	}
-	if ch.faults != nil {
-		c.World().Inst.Net.SetFaults(ch.faults)
-	}
+	ch.inject(c.World())
 	c.SetDebugUnordered(ch.unordered)
 
 	senders := []int{0, 2}
@@ -343,12 +327,7 @@ func putsignalRun(ch chaos) (outcome, error) {
 	if err != nil {
 		return outcome{}, err
 	}
-	if ch.perturb != nil {
-		j.World().SetPerturbation(ch.perturb)
-	}
-	if ch.faults != nil {
-		j.World().Inst.Net.SetFaults(ch.faults)
-	}
+	ch.inject(j.World())
 
 	pattern := func(src, round int) []byte {
 		b := make([]byte, slotBytes)
@@ -404,157 +383,133 @@ func putsignalRun(ch chaos) (outcome, error) {
 	return outcome{fp: fmt.Sprintf("heap=%016x", h.Sum64()), digest: j.Digest()}, nil
 }
 
-const (
-	soSlots     = 12
-	soSlotBytes = 32
-)
+// slotted is a slotted-delivery protocol kernel on a rank pair: rank
+// 0 delivers slots numbered payloads of slotBytes each to rank 1 and
+// quiets, and rank 1 consumes every slot. inspect is the kernel's
+// ordering oracle, read from the transport after the run; every
+// payload must also land uncorrupted in its slot.
+type slotted struct {
+	name             string
+	machine          *machine.Config
+	kind             comm.Kind
+	slots, slotBytes int
+	inspect          func(tr comm.Transport, slots int) error
+}
 
-// streamorderRun is the stream-triggered dependency oracle on a GPU
-// pair: rank 0 enqueues soSlots fused put-with-signal descriptors on
-// its device stream and quiets, rank 1 consumes every slot. The
-// oracle reads the stream's fire count and first early fire
-// afterwards and requires that no descriptor fired before its stream
-// dependency resolved (At >= Ready, and Ready >= previous Done) — the
-// contract Spec.DebugUnordered deliberately breaks for mutation
-// testing. Payloads must land
-// uncorrupted in their slots regardless.
-func streamorderRun(ch chaos) (outcome, error) {
+// streamOrder is the stream-triggered dependency oracle on a GPU pair:
+// rank 0's fused put-with-signal descriptors ride its device stream,
+// and no descriptor may fire before its stream dependency resolved
+// (At >= Ready, and Ready >= previous Done) — the contract
+// Spec.DebugUnordered deliberately breaks for mutation testing.
+var streamOrder = slotted{
+	name: "streamorder", machine: machine.PerlmutterGPU, kind: comm.StreamTriggered,
+	slots: 12, slotBytes: 32,
+	inspect: func(tr comm.Transport, slots int) error {
+		ins, ok := tr.(comm.StreamInspector)
+		if !ok {
+			return fmt.Errorf("transport does not expose its device stream")
+		}
+		s := ins.Stream(0)
+		if s.Fired() != slots {
+			return fmt.Errorf("stream fired %d descriptors, want %d", s.Fired(), slots)
+		}
+		// Ready is at or after the predecessor's completion, so this also
+		// catches a descriptor that fired before its predecessor completed.
+		if e := s.Early(); e != nil {
+			return fmt.Errorf("descriptor %d fired at %v before its stream dependency resolved at %v",
+				e.Index, e.At, e.Ready)
+		}
+		return nil
+	},
+}
+
+// chanFIFO is the memory-channel FIFO oracle on a CPU pair: rank 0's
+// writes stream down its channel to rank 1. Fault injection legally
+// reorders the wire (spikes and drop-retransmits overtake); the
+// channel's resequencer must still apply the writes strictly in
+// sequence order, so its online FIFO check must report every write
+// applied and none out of order — the contract Spec.DebugUnordered
+// deliberately breaks for mutation testing.
+var chanFIFO = slotted{
+	name: "chanfifo", machine: machine.PerlmutterCPU, kind: comm.MemChannel,
+	slots: 16, slotBytes: 24,
+	inspect: func(tr comm.Transport, slots int) error {
+		ins, ok := tr.(comm.ChannelInspector)
+		if !ok {
+			return fmt.Errorf("transport does not expose its channels")
+		}
+		var c *runtime.Channel
+		for _, oc := range ins.Channels(0) {
+			if oc.Dst() == 1 {
+				c = oc
+			}
+		}
+		if c == nil {
+			return fmt.Errorf("rank 0 opened no channel to rank 1")
+		}
+		if c.Sent() != uint64(slots) {
+			return fmt.Errorf("channel carried %d writes, want %d", c.Sent(), slots)
+		}
+		applied, misordered, seq, pos := c.Applied()
+		if misordered {
+			return fmt.Errorf("FIFO violated: write %d applied at position %d", seq, pos)
+		}
+		if applied != uint64(slots) {
+			return fmt.Errorf("channel applied %d writes, want %d", applied, slots)
+		}
+		return nil
+	},
+}
+
+// kcase is k's cell of the conformance matrix.
+func (k slotted) kcase() kcase { return kcase{k.name, k.kind, k.run} }
+
+// run runs kernel k: the deliveries, then its oracle, then the payload
+// check, fingerprinting the received slots.
+func (k slotted) run(ch chaos) (outcome, error) {
 	pattern := func(slot int) []byte {
-		b := make([]byte, soSlotBytes)
+		b := make([]byte, k.slotBytes)
 		for i := range b {
 			b[i] = byte(slot*17 + i + 3)
 		}
 		return b
 	}
 	tr, err := comm.New(comm.Spec{
-		Machine: machine.PerlmutterGPU, Kind: comm.StreamTriggered, Ranks: 2,
-		StreamSlots: []int{0, soSlots}, SlotBytes: soSlotBytes,
+		Machine: k.machine, Kind: k.kind, Ranks: 2,
+		StreamSlots: []int{0, k.slots}, SlotBytes: k.slotBytes,
 		Shards: ch.shards, Perturb: ch.perturb, Faults: ch.faults,
 		NoTrace: true, DebugUnordered: ch.unordered,
 	})
 	if err != nil {
 		return outcome{}, err
 	}
-	got := make([][]byte, soSlots)
+	got := make([][]byte, k.slots)
 	err = tr.Launch(func(ep comm.Endpoint) {
 		switch ep.Rank() {
 		case 0:
-			for s := 0; s < soSlots; s++ {
+			for s := 0; s < k.slots; s++ {
 				ep.Deliver(1, s, pattern(s))
 			}
 			ep.Quiet()
 		case 1:
-			for n := 0; n < soSlots; n++ {
+			for n := 0; n < k.slots; n++ {
 				slot, data := ep.WaitAnySlot()
-				got[slot] = append([]byte(nil), data[:soSlotBytes]...)
+				got[slot] = append([]byte(nil), data[:k.slotBytes]...)
 			}
 		}
 	})
 	if err != nil {
 		return outcome{}, err
 	}
-	ins, ok := tr.(comm.StreamInspector)
-	if !ok {
-		return outcome{}, fmt.Errorf("streamorder: transport does not expose its device stream")
-	}
-	s := ins.Stream(0)
-	if s.Fired() != soSlots {
-		return outcome{}, fmt.Errorf("streamorder: stream fired %d descriptors, want %d", s.Fired(), soSlots)
-	}
-	// Ready is at or after the predecessor's completion, so this also
-	// catches a descriptor that fired before its predecessor completed.
-	if e := s.Early(); e != nil {
-		return outcome{}, fmt.Errorf(
-			"streamorder: descriptor %d fired at %v before its stream dependency resolved at %v",
-			e.Index, e.At, e.Ready)
+	if err := k.inspect(tr, k.slots); err != nil {
+		return outcome{}, fmt.Errorf("%s: %w", k.name, err)
 	}
 	h := fnv.New64a()
 	for s, b := range got {
 		if !bytes.Equal(b, pattern(s)) {
-			return outcome{}, fmt.Errorf("streamorder: slot %d payload corrupted", s)
+			return outcome{}, fmt.Errorf("%s: slot %d payload corrupted", k.name, s)
 		}
 		h.Write(b)
 	}
-	return outcome{fp: fmt.Sprintf("stream=%016x", h.Sum64()), digest: tr.Digest()}, nil
-}
-
-const (
-	cfSlots     = 16
-	cfSlotBytes = 24
-)
-
-// chanfifoRun is the memory-channel FIFO oracle on a CPU pair: rank 0
-// streams cfSlots numbered writes down its channel to rank 1 and
-// drains it. Fault injection legally reorders the wire (spikes and
-// drop-retransmits overtake); the channel's resequencer must still
-// apply the writes strictly in sequence order, so afterwards its
-// online FIFO check must report all cfSlots applied and none out of
-// order — the contract Spec.DebugUnordered deliberately breaks for
-// mutation testing.
-func chanfifoRun(ch chaos) (outcome, error) {
-	pattern := func(slot int) []byte {
-		b := make([]byte, cfSlotBytes)
-		for i := range b {
-			b[i] = byte(slot*29 + i + 11)
-		}
-		return b
-	}
-	tr, err := comm.New(comm.Spec{
-		Machine: machine.PerlmutterCPU, Kind: comm.MemChannel, Ranks: 2,
-		StreamSlots: []int{0, cfSlots}, SlotBytes: cfSlotBytes,
-		Shards: ch.shards, Perturb: ch.perturb, Faults: ch.faults,
-		NoTrace: true, DebugUnordered: ch.unordered,
-	})
-	if err != nil {
-		return outcome{}, err
-	}
-	got := make([][]byte, cfSlots)
-	err = tr.Launch(func(ep comm.Endpoint) {
-		switch ep.Rank() {
-		case 0:
-			for s := 0; s < cfSlots; s++ {
-				ep.Deliver(1, s, pattern(s))
-			}
-			ep.Quiet()
-		case 1:
-			for n := 0; n < cfSlots; n++ {
-				slot, data := ep.WaitAnySlot()
-				got[slot] = append([]byte(nil), data[:cfSlotBytes]...)
-			}
-		}
-	})
-	if err != nil {
-		return outcome{}, err
-	}
-	ins, ok := tr.(comm.ChannelInspector)
-	if !ok {
-		return outcome{}, fmt.Errorf("chanfifo: transport does not expose its channels")
-	}
-	var c *runtime.Channel
-	for _, oc := range ins.Channels(0) {
-		if oc.Dst() == 1 {
-			c = oc
-		}
-	}
-	if c == nil {
-		return outcome{}, fmt.Errorf("chanfifo: rank 0 opened no channel to rank 1")
-	}
-	if c.Sent() != cfSlots {
-		return outcome{}, fmt.Errorf("chanfifo: channel carried %d writes, want %d", c.Sent(), cfSlots)
-	}
-	applied, misordered, seq, pos := c.Applied()
-	if misordered {
-		return outcome{}, fmt.Errorf("chanfifo: FIFO violated: write %d applied at position %d", seq, pos)
-	}
-	if applied != cfSlots {
-		return outcome{}, fmt.Errorf("chanfifo: channel applied %d writes, want %d", applied, cfSlots)
-	}
-	h := fnv.New64a()
-	for s, b := range got {
-		if !bytes.Equal(b, pattern(s)) {
-			return outcome{}, fmt.Errorf("chanfifo: slot %d payload corrupted", s)
-		}
-		h.Write(b)
-	}
-	return outcome{fp: fmt.Sprintf("chan=%016x", h.Sum64()), digest: tr.Digest()}, nil
+	return outcome{fp: fmt.Sprintf("slots=%016x", h.Sum64()), digest: tr.Digest()}, nil
 }

@@ -34,8 +34,8 @@ const (
 )
 
 // Config describes one hashtable run. Machine and Transport are
-// embedded like the other workloads' Configs; Run is the only entry
-// point (the historical per-transport Run* shims are gone).
+// embedded like the other workloads' Configs; Run is the entry point
+// for every transport.
 type Config struct {
 	// Machine is the target platform from the catalog.
 	Machine *machine.Config

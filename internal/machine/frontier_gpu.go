@@ -87,8 +87,8 @@ var FrontierGPU = register(&Config{
 func fgName(i int) string { return fmt.Sprintf("fg:g%d", i) }
 
 // frontierGPUExplicit wires the four MI250X GPUs all-to-all with each
-// GPU's IF CPU-GPU host link (36 GB/s, the Fig 1 data path) in the
-// retired build func's order.
+// GPU's IF CPU-GPU host link (36 GB/s, the Fig 1 data path). The link
+// order fixes route tie-breaks (topology.go).
 func frontierGPUExplicit() *Explicit {
 	var links []LinkSpec
 	place := Placement{Kind: PlacePerRank}

@@ -4,10 +4,13 @@ import "fmt"
 
 // Parametric topology generators: dragonfly and fat-tree fabrics
 // expand to the same LinkSpec-list form the Explicit paper machines
-// use, so one builder (topology.go) materializes everything. Link
-// classes tag each tier for per-class utilization stats, and the
-// dragonfly generator registers one detour router per group so the
-// adaptive routing policy has Valiant candidates to bounce through.
+// use, so one builder (topology.go) materializes everything. A spec
+// gives only the shape; every link is one channel of the generated
+// wire calibration in params.go (genLinkGBs and the per-tier
+// latencies). Link classes tag each tier for per-class utilization
+// stats, and the dragonfly generator registers one detour router per
+// group so the adaptive routing policy has Valiant candidates to
+// bounce through.
 
 // Dragonfly is a canonical dragonfly: Groups groups of
 // RoutersPerGroup routers, each router serving NodesPerRouter compute
@@ -24,10 +27,6 @@ type Dragonfly struct {
 	// RanksPerNode is the compute-node rank capacity (MaxRanks =
 	// Nodes * RanksPerNode; placement is block over nodes).
 	RanksPerNode int
-	// Link parameters per class (GB/s per channel, ns).
-	NodeGBs, NodeLatencyNs     float64
-	LocalGBs, LocalLatencyNs   float64
-	GlobalGBs, GlobalLatencyNs float64
 }
 
 func (d *Dragonfly) router(g, r int) string { return fmt.Sprintf("df:g%dr%d", g, r) }
@@ -74,7 +73,7 @@ func (d *Dragonfly) expand() ([]LinkSpec, Placement, []string, error) {
 				nodes = append(nodes, d.node(g, r, n))
 				links = append(links, LinkSpec{
 					A: d.node(g, r, n), B: d.router(g, r),
-					GBs: d.NodeGBs, LatencyNs: d.NodeLatencyNs, Channels: 1, Class: "intra-router",
+					GBs: genLinkGBs, LatencyNs: dfNodeLatencyNs, Channels: 1, Class: "intra-router",
 				})
 			}
 		}
@@ -84,7 +83,7 @@ func (d *Dragonfly) expand() ([]LinkSpec, Placement, []string, error) {
 			for j := i + 1; j < d.RoutersPerGroup; j++ {
 				links = append(links, LinkSpec{
 					A: d.router(g, i), B: d.router(g, j),
-					GBs: d.LocalGBs, LatencyNs: d.LocalLatencyNs, Channels: 1, Class: "local",
+					GBs: genLinkGBs, LatencyNs: dfLocalLatencyNs, Channels: 1, Class: "local",
 				})
 			}
 		}
@@ -102,7 +101,7 @@ func (d *Dragonfly) expand() ([]LinkSpec, Placement, []string, error) {
 				port[j]++
 				links = append(links, LinkSpec{
 					A: d.router(i, ri), B: d.router(j, rj),
-					GBs: d.GlobalGBs, LatencyNs: d.GlobalLatencyNs, Channels: 1, Class: "global",
+					GBs: genLinkGBs, LatencyNs: dfGlobalLatencyNs, Channels: 1, Class: "global",
 				})
 			}
 		}
@@ -134,59 +133,37 @@ func (d *Dragonfly) Metrics() (TopoMetrics, error) {
 		MaxRanks: d.MaxRanks(),
 		// node -> router -> (local) -> global -> (local) -> router -> node
 		Diameter:         5,
-		InjectionGBs:     d.NodeGBs,
-		MaxWireLatencyNs: 2*d.NodeLatencyNs + 2*d.LocalLatencyNs + d.GlobalLatencyNs,
+		InjectionGBs:     genLinkGBs,
+		MaxWireLatencyNs: 2*dfNodeLatencyNs + 2*dfLocalLatencyNs + dfGlobalLatencyNs,
 	}
 	// Uniform all-to-all traffic: a rank's sustainable injection is
 	// bottlenecked by its share of the node's NIC and by the global
 	// tier, which carries the (Groups-1)/Groups fraction of traffic
 	// that leaves the source group.
 	crossFrac := float64(d.Groups-1) / float64(d.Groups)
-	globalShare := float64(globals) * d.GlobalGBs / (float64(d.MaxRanks()) * crossFrac)
-	m.UniformGBsPerRank = minf(d.NodeGBs/float64(d.RanksPerNode), globalShare)
+	globalShare := float64(globals) * genLinkGBs / (float64(d.MaxRanks()) * crossFrac)
+	m.UniformGBsPerRank = minf(genLinkGBs/float64(d.RanksPerNode), globalShare)
 	return m, nil
 }
 
-// FatTree is a k-ary fat-tree: Radix-port switches, 2 or 3 levels.
-// With 3 levels: Radix pods, each with Radix/2 "edge" and Radix/2
-// "aggregation" switches, Radix/2 hosts per edge switch, and
-// (Radix/2)^2 "core" switches — Radix^3/4 hosts. With 2 levels: Radix
-// edge switches of Radix/2 hosts each under Radix/2 core switches —
-// Radix^2/2 hosts. Every switch and host name starts with "ft:".
+// FatTree is a three-level k-ary fat-tree of Radix-port switches:
+// Radix pods, each with Radix/2 "edge" and Radix/2 "aggregation"
+// switches and Radix/2 hosts per edge switch, under (Radix/2)^2
+// "core" switches — Radix^3/4 hosts of one rank each. Every switch and
+// host name starts with "ft:".
 type FatTree struct {
-	Radix  int
-	Levels int
-	// RanksPerHost is the host rank capacity.
-	RanksPerHost int
-	// Link parameters per tier (GB/s per channel, ns).
-	HostGBs, HostLatencyNs float64
-	EdgeGBs, EdgeLatencyNs float64
-	CoreGBs, CoreLatencyNs float64
+	Radix int
 }
 
 func (f *FatTree) validate() error {
 	if f.Radix < 2 || f.Radix%2 != 0 {
 		return fmt.Errorf("machine: fat-tree radix must be even and >= 2, got %d", f.Radix)
 	}
-	if f.Levels != 2 && f.Levels != 3 {
-		return fmt.Errorf("machine: fat-tree levels must be 2 or 3, got %d", f.Levels)
-	}
-	if f.RanksPerHost < 1 {
-		return fmt.Errorf("machine: fat-tree ranks/host must be >= 1, got %d", f.RanksPerHost)
-	}
 	return nil
 }
 
-// HostCount returns the host (compute node) count.
-func (f *FatTree) HostCount() int {
-	if f.Levels == 2 {
-		return f.Radix * f.Radix / 2
-	}
-	return f.Radix * f.Radix * f.Radix / 4
-}
-
-// MaxRanks returns the rank capacity.
-func (f *FatTree) MaxRanks() int { return f.HostCount() * f.RanksPerHost }
+// MaxRanks returns the rank capacity: one rank per host.
+func (f *FatTree) MaxRanks() int { return f.Radix * f.Radix * f.Radix / 4 }
 
 func (f *FatTree) expand() ([]LinkSpec, Placement, []string, error) {
 	if err := f.validate(); err != nil {
@@ -195,33 +172,14 @@ func (f *FatTree) expand() ([]LinkSpec, Placement, []string, error) {
 	half := f.Radix / 2
 	var links []LinkSpec
 	var hosts []string
-	addHost := func(host, sw string) {
-		hosts = append(hosts, host)
-		links = append(links, LinkSpec{A: host, B: sw,
-			GBs: f.HostGBs, LatencyNs: f.HostLatencyNs, Channels: 1, Class: "edge"})
-	}
-	if f.Levels == 2 {
-		for e := 0; e < f.Radix; e++ {
-			sw := fmt.Sprintf("ft:e%d", e)
-			for h := 0; h < half; h++ {
-				addHost(fmt.Sprintf("ft:e%dh%d", e, h), sw)
-			}
-		}
-		for e := 0; e < f.Radix; e++ {
-			for c := 0; c < half; c++ {
-				links = append(links, LinkSpec{
-					A: fmt.Sprintf("ft:e%d", e), B: fmt.Sprintf("ft:c%d", c),
-					GBs: f.CoreGBs, LatencyNs: f.CoreLatencyNs, Channels: 1, Class: "core",
-				})
-			}
-		}
-		return links, Placement{Kind: PlaceBlock, Nodes: hosts}, nil, nil
-	}
 	for p := 0; p < f.Radix; p++ {
 		for e := 0; e < half; e++ {
 			sw := fmt.Sprintf("ft:p%de%d", p, e)
 			for h := 0; h < half; h++ {
-				addHost(fmt.Sprintf("ft:p%de%dh%d", p, e, h), sw)
+				host := fmt.Sprintf("ft:p%de%dh%d", p, e, h)
+				hosts = append(hosts, host)
+				links = append(links, LinkSpec{A: host, B: sw,
+					GBs: genLinkGBs, LatencyNs: ftHostLatencyNs, Channels: 1, Class: "edge"})
 			}
 		}
 	}
@@ -231,7 +189,7 @@ func (f *FatTree) expand() ([]LinkSpec, Placement, []string, error) {
 				links = append(links, LinkSpec{
 					A:   fmt.Sprintf("ft:p%de%d", p, e),
 					B:   fmt.Sprintf("ft:p%da%d", p, a),
-					GBs: f.EdgeGBs, LatencyNs: f.EdgeLatencyNs, Channels: 1, Class: "aggregation",
+					GBs: genLinkGBs, LatencyNs: ftEdgeLatencyNs, Channels: 1, Class: "aggregation",
 				})
 			}
 		}
@@ -244,7 +202,7 @@ func (f *FatTree) expand() ([]LinkSpec, Placement, []string, error) {
 				links = append(links, LinkSpec{
 					A:   fmt.Sprintf("ft:p%da%d", p, a),
 					B:   fmt.Sprintf("ft:c%d", a*half+c),
-					GBs: f.CoreGBs, LatencyNs: f.CoreLatencyNs, Channels: 1, Class: "core",
+					GBs: genLinkGBs, LatencyNs: ftCoreLatencyNs, Channels: 1, Class: "core",
 				})
 			}
 		}
@@ -259,28 +217,20 @@ func (f *FatTree) Metrics() (TopoMetrics, error) {
 	}
 	half := f.Radix / 2
 	m := TopoMetrics{
-		Topology:     "fat-tree",
-		Nodes:        f.HostCount(),
-		MaxRanks:     f.MaxRanks(),
-		InjectionGBs: f.HostGBs,
+		Topology:         "fat-tree",
+		Nodes:            f.MaxRanks(),
+		Switches:         f.Radix*f.Radix + half*half,
+		MaxRanks:         f.MaxRanks(),
+		Diameter:         6, // host-edge-agg-core-agg-edge-host
+		InjectionGBs:     genLinkGBs,
+		MaxWireLatencyNs: 2*ftHostLatencyNs + 2*ftEdgeLatencyNs + 2*ftCoreLatencyNs,
 	}
-	var coreLinks int
-	var crossFrac float64
-	if f.Levels == 2 {
-		m.Switches = f.Radix + half
-		m.Diameter = 4 // host-edge-core-edge-host
-		coreLinks = f.Radix * half
-		crossFrac = float64(f.Radix-1) / float64(f.Radix)
-		m.MaxWireLatencyNs = 2*f.HostLatencyNs + 2*f.CoreLatencyNs
-	} else {
-		m.Switches = f.Radix*f.Radix + half*half
-		m.Diameter = 6 // host-edge-agg-core-agg-edge-host
-		coreLinks = f.Radix * half * half
-		crossFrac = float64(f.Radix-1) / float64(f.Radix) // cross-pod fraction
-		m.MaxWireLatencyNs = 2*f.HostLatencyNs + 2*f.EdgeLatencyNs + 2*f.CoreLatencyNs
-	}
-	coreShare := float64(coreLinks) * f.CoreGBs / (float64(f.MaxRanks()) * crossFrac)
-	m.UniformGBsPerRank = minf(f.HostGBs/float64(f.RanksPerHost), coreShare)
+	// Uniform all-to-all traffic: the core uplinks carry the cross-pod
+	// fraction (Radix-1)/Radix.
+	coreLinks := f.Radix * half * half
+	crossFrac := float64(f.Radix-1) / float64(f.Radix)
+	coreShare := float64(coreLinks) * genLinkGBs / (float64(f.MaxRanks()) * crossFrac)
+	m.UniformGBsPerRank = minf(genLinkGBs, coreShare)
 	return m, nil
 }
 
@@ -315,8 +265,8 @@ func minf(a, b float64) float64 {
 // DragonflyForRanks sizes a balanced dragonfly (routers = 2h, nodes
 // per router = h, groups = 2h*h + 1 for h global ports per router —
 // the canonical balanced sizing) just large enough for n ranks at 4
-// ranks per node, with Slingshot-like link parameters. Used by the
-// Ridgeline scale sweeps; only Metrics() is ever taken at large n.
+// ranks per node. Used by the Ridgeline scale sweeps; only Metrics()
+// is ever taken at large n.
 func DragonflyForRanks(n int) Dragonfly {
 	h := 1
 	for {
@@ -326,9 +276,6 @@ func DragonflyForRanks(n int) Dragonfly {
 			NodesPerRouter:       h,
 			GlobalLinksPerRouter: h,
 			RanksPerNode:         4,
-			NodeGBs:              25, NodeLatencyNs: 300,
-			LocalGBs: 25, LocalLatencyNs: 200,
-			GlobalGBs: 25, GlobalLatencyNs: 700,
 		}
 		if d.MaxRanks() >= n || h >= 64 {
 			return d
@@ -337,19 +284,13 @@ func DragonflyForRanks(n int) Dragonfly {
 	}
 }
 
-// FatTreeForRanks sizes a 3-level fat-tree (smallest even radix whose
-// Radix^3/4 hosts hold n ranks at 1 rank per host) with uniform link
-// bandwidth — full bisection, the contrast case to the dragonfly's
-// tapered global tier.
+// FatTreeForRanks sizes a fat-tree (smallest even radix whose
+// Radix^3/4 hosts hold n ranks) — full bisection, the contrast case to
+// the dragonfly's tapered global tier.
 func FatTreeForRanks(n int) FatTree {
 	k := 4
 	for {
-		f := FatTree{
-			Radix: k, Levels: 3, RanksPerHost: 1,
-			HostGBs: 25, HostLatencyNs: 300,
-			EdgeGBs: 25, EdgeLatencyNs: 400,
-			CoreGBs: 25, CoreLatencyNs: 500,
-		}
+		f := FatTree{Radix: k}
 		if f.MaxRanks() >= n || k >= 256 {
 			return f
 		}

@@ -212,8 +212,9 @@ type TableRow struct {
 }
 
 // Instance is a Config realized for a particular rank count: a fresh
-// fabric plus rank placements. Instances are single-use per simulation
-// run (links accumulate reservation state; call Reset between runs).
+// fabric plus rank placements. An Instance serves one simulation run:
+// its links accumulate reservation state, so each run instantiates
+// its own.
 type Instance struct {
 	Cfg    *Config
 	Net    *netsim.Network

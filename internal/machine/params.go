@@ -35,6 +35,21 @@ const (
 func us(v float64) sim.Time { return sim.FromMicroseconds(v) }
 func ns(v float64) sim.Time { return sim.FromNanoseconds(v) }
 
+// The generated fabrics' wires (generate.go): every dragonfly and
+// fat-tree link is one Slingshot-like 25 GB/s channel, with a
+// propagation latency per tier.
+const (
+	genLinkGBs = 25
+
+	dfNodeLatencyNs   = 300 // node - router ("intra-router")
+	dfLocalLatencyNs  = 200 // router - router within a group ("local")
+	dfGlobalLatencyNs = 700 // router - router across groups ("global")
+
+	ftHostLatencyNs = 300 // host - edge switch ("edge")
+	ftEdgeLatencyNs = 400 // edge - aggregation switch ("aggregation")
+	ftCoreLatencyNs = 500 // aggregation - core switch ("core")
+)
+
 // crayTwoSided / crayOneSided are the Cray MPI (Slingshot-11) stacks
 // used on Perlmutter CPU and Frontier CPU.
 var crayTwoSided = TransportParams{
@@ -259,8 +274,8 @@ var FrontierCPU = register(&Config{
 	Topology: Topology{Explicit: frontierCPUExplicit()},
 })
 
-// frontierCPUExplicit wires the four NUMA quadrants all-to-all, in the
-// same (i, j) order the retired build func used.
+// frontierCPUExplicit wires the four NUMA quadrants all-to-all in
+// (i, j) order; the order fixes route tie-breaks (topology.go).
 func frontierCPUExplicit() *Explicit {
 	var links []LinkSpec
 	for i := 0; i < 4; i++ {
@@ -348,8 +363,8 @@ var PerlmutterGPU = register(&Config{
 })
 
 // perlmutterGPUExplicit interleaves each GPU's NVLink pair links with
-// its PCIe host link (host-staged traffic only), exactly as the
-// retired build func added them.
+// its PCIe host link (host-staged traffic only); the order fixes route
+// tie-breaks (topology.go).
 func perlmutterGPUExplicit() *Explicit {
 	var links []LinkSpec
 	place := Placement{Kind: PlacePerRank}
@@ -412,8 +427,8 @@ func gName(i int) string { return fmt.Sprintf("sg:g%d", i) }
 
 // summitGPUExplicit wires the dumbbell — islands g0-g2 on socket 0 and
 // g3-g5 on socket 1, each GPU hubbed to its socket, one X-Bus between
-// sockets (32 GB/s/direction for GPU traffic per §II) — in exactly the
-// retired build func's order.
+// sockets (32 GB/s/direction for GPU traffic per §II). The link order
+// fixes route tie-breaks (topology.go).
 func summitGPUExplicit() *Explicit {
 	var links []LinkSpec
 	place := Placement{Kind: PlacePerRank}

@@ -1,11 +1,13 @@
 package machine
 
+import "fmt"
+
 // Generated extreme-scale catalog entries. The paper's five machines
 // are single nodes; these exercise the same transports on multi-node
 // fabrics from the parametric generators, which is what the Ridgeline
 // layer's simulated validation points run on. Software parameters are
-// the Cray MPI (Slingshot-11) stacks — the calibration already in
-// params.go — over dragonfly and fat-tree wires.
+// the Cray MPI (Slingshot-11) stacks and the wires are the generated
+// fabrics' calibration, both in params.go.
 
 func crayTransports() map[Transport]TransportParams {
 	return map[Transport]TransportParams{
@@ -25,7 +27,7 @@ func interconnectRow(cpus, interconnect string) TableRow {
 		CPUs:            cpus,
 		CPUInterconnect: interconnect,
 		CPURuntime:      "CrayMPI",
-		CPUNICLink:      "NIC 25 GB/s",
+		CPUNICLink:      fmt.Sprintf("NIC %d GB/s", genLinkGBs),
 	}
 }
 
@@ -39,9 +41,6 @@ var dragonfly1K = Dragonfly{
 	NodesPerRouter:       4,
 	GlobalLinksPerRouter: 1,
 	RanksPerNode:         4,
-	NodeGBs:              25, NodeLatencyNs: 300,
-	LocalGBs: 25, LocalLatencyNs: 200,
-	GlobalGBs: 25, GlobalLatencyNs: 700,
 }
 
 // Dragonfly1K is a generated 1024-rank dragonfly with adaptive
@@ -51,7 +50,7 @@ var Dragonfly1K = register(&Config{
 	Title:          "Dragonfly 1K (generated)",
 	Kind:           CPU,
 	MaxRanks:       dragonfly1K.MaxRanks(),
-	TheoreticalGBs: 25,
+	TheoreticalGBs: genLinkGBs,
 	Transports:     crayTransports(),
 	MemBandwidth:   80 * gb,
 	MemLatency:     ns(350),
@@ -59,15 +58,10 @@ var Dragonfly1K = register(&Config{
 	Topology:       Topology{Dragonfly: &dragonfly1K, Routing: RoutingAdaptive},
 })
 
-// fatTree1K: 3-level radix-16 fat-tree -> 1024 hosts, 1 rank each.
+// fatTree1K: radix-16 fat-tree -> 1024 hosts, 1 rank each.
 // Uniform link bandwidth (full bisection) — the contrast case to the
 // dragonfly's tapered global tier.
-var fatTree1K = FatTree{
-	Radix: 16, Levels: 3, RanksPerHost: 1,
-	HostGBs: 25, HostLatencyNs: 300,
-	EdgeGBs: 25, EdgeLatencyNs: 400,
-	CoreGBs: 25, CoreLatencyNs: 500,
-}
+var fatTree1K = FatTree{Radix: 16}
 
 // FatTree1K is a generated 1024-rank three-level fat-tree with
 // minimal routing.
@@ -76,7 +70,7 @@ var FatTree1K = register(&Config{
 	Title:          "Fat-tree 1K (generated)",
 	Kind:           CPU,
 	MaxRanks:       fatTree1K.MaxRanks(),
-	TheoreticalGBs: 25,
+	TheoreticalGBs: genLinkGBs,
 	Transports:     crayTransports(),
 	MemBandwidth:   80 * gb,
 	MemLatency:     ns(350),
@@ -93,9 +87,6 @@ var dragonfly10K = Dragonfly{
 	NodesPerRouter:       4,
 	GlobalLinksPerRouter: 1,
 	RanksPerNode:         10,
-	NodeGBs:              25, NodeLatencyNs: 300,
-	LocalGBs: 25, LocalLatencyNs: 200,
-	GlobalGBs: 25, GlobalLatencyNs: 700,
 }
 
 // Dragonfly10K is a generated 10240-rank dragonfly with adaptive
@@ -105,7 +96,7 @@ var Dragonfly10K = register(&Config{
 	Title:          "Dragonfly 10K (generated)",
 	Kind:           CPU,
 	MaxRanks:       dragonfly10K.MaxRanks(),
-	TheoreticalGBs: 25,
+	TheoreticalGBs: genLinkGBs,
 	Transports:     crayTransports(),
 	MemBandwidth:   80 * gb,
 	MemLatency:     ns(350),

@@ -18,9 +18,9 @@ import (
 // Builder determinism: links are added in spec order, which fixes
 // netsim's adjacency insertion order and therefore its BFS tie-breaks
 // — two identical specs always produce byte-identical fabrics and
-// routes. The Explicit specs below list links in exactly the order the
-// retired per-machine build functions added them, which keeps every
-// golden output byte-identical across the refactor.
+// routes. The catalog's link order is therefore part of each machine's
+// definition: reordering an Explicit spec's links changes routes and
+// the golden output.
 
 // LinkSpec declares one bidirectional channel group of the fabric.
 type LinkSpec struct {

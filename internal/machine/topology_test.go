@@ -32,14 +32,15 @@ func TestTopologyValidateExactlyOne(t *testing.T) {
 
 func TestTopologyValidateBadSpecs(t *testing.T) {
 	cases := []Topology{
-		{Dragonfly: &Dragonfly{Groups: 1, RoutersPerGroup: 2, NodesPerRouter: 1, GlobalLinksPerRouter: 1, RanksPerNode: 1, NodeGBs: 1, LocalGBs: 1, GlobalGBs: 1}},
+		{Dragonfly: &Dragonfly{Groups: 1, RoutersPerGroup: 2, NodesPerRouter: 1, GlobalLinksPerRouter: 1, RanksPerNode: 1}},
 		// 9 groups need 8 global ports; 2 routers x 1 port = 2.
-		{Dragonfly: &Dragonfly{Groups: 9, RoutersPerGroup: 2, NodesPerRouter: 1, GlobalLinksPerRouter: 1, RanksPerNode: 1, NodeGBs: 1, LocalGBs: 1, GlobalGBs: 1}},
+		{Dragonfly: &Dragonfly{Groups: 9, RoutersPerGroup: 2, NodesPerRouter: 1, GlobalLinksPerRouter: 1, RanksPerNode: 1}},
+		{FatTree: &FatTree{Radix: 3}},
 		// Zero bandwidth must be caught before netsim would panic.
-		{Dragonfly: &Dragonfly{Groups: 2, RoutersPerGroup: 2, NodesPerRouter: 1, GlobalLinksPerRouter: 1, RanksPerNode: 1, NodeGBs: 0, LocalGBs: 1, GlobalGBs: 1}},
-		{FatTree: &FatTree{Radix: 3, Levels: 3, RanksPerHost: 1, HostGBs: 1, EdgeGBs: 1, CoreGBs: 1}},
-		{FatTree: &FatTree{Radix: 4, Levels: 4, RanksPerHost: 1, HostGBs: 1, EdgeGBs: 1, CoreGBs: 1}},
-		{FatTree: &FatTree{Radix: 4, Levels: 3, RanksPerHost: 0, HostGBs: 1, EdgeGBs: 1, CoreGBs: 1}},
+		{Explicit: &Explicit{
+			Links: []LinkSpec{{A: "x", B: "y", GBs: 0, Channels: 1}},
+			Place: Placement{Kind: PlaceBlock, Nodes: []string{"x"}},
+		}},
 		{Explicit: &Explicit{
 			Links: []LinkSpec{{A: "x", B: "x", GBs: 1, Channels: 1}},
 			Place: Placement{Kind: PlaceBlock, Nodes: []string{"x"}},

@@ -153,7 +153,6 @@ func TestPerPeerStateScalesLinearly(t *testing.T) {
 	// the same and only per-rank state differs.
 	df := machine.Dragonfly{
 		Groups: 4, RoutersPerGroup: 4, NodesPerRouter: 2, GlobalLinksPerRouter: 1, RanksPerNode: 128,
-		NodeGBs: 25, NodeLatencyNs: 300, LocalGBs: 25, LocalLatencyNs: 200, GlobalGBs: 25, GlobalLatencyNs: 700,
 	}
 	cfg := *machine.Dragonfly10K
 	cfg.Name, cfg.MaxRanks = "dragonfly-4k-test", df.MaxRanks()

@@ -11,8 +11,7 @@ type Routing int
 
 const (
 	// RouteMinimal always takes the shortest (fewest-hop) path — the
-	// BFS route Route.Min returns. This is the historical behaviour
-	// and the default.
+	// BFS route Route.Min returns. It is the default.
 	RouteMinimal Routing = iota
 	// RouteAdaptive chooses per message between the minimal path and
 	// Valiant-style non-minimal detours through registered

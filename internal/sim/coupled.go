@@ -34,9 +34,10 @@ package sim
 //     barrier ops re-publish;
 //   - each worker moves its groups' mailboxes into one run and sorts
 //     it, so the barrier merges one sorted run per worker;
-//   - the barrier runs its ops one at a time but buffers the events
-//     they schedule (At) and, in large rounds, applies them on the
-//     pool, split by target group.
+//   - the barrier is one round: it runs its ops one at a time in the
+//     merged order, buffering the events they schedule (At), then
+//     applies those events in one pass, on the pool when there are
+//     many, split by target group.
 //
 // Cross-group effects never mutate a peer group's state mid-window.
 // They are expressed one of two ways:
@@ -47,14 +48,16 @@ package sim
 //     because the window bound guarantees the target has not executed
 //     that far);
 //   - deferred operations (Defer) for anything that must serialize
-//     through shared state — link-bandwidth reservations, fault
-//     draws, atomic-unit arbitration. Deferred ops carry the key
+//     through shared state — link-bandwidth reservations and fault
+//     draws. Deferred ops carry the key
 //     (at, senderRank<<counterBits|senderCounter) drawn from the
 //     originating rank's monotone counter, and the barrier applies
 //     them in that total order. Because a rank's emissions depend
 //     only on its own executed prefix, the order — and therefore
 //     every simulated output — is invariant under the worker count,
-//     certified by the per-group event-order digests.
+//     certified by the per-group event-order digests. Deferred ops
+//     are leaves: they touch links, fault draws and deliveries (At),
+//     and never defer, so one barrier round empties every mailbox.
 //
 // A one-group world (every rank on one fabric node) delegates Run to
 // the lone Engine verbatim, preserving exact sequential semantics
@@ -176,16 +179,14 @@ type CoupledEngine struct {
 	next []Time
 
 	// Barrier state. inBarrier is true only while the barrier executes
-	// deferred ops; At uses it to buffer deliveries and Defer to record
-	// follow-up candidates (bops). runs[w] holds the sorted ops of the
-	// groups worker w ran (run 0 also a follow-up round's), heads is
-	// the merge's cursor over them, and pend[w] buffers a round's
-	// deliveries to share w, the groups g with g*workers/groups == w
-	// (a contiguous range of the slab). All are reused
-	// across windows. deliveries counts barrier-time At calls and
-	// parDeliveries those in rounds opened to the pool.
+	// deferred ops; At uses it to buffer deliveries and Defer to refuse
+	// the call. runs[w] holds the sorted ops of the groups worker w
+	// ran, heads is the merge's cursor over them, and pend[w] buffers
+	// the barrier's deliveries to share w, the groups g with
+	// g*workers/groups == w (a contiguous range of the slab). All are
+	// reused across windows. deliveries counts barrier-time At calls
+	// and parDeliveries those in barriers that opened them to the pool.
 	inBarrier     bool
-	bops          []int32
 	runs, heads   [][]deferredOp
 	pend          [][]delivery
 	deliveries    uint64
@@ -300,17 +301,23 @@ func (ce *CoupledEngine) SetPerturbation(p *Perturbation) {
 // Defer enqueues a cross-group operation on behalf of rank, to be
 // applied at the current window's barrier. Ops are applied one at a
 // time in (at, senderRank<<counterBits|senderCounter) order, giving
-// shared-state mutations (link reservations, atomic arbitration, fault
-// draws) one explicit serialization point whose order is invariant
-// under the worker count. Defer may only be called from the rank's own
-// engine context (or from the barrier itself).
+// shared-state mutations (link reservations, fault draws) one explicit
+// serialization point whose order is invariant under the worker count.
+// Defer may only be called from the rank's own engine context; a call
+// from a deferred op panics.
 //
-// A deferred op may call ce.At, call ce.Defer and read an engine's
-// Now(), but must never schedule on a sub-engine directly (Engine.At,
-// Spawn, Cond signals): the barrier buffers its At calls and applies
-// them after the round, possibly on pool workers, and only the
-// buffered calls keep every engine's scheduling order fixed.
+// A deferred op is a leaf: it may reserve links, draw faults, call
+// ce.At and read an engine's Now(), but must never defer and never
+// schedule on a sub-engine directly (Engine.At, Spawn, Cond signals).
+// The barrier runs one round, buffers its At calls and applies them
+// after the round, possibly on pool workers; only the buffered calls
+// keep every engine's scheduling order fixed. Work that must defer
+// again belongs in an event the op schedules with At.
 func (ce *CoupledEngine) Defer(rank int, at Time, run func()) {
+	if ce.inBarrier {
+		panic(fmt.Sprintf("sim: rank %d deferred an op from the window barrier; "+
+			"deferred ops must not defer: schedule an event with At and defer from it", rank))
+	}
 	g := ce.groupOf[rank]
 	gr := &ce.groups[g]
 	c := ce.counter[rank]
@@ -325,11 +332,6 @@ func (ce *CoupledEngine) Defer(rank int, at Time, run func()) {
 		}
 		return
 	}
-	if ce.inBarrier {
-		// A barrier-emitted follow-up: record the group so the next
-		// barrier round can find its ops without scanning all groups.
-		ce.bops = append(ce.bops, g)
-	}
 	gr.mailbox = append(gr.mailbox, deferredOp{at: at, key: uint64(rank)<<counterBits | c, run: run})
 }
 
@@ -339,15 +341,16 @@ func (ce *CoupledEngine) Defer(rank int, at Time, run func()) {
 // The clamp target, the engine's Now, is fixed while the barrier runs
 // (no group executes), so the result does not depend on the worker
 // count. At is the cross-group scheduling primitive: call it from a
-// barrier-deferred op, or from any context when the target shares the
-// caller's group.
+// deferred op, or from any context when the target shares the caller's
+// group. From a deferred op the call is buffered and applied after the
+// barrier's ops have run.
 func (ce *CoupledEngine) At(rank int, t Time, fn func()) {
 	g := ce.groupOf[rank]
 	if !ce.inBarrier {
 		ce.groups[g].eng.At(t, fn)
 		return
 	}
-	// Applied after the round (deliver), in call order per engine.
+	// Applied after the barrier's ops (deliver), in call order per engine.
 	w := int(g) * ce.workers / len(ce.groups)
 	ce.pend[w] = append(ce.pend[w], delivery{g: g, t: t, fn: fn})
 }
@@ -384,15 +387,15 @@ func (ce *CoupledEngine) Windows() uint64 { return ce.windows }
 func (ce *CoupledEngine) Dispatches() uint64 { return ce.dispatches }
 
 // Deliveries returns how many events barrier ops scheduled with At
-// and how many of them were in rounds opened to the window pool.
+// and how many of them were applied on the window pool.
 func (ce *CoupledEngine) Deliveries() (all, parallel uint64) {
 	return ce.deliveries, ce.parDeliveries
 }
 
 // PhaseWall returns the wall-clock time the window loop spent in its
 // three phases: executing group events (with the workers' run sorts),
-// applying deferred ops at barriers (merging or sorting each round's
-// ops, running them and applying their deliveries), and
+// applying deferred ops at barriers (merging the workers' runs,
+// running their ops and applying their deliveries), and
 // maintaining the window bound (min-tracker reads, active-set
 // collection, horizon refresh). The split is the
 // engine-layer start of a Breaking-Band-style cost attribution; it is
@@ -570,11 +573,6 @@ func (ce *CoupledEngine) retire(w, i int) {
 		at = timeMax
 	}
 	ce.next[i] = at
-	ce.take(w, g)
-}
-
-// take moves group g's mailbox into worker w's run.
-func (ce *CoupledEngine) take(w int, g int32) {
 	gr := &ce.groups[g]
 	ce.runs[w] = append(ce.runs[w], gr.mailbox...)
 	gr.mailbox = gr.mailbox[:0]
@@ -582,7 +580,7 @@ func (ce *CoupledEngine) take(w int, g int32) {
 
 // PoolStats counts a run's windows on the pool (workers > 1): opened
 // to it, that woke the helpers, and that a helper joined, with every
-// helper join of a window or delivery round and its summed delay.
+// helper join of a window or delivery pass and its summed delay.
 type PoolStats struct {
 	Pooled, Woken, Joined, Joins uint64
 	JoinWait                     time.Duration
@@ -780,22 +778,22 @@ func (ce *CoupledEngine) helper(w int, wake chan struct{}) {
 	}
 }
 
-// parDeliveryMin is the smallest round of deliveries opened to the
+// parDeliveryMin is the fewest deliveries a barrier opens to the
 // pool, as a task that always wakes the helpers. A delivery into a
 // cold engine costs 200–400 ns (15 ns into a cached one), so each of
 // two shares of 1024 takes 100–200 µs, about a helper's join delay; a
-// round done before a helper joins costs that helper's CPU, not the
-// coordinator's time. phold-100k's and the 10K stencil's large rounds
-// cross it; the 1K hashtable's of about 70 stay inline.
+// pass done before a helper joins costs that helper's CPU, not the
+// coordinator's time. phold-100k's and the 10K stencil's large
+// barriers cross it; the 1K hashtable's of about 70 stay inline.
 const parDeliveryMin = 1024
 
-// deliver applies the round's buffered deliveries, each engine seeing
-// its At calls in call order: inline, or for a large round as a pool
-// task whose unit w applies pend[w]. One serial pass then publishes
-// the events' times, so a delivery that re-awakens a group (or moves
-// its next event earlier) shows in the next window's bound without a
-// group scan. Window-time At calls target the caller's group, which
-// re-publishes wholesale after the window.
+// deliver applies the barrier's buffered deliveries, each engine
+// seeing its At calls in call order: inline, or for a large barrier as
+// a pool task whose unit w applies pend[w]. One serial pass then
+// publishes the events' times, so a delivery that re-awakens a group
+// (or moves its next event earlier) shows in the next window's bound
+// without a group scan. Window-time At calls target the caller's
+// group, which re-publishes wholesale after the window.
 func (ce *CoupledEngine) deliver() {
 	n := 0
 	for _, p := range ce.pend {
@@ -852,35 +850,22 @@ func cmpOps(a, b deferredOp) int {
 
 func sortOps(ops []deferredOp) { slices.SortFunc(ops, cmpOps) }
 
-// applyDeferred is the window barrier. Each round merges the sorted
-// runs, applies their ops in (at, key) order and then their
-// deliveries; the first round's runs are the workers', and each later
-// round's is one run of the ops deferred during the round before (bops
-// lists their groups, so idle groups are never scanned). It repeats
-// until a round defers nothing. The runs and every group's buffer
+// applyDeferred is the window barrier, one round: it merges the
+// workers' sorted runs, applies their ops in (at, key) order and then
+// their deliveries. Ops cannot defer (Defer panics here), so every
+// mailbox is empty afterwards. The runs and every group's buffer
 // persist across windows, so the steady-state barrier allocates
 // nothing.
 func (ce *CoupledEngine) applyDeferred() error {
-	for {
-		ce.bops = ce.bops[:0]
-		ce.inBarrier = true
-		ce.mergeRuns()
-		ce.inBarrier = false
-		ce.deliver()
-		if err := ce.firstErr(); err != nil || len(ce.bops) == 0 {
-			return err
-		}
-		for _, g := range ce.bops {
-			// A group listed twice contributes nothing the second time.
-			ce.take(0, g)
-		}
-		sortOps(ce.runs[0])
-	}
+	ce.inBarrier = true
+	ce.mergeRuns()
+	ce.inBarrier = false
+	ce.deliver()
+	return ce.firstErr()
 }
 
 // mergeRuns runs the ops of the sorted runs in (at, key) order and
-// empties the runs. The ops defer into group mailboxes, never into the
-// runs, so the runs hold still.
+// empties the runs. Ops cannot defer, so the runs hold still.
 func (ce *CoupledEngine) mergeRuns() {
 	heads := append(ce.heads[:0], ce.runs...)
 	for {

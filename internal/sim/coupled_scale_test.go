@@ -3,9 +3,8 @@ package sim
 // White-box tests for the window-engine scaling internals: the 4-ary
 // tournament min-tree that replaces the per-window O(G) NextAt scan,
 // and the property that the barrier, which merges the workers' sorted
-// runs and then gathers only candidate groups' follow-ups, applies
-// deferred ops in exactly the order a barrier scanning every group
-// does.
+// runs, applies deferred ops in exactly the order of a full sort of
+// every group's ops.
 
 import (
 	"math/rand"
@@ -99,96 +98,61 @@ func TestMinTreeRandomizedAgainstScan(t *testing.T) {
 	}
 }
 
-// opSpec is a pregenerated deferred-op shape: who defers it, when it
-// fires, and which follow-up ops its execution defers from the barrier
-// itself. Specs are instantiated separately per engine so the barrier
-// and the reference all-groups barrier run identical workloads.
+// opSpec is a pregenerated deferred-op shape: who defers it and when
+// it fires. Specs are instantiated separately per engine so the
+// barrier and the reference full-sort barrier run identical batches.
 type opSpec struct {
-	id       int
-	rank     int
-	at       Time
-	children []*opSpec
+	id   int
+	rank int
+	at   Time
 }
 
-// genSpecs builds a randomized batch of root op specs with occasional
-// barrier-emitted children (and grandchildren), using small at ranges
-// so same-time ties are common and only the sender-counter key breaks
-// them. Root ops come from ranks [0, roots), children from any rank.
-func genSpecs(rng *rand.Rand, ranks, roots int, next *int, depth int) []*opSpec {
-	count, senders := rng.Intn(12), ranks
-	if depth == 0 {
-		count, senders = 2+rng.Intn(40), roots
-	}
-	specs := make([]*opSpec, count)
+// genSpecs builds a randomized batch of op specs, using a small at
+// range so same-time ties are common and only the sender-counter key
+// breaks them.
+func genSpecs(rng *rand.Rand, ranks int) []opSpec {
+	specs := make([]opSpec, 2+rng.Intn(40))
 	for i := range specs {
-		s := &opSpec{id: *next, rank: rng.Intn(senders), at: Time(rng.Intn(6))}
-		*next++
-		if depth < 2 && rng.Intn(4) == 0 {
-			s.children = genSpecs(rng, ranks, roots, next, depth+1)
-		}
-		specs[i] = s
+		specs[i] = opSpec{id: i, rank: rng.Intn(ranks), at: Time(rng.Intn(6))}
 	}
 	return specs
 }
 
-// instantiate turns a spec tree into live Defer calls on ce, recording
-// execution order into log.
-func instantiate(ce *CoupledEngine, s *opSpec, log *[]int) func() {
-	return func() {
-		*log = append(*log, s.id)
-		for _, c := range s.children {
-			ce.Defer(c.rank, c.at, instantiate(ce, c, log))
-		}
-	}
-}
-
 // refApplyDeferred is the reference barrier: flatten every group's
-// ops, not only the candidates', full-sort by (at, key), execute,
-// repeat until no op remains.
+// ops, full-sort them by (at, key) and execute them.
 func refApplyDeferred(ce *CoupledEngine) {
 	var batch []deferredOp
-	for {
-		batch = batch[:0]
-		for g := range ce.groups {
-			gr := &ce.groups[g]
-			batch = append(batch, gr.mailbox...)
-			gr.mailbox = gr.mailbox[:0]
-		}
-		if len(batch) == 0 {
-			return
-		}
-		slices.SortFunc(batch, func(a, b deferredOp) int {
-			switch {
-			case a.at != b.at:
-				if a.at < b.at {
-					return -1
-				}
-				return 1
-			case a.key < b.key:
+	for g := range ce.groups {
+		gr := &ce.groups[g]
+		batch = append(batch, gr.mailbox...)
+		gr.mailbox = gr.mailbox[:0]
+	}
+	slices.SortFunc(batch, func(a, b deferredOp) int {
+		switch {
+		case a.at != b.at:
+			if a.at < b.at {
 				return -1
-			case a.key > b.key:
-				return 1
 			}
-			return 0
-		})
-		for i := range batch {
-			batch[i].run()
+			return 1
+		case a.key < b.key:
+			return -1
+		case a.key > b.key:
+			return 1
 		}
+		return 0
+	})
+	for i := range batch {
+		batch[i].run()
 	}
 }
 
 // TestCoupledMergeMatchesFullSort is the barrier-equivalence property:
-// over randomized op batches (including barrier-emitted follow-ups,
-// which arrive unsorted), the barrier must execute ops in
-// byte-identical order to the reference barrier that full-sorts every
-// group. The window's mailboxes reach the barrier the way the workers
-// leave them: each active group's ops moved into one of W runs (W = 1
-// to 4, the group-to-run split drawn at random, empty runs included)
-// and every run sorted. Each seed runs twice: with every group active,
-// and with only group 0 active, so follow-ups deferred on groups
-// outside the window's active set must still be found.
+// over randomized op batches, the barrier must execute ops in exactly
+// the order of the reference barrier that full-sorts every group. The
+// window's mailboxes reach the barrier the way the workers leave them:
+// each group retired into one of W runs (W = 1 to 4, the group-to-run
+// split drawn at random, empty runs included) and every run sorted.
 func TestCoupledMergeMatchesFullSort(t *testing.T) {
-	outside := 0 // follow-ups deferred on a group outside the active set
 	emptyRuns, merged := 0, 0
 	for seed := int64(0); seed < 40; seed++ {
 		groups := 2 + rand.New(rand.NewSource(seed)).Intn(8)
@@ -197,85 +161,61 @@ func TestCoupledMergeMatchesFullSort(t *testing.T) {
 		for r := range groupOf {
 			groupOf[r] = r % groups
 		}
-		for _, narrow := range []bool{false, true} {
-			// Rank r sits in group r%groups, so roots from rank 0 alone
-			// make group 0 the only active group.
-			roots, active := len(groupOf), groups
-			if narrow {
-				roots, active = 1, 1
+		specs := genSpecs(rand.New(rand.NewSource(seed)), len(groupOf))
+		build := func() (*CoupledEngine, *[]int) {
+			ce, err := NewCoupled(groupOf, Microsecond, 1)
+			if err != nil {
+				t.Fatal(err)
 			}
-			build := func() (*CoupledEngine, *[]int, []*opSpec) {
-				ce, err := NewCoupled(groupOf, Microsecond, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ce.tree.init(groups) // the barrier publishes through it
-				var log []int
-				rng := rand.New(rand.NewSource(seed))
-				var next int
-				specs := genSpecs(rng, len(groupOf), roots, &next, 0)
-				for _, s := range specs {
-					ce.Defer(s.rank, s.at, instantiate(ce, s, &log))
-				}
-				return ce, &log, specs
+			ce.tree.init(groups) // the barrier publishes through it
+			var log []int
+			for _, s := range specs {
+				ce.Defer(s.rank, s.at, func() { log = append(log, s.id) })
 			}
+			return ce, &log
+		}
 
-			ref, refLog, specs := build()
-			refApplyDeferred(ref)
-			if len(*refLog) == 0 {
-				t.Fatalf("seed %d narrow=%v: degenerate batch, no ops executed", seed, narrow)
+		ref, refLog := build()
+		refApplyDeferred(ref)
+		if len(*refLog) != len(specs) {
+			t.Fatalf("seed %d: reference ran %d of %d ops", seed, len(*refLog), len(specs))
+		}
+		for w := 1; w <= 4; w++ {
+			got, gotLog := build()
+			got.runs = make([][]deferredOp, w)
+			got.active = make([]int32, groups)
+			got.next = make([]Time, groups)
+			split := rand.New(rand.NewSource(seed*4 + int64(w)))
+			for g := range got.active {
+				got.active[g] = int32(g)
+				got.retire(split.Intn(w), g)
 			}
-			for w := 1; w <= 4; w++ {
-				got, gotLog, _ := build()
-				got.runs = make([][]deferredOp, w)
-				split := rand.New(rand.NewSource(seed*4 + int64(w)))
-				for g := 0; g < active; g++ {
-					got.take(split.Intn(w), int32(g))
-				}
-				nonEmpty := 0
-				for _, r := range got.runs {
-					sortOps(r)
-					if len(r) == 0 {
-						emptyRuns++
-					} else {
-						nonEmpty++
-					}
-				}
-				if nonEmpty > 1 {
-					merged++
-				}
-				if err := got.applyDeferred(); err != nil {
-					t.Fatalf("seed %d narrow=%v W=%d: applyDeferred: %v", seed, narrow, w, err)
-				}
-				if !slices.Equal(*gotLog, *refLog) {
-					t.Fatalf("seed %d narrow=%v W=%d: barrier order %v != full-sort order %v",
-						seed, narrow, w, *gotLog, *refLog)
+			nonEmpty := 0
+			for _, r := range got.runs {
+				sortOps(r)
+				if len(r) == 0 {
+					emptyRuns++
+				} else {
+					nonEmpty++
 				}
 			}
-			if narrow {
-				outside += countOutside(specs, groups, active)
+			if nonEmpty > 1 {
+				merged++
+			}
+			if err := got.applyDeferred(); err != nil {
+				t.Fatalf("seed %d W=%d: applyDeferred: %v", seed, w, err)
+			}
+			if !slices.Equal(*gotLog, *refLog) {
+				t.Fatalf("seed %d W=%d: barrier order %v != full-sort order %v", seed, w, *gotLog, *refLog)
+			}
+			for g := range got.groups {
+				if n := len(got.groups[g].mailbox); n != 0 {
+					t.Fatalf("seed %d W=%d: group %d holds %d ops after the barrier", seed, w, g, n)
+				}
 			}
 		}
-	}
-	if outside == 0 {
-		t.Fatal("no follow-up was deferred on a group outside the active set")
 	}
 	if emptyRuns == 0 || merged == 0 {
 		t.Fatalf("%d empty runs, %d merges of several runs: the split exercised too little", emptyRuns, merged)
 	}
-}
-
-// countOutside counts the barrier-emitted follow-ups in a spec tree
-// whose sender's group (rank % groups) is not below active.
-func countOutside(specs []*opSpec, groups, active int) int {
-	n := 0
-	for _, s := range specs {
-		for _, c := range s.children {
-			if c.rank%groups >= active {
-				n++
-			}
-		}
-		n += countOutside(s.children, groups, active)
-	}
-	return n
 }

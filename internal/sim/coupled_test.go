@@ -1,7 +1,8 @@
 package sim_test
 
 // Tests for the coupled conservative-lookahead engine: construction
-// validation, the deferred-op mailbox bound, the time-overflow guard, and the one-group delegation path. The
+// validation, the deferred-op mailbox bound, the barrier's one-round
+// rule, the time-overflow guard, and the one-group delegation path. The
 // heavyweight invariance property (identical digests at every worker
 // count) is exercised end-to-end by internal/conformance's
 // TestShardCountInvariant* suite.
@@ -53,6 +54,31 @@ func TestCoupledMailboxCap(t *testing.T) {
 	err = ce.Run()
 	if err == nil || !strings.Contains(err.Error(), "over capacity") {
 		t.Fatalf("want mailbox capacity error, got %v", err)
+	}
+}
+
+// TestCoupledBarrierDeferPanics checks the barrier's one-round
+// contract: a deferred op that defers again must panic, at every
+// worker count, instead of leaving its op in a mailbox until the
+// group's next window.
+func TestCoupledBarrierDeferPanics(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		ce, err := sim.NewCoupled([]int{0, 1}, sim.Microsecond, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ce.Sub(0).Spawn("nested", func(p *sim.Proc) {
+			ce.Defer(0, p.Now(), func() { ce.Defer(1, p.Now(), func() {}) })
+		})
+		func() {
+			defer func() {
+				r := recover()
+				if msg, _ := r.(string); !strings.Contains(msg, "must not defer") {
+					t.Fatalf("workers=%d: a barrier-time Defer gave %v, want a panic stating the contract", workers, r)
+				}
+			}()
+			_ = ce.Run()
+		}()
 	}
 }
 

@@ -54,12 +54,12 @@ func BenchmarkEngineTimerChurn(b *testing.B) {
 // single-rank groups at 1, 2, and 4 workers. At 4096 groups a window
 // holds over a thousand active groups, each deferring about one op:
 // the shape where block claims, the workers' sorted runs and pool
-// delivery matter. At more than one worker its barrier rounds deliver
-// about 1500 events, above the pool-delivery cutoff, and the benchmark
-// fails if no round was opened to the pool. Steady state must stay at
-// 0 allocs/op — the dispatch path (the pool's gate and wake policy,
-// active-set collection, horizon slots, min-tree maintenance) and the barrier
-// (per-worker runs, one follow-up batch, one delivery buffer) reuse
+// delivery matter. At more than one worker its barriers deliver about
+// 1500 events each, above the pool-delivery cutoff, and the benchmark
+// fails if no delivery pass was opened to the pool. Steady state must
+// stay at 0 allocs/op — the dispatch path (the pool's gate and wake
+// policy, active-set collection, horizon slots, min-tree maintenance)
+// and the barrier (per-worker runs, per-share delivery buffers) reuse
 // all storage across windows; ci.yml gates on it. On single-core
 // runners compare sim.busy_wall from the phold-100k benchmark
 // workload instead of ns/event.

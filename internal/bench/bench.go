@@ -220,10 +220,8 @@ func measureWith(cfg *machine.Config, t Transport, ranks, n int, b int64, shards
 	switch t {
 	case TwoSided:
 		return measureTwoSided(cfg, ranks, n, b, shards, payload)
-	case OneSided:
-		return measureOneSided(cfg, ranks, n, b, shards, false, payload)
-	case OneSidedStrict:
-		return measureOneSided(cfg, ranks, n, b, shards, true, payload)
+	case OneSided, OneSidedStrict:
+		return measureOneSided(cfg, t, ranks, n, b, shards, payload)
 	case ShmemPutSignal:
 		return measureCommStream(cfg, comm.Shmem, ranks, n, b, shards, payload)
 	case StreamTriggered:
@@ -298,67 +296,56 @@ func measureTwoSided(cfg *machine.Config, ranks, n int, b int64, shards int, pay
 	return point(n, b, elapsed), c.Digest(), nil
 }
 
-// measureOneSided measures one one-sided MPI window using the paper's
-// operation budget of four one-sided calls per message: for each
-// message a Put of the data, a flush, a Put of the signal word, and a
-// flush. In the windowed protocol (strict=false) the per-message
-// flushes are local and the window closes with remote flushes, as in
-// the flood-style sweep; the receiver's Listing-1 acknowledgment loop
-// is exercised by the SpTRSV workload. With strict=true every flush
-// waits for remote completion — the per-message notification protocol
-// SpTRSV must use, the 5 us/message cost of Fig 6b, and the reason
-// one-sided SpTRSV loses (§III-B).
-func measureOneSided(cfg *machine.Config, ranks, n int, b int64, shards int, strict bool, payload func(int) []byte) (Point, uint64, error) {
+// measureOneSided measures one one-sided MPI window on shmem's
+// one-sided path with the paper's budget of four calls per message: a
+// Put of the data, a flush, a Put of the signal word, a flush. In the
+// windowed protocol (OneSided) the per-message flushes are local and
+// the window closes with remote flushes of the data and then the
+// signal words, as in the flood-style sweep; the receiver's Listing-1
+// loop is exercised by the SpTRSV workload. With OneSidedStrict every
+// flush waits for remote completion — the per-message notification
+// protocol SpTRSV must use, the 5 us/message cost of Fig 6b, and the
+// reason one-sided SpTRSV loses (§III-B).
+func measureOneSided(cfg *machine.Config, t Transport, ranks, n int, b int64, shards int, payload func(int) []byte) (Point, uint64, error) {
 	src, dst := farPair(ranks)
 	var elapsed sim.Time
-	c, err := mpi.NewCommSharded(cfg, ranks, shards)
-	if err != nil {
-		return Point{}, 0, err
-	}
-	data, err := c.NewWin(int(b))
-	if err != nil {
-		return Point{}, 0, err
-	}
-	sig, err := c.NewWin(8 * n)
+	// The data lands at 0 and signal i at sig+8i, above the signal base.
+	sig := int(b)
+	j, err := shmem.NewJobSharded(cfg, machine.OneSided, ranks, sig+8*n, sig, shards)
 	if err != nil {
 		return Point{}, 0, err
 	}
 	one := []byte{1, 0, 0, 0, 0, 0, 0, 0}
-	err = c.Launch(func(r *mpi.Rank) {
-		if r.Rank() != src {
-			r.Barrier()
+	err = j.Launch(func(c *shmem.Ctx) {
+		c.Barrier()
+		if c.MyPE() != src {
 			return
 		}
-		r.Barrier()
-		msg := payload(int(b))
-		start := r.Now()
-		if strict {
-			for i := 0; i < n; i++ {
-				r.Put(data, dst, 0, msg)
-				r.Flush(data, dst)
-				r.Put(sig, dst, 8*i, one)
-				r.Flush(sig, dst)
+		flush := func(off int) {
+			if t == OneSidedStrict {
+				c.Flush(dst, off)
+			} else {
+				c.FlushLocal()
 			}
-		} else {
-			for i := 0; i < n; i++ {
-				r.Put(data, dst, 0, msg)
-				r.FlushLocal(data, dst)
-				r.Put(sig, dst, 8*i, one)
-				r.FlushLocal(sig, dst)
-			}
-			r.Flush(data, dst)
-			r.Flush(sig, dst)
 		}
-		elapsed = r.Now() - start
+		msg := payload(int(b))
+		start := c.Now()
+		for i := 0; i < n; i++ {
+			c.PutNBI(dst, 0, msg)
+			flush(0)
+			c.PutNBI(dst, sig+8*i, one)
+			flush(sig)
+		}
+		if t == OneSided {
+			c.Flush(dst, 0)
+			c.Flush(dst, sig)
+		}
+		elapsed = c.Now() - start
 	})
 	if err != nil {
-		label := "one-sided"
-		if strict {
-			label = "strict one-sided"
-		}
-		return Point{}, 0, fmt.Errorf("bench: %s %s n=%d B=%d: %w", label, cfg.Name, n, b, err)
+		return Point{}, 0, fmt.Errorf("bench: %s %s n=%d B=%d: %w", t, cfg.Name, n, b, err)
 	}
-	return point(n, b, elapsed), c.Digest(), nil
+	return point(n, b, elapsed), j.Digest(), nil
 }
 
 // measureCommStream measures one streamed-delivery window on a PGAS

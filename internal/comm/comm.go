@@ -5,10 +5,10 @@
 //
 //   - TwoSided: internal/mpi Isend/Irecv/Waitall (eager protocol,
 //     non-overtaking matching);
-//   - OneSided: internal/mpi RMA with the paper's strict discipline —
-//     fence epochs for BSP exchange, the 4-op put/flush/put/flush
-//     protocol plus Listing-1 polling for streamed delivery, and
-//     CAS/fetch-add with per-op flush_local for atomics;
+//   - OneSided: MPI-3 RMA with the paper's strict discipline — fence
+//     epochs for BSP exchange, the 4-op put/flush/put/flush protocol
+//     plus Listing-1 polling for streamed delivery, and CAS/fetch-add
+//     with per-op flush_local for atomics;
 //   - Notified: CPU one-sided with hardware put-with-signal
 //     (foMPI-style notified access, §V): one fused 2-op flight per
 //     delivery, no second flush round trip, no polling loop;
@@ -24,7 +24,7 @@
 //     completion and quiet maps to channel drainage. A rank opens a
 //     channel on its first write to that destination.
 //
-// Notified and the last three are one implementation (shmemT over the
+// All but TwoSided are one implementation (shmemT over the
 // internal/shmem PGAS core): the same lazy heap, dissemination barrier,
 // exchange, slot wait and remote atomics, differing only in how a put
 // leaves the host and in what Quiet waits on.
@@ -334,9 +334,7 @@ func New(spec Spec) (Transport, error) {
 	switch spec.Kind {
 	case TwoSided:
 		return newTwoSided(spec)
-	case OneSided:
-		return newRMA(spec)
-	case Notified, Shmem, StreamTriggered, MemChannel:
+	case OneSided, Notified, Shmem, StreamTriggered, MemChannel:
 		return newShmem(spec)
 	}
 	return nil, fmt.Errorf("comm: unknown transport kind %d", int(spec.Kind))

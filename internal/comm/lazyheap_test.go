@@ -10,8 +10,7 @@ import (
 )
 
 // lazyKinds are the transports whose receive memory is a lazy
-// runtime.Mem, each with a machine that calibrates it: the PGAS heaps
-// and the strict one-sided transport's data window.
+// runtime.Mem, the shmem heap, each with a machine that calibrates it.
 var lazyKinds = []struct {
 	kind    Kind
 	machine string
@@ -23,17 +22,9 @@ var lazyKinds = []struct {
 	{OneSided, "perlmutter-cpu"},
 }
 
-// dataAllocated reports whether rank's heap, or its one-sided data or
-// exchange window, holds its data region: until it does, every read
-// of the region is the shared blank view.
+// dataAllocated reports whether rank's heap holds its data region:
+// until it does, every read of the region is the shared blank view.
 func dataAllocated(tr Transport, rank int) bool {
-	if t, ok := tr.(*rma); ok {
-		w := t.dataWin
-		if w == nil {
-			w = t.exchWin
-		}
-		return !runtime.IsBlank(w.View(rank, 0, 1))
-	}
 	return !runtime.IsBlank(tr.(*shmemT).j.PE(rank).View(0, 1))
 }
 
@@ -140,9 +131,6 @@ func TestLazyHeapDelivery(t *testing.T) {
 func TestLazyHeapAtomics(t *testing.T) {
 	const stride = 32
 	for _, lk := range lazyKinds {
-		if _, pgas := pgasTransports[lk.kind]; !pgas {
-			continue // MPI windows have no signal words
-		}
 		t.Run(lk.kind.String(), func(t *testing.T) {
 			spec := Spec{Ranks: 2, StreamSlots: []int{0, 2}, SlotBytes: stride}
 			size, sigBase := heapLayout(spec)

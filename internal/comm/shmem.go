@@ -10,14 +10,16 @@ import (
 	"msgroofline/internal/sim"
 )
 
-// shmemT serves the four PGAS transports from the internal/shmem
+// shmemT serves every transport but two-sided from the internal/shmem
 // core: put-with-signal delivery (the signal word rides the payload
 // flight), wait_until_* receivers, blocking remote atomics, the
 // dissemination barrier, and fork/join thread-block contexts on Shmem.
 // The Job's machine.Transport decides how a put leaves the host:
 // device-initiated on Shmem (k=2 per fused put), a stream-triggered
 // descriptor on StreamTriggered, a channel write on MemChannel, a
-// fused CPU notified-access op on Notified (k=2, nothing to quiet).
+// fused CPU notified-access op on Notified (k=2, nothing to quiet), an
+// MPI_Put on OneSided, which has no put-with-signal and runs the
+// paper's strict discipline instead (see the package doc).
 type shmemT struct {
 	base
 	j *shmem.Job
@@ -26,9 +28,10 @@ type shmemT struct {
 	sigBase int
 }
 
-// pgasTransports maps each PGAS Kind to the machine transport its
-// puts leave the host on.
+// pgasTransports maps each Kind served by shmemT to the machine
+// transport its puts leave the host on.
 var pgasTransports = map[Kind]machine.Transport{
+	OneSided:        machine.OneSided,
 	Notified:        machine.NotifiedAccess,
 	Shmem:           machine.GPUShmem,
 	StreamTriggered: machine.StreamTriggered,
@@ -37,11 +40,14 @@ var pgasTransports = map[Kind]machine.Transport{
 
 // heapLayout sizes one rank's symmetric heap for the spec's mode and
 // places its signal words at [sigBase, size): parity-double-buffered
-// exchange slots followed by 2 parities x K signals, streamed-delivery
-// slots followed by one signal per slot and 64 spare bytes, or a flat
-// shared heap with no signal words.
+// exchange slots followed by 2 parities x K signals (none on
+// OneSided, whose epochs end in a fence), streamed-delivery slots
+// followed by one signal per slot and 64 spare bytes, or a flat shared
+// heap with no signal words.
 func heapLayout(spec Spec) (size, sigBase int) {
 	switch {
+	case spec.ExchangeSlots > 0 && spec.Kind == OneSided:
+		return 2 * spec.ExchangeSlots * spec.SlotBytes, 2 * spec.ExchangeSlots * spec.SlotBytes
 	case spec.ExchangeSlots > 0:
 		sigBase = 2 * spec.ExchangeSlots * spec.SlotBytes
 		return sigBase + 2*spec.ExchangeSlots*8, sigBase
@@ -115,10 +121,17 @@ type shEp struct {
 	waits []int    // Exchange's signal offsets, reused
 	out   [][]byte // Exchange's result, reused
 
-	// Streamed-delivery receive state (shared with fork/join lanes).
+	// Streamed-delivery receive state (shared with fork/join lanes);
+	// got counts the slots consumed, for OneSided's poll charge.
 	mask []bool
 	sigs []int
+	got  int
 }
+
+// oneWord is the signal word OneSided's second put writes.
+var oneWord = []byte{1, 0, 0, 0, 0, 0, 0, 0}
+
+func (e *shEp) oneSided() bool { return e.t.spec.Kind == OneSided }
 
 func (e *shEp) Rank() int          { return e.c.MyPE() }
 func (e *shEp) Size() int          { return e.t.spec.Ranks }
@@ -126,25 +139,39 @@ func (e *shEp) Caps() Caps         { return e.t.Caps() }
 func (e *shEp) Now() sim.Time      { return e.c.Now() }
 func (e *shEp) Compute(d sim.Time) { e.c.Compute(d) }
 func (e *shEp) Barrier()           { e.c.Barrier() }
-func (e *shEp) Quiet()             { e.c.Quiet() }
+
+// Quiet is free on OneSided, whose protocol flushes as it goes.
+func (e *shEp) Quiet() {
+	if !e.oneSided() {
+		e.c.Quiet()
+	}
+}
 
 // Exchange runs one epoch of put-with-signal toward each peer slot
 // and wait_until_all on this rank's expected signals — no barrier,
-// parity double-buffering keeps epochs from colliding. It reads the
+// parity double-buffering keeps epochs from colliding. OneSided puts
+// and closes the epoch with a fence instead (§III-A). Either reads the
 // slots through View, so blank halos leave the heap unmade.
 func (e *shEp) Exchange(epoch int, sends []Msg, recvs []Expect) [][]byte {
 	t := e.t
 	k, stride, sigBase := t.spec.ExchangeSlots, t.spec.SlotBytes, t.sigBase
 	parity := epoch % 2
-	for _, m := range sends {
-		e.c.PutSignalNBI(m.Peer, (parity*k+m.Slot)*stride, m.Data,
-			sigBase+(parity*k+m.Slot)*8, uint64(epoch+1))
+	if e.oneSided() {
+		for _, m := range sends {
+			e.c.PutNBI(m.Peer, (parity*k+m.Slot)*stride, m.Data)
+		}
+		e.c.Fence()
+	} else {
+		for _, m := range sends {
+			e.c.PutSignalNBI(m.Peer, (parity*k+m.Slot)*stride, m.Data,
+				sigBase+(parity*k+m.Slot)*8, uint64(epoch+1))
+		}
+		e.waits = e.waits[:0]
+		for _, x := range recvs {
+			e.waits = append(e.waits, sigBase+(parity*k+x.Slot)*8)
+		}
+		e.c.WaitUntilAll(e.waits, uint64(epoch+1))
 	}
-	e.waits = e.waits[:0]
-	for _, x := range recvs {
-		e.waits = append(e.waits, sigBase+(parity*k+x.Slot)*8)
-	}
-	e.c.WaitUntilAll(e.waits, uint64(epoch+1))
 	t.sync()
 	e.out = e.out[:0]
 	for _, x := range recvs {
@@ -153,16 +180,31 @@ func (e *shEp) Exchange(epoch int, sends []Msg, recvs []Expect) [][]byte {
 	return e.out
 }
 
-// Deliver is one fused put-with-signal (k=2 on Shmem and Notified).
+// Deliver is one fused put-with-signal (k=2 on Shmem and Notified),
+// or on OneSided the paper's 4-op protocol: put data, flush, put the
+// signal word, flush.
 func (e *shEp) Deliver(peer, slot int, data []byte) {
-	stride := e.t.spec.SlotBytes
-	e.c.PutSignalNBI(peer, slot*stride, data, e.t.sigBase+8*slot, 1)
+	stride, sigOff := e.t.spec.SlotBytes, e.t.sigBase+8*slot
+	if !e.oneSided() {
+		e.c.PutSignalNBI(peer, slot*stride, data, sigOff, 1)
+		return
+	}
+	e.c.PutNBI(peer, slot*stride, data)
+	e.c.Flush(peer, slot*stride)
+	e.c.PutNBI(peer, sigOff, oneWord)
+	e.c.Flush(peer, sigOff)
 }
 
-// WaitAnySlot is nvshmem_wait_until_any over the unmasked signals.
+// WaitAnySlot is nvshmem_wait_until_any over the unmasked signals. On
+// OneSided it is the paper's Listing-1 acknowledgment loop, which also
+// charges PollCheck per remaining slot per wakeup.
 func (e *shEp) WaitAnySlot() (int, []byte) {
 	i := e.c.WaitUntilAny(e.sigs, e.mask, 1)
+	if e.oneSided() && e.t.spec.PollCheck > 0 {
+		e.c.Compute(e.t.spec.PollCheck * sim.Time(len(e.mask)-e.got))
+	}
 	e.mask[i] = true
+	e.got++
 	e.t.sync()
 	stride := e.t.spec.SlotBytes
 	return i, e.c.PE().View(i*stride, stride)
@@ -176,9 +218,10 @@ func (e *shEp) FetchAdd(peer, off int, delta uint64) uint64 {
 	return e.c.AtomicFetchAdd(peer, off, delta)
 }
 
-// FlushLocal is a no-op: puts complete fused or by quiet, stream or
-// channel order without a local-completion op, and atomics block.
-func (e *shEp) FlushLocal(int) {}
+// FlushLocal is OneSided's charged MPI_Win_flush_local, and free
+// elsewhere: puts complete fused or by quiet, stream or channel order
+// without a local-completion op, and atomics block.
+func (e *shEp) FlushLocal(int) { e.c.FlushLocal() }
 
 // Lanes is want on Shmem (GPU thread-block contexts) and 1 elsewhere:
 // a Notified rank is one CPU process, and the two offload paths

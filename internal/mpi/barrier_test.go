@@ -71,20 +71,15 @@ func TestBarrierUnderFaults(t *testing.T) {
 	}
 }
 
-// TestFenceMakesNoTwoSidedState checks that barriers, and so fences,
-// stay off the two-sided path: a one-sided run of puts and fences
-// never makes a rank's per-peer send or receive sequence map.
-func TestFenceMakesNoTwoSidedState(t *testing.T) {
+// TestBarrierMakesNoTwoSidedState checks that barriers stay off the
+// two-sided message path: a run of barriers alone never makes a rank's
+// per-peer send or receive sequence map.
+func TestBarrierMakesNoTwoSidedState(t *testing.T) {
 	const ranks = 16
 	c := newComm(t, "perlmutter-cpu", ranks)
-	w, err := c.NewWin(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = c.Launch(func(r *Rank) {
+	err := c.Launch(func(r *Rank) {
 		for i := 0; i < 3; i++ {
-			r.Put(w, (r.Rank()+1)%ranks, 0, []byte{byte(i)})
-			r.Fence(w)
+			r.Barrier()
 		}
 	})
 	if err != nil {

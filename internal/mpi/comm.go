@@ -1,16 +1,13 @@
-// Package mpi provides a simulated Message Passing Interface with the
-// two execution models the paper compares:
-//
-//   - two-sided: tag-matched nonblocking sends and receives
-//     (Isend/Irecv/Recv/Wait/Waitall) with an eager protocol and an
-//     unexpected-message queue, plus a dissemination Barrier whose
-//     rounds are real 1-byte messages (so synchronization pays
-//     realistic latency) that land as counted round signals, not
-//     through matching: internal/runtime's Barrier, which shmem shares;
-//   - one-sided (MPI-3 RMA): windows with Put, Win_fence,
-//     Win_flush, Win_flush_local, Fetch_and_op and Compare_and_swap
-//     (rma.go), each window one lazy runtime.Mem per rank, with puts
-//     and atomics as internal/runtime's put records and word atomics.
+// Package mpi provides simulated two-sided MPI: tag-matched
+// nonblocking sends and receives (Isend/Irecv/Recv/Wait/Waitall) with
+// an eager protocol and an unexpected-message queue, plus a
+// dissemination Barrier whose rounds are real 1-byte messages (so
+// synchronization pays realistic latency) that land as counted round
+// signals, not through matching: internal/runtime's Barrier, which
+// shmem shares. One-sided MPI (MPI-3 RMA: Put, Win_flush,
+// Win_flush_local, Win_fence and the atomics) is internal/shmem's
+// OneSided issue path, on the same PGAS core as the other put-based
+// transports.
 //
 // All costs (per-op overhead, injection gap, software latency, wire
 // time, link contention) come from the machine's calibrated transport
@@ -38,8 +35,6 @@ const (
 type Comm struct {
 	world *runtime.World
 	two   machine.TransportParams
-	one   machine.TransportParams
-	has1s bool
 	ranks []*Rank
 	// sendHook, when set, observes every two-sided message at delivery
 	// time (barrier rounds are not messages and are not seen).
@@ -62,9 +57,7 @@ func (c *Comm) SetSendHook(h runtime.MsgHook) { c.sendHook = h }
 // NewCommSharded builds a communicator with n ranks on the named
 // machine configuration, its world running windows on up to shards
 // workers (see runtime.NewWorldSharded; results are byte-identical at
-// every shard count). The machine must offer two-sided MPI (CPU
-// machines); one-sided operations additionally require the OneSided
-// transport.
+// every shard count). The machine must offer two-sided MPI.
 func NewCommSharded(cfg *machine.Config, n, shards int) (*Comm, error) {
 	two, ok := cfg.Params(machine.TwoSided)
 	if !ok {
@@ -75,7 +68,6 @@ func NewCommSharded(cfg *machine.Config, n, shards int) (*Comm, error) {
 		return nil, err
 	}
 	c := &Comm{world: w, two: two}
-	c.one, c.has1s = cfg.Params(machine.OneSided)
 	for r := 0; r < n; r++ {
 		c.ranks = append(c.ranks, &Rank{comm: c, id: r, ep: w.Endpoint(r), arrived: sim.NewCond(w.EngineOf(r))})
 	}
@@ -168,9 +160,6 @@ func (r *Rank) Rank() int { return r.id }
 // Size returns the communicator size.
 func (r *Rank) Size() int { return r.comm.Size() }
 
-// Proc returns the simulated process driving this rank.
-func (r *Rank) Proc() *sim.Proc { return r.proc }
-
 // Now returns the current simulated time.
 func (r *Rank) Now() sim.Time { return r.proc.Now() }
 
@@ -200,10 +189,4 @@ func (r *Rank) PendingOutOfOrder() int {
 // round charges a send and a receive post like Isend+Irecv, but its
 // message lands as a counted round signal (runtime.Barrier) on its
 // own context: no tag matching, sequence number or request.
-func (r *Rank) Barrier() {
-	if r.comm.Size() == 1 {
-		r.ep.ChargeOp(r.proc, r.comm.two)
-		return
-	}
-	r.bar.Wait(r.proc)
-}
+func (r *Rank) Barrier() { r.bar.Wait(r.proc) }

@@ -11,7 +11,8 @@ import (
 // perlmutter-cpu ranks in two node groups, so every message between
 // rank 0 and rank 127 crosses the window barrier. CI requires
 // 0 allocs/op from each of them, except the requests Isend and Irecv
-// return to their caller (DESIGN.md §18).
+// return to their caller (DESIGN.md §18). The one-sided put+flush and
+// fetch-and-add are internal/shmem's.
 
 // msgPathWarmup is how many ops each active rank runs before the timer
 // starts: enough to grow every pool, queue and map to its steady size.
@@ -20,7 +21,7 @@ const msgPathWarmup = 64
 // benchMsgPath runs the op that setup returns for each active rank,
 // first msgPathWarmup times and then b.N times. Allocations and time
 // count from the end of rank 0's warm-up to the end of its b.N-th op.
-func benchMsgPath(b *testing.B, active func(rank int) bool, setup func(r *Rank, w *Win) func()) {
+func benchMsgPath(b *testing.B, active func(rank int) bool, setup func(r *Rank) func()) {
 	cfg, err := machine.Get("perlmutter-cpu")
 	if err != nil {
 		b.Fatal(err)
@@ -32,16 +33,12 @@ func benchMsgPath(b *testing.B, active func(rank int) bool, setup func(r *Rank, 
 	if g := c.World().Groups(); g != 2 {
 		b.Fatalf("%d node groups, want 2", g)
 	}
-	w, err := c.NewWin(64)
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.ReportAllocs()
 	err = c.Launch(func(r *Rank) {
 		if !active(r.Rank()) {
 			return
 		}
-		op := setup(r, w)
+		op := setup(r)
 		for i := 0; i < msgPathWarmup; i++ {
 			op()
 		}
@@ -63,8 +60,6 @@ func benchMsgPath(b *testing.B, active func(rank int) bool, setup func(r *Rank, 
 // pair is rank 0 and its cross-group peer, rank 127.
 func pair(rank int) bool { return rank == 0 || rank == 127 }
 
-func originOnly(rank int) bool { return rank == 0 }
-
 func everyRank(int) bool { return true }
 
 // BenchmarkMsgPathIsendIrecvWaitall exchanges 8 bytes each way per op:
@@ -73,7 +68,7 @@ func everyRank(int) bool { return true }
 // those four, two per rank, and nothing on the message path under
 // them (the barrier, which reuses its request, shows that path alone).
 func BenchmarkMsgPathIsendIrecvWaitall(b *testing.B) {
-	benchMsgPath(b, pair, func(r *Rank, _ *Win) func() {
+	benchMsgPath(b, pair, func(r *Rank) func() {
 		peer := 127 - r.Rank()
 		data := runtime.Blank(8)
 		reqs := make([]*Request, 2)
@@ -88,25 +83,5 @@ func BenchmarkMsgPathIsendIrecvWaitall(b *testing.B) {
 // BenchmarkMsgPathBarrier is one dissemination barrier over all 128
 // ranks: seven rounds of 1-byte messages per rank.
 func BenchmarkMsgPathBarrier(b *testing.B) {
-	benchMsgPath(b, everyRank, func(r *Rank, _ *Win) func() { return r.Barrier })
-}
-
-// BenchmarkMsgPathPutFlush is an 8-byte put from rank 0 into rank 127's
-// window and the flush that waits for it.
-func BenchmarkMsgPathPutFlush(b *testing.B) {
-	benchMsgPath(b, originOnly, func(r *Rank, w *Win) func() {
-		data := []byte("8 bytes.")
-		return func() {
-			r.Put(w, 127, 0, data)
-			r.Flush(w, 127)
-		}
-	})
-}
-
-// BenchmarkMsgPathFetchAndAdd is one remote fetch-and-add from rank 0
-// on a word in rank 127's window.
-func BenchmarkMsgPathFetchAndAdd(b *testing.B) {
-	benchMsgPath(b, originOnly, func(r *Rank, w *Win) func() {
-		return func() { r.FetchAndAdd(w, 127, 8, 1) }
-	})
+	benchMsgPath(b, everyRank, func(r *Rank) func() { return r.Barrier })
 }

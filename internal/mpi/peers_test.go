@@ -10,23 +10,6 @@ import (
 	"msgroofline/internal/sim"
 )
 
-// peerState reports how many entries the sparse per-peer maps hold
-// that should be empty once a run has drained: out-of-order arrivals
-// across all ranks, and in-flight put targets across all origins plus
-// the origins' pending totals.
-func peerState(c *Comm, w *Win) (ooo, outstanding, pending int) {
-	for _, r := range c.ranks {
-		ooo += len(r.ooo) + r.PendingOutOfOrder()
-	}
-	if w != nil {
-		for o := range w.outstanding {
-			outstanding += len(w.outstanding[o])
-			pending += w.pending[o]
-		}
-	}
-	return ooo, outstanding, pending
-}
-
 func TestPerPeerStateDrains(t *testing.T) {
 	cfg, err := machine.Get("dragonfly-1k")
 	if err != nil {
@@ -65,38 +48,10 @@ func TestPerPeerStateDrains(t *testing.T) {
 	if maxOOO == 0 {
 		t.Fatalf("faults never reordered arrivals (%+v)", c.World().Inst.Net.FaultStats())
 	}
-	if ooo, _, _ := peerState(c, nil); ooo != 0 {
-		t.Fatalf("%d out-of-order entries left after the run", ooo)
-	}
-
-	// One-sided: puts to several targets, a flush to one, then flush-all.
-	c, err = NewCommSharded(cfg, ranks, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := c.NewWin(8 * ranks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inFlight := 0
-	err = c.Launch(func(r *Rank) {
-		for d := 0; d < ranks; d++ {
-			if d != r.Rank() {
-				r.Put(w, d, 8*r.Rank(), []byte{1, 2, 3})
-			}
+	for _, r := range c.ranks {
+		if n := len(r.ooo) + r.PendingOutOfOrder(); n != 0 {
+			t.Fatalf("rank %d keeps %d out-of-order entries after the run", r.id, n)
 		}
-		inFlight = max(inFlight, len(w.outstanding[r.Rank()]))
-		r.Flush(w, (r.Rank()+1)%ranks)
-		r.FlushAll(w)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inFlight == 0 {
-		t.Fatal("no put was ever in flight")
-	}
-	if _, outstanding, pending := peerState(c, w); outstanding != 0 || pending != 0 {
-		t.Fatalf("after flush-all: %d outstanding entries, %d pending puts", outstanding, pending)
 	}
 }
 
@@ -109,18 +64,13 @@ func liveHeap() int64 {
 	return int64(ms.HeapAlloc)
 }
 
-// ringWorldHeap builds a communicator and a one-sided window over n
-// ranks, runs one neighbour-only exchange (a message and a put to each
-// ring neighbour, then flush-all), and returns the heap the world
-// still holds afterwards.
+// ringWorldHeap builds a communicator over n ranks, runs one
+// neighbour-only exchange (a message to each ring neighbour), and
+// returns the heap the world still holds afterwards.
 func ringWorldHeap(t *testing.T, cfg *machine.Config, n int) int64 {
 	t.Helper()
 	base := liveHeap()
 	c, err := NewCommSharded(cfg, n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := c.NewWin(16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,15 +80,12 @@ func ringWorldHeap(t *testing.T, cfg *machine.Config, n int) int64 {
 		r.Isend(right, 0, []byte{2})
 		r.Recv(left, 0)
 		r.Recv(right, 0)
-		r.Put(w, left, 0, []byte{3})
-		r.Put(w, right, 8, []byte{4})
-		r.FlushAll(w)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	held := liveHeap() - base
-	goruntime.KeepAlive(w)
+	goruntime.KeepAlive(c)
 	return held
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"msgroofline/internal/machine"
+	"msgroofline/internal/shmem"
 	"msgroofline/internal/sim"
 )
 
@@ -146,8 +147,7 @@ func TestPropertyDeterministicElapsed(t *testing.T) {
 func TestPropertyPutPlacement(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw%20) + 1
-		c := newCommProp(2)
-		w, err := c.NewWin(4096)
+		j, err := shmem.NewJobSharded(machine.PerlmutterCPU, machine.OneSided, 2, 4096, 4096, 1)
 		if err != nil {
 			return false
 		}
@@ -164,20 +164,20 @@ func TestPropertyPutPlacement(t *testing.T) {
 			puts = append(puts, put{off: cursor, data: randBytes(rng, sz)})
 			cursor += sz + rng.Intn(16)
 		}
-		err = c.Launch(func(r *Rank) {
-			if r.Rank() != 0 {
+		err = j.Launch(func(c *shmem.Ctx) {
+			if c.MyPE() != 0 {
 				return
 			}
 			for _, pt := range puts {
-				r.Put(w, 1, pt.off, pt.data)
+				c.PutNBI(1, pt.off, pt.data)
 			}
-			r.Flush(w, 1)
+			c.Flush(1, 0)
 		})
 		if err != nil {
 			return false
 		}
 		for _, pt := range puts {
-			got := w.Local(1)[pt.off : pt.off+len(pt.data)]
+			got := j.PE(1).View(pt.off, len(pt.data))
 			for i := range pt.data {
 				if got[i] != pt.data[i] {
 					return false

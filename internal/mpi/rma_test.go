@@ -2,47 +2,63 @@ package mpi
 
 import (
 	"bytes"
+	"maps"
+	"strings"
 	"testing"
 
 	"msgroofline/internal/machine"
+	"msgroofline/internal/shmem"
 	"msgroofline/internal/sim"
 )
 
-func TestWinCreation(t *testing.T) {
-	c := newComm(t, "perlmutter-cpu", 4)
-	w, err := c.NewWin(64)
+// One-sided MPI (MPI-3 RMA) is internal/shmem's OneSided issue path.
+// These tests pin its MPI contract there: MPI_Put, MPI_Win_flush,
+// MPI_Win_fence and the atomics, each window a PE heap whose signal
+// words start at sigBase.
+
+// newRMA builds an n-rank one-sided job on the named machine, every
+// rank exposing heap bytes with its signal words from sigBase.
+func newRMA(t *testing.T, name string, n, heap, sigBase int) *shmem.Job {
+	t.Helper()
+	cfg, err := machine.Get(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(w.Local(2)) != 64 {
+	j, err := shmem.NewJobSharded(cfg, machine.OneSided, n, heap, sigBase, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j
+}
+
+func TestWinCreation(t *testing.T) {
+	j := newRMA(t, "perlmutter-cpu", 4, 64, 64)
+	if len(j.PE(2).Heap()) != 64 {
 		t.Fatal("window size wrong")
 	}
-	if _, err := c.NewWinSizes([]int{1, 2}); err == nil {
-		t.Fatal("wrong size count should fail")
-	}
-	if _, err := c.NewWinSizes([]int{1, -2, 3, 4}); err == nil {
+	cfg := machine.PerlmutterCPU
+	if _, err := shmem.NewJobSharded(cfg, machine.OneSided, 4, -2, 0, 1); err == nil {
 		t.Fatal("negative size should fail")
+	}
+	if _, err := shmem.NewJobSharded(cfg, machine.OneSided, 4, 8, 16, 1); err == nil {
+		t.Fatal("signal words past the window should fail")
 	}
 }
 
 func TestPutFlushVisibility(t *testing.T) {
-	c := newComm(t, "perlmutter-cpu", 2)
-	w, _ := c.NewWin(16)
-	const doneTag = 7
+	j := newRMA(t, "perlmutter-cpu", 2, 16, 16)
 	var seen []byte
-	err := c.Launch(func(r *Rank) {
-		if r.Rank() == 0 {
-			r.Put(w, 1, 4, []byte{9, 8, 7})
-			r.Flush(w, 1)
-			// Flush completed the put remotely; notify the target.
-			r.Send(1, doneTag, []byte{1})
+	err := j.Launch(func(c *shmem.Ctx) {
+		if c.MyPE() == 0 {
+			c.PutNBI(1, 4, []byte{9, 8, 7})
+			c.Flush(1, 0)
+			// Flush completed the put remotely; the barrier tells the
+			// target. It flushes nothing itself, so the put must have
+			// landed before it was entered.
+			c.Barrier()
 		} else {
-			r.Recv(0, doneTag)
-			// The notification was issued strictly after the flush
-			// returned, so the put must already be visible in this
-			// rank's own window memory (window memory is owned by its
-			// rank — visibility is always observed target-side).
-			seen = append([]byte{}, w.Local(1)[4:7]...)
+			c.Barrier()
+			seen = append([]byte{}, c.PE().Heap()[4:7]...)
 		}
 	})
 	if err != nil {
@@ -54,13 +70,12 @@ func TestPutFlushVisibility(t *testing.T) {
 }
 
 func TestPutWithoutFlushNotYetVisible(t *testing.T) {
-	c := newComm(t, "perlmutter-cpu", 2)
-	w, _ := c.NewWin(16)
+	j := newRMA(t, "perlmutter-cpu", 2, 16, 16)
 	var immediate byte
-	err := c.Launch(func(r *Rank) {
-		if r.Rank() == 0 {
-			r.Put(w, 1, 0, []byte{5})
-			immediate = w.Local(1)[0] // no flush: still in flight
+	err := j.Launch(func(c *shmem.Ctx) {
+		if c.MyPE() == 0 {
+			c.PutNBI(1, 0, []byte{5})
+			immediate = j.PE(1).View(0, 1)[0] // no flush: still in flight
 		}
 	})
 	if err != nil {
@@ -74,20 +89,19 @@ func TestPutWithoutFlushNotYetVisible(t *testing.T) {
 func TestFourOpProtocolCalibration(t *testing.T) {
 	// The paper's one-sided message: put(data), flush, put(signal),
 	// flush — about 5 us on Perlmutter CPU (Fig 6b).
-	c := newComm(t, "perlmutter-cpu", 128)
-	data, _ := c.NewWin(1 << 12)
-	sig, _ := c.NewWin(8)
+	const sigBase = 1 << 12
+	j := newRMA(t, "perlmutter-cpu", 128, sigBase+8, sigBase)
 	var elapsed sim.Time
-	err := c.Launch(func(r *Rank) {
-		if r.Rank() != 0 {
+	err := j.Launch(func(c *shmem.Ctx) {
+		if c.MyPE() != 0 {
 			return
 		}
-		start := r.Now()
-		r.Put(data, 127, 0, make([]byte, 100))
-		r.Flush(data, 127)
-		r.Put(sig, 127, 0, []byte{1, 0, 0, 0, 0, 0, 0, 0})
-		r.Flush(sig, 127)
-		elapsed = r.Now() - start
+		start := c.Now()
+		c.PutNBI(127, 0, make([]byte, 100))
+		c.Flush(127, 0)
+		c.PutNBI(127, sigBase, []byte{1, 0, 0, 0, 0, 0, 0, 0})
+		c.Flush(127, sigBase)
+		elapsed = c.Now() - start
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -99,14 +113,17 @@ func TestFourOpProtocolCalibration(t *testing.T) {
 
 func TestFenceEpoch(t *testing.T) {
 	// BSP pattern: everyone puts to the right neighbor, fence, read.
-	c := newComm(t, "perlmutter-cpu", 8)
-	w, _ := c.NewWin(8)
+	// The fence leaves no put and no barrier signal in flight.
+	j := newRMA(t, "perlmutter-cpu", 8, 8, 8)
 	got := make([]byte, 8)
-	err := c.Launch(func(r *Rank) {
-		right := (r.Rank() + 1) % r.Size()
-		r.Put(w, right, 0, []byte{byte(r.Rank() + 1)})
-		r.Fence(w)
-		got[r.Rank()] = w.Local(r.Rank())[0]
+	err := j.Launch(func(c *shmem.Ctx) {
+		right := (c.MyPE() + 1) % c.NPEs()
+		c.PutNBI(right, 0, []byte{byte(c.MyPE() + 1)})
+		c.Fence()
+		got[c.MyPE()] = c.PE().Heap()[0]
+		if n := c.PE().Outstanding(); n != 0 {
+			t.Errorf("rank %d: %d puts or barrier signals in flight after the fence", c.MyPE(), n)
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -120,14 +137,13 @@ func TestFenceEpoch(t *testing.T) {
 }
 
 func TestCompareAndSwap(t *testing.T) {
-	c := newComm(t, "perlmutter-cpu", 2)
-	w, _ := c.NewWin(8)
+	j := newRMA(t, "perlmutter-cpu", 2, 8, 8)
 	var first, second, final uint64
-	err := c.Launch(func(r *Rank) {
-		if r.Rank() == 0 {
-			first = r.CompareAndSwap(w, 1, 0, 0, 100)  // succeeds
-			second = r.CompareAndSwap(w, 1, 0, 0, 200) // fails: now 100
-			final = w.Uint64At(1, 0)
+	err := j.Launch(func(c *shmem.Ctx) {
+		if c.MyPE() == 0 {
+			first = c.AtomicCompareSwap(1, 0, 0, 100)  // succeeds
+			second = c.AtomicCompareSwap(1, 0, 0, 200) // fails: now 100
+			final = j.PE(1).Uint64At(0)
 		}
 	})
 	if err != nil {
@@ -148,11 +164,10 @@ func TestFetchAndAddAtomicity(t *testing.T) {
 	// Every rank increments rank 0's counter concurrently; the sum
 	// must be exact and each fetch value unique.
 	const n = 8
-	c := newComm(t, "perlmutter-cpu", n)
-	w, _ := c.NewWin(8)
+	j := newRMA(t, "perlmutter-cpu", n, 8, 8)
 	seen := make(map[uint64]bool)
-	err := c.Launch(func(r *Rank) {
-		old := r.FetchAndAdd(w, 0, 0, 1)
+	err := j.Launch(func(c *shmem.Ctx) {
+		old := c.AtomicFetchAdd(0, 0, 1)
 		if seen[old] {
 			t.Errorf("duplicate fetch value %d", old)
 		}
@@ -161,7 +176,7 @@ func TestFetchAndAddAtomicity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := w.Uint64At(0, 0); got != n {
+	if got := j.PE(0).Uint64At(0); got != n {
 		t.Fatalf("counter = %d, want %d", got, n)
 	}
 }
@@ -170,19 +185,18 @@ func TestSpectrumOneSidedSlower(t *testing.T) {
 	// Fig 3c: on Summit, the one-sided path is consistently slower
 	// than two-sided. Compare one fully synchronized small message.
 	oneSided := func() sim.Time {
-		c := newComm(t, "summit-cpu", 42)
-		data, _ := c.NewWin(4096)
+		j := newRMA(t, "summit-cpu", 42, 4096, 4096)
 		var el sim.Time
-		if err := c.Launch(func(r *Rank) {
-			if r.Rank() != 0 {
+		if err := j.Launch(func(c *shmem.Ctx) {
+			if c.MyPE() != 0 {
 				return
 			}
-			start := r.Now()
-			r.Put(data, 41, 0, make([]byte, 100))
-			r.Flush(data, 41)
-			r.Put(data, 41, 1024, []byte{1})
-			r.Flush(data, 41)
-			el = r.Now() - start
+			start := c.Now()
+			c.PutNBI(41, 0, make([]byte, 100))
+			c.Flush(41, 0)
+			c.PutNBI(41, 1024, []byte{1})
+			c.Flush(41, 1024)
+			el = c.Now() - start
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -213,10 +227,9 @@ func TestSpectrumOneSidedSlower(t *testing.T) {
 }
 
 func TestWindowBoundsPanic(t *testing.T) {
-	c := newComm(t, "perlmutter-cpu", 2)
-	w, _ := c.NewWin(8)
-	err := c.Launch(func(r *Rank) {
-		if r.Rank() != 0 {
+	j := newRMA(t, "perlmutter-cpu", 2, 8, 8)
+	err := j.Launch(func(c *shmem.Ctx) {
+		if c.MyPE() != 0 {
 			return
 		}
 		defer func() {
@@ -224,7 +237,7 @@ func TestWindowBoundsPanic(t *testing.T) {
 				t.Error("expected panic for out-of-range put")
 			}
 		}()
-		r.Put(w, 1, 6, []byte{1, 2, 3, 4})
+		c.PutNBI(1, 6, []byte{1, 2, 3, 4})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -232,38 +245,45 @@ func TestWindowBoundsPanic(t *testing.T) {
 }
 
 func TestOpStats(t *testing.T) {
-	c := newComm(t, "perlmutter-cpu", 2)
-	w, _ := c.NewWin(16)
-	err := c.Launch(func(r *Rank) {
-		if r.Rank() == 0 {
-			r.Put(w, 1, 0, []byte{1})
-			r.Flush(w, 1)
-			r.CompareAndSwap(w, 1, 8, 0, 1)
+	j := newRMA(t, "perlmutter-cpu", 2, 16, 16)
+	err := j.Launch(func(c *shmem.Ctx) {
+		if c.MyPE() == 0 {
+			c.PutNBI(1, 0, []byte{1})
+			c.Flush(1, 0)
+			c.AtomicCompareSwap(1, 8, 0, 1)
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	puts, atomics := w.OpStats()
+	puts, atomics := j.PE(0).OpStats()
 	if puts != 1 || atomics != 1 {
 		t.Fatalf("op stats = %d/%d", puts, atomics)
 	}
 }
 
+// TestNoOneSidedOnMachineWithoutRMA checks that every CPU machine of
+// the catalog builds a one-sided job, and that a machine without the
+// one-sided parameters, or without the two-sided ones its barrier
+// needs, is refused by name.
 func TestNoOneSidedOnMachineWithoutRMA(t *testing.T) {
-	// All CPU machines in the catalog have RMA; construct the error
-	// path by checking a communicator with has1s forced off is
-	// impossible through the public API — instead verify NewWin's
-	// error when the transport is absent cannot trigger on catalog
-	// machines.
 	for _, name := range machine.Names() {
 		cfg, _ := machine.Get(name)
 		if cfg.Kind != machine.CPU {
 			continue
 		}
-		c := newComm(t, name, 2)
-		if _, err := c.NewWin(8); err != nil {
+		if _, err := shmem.NewJobSharded(cfg, machine.OneSided, 2, 8, 8, 1); err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	noTwo := *machine.PerlmutterCPU
+	noTwo.Name = "perlmutter-cpu-without-two-sided"
+	noTwo.Transports = maps.Clone(noTwo.Transports)
+	delete(noTwo.Transports, machine.TwoSided)
+	for _, cfg := range []*machine.Config{machine.PerlmutterGPU, &noTwo} {
+		_, err := shmem.NewJobSharded(cfg, machine.OneSided, 2, 8, 8, 1)
+		if err == nil || !strings.Contains(err.Error(), cfg.Name) {
+			t.Errorf("%s: one-sided job error %v, want one naming the machine", cfg.Name, err)
 		}
 	}
 }

@@ -9,7 +9,8 @@ import (
 
 // BarrierCost is what each round of a dissemination barrier charges
 // and sends. RecvOp charges a second op per round, after the send: the
-// receive post of MPI's software barrier.
+// receive post of MPI's software barrier, which on one rank is still a
+// call and charges one op.
 type BarrierCost struct {
 	TP     machine.TransportParams
 	Bytes  int64
@@ -77,6 +78,9 @@ func NewBarriers(w *World, cost BarrierCost, wake, quiesced func(rank int) *sim.
 // returns once every rank has entered it.
 func (b *Barrier) Wait(p *sim.Proc) {
 	ep, c, n := b.ep, b.cost, len(b.all)
+	if n == 1 && c.RecvOp {
+		ep.ChargeOp(p, c.TP)
+	}
 	b.gen++
 	for r, k := 0, 1; k < n; r, k = r+1, k<<1 {
 		ep.ChargeOp(p, c.TP)

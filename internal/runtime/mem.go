@@ -78,9 +78,10 @@ func (m *Mem) FirstEqual(offs []int, mask []bool, val uint64) int {
 }
 
 // Land writes a Stage result at off. A blank payload stages to nil and
-// leaves the memory, made or not, as it was.
+// leaves the memory, made or not, as it was; a landing in the signal
+// words never makes the data region.
 func (m *Mem) Land(off int, staged []byte) {
 	if staged != nil {
-		Land(m.Bytes()[off:], staged)
+		Land(m.word(off, len(staged)), staged)
 	}
 }

@@ -6,8 +6,8 @@ import (
 	"msgroofline/internal/machine"
 )
 
-// Message-path benchmarks for the PGAS core, the shmem counterpart of
-// internal/mpi's BenchmarkMsgPath*. Each warms a world whose origin PE
+// Message-path benchmarks for the PGAS core, one-sided MPI's included,
+// beside internal/mpi's two-sided BenchmarkMsgPath*. Each warms a world whose origin PE
 // 0 and target PE npes-1 sit in different node groups, so every put
 // and atomic between them, and every barrier round, crosses the window
 // barrier. CI gates their allocs/op (DESIGN.md §18).
@@ -91,4 +91,23 @@ func BenchmarkMsgPathChannelPutSignalQuiet(b *testing.B) {
 // signals per PE.
 func BenchmarkMsgPathShmemBarrier(b *testing.B) {
 	benchMsgPath(b, "perlmutter-gpu", machine.GPUShmem, 4, 4, true, func(c *Ctx, _ int) { c.Barrier() })
+}
+
+// BenchmarkMsgPathPutFlush is one-sided MPI's 8-byte put from rank 0
+// into rank 127's window of perlmutter-cpu, across its two sockets, and
+// the flush that waits for it.
+func BenchmarkMsgPathPutFlush(b *testing.B) {
+	data := []byte("8 bytes.")
+	benchMsgPath(b, "perlmutter-cpu", machine.OneSided, 128, 2, false, func(c *Ctx, peer int) {
+		c.PutNBI(peer, 0, data)
+		c.Flush(peer, 0)
+	})
+}
+
+// BenchmarkMsgPathFetchAndAdd is one-sided MPI's remote fetch-and-add
+// from rank 0 on a word in rank 127's window of perlmutter-cpu.
+func BenchmarkMsgPathFetchAndAdd(b *testing.B) {
+	benchMsgPath(b, "perlmutter-cpu", machine.OneSided, 128, 2, false, func(c *Ctx, peer int) {
+		c.AtomicFetchAdd(peer, 8, 1)
+	})
 }

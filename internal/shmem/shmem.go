@@ -5,7 +5,7 @@
 // (compare-and-swap, fetch-and-add), quiet, and a dissemination
 // barrier. Ring collectives live in the separate internal/ccl layer.
 //
-// One implementation serves four issue paths, chosen by the
+// One implementation serves five issue paths, chosen by the
 // machine.Transport a Job is built on. They differ only in how a put
 // leaves the host and in what Quiet waits on:
 //
@@ -25,6 +25,13 @@
 //     put-with-signal in hardware, 1 op per put and 2 per fused
 //     put-with-signal. A fused op is locally complete at issue, so
 //     Quiet neither charges an op nor waits.
+//   - OneSided (MPI-3 RMA): a CPU rank's MPI_Put, 1 op per put, its
+//     channel drawn before the op. The data region and the signal
+//     words are two windows: only a data put is traced, only a signal
+//     put wakes the target, and Flush (one op, then wait) waits for
+//     the puts to one destination and window alone. FlushLocal is one
+//     op, Quiet is MPI_Win_flush_all (one op, then wait), Fence is
+//     Quiet then Barrier, and Barrier is MPI_Barrier, without Quiet.
 //
 // Remote memory, puts, atomics and the barrier are internal/runtime's:
 // each heap is a lazy runtime.Mem, whose data region below the signal
@@ -57,6 +64,11 @@ type Job struct {
 	// hook, when set, observes every user put at delivery time.
 	hook runtime.MsgHook
 	done func(src, dst int) // j.completed, bound once
+	// sigBase is where every heap's signal words start. On OneSided,
+	// landed[area] completes a put into the data region (0) or the
+	// signal words (1).
+	sigBase int
+	landed  [2]func(src, dst int)
 	// unordered is copied into every channel a PE opens (see
 	// SetDebugUnordered).
 	unordered bool
@@ -73,7 +85,8 @@ func NewJob(cfg *machine.Config, npes, heapBytes int) (*Job, error) {
 }
 
 // NewJobSharded builds a job whose puts leave the host over tr
-// (GPUShmem, StreamTriggered, MemChannel or NotifiedAccess). Each PE's heap holds
+// (GPUShmem, StreamTriggered, MemChannel, NotifiedAccess or OneSided;
+// OneSided also needs the two-sided parameters). Each PE's heap holds
 // heapBytes, with its signal words at [sigBase, heapBytes): they never
 // force the lazy data region below them into existence. shards is the
 // -shards worker count for the underlying world (see
@@ -81,7 +94,7 @@ func NewJob(cfg *machine.Config, npes, heapBytes int) (*Job, error) {
 // count).
 func NewJobSharded(cfg *machine.Config, tr machine.Transport, npes, heapBytes, sigBase, shards int) (*Job, error) {
 	switch tr {
-	case machine.GPUShmem, machine.StreamTriggered, machine.MemChannel, machine.NotifiedAccess:
+	case machine.GPUShmem, machine.StreamTriggered, machine.MemChannel, machine.NotifiedAccess, machine.OneSided:
 	default:
 		return nil, fmt.Errorf("shmem: %s is not a PGAS transport", tr)
 	}
@@ -95,12 +108,27 @@ func NewJobSharded(cfg *machine.Config, tr machine.Transport, npes, heapBytes, s
 	if !ok {
 		return nil, fmt.Errorf("shmem: machine %s has no %s transport", cfg.Name, tr)
 	}
+	two, ok := cfg.Params(machine.TwoSided)
+	if !ok && tr == machine.OneSided {
+		return nil, fmt.Errorf("shmem: machine %s has no %s transport", cfg.Name, machine.TwoSided)
+	}
 	w, err := runtime.NewWorldSharded(cfg, npes, shards)
 	if err != nil {
 		return nil, err
 	}
-	j := &Job{world: w, tr: tr, tp: tp}
+	j := &Job{world: w, tr: tr, tp: tp, sigBase: sigBase}
 	j.done = j.completed
+	for area := range j.landed {
+		j.landed[area] = func(src, dst int) {
+			pe := j.pes[src]
+			i, _ := slices.BinarySearchFunc(pe.flights, dst, flightDst)
+			pe.flights[i].n[area]--
+			if f := pe.flushed[area]; f != nil {
+				f.Broadcast()
+			}
+			j.completed(src, dst)
+		}
+	}
 	for pe := 0; pe < npes; pe++ {
 		eng := w.EngineOf(pe)
 		p := &PE{job: j, id: pe, ep: w.Endpoint(pe), mem: runtime.NewMem(heapBytes, sigBase),
@@ -110,9 +138,11 @@ func NewJobSharded(cfg *machine.Config, tr machine.Transport, npes, heapBytes, s
 		}
 		j.pes = append(j.pes, p)
 	}
-	bars := runtime.NewBarriers(w, runtime.BarrierCost{TP: tp, Bytes: 8},
-		func(pe int) *sim.Cond { return sim.NewCond(w.EngineOf(pe)) },
-		func(pe int) *sim.Cond { return j.pes[pe].quiesced })
+	cost, quiesced := runtime.BarrierCost{TP: tp, Bytes: 8}, func(pe int) *sim.Cond { return j.pes[pe].quiesced }
+	if tr == machine.OneSided {
+		cost, quiesced = runtime.BarrierCost{TP: two, Bytes: 1, RecvOp: true}, nil
+	}
+	bars := runtime.NewBarriers(w, cost, func(pe int) *sim.Cond { return sim.NewCond(w.EngineOf(pe)) }, quiesced)
 	for pe, b := range bars {
 		j.pes[pe].bar = b
 	}
@@ -175,8 +205,12 @@ type PE struct {
 	chans  []*runtime.Channel
 
 	// outstanding counts puts not yet remotely complete (channel
-	// writes are tracked by their channels, barrier signals by bar).
+	// writes are tracked by their channels, barrier signals by bar);
+	// on OneSided, flights splits them by destination and flushed[area]
+	// (made by the area's first Flush) is signaled as they land.
 	outstanding   int
+	flights       []flight
+	flushed       [2]*sim.Cond
 	landed        *sim.Cond // signaled when data lands in this PE's heap
 	quiesced      *sim.Cond // signaled when a put or barrier signal completes
 	bar           *runtime.Barrier
@@ -210,6 +244,13 @@ func (pe *PE) Channels() []*runtime.Channel { return pe.chans }
 
 // OpStats returns cumulative put and atomic counts for this PE.
 func (pe *PE) OpStats() (puts, atomics int64) { return pe.puts, pe.atomics }
+
+// flight counts one OneSided PE's puts in flight to dst: n[0] into
+// the data region, n[1] into the signal words.
+type flight struct {
+	dst int
+	n   [2]int
+}
 
 // Outstanding returns the number of this PE's puts and barrier
 // signals still in flight, channel writes excepted (conformance
@@ -303,10 +344,11 @@ func (c *Ctx) putNBIOn(dst, dstOff int, data []byte, sigOff int, sigVal uint64, 
 		panic(fmt.Sprintf("shmem: signal offset %d outside PE %d heap", sigOff, dst))
 	}
 	switch job.tr {
-	case machine.GPUShmem:
+	case machine.GPUShmem, machine.OneSided:
 		// A device put takes its channel at issue, before its ops: block
 		// contexts charged concurrently keep their issue order on the
-		// channels. The offload paths take theirs as the put leaves.
+		// channels; MPI_Put draws it first too. The offload paths take
+		// theirs as the put leaves.
 		if ch < 0 {
 			ch = pe.ep.AutoChannel()
 		}
@@ -335,6 +377,9 @@ func (c *Ctx) putNBIOn(dst, dstOff int, data []byte, sigOff int, sigVal uint64, 
 	}
 	pe.outstanding++
 	put.Done = job.done
+	if job.tr == machine.OneSided {
+		pe.oneSided(&put)
+	}
 	if pe.stream != nil {
 		pe.ep.PutAt(&job.tp, put, data, ch, issue)
 	} else {
@@ -356,6 +401,46 @@ func (pe *PE) channel(dst int) *runtime.Channel {
 	return pe.chans[i]
 }
 
+// oneSided counts a OneSided put as in flight to its destination in
+// its heap area and sets what its landing does: a put into the signal
+// words wakes the target and is not traced, any other put is traced
+// and wakes nobody.
+func (pe *PE) oneSided(p *runtime.Put) {
+	area := pe.job.area(p.Off)
+	if area == 0 {
+		p.Wake = nil
+	} else {
+		p.Hook = nil
+	}
+	i, found := slices.BinarySearchFunc(pe.flights, p.Dst, flightDst)
+	if !found {
+		pe.flights = slices.Insert(pe.flights, i, flight{dst: p.Dst})
+	}
+	pe.flights[i].n[area]++
+	p.Done = pe.job.landed[area]
+}
+
+func flightDst(f flight, dst int) int { return cmp.Compare(f.dst, dst) }
+
+// area is the OneSided window holding heap offset off: 0 for the data
+// region, 1 for the signal words.
+func (j *Job) area(off int) int {
+	if off >= j.sigBase {
+		return 1
+	}
+	return 0
+}
+
+// inFlight returns how many of this PE's OneSided puts into area of
+// dst's heap have not landed.
+func (pe *PE) inFlight(dst, area int) int {
+	i, found := slices.BinarySearchFunc(pe.flights, dst, flightDst)
+	if !found {
+		return 0
+	}
+	return pe.flights[i].n[area]
+}
+
 // completed is the local half of src's puts, at their remote completion.
 func (j *Job) completed(src, _ int) {
 	pe := j.pes[src]
@@ -364,22 +449,45 @@ func (j *Job) completed(src, _ int) {
 }
 
 // Quiet blocks until all puts issued by this PE have completed
-// remotely (nvshmem_quiet). GPUShmem and StreamTriggered charge one op;
-// MemChannel drains its channels in destination order, the transport's
-// native fence. NotifiedAccess returns at once: its fused ops need no
-// completion call.
+// remotely (nvshmem_quiet, MPI_Win_flush_all). GPUShmem,
+// StreamTriggered and OneSided charge one op; MemChannel drains its
+// channels in destination order, the transport's native fence.
+// NotifiedAccess returns at once: its fused ops need no completion
+// call.
 func (c *Ctx) Quiet() {
 	pe := c.pe
 	switch pe.job.tr {
 	case machine.NotifiedAccess:
 		return
-	case machine.GPUShmem, machine.StreamTriggered:
+	case machine.GPUShmem, machine.StreamTriggered, machine.OneSided:
 		pe.ep.ChargeOp(c.proc, pe.job.tp)
 	}
 	for _, ch := range pe.chans {
 		ch.Drain(c.proc)
 	}
 	pe.quiesced.WaitFor(c.proc, func() bool { return pe.Outstanding() == 0 })
+}
+
+// Flush is MPI_Win_flush on OneSided: it charges one op, then blocks
+// until every put this PE issued to dst's window holding off (the data
+// region or the signal words) has landed.
+func (c *Ctx) Flush(dst, off int) {
+	pe := c.pe
+	pe.ep.ChargeOp(c.proc, pe.job.tp)
+	area := pe.job.area(off)
+	if pe.flushed[area] == nil {
+		pe.flushed[area] = sim.NewCond(c.proc.Engine())
+	}
+	pe.flushed[area].WaitFor(c.proc, func() bool { return pe.inFlight(dst, area) == 0 })
+}
+
+// FlushLocal is MPI_Win_flush_local on OneSided: one op and no wait,
+// since a put stages its payload at issue. The other paths have no
+// local completion call, and it is free there.
+func (c *Ctx) FlushLocal() {
+	if pe := c.pe; pe.job.tr == machine.OneSided {
+		pe.ep.ChargeOp(c.proc, pe.job.tp)
+	}
 }
 
 // WaitUntilAll blocks until every listed local signal slot equals
@@ -431,8 +539,18 @@ func (c *Ctx) atomic(dst, off int, cas bool, compare, operand uint64) uint64 {
 // runtime's dissemination barrier of raw 8-byte signals (outside any
 // stream or channel, not traced), one op per round, paying log2(NPEs)
 // small-message latencies. Quiet also waits for its signals, except
-// on NotifiedAccess, whose Quiet returns at once.
+// on NotifiedAccess, whose Quiet returns at once. On OneSided it is
+// MPI_Barrier, with no quiet (see the package doc).
 func (c *Ctx) Barrier() {
-	c.Quiet()
+	if c.pe.job.tr != machine.OneSided {
+		c.Quiet()
+	}
 	c.pe.bar.Wait(c.proc)
+}
+
+// Fence is MPI_Win_fence on OneSided: Quiet, then Barrier. Every put
+// issued before any PE's Fence has landed when it returns.
+func (c *Ctx) Fence() {
+	c.Quiet()
+	c.Barrier()
 }

@@ -32,8 +32,9 @@ package sim
 //     NextAt values replaces the O(G) min scan per window — only
 //     groups that executed (read by their workers) or received
 //     barrier ops re-publish;
-//   - each worker moves its groups' mailboxes into one run and sorts
-//     it, so the barrier merges one sorted run per worker;
+//   - a group's deferred ops go straight into the run of the worker
+//     executing it, and each worker sorts its run, so the barrier
+//     merges one sorted run per worker;
 //   - the barrier is one round: it runs its ops one at a time in the
 //     merged order, buffering the events they schedule (At), then
 //     applies those events in one pass, on the pool when there are
@@ -57,7 +58,7 @@ package sim
 //     every simulated output — is invariant under the worker count,
 //     certified by the per-group event-order digests. Deferred ops
 //     are leaves: they touch links, fault draws and deliveries (At),
-//     and never defer, so one barrier round empties every mailbox.
+//     and never defer, so one barrier round empties every run.
 //
 // A one-group world (every rank on one fabric node) delegates Run to
 // the lone Engine verbatim, preserving exact sequential semantics
@@ -72,7 +73,6 @@ import (
 	"sort"
 	"sync/atomic"
 	"time"
-	"unsafe"
 )
 
 const (
@@ -86,9 +86,9 @@ const (
 
 	timeMax = Time(math.MaxInt64)
 
-	// DefaultMailboxCap bounds each group's deferred-op mailbox: the
-	// number of cross-group ops one group may emit within a single
-	// window. Exceeding it is a hard error, keeping worst-case memory
+	// DefaultMailboxCap bounds the number of cross-group ops one group
+	// may defer within a single window (its share of its worker's
+	// run). Exceeding it is a hard error, keeping worst-case memory
 	// proportional to groups × cap instead of unbounded.
 	DefaultMailboxCap = 1 << 20
 )
@@ -116,32 +116,33 @@ type delivery struct {
 	fn func()
 }
 
-// inlineSlots is how many event nodes, heap entries, free-list entries
-// and deferred ops a group record holds inline; most groups of a large
-// world never hold more (phold-100k: 50K tokens over 100K groups). The
-// append that outgrows a view moves it to the heap. phold-100k's CPU
-// time fell from 2.28 s to 2.05, 1.90 and 1.73 s at depths 0, 2 and 4.
+// inlineSlots is how many heap entries a group record holds inline;
+// most groups of a large world never hold more (phold-100k: 50K tokens
+// over 100K groups). The append that outgrows them moves the heap to
+// a fresh allocation.
 const inlineSlots = 4
 
-// groupRec is one node group's state: its engine, its deferred ops of
-// the current window (mailbox), its rank count, its first error
-// (Defer/At misuse) and the inline first slots of both.
-type groupRec struct {
-	eng     Engine
-	mailbox []deferredOp
-	nranks  int
-	err     error
-	nodes   [inlineSlots]eventNode
-	heap    [inlineSlots]heapEnt
-	free    [inlineSlots]int32
-	ops     [inlineSlots]deferredOp
+// group is one node group's record, exactly four 64-byte lines, so
+// workers running adjacent groups share no line (Go puts a slab over
+// 32 KB on a page boundary): its engine, the worker executing it in
+// the current window (whose run takes its deferred ops), the count of
+// ops it deferred in that window, and its first heap entries.
+type group struct {
+	eng      Engine
+	worker   int32
+	deferred int32
+	heap     [inlineSlots]heapEnt
 }
 
-// group pads a record to whole 64-byte lines: workers running adjacent
-// groups share no line (Go puts a slab over 32 KB on a page boundary).
-type group struct {
-	groupRec
-	_ [(64 - unsafe.Sizeof(groupRec{})%64) % 64]byte
+// opRun is one worker's part of a window: the deferred ops of the
+// groups it executes and the lowest of those groups that went over
+// DefaultMailboxCap, with its error. It fills one 64-byte line, so
+// workers deferring at once share none.
+type opRun struct {
+	ops  []deferredOp
+	errG int32
+	err  error
+	_    [16]byte
 }
 
 // CoupledEngine couples per-node-group sequential Engines under
@@ -155,8 +156,7 @@ type CoupledEngine struct {
 	lookahead Time
 	workers   int
 
-	counter []uint64    // per-rank deferred-op stream counters
-	gerrSet atomic.Bool // some group's err is set: firstErr scans only then
+	counter []uint64 // per-rank deferred-op stream counters
 
 	windows    uint64
 	dispatches uint64 // total group-window dispatches (sum of active-set sizes)
@@ -180,14 +180,15 @@ type CoupledEngine struct {
 
 	// Barrier state. inBarrier is true only while the barrier executes
 	// deferred ops; At uses it to buffer deliveries and Defer to refuse
-	// the call. runs[w] holds the sorted ops of the groups worker w
-	// ran, heads is the merge's cursor over them, and pend[w] buffers
-	// the barrier's deliveries to share w, the groups g with
+	// the call. runs[w] holds the ops deferred by the groups worker w
+	// ran, sorted by w; heads is the merge's cursor over them; pend[w]
+	// buffers the barrier's deliveries to share w, the groups g with
 	// g*workers/groups == w (a contiguous range of the slab). All are
 	// reused across windows. deliveries counts barrier-time At calls
 	// and parDeliveries those in barriers that opened them to the pool.
 	inBarrier     bool
-	runs, heads   [][]deferredOp
+	runs          []opRun
+	heads         [][]deferredOp
 	pend          [][]delivery
 	deliveries    uint64
 	parDeliveries uint64
@@ -251,20 +252,21 @@ func NewCoupled(groupOf []int, lookahead Time, workers int) (*CoupledEngine, err
 		lookahead: lookahead,
 		workers:   workers,
 		counter:   make([]uint64, len(groupOf)),
-		runs:      make([][]deferredOp, workers),
+		runs:      make([]opRun, workers),
 		pend:      make([][]delivery, workers),
 	}
+	// Each rank readies its group's engine (again, for a group's later
+	// ranks: nothing is scheduled yet), so an engine left unready marks
+	// a group without ranks.
 	for r, g := range groupOf {
 		ce.groupOf[r] = int32(g)
-		ce.groups[g].nranks++
+		gr := &ce.groups[g]
+		gr.eng.init(gr.heap[:0])
 	}
 	for g := range ce.groups {
-		gr := &ce.groups[g]
-		if gr.nranks == 0 {
+		if ce.groups[g].eng.horizon == 0 {
 			return nil, fmt.Errorf("sim: coupled group ids must be dense, group %d has no ranks", g)
 		}
-		gr.eng.init(gr.nodes[:0], gr.heap[:0], gr.free[:0])
-		gr.mailbox = gr.ops[:0]
 	}
 	return ce, nil
 }
@@ -299,7 +301,10 @@ func (ce *CoupledEngine) SetPerturbation(p *Perturbation) {
 }
 
 // Defer enqueues a cross-group operation on behalf of rank, to be
-// applied at the current window's barrier. Ops are applied one at a
+// applied at the current window's barrier. The op goes straight into
+// the run of the worker executing the rank's group; a group may defer
+// at most DefaultMailboxCap ops per window, and the ops past it are
+// dropped and fail the run at the barrier. Ops are applied one at a
 // time in (at, senderRank<<counterBits|senderCounter) order, giving
 // shared-state mutations (link reservations, fault draws) one explicit
 // serialization point whose order is invariant under the worker count.
@@ -325,14 +330,16 @@ func (ce *CoupledEngine) Defer(rank int, at Time, run func()) {
 		panic(fmt.Sprintf("sim: rank %d exhausted its %d-bit deferred-op counter", rank, counterBits))
 	}
 	ce.counter[rank] = c + 1
-	if len(gr.mailbox) >= DefaultMailboxCap {
-		if gr.err == nil {
-			gr.err = fmt.Errorf("sim: coupled mailbox group %d over capacity %d", g, DefaultMailboxCap)
-			ce.gerrSet.Store(true)
+	rn := &ce.runs[gr.worker]
+	if gr.deferred >= DefaultMailboxCap {
+		if rn.err == nil || g < rn.errG {
+			rn.errG = g
+			rn.err = fmt.Errorf("sim: coupled mailbox group %d over capacity %d", g, DefaultMailboxCap)
 		}
 		return
 	}
-	gr.mailbox = append(gr.mailbox, deferredOp{at: at, key: uint64(rank)<<counterBits | c, run: run})
+	gr.deferred++
+	rn.ops = append(rn.ops, deferredOp{at: at, key: uint64(rank)<<counterBits | c, run: run})
 }
 
 // At schedules fn on rank's engine at absolute time t, clamping t
@@ -419,9 +426,11 @@ func (ce *CoupledEngine) Digest() uint64 {
 // GroupStats returns per-group execution summaries in group order.
 func (ce *CoupledEngine) GroupStats() []GroupStats {
 	out := make([]GroupStats, len(ce.groups))
+	for _, g := range ce.groupOf {
+		out[g].Ranks++
+	}
 	for g := range ce.groups {
-		gr := &ce.groups[g]
-		out[g] = GroupStats{Ranks: gr.nranks, Executed: int64(gr.eng.Executed())}
+		out[g].Executed = int64(ce.groups[g].eng.Executed())
 	}
 	return out
 }
@@ -445,18 +454,17 @@ func (ce *CoupledEngine) BusyWall(wall time.Duration) float64 {
 	return float64(ce.busy) / float64(wall)
 }
 
-// firstErr collects the first group-confined error in group order,
-// scanning the groups only once one has recorded an error.
+// firstErr returns the error of the lowest group that went over
+// DefaultMailboxCap, whichever worker ran it, or nil.
 func (ce *CoupledEngine) firstErr() error {
-	if !ce.gerrSet.Load() {
-		return nil
-	}
-	for g := range ce.groups {
-		if err := ce.groups[g].err; err != nil {
-			return err
+	var err error
+	g := int32(math.MaxInt32)
+	for w := range ce.runs {
+		if rn := &ce.runs[w]; rn.err != nil && rn.errG < g {
+			g, err = rn.errG, rn.err
 		}
 	}
-	return nil
+	return err
 }
 
 // Run drives the coupled simulation to completion: repeated
@@ -496,18 +504,26 @@ func (ce *CoupledEngine) Run() error {
 	if ce.workers > 1 {
 		ce.startPool()
 		defer ce.stopPool()
-	} else {
-		// Inline windows run on this goroutine back to back: one
-		// whole-loop measurement replaces two clock reads per group
-		// per window (the per-window pairs cost more than the windows
-		// on short-event workloads).
-		t0 := time.Now()
-		defer func() { ce.busy = time.Since(t0) }()
 	}
+	// The phases are chained: each clock read ends one phase and
+	// starts the next, four reads per window, so exec + barrier + scan
+	// is the loop's wall time. Inline windows run on this goroutine
+	// back to back, so that time is also an inline run's busy time
+	// (per-group reads would cost more than the windows on short-event
+	// workloads).
+	start := time.Now()
+	t0 := start
+	defer func() {
+		if ce.workers <= 1 {
+			ce.busy = t0.Sub(start)
+		}
+	}()
 	for {
-		s0 := time.Now()
 		minNext := ce.tree.min()
 		if minNext == timeMax {
+			end := time.Now()
+			ce.scanWall += end.Sub(t0)
+			t0 = end
 			return ce.finish()
 		}
 		w1 := timeMax
@@ -515,13 +531,13 @@ func (ce *CoupledEngine) Run() error {
 			w1 = minNext + ce.lookahead
 		}
 		ce.active = ce.tree.collect(w1, ce.active[:0])
-		ce.scanWall += time.Since(s0)
 		ce.windows++
 		ce.dispatches += uint64(len(ce.active))
-		e0 := time.Now()
+		t1 := time.Now()
+		ce.scanWall += t1.Sub(t0)
 		ce.window(w1)
-		e1 := time.Now()
-		ce.execWall += e1.Sub(e0)
+		t2 := time.Now()
+		ce.execWall += t2.Sub(t1)
 		// Dispatched groups re-publish the horizons their workers
 		// recorded; undisturbed groups keep their published value
 		// (nothing else may touch a group's queue outside its own
@@ -529,10 +545,11 @@ func (ce *CoupledEngine) Run() error {
 		for i, g := range ce.active {
 			ce.tree.update(int(g), ce.next[i])
 		}
-		ce.scanWall += time.Since(e1)
-		b0 := time.Now()
+		t3 := time.Now()
+		ce.scanWall += t3.Sub(t2)
 		err := ce.applyDeferred()
-		ce.barrierWall += time.Since(b0)
+		t0 = time.Now()
+		ce.barrierWall += t0.Sub(t3)
 		if err != nil {
 			return err
 		}
@@ -540,42 +557,34 @@ func (ce *CoupledEngine) Run() error {
 }
 
 // window executes one conservative window on every active group,
-// inline with one worker, else as a pool task (runPool), retiring each
-// group into its worker's run. A panic, re-raised on Run's goroutine,
-// is the lowest panicking group's at every worker count, the one an
-// inline run stops at.
+// inline with one worker, else as a pool task (runPool). A panic,
+// re-raised on Run's goroutine, is the lowest panicking group's at
+// every worker count, the one an inline run stops at.
 func (ce *CoupledEngine) window(w1 Time) {
 	ce.next = slices.Grow(ce.next[:0], len(ce.active))[:len(ce.active)]
+	ce.w1 = w1
 	if ce.workers <= 1 {
-		ce.runInline(w1)
+		for i := range ce.active {
+			ce.runGroup(0, i)
+		}
+		sortOps(ce.runs[0].ops)
 		return
 	}
-	ce.w1 = w1
 	ce.pool.Pooled++
 	ce.runPool(len(ce.active), ce.wakePays(len(ce.active)))
 }
 
-// runInline runs the window's active groups on Run's goroutine.
-func (ce *CoupledEngine) runInline(w1 Time) {
-	for i, g := range ce.active {
-		ce.groups[g].eng.RunBefore(w1)
-		ce.retire(0, i)
-	}
-	sortOps(ce.runs[0])
-}
-
-// retire records active group i's post-window horizon in its slot and
-// moves its mailbox into worker w's run.
-func (ce *CoupledEngine) retire(w, i int) {
-	g := ce.active[i]
-	at, ok := ce.groups[g].eng.NextAt()
+// runGroup executes active group i's window on worker w: the group's
+// deferred ops go to w's run, and its post-window horizon to next[i].
+func (ce *CoupledEngine) runGroup(w, i int) {
+	gr := &ce.groups[ce.active[i]]
+	gr.worker, gr.deferred = int32(w), 0
+	gr.eng.RunBefore(ce.w1)
+	at, ok := gr.eng.NextAt()
 	if !ok {
 		at = timeMax
 	}
 	ce.next[i] = at
-	gr := &ce.groups[g]
-	ce.runs[w] = append(ce.runs[w], gr.mailbox...)
-	gr.mailbox = gr.mailbox[:0]
 }
 
 // PoolStats counts a run's windows on the pool (workers > 1): opened
@@ -726,17 +735,16 @@ func (ce *CoupledEngine) claim(w int) {
 		if lo >= int64(n) {
 			s.fail = n
 			if !ce.delivering {
-				sortOps(ce.runs[w])
+				sortOps(ce.runs[w].ops)
 			}
 			return
 		}
 		for s.fail = int(lo); s.fail < int(min(lo+block, int64(n))); s.fail++ {
 			if ce.delivering {
 				ce.applyShare(s.fail)
-				continue
+			} else {
+				ce.runGroup(w, s.fail)
 			}
-			ce.groups[ce.active[s.fail]].eng.RunBefore(ce.w1)
-			ce.retire(w, s.fail)
 		}
 	}
 }
@@ -852,10 +860,9 @@ func sortOps(ops []deferredOp) { slices.SortFunc(ops, cmpOps) }
 
 // applyDeferred is the window barrier, one round: it merges the
 // workers' sorted runs, applies their ops in (at, key) order and then
-// their deliveries. Ops cannot defer (Defer panics here), so every
-// mailbox is empty afterwards. The runs and every group's buffer
-// persist across windows, so the steady-state barrier allocates
-// nothing.
+// their deliveries. Ops cannot defer (Defer panics here), so every run
+// is empty afterwards. The runs and the delivery buffers persist
+// across windows, so the steady-state barrier allocates nothing.
 func (ce *CoupledEngine) applyDeferred() error {
 	ce.inBarrier = true
 	ce.mergeRuns()
@@ -867,7 +874,10 @@ func (ce *CoupledEngine) applyDeferred() error {
 // mergeRuns runs the ops of the sorted runs in (at, key) order and
 // empties the runs. Ops cannot defer, so the runs hold still.
 func (ce *CoupledEngine) mergeRuns() {
-	heads := append(ce.heads[:0], ce.runs...)
+	heads := ce.heads[:0]
+	for w := range ce.runs {
+		heads = append(heads, ce.runs[w].ops)
+	}
 	for {
 		m := -1
 		for h, r := range heads {
@@ -884,7 +894,7 @@ func (ce *CoupledEngine) mergeRuns() {
 	}
 	ce.heads = heads
 	for w := range ce.runs {
-		ce.runs[w] = ce.runs[w][:0]
+		ce.runs[w].ops = ce.runs[w].ops[:0]
 	}
 }
 

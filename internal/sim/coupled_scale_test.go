@@ -118,14 +118,13 @@ func genSpecs(rng *rand.Rand, ranks int) []opSpec {
 	return specs
 }
 
-// refApplyDeferred is the reference barrier: flatten every group's
+// refApplyDeferred is the reference barrier: flatten every worker's
 // ops, full-sort them by (at, key) and execute them.
 func refApplyDeferred(ce *CoupledEngine) {
 	var batch []deferredOp
-	for g := range ce.groups {
-		gr := &ce.groups[g]
-		batch = append(batch, gr.mailbox...)
-		gr.mailbox = gr.mailbox[:0]
+	for w := range ce.runs {
+		batch = append(batch, ce.runs[w].ops...)
+		ce.runs[w].ops = nil
 	}
 	slices.SortFunc(batch, func(a, b deferredOp) int {
 		switch {
@@ -148,10 +147,11 @@ func refApplyDeferred(ce *CoupledEngine) {
 
 // TestCoupledMergeMatchesFullSort is the barrier-equivalence property:
 // over randomized op batches, the barrier must execute ops in exactly
-// the order of the reference barrier that full-sorts every group. The
-// window's mailboxes reach the barrier the way the workers leave them:
-// each group retired into one of W runs (W = 1 to 4, the group-to-run
-// split drawn at random, empty runs included) and every run sorted.
+// the order of the reference barrier that full-sorts every group's
+// ops. The window's ops reach the barrier the way the workers leave
+// them: each group defers into the run of the worker its record names
+// (W = 1 to 4 runs, the group-to-worker split drawn at random, empty
+// runs included) and every run sorted.
 func TestCoupledMergeMatchesFullSort(t *testing.T) {
 	emptyRuns, merged := 0, 0
 	for seed := int64(0); seed < 40; seed++ {
@@ -162,12 +162,18 @@ func TestCoupledMergeMatchesFullSort(t *testing.T) {
 			groupOf[r] = r % groups
 		}
 		specs := genSpecs(rand.New(rand.NewSource(seed)), len(groupOf))
-		build := func() (*CoupledEngine, *[]int) {
+		build := func(w int, split *rand.Rand) (*CoupledEngine, *[]int) {
 			ce, err := NewCoupled(groupOf, Microsecond, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ce.tree.init(groups) // the barrier publishes through it
+			ce.runs = make([]opRun, w)
+			for g := range ce.groups {
+				if split != nil {
+					ce.groups[g].worker = int32(split.Intn(w))
+				}
+			}
 			var log []int
 			for _, s := range specs {
 				ce.Defer(s.rank, s.at, func() { log = append(log, s.id) })
@@ -175,25 +181,17 @@ func TestCoupledMergeMatchesFullSort(t *testing.T) {
 			return ce, &log
 		}
 
-		ref, refLog := build()
+		ref, refLog := build(1, nil)
 		refApplyDeferred(ref)
 		if len(*refLog) != len(specs) {
 			t.Fatalf("seed %d: reference ran %d of %d ops", seed, len(*refLog), len(specs))
 		}
 		for w := 1; w <= 4; w++ {
-			got, gotLog := build()
-			got.runs = make([][]deferredOp, w)
-			got.active = make([]int32, groups)
-			got.next = make([]Time, groups)
-			split := rand.New(rand.NewSource(seed*4 + int64(w)))
-			for g := range got.active {
-				got.active[g] = int32(g)
-				got.retire(split.Intn(w), g)
-			}
+			got, gotLog := build(w, rand.New(rand.NewSource(seed*4+int64(w))))
 			nonEmpty := 0
 			for _, r := range got.runs {
-				sortOps(r)
-				if len(r) == 0 {
+				sortOps(r.ops)
+				if len(r.ops) == 0 {
 					emptyRuns++
 				} else {
 					nonEmpty++
@@ -208,9 +206,9 @@ func TestCoupledMergeMatchesFullSort(t *testing.T) {
 			if !slices.Equal(*gotLog, *refLog) {
 				t.Fatalf("seed %d W=%d: barrier order %v != full-sort order %v", seed, w, *gotLog, *refLog)
 			}
-			for g := range got.groups {
-				if n := len(got.groups[g].mailbox); n != 0 {
-					t.Fatalf("seed %d W=%d: group %d holds %d ops after the barrier", seed, w, g, n)
+			for r := range got.runs {
+				if n := len(got.runs[r].ops); n != 0 {
+					t.Fatalf("seed %d W=%d: run %d holds %d ops after the barrier", seed, w, r, n)
 				}
 			}
 		}

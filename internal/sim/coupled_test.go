@@ -41,19 +41,56 @@ func TestCoupledConstructionErrors(t *testing.T) {
 	}
 }
 
+// TestCoupledMailboxCap checks the per-window cap on a group's
+// deferred ops and the error contract: groups 1 and 3 of a 4-group
+// world both go over the cap in the first window, and at every worker
+// count the run fails naming group 1, the lowest. The last case makes
+// the split adverse at two workers: a pool hook holds the coordinator
+// until the helper has claimed groups 0 to 2, and group 2 holds the
+// helper until group 3 has run, so group 3's error is in worker 0's
+// run and group 1's in worker 1's.
 func TestCoupledMailboxCap(t *testing.T) {
-	ce, err := sim.NewCoupled([]int{0, 1}, sim.Microsecond, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ce.Sub(0).Spawn("burst", func(p *sim.Proc) {
-		for i := 0; i <= sim.DefaultMailboxCap; i++ {
-			ce.Defer(0, p.Now(), func() {})
+	for _, tc := range []struct {
+		workers int
+		adverse bool
+	}{{1, false}, {2, false}, {4, false}, {2, true}} {
+		ce, err := sim.NewCoupled([]int{0, 1, 2, 3}, sim.Microsecond, tc.workers)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	err = ce.Run()
-	if err == nil || !strings.Contains(err.Error(), "over capacity") {
-		t.Fatalf("want mailbox capacity error, got %v", err)
+		helperHas2, ran3 := make(chan struct{}), make(chan struct{})
+		if tc.adverse {
+			first := true
+			sim.SetPoolHook(ce, func(w int) {
+				if w == 0 && first {
+					first = false
+					<-helperHas2
+				}
+			})
+		}
+		op := func() {}
+		for r := 0; r < 4; r++ {
+			n := 10
+			if r%2 == 1 {
+				n = sim.DefaultMailboxCap + 1
+			}
+			ce.Sub(r).Spawn("burst", func(p *sim.Proc) {
+				if tc.adverse && r == 2 {
+					close(helperHas2)
+					<-ran3
+				}
+				for i := 0; i < n; i++ {
+					ce.Defer(r, p.Now(), op)
+				}
+				if tc.adverse && r == 3 {
+					close(ran3)
+				}
+			})
+		}
+		err = ce.Run()
+		if err == nil || !strings.Contains(err.Error(), "group 1 over capacity") {
+			t.Fatalf("workers=%d adverse=%v: want group 1's mailbox capacity error, got %v", tc.workers, tc.adverse, err)
+		}
 	}
 }
 
@@ -413,7 +450,9 @@ func TestCoupledActiveSkipReawaken(t *testing.T) {
 // for every rank and every executed event exactly once, and the run's
 // busy time, measured once (inline) or per worker and window (pool),
 // to be reported by Busy and BusyWall, at every worker count. A zero
-// wall interval reports no busy time.
+// wall interval reports no busy time. The loop's phases are chained
+// clock reads, so at one worker exec + barrier + scan is exactly the
+// inline loop's busy time.
 func TestCoupledGroupStats(t *testing.T) {
 	const ranks = 48
 	for _, workers := range []int{1, 2, 4} {
@@ -436,6 +475,9 @@ func TestCoupledGroupStats(t *testing.T) {
 		}
 		if ce.Busy() <= 0 {
 			t.Fatalf("workers=%d: Busy() = %v", workers, ce.Busy())
+		}
+		if exec, barrier, scan := ce.PhaseWall(); workers == 1 && exec+barrier+scan != ce.Busy() {
+			t.Fatalf("workers=1: exec %v + barrier %v + scan %v != busy %v", exec, barrier, scan, ce.Busy())
 		}
 		if bw := ce.BusyWall(wall); bw <= 0 {
 			t.Fatalf("workers=%d: BusyWall(%v) = %v, want > 0", workers, wall, bw)

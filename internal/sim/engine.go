@@ -6,25 +6,17 @@ import (
 	"sort"
 )
 
-// eventNode is the pooled storage behind a scheduled event. A node
-// either carries a callback (fn) or is a pre-bound process wakeup
-// (wake); wakeups carry no closure, so the Sleep/Signal hot path
-// allocates nothing.
-type eventNode struct {
-	at   Time
-	seq  uint64
-	fn   func()
-	wake *Proc
-}
-
-// heapEnt is one entry of the time-ordered queue. The ordering key
-// (at, seq) is stored inline so sift comparisons never chase a node
-// pointer, and the slice layout avoids the interface boxing of
+// heapEnt is one pending event of the time-ordered queue. The event
+// lives in its entry: the ordering key (at, seq) sift comparisons read
+// and either a callback (fn) or a pre-bound process wakeup (wake).
+// Wakeups carry no closure, so the Sleep/Signal hot path allocates
+// nothing, and the slice layout avoids the interface boxing of
 // container/heap's Push/Pop.
 type heapEnt struct {
 	at   Time
 	seq  uint64
-	slot int32
+	fn   func()
+	wake *Proc
 }
 
 func heapLess(a, b *heapEnt) bool {
@@ -32,11 +24,13 @@ func heapLess(a, b *heapEnt) bool {
 }
 
 // nowEnt is one entry of the same-timestamp FIFO ring. All queued
-// entries are scheduled for the current time, so only seq (for
-// ordering against equal-time heap entries) and the slot are kept.
+// entries are scheduled for the current time, so the time is not
+// kept: only seq (for ordering against equal-time heap entries) and
+// the event.
 type nowEnt struct {
 	seq  uint64
-	slot int32
+	fn   func()
+	wake *Proc
 }
 
 // Engine is a sequential discrete-event simulator. It is not safe for
@@ -48,8 +42,9 @@ type nowEnt struct {
 // ring buffer for events at the current timestamp (the dominant class:
 // Sleep(0), Signal/Broadcast wakeups, Spawn starts and eager-protocol
 // deliveries all schedule at delay zero) and an inlined 4-ary min-heap
-// keyed on (at, seq) for future events. Event storage is pooled on a
-// free list. See DESIGN.md §7 for the invariants.
+// keyed on (at, seq) for future events. Each event lives in its queue
+// entry, and a pop clears the entry it vacates. See DESIGN.md §7 for
+// the invariants.
 type Engine struct {
 	now      Time
 	seq      uint64
@@ -57,20 +52,17 @@ type Engine struct {
 	digest   uint64 // order-sensitive fold of dispatched (at, key) pairs
 	horizon  Time   // last dispatchable time during RunBefore; ownWakeup must not pass it
 
-	nodes []eventNode // slot-addressed pool
-	free  []int32     // free-list stack of recycled slots
-
 	heap []heapEnt // 4-ary min-heap of future events
 
 	nowq    []nowEnt // ring buffer of events at the current time
-	nowHead int
-	nowLen  int
+	nowHead int32
+	nowLen  int32
 
 	parkedHead *Proc // intrusive list of cond-parked procs (deadlock reporting)
 	parkedN    int
 
 	// perturb, when non-nil, enables the schedule-fuzzing mode of
-	// perturb.go: every allocation draws (or replays) one decision
+	// perturb.go: every scheduled event draws (or replays) one decision
 	// that may jitter the firing time and randomize the ordering key.
 	// It is kept out of line so unperturbed engines stay small.
 	perturb *perturbState
@@ -79,17 +71,17 @@ type Engine struct {
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
 	e := new(Engine)
-	e.init(nil, nil, nil)
+	e.init(nil)
 	return e
 }
 
-// init readies a zero Engine at time zero, its event pool, heap and
-// free list starting as the given empty slices: nil for NewEngine,
-// views of a group record's inline slots for NewCoupled. Past their
-// capacity, append moves each to the heap.
-func (e *Engine) init(nodes []eventNode, heap []heapEnt, free []int32) {
+// init readies a zero Engine at time zero, its heap starting as the
+// given empty slice: nil for NewEngine, a view of a group record's
+// inline entries for NewCoupled. Past its capacity, append moves it to
+// a fresh allocation.
+func (e *Engine) init(heap []heapEnt) {
 	e.horizon, e.digest = math.MaxInt64, fnvOffsetBasis
-	e.nodes, e.heap, e.free = nodes, heap, free
+	e.heap = heap
 }
 
 // Now returns the current simulated time.
@@ -114,94 +106,67 @@ const fnvOffsetBasis uint64 = 1469598103934665603
 // xor then multiply by the 64-bit FNV prime).
 func mixDigest(h, v uint64) uint64 { return (h ^ v) * 1099511628211 }
 
-// alloc takes a slot from the free list (or grows the pool) and stamps
-// it with the scheduling time and the next sequence number. In
-// perturbation mode the ordering key's high bits come from the
-// per-event decision (randomizing same-timestamp order) and the firing
-// time absorbs the decision's jitter.
-func (e *Engine) alloc(at Time) int32 {
-	var slot int32
-	if n := len(e.free); n > 0 {
-		slot = e.free[n-1]
-		e.free = e.free[:n-1]
-	} else {
-		e.nodes = append(e.nodes, eventNode{})
-		slot = int32(len(e.nodes) - 1)
-	}
-	nd := &e.nodes[slot]
+// stamp draws the firing time and ordering key of the next scheduled
+// event: the time as given, the key the next sequence number. In
+// perturbation mode the key's high bits come from the event's decision
+// (decision k for the k-th scheduled event, randomizing same-timestamp
+// order) and the firing time absorbs the decision's jitter.
+func (e *Engine) stamp(at Time) (Time, uint64) {
 	idx := e.seq
 	e.seq++
-	key := idx
-	if e.perturb != nil {
-		if idx > 1<<32-1 {
-			panic("sim: perturbation mode supports at most 2^32 events per run")
-		}
-		d := e.perturbDecision(idx)
-		at += d.Jitter
-		key = uint64(d.Prio)<<32 | idx
+	if e.perturb == nil {
+		return at, idx
 	}
-	nd.at = at
-	nd.seq = key
-	return slot
+	if idx > 1<<32-1 {
+		panic("sim: perturbation mode supports at most 2^32 events per run")
+	}
+	d := e.perturbDecision(idx)
+	return at + d.Jitter, uint64(d.Prio)<<32 | idx
 }
 
-// freeSlot recycles a node, dropping its callback and process
-// references so the pool pins neither.
-func (e *Engine) freeSlot(slot int32) {
-	nd := &e.nodes[slot]
-	nd.fn = nil
-	nd.wake = nil
-	e.free = append(e.free, slot)
-}
-
-// enqueue routes a freshly allocated slot to the now queue (at == now)
-// or the heap (at > now). Callers clamp at to >= e.now first. In
+// schedule stamps an event (a callback fn or a wakeup of wake) and
+// queues it on the now queue (at == now) or the heap (at > now),
+// returning its firing time. Callers clamp at to >= e.now first. In
 // perturbation mode everything goes through the heap: the now-queue
 // ring is FIFO by construction, which is exactly the ordering the
 // fuzzer must be free to break.
-func (e *Engine) enqueue(slot int32) {
-	nd := &e.nodes[slot]
-	if nd.at <= e.now && e.perturb == nil {
-		e.nowPush(nowEnt{seq: nd.seq, slot: slot})
+func (e *Engine) schedule(at Time, fn func(), wake *Proc) Time {
+	at, seq := e.stamp(at)
+	if at <= e.now && e.perturb == nil {
+		e.nowPush(nowEnt{seq: seq, fn: fn, wake: wake})
 	} else {
-		e.heapPush(heapEnt{at: nd.at, seq: nd.seq, slot: slot})
+		e.heapPush(heapEnt{at: at, seq: seq, fn: fn, wake: wake})
 	}
+	return at
 }
 
 // At registers fn to run at absolute time t (clamped to now) and
-// returns the time it will fire. Events with equal timestamps fire in
-// the order they were registered (FIFO), which keeps runs
-// deterministic.
+// returns the time it will fire (perturbation jitter may move it past
+// t). Events with equal timestamps fire in the order they were
+// registered (FIFO), which keeps runs deterministic.
 func (e *Engine) At(t Time, fn func()) Time {
 	if t < e.now {
 		t = e.now
 	}
-	slot := e.alloc(t)
-	nd := &e.nodes[slot]
-	nd.fn = fn
-	e.enqueue(slot)
-	// nd.at, not t: perturbation jitter may have moved the event.
-	return nd.at
+	return e.schedule(t, fn, nil)
 }
 
 // scheduleWake registers a pre-bound wakeup of p after delay: the
-// pooled node carries only the *Proc, so the call allocates nothing.
+// queue entry carries only the *Proc, so the call allocates nothing.
 func (e *Engine) scheduleWake(delay Time, p *Proc) {
 	if delay < 0 {
 		delay = 0
 	}
-	slot := e.alloc(e.now + delay)
-	e.nodes[slot].wake = p
-	e.enqueue(slot)
+	e.schedule(e.now+delay, nil, p)
 }
 
 // --- now-queue ring buffer ---
 
 func (e *Engine) nowPush(ent nowEnt) {
-	if e.nowLen == len(e.nowq) {
+	if int(e.nowLen) == len(e.nowq) {
 		e.nowGrow()
 	}
-	e.nowq[(e.nowHead+e.nowLen)&(len(e.nowq)-1)] = ent
+	e.nowq[int(e.nowHead+e.nowLen)&(len(e.nowq)-1)] = ent
 	e.nowLen++
 }
 
@@ -211,43 +176,56 @@ func (e *Engine) nowGrow() {
 		return
 	}
 	grown := make([]nowEnt, 2*len(e.nowq))
-	for i := 0; i < e.nowLen; i++ {
-		grown[i] = e.nowq[(e.nowHead+i)&(len(e.nowq)-1)]
+	for i := 0; i < int(e.nowLen); i++ {
+		grown[i] = e.nowq[(int(e.nowHead)+i)&(len(e.nowq)-1)]
 	}
 	e.nowq = grown
 	e.nowHead = 0
 }
 
-func (e *Engine) nowPop() nowEnt {
-	ent := e.nowq[e.nowHead]
-	e.nowHead = (e.nowHead + 1) & (len(e.nowq) - 1)
+// nowPop removes the ring's head, clearing its entry, and returns it
+// as a heap entry at the current time.
+func (e *Engine) nowPop() heapEnt {
+	q := &e.nowq[e.nowHead]
+	ent := heapEnt{at: e.now, seq: q.seq, fn: q.fn, wake: q.wake}
+	*q = nowEnt{}
+	e.nowHead = (e.nowHead + 1) & int32(len(e.nowq)-1)
 	e.nowLen--
 	return ent
 }
 
 // --- 4-ary min-heap ---
 
+// heapPush and heapPop sift a hole rather than swapping: an entry is
+// 32 bytes, so each level moves one entry instead of two, and the
+// sifted entry is written once, where it comes to rest.
 func (e *Engine) heapPush(ent heapEnt) {
 	h := append(e.heap, ent)
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) >> 2
-		if !heapLess(&h[i], &h[parent]) {
+		if !heapLess(&ent, &h[parent]) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = ent
 	e.heap = h
 }
 
+// heapPop removes the minimum and clears the entry the shrink vacates.
 func (e *Engine) heapPop() heapEnt {
 	h := e.heap
 	top := h[0]
 	n := len(h) - 1
-	h[0] = h[n]
+	last := h[n]
+	h[n] = heapEnt{}
 	h = h[:n]
 	e.heap = h
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
 		c := i<<2 + 1
@@ -255,85 +233,82 @@ func (e *Engine) heapPop() heapEnt {
 			break
 		}
 		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
+		end := min(c+4, n)
 		for j := c + 1; j < end; j++ {
 			if heapLess(&h[j], &h[m]) {
 				m = j
 			}
 		}
-		if !heapLess(&h[m], &h[i]) {
+		if !heapLess(&h[m], &last) {
 			break
 		}
-		h[i], h[m] = h[m], h[i]
+		h[i] = h[m]
 		i = m
 	}
+	h[i] = last
 	return top
 }
 
 // --- dispatch core ---
 
-// peekMin returns the time and slot of the earliest pending event
-// without removing it. Clock invariant: every now-queue entry is
-// scheduled for exactly e.now (the clock only advances when the now
-// queue is empty), and every heap entry has at >= e.now, so the now
-// queue wins unless the heap holds an equal-time entry with an earlier
-// sequence number.
-func (e *Engine) peekMin() (Time, int32, bool) {
+// peekMin returns the time and wakeup (nil for a callback) of the
+// earliest pending event without removing it. Clock invariant: every
+// now-queue entry is scheduled for exactly e.now (the clock only
+// advances when the now queue is empty), and every heap entry has
+// at >= e.now, so the now queue wins unless the heap holds an
+// equal-time entry with an earlier sequence number.
+func (e *Engine) peekMin() (Time, *Proc, bool) {
 	if e.nowLen > 0 {
 		q := &e.nowq[e.nowHead]
 		if len(e.heap) > 0 {
 			if h := &e.heap[0]; h.at == e.now && h.seq < q.seq {
-				return h.at, h.slot, true
+				return h.at, h.wake, true
 			}
 		}
-		return e.now, q.slot, true
+		return e.now, q.wake, true
 	}
 	if len(e.heap) > 0 {
-		return e.heap[0].at, e.heap[0].slot, true
+		return e.heap[0].at, e.heap[0].wake, true
 	}
-	return 0, -1, false
+	return 0, nil, false
 }
 
-// popMin removes and returns the slot of the earliest pending event,
-// or -1 when none remain.
-func (e *Engine) popMin() int32 {
+// popMin removes and returns the earliest pending event; the queue
+// must not be empty.
+func (e *Engine) popMin() heapEnt {
 	if e.nowLen > 0 {
-		q := &e.nowq[e.nowHead]
 		if len(e.heap) > 0 {
-			if h := &e.heap[0]; h.at == e.now && h.seq < q.seq {
-				return e.heapPop().slot
+			if h := &e.heap[0]; h.at == e.now && h.seq < e.nowq[e.nowHead].seq {
+				return e.heapPop()
 			}
 		}
-		return e.nowPop().slot
+		return e.nowPop()
 	}
-	if len(e.heap) > 0 {
-		return e.heapPop().slot
+	return e.heapPop()
+}
+
+// take pops the earliest pending event and accounts for it: the clock
+// moves to its time, and its (at, seq) pair joins the digest.
+func (e *Engine) take() heapEnt {
+	ent := e.popMin()
+	if ent.at > e.now {
+		e.now = ent.at
 	}
-	return -1
+	e.executed++
+	e.digest = mixDigest(mixDigest(e.digest, uint64(ent.at)), ent.seq)
+	return ent
 }
 
 // step dispatches the next event. It reports false when the queue is
 // empty.
 func (e *Engine) step() bool {
-	slot := e.popMin()
-	if slot < 0 {
+	if e.nowLen == 0 && len(e.heap) == 0 {
 		return false
 	}
-	nd := &e.nodes[slot]
-	if nd.at > e.now {
-		e.now = nd.at
-	}
-	e.executed++
-	e.digest = mixDigest(mixDigest(e.digest, uint64(nd.at)), nd.seq)
-	p, fn := nd.wake, nd.fn
-	e.freeSlot(slot)
-	if p != nil {
-		e.dispatch(p)
+	if ent := e.take(); ent.wake != nil {
+		e.dispatch(ent.wake)
 	} else {
-		fn()
+		ent.fn()
 	}
 	return true
 }
@@ -344,17 +319,11 @@ func (e *Engine) step() bool {
 // the wakeup lies beyond a running RunBefore bound; the engine loop
 // then takes over.
 func (e *Engine) ownWakeup(p *Proc) bool {
-	at, slot, ok := e.peekMin()
-	if !ok || at > e.horizon || e.nodes[slot].wake != p {
+	at, wake, ok := e.peekMin()
+	if !ok || at > e.horizon || wake != p {
 		return false
 	}
-	e.popMin()
-	if at > e.now {
-		e.now = at
-	}
-	e.executed++
-	e.digest = mixDigest(mixDigest(e.digest, uint64(at)), e.nodes[slot].seq)
-	e.freeSlot(slot)
+	e.take()
 	return true
 }
 

@@ -12,7 +12,7 @@ package sim
 // mode the decisions are captured; a captured trace replayed through
 // Script reproduces the run exactly, and a shrunk script (decisions
 // zeroed back to neutral) replays the minimal perturbation that still
-// triggers a failure. Decision k always applies to the k-th allocated
+// triggers a failure. Decision k always applies to the k-th scheduled
 // event, so a script remains meaningful while it is being shrunk even
 // though later schedule contents change.
 
@@ -26,7 +26,7 @@ type PerturbDecision struct {
 	Jitter Time
 	// Prio replaces the high bits of the same-timestamp ordering key:
 	// among events with equal firing times, lower Prio fires first,
-	// ties broken by allocation order. Zero keeps pure FIFO.
+	// ties broken by scheduling order. Zero keeps pure FIFO.
 	Prio uint32
 }
 
@@ -186,7 +186,7 @@ func (ps *perturbState) rngNext() uint64 {
 	return z ^ (z >> 31)
 }
 
-// perturbDecision produces the decision for allocation index idx,
+// perturbDecision produces the decision for event index idx,
 // either replayed from the engine's stream slice of the script or
 // drawn from the stream-seeded generator.
 func (e *Engine) perturbDecision(idx uint64) PerturbDecision {

@@ -63,7 +63,7 @@ func (p *Proc) Now() Time { return p.eng.now }
 // Sleep advances this process's local view of time by d: it parks and
 // resumes once the simulated clock has advanced past d. Sleep(0) yields
 // the turn (other events at the same timestamp run first). The wakeup
-// is a pre-bound pooled event: no closure, no allocation.
+// is a pre-bound queue entry: no closure, no allocation.
 func (p *Proc) Sleep(d Time) {
 	p.eng.scheduleWake(d, p)
 	p.park()
@@ -116,7 +116,7 @@ func (c *Cond) Wait(p *Proc) {
 }
 
 // Signal wakes the longest-waiting process, if any. The wakeup is a
-// pre-bound pooled event at the current time: no closure, no
+// pre-bound queue entry at the current time: no closure, no
 // allocation.
 func (c *Cond) Signal() {
 	p := c.popFront()

@@ -2,12 +2,14 @@ package sim
 
 // Tests for the engine's event-queue internals: a property test that
 // replays randomized schedules on both the production queue (4-ary
-// heap + now-queue ring + pooled nodes) and a reference
-// container/heap implementation of the documented semantics, a
-// pool-recycling test, and a Cond FIFO test.
+// heap + now-queue ring, each event stored in its entry) and a
+// reference container/heap implementation of the documented semantics,
+// a steady-state capacity test, a check that pops clear the entries
+// they vacate, and a Cond FIFO test.
 
 import (
 	"container/heap"
+	"fmt"
 	"testing"
 )
 
@@ -145,10 +147,11 @@ func TestQueueMatchesReferenceHeap(t *testing.T) {
 	}
 }
 
-// --- event-pool recycling ---
+// --- queue storage ---
 
-// TestPoolSteadyState: a long Sleep/Signal run must keep the node pool
-// at its steady-state size (recycling, not growing).
+// TestPoolSteadyState: a long Sleep/Signal run must keep the heap and
+// the now-queue ring at their steady-state capacity (reusing vacated
+// entries, not growing).
 func TestPoolSteadyState(t *testing.T) {
 	e := NewEngine()
 	c := NewCond(e)
@@ -167,8 +170,80 @@ func TestPoolSteadyState(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(e.nodes); n > 16 {
-		t.Fatalf("event pool grew to %d nodes over %d rounds; recycling is broken", n, rounds)
+	if h, r := cap(e.heap), len(e.nowq); h > 16 || r > 64 {
+		t.Fatalf("queue grew to %d heap and %d ring entries over %d rounds; reuse is broken", h, r, rounds)
+	}
+}
+
+// staleEntries counts the entries outside the live heap and the live
+// part of the now-queue ring that still hold a callback or a wakeup.
+func staleEntries(e *Engine) int {
+	n := 0
+	for _, h := range e.heap[len(e.heap):cap(e.heap)] {
+		if h.fn != nil || h.wake != nil {
+			n++
+		}
+	}
+	for i, q := range e.nowq {
+		live := (i-int(e.nowHead))&(len(e.nowq)-1) < int(e.nowLen)
+		if !live && (q.fn != nil || q.wake != nil) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestPopsClearVacatedEntries: once Run returns, no heap or ring entry
+// may keep a callback or a process alive, on a plain engine and on
+// every group engine of a coupled one (whose heaps start in the group
+// records).
+func TestPopsClearVacatedEntries(t *testing.T) {
+	churn := func(e *Engine, procs int, defer1 func(p *Proc)) {
+		c := NewCond(e)
+		for i := 0; i < procs; i++ {
+			e.Spawn("churn", func(p *Proc) {
+				for k := 0; k < 20; k++ {
+					e.At(p.Now()+Time(k%3), func() { c.Broadcast() })
+					p.Sleep(Time((i + k) % 4))
+					if defer1 != nil {
+						defer1(p)
+					}
+				}
+			})
+		}
+	}
+	check := func(name string, e *Engine) {
+		t.Helper()
+		if cap(e.heap) == 0 || len(e.nowq) == 0 {
+			t.Fatalf("%s: heap capacity %d, ring %d: the run left a queue unused", name, cap(e.heap), len(e.nowq))
+		}
+		if n := staleEntries(e); n != 0 {
+			t.Fatalf("%s: %d vacated queue entries still hold an event", name, n)
+		}
+	}
+	e := NewEngine()
+	churn(e, 8, nil)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	check("engine", e)
+
+	groupOf := []int{0, 0, 1, 1, 2, 2}
+	ce, err := NewCoupled(groupOf, Microsecond, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := range groupOf {
+		churn(ce.EngineOf(r), 3, func(p *Proc) {
+			dst := (r + 2) % len(groupOf)
+			ce.Defer(r, p.Now(), func() { ce.At(dst, p.Now()+Microsecond, func() {}) })
+		})
+	}
+	if err := ce.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for g := 0; g < ce.Groups(); g++ {
+		check(fmt.Sprintf("group %d", g), ce.Sub(g))
 	}
 }
 

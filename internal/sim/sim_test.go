@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -345,9 +346,9 @@ func TestNewEngineAllocatesOnce(t *testing.T) {
 
 // TestNewCoupledAllocatesPerWorld pins the coupled engine's
 // construction cost to a count that does not grow with the group
-// count: the group records are one slab, and each group's engine and
-// mailbox start in its record's inline slots. It also checks that a
-// record fills whole 64-byte cache lines.
+// count: the group records are one slab, and each group's heap starts
+// in its record's inline entries. It also pins the layout: a record is
+// exactly four 64-byte cache lines and a worker's run one.
 func TestNewCoupledAllocatesPerWorld(t *testing.T) {
 	allocs := func(groups int) float64 {
 		groupOf := make([]int, groups)
@@ -363,8 +364,32 @@ func TestNewCoupledAllocatesPerWorld(t *testing.T) {
 	if small, large := allocs(64), allocs(8192); small != large {
 		t.Fatalf("NewCoupled made %v allocations for 64 groups and %v for 8192, want equal", small, large)
 	}
-	if size := unsafe.Sizeof(group{}); size%64 != 0 {
-		t.Fatalf("a group record is %d bytes, not whole 64-byte lines", size)
+	if size := unsafe.Sizeof(group{}); size != 256 {
+		t.Fatalf("a group record is %d bytes, want 256 (four 64-byte lines)", size)
+	}
+	if size := unsafe.Sizeof(opRun{}); size != 64 {
+		t.Fatalf("a worker's run is %d bytes, want 64 (one line)", size)
+	}
+}
+
+// TestNewCoupledBytesPerGroup bounds what NewCoupled allocates for a
+// world of 100000 single-rank groups: at most 300 bytes per group,
+// the 256-byte record plus the per-rank group id and stream counter.
+func TestNewCoupledBytesPerGroup(t *testing.T) {
+	const groups = 100000
+	groupOf := make([]int, groups)
+	for g := range groupOf {
+		groupOf[g] = g
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ce, err := NewCoupled(groupOf, Microsecond, 2)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if per := (after.TotalAlloc - before.TotalAlloc) / groups; per > 300 {
+		t.Fatalf("NewCoupled allocated %d bytes per group over %d groups, want at most 300", per, ce.Groups())
 	}
 }
 

@@ -10,8 +10,8 @@
 // reproducible: same inputs, same event order, same timings. A
 // CoupledEngine runs one Engine per node group under conservative
 // windows (coupled.go). A run fails only on a deadlock, on a group
-// that overflows its deferred-op mailbox, or on a panic in an event or
-// process, which Run re-raises.
+// that defers more than DefaultMailboxCap ops in one window, or on a
+// panic in an event or process, which Run re-raises.
 package sim
 
 import "fmt"

@@ -1,6 +1,10 @@
 package comm_test
 
 import (
+	"fmt"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 
 	"msgroofline/internal/comm"
@@ -60,27 +64,55 @@ func hashPin(kind comm.Kind, m *machine.Config, ranks int, f *netsim.Faults, sha
 	}
 }
 
-// pinCase is one pinned run and the simulated time and digest it must
-// reproduce.
+// pinCase is one pinned run. Its ledger line in results/pins.txt is
+// named by the test's prefix and the case name up to any "/shards"
+// suffix, so a workload's runs at one and two window workers share one
+// line.
 type pinCase struct {
-	name    string
-	run     pinRun
-	elapsed sim.Time
-	digest  uint64
+	name string
+	run  pinRun
 }
 
-func checkPins(t *testing.T, cases []pinCase) {
+// checkPins runs each case as a subtest against its ledger line. It
+// also fails on a ledger line under prefix that no case runs, and
+// prints every differing line as it now reads, in one block, ready to
+// paste into the ledger when a change moves pins on purpose.
+func checkPins(t *testing.T, prefix string, cases []pinCase) {
+	b, err := os.ReadFile("../../results/pins.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, l := range strings.Split(string(b), "\n") {
+		if f := strings.Fields(l); len(f) > 0 && strings.HasPrefix(f[0], prefix) {
+			want[f[0]] = strings.Join(f, " ")
+		}
+	}
+	var block []string
+	ran := map[string]bool{}
 	for _, c := range cases {
+		name, _, _ := strings.Cut(prefix+c.name, "/shards")
 		t.Run(c.name, func(t *testing.T) {
 			elapsed, digest, err := c.run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if elapsed != c.elapsed || digest != c.digest {
-				t.Fatalf("elapsed %v (%d ps), digest %#016x; want %v (%d ps), %#016x",
-					elapsed, int64(elapsed), digest, c.elapsed, int64(c.elapsed), c.digest)
+			if got := fmt.Sprintf("%s %d - %016x", name, int64(elapsed), digest); got != want[name] {
+				t.Errorf("results/pins.txt has %q, the run gives %q", want[name], got)
+				if !slices.Contains(block, got) {
+					block = append(block, got)
+				}
 			}
 		})
+		ran[name] = true
+	}
+	for name := range want {
+		if !ran[name] {
+			t.Errorf("results/pins.txt: line %q names no case", name)
+		}
+	}
+	if len(block) > 0 {
+		t.Errorf("results/pins.txt's lines now read:\n%s", strings.Join(block, "\n"))
 	}
 }
 
@@ -90,16 +122,17 @@ func checkPins(t *testing.T, cases []pinCase) {
 // and latency spikes at two window workers. The values were recorded
 // when notified access was a flavour of the MPI window stack, before
 // it moved onto the shmem PGAS core as its fourth issue path; the move
-// left every one of them unchanged.
+// left every one of them unchanged. They are results/pins.txt's
+// notified/... lines.
 func TestNotifiedMatchesParent(t *testing.T) {
 	k, pm, df := comm.Notified, machine.PerlmutterCPU, machine.Dragonfly1K
-	checkPins(t, []pinCase{
-		{"perlmutter-cpu/stencil", stencilPin(k, pm, nil, 1), 18616500, 0xa46657d83b1e7253},
-		{"perlmutter-cpu/sptrsv", sptrsvPin(k, pm, spmat.Params{N: 2400, MeanSnode: 24, Fill: 1, Seed: 20230901}, 16, nil, 1), 129322250, 0x6345313bb2b7de0b},
-		{"perlmutter-cpu/hashtable", hashPin(k, pm, 4, nil, 1), 896100000, 0xe30da77feba655fd},
-		{"dragonfly-1k/stencil", stencilPin(k, df, pinFaults(), 2), 31757642, 0x8914899717ef493c},
-		{"dragonfly-1k/sptrsv", sptrsvPin(k, df, spmat.Params{N: 600, MeanSnode: 12, Fill: 1, Seed: 7}, 8, pinFaults(), 2), 65143103, 0x3c244f4b7946068c},
-		{"dragonfly-1k/hashtable", hashPin(k, df, 16, pinFaults(), 2), 343590000, 0x9d33539cc9fe08c6},
+	checkPins(t, "notified/", []pinCase{
+		{"perlmutter-cpu/stencil", stencilPin(k, pm, nil, 1)},
+		{"perlmutter-cpu/sptrsv", sptrsvPin(k, pm, spmat.Params{N: 2400, MeanSnode: 24, Fill: 1, Seed: 20230901}, 16, nil, 1)},
+		{"perlmutter-cpu/hashtable", hashPin(k, pm, 4, nil, 1)},
+		{"dragonfly-1k/stencil", stencilPin(k, df, pinFaults(), 2)},
+		{"dragonfly-1k/sptrsv", sptrsvPin(k, df, spmat.Params{N: 600, MeanSnode: 12, Fill: 1, Seed: 7}, 8, pinFaults(), 2)},
+		{"dragonfly-1k/hashtable", hashPin(k, df, 16, pinFaults(), 2)},
 	})
 }
 
@@ -109,23 +142,24 @@ func TestNotifiedMatchesParent(t *testing.T) {
 // and latency spikes at one and two window workers. The values were
 // recorded when one-sided MPI had its own window implementation in
 // internal/mpi, before it moved onto the shmem PGAS core as its fifth
-// issue path; the move left every one of them unchanged.
+// issue path; the move left every one of them unchanged. They are
+// results/pins.txt's one-sided/... lines, one per workload and machine.
 func TestOneSidedMatchesParent(t *testing.T) {
 	k, pm, su, df := comm.OneSided, machine.PerlmutterCPU, machine.SummitCPU, machine.Dragonfly1K
 	big := spmat.Params{N: 2400, MeanSnode: 24, Fill: 1, Seed: 20230901}
 	small := spmat.Params{N: 600, MeanSnode: 12, Fill: 1, Seed: 7}
-	checkPins(t, []pinCase{
-		{"perlmutter-cpu/stencil", stencilPin(k, pm, nil, 1), 64766347, 0xd21c385f81ceccc3},
-		{"perlmutter-cpu/sptrsv", sptrsvPin(k, pm, big, 16, nil, 1), 390927682, 0xdee87c7ad34f52ea},
-		{"perlmutter-cpu/hashtable", hashPin(k, pm, 4, nil, 1), 869510000, 0xbe565a3472816ee5},
-		{"summit-cpu/stencil", stencilPin(k, su, nil, 1), 67354921, 0xd92bfb8b7cb1269b},
-		{"summit-cpu/sptrsv", sptrsvPin(k, su, big, 16, nil, 1), 503841121, 0x9e466aad1fd04fbe},
-		{"summit-cpu/hashtable", hashPin(k, su, 4, nil, 1), 1398300000, 0x5a00b0c826afb1b5},
-		{"dragonfly-1k/stencil/shards1", stencilPin(k, df, pinFaults(), 1), 100096942, 0xfd6f29a5b29408b6},
-		{"dragonfly-1k/stencil/shards2", stencilPin(k, df, pinFaults(), 2), 100096942, 0xfd6f29a5b29408b6},
-		{"dragonfly-1k/sptrsv/shards1", sptrsvPin(k, df, small, 8, pinFaults(), 1), 261904335, 0xbcbbb489ef759326},
-		{"dragonfly-1k/sptrsv/shards2", sptrsvPin(k, df, small, 8, pinFaults(), 2), 261904335, 0xbcbbb489ef759326},
-		{"dragonfly-1k/hashtable/shards1", hashPin(k, df, 16, pinFaults(), 1), 344910000, 0xe4eeac313ce8adc4},
-		{"dragonfly-1k/hashtable/shards2", hashPin(k, df, 16, pinFaults(), 2), 344910000, 0xe4eeac313ce8adc4},
+	checkPins(t, "one-sided/", []pinCase{
+		{"perlmutter-cpu/stencil", stencilPin(k, pm, nil, 1)},
+		{"perlmutter-cpu/sptrsv", sptrsvPin(k, pm, big, 16, nil, 1)},
+		{"perlmutter-cpu/hashtable", hashPin(k, pm, 4, nil, 1)},
+		{"summit-cpu/stencil", stencilPin(k, su, nil, 1)},
+		{"summit-cpu/sptrsv", sptrsvPin(k, su, big, 16, nil, 1)},
+		{"summit-cpu/hashtable", hashPin(k, su, 4, nil, 1)},
+		{"dragonfly-1k/stencil/shards1", stencilPin(k, df, pinFaults(), 1)},
+		{"dragonfly-1k/stencil/shards2", stencilPin(k, df, pinFaults(), 2)},
+		{"dragonfly-1k/sptrsv/shards1", sptrsvPin(k, df, small, 8, pinFaults(), 1)},
+		{"dragonfly-1k/sptrsv/shards2", sptrsvPin(k, df, small, 8, pinFaults(), 2)},
+		{"dragonfly-1k/hashtable/shards1", hashPin(k, df, 16, pinFaults(), 1)},
+		{"dragonfly-1k/hashtable/shards2", hashPin(k, df, 16, pinFaults(), 2)},
 	})
 }

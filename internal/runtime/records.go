@@ -175,7 +175,7 @@ func (t *atomicTxn) runServe() {
 	}
 	t.result = old
 	w := t.ep.world
-	if w.eng.GroupOf(t.ep.rank) == w.eng.GroupOf(t.dst) {
+	if t.ep.node == w.eps[t.dst].node {
 		t.runRespond()
 		return
 	}

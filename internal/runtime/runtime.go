@@ -87,7 +87,9 @@ func NewWorldSharded(cfg *machine.Config, ranks, shards int) (*World, error) {
 // in order of first appearance over the rank sequence. Same group ⟺
 // same node ⟺ shared-memory delivery, so every cross-group flight pays
 // at least one fabric link and the network's LookaheadBound is a valid
-// conservative window for the grouping.
+// conservative window for the grouping. The message paths (Inject,
+// RemoteAtomic) therefore pick inline or deferred delivery by node and
+// never read the partition.
 func nodeGroups(eps []*Endpoint, nodes int) []int {
 	groupOf := make([]int, len(eps))
 	group := make([]int, nodes) // node index -> group + 1 (0: unseen)
@@ -228,8 +230,8 @@ func (ep *Endpoint) ChargeOp(p *sim.Proc, tp machine.TransportParams) {
 // The two callbacks split the delivery by ownership: `remote` runs on
 // dst's engine (target-rank state: memory, receive queues, signals),
 // `local` on the sender's at the same timestamp (origin-side
-// completion). Either may be nil. When src and dst share a node group
-// both run, remote first, as one event. Same-node delivery is
+// completion). Either may be nil. When src and dst share a node (so a
+// node group) both run, remote first, as one event. Same-node delivery is
 // stateless and scheduled at once; a cross-node journey reserves link
 // bandwidth, so it is deferred to the window barrier, where all
 // reservations apply in the global (at, sender) order.
@@ -250,7 +252,7 @@ func (ep *Endpoint) Inject(tp machine.TransportParams, dst int, bytes int64, ch 
 	ep.chanFree[c] = start + tp.Gap
 
 	w := ep.world
-	if w.eng.GroupOf(ep.rank) == w.eng.GroupOf(dst) {
+	if ep.node == w.eps[dst].node {
 		deliver := ep.wireTime(tp, start, dst, bytes, c)
 		ep.eng().At(deliver, ep.landing(deliver, remote, local).fire)
 		return
@@ -318,8 +320,8 @@ func (ep *Endpoint) RemoteAtomic(p *sim.Proc, tp machine.TransportParams, dst in
 	t.tp, t.dst, t.fired = tp, dst, false
 	t.mem, t.off, t.cas, t.compare, t.operand = mem, off, cas, compare, operand
 	w := ep.world
-	if w.eng.GroupOf(ep.rank) == w.eng.GroupOf(dst) {
-		// Same node group: flights are intra-group (shared memory or
+	if ep.node == w.eps[dst].node {
+		// Same node, so same node group: flights are intra-group (shared memory or
 		// same-node fabric), link-stateless or group-owned; run the
 		// whole transaction inline on the shared engine.
 		t.arrive = ep.atomicFlight(tp, ep.rank, dst, ep.eng().Now())

@@ -60,9 +60,9 @@ package sim
 //     are leaves: they touch links, fault draws and deliveries (At),
 //     and never defer, so one barrier round empties every run.
 //
-// A one-group world (every rank on one fabric node) delegates Run to
-// the lone Engine verbatim, preserving exact sequential semantics
-// including deadlock reporting.
+// A one-group world (every rank on one fabric node) runs the same
+// loop as one unbounded window, so it executes exactly as the lone
+// Engine's Run would and reports a deadlock the same way.
 
 import (
 	"errors"
@@ -384,13 +384,13 @@ func (ce *CoupledEngine) Executed() uint64 {
 }
 
 // Windows returns how many conservative windows Run executed (1 for a
-// delegated one-group run).
+// one-group run, whose one window is unbounded).
 func (ce *CoupledEngine) Windows() uint64 { return ce.windows }
 
 // Dispatches returns the total number of group-window dispatches (the
 // sum over windows of each window's active-group count). With G
 // groups, Dispatches << Windows×G is the active-group filter working:
-// idle groups are never touched. A delegated one-group run reports 1.
+// idle groups are never touched. A one-group run reports 1.
 func (ce *CoupledEngine) Dispatches() uint64 { return ce.dispatches }
 
 // Deliveries returns how many events barrier ops scheduled with At
@@ -478,20 +478,6 @@ func (ce *CoupledEngine) Run() error {
 		return errors.New("sim: CoupledEngine.Run called twice")
 	}
 	ce.started = true
-	if len(ce.groups) == 1 {
-		// One group: the sequential engine is exact; no windows, no
-		// barriers, native deadlock reporting.
-		ce.windows = 1
-		ce.dispatches = 1
-		t0 := time.Now()
-		err := ce.groups[0].eng.Run()
-		ce.busy = time.Since(t0)
-		ce.execWall += ce.busy
-		if err == nil {
-			err = ce.firstErr()
-		}
-		return err
-	}
 	// Seed the horizon tree from the post-spawn queues; from here on
 	// it is maintained incrementally (post-window refresh of dispatched
 	// groups, barrier At publications).
@@ -526,8 +512,10 @@ func (ce *CoupledEngine) Run() error {
 			t0 = end
 			return ce.finish()
 		}
+		// One group runs in one unbounded window (its lookahead may
+		// be zero): nothing else can schedule onto it.
 		w1 := timeMax
-		if minNext <= timeMax-ce.lookahead {
+		if len(ce.groups) > 1 && minNext <= timeMax-ce.lookahead {
 			w1 = minNext + ce.lookahead
 		}
 		ce.active = ce.tree.collect(w1, ce.active[:0])
@@ -719,12 +707,12 @@ func (ce *CoupledEngine) runPool(n int, wake bool) {
 
 // claim runs worker w's part of the open task: blocks of units from
 // the cursor, in order, up to a panicking unit it records in w's slot.
-// A worker sorts only the run it filled.
+// A worker sorts only the run it filled. A delivery pass claims like a
+// window: its n = workers units make blocks of 1, and mergeRuns has
+// already emptied the runs.
 func (ce *CoupledEngine) claim(w int) {
-	s, n, block := &ce.slots[w], ce.units, int64(1)
-	if !ce.delivering {
-		block = int64(max(1, n/(claimsPerWorker*ce.workers)))
-	}
+	s, n := &ce.slots[w], ce.units
+	block := int64(max(1, n/(claimsPerWorker*ce.workers)))
 	defer func() {
 		if r := recover(); r != nil {
 			s.panic = r
@@ -734,9 +722,7 @@ func (ce *CoupledEngine) claim(w int) {
 		lo := ce.cursor.Add(block) - block
 		if lo >= int64(n) {
 			s.fail = n
-			if !ce.delivering {
-				sortOps(ce.runs[w].ops)
-			}
+			sortOps(ce.runs[w].ops)
 			return
 		}
 		for s.fail = int(lo); s.fail < int(min(lo+block, int64(n))); s.fail++ {

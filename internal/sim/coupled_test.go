@@ -1,15 +1,18 @@
 package sim_test
 
 // Tests for the coupled conservative-lookahead engine: construction
-// validation, the deferred-op mailbox bound, the barrier's one-round
-// rule, the time-overflow guard, and the one-group delegation path. The
+// validation, the per-group deferred-op cap, the barrier's one-round
+// rule, the time-overflow guard, the one-group run, the window pool,
+// and heap entries and runs outgrowing their first capacity. The
 // heavyweight invariance property (identical digests at every worker
 // count) is exercised end-to-end by internal/conformance's
 // TestShardCountInvariant* suite.
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -96,8 +99,8 @@ func TestCoupledMailboxCap(t *testing.T) {
 
 // TestCoupledBarrierDeferPanics checks the barrier's one-round
 // contract: a deferred op that defers again must panic, at every
-// worker count, instead of leaving its op in a mailbox until the
-// group's next window.
+// worker count, instead of leaving its op in a worker's run until the
+// next barrier.
 func TestCoupledBarrierDeferPanics(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		ce, err := sim.NewCoupled([]int{0, 1}, sim.Microsecond, workers)
@@ -162,32 +165,36 @@ func TestCoupledTimeOverflowDegradesToGlobalWindow(t *testing.T) {
 	}
 }
 
-func TestCoupledOneGroupDelegates(t *testing.T) {
-	// A single node group needs no window protocol (and a linkless
-	// topology has no lookahead): Run must delegate to the sub-engine
-	// and still count one window.
+func TestCoupledOneGroupRunsOneWindow(t *testing.T) {
+	// A single node group has no lookahead on a linkless topology: Run
+	// executes it in one unbounded window with one dispatch, and
+	// reports a deadlock exactly as the bare sequential engine does.
+	ticks := 0
+	spawn := func(e *sim.Engine) {
+		c := sim.NewCond(e)
+		e.Spawn("p", func(p *sim.Proc) {
+			for i := 0; i < 5; i++ {
+				p.Sleep(sim.Microsecond)
+				ticks++
+			}
+		})
+		e.Spawn("stuck-b", func(p *sim.Proc) { p.Sleep(sim.Microsecond); c.Wait(p) })
+		e.Spawn("stuck-a", func(p *sim.Proc) { c.Wait(p) })
+	}
 	ce, err := sim.NewCoupled([]int{0, 0, 0}, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ticks int
-	ce.Sub(0).Spawn("p", func(p *sim.Proc) {
-		for i := 0; i < 5; i++ {
-			p.Sleep(sim.Microsecond)
-			ticks++
-		}
-	})
-	if err := ce.Run(); err != nil {
-		t.Fatal(err)
+	spawn(ce.Sub(0))
+	err = ce.Run()
+	if ticks != 5 || ce.Windows() != 1 || ce.Dispatches() != 1 || ce.Elapsed() != 5*sim.Microsecond {
+		t.Fatalf("ticks %d, windows %d, dispatches %d, elapsed %v; want 5, 1, 1, 5µs", ticks, ce.Windows(), ce.Dispatches(), ce.Elapsed())
 	}
-	if ticks != 5 {
-		t.Fatalf("ticks = %d", ticks)
-	}
-	if ce.Windows() != 1 {
-		t.Fatalf("one-group run should report 1 window, got %d", ce.Windows())
-	}
-	if ce.Elapsed() != 5*sim.Microsecond {
-		t.Fatalf("elapsed = %v", ce.Elapsed())
+	bare := sim.NewEngine()
+	spawn(bare)
+	var d *sim.DeadlockError
+	if want := bare.Run(); !errors.As(err, &d) || !reflect.DeepEqual(err, want) {
+		t.Fatalf("Run = %v, want the bare engine's %v", err, want)
 	}
 }
 
@@ -568,14 +575,14 @@ func TestCoupledParallelDeliveryMatchesInline(t *testing.T) {
 }
 
 // TestCoupledInlineOverflowKeepsSchedule pins a storm in which every
-// group outgrows the first slots its record holds: each of 256
+// group outgrows the heap entries its record holds inline: each of 256
 // two-rank groups starts with 12 pending events, all inside the first
-// window, so its event pool, heap and free list grow past them, and
-// every one of those events defers an op in that window, so its
-// mailbox does too. The barrier ops re-arm about 3000 tokens (rounds
+// window, so its heap moves to a fresh allocation, and every one of
+// those events defers an op in that window, so each worker's run grows
+// past its capacity. The barrier ops re-arm about 3000 tokens (rounds
 // large enough to be delivered on the pool). Digest, event count and
 // end time must equal the values the engine gave before groups kept
-// their first slots inline, at every worker count.
+// their first heap entries inline, at every worker count.
 func TestCoupledInlineOverflowKeepsSchedule(t *testing.T) {
 	const (
 		groups, perGroup, hops = 256, 12, 40000

@@ -34,7 +34,7 @@ type Common struct {
 	// sequential engines coupled by a conservative-lookahead window
 	// protocol; -shards only caps how many groups execute a window
 	// concurrently, so command output is byte-identical at any
-	// -shards setting (see DESIGN.md §11).
+	// -shards setting (see DESIGN.md §7).
 	Shards int
 	// CPUProfile and MemProfile are pprof output paths ("" disables).
 	CPUProfile string

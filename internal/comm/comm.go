@@ -171,7 +171,7 @@ type Spec struct {
 	// how many fabric node groups of the coupled conservative-lookahead
 	// engine may execute a window concurrently. Simulated output is
 	// byte-identical at every value — the group structure and the
-	// barrier total order are topology-determined (DESIGN.md §11) — so
+	// barrier total order are topology-determined (DESIGN.md §7) — so
 	// Shards buys wall-clock parallelism without touching results.
 	Shards int
 

@@ -11,7 +11,7 @@ import (
 // perlmutter-cpu ranks in two node groups, so every message between
 // rank 0 and rank 127 crosses the window barrier. CI requires
 // 0 allocs/op from each of them, except the requests Isend and Irecv
-// return to their caller (DESIGN.md §18). The one-sided put+flush and
+// return to their caller (DESIGN.md §9). The one-sided put+flush and
 // fetch-and-add are internal/shmem's.
 
 // msgPathWarmup is how many ops each active rank runs before the timer

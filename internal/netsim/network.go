@@ -374,7 +374,7 @@ func (n *Network) edge(from, to int32) *channelGroup {
 // link in the fabric. No message can cross between distinct nodes in
 // less simulated time than this, so it is the conservative-parallel
 // lookahead bound the window engine uses to advance node groups past
-// the global horizon safely (DESIGN.md §11). A linkless fabric
+// the global horizon safely (DESIGN.md §7). A linkless fabric
 // returns 0: no lookahead exists and the world must stay one group.
 func (n *Network) LookaheadBound() sim.Time {
 	min := sim.Time(-1)

@@ -5,7 +5,7 @@ import (
 	"msgroofline/internal/sim"
 )
 
-// Message-path records (DESIGN.md §18). Each pooled record binds its
+// Message-path records (DESIGN.md §9). Each pooled record binds its
 // methods once, when it is first made (l.fire = l.apply), and hands
 // those bound func values to the unchanged CoupledEngine.Defer and At,
 // so a warm endpoint's message path allocates nothing.

@@ -10,7 +10,7 @@ import (
 // beside internal/mpi's two-sided BenchmarkMsgPath*. Each warms a world whose origin PE
 // 0 and target PE npes-1 sit in different node groups, so every put
 // and atomic between them, and every barrier round, crosses the window
-// barrier. CI gates their allocs/op (DESIGN.md §18).
+// barrier. CI gates their allocs/op (DESIGN.md §9).
 
 // msgPathWarmup is how many ops the origin runs before the timer
 // starts: enough to grow every pool and queue to its steady size.

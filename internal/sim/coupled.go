@@ -1,7 +1,6 @@
 package sim
 
-// Coupled conservative-lookahead engine (DESIGN.md §11, scaling
-// internals §14).
+// Coupled conservative-lookahead engine (DESIGN.md §7).
 //
 // CoupledEngine runs the process-coupled stacks (internal/runtime and
 // the mpi/shmem/comm layers above it) under a YAWNS-style

@@ -32,8 +32,8 @@ package sim
 //     groups that executed (read by their workers) or received
 //     barrier ops re-publish;
 //   - a group's deferred ops go straight into the run of the worker
-//     executing it, and each worker sorts its run, so the barrier
-//     merges one sorted run per worker;
+//     executing it, and each worker sorts its run (sortRun), so the
+//     barrier merges one sorted run per worker;
 //   - the barrier is one round: it runs its ops one at a time in the
 //     merged order, buffering the events they schedule (At), then
 //     applies those events in one pass, on the pool when there are
@@ -67,6 +67,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sort"
@@ -180,13 +181,14 @@ type CoupledEngine struct {
 	// Barrier state. inBarrier is true only while the barrier executes
 	// deferred ops; At uses it to buffer deliveries and Defer to refuse
 	// the call. runs[w] holds the ops deferred by the groups worker w
-	// ran, sorted by w; heads is the merge's cursor over them; pend[w]
-	// buffers the barrier's deliveries to share w, the groups g with
-	// g*workers/groups == w (a contiguous range of the slab). All are
-	// reused across windows. deliveries counts barrier-time At calls
-	// and parDeliveries those in barriers that opened them to the pool.
+	// ran, sorted by w via spare[w]; heads is the merge's cursor over
+	// them; pend[w] buffers the barrier's deliveries to share w, the
+	// groups g with g*workers/groups == w (a contiguous range of the
+	// slab). All are reused across windows. deliveries counts barrier
+	// At calls and parDeliveries those in pooled barriers.
 	inBarrier     bool
 	runs          []opRun
+	spare         [][]deferredOp
 	heads         [][]deferredOp
 	pend          [][]delivery
 	deliveries    uint64
@@ -252,6 +254,7 @@ func NewCoupled(groupOf []int, lookahead Time, workers int) (*CoupledEngine, err
 		workers:   workers,
 		counter:   make([]uint64, len(groupOf)),
 		runs:      make([]opRun, workers),
+		spare:     make([][]deferredOp, workers),
 		pend:      make([][]delivery, workers),
 	}
 	// Each rank readies its group's engine (again, for a group's later
@@ -399,7 +402,7 @@ func (ce *CoupledEngine) Deliveries() (all, parallel uint64) {
 }
 
 // PhaseWall returns the wall-clock time the window loop spent in its
-// three phases: executing group events (with the workers' run sorts),
+// three phases: executing group events (with each worker's sortRun),
 // applying deferred ops at barriers (merging the workers' runs,
 // running their ops and applying their deliveries), and
 // maintaining the window bound (min-tracker reads, active-set
@@ -554,7 +557,7 @@ func (ce *CoupledEngine) window(w1 Time) {
 		for i := range ce.active {
 			ce.runGroup(0, i)
 		}
-		sortOps(ce.runs[0].ops)
+		ce.sortRun(0)
 		return
 	}
 	ce.pool.Pooled++
@@ -721,7 +724,7 @@ func (ce *CoupledEngine) claim(w int) {
 		lo := ce.cursor.Add(block) - block
 		if lo >= int64(n) {
 			s.fail = n
-			sortOps(ce.runs[w].ops)
+			ce.sortRun(w)
 			return
 		}
 		for s.fail = int(lo); s.fail < int(min(lo+block, int64(n))); s.fail++ {
@@ -824,8 +827,8 @@ func (ce *CoupledEngine) applyShare(w int) {
 }
 
 // cmpOps orders deferred ops by (at, key). Keys embed each sender's
-// monotone counter, so pairs are unique and an unstable sort or a
-// merge still yields one total order.
+// monotone counter, so pairs are unique. sortRun's radix path is
+// stable instead and relies on a rank's ops entering in counter order.
 func cmpOps(a, b deferredOp) int {
 	switch {
 	case a.at != b.at:
@@ -841,7 +844,66 @@ func cmpOps(a, b deferredOp) int {
 	return 0
 }
 
-func sortOps(ops []deferredOp) { slices.SortFunc(ops, cmpOps) }
+// Runs of radixMin ops or more take sortRun's radix path, with digits
+// of at most radixBits (2048 counts, in L1). Per op on a 2-vCPU KVM
+// host it matches the comparison sort near 100 ops of single-rank groups
+// and 256 of interleaved ranks, and is 2-4x faster at 1024, 5-7x at 19000.
+const radixMin, radixBits = 256, 11
+
+// sortRun orders worker w's run by (at, key): a rank's ops enter it in
+// counter order, so a stable LSD radix sort on (at-atMin)<<rb | rank-rMin
+// (rb = 0 for a run in rank order) suffices. The sorted ops end in the
+// run or in spare[w], swapped, so warm windows allocate nothing.
+func (ce *CoupledEngine) sortRun(w int) {
+	ops := ce.runs[w].ops
+	if len(ops) < radixMin {
+		slices.SortFunc(ops, cmpOps)
+		return
+	}
+	rMin, atMin := ops[0].key>>counterBits, ops[0].at
+	rMax, atMax, byRank := rMin, atMin, true
+	for i := 1; i < len(ops); i++ {
+		r, at := ops[i].key>>counterBits, ops[i].at
+		byRank = byRank && r >= ops[i-1].key>>counterBits
+		rMin, rMax, atMin, atMax = min(rMin, r), max(rMax, r), min(atMin, at), max(atMax, at)
+	}
+	if byRank {
+		rMax = rMin
+	}
+	rb := bits.Len64(rMax - rMin)
+	n := rb + bits.Len64(uint64(atMax)-uint64(atMin))
+	if n > 64 {
+		slices.SortFunc(ops, cmpOps)
+		return
+	}
+	// About len/4 buckets, in the fewest passes of equal width.
+	width := min(radixBits, bits.Len(uint(len(ops)))-2)
+	passes := max(1, (n+width-1)/width)
+	width = (n + passes - 1) / passes
+	atLo, rLo, rMask := uint64(atMin), rMin, uint64(1)<<rb-1 // captured by value
+	key := func(op *deferredOp) uint64 {
+		return (uint64(op.at)-atLo)<<rb | (op.key>>counterBits-rLo)&rMask
+	}
+	var counts [1 << radixBits]int32
+	c, mask := counts[:1<<width], uint64(1)<<width-1
+	src, dst := ops, slices.Grow(ce.spare[w][:0], len(ops))[:len(ops)]
+	for shift := 0; shift < n; shift += width {
+		clear(c)
+		for i := range src {
+			c[key(&src[i])>>shift&mask]++
+		}
+		for d := 1; d < len(c); d++ {
+			c[d] += c[d-1]
+		}
+		for i := len(src) - 1; i >= 0; i-- { // from the back: stable
+			d := key(&src[i]) >> shift & mask
+			c[d]--
+			dst[c[d]] = src[i]
+		}
+		src, dst = dst, src
+	}
+	ce.runs[w].ops, ce.spare[w] = src, dst
+}
 
 // applyDeferred is the window barrier, one round: it merges the
 // workers' sorted runs, applies their ops in (at, key) order and then

@@ -113,9 +113,10 @@ func (c *Common) ReportSched(label string, stats *sched.Stats) {
 // were in rounds opened to the window pool, the windows opened to it,
 // those that woke its helpers and those a helper joined with the
 // helpers' mean join delay, the largest window worker parallelism
-// used, the executed events, the largest node-group count of any one
-// world, and the worst per-world event imbalance across groups
-// (busiest group over the mean). The CI shard-determinism job greps
+// used, the executed events, the switches into rank processes
+// (resumes), the largest node-group count of any one world, and the
+// worst per-world event imbalance across groups (busiest group over
+// the mean). The CI shard-determinism job greps
 // this line to assert the grouped path really ran — a silent fallback
 // to one sequential engine would show grouped=0 — and the
 // topology-determinism job to assert delivery rounds were opened to
@@ -133,10 +134,10 @@ func (c *Common) ReportShards(label string) {
 	if u.Pool.Joins > 0 {
 		join = u.Pool.JoinWait / time.Duration(u.Pool.Joins)
 	}
-	fmt.Fprintf(os.Stderr, "%s: worlds=%d grouped=%d windows=%d exec=%v barrier=%v scan=%v deliveries=%d par=%d pooled=%d woken=%d joined=%d join=%v workers<=%d events=%d groups<=%d imbalance<=%.2f\n",
+	fmt.Fprintf(os.Stderr, "%s: worlds=%d grouped=%d windows=%d exec=%v barrier=%v scan=%v deliveries=%d par=%d pooled=%d woken=%d joined=%d join=%v workers<=%d events=%d resumes=%d groups<=%d imbalance<=%.2f\n",
 		label, u.Worlds, u.Grouped, u.Windows,
 		u.ExecWall.Round(time.Millisecond), u.BarrierWall.Round(time.Millisecond),
 		u.ScanWall.Round(time.Millisecond), u.Deliveries, u.ParDeliveries,
 		u.Pool.Pooled, u.Pool.Woken, u.Pool.Joined, join.Round(time.Microsecond),
-		u.MaxWorkers, events, u.MaxGroups, u.Imbalance)
+		u.MaxWorkers, events, u.Resumes, u.MaxGroups, u.Imbalance)
 }

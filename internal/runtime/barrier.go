@@ -23,22 +23,34 @@ type BarrierCost struct {
 // the signal of rank me-2^r.
 //
 // Round r has exactly one sender, and it sends exactly one round-r
-// signal per barrier, so in[r] counts the round-r signals that have
-// landed and barrier g leaves round r once that count is at least g.
-// A count of g means the sender has entered barrier g, whatever order
-// its signals landed in, which is what MPI's non-overtaking matching
-// tells a dissemination barrier over messages. Signals carry no
-// generation, sequence number or record, and need no order among
-// themselves or with other traffic.
+// signal per barrier, so a round-r inbox counts the round-r signals
+// that have landed and barrier g leaves round r once that count is at
+// least g. A count of g means the sender has entered barrier g,
+// whatever order its signals landed in, which is what MPI's
+// non-overtaking matching tells a dissemination barrier over messages.
+// Signals carry no generation, sequence number or record, and need no
+// order among themselves or with other traffic.
+//
+// The rounds run as wakeups of the rank's process (sim.Proc.Await),
+// not in its coroutine: Wait parks the process once, each op charge
+// and each landing that wakes it runs advance in its event, and the
+// body resumes when the last round is signalled. advance makes the
+// schedule calls of a round loop that sleeps for each op and waits
+// on the signal, so the events are the same. The world's inboxes are
+// one slab, by round then rank, so a round reaches its peer's inbox
+// by index, and ranks that run next to each other touch neighbouring
+// inboxes.
 type Barrier struct {
-	ep    *Endpoint
-	all   []*Barrier // every rank's, by rank
-	cost  *BarrierCost
-	wake  *sim.Cond // broadcast when a signal lands here
-	in    []inbox   // by round
-	gen   uint64
-	round int         // the round Wait waits on
-	ready func() bool // b.signalled, bound once
+	ep      *Endpoint
+	all     []*Barrier // every rank's, by rank; read when a round's inbox is first bound
+	cost    *BarrierCost
+	wake    *sim.Cond // broadcast when a signal lands here
+	in      []inbox   // the world's, by round then rank
+	gen     uint64
+	round   int         // the round Wait is in
+	sending bool        // the next wakeup ends the round's send op
+	proc    *sim.Proc   // the rank's process, in Wait
+	step    func() bool // b.advance, bound once
 	// With a quiesced cond, a signal stays in flight until its local
 	// half, which broadcasts quiesced (SHMEM's quiet waits for them).
 	quiesced *sim.Cond
@@ -60,12 +72,11 @@ type inbox struct {
 // stays in flight until its local completion broadcasts quiesced(r).
 func NewBarriers(w *World, cost BarrierCost, wake, quiesced func(rank int) *sim.Cond) []*Barrier {
 	n := w.Size()
-	rounds := bits.Len(uint(n - 1))
-	all, bs, in := make([]*Barrier, n), make([]Barrier, n), make([]inbox, n*rounds)
+	all, bs, in := make([]*Barrier, n), make([]Barrier, n), make([]inbox, n*bits.Len(uint(n-1)))
 	for r := range all {
 		b := &bs[r]
-		*b = Barrier{ep: w.eps[r], all: all, cost: &cost, wake: wake(r), in: in[r*rounds : (r+1)*rounds]}
-		b.ready = b.signalled
+		*b = Barrier{ep: w.eps[r], all: all, cost: &cost, wake: wake(r), in: in}
+		b.step = b.advance
 		if quiesced != nil {
 			b.quiesced, b.retire = quiesced(r), b.complete
 		}
@@ -77,35 +88,58 @@ func NewBarriers(w *World, cost BarrierCost, wake, quiesced func(rank int) *sim.
 // Wait enters the rank's next barrier from p, the rank's process, and
 // returns once every rank has entered it.
 func (b *Barrier) Wait(p *sim.Proc) {
-	ep, c, n := b.ep, b.cost, len(b.all)
-	if n == 1 && c.RecvOp {
-		ep.ChargeOp(p, c.TP)
-	}
 	b.gen++
-	for r, k := 0, 1; k < n; r, k = r+1, k<<1 {
-		ep.ChargeOp(p, c.TP)
-		to := b.all[(ep.rank+k)%n]
-		in := &to.in[r]
+	if len(b.all) == 1 {
+		if b.cost.RecvOp {
+			b.ep.ChargeOp(p, b.cost.TP)
+		}
+		return
+	}
+	b.proc, b.round, b.sending = p, 0, true
+	p.WakeAfter(b.cost.TP.OpOverhead)
+	p.Await(b.step)
+}
+
+// advance runs one wakeup of the rank's process in Wait and reports
+// whether the barrier is done. The wakeup that ends a round's send op
+// signals the peer and, with RecvOp, charges the receive op; the next
+// wakeup checks the round's inbox, enlisting on wake until the round
+// is signalled, and then charges the next round's send op.
+func (b *Barrier) advance() bool {
+	c, n, me := b.cost, len(b.all), b.ep.rank
+	if b.sending {
+		b.sending = false
+		dst := (me + 1<<b.round) % n
+		in := &b.in[b.round*n+dst]
 		if in.land == nil {
-			in.wake, in.land = to.wake, in.arrive
+			in.wake, in.land = b.all[dst].wake, in.arrive
 		}
 		if b.quiesced != nil {
 			b.inFlight++
 		}
-		ep.Inject(c.TP, to.ep.rank, c.Bytes, ep.AutoChannel(), in.land, b.retire)
+		b.ep.Inject(c.TP, dst, c.Bytes, b.ep.AutoChannel(), in.land, b.retire)
 		if c.RecvOp {
-			ep.ChargeOp(p, c.TP)
+			b.proc.WakeAfter(c.TP.OpOverhead)
+			return false
 		}
-		b.round = r
-		b.wake.WaitFor(p, b.ready)
 	}
+	if !b.signalled() {
+		b.wake.Enlist(b.proc)
+		return false
+	}
+	if b.round++; 1<<b.round >= n {
+		return true
+	}
+	b.sending = true
+	b.proc.WakeAfter(c.TP.OpOverhead)
+	return false
 }
 
 // InFlight returns how many of this rank's signals have not completed
 // locally (always zero without a quiesced cond).
 func (b *Barrier) InFlight() int { return b.inFlight }
 
-func (b *Barrier) signalled() bool { return b.in[b.round].count >= b.gen }
+func (b *Barrier) signalled() bool { return b.in[b.round*len(b.all)+b.ep.rank].count >= b.gen }
 
 func (b *Barrier) complete(sim.Time) {
 	b.inFlight--

@@ -162,6 +162,10 @@ func (w *World) Elapsed() sim.Time { return w.eng.Elapsed() }
 // split changed no event order.
 func (w *World) Digest() uint64 { return w.eng.Digest() }
 
+// Resumes returns how many times the world's processes were switched
+// into (sim.CoupledEngine.Resumes).
+func (w *World) Resumes() uint64 { return w.eng.Resumes() }
+
 // Windows returns how many conservative windows the run executed.
 func (w *World) Windows() uint64 { return w.eng.Windows() }
 

@@ -41,6 +41,10 @@ type UsageSummary struct {
 	// collection): the engine layer of a Breaking-Band-style cost
 	// breakdown (see sim.CoupledEngine.PhaseWall).
 	ExecWall, BarrierWall, ScanWall time.Duration
+	// Resumes counts the switches into rank processes' bodies (see
+	// sim.CoupledEngine.Resumes); like Events, it does not depend on
+	// the worker count.
+	Resumes uint64
 	// Deliveries counts the events barrier ops scheduled on node
 	// groups, and ParDeliveries those in rounds opened to the window
 	// pool (see sim.CoupledEngine.Deliveries).
@@ -67,6 +71,7 @@ func noteUsage(w *World) {
 		usage.Grouped++
 	}
 	usage.Windows += w.Windows()
+	usage.Resumes += w.eng.Resumes()
 	usage.Busy += w.eng.Busy()
 	for len(usage.Events) < len(gs) {
 		usage.Events = append(usage.Events, 0)

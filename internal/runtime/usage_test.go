@@ -10,7 +10,8 @@ import (
 // TestUsageFoldsWorldsSeparately runs a balanced world and a smaller,
 // imbalanced one and checks the process tally: group count and
 // imbalance are the worst single world's, never a sum of group i over
-// unrelated worlds, and the per-index event totals still add up.
+// unrelated worlds, and the per-index event totals and the resumes
+// still add up.
 func TestUsageFoldsWorldsSeparately(t *testing.T) {
 	usageMu.Lock()
 	saved := usage
@@ -41,8 +42,10 @@ func TestUsageFoldsWorldsSeparately(t *testing.T) {
 	}
 	worlds := []*World{run(16, 0), run(8, 30)}
 	var events int64
+	var resumes uint64
 	worst := 0.0
 	for _, w := range worlds {
+		resumes += w.Resumes()
 		var total, busiest int64
 		for _, s := range w.GroupStats() {
 			total += s.Executed
@@ -62,6 +65,9 @@ func TestUsageFoldsWorldsSeparately(t *testing.T) {
 	}
 	if u.Worlds != 2 || u.MaxGroups != groups || sum != events {
 		t.Fatalf("worlds=%d groups<=%d events=%d, want 2, %d, %d", u.Worlds, u.MaxGroups, sum, groups, events)
+	}
+	if u.Resumes != resumes || resumes == 0 {
+		t.Fatalf("resumes=%d, want the worlds' %d (> 0)", u.Resumes, resumes)
 	}
 	if u.Imbalance != worst || worst <= 1.5 {
 		t.Fatalf("imbalance %v, want the imbalanced world's %v (> 1.5)", u.Imbalance, worst)

@@ -377,10 +377,16 @@ func (ce *CoupledEngine) Elapsed() Time {
 }
 
 // Executed returns the total number of dispatched events.
-func (ce *CoupledEngine) Executed() uint64 {
-	var n uint64
+func (ce *CoupledEngine) Executed() uint64 { return ce.sum((*Engine).Executed) }
+
+// Resumes returns the total number of switches into process bodies;
+// like Executed, it does not depend on the worker count.
+func (ce *CoupledEngine) Resumes() uint64 { return ce.sum((*Engine).Resumes) }
+
+// sum folds a per-engine count over the groups in group order.
+func (ce *CoupledEngine) sum(count func(*Engine) uint64) (n uint64) {
 	for g := range ce.groups {
-		n += ce.groups[g].eng.Executed()
+		n += count(&ce.groups[g].eng)
 	}
 	return n
 }

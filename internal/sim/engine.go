@@ -58,8 +58,8 @@ type Engine struct {
 	nowHead int32
 	nowLen  int32
 
-	parkedHead *Proc // intrusive list of cond-parked procs (deadlock reporting)
-	parkedN    int
+	parkedHead *Proc  // intrusive list of cond-parked procs (deadlock reporting)
+	resumes    uint64 // switches into process bodies (step's p.next calls)
 
 	// perturb, when non-nil, enables the schedule-fuzzing mode of
 	// perturb.go: every scheduled event draws (or replays) one decision
@@ -89,6 +89,10 @@ func (e *Engine) Now() Time { return e.now }
 
 // Executed returns the number of events dispatched so far.
 func (e *Engine) Executed() uint64 { return e.executed }
+
+// Resumes returns how many wakeups switched into a process body; own
+// wakeups taken inline and Await steps switch into none.
+func (e *Engine) Resumes() uint64 { return e.resumes }
 
 // Digest returns the order-sensitive fingerprint of the events
 // dispatched so far: each event's (firing time, ordering key) pair is
@@ -300,15 +304,19 @@ func (e *Engine) take() heapEnt {
 }
 
 // step dispatches the next event. It reports false when the queue is
-// empty.
+// empty. A wakeup runs the step of the Await its process is parked in,
+// if any, and unless that reports false, the body until it parks or
+// returns; a panic in either is re-raised here. A finished process's
+// stale wakeup is a no-op.
 func (e *Engine) step() bool {
 	if e.nowLen == 0 && len(e.heap) == 0 {
 		return false
 	}
-	if ent := e.take(); ent.wake != nil {
-		e.dispatch(ent.wake)
-	} else {
+	if ent := e.take(); ent.wake == nil {
 		ent.fn()
+	} else if p := ent.wake; p.step == nil || p.step() {
+		e.resumes++
+		p.next()
 	}
 	return true
 }
@@ -333,7 +341,7 @@ func (e *Engine) Run() error {
 	e.horizon = math.MaxInt64
 	for e.step() {
 	}
-	if e.parkedN > 0 {
+	if e.parkedHead != nil {
 		return e.deadlock()
 	}
 	return nil
@@ -406,10 +414,7 @@ func (d *DeadlockError) Error() string {
 }
 
 func (e *Engine) deadlock() error {
-	names := make([]string, 0, e.parkedN)
-	for p := e.parkedHead; p != nil; p = p.parkedNext {
-		names = append(names, p.name)
-	}
+	names := e.parkedNames(nil)
 	sort.Strings(names)
 	return &DeadlockError{Time: e.now, Parked: names}
 }
@@ -422,7 +427,6 @@ func (e *Engine) addParked(p *Proc) {
 		e.parkedHead.parkedPrev = p
 	}
 	e.parkedHead = p
-	e.parkedN++
 }
 
 // removeParked unlinks p; a no-op if p is not in the list.
@@ -440,5 +444,4 @@ func (e *Engine) removeParked(p *Proc) {
 		p.parkedNext.parkedPrev = p.parkedPrev
 	}
 	p.parkedPrev, p.parkedNext = nil, nil
-	e.parkedN--
 }

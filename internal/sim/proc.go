@@ -16,6 +16,7 @@ type Proc struct {
 	name  string
 	next  func() (struct{}, bool) // resumes the body until it parks or returns
 	yield func(struct{}) bool     // suspends the body back into next
+	step  func() bool             // the step of the Await p is parked in, or nil
 
 	// intrusive membership in the engine's cond-parked list
 	isParked               bool
@@ -35,11 +36,6 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	e.scheduleWake(0, p)
 	return p
 }
-
-// dispatch runs p until it parks or returns; a panic in p's body is
-// re-raised here. It is called from the engine loop (inside step). A
-// finished process's stale wakeup is a no-op.
-func (e *Engine) dispatch(p *Proc) { p.next() }
 
 // park suspends p until its next wakeup is dispatched. The caller has
 // arranged that wakeup (a scheduled event or a condition registration),
@@ -65,8 +61,30 @@ func (p *Proc) Now() Time { return p.eng.now }
 // the turn (other events at the same timestamp run first). The wakeup
 // is a pre-bound queue entry: no closure, no allocation.
 func (p *Proc) Sleep(d Time) {
-	p.eng.scheduleWake(d, p)
+	p.WakeAfter(d)
 	p.park()
+}
+
+// WakeAfter is Sleep without the park: p's next wakeup, d from now.
+func (p *Proc) WakeAfter(d Time) { p.eng.scheduleWake(d, p) }
+
+// Await runs a wait as wakeups, not in p's coroutine. The caller has
+// arranged p's next wakeup (WakeAfter or Cond.Enlist). Await parks p
+// once; each wakeup runs step in the event that dispatches it, with no
+// switch into the body. A step that reports false has arranged the
+// next wakeup; true resumes the body in that event, where a blocking
+// Sleep or WaitFor would return. Its schedule calls are the blocking
+// code's, so the events are too (DESIGN.md §7). Like park, Await takes
+// p's own wakeups inline while they are the engine's next event.
+func (p *Proc) Await(step func() bool) {
+	for p.eng.ownWakeup(p) {
+		if step() {
+			return
+		}
+	}
+	p.step = step
+	p.yield(struct{}{})
+	p.step = nil
 }
 
 // Cond is a condition variable for simulated processes. Waiters park;
@@ -107,12 +125,17 @@ func (c *Cond) popFront() *Proc {
 // Wait parks p until the condition is signaled. As with sync.Cond, the
 // awakened process must re-check its predicate.
 func (c *Cond) Wait(p *Proc) {
+	c.Enlist(p)
+	p.park()
+}
+
+// Enlist is Wait without the park: it queues p as a waiter.
+func (c *Cond) Enlist(p *Proc) {
 	if p.eng != c.eng {
-		panic("sim: Cond.Wait with process from a different engine")
+		panic("sim: Cond waiter from a different engine")
 	}
 	c.waiters = append(c.waiters, p)
 	c.eng.addParked(p)
-	p.park()
 }
 
 // Signal wakes the longest-waiting process, if any. The wakeup is a

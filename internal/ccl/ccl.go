@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 
+	"msgroofline/internal/runtime"
 	"msgroofline/internal/shmem"
 )
 
@@ -82,7 +83,7 @@ type Ctx struct {
 	sc   *shmem.Ctx
 	seq  uint64
 	// scratch holds the chunk being put. A put stages its payload
-	// before it returns, so the next encode may overwrite it.
+	// before it returns, so the next chunk may overwrite it.
 	scratch []byte
 }
 
@@ -105,24 +106,6 @@ func chunkBounds(n, npes, chunk int) (lo, hi int) {
 		hi = n
 	}
 	return lo, hi
-}
-
-// encode writes v into the context's scratch buffer and returns it.
-func (c *Ctx) encode(v []float64) []byte {
-	if cap(c.scratch) < 8*len(v) {
-		c.scratch = make([]byte, 8*len(v))
-	}
-	out := c.scratch[:8*len(v)]
-	for i, f := range v {
-		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(f))
-	}
-	return out
-}
-
-func decodeInto(dst []float64, b []byte) {
-	for i := 0; i < len(dst) && 8*i+8 <= len(b); i++ {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
 }
 
 // addInto adds the float64s encoded in b to dst element-wise.
@@ -152,7 +135,8 @@ func (c *Ctx) ReduceScatter(data []float64) (lo, hi int, err error) {
 		sendChunk := (me - step + np) % np
 		recvChunk := (me - step - 1 + np) % np
 		slo, shi := chunkBounds(len(data), np, sendChunk)
-		c.sc.PutSignalNBI(right, p.stagingOff(step), c.encode(data[slo:shi]), p.sigOff(step), c.seq)
+		c.scratch = runtime.EncodeFloats(c.scratch, data[slo:shi])
+		c.sc.PutSignalNBI(right, p.stagingOff(step), c.scratch, p.sigOff(step), c.seq)
 		// Wait for the left neighbor's chunk for this step.
 		c.sc.WaitUntilAll([]int{p.sigOff(step)}, c.seq)
 		rlo, rhi := chunkBounds(len(data), np, recvChunk)
@@ -188,11 +172,13 @@ func (c *Ctx) allGather(data []float64) error {
 		sendChunk := ((me+1-step)%np + np) % np
 		slot := np - 1 + step // distinct slots from ReduceScatter steps
 		slo, shi := chunkBounds(len(data), np, sendChunk)
-		c.sc.PutSignalNBI(right, p.stagingOff(slot), c.encode(data[slo:shi]), p.sigOff(slot), c.seq)
+		c.scratch = runtime.EncodeFloats(c.scratch, data[slo:shi])
+		c.sc.PutSignalNBI(right, p.stagingOff(slot), c.scratch, p.sigOff(slot), c.seq)
 		c.sc.WaitUntilAll([]int{p.sigOff(slot)}, c.seq)
 		recvChunk := (sendChunk - 1 + np) % np
 		rlo, rhi := chunkBounds(len(data), np, recvChunk)
-		decodeInto(data[rlo:rhi], c.sc.PE().Heap()[p.stagingOff(slot):])
+		off := p.stagingOff(slot)
+		runtime.DecodeFloats(data[rlo:rhi], c.sc.PE().Heap()[off:off+8*(rhi-rlo)])
 	}
 	c.sc.Quiet()
 	c.sc.Barrier()

@@ -184,9 +184,11 @@ type Spec struct {
 	NoTrace bool
 
 	// DebugUnordered deliberately breaks the ordering contract of
-	// StreamTriggered and MemChannel (see shmem.Job.SetDebugUnordered)
-	// so the conformance ordering oracles can prove they catch the
-	// violation. Never set outside tests.
+	// StreamTriggered and MemChannel through shmem.Job.SetDebugUnordered:
+	// it sets the world's ordering switch (runtime.World.SetUnordered),
+	// so channel writes land in wire order, and the stream dependency's
+	// own switch. The conformance ordering oracles use it to prove they
+	// catch the violation. Never set outside tests.
 	DebugUnordered bool
 }
 

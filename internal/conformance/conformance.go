@@ -42,8 +42,12 @@ type Options struct {
 	SpikeProb float64
 	// Kernels filters cases by kernel name (nil keeps all).
 	Kernels []string
-	// Unordered disables the MPI non-overtaking resequencer in the
-	// micro-kernels (deliberate bug injection for mutation testing).
+	// Unordered breaks the ordering contracts the micro-kernels check
+	// (deliberate bug injection for mutation testing): it sets the
+	// world's ordering switch (runtime.World.SetUnordered), so MPI
+	// messages and memory-channel writes land in wire order, and,
+	// through comm.Spec.DebugUnordered, stream-triggered descriptors
+	// fire without waiting for their predecessors.
 	Unordered bool
 }
 

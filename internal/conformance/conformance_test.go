@@ -56,7 +56,7 @@ func TestPerturbationDeterminism(t *testing.T) {
 }
 
 // mutationCaught seeds a deliberate ordering bug (the kernel's
-// ordering machinery disabled via Spec/SetDebugUnordered) and requires
+// ordering machinery disabled via Options.Unordered) and requires
 // the kernel's oracle to catch it, the failing seed to shrink, and the
 // shrunk script to replay the failure deterministically.
 func mutationCaught(t *testing.T, kernel string) {

@@ -30,8 +30,8 @@ type chaos struct {
 	// shards is the window worker parallelism of the workload's
 	// world (0 means 1); output must be invariant under it.
 	shards int
-	// unordered disables the MPI non-overtaking resequencer in the
-	// micro-kernels that build their own communicator (mutation knob).
+	// unordered breaks the ordering contracts the micro-kernels check
+	// (mutation knob; see Options.Unordered).
 	unordered bool
 }
 
@@ -227,7 +227,7 @@ func msgorderRun(ch chaos) (outcome, error) {
 		return outcome{}, err
 	}
 	ch.inject(c.World())
-	c.SetDebugUnordered(ch.unordered)
+	c.World().SetUnordered(ch.unordered)
 
 	senders := []int{0, 2}
 	total := moSenderCount * moTags * moPerStream

@@ -73,7 +73,7 @@ func TestBarrierUnderFaults(t *testing.T) {
 
 // TestBarrierMakesNoTwoSidedState checks that barriers stay off the
 // two-sided message path: a run of barriers alone never makes a rank's
-// per-peer send or receive sequence map.
+// per-peer send sequence map or receive resequencer map.
 func TestBarrierMakesNoTwoSidedState(t *testing.T) {
 	const ranks = 16
 	c := newComm(t, "perlmutter-cpu", ranks)
@@ -86,8 +86,8 @@ func TestBarrierMakesNoTwoSidedState(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range c.ranks {
-		if r.sendSeq != nil || r.recvSeq != nil {
-			t.Errorf("rank %d made its sequence maps (%d send, %d receive peers)", r.id, len(r.sendSeq), len(r.recvSeq))
+		if r.sendSeq != nil || r.recv != nil {
+			t.Errorf("rank %d made its per-peer maps (%d send, %d receive peers)", r.id, len(r.sendSeq), len(r.recv))
 		}
 	}
 }

@@ -39,16 +39,7 @@ type Comm struct {
 	// sendHook, when set, observes every two-sided message at delivery
 	// time (barrier rounds are not messages and are not seen).
 	sendHook runtime.MsgHook
-	// debugUnordered disables the per-(source, destination) arrival
-	// resequencer, exposing raw (possibly fault-reordered) network
-	// arrival order to the matching queue. Mutation-testing knob for
-	// the conformance harness — never set in real runs.
-	debugUnordered bool
 }
-
-// SetDebugUnordered turns off non-overtaking resequencing so the
-// conformance suite can prove its oracles catch ordering bugs.
-func (c *Comm) SetDebugUnordered(v bool) { c.debugUnordered = v }
 
 // SetSendHook installs a hook observing two-sided messages at
 // delivery. Call before Launch.
@@ -119,19 +110,16 @@ type Rank struct {
 	unexpected []*envelope // delivered but unmatched messages, FIFO
 	posted     []*Request  // posted receives not yet matched, FIFO
 
-	// Non-overtaking resequencer. MPI guarantees messages between one
-	// (source, destination) pair match in send order; the fault-injected
-	// network may deliver them out of order (a retransmitted message is
-	// legally overtaken). sendSeq[d] numbers sends to rank d, recvSeq[s]
-	// is the next sequence admitted from rank s, and ooo[s] buffers
-	// early arrivals until the gap fills (a source leaves it once its
-	// queue drains). All three hold only the peers this rank has
-	// exchanged messages with, so per-rank state stays O(peers) and the
-	// world O(ranks), and each is made on first use: the sequence maps
-	// never for a rank that only puts and fences, ooo never on an
-	// in-order network.
-	sendSeq, recvSeq map[int]uint64
-	ooo              map[int][]*envelope
+	// Non-overtaking. MPI guarantees messages between one (source,
+	// destination) pair match in send order; the fault-injected network
+	// may deliver them out of order (a retransmitted message is legally
+	// overtaken). sendSeq[d] numbers sends to rank d, and recv[s] is the
+	// resequencer (runtime.Order) of arrivals from rank s. Both hold
+	// only the peers this rank has exchanged messages with, so per-rank
+	// state stays O(peers) and the world O(ranks), and each is made on
+	// first use, never for a rank that only synchronizes.
+	sendSeq map[int]uint64
+	recv    map[int]*runtime.Order[*envelope]
 
 	bar *runtime.Barrier
 	// envs is the free list of pooled envelopes, nenvs long, touched
@@ -177,8 +165,8 @@ func (r *Rank) PendingPosted() int { return len(r.posted) }
 // non-overtaking resequencer (always zero on an in-order network).
 func (r *Rank) PendingOutOfOrder() int {
 	n := 0
-	for _, q := range r.ooo {
-		n += len(q)
+	for _, o := range r.recv {
+		n += o.Pending()
 	}
 	return n
 }

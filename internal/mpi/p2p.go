@@ -108,52 +108,20 @@ func (r *Rank) Waitall(reqs []*Request) {
 	})
 }
 
-// deliver runs in engine context when a message reaches this rank. It
-// first restores per-(source, destination) send order — a retransmitted
-// message may arrive after a later send from the same source — then
-// admits in-order arrivals to the matching queue. On an in-order
-// network every message is admitted as it arrives.
+// deliver runs in engine context when a message reaches this rank. Its
+// source's resequencer restores send order — a retransmitted message
+// may arrive after a later send from the same source — and admits
+// in-order arrivals to the matching queue.
 func (r *Rank) deliver(env *envelope) {
-	if r.comm.debugUnordered {
-		r.admit(env)
-		return
-	}
-	src := env.src
-	next := r.recvSeq[src]
-	if env.seq != next {
-		if r.ooo == nil {
-			r.ooo = make(map[int][]*envelope)
+	o := r.recv[env.src]
+	if o == nil {
+		if r.recv == nil {
+			r.recv = make(map[int]*runtime.Order[*envelope])
 		}
-		r.ooo[src] = append(r.ooo[src], env)
-		return
+		o = runtime.NewOrder[*envelope](r.comm.world)
+		r.recv[env.src] = o
 	}
-	if r.recvSeq == nil {
-		r.recvSeq = make(map[int]uint64)
-	}
-	for env != nil {
-		next++
-		r.recvSeq[src] = next
-		r.admit(env)
-		env = r.takeOutOfOrder(src, next)
-	}
-}
-
-// takeOutOfOrder removes and returns the buffered arrival from src
-// with sequence seq, or nil. A source whose queue drains leaves the
-// map.
-func (r *Rank) takeOutOfOrder(src int, seq uint64) *envelope {
-	q := r.ooo[src]
-	for i, env := range q {
-		if env.seq == seq {
-			if len(q) == 1 {
-				delete(r.ooo, src)
-			} else {
-				r.ooo[src] = append(q[:i], q[i+1:]...)
-			}
-			return env
-		}
-	}
-	return nil
+	o.Arrive(env.seq, env, r.admit)
 }
 
 // admit runs in engine context once an arrival is in order: match the

@@ -49,8 +49,10 @@ func TestPerPeerStateDrains(t *testing.T) {
 		t.Fatalf("faults never reordered arrivals (%+v)", c.World().Inst.Net.FaultStats())
 	}
 	for _, r := range c.ranks {
-		if n := len(r.ooo) + r.PendingOutOfOrder(); n != 0 {
-			t.Fatalf("rank %d keeps %d out-of-order entries after the run", r.id, n)
+		for src, o := range r.recv {
+			if n := o.Pending(); n != 0 {
+				t.Fatalf("rank %d keeps %d out-of-order arrivals from rank %d after the run", r.id, n, src)
+			}
 		}
 	}
 }

@@ -37,6 +37,8 @@ type World struct {
 	Inst *machine.Instance
 	eng  *sim.CoupledEngine
 	eps  []*Endpoint
+
+	unordered bool // the ordering switch (SetUnordered)
 }
 
 // NewWorldSharded builds a world with `ranks` endpoints on the
@@ -147,6 +149,12 @@ func (w *World) Spawn(rank int, name string, fn func(*sim.Proc)) {
 // (stream g for group g; see sim.Perturbation). Call before spawning.
 func (w *World) SetPerturbation(p *sim.Perturbation) { w.eng.SetPerturbation(p) }
 
+// SetUnordered deliberately breaks every resequencer (Order) made in
+// the world: MPI messages and channel writes land in wire order, so
+// the conformance oracles can prove they catch it. Tests only; call
+// before Run.
+func (w *World) SetUnordered(v bool) { w.unordered = v }
+
 // Run drives the simulation to completion and surfaces deadlocks.
 func (w *World) Run() error {
 	err := w.eng.Run()
@@ -168,9 +176,6 @@ func (w *World) Resumes() uint64 { return w.eng.Resumes() }
 
 // Windows returns how many conservative windows the run executed.
 func (w *World) Windows() uint64 { return w.eng.Windows() }
-
-// GroupStats returns per-node-group execution summaries.
-func (w *World) GroupStats() []sim.GroupStats { return w.eng.GroupStats() }
 
 // BusyWall reports the run's busy time over wall time.
 func (w *World) BusyWall(wall time.Duration) float64 { return w.eng.BusyWall(wall) }

@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"encoding/binary"
+	"math"
 	"sync"
 	"unsafe"
 )
@@ -51,6 +53,34 @@ func IsBlank(b []byte) bool {
 	p := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
 	base := uintptr(unsafe.Pointer(&blankBytes[0]))
 	return p >= base && p < base+uintptr(len(blankBytes))
+}
+
+// EncodeFloats writes v into buf as little-endian float64s, the
+// payload form of the numeric kernels, reusing buf when it has room,
+// and returns the 8*len(v) encoded bytes.
+func EncodeFloats(buf []byte, v []float64) []byte {
+	if cap(buf) < 8*len(v) {
+		buf = make([]byte, 8*len(v))
+	}
+	buf = buf[:8*len(v)]
+	for i, f := range v {
+		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(f))
+	}
+	return buf
+}
+
+// DecodeFloats reads the little-endian float64s of b into dst,
+// reusing dst when it has room, and returns the len(b)/8 decoded
+// values.
+func DecodeFloats(dst []float64, b []byte) []float64 {
+	if cap(dst) < len(b)/8 {
+		dst = make([]float64, len(b)/8)
+	}
+	dst = dst[:len(b)/8]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return dst
 }
 
 // Stage copies data into a pooled buffer for a later Land, or returns

@@ -63,28 +63,29 @@ var (
 
 // noteUsage folds one finished world into the process tally.
 func noteUsage(w *World) {
-	gs := w.GroupStats()
+	groups := w.Groups()
 	usageMu.Lock()
 	defer usageMu.Unlock()
 	usage.Worlds++
-	if len(gs) > 1 {
+	if groups > 1 {
 		usage.Grouped++
 	}
 	usage.Windows += w.Windows()
 	usage.Resumes += w.eng.Resumes()
 	usage.Busy += w.eng.Busy()
-	for len(usage.Events) < len(gs) {
+	for len(usage.Events) < groups {
 		usage.Events = append(usage.Events, 0)
 	}
 	var total, busiest int64
-	for g, s := range gs {
-		usage.Events[g] += s.Executed
-		total += s.Executed
-		busiest = max(busiest, s.Executed)
+	for g := range groups {
+		n := int64(w.eng.Sub(g).Executed())
+		usage.Events[g] += n
+		total += n
+		busiest = max(busiest, n)
 	}
-	usage.MaxGroups = max(usage.MaxGroups, len(gs))
+	usage.MaxGroups = max(usage.MaxGroups, groups)
 	if total > 0 {
-		usage.Imbalance = max(usage.Imbalance, float64(busiest)*float64(len(gs))/float64(total))
+		usage.Imbalance = max(usage.Imbalance, float64(busiest)*float64(groups)/float64(total))
 	}
 	if w.eng.Workers() > usage.MaxWorkers {
 		usage.MaxWorkers = w.eng.Workers()

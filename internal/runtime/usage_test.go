@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"slices"
 	"testing"
 
 	"msgroofline/internal/machine"
@@ -42,14 +43,20 @@ func TestUsageFoldsWorldsSeparately(t *testing.T) {
 	}
 	worlds := []*World{run(16, 0), run(8, 30)}
 	var events int64
+	var perGroup []int64
 	var resumes uint64
 	worst := 0.0
 	for _, w := range worlds {
 		resumes += w.Resumes()
 		var total, busiest int64
-		for _, s := range w.GroupStats() {
-			total += s.Executed
-			busiest = max(busiest, s.Executed)
+		for g := range w.Groups() {
+			n := int64(w.eng.Sub(g).Executed())
+			if g == len(perGroup) {
+				perGroup = append(perGroup, 0)
+			}
+			perGroup[g] += n
+			total += n
+			busiest = max(busiest, n)
 		}
 		events += total
 		worst = max(worst, float64(busiest)*float64(w.Groups())/float64(total))
@@ -65,6 +72,9 @@ func TestUsageFoldsWorldsSeparately(t *testing.T) {
 	}
 	if u.Worlds != 2 || u.MaxGroups != groups || sum != events {
 		t.Fatalf("worlds=%d groups<=%d events=%d, want 2, %d, %d", u.Worlds, u.MaxGroups, sum, groups, events)
+	}
+	if !slices.Equal(u.Events, perGroup) {
+		t.Fatalf("per-group events %v, want the worlds' summed %v", u.Events, perGroup)
 	}
 	if u.Resumes != resumes || resumes == 0 {
 		t.Fatalf("resumes=%d, want the worlds' %d (> 0)", u.Resumes, resumes)

@@ -69,9 +69,6 @@ type Job struct {
 	// signal words (1).
 	sigBase int
 	landed  [2]func(src, dst int)
-	// unordered is copied into every channel a PE opens (see
-	// SetDebugUnordered).
-	unordered bool
 }
 
 // SetHook installs a delivery observer for user puts (internal barrier
@@ -151,12 +148,12 @@ func NewJobSharded(cfg *machine.Config, tr machine.Transport, npes, heapBytes, s
 
 // SetDebugUnordered deliberately breaks the ordering contract of the
 // issue paths that have one: stream-triggered descriptors fire without
-// waiting for their stream predecessors, and memory channels bypass
-// the receive resequencer. It exists so the conformance ordering
-// oracles can prove they catch the violation; never set it outside
-// tests. Call before Launch.
+// waiting for their stream predecessors, and memory channel writes
+// land in wire order (the world's switch, runtime.World.SetUnordered).
+// It exists so the conformance ordering oracles can prove they catch
+// the violation; never set it outside tests. Call before Launch.
 func (j *Job) SetDebugUnordered(v bool) {
-	j.unordered = v
+	j.world.SetUnordered(v)
 	for _, pe := range j.pes {
 		if pe.stream != nil {
 			pe.stream.SetUnordered(v)
@@ -394,9 +391,7 @@ func (pe *PE) channel(dst int) *runtime.Channel {
 		return cmp.Compare(c.Dst(), dst)
 	})
 	if !found {
-		c := runtime.NewChannel(pe.ep, dst, pe.job.tp)
-		c.SetUnordered(pe.job.unordered)
-		pe.chans = slices.Insert(pe.chans, i, c)
+		pe.chans = slices.Insert(pe.chans, i, runtime.NewChannel(pe.ep, dst, pe.job.tp))
 	}
 	return pe.chans[i]
 }

@@ -93,14 +93,6 @@ const (
 	DefaultMailboxCap = 1 << 20
 )
 
-// GroupStats is one node group's execution summary.
-type GroupStats struct {
-	// Ranks is the number of ranks placed in the group.
-	Ranks int
-	// Executed is the number of events the group dispatched.
-	Executed int64
-}
-
 // deferredOp is one cross-group operation awaiting the window barrier.
 type deferredOp struct {
 	at  Time
@@ -429,18 +421,6 @@ func (ce *CoupledEngine) Digest() uint64 {
 		h = mixDigest(h, ce.groups[g].eng.Digest())
 	}
 	return h
-}
-
-// GroupStats returns per-group execution summaries in group order.
-func (ce *CoupledEngine) GroupStats() []GroupStats {
-	out := make([]GroupStats, len(ce.groups))
-	for _, g := range ce.groupOf {
-		out[g].Ranks++
-	}
-	for g := range ce.groups {
-		out[g].Executed = int64(ce.groups[g].eng.Executed())
-	}
-	return out
 }
 
 // Busy returns the run's busy time: the whole loop of an inline run,

@@ -453,8 +453,8 @@ func TestCoupledActiveSkipReawaken(t *testing.T) {
 	}
 }
 
-// TestCoupledGroupStats requires the per-group summaries to account
-// for every rank and every executed event exactly once, and the run's
+// TestCoupledGroupStats requires the group engines (Sub) to account
+// for every executed event exactly once, and the run's
 // busy time, measured once (inline) or per worker and window (pool),
 // to be reported by Busy and BusyWall, at every worker count. A zero
 // wall interval reports no busy time. The loop's phases are chained
@@ -466,19 +466,12 @@ func TestCoupledGroupStats(t *testing.T) {
 		t0 := time.Now()
 		ce := simbench.CoupledWindows(ranks, workers, 30000, 7)
 		wall := time.Since(t0)
-		st := ce.GroupStats()
-		if len(st) != ce.Groups() {
-			t.Fatalf("workers=%d: %d group stats for %d groups", workers, len(st), ce.Groups())
+		var executed uint64
+		for g := range ce.Groups() {
+			executed += ce.Sub(g).Executed()
 		}
-		var executed int64
-		sumRanks := 0
-		for _, s := range st {
-			executed += s.Executed
-			sumRanks += s.Ranks
-		}
-		if executed != int64(ce.Executed()) || sumRanks != ranks {
-			t.Fatalf("workers=%d: group stats sum to %d events / %d ranks, want %d / %d",
-				workers, executed, sumRanks, ce.Executed(), ranks)
+		if executed != ce.Executed() {
+			t.Fatalf("workers=%d: group engines sum to %d events, want %d", workers, executed, ce.Executed())
 		}
 		if ce.Busy() <= 0 {
 			t.Fatalf("workers=%d: Busy() = %v", workers, ce.Busy())

@@ -5,6 +5,7 @@ import (
 
 	"msgroofline/internal/comm"
 	"msgroofline/internal/machine"
+	"msgroofline/internal/runtime"
 )
 
 // Run executes the solve once on the transport named by
@@ -63,7 +64,7 @@ func Run(cfg Config) (*Result, error) {
 					}
 					continue
 				}
-				ep.Deliver(u.dst, slotOf[edge{child: u.child, parent: j}], encodeFloats(u.payload))
+				ep.Deliver(u.dst, slotOf[edge{child: u.child, parent: j}], runtime.EncodeFloats(nil, u.payload))
 			}
 		}
 		for _, j := range st.readyRoots() {
@@ -73,7 +74,7 @@ func Run(cfg Config) (*Result, error) {
 			slot, data := ep.WaitAnySlot()
 			e := edges[slot]
 			sz := m.Snodes[e.child].Size()
-			if st.accumulate(e.child, decodeFloats(data[:8*sz])) {
+			if st.accumulate(e.child, runtime.DecodeFloats(nil, data[:8*sz])) {
 				process(e.child)
 			}
 		}

@@ -17,7 +17,6 @@
 package sptrsv
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -244,20 +243,4 @@ func (s *solveState) solveLocal(j int) (ups []update, flops int64) {
 		})
 	}
 	return ups, flops
-}
-
-func encodeFloats(v []float64) []byte {
-	out := make([]byte, 8*len(v))
-	for i, f := range v {
-		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(f))
-	}
-	return out
-}
-
-func decodeFloats(b []byte) []float64 {
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out
 }

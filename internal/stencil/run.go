@@ -1,31 +1,13 @@
 package stencil
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"msgroofline/internal/comm"
 	"msgroofline/internal/runtime"
 	"msgroofline/internal/sim"
 	"msgroofline/internal/trace"
 )
-
-func encodeFloats(v []float64) []byte {
-	out := make([]byte, 8*len(v))
-	for i, f := range v {
-		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(f))
-	}
-	return out
-}
-
-func decodeFloats(b []byte) []float64 {
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out
-}
 
 // Run executes the stencil once on the transport named by
 // cfg.Transport. The kernel is transport-agnostic: per iteration each
@@ -81,13 +63,13 @@ func Run(cfg Config) (*Result, error) {
 		for iter := 0; iter < cfg.Iters; iter++ {
 			if cfg.Verify {
 				for k, x := range recvs {
-					sends[k].Data = encodeFloats(tl.extract(x.Slot))
+					sends[k].Data = runtime.EncodeFloats(nil, tl.extract(x.Slot))
 				}
 			}
 			halos := ep.Exchange(iter, sends, recvs)
 			if cfg.Verify {
 				for k, data := range halos {
-					tl.inject(recvs[k].Slot, decodeFloats(data))
+					tl.inject(recvs[k].Slot, runtime.DecodeFloats(nil, data))
 				}
 				tl.step()
 			}

@@ -10,6 +10,7 @@ import (
 
 	"msgroofline/internal/comm"
 	"msgroofline/internal/machine"
+	"msgroofline/internal/runtime"
 )
 
 func mc(t *testing.T, name string) *machine.Config {
@@ -241,7 +242,7 @@ func TestStrongScaling(t *testing.T) {
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	in := []float64{0, -1.5, math.Pi, 1e300, math.Inf(1)}
-	out := decodeFloats(encodeFloats(in))
+	out := runtime.DecodeFloats(nil, runtime.EncodeFloats(nil, in))
 	for i := range in {
 		if out[i] != in[i] {
 			t.Fatalf("round trip broke at %d: %v != %v", i, out[i], in[i])

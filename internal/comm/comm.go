@@ -52,7 +52,6 @@ import (
 
 	"msgroofline/internal/gpu"
 	"msgroofline/internal/machine"
-	"msgroofline/internal/netsim"
 	"msgroofline/internal/runtime"
 	"msgroofline/internal/sim"
 	"msgroofline/internal/trace"
@@ -175,34 +174,15 @@ type Spec struct {
 	// Shards buys wall-clock parallelism without touching results.
 	Shards int
 
-	// Perturb, when non-nil, installs engine schedule fuzzing
-	// (conformance harness only; nil leaves runs byte-identical).
-	Perturb *sim.Perturbation
-	// Faults, when non-nil, installs network fault injection.
-	Faults *netsim.Faults
+	// Chaos is installed on the world of every transport
+	// (runtime.World.SetChaos): one value carries schedule
+	// perturbation, network faults and the one ordering switch, which
+	// breaks MPI non-overtaking, channel FIFO and the stream
+	// dependency alike. The zero value, outside the conformance
+	// harness, leaves runs byte-identical.
+	Chaos runtime.Chaos
 	// NoTrace skips recorder creation and hook installation.
 	NoTrace bool
-
-	// DebugUnordered deliberately breaks the ordering contract of
-	// StreamTriggered and MemChannel through shmem.Job.SetDebugUnordered:
-	// it sets the world's ordering switch (runtime.World.SetUnordered),
-	// so channel writes land in wire order, and the stream dependency's
-	// own switch. The conformance ordering oracles use it to prove they
-	// catch the violation. Never set outside tests.
-	DebugUnordered bool
-}
-
-// applyChaos installs the conformance harness's opt-in schedule
-// perturbation and network fault injection on a freshly built world
-// (perturbation fans out to every node-group engine as its own
-// decision stream).
-func (s Spec) applyChaos(w *runtime.World, net *netsim.Network) {
-	if s.Perturb != nil {
-		w.SetPerturbation(s.Perturb)
-	}
-	if s.Faults != nil {
-		net.SetFaults(s.Faults)
-	}
 }
 
 func (s Spec) validate() error {
@@ -344,7 +324,8 @@ func New(spec Spec) (Transport, error) {
 
 // StreamInspector is implemented by transports whose sends ride a
 // per-rank device stream; conformance oracles read its fire count and
-// first early fire after Launch.
+// first early fire after Launch. The stream is made at Launch under
+// Spec.Chaos, so its ordering switch is the world's.
 type StreamInspector interface {
 	Stream(rank int) *gpu.Stream
 }

@@ -9,10 +9,13 @@ package comm_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"msgroofline/internal/comm"
 	"msgroofline/internal/machine"
+	"msgroofline/internal/netsim"
+	"msgroofline/internal/runtime"
 	"msgroofline/internal/sim"
 )
 
@@ -507,5 +510,56 @@ func TestMemChannelOpensOnFirstWrite(t *testing.T) {
 	}
 	if n := len(ins.Channels(1)); n != 0 {
 		t.Errorf("rank 1 never wrote but holds %d channels", n)
+	}
+}
+
+// TestTwoSidedChaosUnordered: the ordering switch of Spec.Chaos must
+// reach a two-sided world built by comm.New. Under faults (drops and
+// latency spikes reorder the wire), a stream of tagged sends received
+// with ANY_TAG lands in send order while the switch is off, and out of
+// send order on some seed while it is on.
+func TestTwoSidedChaosUnordered(t *testing.T) {
+	const msgs = 16
+	// order returns the tags rank 1 received, in receive order.
+	order := func(seed uint64, unordered bool) []int {
+		tr, err := comm.New(comm.Spec{
+			Machine: mc(t, "perlmutter-cpu"), Kind: comm.TwoSided, Ranks: 2,
+			StreamSlots: []int{0, msgs}, SlotBytes: 8, NoTrace: true,
+			Chaos: runtime.Chaos{Unordered: unordered, Faults: &netsim.Faults{
+				Seed: seed, DropProb: 0.1, SpikeProb: 0.5, MaxSpike: 3 * sim.Microsecond}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []int
+		err = tr.Launch(func(ep comm.Endpoint) {
+			switch ep.Rank() {
+			case 0:
+				for s := 0; s < msgs; s++ {
+					ep.Deliver(1, s, make([]byte, 8))
+				}
+			case 1:
+				for n := 0; n < msgs; n++ {
+					slot, _ := ep.WaitAnySlot()
+					got = append(got, slot)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	reordered := 0
+	for seed := uint64(1); seed <= 8; seed++ {
+		if got := order(seed, false); !slices.IsSorted(got) {
+			t.Fatalf("seed %d: ordered two-sided stream landed as %v", seed, got)
+		}
+		if !slices.IsSorted(order(seed, true)) {
+			reordered++
+		}
+	}
+	if reordered == 0 {
+		t.Fatal("the ordering switch never reordered a two-sided stream: it does not reach comm.New(TwoSided)")
 	}
 }

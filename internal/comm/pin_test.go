@@ -11,6 +11,7 @@ import (
 	"msgroofline/internal/hashtable"
 	"msgroofline/internal/machine"
 	"msgroofline/internal/netsim"
+	"msgroofline/internal/runtime"
 	"msgroofline/internal/sim"
 	"msgroofline/internal/spmat"
 	"msgroofline/internal/sptrsv"
@@ -30,7 +31,7 @@ type pinRun func() (sim.Time, uint64, error)
 func stencilPin(kind comm.Kind, m *machine.Config, f *netsim.Faults, shards int) pinRun {
 	return func() (sim.Time, uint64, error) {
 		r, err := stencil.Run(stencil.Config{Machine: m, Transport: kind,
-			Grid: 64, Iters: 5, PX: 4, PY: 2, Verify: true, Faults: f, Shards: shards})
+			Grid: 64, Iters: 5, PX: 4, PY: 2, Verify: true, Chaos: runtime.Chaos{Faults: f}, Shards: shards})
 		if err != nil {
 			return 0, 0, err
 		}
@@ -45,7 +46,7 @@ func sptrsvPin(kind comm.Kind, m *machine.Config, p spmat.Params, ranks int, f *
 			return 0, 0, err
 		}
 		r, err := sptrsv.Run(sptrsv.Config{Machine: m, Transport: kind,
-			Matrix: mat, Ranks: ranks, Faults: f, Shards: shards})
+			Matrix: mat, Ranks: ranks, Chaos: runtime.Chaos{Faults: f}, Shards: shards})
 		if err != nil {
 			return 0, 0, err
 		}
@@ -56,7 +57,7 @@ func sptrsvPin(kind comm.Kind, m *machine.Config, p spmat.Params, ranks int, f *
 func hashPin(kind comm.Kind, m *machine.Config, ranks int, f *netsim.Faults, shards int) pinRun {
 	return func() (sim.Time, uint64, error) {
 		r, err := hashtable.Run(hashtable.Config{Machine: m, Transport: kind,
-			Ranks: ranks, TotalInserts: 800, Faults: f, Shards: shards})
+			Ranks: ranks, TotalInserts: 800, Chaos: runtime.Chaos{Faults: f}, Shards: shards})
 		if err != nil {
 			return 0, 0, err
 		}

@@ -65,8 +65,7 @@ func newShmem(spec Spec) (*shmemT, error) {
 	if err != nil {
 		return nil, err
 	}
-	j.SetDebugUnordered(spec.DebugUnordered)
-	spec.applyChaos(j.World(), j.World().Inst.Net)
+	j.World().SetChaos(spec.Chaos)
 	t := &shmemT{base: base{spec: spec}, j: j, sigBase: sigBase}
 	if rec := t.attachTrace(); rec != nil {
 		j.SetHook(rec.Record)

@@ -18,7 +18,7 @@ func newTwoSided(spec Spec) (*twoSided, error) {
 	if err != nil {
 		return nil, err
 	}
-	spec.applyChaos(c.World(), c.World().Inst.Net)
+	c.World().SetChaos(spec.Chaos)
 	t := &twoSided{base: base{spec: spec}, c: c}
 	if rec := t.attachTrace(); rec != nil {
 		c.SetSendHook(rec.Record)

@@ -25,6 +25,7 @@ import (
 	"strings"
 
 	"msgroofline/internal/netsim"
+	"msgroofline/internal/runtime"
 	"msgroofline/internal/sched"
 	"msgroofline/internal/sim"
 )
@@ -43,11 +44,11 @@ type Options struct {
 	// Kernels filters cases by kernel name (nil keeps all).
 	Kernels []string
 	// Unordered breaks the ordering contracts the micro-kernels check
-	// (deliberate bug injection for mutation testing): it sets the
-	// world's ordering switch (runtime.World.SetUnordered), so MPI
-	// messages and memory-channel writes land in wire order, and,
-	// through comm.Spec.DebugUnordered, stream-triggered descriptors
-	// fire without waiting for their predecessors.
+	// (deliberate bug injection for mutation testing). It is the one
+	// switch of every case's world (runtime.Chaos.Unordered): MPI
+	// messages and memory-channel writes land in wire order, and
+	// stream-triggered descriptors fire without waiting for their
+	// predecessors.
 	Unordered bool
 }
 
@@ -169,7 +170,7 @@ func Run(o Options) (*Report, error) {
 func (o Options) buildViolation(kc kcase, ref outcome, seed uint64, detail string) Violation {
 	v := Violation{Kernel: kc.kernel, Transport: kc.transport.String(), Seed: seed, Detail: detail}
 	rec := &sim.Perturbation{Seed: seed, MaxJitter: maxJitter, Record: true}
-	runCase(kc, chaos{perturb: rec, faults: o.faults(seed), unordered: o.Unordered})
+	runCase(kc, o.chaos(rec, seed))
 	script := append([]sim.PerturbDecision(nil), rec.Trace()...)
 	v.TraceLen = len(script)
 	v.StreamLens = rec.TraceLens()
@@ -200,11 +201,7 @@ func Replay(o Options, v Violation) string {
 // seed. Each call returns fresh objects: a Perturbation binds to one
 // engine.
 func (o Options) seedChaos(seed uint64) chaos {
-	return chaos{
-		perturb:   &sim.Perturbation{Seed: seed, MaxJitter: maxJitter},
-		faults:    o.faults(seed),
-		unordered: o.Unordered,
-	}
+	return o.chaos(&sim.Perturbation{Seed: seed, MaxJitter: maxJitter}, seed)
 }
 
 // scriptChaos replays a recorded (possibly shrunk) decision script
@@ -216,11 +213,13 @@ func (o Options) scriptChaos(seed uint64, script []sim.PerturbDecision, lens []i
 	if script == nil {
 		script = []sim.PerturbDecision{}
 	}
-	return chaos{
-		perturb:   &sim.Perturbation{Seed: seed, Script: script, StreamLens: lens},
-		faults:    o.faults(seed),
-		unordered: o.Unordered,
-	}
+	return o.chaos(&sim.Perturbation{Seed: seed, Script: script, StreamLens: lens}, seed)
+}
+
+// chaos pairs a perturbation with the seed's fault stream and the
+// sweep's ordering switch.
+func (o Options) chaos(p *sim.Perturbation, seed uint64) chaos {
+	return chaos{Chaos: runtime.Chaos{Perturb: p, Faults: o.faults(seed), Unordered: o.Unordered}}
 }
 
 // faults derives the per-seed network fault configuration; the fault

@@ -13,37 +13,21 @@ import (
 	"msgroofline/internal/hashtable"
 	"msgroofline/internal/machine"
 	"msgroofline/internal/mpi"
-	"msgroofline/internal/netsim"
 	"msgroofline/internal/runtime"
 	"msgroofline/internal/shmem"
-	"msgroofline/internal/sim"
 	"msgroofline/internal/spmat"
 	"msgroofline/internal/sptrsv"
 	"msgroofline/internal/stencil"
 )
 
-// chaos bundles the fuzzing configuration of one run. The zero value
-// is a clean (reference) run.
+// chaos is the fuzzing configuration of one run: the world's disorder
+// (perturbation, faults and the ordering switch; see
+// Options.Unordered) and its shards, the window worker parallelism (0
+// means 1), under which output must be invariant. The zero value is a
+// clean (reference) run.
 type chaos struct {
-	perturb *sim.Perturbation
-	faults  *netsim.Faults
-	// shards is the window worker parallelism of the workload's
-	// world (0 means 1); output must be invariant under it.
+	runtime.Chaos
 	shards int
-	// unordered breaks the ordering contracts the micro-kernels check
-	// (mutation knob; see Options.Unordered).
-	unordered bool
-}
-
-// inject installs the perturbation and faults on a world that a
-// micro-kernel builds itself, outside comm.New.
-func (ch chaos) inject(w *runtime.World) {
-	if ch.perturb != nil {
-		w.SetPerturbation(ch.perturb)
-	}
-	if ch.faults != nil {
-		w.Inst.Net.SetFaults(ch.faults)
-	}
 }
 
 // outcome is the semantic fingerprint of one run: fp is compared
@@ -146,8 +130,7 @@ func stencilRun(kind comm.Kind) func(chaos) (outcome, error) {
 			Machine:   workloadMachine(kind, machine.PerlmutterCPU, machine.PerlmutterGPU),
 			Transport: kind,
 			Grid:      24, Iters: 3, PX: 2, PY: 2, Verify: true,
-			Shards:  ch.shards,
-			Perturb: ch.perturb, Faults: ch.faults,
+			Shards: ch.shards, Chaos: ch.Chaos,
 		})
 		if err != nil {
 			return outcome{}, err
@@ -165,8 +148,7 @@ func sptrsvRun(kind comm.Kind) func(chaos) (outcome, error) {
 			Machine:   workloadMachine(kind, machine.FrontierCPU, machine.SummitGPU),
 			Transport: kind,
 			Matrix:    testMatrix(), Ranks: 4,
-			Shards:  ch.shards,
-			Perturb: ch.perturb, Faults: ch.faults,
+			Shards: ch.shards, Chaos: ch.Chaos,
 		})
 		if err != nil {
 			return outcome{}, err
@@ -185,8 +167,7 @@ func hashtableRun(kind comm.Kind) func(chaos) (outcome, error) {
 			Machine:   workloadMachine(kind, machine.PerlmutterCPU, machine.PerlmutterGPU),
 			Transport: kind,
 			Ranks:     4, TotalInserts: 400, Blocks: 4,
-			Shards:  ch.shards,
-			Perturb: ch.perturb, Faults: ch.faults,
+			Shards: ch.shards, Chaos: ch.Chaos,
 		})
 		if err != nil {
 			return outcome{}, err
@@ -226,8 +207,7 @@ func msgorderRun(ch chaos) (outcome, error) {
 	if err != nil {
 		return outcome{}, err
 	}
-	ch.inject(c.World())
-	c.World().SetUnordered(ch.unordered)
+	c.World().SetChaos(ch.Chaos)
 
 	senders := []int{0, 2}
 	total := moSenderCount * moTags * moPerStream
@@ -327,7 +307,7 @@ func putsignalRun(ch chaos) (outcome, error) {
 	if err != nil {
 		return outcome{}, err
 	}
-	ch.inject(j.World())
+	j.World().SetChaos(ch.Chaos)
 
 	pattern := func(src, round int) []byte {
 		b := make([]byte, slotBytes)
@@ -400,7 +380,7 @@ type slotted struct {
 // rank 0's fused put-with-signal descriptors ride its device stream,
 // and no descriptor may fire before its stream dependency resolved
 // (At >= Ready, and Ready >= previous Done) — the contract
-// Spec.DebugUnordered deliberately breaks for mutation testing.
+// Chaos.Unordered deliberately breaks for mutation testing.
 var streamOrder = slotted{
 	name: "streamorder", machine: machine.PerlmutterGPU, kind: comm.StreamTriggered,
 	slots: 12, slotBytes: 32,
@@ -428,7 +408,7 @@ var streamOrder = slotted{
 // reorders the wire (spikes and drop-retransmits overtake); the
 // channel's resequencer must still apply the writes strictly in
 // sequence order, so its online FIFO check must report every write
-// applied and none out of order — the contract Spec.DebugUnordered
+// applied and none out of order — the contract Chaos.Unordered
 // deliberately breaks for mutation testing.
 var chanFIFO = slotted{
 	name: "chanfifo", machine: machine.PerlmutterCPU, kind: comm.MemChannel,
@@ -477,8 +457,7 @@ func (k slotted) run(ch chaos) (outcome, error) {
 	tr, err := comm.New(comm.Spec{
 		Machine: k.machine, Kind: k.kind, Ranks: 2,
 		StreamSlots: []int{0, k.slots}, SlotBytes: k.slotBytes,
-		Shards: ch.shards, Perturb: ch.perturb, Faults: ch.faults,
-		NoTrace: true, DebugUnordered: ch.unordered,
+		Shards: ch.shards, Chaos: ch.Chaos, NoTrace: true,
 	})
 	if err != nil {
 		return outcome{}, err

@@ -19,21 +19,18 @@ import "msgroofline/internal/sim"
 //
 // A Stream is pure bookkeeping: it computes fire times, and the
 // transport schedules the actual network injection at the returned
-// time. It keeps O(1) state for the oracles: the fire count, a running
-// digest of the fire schedule, and the first descriptor that fired
-// before its stream dependency resolved. All state belongs to the
-// owning rank's engine, so a Stream needs no locking.
+// time. It keeps O(1) state for the oracles: the fire count and the
+// first descriptor that fired before its stream dependency resolved.
+// All state belongs to the owning rank's engine, so a Stream needs no
+// locking.
 type Stream struct {
 	trigger sim.Time
 	cursor  sim.Time // completion time of the latest descriptor
 	fired   int
-	digest  uint64
 	early   *EarlyFire
 	// unordered disables the stream-dependency wait: descriptors fire
-	// trigger-late after their enqueue regardless of predecessors.
-	// This deliberately breaks the ordering contract; it exists so the
-	// conformance stream-ordering oracle can prove it catches the
-	// violation (see internal/conformance).
+	// trigger-late after their enqueue regardless of predecessors
+	// (the world's ordering switch, runtime.Chaos.Unordered).
 	unordered bool
 }
 
@@ -49,13 +46,11 @@ type EarlyFire struct {
 	At, Ready sim.Time
 }
 
-// NewStream returns an empty stream with the given trigger latency.
-func NewStream(trigger sim.Time) *Stream {
-	return &Stream{trigger: trigger, digest: fnvOffsetBasis}
+// NewStream returns an empty stream with the given trigger latency;
+// unordered deliberately breaks its ordering contract.
+func NewStream(trigger sim.Time, unordered bool) *Stream {
+	return &Stream{trigger: trigger, unordered: unordered}
 }
-
-// SetUnordered toggles the deliberate ordering break.
-func (s *Stream) SetUnordered(v bool) { s.unordered = v }
 
 // Enqueue records a descriptor enqueued at enq and returns its fire
 // time. Ordered semantics: the descriptor becomes ready when its
@@ -78,7 +73,6 @@ func (s *Stream) Enqueue(enq sim.Time) sim.Time {
 		s.early = &EarlyFire{Index: s.fired, At: at, Ready: ready}
 	}
 	s.fired++
-	s.digest = mix(mix(s.digest, uint64(at)), uint64(done))
 	return at
 }
 
@@ -88,16 +82,3 @@ func (s *Stream) Fired() int { return s.fired }
 // Early returns the first descriptor that fired before its stream
 // dependency resolved, or nil if none did.
 func (s *Stream) Early() *EarlyFire { return s.early }
-
-// Digest folds every fire and completion time, in enqueue order, with
-// the same FNV-style fold as sim's event digest, so stream schedules
-// can be certified shard- and job-invariant exactly like
-// Result.EventDigest.
-func (s *Stream) Digest() uint64 { return s.digest }
-
-// fnvOffsetBasis seeds the digest (FNV-1a offset basis).
-const fnvOffsetBasis uint64 = 1469598103934665603
-
-// mix folds one word into a digest: xor, then multiply by the 64-bit
-// FNV prime.
-func mix(h, v uint64) uint64 { return (h ^ v) * 1099511628211 }

@@ -1,7 +1,7 @@
 // Integration certification of device-stream scheduling: the fire
 // times a full transport run records must be invariant across the
-// engine shard count and the host job count, certified by the
-// stream digest (same fold as the workloads' Result.EventDigest).
+// engine shard count and the host job count, certified by the world's
+// event digest, which folds each fire as its injection event.
 package gpu_test
 
 import (
@@ -18,7 +18,7 @@ const (
 )
 
 // streamDigest runs one stream-triggered delivery window at the given
-// shard count and returns the sender stream's fire-time digest.
+// shard count and returns the run's event digest.
 func streamDigest(t *testing.T, shards int) uint64 {
 	t.Helper()
 	cfg, err := machine.Get("perlmutter-gpu")
@@ -57,7 +57,7 @@ func streamDigest(t *testing.T, shards int) uint64 {
 	if n := ins.Stream(0).Fired(); n != sdSlots {
 		t.Fatalf("stream fired %d descriptors, want %d", n, sdSlots)
 	}
-	return ins.Stream(0).Digest()
+	return tr.Digest()
 }
 
 // TestStreamDigestShardAndJobInvariant pins the certification: the
@@ -66,11 +66,11 @@ func streamDigest(t *testing.T, shards int) uint64 {
 func TestStreamDigestShardAndJobInvariant(t *testing.T) {
 	want := streamDigest(t, 1)
 	if want == 0 {
-		t.Fatal("stream digest folded no descriptors")
+		t.Fatal("event digest folded nothing")
 	}
 	for _, shards := range []int{2, 4} {
 		if got := streamDigest(t, shards); got != want {
-			t.Fatalf("shards=%d: stream digest %016x, want %016x", shards, got, want)
+			t.Fatalf("shards=%d: event digest %016x, want %016x", shards, got, want)
 		}
 	}
 	for _, jobs := range []int{1, 8} {
@@ -82,7 +82,7 @@ func TestStreamDigestShardAndJobInvariant(t *testing.T) {
 		}
 		for i, d := range digests {
 			if d != want {
-				t.Fatalf("jobs=%d run %d: stream digest %016x, want %016x", jobs, i, d, want)
+				t.Fatalf("jobs=%d run %d: event digest %016x, want %016x", jobs, i, d, want)
 			}
 		}
 	}

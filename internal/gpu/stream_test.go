@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"slices"
 	"testing"
 
 	"msgroofline/internal/sim"
@@ -31,20 +32,17 @@ func enqTimes(seed uint64, n int) []sim.Time {
 // enqueue schedules against the reference recurrence: a descriptor is
 // ready at the later of its enqueue and its predecessor's completion,
 // fires one trigger latency after readiness and completes one trigger
-// latency later. Fire times, count and digest must all match it, fire
-// times must be strictly monotone, and no descriptor may fire early.
+// latency later. Fire times and count must match it, fire times must
+// be strictly monotone, and no descriptor may fire early.
 func TestStreamOrderedProperties(t *testing.T) {
 	const trigger = 1100 * sim.Nanosecond
 	for seed := uint64(0); seed < 20; seed++ {
-		s := NewStream(trigger)
+		s := NewStream(trigger, false)
 		var cursor, prev sim.Time
-		digest := uint64(1469598103934665603)
 		for i, enq := range enqTimes(seed, 50) {
 			ready := max(cursor, enq)
 			want := ready + trigger
 			cursor = want + trigger
-			digest = (digest ^ uint64(want)) * 1099511628211
-			digest = (digest ^ uint64(cursor)) * 1099511628211
 			at := s.Enqueue(enq)
 			if at != want {
 				t.Fatalf("seed %d: fire %d at %v, want %v", seed, i, at, want)
@@ -54,31 +52,28 @@ func TestStreamOrderedProperties(t *testing.T) {
 			}
 			prev = at
 		}
-		if s.Fired() != 50 || s.Digest() != digest || s.Early() != nil {
-			t.Fatalf("seed %d: fired %d, digest %016x, early %+v; want 50, %016x, none",
-				seed, s.Fired(), s.Digest(), s.Early(), digest)
+		if s.Fired() != 50 || s.Early() != nil {
+			t.Fatalf("seed %d: fired %d, early %+v; want 50, none", seed, s.Fired(), s.Early())
 		}
 	}
 }
 
-// TestStreamDigestDeterministic: identical enqueue schedules fold to
-// identical digests, different schedules to different ones.
+// TestStreamDigestDeterministic: identical enqueue schedules fire at
+// identical times, different schedules at different ones.
 func TestStreamDigestDeterministic(t *testing.T) {
-	build := func(seed uint64) uint64 {
-		s := NewStream(1100 * sim.Nanosecond)
+	build := func(seed uint64) []sim.Time {
+		s := NewStream(1100*sim.Nanosecond, false)
+		var fires []sim.Time
 		for _, enq := range enqTimes(seed, 30) {
-			s.Enqueue(enq)
+			fires = append(fires, s.Enqueue(enq))
 		}
-		return s.Digest()
+		return fires
 	}
-	if build(7) != build(7) {
-		t.Fatal("same schedule, different digests")
+	if !slices.Equal(build(7), build(7)) {
+		t.Fatal("same schedule, different fire times")
 	}
-	if build(7) == build(8) {
-		t.Fatal("different schedules collided")
-	}
-	if NewStream(sim.Microsecond).Digest() == 0 {
-		t.Fatal("digest must use a nonzero offset basis")
+	if slices.Equal(build(7), build(8)) {
+		t.Fatal("different schedules fired identically")
 	}
 }
 
@@ -89,8 +84,7 @@ func TestStreamDigestDeterministic(t *testing.T) {
 // any schedule jitter.
 func TestStreamUnorderedBreaksDependency(t *testing.T) {
 	const trigger = 1100 * sim.Nanosecond
-	s := NewStream(trigger)
-	s.SetUnordered(true)
+	s := NewStream(trigger, true)
 	var prevDone sim.Time
 	for i := 0; i < 4; i++ {
 		// Enqueues 40ns apart: far faster than the trigger engine.

@@ -22,7 +22,7 @@ import (
 
 	"msgroofline/internal/comm"
 	"msgroofline/internal/machine"
-	"msgroofline/internal/netsim"
+	"msgroofline/internal/runtime"
 	"msgroofline/internal/sim"
 	"msgroofline/internal/trace"
 )
@@ -54,11 +54,9 @@ type Config struct {
 	// (0 means 1; results are byte-identical at every value — see
 	// comm.Spec.Shards).
 	Shards int
-	// Perturb, when non-nil, installs engine schedule fuzzing
-	// (conformance harness only; nil leaves runs byte-identical).
-	Perturb *sim.Perturbation
-	// Faults, when non-nil, installs network fault injection.
-	Faults *netsim.Faults
+	// Chaos is the conformance harness's disorder (comm.Spec.Chaos);
+	// the zero value leaves runs byte-identical.
+	Chaos runtime.Chaos
 }
 
 func (c *Config) fill() error {

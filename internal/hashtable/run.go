@@ -45,7 +45,7 @@ func Run(cfg Config) (*Result, error) {
 	t, err := comm.New(comm.Spec{
 		Machine: cfg.Machine, Kind: cfg.Transport, Ranks: cfg.Ranks,
 		SharedBytes: g.heapBytes(), Shards: cfg.Shards,
-		Perturb: cfg.Perturb, Faults: cfg.Faults,
+		Chaos: cfg.Chaos,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("hashtable %s: %w", cfg.Transport, err)

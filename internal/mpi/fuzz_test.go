@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"msgroofline/internal/machine"
+	"msgroofline/internal/runtime"
 	"msgroofline/internal/sim"
 )
 
@@ -79,8 +80,8 @@ func FuzzMatchQueue(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.World().SetPerturbation(&sim.Perturbation{
-			Seed: seed, MaxJitter: 2 * sim.Microsecond,
+		c.World().SetChaos(runtime.Chaos{
+			Perturb: &sim.Perturbation{Seed: seed, MaxJitter: 2 * sim.Microsecond},
 		})
 
 		const ackTag = 977

@@ -126,14 +126,14 @@ func FuzzChannelOrder(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.SetPerturbation(&sim.Perturbation{
-			Seed: seed, MaxJitter: 2 * sim.Microsecond,
-		})
-		w.Inst.Net.SetFaults(&netsim.Faults{
-			Seed:      seed*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d,
-			DropProb:  0.02,
-			SpikeProb: 0.05,
-			MaxSpike:  3 * sim.Microsecond,
+		w.SetChaos(Chaos{
+			Perturb: &sim.Perturbation{Seed: seed, MaxJitter: 2 * sim.Microsecond},
+			Faults: &netsim.Faults{
+				Seed:      seed*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d,
+				DropProb:  0.02,
+				SpikeProb: 0.05,
+				MaxSpike:  3 * sim.Microsecond,
+			},
 		})
 		senders := []int{0, 2}
 		chans := make(map[int]*Channel, len(senders))

@@ -6,7 +6,7 @@ package runtime
 // and detours may reorder the wire. Order keeps a landed cursor, a
 // stash of overtaking arrivals (made on the first one and released
 // once it drains) and the first value that landed out of sequence,
-// which only a world whose ordering switch is set (World.SetUnordered)
+// which only a world whose ordering switch is set (Chaos.Unordered)
 // produces. It belongs to the receiver's engine.
 type Order[T any] struct {
 	landed         uint64
@@ -17,7 +17,7 @@ type Order[T any] struct {
 }
 
 // NewOrder returns an empty resequencer under w's ordering switch.
-func NewOrder[T any](w *World) *Order[T] { return &Order[T]{unordered: w.unordered} }
+func NewOrder[T any](w *World) *Order[T] { return &Order[T]{unordered: w.chaos.Unordered} }
 
 // Arrive takes v, numbered seq by the sender. The next value in send
 // order lands at once, followed by the stashed successors it unblocks;

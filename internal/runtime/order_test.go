@@ -82,7 +82,7 @@ func TestOrderUnorderedLandsInWireOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.SetUnordered(true)
+	w.SetChaos(Chaos{Unordered: true})
 	mem := NewMem(8, 8)
 	for n := 0; n <= 6; n++ {
 		permute(n, func(wire []int) {

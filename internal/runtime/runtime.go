@@ -23,7 +23,6 @@ package runtime
 
 import (
 	"fmt"
-	"time"
 
 	"msgroofline/internal/machine"
 	"msgroofline/internal/netsim"
@@ -38,7 +37,21 @@ type World struct {
 	eng  *sim.CoupledEngine
 	eps  []*Endpoint
 
-	unordered bool // the ordering switch (SetUnordered)
+	chaos Chaos // installed by SetChaos
+}
+
+// Chaos is the disorder the conformance harness installs on a world:
+// schedule perturbation on every group engine (group g draws decision
+// stream g; see sim.Perturbation), network fault injection, and the
+// one ordering switch. Unordered deliberately breaks every ordering
+// contract made in the world — each resequencer (Order) lands MPI
+// messages and channel writes in wire order, and each device stream
+// fires descriptors without waiting for their predecessors — so the
+// oracles can prove they catch it. The zero value installs nothing.
+type Chaos struct {
+	Perturb   *sim.Perturbation
+	Faults    *netsim.Faults
+	Unordered bool
 }
 
 // NewWorldSharded builds a world with `ranks` endpoints on the
@@ -125,11 +138,6 @@ func (w *World) Groups() int { return w.eng.Groups() }
 // GroupOf returns the node group owning a rank.
 func (w *World) GroupOf(rank int) int { return w.eng.GroupOf(rank) }
 
-// Lookahead returns the fabric's conservative lookahead bound: the
-// minimum link propagation latency of the instantiated network (0 on
-// a single-node world, where no window protocol is needed).
-func (w *World) Lookahead() sim.Time { return w.Inst.Net.LookaheadBound() }
-
 // Endpoint returns the endpoint for a rank.
 func (w *World) Endpoint(rank int) *Endpoint {
 	return w.eps[rank]
@@ -145,15 +153,15 @@ func (w *World) Spawn(rank int, name string, fn func(*sim.Proc)) {
 	w.eng.EngineOf(rank).Spawn(name, fn)
 }
 
-// SetPerturbation installs schedule fuzzing on every group engine
-// (stream g for group g; see sim.Perturbation). Call before spawning.
-func (w *World) SetPerturbation(p *sim.Perturbation) { w.eng.SetPerturbation(p) }
+// SetChaos installs c on the world. Call before spawning.
+func (w *World) SetChaos(c Chaos) {
+	w.chaos = c
+	w.eng.SetPerturbation(c.Perturb)
+	w.Inst.Net.SetFaults(c.Faults)
+}
 
-// SetUnordered deliberately breaks every resequencer (Order) made in
-// the world: MPI messages and channel writes land in wire order, so
-// the conformance oracles can prove they catch it. Tests only; call
-// before Run.
-func (w *World) SetUnordered(v bool) { w.unordered = v }
+// Chaos returns the chaos installed on the world.
+func (w *World) Chaos() Chaos { return w.chaos }
 
 // Run drives the simulation to completion and surfaces deadlocks.
 func (w *World) Run() error {
@@ -176,9 +184,6 @@ func (w *World) Resumes() uint64 { return w.eng.Resumes() }
 
 // Windows returns how many conservative windows the run executed.
 func (w *World) Windows() uint64 { return w.eng.Windows() }
-
-// BusyWall reports the run's busy time over wall time.
-func (w *World) BusyWall(wall time.Duration) float64 { return w.eng.BusyWall(wall) }
 
 // Endpoint is one rank's attachment to the fabric: its placement plus
 // a NIC with one or more injection channels, each pacing injections at

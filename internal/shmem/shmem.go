@@ -130,9 +130,6 @@ func NewJobSharded(cfg *machine.Config, tr machine.Transport, npes, heapBytes, s
 		eng := w.EngineOf(pe)
 		p := &PE{job: j, id: pe, ep: w.Endpoint(pe), mem: runtime.NewMem(heapBytes, sigBase),
 			landed: sim.NewCond(eng), quiesced: sim.NewCond(eng)}
-		if tr == machine.StreamTriggered {
-			p.stream = gpu.NewStream(tp.TriggerLatency)
-		}
 		j.pes = append(j.pes, p)
 	}
 	cost, quiesced := runtime.BarrierCost{TP: tp, Bytes: 8}, func(pe int) *sim.Cond { return j.pes[pe].quiesced }
@@ -144,21 +141,6 @@ func NewJobSharded(cfg *machine.Config, tr machine.Transport, npes, heapBytes, s
 		j.pes[pe].bar = b
 	}
 	return j, nil
-}
-
-// SetDebugUnordered deliberately breaks the ordering contract of the
-// issue paths that have one: stream-triggered descriptors fire without
-// waiting for their stream predecessors, and memory channel writes
-// land in wire order (the world's switch, runtime.World.SetUnordered).
-// It exists so the conformance ordering oracles can prove they catch
-// the violation; never set it outside tests. Call before Launch.
-func (j *Job) SetDebugUnordered(v bool) {
-	j.world.SetUnordered(v)
-	for _, pe := range j.pes {
-		if pe.stream != nil {
-			pe.stream.SetUnordered(v)
-		}
-	}
 }
 
 // NPEs returns the number of PEs.
@@ -178,10 +160,14 @@ func (j *Job) Elapsed() sim.Time { return j.world.Elapsed() }
 func (j *Job) PE(i int) *PE { return j.pes[i] }
 
 // Launch starts one kernel context per PE running body and drives the
-// simulation to completion.
+// simulation to completion. On StreamTriggered it first makes each PE's
+// device stream under the world's chaos, now final (runtime.Chaos).
 func (j *Job) Launch(body func(c *Ctx)) error {
 	for _, pe := range j.pes {
 		p := pe
+		if j.tr == machine.StreamTriggered {
+			p.stream = gpu.NewStream(j.tp.TriggerLatency, j.world.Chaos().Unordered)
+		}
 		j.world.Spawn(p.id, fmt.Sprintf("pe%d", p.id), func(proc *sim.Proc) {
 			body(&Ctx{pe: p, proc: proc})
 		})
@@ -195,9 +181,9 @@ type PE struct {
 	id  int
 	ep  *runtime.Endpoint
 	mem runtime.Mem // the symmetric heap
-	// stream is the PE's device stream on StreamTriggered (nil
-	// otherwise); chans the MemChannel channels it has written to,
-	// sorted by Dst().
+	// stream is the PE's device stream on StreamTriggered, made by
+	// Launch (nil otherwise); chans the MemChannel channels it has
+	// written to, sorted by Dst().
 	stream *gpu.Stream
 	chans  []*runtime.Channel
 
@@ -229,9 +215,9 @@ func (pe *PE) View(off, n int) []byte { return pe.mem.View(off, n) }
 // Uint64At reads a little-endian uint64 at off in the local heap.
 func (pe *PE) Uint64At(off int) uint64 { return pe.mem.Load(off) }
 
-// Stream returns the PE's device stream on StreamTriggered (nil
-// otherwise), whose fire count and first early fire feed the
-// conformance stream-ordering oracle.
+// Stream returns the PE's device stream on StreamTriggered once
+// Launched (nil otherwise), whose fire count and first early fire feed
+// the conformance stream-ordering oracle.
 func (pe *PE) Stream() *gpu.Stream { return pe.stream }
 
 // Channels returns the memory channels this PE has written to, in

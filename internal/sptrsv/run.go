@@ -31,7 +31,7 @@ func Run(cfg Config) (*Result, error) {
 	t, err := comm.New(comm.Spec{
 		Machine: cfg.Machine, Kind: cfg.Transport, Ranks: cfg.Ranks,
 		StreamSlots: counts, SlotBytes: stride, PollCheck: cfg.PollCheck,
-		Shards: cfg.Shards, Perturb: cfg.Perturb, Faults: cfg.Faults,
+		Shards: cfg.Shards, Chaos: cfg.Chaos,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("sptrsv %s: %w", cfg.Transport, err)

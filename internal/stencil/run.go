@@ -29,7 +29,7 @@ func Run(cfg Config) (*Result, error) {
 	t, err := comm.New(comm.Spec{
 		Machine: cfg.Machine, Kind: cfg.Transport, Ranks: ranks,
 		ExchangeSlots: 4, SlotBytes: slot, Shards: cfg.Shards,
-		Perturb: cfg.Perturb, Faults: cfg.Faults,
+		Chaos: cfg.Chaos,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("stencil %s: %w", cfg.Transport, err)

@@ -2,6 +2,7 @@ package msgroofline
 
 import (
 	"encoding/json"
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/parser"
@@ -56,8 +57,8 @@ type pkgDecls struct {
 	methods map[string]bool
 }
 
-// parseDecls parses the non-test Go files of dir into one pkgDecls.
-func parseDecls(t *testing.T, dir string) *pkgDecls {
+// parseDecls parses the non-test Go files of dirs into one pkgDecls.
+func parseDecls(t *testing.T, dirs ...string) *pkgDecls {
 	t.Helper()
 	d := &pkgDecls{top: map[string]bool{}, members: map[string]map[string]bool{}, methods: map[string]bool{}}
 	member := func(typ, name string) {
@@ -73,9 +74,16 @@ func parseDecls(t *testing.T, dir string) *pkgDecls {
 			}
 		}
 	}
-	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no Go files in %s: %v", dir, err)
+	var files []string
+	for _, dir := range dirs {
+		matches, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, matches...)
+	}
+	if len(files) == 0 {
+		t.Fatalf("no Go files in %v", dirs)
 	}
 	fset := token.NewFileSet()
 	for _, path := range files {
@@ -135,16 +143,27 @@ func (d *pkgDecls) resolves(rest string) bool {
 	return d.members[typ][member]
 }
 
-// codeName matches a dotted Go name, pkg.Name or pkg.Type.Member, that
-// is not part of a path or a longer dotted name.
-var codeName = regexp.MustCompile(`(?:^|[^\w./])([a-z][a-z0-9]*)\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)?)\b`)
+var (
+	// codeName matches a dotted Go name, pkg.Name or pkg.Type.Member,
+	// that is not part of a path or a longer dotted name.
+	codeName = regexp.MustCompile(`(?:^|[^\w./])([a-z][a-z0-9]*)\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)?)\b`)
+	// memberName matches Type.Member cited without its package.
+	memberName = regexp.MustCompile(`(?:^|[^\w./])([A-Z]\w*\.[A-Za-z_]\w*)\b`)
+	// camelName matches a code span that is one lower-camelCase name,
+	// such as sortRun.
+	camelName = regexp.MustCompile(`^[a-z][a-z0-9]*[A-Z]\w*$`)
+)
 
-// TestDocsNameCode checks every backticked pkg.Name or
-// pkg.Type.Member in DESIGN.md and README.md whose pkg is a package
-// directory under internal/: the package must declare it. runtime.X
-// may also name Go's own runtime package. Benchmark metric names
-// (those BENCHMARK.json lists, and any dotted name with an underscore)
-// are not identifiers and are skipped.
+// TestDocsNameCode checks the Go names that DESIGN.md and README.md
+// cite in backticks. A pkg.Name or pkg.Type.Member whose pkg is a
+// package directory under internal/ must be declared by that package;
+// runtime.X may also name Go's own runtime package. A Type.Member
+// without its package, or a span that is one lower-camelCase name,
+// must be declared by some package under internal/. Benchmark metric
+// names (those BENCHMARK.json lists, and any dotted name with an
+// underscore) and the names of files in the repository are not
+// identifiers and are skipped. A synthetic line citing names the tree
+// does not declare must fail the check.
 func TestDocsNameCode(t *testing.T) {
 	dirs := map[string]string{}
 	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
@@ -172,11 +191,19 @@ func TestDocsNameCode(t *testing.T) {
 	}
 	decls := map[string]*pkgDecls{}
 	var goRuntime *pkgDecls
+	paths := make([]string, 0, len(dirs))
+	for _, dir := range dirs {
+		paths = append(paths, dir)
+	}
+	union := parseDecls(t, paths...)
 	backticked := regexp.MustCompile("`[^`\n]+`")
 	checked := 0
-	for _, doc := range []string{"DESIGN.md", "README.md"} {
-		for _, span := range backticked.FindAllString(readDoc(t, doc), -1) {
-			for _, m := range codeName.FindAllStringSubmatch(span, -1) {
+	// unresolved returns a complaint for each name text cites that the
+	// tree does not declare.
+	unresolved := func(text string) (bad []string) {
+		for _, span := range backticked.FindAllString(text, -1) {
+			code := strings.Trim(span, "`")
+			for _, m := range codeName.FindAllStringSubmatch(code, -1) {
 				pkg, rest := m[1], m[2]
 				name := pkg + "." + rest
 				dir, ok := dirs[pkg]
@@ -198,12 +225,37 @@ func TestDocsNameCode(t *testing.T) {
 						continue
 					}
 				}
-				t.Errorf("%s cites `%s`, which package %s does not declare", doc, name, dir)
+				bad = append(bad, fmt.Sprintf("`%s`, which package %s does not declare", name, dir))
 			}
+			var names []string
+			for _, m := range memberName.FindAllStringSubmatch(code, -1) {
+				names = append(names, m[1])
+			}
+			if camelName.MatchString(code) {
+				names = append(names, code)
+			}
+			for _, name := range names {
+				if _, err := os.Stat(name); err == nil || strings.Contains(name, "_") {
+					continue
+				}
+				checked++
+				if !union.resolves(name) {
+					bad = append(bad, fmt.Sprintf("`%s`, which no package under internal/ declares", name))
+				}
+			}
+		}
+		return bad
+	}
+	for _, doc := range []string{"DESIGN.md", "README.md"} {
+		for _, b := range unresolved(readDoc(t, doc)) {
+			t.Errorf("%s cites %s", doc, b)
 		}
 	}
 	if checked == 0 {
-		t.Fatal("found no backticked package names in DESIGN.md or README.md")
+		t.Fatal("found no backticked code names in DESIGN.md or README.md")
+	}
+	if bad := unresolved("a cutoff `parDeliveryMin` and `CoupledEngine.ParDeliveries`"); len(bad) != 2 {
+		t.Errorf("a line citing two undeclared names got %d complaints, want 2: %q", len(bad), bad)
 	}
 }
 

@@ -109,18 +109,17 @@ func (c *Common) ReportSched(label string, stats *sched.Stats) {
 // per-phase wall split of the window loops (group execution vs
 // barrier deferred-op application vs window-bound maintenance — the
 // engine-layer start of a Breaking-Band-style cost attribution), the
-// events barrier ops delivered to node groups and how many of them
-// were in rounds opened to the window pool, the windows opened to it,
-// those that woke its helpers and those a helper joined with the
-// helpers' mean join delay, the largest window worker parallelism
-// used, the executed events, the switches into rank processes
-// (resumes), the largest node-group count of any one world, and the
-// worst per-world event imbalance across groups (busiest group over
-// the mean). The CI shard-determinism job greps
-// this line to assert the grouped path really ran — a silent fallback
-// to one sequential engine would show grouped=0 — and the
-// topology-determinism job to assert delivery rounds were opened to
-// the pool (par > 0).
+// events barrier ops delivered to node groups, the windows opened to
+// the window pool, those that woke its helpers and those a helper
+// joined with the helpers' mean join delay, the largest window worker
+// parallelism used, the executed events, the switches into rank
+// processes (resumes), the largest node-group count of any one world,
+// and the worst per-world event imbalance across groups (busiest group
+// over the mean). The CI shard-determinism job greps this line to
+// assert the grouped path really ran — a silent fallback to one
+// sequential engine would show grouped=0 — and the
+// topology-determinism job to assert windows were opened to the pool
+// (pooled > 0).
 func (c *Common) ReportShards(label string) {
 	u := simruntime.Usage()
 	if u.Worlds == 0 {
@@ -134,10 +133,10 @@ func (c *Common) ReportShards(label string) {
 	if u.Pool.Joins > 0 {
 		join = u.Pool.JoinWait / time.Duration(u.Pool.Joins)
 	}
-	fmt.Fprintf(os.Stderr, "%s: worlds=%d grouped=%d windows=%d exec=%v barrier=%v scan=%v deliveries=%d par=%d pooled=%d woken=%d joined=%d join=%v workers<=%d events=%d resumes=%d groups<=%d imbalance<=%.2f\n",
+	fmt.Fprintf(os.Stderr, "%s: worlds=%d grouped=%d windows=%d exec=%v barrier=%v scan=%v deliveries=%d pooled=%d woken=%d joined=%d join=%v workers<=%d events=%d resumes=%d groups<=%d imbalance<=%.2f\n",
 		label, u.Worlds, u.Grouped, u.Windows,
 		u.ExecWall.Round(time.Millisecond), u.BarrierWall.Round(time.Millisecond),
-		u.ScanWall.Round(time.Millisecond), u.Deliveries, u.ParDeliveries,
+		u.ScanWall.Round(time.Millisecond), u.Deliveries,
 		u.Pool.Pooled, u.Pool.Woken, u.Pool.Joined, join.Round(time.Microsecond),
 		u.MaxWorkers, events, u.Resumes, u.MaxGroups, u.Imbalance)
 }

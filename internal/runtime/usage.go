@@ -46,9 +46,8 @@ type UsageSummary struct {
 	// the worker count.
 	Resumes uint64
 	// Deliveries counts the events barrier ops scheduled on node
-	// groups, and ParDeliveries those in rounds opened to the window
-	// pool (see sim.CoupledEngine.Deliveries).
-	Deliveries, ParDeliveries uint64
+	// groups (see sim.CoupledEngine.Deliveries).
+	Deliveries uint64
 	// Pool sums the worlds' pooled-window counts: windows opened to
 	// the window pool, those that woke its helpers and those a helper
 	// joined, with the joins' summed delay (see
@@ -94,9 +93,7 @@ func noteUsage(w *World) {
 	usage.ExecWall += exec
 	usage.BarrierWall += barrier
 	usage.ScanWall += scan
-	all, par := w.eng.Deliveries()
-	usage.Deliveries += all
-	usage.ParDeliveries += par
+	usage.Deliveries += w.eng.Deliveries()
 	p := w.eng.Pool()
 	usage.Pool.Pooled += p.Pooled
 	usage.Pool.Woken += p.Woken

@@ -88,7 +88,9 @@ func TestUsageFoldsWorldsSeparately(t *testing.T) {
 // one with one: the tally's pool counts are the sums of the worlds'
 // own, every window of a two-worker world is pooled, and the
 // one-worker world pools none. A two-worker run's first pooled window
-// always wakes the helpers, so the woken count is folded too.
+// always wakes the helpers, so the woken count is folded too. Each rank
+// sends one message to the far half of its world, so every world's
+// barriers deliver, and the tally's deliveries are the worlds' sum.
 func TestUsageFoldsPoolStats(t *testing.T) {
 	usageMu.Lock()
 	saved := usage
@@ -103,7 +105,12 @@ func TestUsageFoldsPoolStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tp, ok := cfg.Params(machine.TwoSided)
+	if !ok {
+		t.Fatal("dragonfly-1k has no two-sided transport")
+	}
 	var want sim.PoolStats
+	var deliveries uint64
 	for _, c := range []struct{ ranks, shards int }{{16, 2}, {8, 2}, {8, 1}} {
 		w, err := NewWorldSharded(cfg, c.ranks, c.shards)
 		if err != nil {
@@ -111,6 +118,7 @@ func TestUsageFoldsPoolStats(t *testing.T) {
 		}
 		for r := 0; r < c.ranks; r++ {
 			w.Spawn(r, "sleeper", func(p *sim.Proc) {
+				w.Endpoint(r).Inject(tp, (r+c.ranks/2)%c.ranks, 8, 0, nil, nil)
 				for i := 0; i < 1+r%3; i++ {
 					p.Sleep(sim.Microsecond)
 				}
@@ -119,6 +127,10 @@ func TestUsageFoldsPoolStats(t *testing.T) {
 		if err := w.Run(); err != nil {
 			t.Fatal(err)
 		}
+		if w.eng.Deliveries() == 0 {
+			t.Fatalf("%d ranks at %d shards: no barrier delivery", c.ranks, c.shards)
+		}
+		deliveries += w.eng.Deliveries()
 		p := w.eng.Pool()
 		if c.shards > 1 && (p.Pooled == 0 || p.Pooled != w.Windows()) || c.shards == 1 && p.Pooled != 0 {
 			t.Fatalf("%d ranks at %d shards: %d of %d windows pooled", c.ranks, c.shards, p.Pooled, w.Windows())
@@ -132,7 +144,8 @@ func TestUsageFoldsPoolStats(t *testing.T) {
 	if want.Woken == 0 {
 		t.Fatal("no window woke the helpers")
 	}
-	if u := Usage(); u.Pool != want || u.Worlds != 3 {
-		t.Fatalf("tally pool %+v over %d worlds, want %+v over 3", u.Pool, u.Worlds, want)
+	if u := Usage(); u.Pool != want || u.Worlds != 3 || u.Deliveries != deliveries {
+		t.Fatalf("tally pool %+v and %d deliveries over %d worlds, want %+v and %d over 3",
+			u.Pool, u.Deliveries, u.Worlds, want, deliveries)
 	}
 }

@@ -36,8 +36,7 @@ package sim
 //     barrier merges one sorted run per worker;
 //   - the barrier is one round: it runs its ops one at a time in the
 //     merged order, buffering the events they schedule (At), then
-//     applies those events in one pass, on the pool when there are
-//     many, split by target group.
+//     applies those events in one serial pass.
 //
 // Cross-group effects never mutate a peer group's state mid-window.
 // They are expressed one of two ways:
@@ -100,8 +99,7 @@ type deferredOp struct {
 	run func()
 }
 
-// delivery is one barrier-time At on group g's engine; once applied, t
-// is the event's own time (the clamp or perturbation jitter may move it).
+// delivery is one barrier-time At of fn at t on group g's engine.
 type delivery struct {
 	g  int32
 	t  Time
@@ -174,30 +172,25 @@ type CoupledEngine struct {
 	// deferred ops; At uses it to buffer deliveries and Defer to refuse
 	// the call. runs[w] holds the ops deferred by the groups worker w
 	// ran, sorted by w via spare[w]; heads is the merge's cursor over
-	// them; pend[w] buffers the barrier's deliveries to share w, the
-	// groups g with g*workers/groups == w (a contiguous range of the
-	// slab). All are reused across windows. deliveries counts barrier
-	// At calls and parDeliveries those in pooled barriers.
-	inBarrier     bool
-	runs          []opRun
-	spare         [][]deferredOp
-	heads         [][]deferredOp
-	pend          [][]delivery
-	deliveries    uint64
-	parDeliveries uint64
+	// them; pend buffers the barrier's deliveries in call order. All
+	// are reused across windows. deliveries counts barrier At calls.
+	inBarrier  bool
+	runs       []opRun
+	spare      [][]deferredOp
+	heads      [][]deferredOp
+	pend       []delivery
+	deliveries uint64
 
-	// Window pool (workers > 1; see runPool). The task (w1, active or
-	// pend, delivering, units, opened) and the slots change only while
-	// the gate (open, inflight) is closed and no helper is in flight.
-	w1         Time
-	units      int
-	delivering bool
-	opened     time.Time
-	cursor     atomic.Int64
-	open       atomic.Bool
-	inflight   atomic.Int32
-	wake       []chan struct{} // per helper, 1-buffered
-	slots      []poolSlot      // per worker
+	// Window pool (workers > 1; see runPool). The task (w1, active,
+	// opened) and the slots change only while the gate (open, inflight)
+	// is closed and no helper is in flight.
+	w1       Time
+	opened   time.Time
+	cursor   atomic.Int64
+	open     atomic.Bool
+	inflight atomic.Int32
+	wake     []chan struct{} // per helper, 1-buffered
+	slots    []poolSlot      // per worker
 	// Wake policy (wakePays): running estimates and skipped windows.
 	perGroup, joinDelay time.Duration
 	skipped             int
@@ -247,7 +240,6 @@ func NewCoupled(groupOf []int, lookahead Time, workers int) (*CoupledEngine, err
 		counter:   make([]uint64, len(groupOf)),
 		runs:      make([]opRun, workers),
 		spare:     make([][]deferredOp, workers),
-		pend:      make([][]delivery, workers),
 	}
 	// Each rank readies its group's engine (again, for a group's later
 	// ranks: nothing is scheduled yet), so an engine left unready marks
@@ -309,9 +301,9 @@ func (ce *CoupledEngine) SetPerturbation(p *Perturbation) {
 // ce.At and read an engine's Now(), but must never defer and never
 // schedule on a sub-engine directly (Engine.At, Spawn, Cond signals).
 // The barrier runs one round, buffers its At calls and applies them
-// after the round, possibly on pool workers; only the buffered calls
-// keep every engine's scheduling order fixed. Work that must defer
-// again belongs in an event the op schedules with At.
+// after the round in call order, publishing their times to the window
+// bound; a direct schedule would skip that. Work that must defer again
+// belongs in an event the op schedules with At.
 func (ce *CoupledEngine) Defer(rank int, at Time, run func()) {
 	if ce.inBarrier {
 		panic(fmt.Sprintf("sim: rank %d deferred an op from the window barrier; "+
@@ -351,9 +343,8 @@ func (ce *CoupledEngine) At(rank int, t Time, fn func()) {
 		ce.groups[g].eng.At(t, fn)
 		return
 	}
-	// Applied after the barrier's ops (deliver), in call order per engine.
-	w := int(g) * ce.workers / len(ce.groups)
-	ce.pend[w] = append(ce.pend[w], delivery{g: g, t: t, fn: fn})
+	// Applied after the barrier's ops (deliver), in call order.
+	ce.pend = append(ce.pend, delivery{g: g, t: t, fn: fn})
 }
 
 // Elapsed returns the latest executed-event time across all groups
@@ -393,11 +384,9 @@ func (ce *CoupledEngine) Windows() uint64 { return ce.windows }
 // idle groups are never touched. A one-group run reports 1.
 func (ce *CoupledEngine) Dispatches() uint64 { return ce.dispatches }
 
-// Deliveries returns how many events barrier ops scheduled with At
-// and how many of them were applied on the window pool.
-func (ce *CoupledEngine) Deliveries() (all, parallel uint64) {
-	return ce.deliveries, ce.parDeliveries
-}
+// Deliveries returns how many events barrier ops scheduled with At;
+// like Executed, it does not depend on the worker count.
+func (ce *CoupledEngine) Deliveries() uint64 { return ce.deliveries }
 
 // PhaseWall returns the wall-clock time the window loop spent in its
 // three phases: executing group events (with each worker's sortRun),
@@ -547,7 +536,7 @@ func (ce *CoupledEngine) window(w1 Time) {
 		return
 	}
 	ce.pool.Pooled++
-	ce.runPool(len(ce.active), ce.wakePays(len(ce.active)))
+	ce.runPool(ce.wakePays(len(ce.active)))
 }
 
 // runGroup executes active group i's window on worker w: the group's
@@ -565,7 +554,7 @@ func (ce *CoupledEngine) runGroup(w, i int) {
 
 // PoolStats counts a run's windows on the pool (workers > 1): opened
 // to it, that woke the helpers, and that a helper joined, with every
-// helper join of a window or delivery pass and its summed delay.
+// helper join and its summed delay.
 type PoolStats struct {
 	Pooled, Woken, Joined, Joins uint64
 	JoinWait                     time.Duration
@@ -596,9 +585,10 @@ const claimsPerWorker = 8
 // active groups × perGroup, exceeds wakeRatio × their join delay, so a
 // helper that joins in time still finds a quarter of it; the first
 // window and every reprobeEvery-th skipped one wake them anyway. On a
-// 2-vCPU KVM host helpers join 60–450 µs after the opening: the 1K
+// 2-vCPU KVM host helpers join 60 µs–1.2 ms after the opening: the 1K
 // hashtable's windows (65–128 groups at about 500 ns) stay on the
-// coordinator, the 10K stencil's and phold-100k's wake the helpers.
+// coordinator, phold-100k's wake the helpers, and the 10K stencil's
+// wake them about once in six.
 // The estimates weight a new sample 1/2^estShift.
 const (
 	wakeRatio    = 2
@@ -617,9 +607,9 @@ func (ce *CoupledEngine) wakePays(n int) bool {
 	return false
 }
 
-// runPool runs a task of n units (active-set positions, or pend shares
-// when delivering) with Run's goroutine as worker 0 and re-raises the
-// lowest failing unit's panic.
+// runPool runs the window's active groups as a task, with Run's
+// goroutine as worker 0, and re-raises the lowest failing group's
+// panic.
 //
 // The gate: the coordinator publishes the task, sets open, wakes the
 // helpers (non-blocking sends) if wake is set and claims blocks itself.
@@ -635,11 +625,11 @@ func (ce *CoupledEngine) wakePays(n int) bool {
 // Claims are monotone and a worker runs its blocks in order up to its
 // first failure, so the lowest failure recorded is the one an inline
 // run stops at; what nobody claimed lies above the coordinator's.
-func (ce *CoupledEngine) runPool(n int, wake bool) {
+func (ce *CoupledEngine) runPool(wake bool) {
+	n := len(ce.active)
 	for w := range ce.slots {
 		ce.slots[w] = poolSlot{fail: n}
 	}
-	ce.units = n
 	ce.cursor.Store(0)
 	ce.opened = time.Now()
 	ce.open.Store(true)
@@ -678,28 +668,24 @@ func (ce *CoupledEngine) runPool(n int, wake bool) {
 			first = s
 		}
 	}
-	if !ce.delivering {
-		ce.busy += busy
-		ce.perGroup += (busy/time.Duration(n) - ce.perGroup) >> estShift
-		if wake {
-			ce.pool.Woken++
-		}
-		if joined {
-			ce.pool.Joined++
-		}
+	ce.busy += busy
+	ce.perGroup += (busy/time.Duration(n) - ce.perGroup) >> estShift
+	if wake {
+		ce.pool.Woken++
+	}
+	if joined {
+		ce.pool.Joined++
 	}
 	if first.panic != nil {
 		panic(first.panic)
 	}
 }
 
-// claim runs worker w's part of the open task: blocks of units from
-// the cursor, in order, up to a panicking unit it records in w's slot.
-// A worker sorts only the run it filled. A delivery pass claims like a
-// window: its n = workers units make blocks of 1, and mergeRuns has
-// already emptied the runs.
+// claim runs worker w's part of the open task: blocks of active groups
+// from the cursor, in order, up to a panicking group it records in w's
+// slot. A worker sorts only the run it filled.
 func (ce *CoupledEngine) claim(w int) {
-	s, n := &ce.slots[w], ce.units
+	s, n := &ce.slots[w], len(ce.active)
 	block := int64(max(1, n/(claimsPerWorker*ce.workers)))
 	defer func() {
 		if r := recover(); r != nil {
@@ -714,11 +700,7 @@ func (ce *CoupledEngine) claim(w int) {
 			return
 		}
 		for s.fail = int(lo); s.fail < int(min(lo+block, int64(n))); s.fail++ {
-			if ce.delivering {
-				ce.applyShare(s.fail)
-			} else {
-				ce.runGroup(w, s.fail)
-			}
+			ce.runGroup(w, s.fail)
 		}
 	}
 }
@@ -760,56 +742,23 @@ func (ce *CoupledEngine) helper(w int, wake chan struct{}) {
 	}
 }
 
-// parDeliveryMin is the fewest deliveries a barrier opens to the
-// pool, as a task that always wakes the helpers. A delivery into a
-// cold engine costs 200–400 ns (15 ns into a cached one), so each of
-// two shares of 1024 takes 100–200 µs, about a helper's join delay; a
-// pass done before a helper joins costs that helper's CPU, not the
-// coordinator's time. phold-100k's and the 10K stencil's large
-// barriers cross it; the 1K hashtable's of about 70 stay inline.
-const parDeliveryMin = 1024
-
-// deliver applies the barrier's buffered deliveries, each engine
-// seeing its At calls in call order: inline, or for a large barrier as
-// a pool task whose unit w applies pend[w]. One serial pass then
-// publishes the events' times, so a delivery that re-awakens a group
-// (or moves its next event earlier) shows in the next window's bound
-// without a group scan. Window-time At calls target the caller's
-// group, which re-publishes wholesale after the window.
+// deliver applies the barrier's buffered deliveries in one serial
+// pass, each engine seeing its At calls in call order, and publishes
+// each event's own time (the clamp or perturbation jitter may move it),
+// so a delivery that re-awakens a group (or moves its next event
+// earlier) shows in the next window's bound without a group scan.
+// Window-time At calls target the caller's group, which re-publishes
+// wholesale after the window. The buffer stays: calling At straight
+// from the ops, between merge steps, took 29% more wall time on
+// phold-100k (2-vCPU host).
 func (ce *CoupledEngine) deliver() {
-	n := 0
-	for _, p := range ce.pend {
-		n += len(p)
-	}
-	ce.deliveries += uint64(n)
-	if ce.workers > 1 && n >= parDeliveryMin {
-		ce.parDeliveries += uint64(n)
-		ce.delivering = true
-		ce.runPool(ce.workers, true)
-		ce.delivering = false
-	} else {
-		for w := range ce.pend {
-			ce.applyShare(w)
+	ce.deliveries += uint64(len(ce.pend))
+	for _, d := range ce.pend {
+		if t := ce.groups[d.g].eng.At(d.t, d.fn); t < ce.tree.get(int(d.g)) {
+			ce.tree.update(int(d.g), t)
 		}
 	}
-	for w, pend := range ce.pend {
-		for _, d := range pend {
-			if d.t < ce.tree.get(int(d.g)) {
-				ce.tree.update(int(d.g), d.t)
-			}
-		}
-		ce.pend[w] = pend[:0]
-	}
-}
-
-// applyShare schedules pend[w] in order, writing back each event's own
-// time where the clamp or perturbation jitter moved it.
-func (ce *CoupledEngine) applyShare(w int) {
-	pend := ce.pend[w]
-	for i := range pend {
-		d := &pend[i]
-		d.t = ce.groups[d.g].eng.At(d.t, d.fn)
-	}
+	ce.pend = ce.pend[:0]
 }
 
 // cmpOps orders deferred ops by (at, key). Keys embed each sender's
@@ -894,7 +843,7 @@ func (ce *CoupledEngine) sortRun(w int) {
 // applyDeferred is the window barrier, one round: it merges the
 // workers' sorted runs, applies their ops in (at, key) order and then
 // their deliveries. Ops cannot defer (Defer panics here), so every run
-// is empty afterwards. The runs and the delivery buffers persist
+// is empty afterwards. The runs and the delivery buffer persist
 // across windows, so the steady-state barrier allocates nothing.
 func (ce *CoupledEngine) applyDeferred() error {
 	ce.inBarrier = true

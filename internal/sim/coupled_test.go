@@ -351,10 +351,8 @@ func TestCoupledPoolPanicPropagation(t *testing.T) {
 
 // TestCoupledPoolNeverWaitsForParkedHelper holds every helper out of
 // the pool for the whole run. The coordinator must then run every
-// window and every delivery round alone, without waiting for a helper
-// it woke, and the storms must match their workers=1 runs: the
-// 64-group storm, and the 8192-group one whose rounds are opened to
-// the pool.
+// window alone, without waiting for a helper it woke, and the 64- and
+// 8192-group storms must match their workers=1 runs.
 func TestCoupledPoolNeverWaitsForParkedHelper(t *testing.T) {
 	for _, groups := range []int{64, 8192} {
 		ref := simbench.CoupledWindows(groups, 1, 30000, 7)
@@ -382,9 +380,6 @@ func TestCoupledPoolNeverWaitsForParkedHelper(t *testing.T) {
 		if p.Pooled != ce.Windows() || p.Woken == 0 || p.Joined != 0 || p.Joins != 0 {
 			t.Fatalf("groups=%d: pool %+v over %d windows, want every window pooled, some woken, none joined",
 				groups, p, ce.Windows())
-		}
-		if _, par := ce.Deliveries(); groups == 8192 && par == 0 {
-			t.Fatalf("groups=%d: no delivery round was opened to the pool", groups)
 		}
 	}
 }
@@ -507,16 +502,13 @@ func TestCoupledWindowsWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestCoupledParallelDeliveryMatchesInline pins the pool-applied
-// barrier deliveries against the inline ones. The token storm over
-// 8192 groups delivers rounds of thousands of events, above the
-// cutoff for pool delivery, so workers 2, 3 and 4 open them to the
-// pool while workers 1 schedules each on the spot; the event
-// population, its order and the end time must not change, with and
-// without a schedule perturbation. 8192 groups do not split evenly
-// into 3 delivery shares, so workers 3 covers uneven ranges. The
-// 4096-group storm of BenchmarkEngineCoupledWindows must take the
-// pool path as well, so its 0-alloc gate covers it.
+// TestCoupledParallelDeliveryMatchesInline checks the barrier's
+// deliveries for worker invariance. The token storm over 8192 groups
+// delivers thousands of events per barrier; at workers 1 to 4, with
+// and without a schedule perturbation, the delivery count must be
+// nonzero and the same, and the event population, its order and the
+// end time must not change. 8192 groups do not split evenly over 3
+// workers, so workers 3 runs uneven blocks.
 func TestCoupledParallelDeliveryMatchesInline(t *testing.T) {
 	const groups, events = 8192, 30000
 	groupOf := make([]int, groups)
@@ -536,34 +528,32 @@ func TestCoupledParallelDeliveryMatchesInline(t *testing.T) {
 		if err := ce.Run(); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		all, par := ce.Deliveries()
-		if all == 0 || (workers == 1) != (par == 0) {
-			t.Fatalf("workers=%d: %d deliveries, %d on the pool", workers, all, par)
+		if ce.Deliveries() == 0 {
+			t.Fatalf("workers=%d: no barrier delivery", workers)
 		}
 		return ce
-	}
-	ref := storm(1, nil)
-	for _, workers := range []int{2, 3, 4} {
-		ce := storm(workers, nil)
-		if ce.Digest() != ref.Digest() || ce.Executed() != ref.Executed() || ce.Elapsed() != ref.Elapsed() {
-			t.Fatalf("workers=%d: (digest,events,elapsed)=(%x,%d,%v) != workers=1 (%x,%d,%v)",
-				workers, ce.Digest(), ce.Executed(), ce.Elapsed(),
-				ref.Digest(), ref.Executed(), ref.Elapsed())
-		}
 	}
 	perturb := func() *sim.Perturbation {
 		return &sim.Perturbation{Seed: 11, MaxJitter: 300 * sim.Nanosecond}
 	}
-	fuzzed := storm(1, perturb())
+	ref, fuzzed := storm(1, nil), storm(1, perturb())
 	if fuzzed.Digest() == ref.Digest() {
 		t.Fatal("the perturbation left the schedule unchanged")
 	}
-	if ce := storm(4, perturb()); ce.Digest() != fuzzed.Digest() || ce.Executed() != fuzzed.Executed() {
-		t.Fatalf("perturbed workers=4: (digest,events)=(%x,%d) != workers=1 (%x,%d)",
-			ce.Digest(), ce.Executed(), fuzzed.Digest(), fuzzed.Executed())
-	}
-	if _, par := simbench.CoupledWindows(4096, 2, 200000, 1).Deliveries(); par == 0 {
-		t.Fatal("the 4096-group benchmark storm never delivered on the pool")
+	for _, workers := range []int{2, 3, 4} {
+		for _, want := range []*sim.CoupledEngine{ref, fuzzed} {
+			var p *sim.Perturbation
+			if want == fuzzed {
+				p = perturb()
+			}
+			ce := storm(workers, p)
+			if ce.Digest() != want.Digest() || ce.Executed() != want.Executed() ||
+				ce.Elapsed() != want.Elapsed() || ce.Deliveries() != want.Deliveries() {
+				t.Fatalf("workers=%d perturbed=%t: (digest,events,elapsed,deliveries)=(%x,%d,%v,%d) != workers=1 (%x,%d,%v,%d)",
+					workers, p != nil, ce.Digest(), ce.Executed(), ce.Elapsed(), ce.Deliveries(),
+					want.Digest(), want.Executed(), want.Elapsed(), want.Deliveries())
+			}
+		}
 	}
 }
 
@@ -572,10 +562,9 @@ func TestCoupledParallelDeliveryMatchesInline(t *testing.T) {
 // two-rank groups starts with 12 pending events, all inside the first
 // window, so its heap moves to a fresh allocation, and every one of
 // those events defers an op in that window, so each worker's run grows
-// past its capacity. The barrier ops re-arm about 3000 tokens (rounds
-// large enough to be delivered on the pool). Digest, event count and
-// end time must equal the values the engine gave before groups kept
-// their first heap entries inline, at every worker count.
+// past its capacity. The barrier ops re-arm about 3000 tokens. Digest,
+// event count and end time must equal the values the engine gave before
+// groups kept their first heap entries inline, at every worker count.
 func TestCoupledInlineOverflowKeepsSchedule(t *testing.T) {
 	const (
 		groups, perGroup, hops = 256, 12, 40000
@@ -630,9 +619,6 @@ func TestCoupledInlineOverflowKeepsSchedule(t *testing.T) {
 			t.Fatalf("workers=%d: (digest,events,elapsed)=(%#x,%d,%d), want (%#x,%d,%d)",
 				workers, ce.Digest(), ce.Executed(), int64(ce.Elapsed()),
 				uint64(wantDigest), wantEvents, int64(wantElapsed))
-		}
-		if _, par := ce.Deliveries(); workers > 1 && par == 0 {
-			t.Fatalf("workers=%d: no delivery round was opened to the pool", workers)
 		}
 	}
 }

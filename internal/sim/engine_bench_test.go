@@ -53,25 +53,20 @@ func BenchmarkEngineTimerChurn(b *testing.B) {
 // loop on the prepared-closure token storm over 64 and 4096
 // single-rank groups at 1, 2, and 4 workers. At 4096 groups a window
 // holds over a thousand active groups, each deferring about one op:
-// the shape where block claims, the workers' sorted runs and pool
-// delivery matter. At more than one worker its barriers deliver about
-// 1500 events each, above the pool-delivery cutoff, and the benchmark
-// fails if no delivery pass was opened to the pool. Steady state must
-// stay at 0 allocs/op — the dispatch path (the pool's gate and wake
-// policy, active-set collection, horizon slots, min-tree maintenance)
-// and the barrier (per-worker runs, per-share delivery buffers) reuse
-// all storage across windows; ci.yml gates on it. On single-core
-// runners compare sim.busy_wall from the phold-100k benchmark
-// workload instead of ns/event.
+// the shape where block claims, the workers' sorted runs and the
+// barrier's delivery pass matter; its barriers deliver about 1500
+// events each. Steady state must stay at 0 allocs/op — the dispatch
+// path (the pool's gate and wake policy, active-set collection,
+// horizon slots, min-tree maintenance) and the barrier (per-worker
+// runs, the delivery buffer) reuse all storage across windows; ci.yml
+// gates on it. On single-core runners compare sim.busy_wall from the
+// phold-100k benchmark workload instead of ns/event.
 func BenchmarkEngineCoupledWindows(b *testing.B) {
 	for _, groups := range []int{64, 4096} {
 		for _, workers := range []int{1, 2, 4} {
 			b.Run(fmt.Sprintf("groups=%d/workers=%d", groups, workers), func(b *testing.B) {
 				b.ReportAllocs()
 				ce := simbench.CoupledWindows(groups, workers, b.N, 1)
-				if _, par := ce.Deliveries(); groups == 4096 && workers > 1 && b.N >= groups && par == 0 {
-					b.Fatalf("%d events: no delivery round was opened to the pool", b.N)
-				}
 				if ev := ce.Executed(); ev > 0 {
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ev), "ns/event")
 				}

@@ -110,8 +110,10 @@ func (c *Common) ReportSched(label string, stats *sched.Stats) {
 // barrier deferred-op application vs window-bound maintenance — the
 // engine-layer start of a Breaking-Band-style cost attribution), the
 // events barrier ops delivered to node groups, the windows opened to
-// the window pool, those that woke its helpers and those a helper
-// joined with the helpers' mean join delay, the largest window worker
+// the window pool and those that woke its helpers (both deterministic:
+// a count rule picks the woken windows), those a helper joined and the
+// helpers' mean join delay (timings: joined and join follow the host's
+// scheduling), the largest window worker
 // parallelism used, the executed events, the switches into rank
 // processes (resumes), the largest node-group count of any one world,
 // and the worst per-world event imbalance across groups (busiest group

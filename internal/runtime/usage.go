@@ -49,8 +49,9 @@ type UsageSummary struct {
 	// groups (see sim.CoupledEngine.Deliveries).
 	Deliveries uint64
 	// Pool sums the worlds' pooled-window counts: windows opened to
-	// the window pool, those that woke its helpers and those a helper
-	// joined, with the joins' summed delay (see
+	// the window pool and those that woke its helpers, both fixed by
+	// the worlds and their worker counts, and those a helper joined,
+	// with the joins' summed delay, which follow host timing (see
 	// sim.CoupledEngine.Pool).
 	Pool sim.PoolStats
 }

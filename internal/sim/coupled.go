@@ -22,8 +22,8 @@ package sim
 //   - a window pool without a handshake (runPool): Run's goroutine
 //     claims blocks of the active set from an atomic cursor itself,
 //     long-lived helpers join through an open/in-flight gate, and they
-//     are woken only when the window's measured work can pay for
-//     their measured join delay;
+//     are woken for the first pooled window and for every window of at
+//     least wakeMin active groups;
 //   - active-group dispatch: only groups whose next event beats the
 //     window bound are dispatched; idle groups skip the dispatch, the
 //     clock reads, and the deferred-op scan entirely;
@@ -191,11 +191,8 @@ type CoupledEngine struct {
 	inflight atomic.Int32
 	wake     []chan struct{} // per helper, 1-buffered
 	slots    []poolSlot      // per worker
-	// Wake policy (wakePays): running estimates and skipped windows.
-	perGroup, joinDelay time.Duration
-	skipped             int
-	pool                PoolStats
-	poolHook            func(w int) // test hook: runs as worker w enters a task
+	pool     PoolStats
+	poolHook func(w int) // test hook: runs as worker w enters a task
 
 	started bool
 }
@@ -536,7 +533,7 @@ func (ce *CoupledEngine) window(w1 Time) {
 		return
 	}
 	ce.pool.Pooled++
-	ce.runPool(ce.wakePays(len(ce.active)))
+	ce.runPool(ce.pool.Pooled == 1 || len(ce.active) >= wakeMin)
 }
 
 // runGroup executes active group i's window on worker w: the group's
@@ -554,7 +551,8 @@ func (ce *CoupledEngine) runGroup(w, i int) {
 
 // PoolStats counts a run's windows on the pool (workers > 1): opened
 // to it, that woke the helpers, and that a helper joined, with every
-// helper join and its summed delay.
+// helper join and its summed delay. Pooled and Woken depend only on the
+// run and its worker count; the rest on the host's timing.
 type PoolStats struct {
 	Pooled, Woken, Joined, Joins uint64
 	JoinWait                     time.Duration
@@ -581,31 +579,14 @@ type poolSlot struct {
 // claims instead of one per group.
 const claimsPerWorker = 8
 
-// Wake policy: a window wakes the helpers only when its expected work,
-// active groups × perGroup, exceeds wakeRatio × their join delay, so a
-// helper that joins in time still finds a quarter of it; the first
-// window and every reprobeEvery-th skipped one wake them anyway. On a
-// 2-vCPU KVM host helpers join 60 µs–1.2 ms after the opening: the 1K
-// hashtable's windows (65–128 groups at about 500 ns) stay on the
-// coordinator, phold-100k's wake the helpers, and the 10K stencil's
-// wake them about once in six.
-// The estimates weight a new sample 1/2^estShift.
-const (
-	wakeRatio    = 2
-	reprobeEvery = 64
-	estShift     = 3
-)
-
-// wakePays reports whether a window of n active groups wakes the
-// helpers; a one-group window's one block is the coordinator's.
-func (ce *CoupledEngine) wakePays(n int) bool {
-	if n > 1 && (time.Duration(n)*ce.perGroup > wakeRatio*ce.joinDelay || ce.skipped >= reprobeEvery) {
-		ce.skipped = 0
-		return true
-	}
-	ce.skipped++
-	return false
-}
+// wakeMin is the fewest active groups for which a pooled window wakes
+// the helpers; the first pooled window wakes them regardless, which
+// starts them once per run. A count, not a clock: which windows wake
+// is the same on every run and host. Active groups per window at two
+// workers: the 10K stencil has 128 or more in 656 of its 729 windows,
+// the 1K hashtable in 34 of its 2803 (2221 hold 64–127, which the
+// coordinator runs faster alone), and phold-100k about 38K in each.
+const wakeMin = 128
 
 // runPool runs the window's active groups as a task, with Run's
 // goroutine as worker 0, and re-raises the lowest failing group's
@@ -647,18 +628,9 @@ func (ce *CoupledEngine) runPool(wake bool) {
 	for ce.inflight.Load() != 0 {
 		runtime.Gosched()
 	}
-	span := time.Since(ce.opened)
-	busy, first, joined := span, &ce.slots[0], false
+	busy, first, joined := time.Since(ce.opened), &ce.slots[0], false
 	for w := 1; w < len(ce.slots); w++ {
 		s := &ce.slots[w]
-		if wake {
-			// A helper that missed the task waited at least its span.
-			d := span
-			if s.joined {
-				d = s.join
-			}
-			ce.joinDelay += (d - ce.joinDelay) >> estShift
-		}
 		if s.joined {
 			joined, busy = true, busy+s.busy
 			ce.pool.Joins++
@@ -669,7 +641,6 @@ func (ce *CoupledEngine) runPool(wake bool) {
 		}
 	}
 	ce.busy += busy
-	ce.perGroup += (busy/time.Duration(n) - ce.perGroup) >> estShift
 	if wake {
 		ce.pool.Woken++
 	}
@@ -708,7 +679,6 @@ func (ce *CoupledEngine) claim(w int) {
 // startPool launches the helpers, parked on their wake channels until
 // stopPool (deferred from Run) closes them; the first window wakes them.
 func (ce *CoupledEngine) startPool() {
-	ce.skipped = reprobeEvery
 	ce.slots = make([]poolSlot, ce.workers)
 	ce.wake = make([]chan struct{}, ce.workers-1)
 	for i := range ce.wake {

@@ -384,6 +384,55 @@ func TestCoupledPoolNeverWaitsForParkedHelper(t *testing.T) {
 	}
 }
 
+// TestCoupledWakeCountsActiveGroups pins the wake rule: a pooled
+// window wakes the helpers when it is the run's first or holds at
+// least WakeMin active groups, so Woken is a count of the run, not of
+// the host. A world of three windows (1, WakeMin-1 and WakeMin active
+// groups) wakes twice at every pooled worker count, and the 64- and
+// 1024-group storms wake the same number of windows at workers 2 and
+// 4 on every run, the 64-group storm only its first.
+func TestCoupledWakeCountsActiveGroups(t *testing.T) {
+	const la = sim.Microsecond
+	for _, workers := range []int{2, 4} {
+		groupOf := make([]int, sim.WakeMin)
+		for g := range groupOf {
+			groupOf[g] = g
+		}
+		ce, err := sim.NewCoupled(groupOf, la, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ce.Sub(0).At(la, func() {})
+		for g := range groupOf {
+			if g < sim.WakeMin-1 {
+				ce.Sub(g).At(3*la, func() {})
+			}
+			ce.Sub(g).At(5*la, func() {})
+		}
+		if err := ce.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if p := ce.Pool(); ce.Windows() != 3 || p.Pooled != 3 || p.Woken != 2 {
+			t.Fatalf("workers=%d: pool %+v over %d windows, want 3 pooled and 2 woken", workers, p, ce.Windows())
+		}
+	}
+	for _, groups := range []int{64, 1024} {
+		var want uint64
+		for run := 0; run < 3; run++ {
+			for _, workers := range []int{2, 4} {
+				woken := simbench.CoupledWindows(groups, workers, 30000, 7).Pool().Woken
+				if run == 0 && workers == 2 {
+					want = woken
+				}
+				if woken != want || groups == 64 && woken != 1 {
+					t.Fatalf("groups=%d workers=%d run %d: %d windows woken, want %d (1 at 64 groups)",
+						groups, workers, run, woken, want)
+				}
+			}
+		}
+	}
+}
+
 // TestCoupledActiveSkipReawaken drives a long two-group volley while a
 // third group goes idle after one event, then re-awakens it with a
 // barrier-delivered At. The idle group must not be dispatched while

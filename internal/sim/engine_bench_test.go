@@ -56,7 +56,7 @@ func BenchmarkEngineTimerChurn(b *testing.B) {
 // the shape where block claims, the workers' sorted runs and the
 // barrier's delivery pass matter; its barriers deliver about 1500
 // events each. Steady state must stay at 0 allocs/op — the dispatch
-// path (the pool's gate and wake policy, active-set collection,
+// path (the pool's gate and wake rule, active-set collection,
 // horizon slots, min-tree maintenance) and the barrier (per-worker
 // runs, the delivery buffer) reuse all storage across windows; ci.yml
 // gates on it. On single-core runners compare sim.busy_wall from the

@@ -5,3 +5,7 @@ package sim
 // a helper (w > 0) after its wake and before joining. Tests block or
 // delay in it to choose who claims the task's blocks.
 func SetPoolHook(ce *CoupledEngine, h func(w int)) { ce.poolHook = h }
+
+// WakeMin is the fewest active groups for which a pooled window wakes
+// the helpers after the first.
+const WakeMin = wakeMin
